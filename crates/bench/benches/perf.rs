@@ -43,16 +43,20 @@ const DST: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
 
 /// Heap-allocation counter wrapped around the system allocator, so the
 /// scale section can *assert* (not merely time) that the steady-state
-/// packet path performs zero allocations. Only `alloc`/`realloc` count —
-/// frees are irrelevant to the bound — and forwarding keeps behaviour
-/// identical to the default allocator for every other bench.
+/// packet path performs zero allocations, and the campaign section that
+/// trial setup stays small. Only `alloc`/`realloc` count (calls and
+/// requested bytes) — frees are irrelevant to the bounds — and forwarding
+/// keeps behaviour identical to the default allocator for every other
+/// bench.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -60,6 +64,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -755,9 +760,13 @@ fn bench_simulator() {
 
 /// Campaign engine substrate: the per-policy `TestbedTemplate` cache.
 /// The engine prepares each policy column once (zone build + IDS rule
-/// parse) and re-instantiates per trial; the naive alternative re-prepares
-/// for every trial. The assertion pins the caching win the campaign
-/// engine's throughput rests on.
+/// parse) and, on the column's first trial, compiles the monitors'
+/// immutable parts (surveillance ruleset and prefilter DFA, tap keyword
+/// DFA, indexed zone), which every later trial shares; the naive
+/// alternative re-prepares and recompiles for every trial. The
+/// assertions pin the caching win the campaign engine's throughput rests
+/// on, and that a warm instantiation compiles nothing: it must allocate
+/// under 64 KiB, less than one DFA's 64 KB pair table.
 fn bench_campaign() {
     use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy};
     use underradar_censor::CensorPolicy;
@@ -785,6 +794,20 @@ fn bench_campaign() {
         ..TestbedConfig::default()
     };
     let template = TestbedTemplate::prepare(config());
+    drop(template.instantiate(0));
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
+    let testbed = template.instantiate(1);
+    let setup_bytes = ALLOC_BYTES.load(Ordering::Relaxed) - before;
+    drop(testbed);
+    println!(
+        "  {:<44} {setup_bytes:>12} bytes allocated",
+        "trial_setup_warm_template"
+    );
+    assert!(
+        setup_bytes < 64 * 1024,
+        "acceptance: a warm template instantiation must share the compiled \
+         monitors and allocate under 64 KiB (got {setup_bytes} bytes)"
+    );
     let mut seed = 0u64;
     let cached_ns = measure(200, || {
         seed = seed.wrapping_add(1);

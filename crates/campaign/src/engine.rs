@@ -1,5 +1,5 @@
 //! The campaign engine: expands a [`CampaignSpec`] into trials, caches a
-//! built [`TestbedTemplate`] (and routed ruleset) per policy, schedules
+//! [`TestbedTemplate`] (and a [`RoutedTemplate`]) per policy, schedules
 //! trials across worker threads with work stealing ([`crate::steal`]),
 //! retries `Inconclusive` verdicts with backoff in *simulated* time, and
 //! merges per-trial telemetry registries back into the caller's handle in
@@ -18,21 +18,20 @@ use underradar_core::methods::hops::HopProbe;
 use underradar_core::methods::overt::OvertProbe;
 use underradar_core::methods::scan::SynScanProbe;
 use underradar_core::methods::spam::SpamProbe;
-use underradar_core::methods::stateful::{MimicServer, RoutedMimicryNet, StatefulMimicry};
+use underradar_core::methods::stateful::{
+    MimicServer, RoutedMimicryNet, RoutedTemplate, StatefulMimicry,
+};
 use underradar_core::methods::stateless::{StatelessDnsMimicry, StatelessSynMimicry};
 use underradar_core::ports::top_ports;
 use underradar_core::probe::Probe;
 use underradar_core::risk::RiskReport;
-use underradar_core::testbed::{TargetSite, Testbed, TestbedConfig, TestbedTemplate};
+use underradar_core::testbed::{TargetSite, TestbedConfig, TestbedTemplate};
 use underradar_core::verdict::Verdict;
-use underradar_ids::rule::Rule;
 use underradar_netsim::host::Host;
 use underradar_netsim::time::{SimDuration, SimTime};
 use underradar_protocols::dns::QType;
 use underradar_surveil::exposure::{ExposureEventKind, ExposureLedger};
-use underradar_surveil::system::{
-    default_surveillance_rules, SurveillanceNode, SurveillanceSystem,
-};
+use underradar_surveil::system::{SurveillanceNode, SurveillanceSystem};
 use underradar_telemetry::{FieldValue, Registry, Telemetry, TraceRecord};
 
 use crate::report::{CampaignReport, TrialResult};
@@ -51,14 +50,17 @@ const SCAN_PORTS: usize = 60;
 /// Request samples per DDoS-style trial.
 const DDOS_SAMPLES: usize = 20;
 
-/// Everything shareable across a policy column's trials: the testbed
-/// template (zone + parsed IDS rules built once) and the routed-topology
-/// ruleset. All fields are `Send + Sync`, so worker threads borrow one
-/// prep instead of re-parsing rules per trial.
+/// Everything shareable across a policy column's trials: the flat
+/// testbed template and the routed-topology template. Each derives its
+/// zone and rules here and compiles its monitors' immutable parts — the
+/// surveillance engine's ruleset and prefilter DFA, the tap censor's
+/// keyword DFA, the indexed zone — once, on the column's first trial;
+/// every later trial shares them and builds only its own world. All
+/// fields are `Send + Sync`, so worker threads borrow one prep.
 pub struct PolicyPrep<'a> {
     named: &'a NamedPolicy,
     template: TestbedTemplate,
-    routed_rules: Vec<Rule>,
+    routed: RoutedTemplate,
 }
 
 /// Build one [`PolicyPrep`] per policy column, in spec order. The vector
@@ -88,16 +90,10 @@ pub fn prepare(spec: &CampaignSpec) -> Vec<PolicyPrep<'_>> {
                 client_link_corrupt: spec.client_link_corrupt,
                 monitor_reassembly: spec.monitor_reassembly,
             });
-            let routed_rules = default_surveillance_rules(
-                Testbed::home_net(),
-                &named.policy.dns_blocked,
-                &named.policy.keywords,
-                None,
-            );
             PolicyPrep {
                 named,
                 template,
-                routed_rules,
+                routed: RoutedTemplate::prepare(named.policy.clone()),
             }
         })
         .collect()
@@ -557,11 +553,7 @@ fn execute_routed(
     horizon_secs: u64,
     scope: &Telemetry,
 ) -> TrialResult {
-    let mut net = RoutedMimicryNet::build_with_rules(
-        seed,
-        prep.named.policy.clone(),
-        prep.routed_rules.clone(),
-    );
+    let mut net = prep.routed.instantiate(seed);
     let tracer = scope.tracer();
     net.sim.set_telemetry(scope.clone());
     if tracer.is_live() {

@@ -36,4 +36,4 @@ pub mod tap;
 pub use dns::DnsInjector;
 pub use inline::InlineCensor;
 pub use policy::{CensorAction, CensorActionKind, CensorPolicy};
-pub use tap::TapCensor;
+pub use tap::{CompiledPolicy, TapCensor};

@@ -8,6 +8,7 @@
 //! the behaviour the measurement techniques detect.
 
 use std::any::Any;
+use std::sync::Arc;
 
 use underradar_ids::dfa::{PrefilterDfa, DFA_START};
 use underradar_ids::stream::{Direction, FlowId, ReassemblyConfig, StreamReassembler};
@@ -61,16 +62,36 @@ impl Default for TapFlowState {
     }
 }
 
+/// A censor policy compiled for the tap censor: the policy plus one dense
+/// DFA over all its keywords (case-insensitive — the DFA's case folding
+/// is exact here), whose pattern ids index `policy.keywords`.
+///
+/// Immutable and `Send + Sync`: compile it once per policy and share it
+/// by [`Arc`] across every tap censor enforcing that policy
+/// ([`TapCensor::from_compiled`]); each censor keeps only its own flow
+/// state, actions and counters.
+#[derive(Debug)]
+pub struct CompiledPolicy {
+    policy: CensorPolicy,
+    keywords: PrefilterDfa,
+}
+
+impl CompiledPolicy {
+    /// Compile `policy`'s keyword matcher.
+    pub fn new(policy: CensorPolicy) -> CompiledPolicy {
+        let keywords = PrefilterDfa::new(&policy.keywords);
+        CompiledPolicy { policy, keywords }
+    }
+}
+
 /// An off-path censor node. Attach its interface 0 to a switch tap port.
 pub struct TapCensor {
     name: String,
-    policy: CensorPolicy,
+    /// The shared policy and keyword DFA, matched incrementally against
+    /// each flow direction.
+    compiled: Arc<CompiledPolicy>,
     reassembler: StreamReassembler,
     injector: DnsInjector,
-    /// One dense DFA over all policy keywords (case-insensitive — the
-    /// DFA's case folding is exact here), matched incrementally against
-    /// each flow direction.
-    keywords: PrefilterDfa,
     /// Per-flow cursors and strike lists, dense by [`FlowId::index`].
     flow_states: Vec<TapFlowState>,
     /// Slots currently live (telemetry / leak introspection).
@@ -90,20 +111,24 @@ impl TapCensor {
     /// capacity and per-direction buffering caps) — the monitor-resource
     /// knobs population-scale experiments sweep.
     pub fn with_reassembly(name: &str, policy: CensorPolicy, cfg: ReassemblyConfig) -> TapCensor {
-        let injector = DnsInjector::new(&policy);
-        let patterns: Vec<Vec<u8>> = policy
-            .keywords
-            .iter()
-            .map(|kw| kw.as_bytes().to_vec())
-            .collect();
+        Self::from_compiled(name, Arc::new(CompiledPolicy::new(policy)), cfg)
+    }
+
+    /// Build over an already compiled, shared policy with explicit
+    /// reassembly limits: builds only the per-censor state.
+    pub fn from_compiled(
+        name: &str,
+        compiled: Arc<CompiledPolicy>,
+        cfg: ReassemblyConfig,
+    ) -> TapCensor {
+        let injector = DnsInjector::new(&compiled.policy);
         let mut reassembler = StreamReassembler::with_config(cfg);
         reassembler.track_removals(true);
         TapCensor {
             name: name.to_string(),
-            policy,
+            compiled,
             reassembler,
             injector,
-            keywords: PrefilterDfa::new(&patterns),
             flow_states: Vec::new(),
             live_states: 0,
             actions: Vec::new(),
@@ -159,7 +184,7 @@ impl TapCensor {
 
     /// The policy in force.
     pub fn policy(&self) -> &CensorPolicy {
-        &self.policy
+        &self.compiled.policy
     }
 
     /// Mirror tap-censor totals into `tel` under `censor.tap.*`: packet
@@ -217,13 +242,13 @@ impl TapCensor {
             Direction::ToClient => &mut st.s2c,
         };
         let mut hits: Vec<usize> = Vec::new();
-        self.keywords.feed(cursor, tail, |idx, _end| {
+        self.compiled.keywords.feed(cursor, tail, |idx, _end| {
             if !hits.contains(&idx) {
                 hits.push(idx);
             }
         });
         for idx in hits {
-            let kw = &self.policy.keywords[idx];
+            let kw = &self.compiled.policy.keywords[idx];
             if st.fired.contains(&idx) {
                 continue;
             }
@@ -293,7 +318,8 @@ impl Node for TapCensor {
         }
 
         // DNS injection.
-        if let Some((forged, qname, qtype)) = self.injector.inspect(&self.policy, &packet) {
+        if let Some((forged, qname, qtype)) = self.injector.inspect(&self.compiled.policy, &packet)
+        {
             ctx.send(iface, forged);
             self.stats.dns_injections += 1;
             if self.tracer.is_live() {

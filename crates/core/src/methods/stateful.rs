@@ -20,13 +20,20 @@
 //! the flow was censored; clean delivery means reachable.
 
 use std::net::Ipv4Addr;
+use std::sync::{Arc, OnceLock};
 
+use underradar_censor::{CensorPolicy, CompiledPolicy};
+use underradar_ids::engine::CompiledRuleset;
+use underradar_ids::rule::Rule;
+use underradar_netsim::addr::Cidr;
 use underradar_netsim::host::{HostApi, HostTask, RawVerdict};
 use underradar_netsim::packet::Packet;
 use underradar_netsim::time::SimDuration;
 use underradar_netsim::wire::tcp::TcpFlags;
+use underradar_surveil::system::default_surveillance_rules;
 
 use crate::probe::{Evidence, Probe};
+use crate::testbed::Testbed;
 use crate::verdict::{Mechanism, Verdict};
 
 /// Events the measurer-controlled server records.
@@ -382,34 +389,73 @@ impl RoutedMimicryNet {
 
     /// Build the routed network, deriving the surveillance ruleset from
     /// the policy.
-    pub fn build(seed: u64, policy: underradar_censor::CensorPolicy) -> RoutedMimicryNet {
-        use underradar_netsim::addr::Cidr;
-        use underradar_surveil::system::default_surveillance_rules;
-
-        let home = Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 8);
-        let rules = default_surveillance_rules(home, &policy.dns_blocked, &policy.keywords, None);
-        Self::build_with_rules(seed, policy, rules)
+    pub fn build(seed: u64, policy: CensorPolicy) -> RoutedMimicryNet {
+        RoutedTemplate::prepare(policy).instantiate(seed)
     }
 
-    /// Build the routed network with a pre-parsed surveillance ruleset
-    /// (lets campaigns cache the ruleset per policy across trials).
-    pub fn build_with_rules(
-        seed: u64,
-        policy: underradar_censor::CensorPolicy,
-        rules: Vec<underradar_ids::rule::Rule>,
-    ) -> RoutedMimicryNet {
+    /// Build the routed network with a pre-parsed surveillance ruleset.
+    /// One-shot path: it compiles the monitors for this one network;
+    /// callers building many should hold a [`RoutedTemplate`].
+    pub fn build_with_rules(seed: u64, policy: CensorPolicy, rules: Vec<Rule>) -> RoutedMimicryNet {
+        RoutedTemplate::with_rules(policy, rules).instantiate(seed)
+    }
+}
+
+/// The seed-independent parts of a [`RoutedMimicryNet`]: the policy and
+/// the parsed surveillance ruleset, and — compiled from them on the
+/// first [`RoutedTemplate::instantiate`] — the tap censor's keyword DFA
+/// and the surveillance engine's compiled ruleset, which every network
+/// instantiated from the template shares by `Arc`.
+///
+/// Campaigns prepare one per policy column, as with
+/// [`crate::testbed::TestbedTemplate`]; it is `Send + Sync`.
+pub struct RoutedTemplate {
+    policy: CensorPolicy,
+    rules: Vec<Rule>,
+    monitors: OnceLock<(Arc<CompiledPolicy>, Arc<CompiledRuleset>)>,
+}
+
+impl RoutedTemplate {
+    /// Prepare for `policy`, deriving the surveillance ruleset from it.
+    pub fn prepare(policy: CensorPolicy) -> RoutedTemplate {
+        let rules = default_surveillance_rules(
+            Testbed::home_net(),
+            &policy.dns_blocked,
+            &policy.keywords,
+            None,
+        );
+        Self::with_rules(policy, rules)
+    }
+
+    /// Prepare for `policy` with a pre-parsed surveillance ruleset.
+    pub fn with_rules(policy: CensorPolicy, rules: Vec<Rule>) -> RoutedTemplate {
+        RoutedTemplate {
+            policy,
+            rules,
+            monitors: OnceLock::new(),
+        }
+    }
+
+    /// Assemble a routed network for `seed` from the shared parts.
+    pub fn instantiate(&self, seed: u64) -> RoutedMimicryNet {
         use underradar_censor::TapCensor;
-        use underradar_netsim::addr::Cidr;
+        use underradar_ids::stream::ReassemblyConfig;
         use underradar_netsim::host::Host;
         use underradar_netsim::link::LinkConfig;
         use underradar_netsim::switch::Switch;
         use underradar_netsim::topology::TopologyBuilder;
         use underradar_surveil::system::{SurveillanceConfig, SurveillanceNode};
 
+        let (censor_policy, ruleset) = self.monitors.get_or_init(|| {
+            (
+                Arc::new(CompiledPolicy::new(self.policy.clone())),
+                Arc::new(CompiledRuleset::new(self.rules.clone())),
+            )
+        });
         let client_ip = Ipv4Addr::new(10, 0, 1, 2);
         let cover_ip = Ipv4Addr::new(10, 0, 1, 77);
         let mserver_ip = Ipv4Addr::new(198, 51, 100, 200);
-        let home = Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 8);
+        let home = Testbed::home_net();
         let world = Cidr::new(Ipv4Addr::new(198, 51, 100, 0), 24);
 
         let mut topo = TopologyBuilder::new(seed);
@@ -422,10 +468,14 @@ impl RoutedMimicryNet {
         mserver_host.set_respond_rst(false);
         let mserver = topo.add_host(mserver_host);
 
-        let censor = topo.add_node(Box::new(TapCensor::new("censor", policy.clone())));
+        let censor = topo.add_node(Box::new(TapCensor::from_compiled(
+            "censor",
+            censor_policy.clone(),
+            ReassemblyConfig::default(),
+        )));
         let surveillance = topo.add_node(Box::new(SurveillanceNode::new(
             "mvr",
-            SurveillanceConfig::with_rules(rules),
+            SurveillanceConfig::with_compiled(ruleset.clone()),
         )));
 
         let sw1 = topo.add_switch(Switch::new("sw1"));

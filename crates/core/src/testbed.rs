@@ -24,8 +24,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
-use underradar_censor::{CensorAction, CensorPolicy, InlineCensor, TapCensor};
+use underradar_censor::{CensorAction, CensorPolicy, CompiledPolicy, InlineCensor, TapCensor};
+use underradar_ids::engine::CompiledRuleset;
 use underradar_ids::rule::Rule;
 use underradar_ids::stream::ReassemblyConfig;
 use underradar_netsim::addr::Cidr;
@@ -36,7 +38,7 @@ use underradar_netsim::sim::Simulator;
 use underradar_netsim::switch::Switch;
 use underradar_netsim::time::{SimDuration, SimTime};
 use underradar_netsim::topology::TopologyBuilder;
-use underradar_protocols::dns::{DnsName, DnsServer, Record, ZoneBuilder};
+use underradar_protocols::dns::{DnsName, DnsServer, DnsZone, Record, ZoneBuilder};
 use underradar_protocols::email::EmailMessage;
 use underradar_protocols::http::HttpServer;
 use underradar_protocols::smtp::SmtpServerService;
@@ -136,18 +138,34 @@ const RESOLVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 2, 53);
 const COLLECTOR_IP: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 99);
 const MSERVER_IP: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 200);
 
-/// The expensive, seed-independent parts of a [`TestbedConfig`]: the
-/// resolver zone and the parsed surveillance ruleset (string-formatting
-/// and parsing the Snort-style rules dominates testbed construction).
+/// The seed-independent parts of a [`TestbedConfig`]: the resolver zone
+/// and the parsed surveillance ruleset, and — compiled from them on the
+/// first [`TestbedTemplate::instantiate`] — the monitors' immutable
+/// parts: the indexed zone, the surveillance engine's compiled ruleset
+/// (prefilter DFA included) and the tap censor's keyword DFA. Every
+/// testbed instantiated from the template shares those by `Arc` and
+/// builds only its own mutable state (simulator, hosts, reassemblers,
+/// logs), so per-trial construction does no string formatting, rule
+/// parsing, DFA building or zone indexing.
 ///
 /// A campaign prepares one template per censor policy and instantiates a
-/// fresh testbed per trial seed from it, instead of re-deriving the same
-/// zone and ruleset for every trial. The template holds no simulator
-/// state, so it is `Send + Sync` and shards can share it by reference.
+/// fresh testbed per trial seed from it. Preparing stays as cheap as
+/// deriving the zone and parsing the rules: compilation happens once, on
+/// first use, so columns a run never reaches cost nothing. The template
+/// holds no simulator state, so it is `Send + Sync` and shards can share
+/// it by reference.
 pub struct TestbedTemplate {
     config: TestbedConfig,
     zone: Vec<Record>,
     rules: Vec<Rule>,
+    monitors: OnceLock<SharedMonitors>,
+}
+
+/// The compiled, immutable parts a policy column's testbeds share.
+struct SharedMonitors {
+    zone: Arc<DnsZone>,
+    ruleset: Arc<CompiledRuleset>,
+    censor: Arc<CompiledPolicy>,
 }
 
 impl TestbedTemplate {
@@ -170,7 +188,17 @@ impl TestbedTemplate {
             config,
             zone: zone.build(),
             rules,
+            monitors: OnceLock::new(),
         }
+    }
+
+    /// The shared monitor parts, compiled on first use.
+    fn monitors(&self) -> &SharedMonitors {
+        self.monitors.get_or_init(|| SharedMonitors {
+            zone: Arc::new(DnsZone::new(self.zone.clone())),
+            ruleset: Arc::new(CompiledRuleset::new(self.rules.clone())),
+            censor: Arc::new(CompiledPolicy::new(self.config.policy.clone())),
+        })
     }
 
     /// The configuration the template was prepared from.
@@ -182,6 +210,7 @@ impl TestbedTemplate {
     /// the config's seed (each trial gets its own).
     pub fn instantiate(&self, seed: u64) -> Testbed {
         let config = &self.config;
+        let monitors = self.monitors();
         let client_ip = CLIENT_IP;
         let resolver_ip = RESOLVER_IP;
         let collector_ip = COLLECTOR_IP;
@@ -204,16 +233,16 @@ impl TestbedTemplate {
 
         // Resolver serving the pre-built zone.
         let mut resolver_host = Host::new("resolver", resolver_ip);
-        resolver_host.add_udp_service(53, Box::new(DnsServer::new(self.zone.clone())));
+        resolver_host.add_udp_service(53, Box::new(DnsServer::with_zone(monitors.zone.clone())));
         let resolver = topo.add_host(resolver_host);
 
         // --- monitors ---
         let mut tap_censor =
-            TapCensor::with_reassembly("censor", config.policy.clone(), config.monitor_reassembly);
+            TapCensor::from_compiled("censor", monitors.censor.clone(), config.monitor_reassembly);
         tap_censor.set_rst_teardown(config.censor_rst_teardown);
         let censor = topo.add_node(Box::new(tap_censor));
 
-        let mut surv_config = SurveillanceConfig::with_rules(self.rules.clone());
+        let mut surv_config = SurveillanceConfig::with_compiled(monitors.ruleset.clone());
         surv_config.alert_first = config.surveillance_alert_first;
         surv_config.reassembly = config.monitor_reassembly;
         let surveillance = topo.add_node(Box::new(SurveillanceNode::new("mvr", surv_config)));
@@ -747,6 +776,30 @@ mod tests {
         ] {
             assert!(snap.counter(counter) > 0, "{counter} saw no evictions");
         }
+    }
+
+    #[test]
+    fn instantiations_share_the_compiled_monitors() {
+        let template = TestbedTemplate::prepare(TestbedConfig {
+            policy: CensorPolicy::new().block_keyword("falun"),
+            ..TestbedConfig::default()
+        });
+        assert!(
+            template.monitors.get().is_none(),
+            "prepare compiles nothing"
+        );
+        let worlds = (template.instantiate(1), template.instantiate(2));
+        let m = template
+            .monitors
+            .get()
+            .expect("compiled on first instantiate");
+        // The template's handle plus one per live world: both worlds hold
+        // the column's single compiled copy.
+        assert_eq!(Arc::strong_count(&m.ruleset), 3);
+        assert_eq!(Arc::strong_count(&m.censor), 3);
+        assert_eq!(Arc::strong_count(&m.zone), 3);
+        drop(worlds);
+        assert_eq!(Arc::strong_count(&m.ruleset), 1);
     }
 
     #[test]

@@ -71,8 +71,10 @@ pub struct PrefilterDfa {
     /// "report" against `pattern-…` rules) returns to root *within* the
     /// pair instead of breaking the bulk loop, so near-miss bytes cost
     /// nothing. 64 KB, built by composing the (much smaller) class-pair
-    /// table.
-    pair_live: Box<[u8; 65536]>,
+    /// table — and empty for an automaton with no non-empty pattern,
+    /// which never leaves the root, so keyword-free policies keep no
+    /// table resident.
+    pair_live: Box<[u8]>,
     /// Per-state output ranges into `out_ids`; length `nstates + 1`.
     out_start: Vec<u32>,
     /// Flattened pattern outputs (own plus fail-chain, precomputed).
@@ -89,8 +91,8 @@ impl PrefilterDfa {
         // 1. Byte classes first: one class per distinct folded pattern
         //    byte, class 0 for everything else. Knowing the alphabet up
         //    front lets every later stage — trie, BFS, dense table — work
-        //    over `nclasses`-wide rows instead of 256-wide ones, which is
-        //    what keeps engine construction cheap enough to run per trial.
+        //    over `nclasses`-wide rows instead of 256-wide ones, which
+        //    keeps compiling a ruleset cheap.
         let mut class_of = [0u8; 256];
         let mut nclasses: u32 = 1;
         for pat in patterns {
@@ -186,38 +188,13 @@ impl PrefilterDfa {
             root_live[b] = u8::from(root[b] != 0);
         }
 
-        // Pair liveness over byte *classes* first (nclasses² entries), then
-        // expanded through `cls` to the 64 KB raw-byte-pair table. A pair
-        // is dead — exactly skippable — iff neither step matches and the
-        // automaton is back at the root afterwards.
-        let mut cls_pair_live = vec![1u8; nc * nc];
-        for c0 in 0..nc {
-            let s1 = trans[c0];
-            if s1 & MATCH_BIT != 0 {
-                continue; // every (c0, *) pair stays live
-            }
-            let base1 = (s1 & STATE_MASK) as usize;
-            for c1 in 0..nc {
-                cls_pair_live[c0 * nc + c1] = u8::from(trans[base1 + c1] != 0);
-            }
-        }
-        // Expand through `cls` to the 64 KB raw table. The table is laid
-        // out little-endian (`b0 | b1 << 8`), so a fixed `b1` owns one
-        // contiguous 256-byte segment whose contents depend only on
-        // `cls[b1]` — build one 256-byte column per class and memcpy it
-        // into place, keeping this (per-engine-build) expansion at a few
-        // microseconds instead of 64 K strided writes.
-        let mut cols = vec![[0u8; 256]; nc];
-        for (c1, col) in cols.iter_mut().enumerate() {
-            for b0 in 0..256usize {
-                col[b0] = cls_pair_live[cls[b0] as usize * nc + c1];
-            }
-        }
-        let mut pair_live = vec![0u8; 1 << 16].into_boxed_slice();
-        for b1 in 0..256usize {
-            pair_live[b1 << 8..][..256].copy_from_slice(&cols[cls[b1] as usize]);
-        }
-        let pair_live: Box<[u8; 65536]> = pair_live.try_into().expect("built with 65536 entries");
+        // An automaton with only the root state never scans (see `run`),
+        // so it keeps no pair table at all.
+        let pair_live = if nstates <= 1 {
+            Box::default()
+        } else {
+            pair_table(&trans, &cls, nc)
+        };
 
         // 5. Flatten outputs.
         let mut out_start = Vec::with_capacity(goto_.len() + 1);
@@ -263,12 +240,14 @@ impl PrefilterDfa {
     #[inline]
     fn run<F: FnMut(usize, usize)>(&self, mut s: u32, chunk: &[u8], hit: &mut F) -> u32 {
         // An empty automaton (no non-empty patterns) has only the root
-        // state and can never match or leave it — don't touch the bytes.
-        if self.nstates <= 1 {
+        // state, can never match or leave it, and carries no pair table —
+        // don't touch the bytes. This one length check per call is also
+        // what lets the skip loop index the table without per-byte bounds
+        // checks.
+        let Ok(pl) = <&[u8; 65536]>::try_from(&*self.pair_live) else {
             return s;
-        }
+        };
         let live = &*self.root_live;
-        let pl = &*self.pair_live;
         let n = chunk.len();
         let mut i = 0usize;
         while i < n {
@@ -341,6 +320,43 @@ impl PrefilterDfa {
     }
 }
 
+/// The 64 KB little-endian raw byte-pair liveness table
+/// ([`PrefilterDfa`]'s `pair_live`) for encoded transitions `trans` over
+/// `nc` byte classes.
+fn pair_table(trans: &[u32], cls: &[u8; 256], nc: usize) -> Box<[u8]> {
+    // Pair liveness over byte *classes* first (nclasses² entries), then
+    // expanded through `cls` to the raw-byte-pair table. A pair is dead —
+    // exactly skippable — iff neither step matches and the automaton is
+    // back at the root afterwards.
+    let mut cls_pair_live = vec![1u8; nc * nc];
+    for c0 in 0..nc {
+        let s1 = trans[c0];
+        if s1 & MATCH_BIT != 0 {
+            continue; // every (c0, *) pair stays live
+        }
+        let base1 = (s1 & STATE_MASK) as usize;
+        for c1 in 0..nc {
+            cls_pair_live[c0 * nc + c1] = u8::from(trans[base1 + c1] != 0);
+        }
+    }
+    // Expand through `cls` to the 64 KB raw table. The table is laid out
+    // little-endian (`b0 | b1 << 8`), so a fixed `b1` owns one contiguous
+    // 256-byte segment whose contents depend only on `cls[b1]` — build one
+    // 256-byte column per class and memcpy it into place, keeping this
+    // expansion at a few microseconds instead of 64 K strided writes.
+    let mut cols = vec![[0u8; 256]; nc];
+    for (c1, col) in cols.iter_mut().enumerate() {
+        for b0 in 0..256usize {
+            col[b0] = cls_pair_live[cls[b0] as usize * nc + c1];
+        }
+    }
+    let mut pair_live = vec![0u8; 1 << 16].into_boxed_slice();
+    for b1 in 0..256usize {
+        pair_live[b1 << 8..][..256].copy_from_slice(&cols[cls[b1] as usize]);
+    }
+    pair_live
+}
+
 impl std::fmt::Debug for PrefilterDfa {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PrefilterDfa")
@@ -407,6 +423,12 @@ mod tests {
         let none = PrefilterDfa::new::<&[u8]>(&[]);
         assert_eq!(dfa_matches(&none, b"anything"), vec![]);
         assert!(!none.any_match(b"anything"));
+        // Nothing to match means no 64 KB pair table either.
+        assert!(none.pair_live.is_empty());
+        let only_empty = PrefilterDfa::new::<&[u8]>(&[b""]);
+        assert!(only_empty.pair_live.is_empty());
+        assert!(!only_empty.any_match(b"anything at all"));
+        assert_eq!(dfa.pair_live.len(), 1 << 16);
     }
 
     #[test]

@@ -45,6 +45,13 @@
 //! fire on the RST segment itself — by then the buffer is gone, which is
 //! precisely the monitor blindness the paper's §4.1 mimicry relies on.
 //!
+//! Compilation is split from matching. A [`CompiledRuleset`] holds
+//! everything derived from the rules alone — the rules, the prefilter
+//! DFA, pattern metadata, rule groups and the stream/pass flags — and is
+//! immutable, so one copy behind an `Arc` serves every engine that runs
+//! those rules (a campaign compiles each policy's ruleset once, not once
+//! per trial). A [`DetectionEngine`] owns only mutable matching state.
+//!
 //! [`DetectionEngine::process_batch`] is the scale entry point: it runs a
 //! same-instant packet run through the identical per-packet pipeline but
 //! appends alerts into one caller-owned buffer and hoists per-call
@@ -52,6 +59,7 @@
 //! byte-identical verdicts to per-packet [`DetectionEngine::process`].
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use underradar_netsim::hash::FxHashMap;
 
@@ -264,8 +272,19 @@ impl CandidateSet {
     }
 }
 
-/// A Snort-like detection engine over a fixed ruleset.
-pub struct DetectionEngine {
+/// A ruleset compiled for matching: the rules, the fast-pattern
+/// prefilter DFA over them, per-pattern confirmation bytes, the
+/// proto/port groups for patternless rules, and per-rule stream/pass
+/// flags.
+///
+/// Immutable once built and `Send + Sync`: compile it once per ruleset
+/// and share it by [`Arc`] across every engine that runs those rules
+/// ([`DetectionEngine::from_compiled`]). Each engine keeps only its own
+/// mutable matching state — reassembler, per-flow cursors, candidates,
+/// thresholds, log and stats — so engines sharing one compiled ruleset
+/// produce exactly the alerts independently built engines would.
+#[derive(Debug)]
+pub struct CompiledRuleset {
     rules: Vec<Rule>,
     /// Fast-pattern prefilter over every rule with a usable fast pattern —
     /// alert *and* pass; `patterns[i]` describes automaton pattern `i`.
@@ -277,6 +296,45 @@ pub struct DetectionEngine {
     is_stream: Vec<bool>,
     /// `rule.action == Pass`.
     is_pass: Vec<bool>,
+}
+
+impl CompiledRuleset {
+    /// Compile `rules`: build the prefilter over each rule's fast pattern
+    /// and group the rules that have none.
+    pub fn new(rules: Vec<Rule>) -> CompiledRuleset {
+        let mut folded: Vec<Vec<u8>> = Vec::new();
+        let mut patterns = Vec::new();
+        let mut groups = RuleGroups::default();
+        let mut is_stream = vec![false; rules.len()];
+        let mut is_pass = vec![false; rules.len()];
+        for (idx, rule) in rules.iter().enumerate() {
+            is_stream[idx] = !rule.flow.is_empty();
+            is_pass[idx] = rule.action == RuleAction::Pass;
+            match rule.fast_pattern() {
+                Some(c) => {
+                    folded.push(c.pattern.to_ascii_lowercase());
+                    patterns.push(PatternMeta {
+                        rule: idx as u32,
+                        exact: (!c.nocase).then(|| c.pattern.clone()),
+                    });
+                }
+                None => groups.add(idx as u32, rule),
+            }
+        }
+        CompiledRuleset {
+            prefilter: PrefilterDfa::new(&folded),
+            patterns,
+            groups,
+            is_stream,
+            is_pass,
+            rules,
+        }
+    }
+}
+
+/// A Snort-like detection engine over a fixed, shared [`CompiledRuleset`].
+pub struct DetectionEngine {
+    ruleset: Arc<CompiledRuleset>,
     reassembler: StreamReassembler,
     thresholds: FxHashMap<(u32, Ipv4Addr), ThresholdState>,
     /// Dense per-flow matcher and dedup state, indexed by
@@ -301,35 +359,17 @@ impl DetectionEngine {
     /// Compile an engine with explicit reassembly limits (flow-table
     /// capacity and per-direction buffer/hold-back windows).
     pub fn with_reassembly(rules: Vec<Rule>, cfg: ReassemblyConfig) -> DetectionEngine {
-        let mut folded: Vec<Vec<u8>> = Vec::new();
-        let mut patterns = Vec::new();
-        let mut groups = RuleGroups::default();
-        let mut is_stream = vec![false; rules.len()];
-        let mut is_pass = vec![false; rules.len()];
-        for (idx, rule) in rules.iter().enumerate() {
-            is_stream[idx] = !rule.flow.is_empty();
-            is_pass[idx] = rule.action == RuleAction::Pass;
-            match rule.fast_pattern() {
-                Some(c) => {
-                    folded.push(c.pattern.to_ascii_lowercase());
-                    patterns.push(PatternMeta {
-                        rule: idx as u32,
-                        exact: (!c.nocase).then(|| c.pattern.clone()),
-                    });
-                }
-                None => groups.add(idx as u32, rule),
-            }
-        }
+        Self::from_compiled(Arc::new(CompiledRuleset::new(rules)), cfg)
+    }
+
+    /// An engine over an already compiled, shared ruleset with explicit
+    /// reassembly limits: builds only the per-engine matching state.
+    pub fn from_compiled(ruleset: Arc<CompiledRuleset>, cfg: ReassemblyConfig) -> DetectionEngine {
         let mut reassembler = StreamReassembler::with_config(cfg);
         reassembler.track_removals(true);
         DetectionEngine {
-            prefilter: PrefilterDfa::new(&folded),
-            patterns,
-            groups,
-            is_stream,
-            is_pass,
-            candidates: CandidateSet::with_universe(rules.len()),
-            rules,
+            candidates: CandidateSet::with_universe(ruleset.rules.len()),
+            ruleset,
             reassembler,
             thresholds: FxHashMap::default(),
             flow_states: Vec::new(),
@@ -441,7 +481,7 @@ impl DetectionEngine {
 
     /// The compiled rules.
     pub fn rules(&self) -> &[Rule] {
-        &self.rules
+        &self.ruleset.rules
     }
 
     /// Mirror engine, reassembler and flow-state totals into `tel` under
@@ -461,11 +501,11 @@ impl DetectionEngine {
         tel.set_counter(&format!("{prefix}.ac_bytes_scanned"), s.ac_bytes_scanned);
         tel.set_gauge(
             &format!("{prefix}.prefilter.patterns"),
-            self.prefilter.pattern_count() as i64,
+            self.ruleset.prefilter.pattern_count() as i64,
         );
         tel.set_gauge(
             &format!("{prefix}.prefilter.states"),
-            self.prefilter.state_count() as i64,
+            self.ruleset.prefilter.state_count() as i64,
         );
         let r = self.reassembler.stats();
         tel.set_counter(&format!("{prefix}.flows.created"), r.flows_created);
@@ -556,11 +596,15 @@ impl DetectionEngine {
                     Direction::ToClient => s2c,
                 };
                 let alerted: &Vec<u32> = alerted;
-                let patterns = &self.patterns;
-                let is_stream = &self.is_stream;
-                let is_pass = &self.is_pass;
-                let rules = &self.rules;
-                self.prefilter.feed(cursor, tail, |pat, end| {
+                let CompiledRuleset {
+                    rules,
+                    prefilter,
+                    patterns,
+                    is_stream,
+                    is_pass,
+                    ..
+                } = &*self.ruleset;
+                prefilter.feed(cursor, tail, |pat, end| {
                     let m = &patterns[pat];
                     let idx = m.rule as usize;
                     if !is_stream[idx] {
@@ -620,9 +664,10 @@ impl DetectionEngine {
         self.stats.ac_bytes_scanned += payload.len() as u64;
         self.candidates.begin();
         {
-            let patterns = &self.patterns;
+            let ruleset = &*self.ruleset;
+            let patterns = &ruleset.patterns;
             let cand = &mut self.candidates;
-            self.prefilter.scan(payload, |pat, end| {
+            ruleset.prefilter.scan(payload, |pat, end| {
                 let m = &patterns[pat];
                 if let Some(exact) = &m.exact {
                     let start = end - exact.len();
@@ -639,7 +684,7 @@ impl DetectionEngine {
                     }
                 }
             }
-            let (ported, generic) = self.groups.buckets(packet);
+            let (ported, generic) = ruleset.groups.buckets(packet);
             if let Some(bucket) = ported {
                 for &idx in bucket {
                     cand.insert(idx);
@@ -652,13 +697,14 @@ impl DetectionEngine {
         self.candidates.list.sort_unstable();
 
         // Pass rules win over everything.
+        let ruleset = &*self.ruleset;
         for i in 0..self.candidates.list.len() {
             let idx = self.candidates.list[i] as usize;
-            if !self.is_pass[idx] {
+            if !ruleset.is_pass[idx] {
                 continue;
             }
             self.stats.pass_evaluations += 1;
-            let rule = &self.rules[idx];
+            let rule = &ruleset.rules[idx];
             if Self::rule_matches(rule, packet, flow_ctx.as_ref(), stream) {
                 self.stats.passed += 1;
                 return;
@@ -667,14 +713,14 @@ impl DetectionEngine {
 
         for i in 0..self.candidates.list.len() {
             let idx = self.candidates.list[i] as usize;
-            if self.is_pass[idx] {
+            if ruleset.is_pass[idx] {
                 continue;
             }
-            let rule = &self.rules[idx];
+            let rule = &ruleset.rules[idx];
             // Per-flow dedup for stream-matched rules, checked *before*
             // evaluation: an already-alerted flow must not pay a full
             // stream scan per segment.
-            if self.is_stream[idx] {
+            if ruleset.is_stream[idx] {
                 if let Some(ctx) = &flow_ctx {
                     if let Some(st) = ctx.id.and_then(|id| Self::state_in(&self.flow_states, id)) {
                         if st.alerted.contains(&rule.sid) {
@@ -687,7 +733,7 @@ impl DetectionEngine {
             if !Self::rule_matches(rule, packet, flow_ctx.as_ref(), stream) {
                 continue;
             }
-            if self.is_stream[idx] {
+            if ruleset.is_stream[idx] {
                 // Record dedup state only for flows that are still live:
                 // a rule firing on the teardown segment itself has no flow
                 // left to dedup against (the next flow on the 4-tuple gets
@@ -745,7 +791,7 @@ impl DetectionEngine {
                 }
                 state.alerted_in_window += 1;
             }
-            let rule = &self.rules[idx];
+            let rule = &ruleset.rules[idx];
             let alert = Alert {
                 time: now,
                 sid: rule.sid,

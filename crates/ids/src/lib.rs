@@ -25,7 +25,8 @@
 //!   paper's stateful mimicry exploits (§4.1): a RST makes the reassembler
 //!   stop looking at the flow.
 //! * [`engine`] — rule evaluation over packets and reassembled streams,
-//!   producing [`alert::Alert`]s.
+//!   producing [`alert::Alert`]s. A ruleset compiles once into an
+//!   immutable [`CompiledRuleset`] that any number of engines share.
 
 pub mod aho;
 pub mod alert;
@@ -39,7 +40,7 @@ pub mod stream;
 pub use aho::AhoCorasick;
 pub use alert::{Alert, AlertLog};
 pub use dfa::PrefilterDfa;
-pub use engine::DetectionEngine;
+pub use engine::{CompiledRuleset, DetectionEngine};
 pub use parser::{parse_rule, parse_ruleset, RuleParseError};
 pub use rule::{
     AddrSpec, ContentMatch, FlowOption, PortSpec, Proto, Rule, RuleAction, ThresholdKind,

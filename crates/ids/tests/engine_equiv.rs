@@ -20,13 +20,14 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use underradar_ids::alert::Alert;
-use underradar_ids::engine::DetectionEngine;
+use underradar_ids::engine::{CompiledRuleset, DetectionEngine};
 use underradar_ids::rule::{
     ContentMatch, FlowOption, PortSpec, Proto, Rule, RuleAction, ThresholdKind, ThresholdOption,
 };
-use underradar_ids::stream::{Direction, FlowContext, StreamReassembler};
+use underradar_ids::stream::{Direction, FlowContext, ReassemblyConfig, StreamReassembler};
 use underradar_netsim::packet::Packet;
 use underradar_netsim::testprop::{cases, Gen};
 use underradar_netsim::time::{SimDuration, SimTime};
@@ -490,4 +491,82 @@ fn long_flow_equivalence_and_bounded_evaluations() {
         evals_at_alert.expect("alert fired"),
         "no further evaluations after the alert — quadratic path is gone"
     );
+}
+
+/// Engines sharing one compiled ruleset behave exactly like engines that
+/// each compiled their own: the shared part is immutable, so interleaving
+/// two engines' packets (as a campaign's trials do on one policy column)
+/// cannot leak matcher, dedup or threshold state between them.
+#[test]
+fn engines_sharing_a_compiled_ruleset_match_independent_engines() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<CompiledRuleset>();
+
+    cases(48, 0xE9_03, |g| {
+        let nrules = g.usize_in(3, 14);
+        let rules: Vec<Rule> = (0..nrules).map(|i| arb_rule(g, i)).collect();
+        let schedules = [arb_schedule(g), arb_schedule(g)];
+
+        let compiled = Arc::new(CompiledRuleset::new(rules.clone()));
+        let mut shared = [0, 1]
+            .map(|_| DetectionEngine::from_compiled(compiled.clone(), ReassemblyConfig::default()));
+        let mut independent = [0, 1].map(|_| DetectionEngine::new(rules.clone()));
+        let mut shared_lines = [Vec::new(), Vec::new()];
+        let mut independent_lines = [Vec::new(), Vec::new()];
+        // Random interleaving: each step advances one engine pair by one
+        // packet of its own schedule.
+        let mut cursors = [0usize; 2];
+        while cursors[0] < schedules[0].len() || cursors[1] < schedules[1].len() {
+            let open: Vec<usize> = (0..2)
+                .filter(|&i| cursors[i] < schedules[i].len())
+                .collect();
+            let i = *g.choose(&open);
+            let (now, pkt) = &schedules[i][cursors[i]];
+            cursors[i] += 1;
+            for a in shared[i].process(*now, pkt) {
+                shared_lines[i].push(a.to_string());
+            }
+            for a in independent[i].process(*now, pkt) {
+                independent_lines[i].push(a.to_string());
+            }
+        }
+        for i in 0..2 {
+            assert_eq!(
+                shared_lines[i].join("\n"),
+                independent_lines[i].join("\n"),
+                "engine {i}: shared-ruleset alerts diverged from an independent engine"
+            );
+            assert_eq!(shared[i].stats().passed, independent[i].stats().passed);
+            assert_eq!(
+                shared[i].stats().evaluations,
+                independent[i].stats().evaluations
+            );
+        }
+
+        // The same holds with the engines on different threads, as
+        // campaign workers run them.
+        let threaded: Vec<Vec<String>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = schedules
+                .iter()
+                .map(|schedule| {
+                    let compiled = compiled.clone();
+                    scope.spawn(move || {
+                        let mut e =
+                            DetectionEngine::from_compiled(compiled, ReassemblyConfig::default());
+                        schedule
+                            .iter()
+                            .flat_map(|(now, pkt)| e.process(*now, pkt))
+                            .map(|a| a.to_string())
+                            .collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("engine thread"))
+                .collect()
+        });
+        assert_eq!(threaded[0], independent_lines[0]);
+        assert_eq!(threaded[1], independent_lines[1]);
+    });
 }

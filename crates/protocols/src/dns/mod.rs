@@ -11,4 +11,4 @@ pub mod server;
 
 pub use message::{DnsClass, DnsError, DnsMessage, QType, Question, Rcode, Record, RecordData};
 pub use name::DnsName;
-pub use server::{DnsServer, ZoneBuilder};
+pub use server::{DnsServer, DnsZone, ZoneBuilder};

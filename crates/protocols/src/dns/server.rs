@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use underradar_netsim::host::{UdpApi, UdpService};
 
@@ -96,29 +97,44 @@ impl ZoneBuilder {
     }
 }
 
+/// A zone database indexed by owner name, ready to answer queries.
+///
+/// Immutable once built: index a zone once and share it by [`Arc`]
+/// across every server that answers from it ([`DnsServer::with_zone`]).
+#[derive(Debug)]
+pub struct DnsZone {
+    records: HashMap<DnsName, Vec<Record>>,
+}
+
+impl DnsZone {
+    /// Index `records` by owner name (record order within a name kept).
+    pub fn new(records: Vec<Record>) -> DnsZone {
+        let mut index: HashMap<DnsName, Vec<Record>> = HashMap::new();
+        for r in records {
+            index.entry(r.name.clone()).or_default().push(r);
+        }
+        DnsZone { records: index }
+    }
+}
+
 /// A zone-backed DNS server, attachable to a host as a UDP service on
 /// port 53.
 pub struct DnsServer {
-    zone: HashMap<DnsName, Vec<Record>>,
+    zone: Arc<DnsZone>,
     stats: DnsServerStats,
-    /// Answer queries even when the queried name has records of other types
-    /// only (NOERROR with empty answer), as real servers do.
-    names_present: HashMap<DnsName, ()>,
 }
 
 impl DnsServer {
     /// Build a server over `records`.
     pub fn new(records: Vec<Record>) -> DnsServer {
-        let mut zone: HashMap<DnsName, Vec<Record>> = HashMap::new();
-        let mut names_present = HashMap::new();
-        for r in records {
-            names_present.insert(r.name.clone(), ());
-            zone.entry(r.name.clone()).or_default().push(r);
-        }
+        Self::with_zone(Arc::new(DnsZone::new(records)))
+    }
+
+    /// Build a server answering from an already indexed, shared zone.
+    pub fn with_zone(zone: Arc<DnsZone>) -> DnsServer {
         DnsServer {
             zone,
             stats: DnsServerStats::default(),
-            names_present,
         }
     }
 
@@ -144,7 +160,7 @@ impl DnsServer {
         let mut answers = Vec::new();
         let mut current = name.clone();
         for _ in 0..8 {
-            match self.zone.get(&current) {
+            match self.zone.records.get(&current) {
                 Some(records) => {
                     let matching: Vec<&Record> =
                         records.iter().filter(|r| r.data.qtype() == qtype).collect();
@@ -167,16 +183,7 @@ impl DnsServer {
                     // Name exists, no data of this type.
                     return (answers, Rcode::NoError);
                 }
-                None => {
-                    return (
-                        answers,
-                        if self.names_present.contains_key(&current) {
-                            Rcode::NoError
-                        } else {
-                            Rcode::NxDomain
-                        },
-                    );
-                }
+                None => return (answers, Rcode::NxDomain),
             }
         }
         (answers, Rcode::ServFail) // CNAME chain too deep

@@ -16,9 +16,10 @@
 
 use std::any::Any;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use underradar_ids::alert::Alert;
-use underradar_ids::engine::DetectionEngine;
+use underradar_ids::engine::{CompiledRuleset, DetectionEngine};
 use underradar_ids::parser::{parse_ruleset, VarTable};
 use underradar_ids::rule::Rule;
 use underradar_ids::stream::ReassemblyConfig;
@@ -38,8 +39,9 @@ use crate::store::{ContentRecord, FlowRecord, StoreSet};
 pub struct SurveillanceConfig {
     /// Stage-1 volume reduction.
     pub mvr: MvrConfig,
-    /// The signature ruleset run over retained traffic.
-    pub rules: Vec<Rule>,
+    /// The compiled signature ruleset run over retained traffic, shared
+    /// with every other system built from the same ruleset.
+    pub rules: Arc<CompiledRuleset>,
     /// Analyst capacity model.
     pub analyst: AnalystConfig,
     /// Ablation: run signatures before the MVR discards (default false —
@@ -53,6 +55,12 @@ pub struct SurveillanceConfig {
 impl SurveillanceConfig {
     /// A config with the given ruleset and paper-default stages.
     pub fn with_rules(rules: Vec<Rule>) -> SurveillanceConfig {
+        Self::with_compiled(Arc::new(CompiledRuleset::new(rules)))
+    }
+
+    /// A config over an already compiled, shared ruleset and
+    /// paper-default stages.
+    pub fn with_compiled(rules: Arc<CompiledRuleset>) -> SurveillanceConfig {
         SurveillanceConfig {
             mvr: MvrConfig::default(),
             rules,
@@ -156,7 +164,7 @@ impl SurveillanceSystem {
     pub fn with_stores(config: SurveillanceConfig, stores: StoreSet) -> SurveillanceSystem {
         SurveillanceSystem {
             mvr: Mvr::new(config.mvr),
-            engine: DetectionEngine::with_reassembly(config.rules, config.reassembly),
+            engine: DetectionEngine::from_compiled(config.rules, config.reassembly),
             stores,
             analyst: Analyst::new(config.analyst),
             alert_first: config.alert_first,

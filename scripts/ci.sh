@@ -18,6 +18,12 @@ cargo test --offline -q --workspace
 echo "==> tier-1 re-run with telemetry enabled (UNDERRADAR_TELEMETRY=1)"
 UNDERRADAR_TELEMETRY=1 cargo test --offline -q --workspace
 
+echo "==> end-to-end benchmark builds and passes its toy-size tests"
+# underbench is a standalone package outside the workspace, so the
+# workspace build above never compiles it; a library signature change
+# that breaks it must fail here, not when the benchmark next runs.
+cargo test --offline --manifest-path crates/bench/src/bin/underbench/Cargo.toml
+
 echo "==> full-scale churn acceptance (release-only sizing)"
 cargo test --offline --release -q -p underradar-ids --lib one_million_flow_churn
 
