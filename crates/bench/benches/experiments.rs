@@ -10,14 +10,14 @@
 
 fn main() {
     // Respect `cargo bench -- --list`-style probing by ignoring args.
-    let (results, profile) =
+    let (results, footer) =
         underradar_bench::experiments::collect_profiled(&underradar_bench::experiments::ALL);
     for (_, report, _) in &results {
         print!("{report}");
     }
-    // Wall-clock worker/stage profile — stderr, so the stdout report stays
+    // Wall-clock stage profile — stderr, so the stdout report stays
     // deterministic.
-    eprint!("{}", profile.render_footer());
+    eprint!("{footer}");
     let json = underradar_bench::experiments::telemetry_json(&results);
     // cargo runs benches with cwd = the package dir; anchor the artifact
     // at the workspace root so it lands next to the other reports.

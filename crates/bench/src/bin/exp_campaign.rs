@@ -1,6 +1,6 @@
 //! Runs the paper-scale measurement campaign (all 8 methods × 4 censor
-//! policies × 4 targets × 4 seeds = 512 trials) through the campaign
-//! engine.
+//! policies × 4 targets × 4 seeds = 512 trials) through the run service
+//! (`underradar-runner`), the one campaign executor.
 //!
 //! Flags:
 //!
@@ -25,88 +25,145 @@
 //!   would differ trivially).
 //! * `--profile` — print a wall-clock profile footer (prepare/run/score
 //!   stage timings) to stderr; stdout stays deterministic.
-//! * `--profile-json PATH` — write the stage timings (plus, in service
-//!   mode, per-worker busy/attempt counts and steal/retry totals) to
-//!   `PATH` as sorted-key JSON.
-//! * `--audit` (or `--audit=json`) — run with telemetry enabled and print
-//!   the report followed by the adversary-eye **safety audit**: per-host
-//!   attributability scores reconstructed from the merged `exposure.*`
-//!   registry entries, folded against each cell's declared evasion counts.
-//!   Cells that declared themselves fully evaded while the adversary holds
-//!   attributable events are surfaced as divergences. Byte-identical for
-//!   any `--shards` value and for `--service` vs the plain engine.
-//! * `--progress` (or `--progress=N`, snapshot every `N` trials) — in
-//!   service mode, stream interval snapshots (done/total, rows/sec, ETA,
-//!   per-worker busy fractions, steal/retry counts, journal lag) as JSONL
-//!   on **stderr**; stdout bytes are untouched.
+//! * `--profile-json PATH` — write the run profile (per-worker busy and
+//!   attempt counts, steal/retry totals) and the stage timings to `PATH`
+//!   as sorted-key JSON.
+//! * `--audit` (or `--audit=json`) — the report, then the adversary-eye
+//!   **safety audit**: per-host attributability scores rebuilt from the
+//!   merged `exposure.*` registry entries, with every cell that declared
+//!   itself fully evaded while the adversary holds attributable events
+//!   surfaced as a divergence.
+//! * `--progress` (or `--progress=N`, snapshot every `N` trials) — stream
+//!   interval snapshots (done/total, rows/sec, ETA, per-worker busy
+//!   fractions, steal/retry counts, journal lag) as JSONL on **stderr**;
+//!   stdout bytes are untouched.
 //! * `--trace-capacity N` (or `UNDERRADAR_TRACE_CAPACITY=N`) — size the
 //!   flight-recorder ring for `--trace` / `--trace-diff` runs.
-//! * `--service` — run through the durable run service
-//!   (`underradar-runner`): work-stealing scheduling, streaming rows, and
-//!   (with `--checkpoint`) a crash-safe journal. The text report is
-//!   byte-identical to the plain engine's at any `--shards` value.
+//! * `--service` — under `--jsonl`, stream each row the moment its trial
+//!   completes (completion order; each row carries its `index`) instead
+//!   of printing every row in index order after the run. Also reports the
+//!   executed/restored counts on stderr. Every other output is unchanged.
 //! * `--checkpoint PATH` — journal every completed trial to `PATH`
 //!   (implies `--service`). A killed run resumed with the same flags
 //!   skips journaled trials and produces byte-identical final output.
 //! * `--synthetic N` — replace the paper matrix with an `N`-trial
-//!   synthetic scale matrix (cheap scan trials; for million-trial
-//!   service runs).
-//! * `--jsonl` — emit one JSON row per trial. In service mode rows
-//!   stream the moment each trial completes (completion order; each row
-//!   carries its `index`); otherwise they print in index order after the
-//!   run.
+//!   synthetic scale matrix (cheap scan trials; for million-trial runs).
+//! * `--jsonl` — one JSON row per trial, in index order.
+//!
+//! A malformed or unknown flag exits with status 2 and a one-line error
+//! on stderr, before anything runs.
 
 use std::path::PathBuf;
+use std::process::exit;
 
-use underradar_bench::cli::{OutputMode, OutputSpec};
-use underradar_bench::experiments::campaign::{paper_campaign, synthetic_campaign};
+use underradar_bench::cli::{render_trace, OutputMode, OutputSpec};
+use underradar_bench::experiments::campaign::{paper_campaign, safety_audit, synthetic_campaign};
 use underradar_bench::runner::StageClock;
-use underradar_campaign::engine;
-use underradar_campaign::report::{CampaignReport, CellStat};
 use underradar_campaign::spec::CampaignSpec;
 use underradar_runner::{
     run_service, JsonlSink, NullSink, ProgressConfig, RowSink, RunConfig, RunProfile,
+    ServiceOutcome, VecSink,
 };
-use underradar_surveil::exposure::{DeclaredCell, ExposureLedger, SafetyAudit};
-use underradar_telemetry::{trace, Registry, Telemetry, TraceRecord, DEFAULT_TRACE_CAPACITY};
+use underradar_telemetry::{trace, Telemetry, TraceRecord, DEFAULT_TRACE_CAPACITY};
 
-fn parse_shards(args: &[String]) -> usize {
-    let mut shards = 1usize;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--shards" {
-            shards = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("--shards needs a positive integer"));
-        } else if let Some(v) = arg.strip_prefix("--shards=") {
-            shards = v.parse().expect("--shards needs a positive integer");
-        }
-    }
-    shards.max(1)
+/// Everything the command line asks for beyond the output mode (which
+/// [`OutputSpec`] resolves from the same arguments).
+#[derive(Default)]
+struct Args {
+    shards: usize,
+    service: bool,
+    checkpoint: Option<PathBuf>,
+    progress: Option<ProgressConfig>,
+    synthetic: Option<usize>,
+    impair: bool,
+    /// `Some(json)` under `--audit` / `--audit=json`.
+    audit: Option<bool>,
+    trace_diff: Option<(u64, u64)>,
+    profile: bool,
+    profile_json: Option<String>,
 }
 
-/// The value following `--flag` (or inline `--flag=value`), when present.
-fn parse_value(args: &[String], flag: &str) -> Option<String> {
-    let inline = format!("{flag}=");
-    let mut it = args.iter();
-    let mut found = None;
-    while let Some(arg) = it.next() {
-        if arg == flag {
-            found = it.next().cloned();
-        } else if let Some(v) = arg.strip_prefix(&inline) {
-            found = Some(v.to_string());
-        }
-    }
-    found
+/// Parse `raw` as a number, naming `flag` in the error.
+fn number<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T, String> {
+    let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag} needs a non-negative integer, got '{raw}'"))
 }
 
-/// `--trace-diff A B`: the two trial indices to diff, when present.
-fn parse_trace_diff(args: &[String]) -> Option<(u64, u64)> {
-    let pos = args.iter().position(|a| a == "--trace-diff")?;
-    let a = args.get(pos + 1)?.parse().ok()?;
-    let b = args.get(pos + 2)?.parse().ok()?;
-    Some((a, b))
+/// Parse every argument; later occurrences of a flag win. Total: any
+/// malformed value, missing value or unknown flag is an `Err` naming it.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut args = Args::default();
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) if flag.starts_with("--") => (flag, Some(value.to_string())),
+            _ => (arg.as_str(), None),
+        };
+        // The flag's value: inline `--flag=value`, else the next argument
+        // unless that is itself a flag.
+        let value = |it: &mut std::slice::Iter<String>| {
+            inline.clone().or_else(|| {
+                if it.as_slice().first()?.starts_with("--") {
+                    return None;
+                }
+                it.next().cloned()
+            })
+        };
+        match flag {
+            "--json" | "--jsonl" | "--telemetry" | "--trace" | "--impair" | "--service"
+            | "--profile"
+                if inline.is_some() =>
+            {
+                return Err(format!("{flag} takes no value"));
+            }
+            "--json" | "--jsonl" | "--telemetry" | "--trace" => {}
+            "--impair" => args.impair = true,
+            "--service" => args.service = true,
+            "--profile" => args.profile = true,
+            "--shards" => args.shards = number(flag, value(&mut it).as_ref())?,
+            "--synthetic" => args.synthetic = Some(number(flag, value(&mut it).as_ref())?),
+            "--trace-capacity" => {
+                let raw = value(&mut it);
+                if trace::capacity_from_env(raw.clone()).is_none() {
+                    return Err(format!(
+                        "--trace-capacity needs a positive integer, got '{}'",
+                        raw.unwrap_or_default()
+                    ));
+                }
+            }
+            "--checkpoint" => {
+                let path = value(&mut it).ok_or("--checkpoint needs a path")?;
+                args.checkpoint = Some(PathBuf::from(path));
+            }
+            "--profile-json" => {
+                args.profile_json = Some(value(&mut it).ok_or("--profile-json needs a path")?);
+            }
+            "--audit" => {
+                args.audit = match inline.as_deref() {
+                    None => Some(false),
+                    Some("json") => Some(true),
+                    Some(other) => return Err(format!("--audit takes only =json, got '{other}'")),
+                }
+            }
+            "--progress" => {
+                let mut progress = ProgressConfig::default();
+                if inline.is_some() {
+                    progress.every_trials = number("--progress", inline.as_ref())?;
+                }
+                args.progress = Some(progress);
+            }
+            "--trace-diff" if inline.is_none() => {
+                let a = number("--trace-diff A", it.next())?;
+                let b = number("--trace-diff B", it.next())?;
+                args.trace_diff = Some((a, b));
+            }
+            _ => return Err(format!("unknown argument '{arg}'")),
+        }
+    }
+    args.shards = args.shards.max(1);
+    args.service |= args.checkpoint.is_some();
+    Ok(args)
 }
 
 /// Trial `index`'s stage decisions: its trace segment minus the campaign
@@ -126,93 +183,26 @@ fn trial_decisions(records: &[TraceRecord], index: u64) -> Option<Vec<TraceRecor
         })
 }
 
-fn run_trace_diff(spec: &CampaignSpec, shards: usize, a: u64, b: u64, trace_capacity: usize) {
-    let tel = Telemetry::with_trace(trace_capacity);
-    let _ = engine::run(spec, shards, &tel);
-    let snap = tel.snapshot();
-    let left = trial_decisions(&snap.trace, a)
-        .unwrap_or_else(|| panic!("trial {a} not found in the campaign trace"));
-    let right = trial_decisions(&snap.trace, b)
-        .unwrap_or_else(|| panic!("trial {b} not found in the campaign trace"));
-    println!("trace diff: trial {a} (a) vs trial {b} (b)");
-    print!(
-        "{}",
-        trace::render_diff(trace::diff(&left, &right).as_ref())
+/// `--profile-json PATH`: the run profile and stage timings as sorted-key
+/// JSON.
+fn write_profile_json(path: &str, clock: &StageClock, p: &RunProfile) {
+    let join = |v: &[u64]| {
+        v.iter()
+            .map(|n| n.to_string())
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let mut out = format!(
+        "{{\"service\":{{\"prepare_ms\":{},\"retries_seen\":{},\"snapshots\":{},\"steals\":{},\
+         \"wall_ms\":{},\"worker_attempts\":[{}],\"worker_busy_ns\":[{}]}}",
+        p.prepare_ms,
+        p.retries_seen,
+        p.snapshots,
+        p.steals,
+        p.wall_ms,
+        join(&p.worker_attempts),
+        join(&p.worker_busy_ns)
     );
-}
-
-fn run_campaign(
-    spec: &CampaignSpec,
-    shards: usize,
-    tel: &Telemetry,
-    clock: &StageClock,
-) -> CampaignReport {
-    clock.time("run", || engine::run(spec, shards, tel))
-}
-
-/// Collects `(index, row)` pairs so service-mode `--json` can emit rows
-/// in index order even though they complete out of order.
-#[derive(Default)]
-struct IndexedSink {
-    rows: Vec<(usize, String)>,
-}
-
-impl RowSink for IndexedSink {
-    fn row(&mut self, result: &underradar_campaign::TrialResult) -> std::io::Result<()> {
-        self.rows.push((result.index, result.to_json_row()));
-        Ok(())
-    }
-}
-
-/// Reconstruct the campaign-wide exposure ledger from the merged registry,
-/// fold it against the declared per-cell evasion counts, and render the
-/// safety audit (text, or sorted-key JSON under `--audit=json`).
-fn render_audit(cells: &[CellStat], registry: &Registry, json: bool) -> String {
-    let ledger = ExposureLedger::from_registry(registry);
-    let declared: Vec<DeclaredCell> = cells
-        .iter()
-        .map(|c| DeclaredCell {
-            cell: format!("{}/{}", c.method, c.policy),
-            trials: c.trials as u64,
-            evaded: c.evaded as u64,
-        })
-        .collect();
-    let audit = SafetyAudit::build(&ledger, &declared);
-    if json {
-        let mut out = audit.render_json();
-        out.push('\n');
-        out
-    } else {
-        audit.render_text()
-    }
-}
-
-/// `--profile-json PATH`: stage timings plus (in service mode) the run
-/// profile, as sorted-key JSON.
-fn write_profile_json(path: &str, clock: &StageClock, service: Option<&RunProfile>) {
-    let mut out = String::from("{\"service\":");
-    match service {
-        Some(p) => {
-            let join = |v: &[u64]| {
-                v.iter()
-                    .map(|n| n.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            out.push_str(&format!(
-                "{{\"prepare_ms\":{},\"retries_seen\":{},\"snapshots\":{},\"steals\":{},\
-                 \"wall_ms\":{},\"worker_attempts\":[{}],\"worker_busy_ns\":[{}]}}",
-                p.prepare_ms,
-                p.retries_seen,
-                p.snapshots,
-                p.steals,
-                p.wall_ms,
-                join(&p.worker_attempts),
-                join(&p.worker_busy_ns)
-            ));
-        }
-        None => out.push_str("null"),
-    }
     out.push_str(",\"stages\":{");
     for (i, (stage, total, calls)) in clock.rows().into_iter().enumerate() {
         if i > 0 {
@@ -226,223 +216,183 @@ fn write_profile_json(path: &str, clock: &StageClock, service: Option<&RunProfil
     out.push_str("}}\n");
     if let Err(e) = std::fs::write(path, out) {
         eprintln!("--profile-json {path}: {e}");
-        std::process::exit(1);
+        exit(1);
     }
 }
 
-/// `--service`: the durable run path. Rows stream in completion order
-/// under `--jsonl`; every other mode's stdout is byte-identical to the
-/// plain engine's report for any `--shards` value. Returns the run's
-/// wall-clock profile for `--profile-json`.
-fn run_service_mode(
-    spec: &CampaignSpec,
-    cfg: &RunConfig,
-    mode: OutputMode,
-    trace_capacity: usize,
-    clock: &StageClock,
-) -> RunProfile {
-    let run = |tel: &Telemetry, sink: &mut dyn RowSink| {
-        let outcome = clock
-            .time("run", || run_service(spec, cfg, tel, sink))
+/// One campaign run: the spec, the service config, and the clock every
+/// mode times its stages on.
+struct Campaign {
+    spec: CampaignSpec,
+    cfg: RunConfig,
+    service: bool,
+    clock: StageClock,
+}
+
+impl Campaign {
+    /// Run the campaign under `tel`, handing each completed trial to
+    /// `sink`. A journal failure exits with status 1.
+    fn run(&self, tel: &Telemetry, sink: &mut dyn RowSink) -> ServiceOutcome {
+        let outcome = self
+            .clock
+            .time("run", || run_service(&self.spec, &self.cfg, tel, sink))
             .unwrap_or_else(|e| {
-                eprintln!("service run failed: {e}");
-                std::process::exit(1);
+                eprintln!("campaign run failed: {e}");
+                exit(1);
             });
-        eprintln!(
-            "service: {} executed, {} restored, {} resumed retries, {} journal bytes truncated",
-            outcome.executed, outcome.restored, outcome.resumed_retries, outcome.journal_truncated
-        );
-        outcome
-    };
-    match mode {
-        OutputMode::Text => {
-            let outcome = run(&Telemetry::disabled(), &mut NullSink);
-            print!("{}", clock.time("score", || outcome.report.render_text()));
-            outcome.profile
-        }
-        OutputMode::TextWithTelemetry => {
-            let tel = Telemetry::enabled();
-            let outcome = run(&tel, &mut NullSink);
-            print!("{}", outcome.report.render_text());
-            println!("--- telemetry ---");
-            print!("{}", clock.time("score", || tel.snapshot().render_text()));
-            outcome.profile
-        }
-        OutputMode::Json => {
-            let tel = Telemetry::enabled();
-            let mut sink = IndexedSink::default();
-            let outcome = run(&tel, &mut sink);
-            sink.rows.sort();
-            let rows: Vec<String> = sink.rows.into_iter().map(|(_, row)| row).collect();
-            println!(
-                "{{\"experiment\":\"campaign\",\"name\":\"{}\",\"trials\":[{}],\"telemetry\":{}}}",
-                outcome.report.name,
-                rows.join(","),
-                clock.time("score", || tel.snapshot().to_json())
+        if self.service {
+            eprintln!(
+                "service: {} executed, {} restored, {} resumed retries, {} journal bytes truncated",
+                outcome.executed,
+                outcome.restored,
+                outcome.resumed_retries,
+                outcome.journal_truncated
             );
-            outcome.profile
         }
-        OutputMode::Jsonl => {
-            let stdout = std::io::stdout();
-            let mut sink = JsonlSink::new(std::io::BufWriter::new(stdout.lock()));
-            run(&Telemetry::disabled(), &mut sink).profile
-        }
-        OutputMode::Trace => {
-            let tel = Telemetry::with_trace(trace_capacity);
-            let outcome = run(&tel, &mut NullSink);
-            let out = clock.time("score", || {
-                underradar_bench::cli::render_trace(&outcome.report.render_text(), &tel.snapshot())
-            });
-            print!("{out}");
-            outcome.profile
-        }
+        outcome
     }
-}
 
-/// `--audit`: run with telemetry forced on (batch or service), print the
-/// report, then the safety audit reconstructed from the merged registry.
-/// Returns the service profile when the service path ran.
-fn run_audit(
-    spec: &CampaignSpec,
-    shards: usize,
-    service_cfg: Option<&RunConfig>,
-    json: bool,
-    clock: &StageClock,
-) -> Option<RunProfile> {
-    let tel = Telemetry::enabled();
-    let (report_text, cells, profile) = match service_cfg {
-        Some(cfg) => {
-            let outcome = clock
-                .time("run", || run_service(spec, cfg, &tel, &mut NullSink))
-                .unwrap_or_else(|e| {
-                    eprintln!("service run failed: {e}");
-                    std::process::exit(1);
-                });
-            (
-                outcome.report.render_text(),
-                outcome.report.cells(),
-                Some(outcome.profile),
-            )
-        }
-        None => {
-            let report = run_campaign(spec, shards, &tel, clock);
-            (report.render_text(), report.cells(), None)
-        }
-    };
-    print!("{report_text}");
-    println!("--- audit ---");
-    let audit = clock.time("score", || render_audit(&cells, &tel.snapshot(), json));
-    print!("{audit}");
-    profile
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let shards = parse_shards(&args);
-    let profile = args.iter().any(|a| a == "--profile");
-    let profile_json = parse_value(&args, "--profile-json");
-    let checkpoint = parse_value(&args, "--checkpoint").map(PathBuf::from);
-    let service = args.iter().any(|a| a == "--service") || checkpoint.is_some();
-    let audit = args.iter().rev().find_map(|a| match a.as_str() {
-        "--audit" => Some(false),
-        "--audit=json" => Some(true),
-        _ => None,
-    });
-    let progress = args.iter().rev().find_map(|a| {
-        if a == "--progress" {
-            return Some(ProgressConfig::default());
-        }
-        a.strip_prefix("--progress=").map(|v| ProgressConfig {
-            every_trials: v.parse().expect("--progress=N needs a positive integer"),
-            ..ProgressConfig::default()
-        })
-    });
-    let out_spec = OutputSpec::from_cli(args.iter().cloned());
-    let trace_capacity = out_spec
-        .trace_capacity_value()
-        .unwrap_or(DEFAULT_TRACE_CAPACITY);
-    let clock = StageClock::default();
-    let mut spec = clock.time("prepare", || match parse_value(&args, "--synthetic") {
-        Some(n) => synthetic_campaign(n.parse().expect("--synthetic needs a trial count")),
-        None => paper_campaign(4),
-    });
-    spec = spec.trace_capacity(out_spec.trace_capacity_value());
-    if args.iter().any(|a| a == "--impair") {
-        spec = spec.client_link_reorder(0.2).client_link_duplicate(0.1);
-    }
-    if let Some((a, b)) = parse_trace_diff(&args) {
-        run_trace_diff(&spec, shards, a, b, trace_capacity);
-        return;
-    }
-    let mode = out_spec.mode();
-    let mut service_profile = None;
-    if service {
-        let mut cfg = RunConfig::new(shards);
-        if let Some(path) = checkpoint {
-            cfg = cfg.checkpoint(path);
-        }
-        if let Some(p) = progress {
-            cfg = cfg.progress(p);
-        }
-        service_profile = match audit {
-            Some(json) => run_audit(&spec, shards, Some(&cfg), json, &clock),
-            None => Some(run_service_mode(&spec, &cfg, mode, trace_capacity, &clock)),
-        };
-    } else if let Some(json) = audit {
-        run_audit(&spec, shards, None, json, &clock);
-    } else {
+    /// Print the output `mode` asks for; returns the run profile.
+    fn print(&self, mode: OutputMode, trace_capacity: usize) -> RunProfile {
+        let clock = &self.clock;
         match mode {
             OutputMode::Text => {
-                let report = run_campaign(&spec, shards, &Telemetry::disabled(), &clock);
-                print!("{}", clock.time("score", || report.render_text()));
+                let outcome = self.run(&Telemetry::disabled(), &mut NullSink);
+                print!("{}", clock.time("score", || outcome.report.render_text()));
+                outcome.profile
             }
             OutputMode::TextWithTelemetry => {
                 let tel = Telemetry::enabled();
-                let report = run_campaign(&spec, shards, &tel, &clock);
-                print!("{}", report.render_text());
+                let outcome = self.run(&tel, &mut NullSink);
+                print!("{}", outcome.report.render_text());
                 println!("--- telemetry ---");
                 print!("{}", clock.time("score", || tel.snapshot().render_text()));
+                outcome.profile
             }
             OutputMode::Json => {
                 let tel = Telemetry::enabled();
-                let report = run_campaign(&spec, shards, &tel, &clock);
+                let mut sink = VecSink::new();
+                let outcome = self.run(&tel, &mut sink);
                 println!(
                     "{{\"experiment\":\"campaign\",\"report\":{},\"telemetry\":{}}}",
-                    report.to_json(),
+                    outcome.report.to_json(&sink.into_sorted()),
                     clock.time("score", || tel.snapshot().to_json())
                 );
+                outcome.profile
+            }
+            OutputMode::Jsonl if self.service => {
+                let stdout = std::io::stdout();
+                let mut sink = JsonlSink::new(std::io::BufWriter::new(stdout.lock()));
+                self.run(&Telemetry::disabled(), &mut sink).profile
             }
             OutputMode::Jsonl => {
-                let report = run_campaign(&spec, shards, &Telemetry::disabled(), &clock);
+                let mut sink = VecSink::new();
+                let outcome = self.run(&Telemetry::disabled(), &mut sink);
                 let out = clock.time("score", || {
-                    report
-                        .trials
+                    sink.into_sorted()
                         .iter()
                         .map(|t| t.to_json_row() + "\n")
                         .collect::<String>()
                 });
                 print!("{out}");
+                outcome.profile
             }
             OutputMode::Trace => {
                 let tel = Telemetry::with_trace(trace_capacity);
-                let report = run_campaign(&spec, shards, &tel, &clock);
+                let outcome = self.run(&tel, &mut NullSink);
                 let out = clock.time("score", || {
-                    underradar_bench::cli::render_trace(&report.render_text(), &tel.snapshot())
+                    render_trace(&outcome.report.render_text(), &tel.snapshot())
                 });
                 print!("{out}");
+                outcome.profile
             }
         }
     }
-    if let Some(path) = profile_json {
-        write_profile_json(&path, &clock, service_profile.as_ref());
+
+    /// `--audit`: run with telemetry forced on, print the report, then the
+    /// safety audit reconstructed from the merged registry.
+    fn audit(&self, json: bool) -> RunProfile {
+        let tel = Telemetry::enabled();
+        let outcome = self.run(&tel, &mut NullSink);
+        print!("{}", outcome.report.render_text());
+        println!("--- audit ---");
+        let audit = self.clock.time("score", || {
+            let audit = safety_audit(&outcome.report.cells(), &tel.snapshot());
+            match json {
+                true => audit.render_json() + "\n",
+                false => audit.render_text(),
+            }
+        });
+        print!("{audit}");
+        outcome.profile
     }
-    if profile {
-        eprintln!("--- profile ---");
-        for (stage, total, calls) in clock.rows() {
-            eprintln!(
-                "stage {stage}: {:.3}s over {calls} calls",
-                total.as_secs_f64()
-            );
-        }
+
+    /// `--trace-diff A B`: print the first divergent stage decision
+    /// between two trials' trace segments. An index with no segment exits
+    /// with status 2.
+    fn trace_diff(&self, a: u64, b: u64, trace_capacity: usize) -> RunProfile {
+        let tel = Telemetry::with_trace(trace_capacity);
+        let outcome = self.run(&tel, &mut NullSink);
+        let snap = tel.snapshot();
+        let decisions = |index| {
+            trial_decisions(&snap.trace, index).unwrap_or_else(|| {
+                eprintln!(
+                    "exp_campaign: --trace-diff: trial {index} not found in the campaign trace"
+                );
+                exit(2);
+            })
+        };
+        let (left, right) = (decisions(a), decisions(b));
+        println!("trace diff: trial {a} (a) vs trial {b} (b)");
+        print!(
+            "{}",
+            trace::render_diff(trace::diff(&left, &right).as_ref())
+        );
+        outcome.profile
+    }
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("exp_campaign: {e}");
+        exit(2);
+    });
+    let out_spec = OutputSpec::from_cli(argv);
+    let trace_capacity = out_spec
+        .trace_capacity_value()
+        .unwrap_or(DEFAULT_TRACE_CAPACITY);
+    let clock = StageClock::default();
+    let mut spec = clock.time("prepare", || match args.synthetic {
+        Some(n) => synthetic_campaign(n),
+        None => paper_campaign(4),
+    });
+    spec = spec.trace_capacity(out_spec.trace_capacity_value());
+    if args.impair {
+        spec = spec.client_link_reorder(0.2).client_link_duplicate(0.1);
+    }
+    let mut cfg = RunConfig::new(args.shards);
+    if let Some(path) = args.checkpoint {
+        cfg = cfg.checkpoint(path);
+    }
+    if let Some(p) = args.progress {
+        cfg = cfg.progress(p);
+    }
+    let campaign = Campaign {
+        spec,
+        cfg,
+        service: args.service,
+        clock,
+    };
+    let profile = match (args.trace_diff, args.audit) {
+        (Some((a, b)), _) => campaign.trace_diff(a, b, trace_capacity),
+        (None, Some(json)) => campaign.audit(json),
+        (None, None) => campaign.print(out_spec.mode(), trace_capacity),
+    };
+    if let Some(path) = args.profile_json {
+        write_profile_json(&path, &campaign.clock, &profile);
+    }
+    if args.profile {
+        eprint!("--- profile ---\n{}", campaign.clock.render());
     }
 }

@@ -6,12 +6,30 @@
 //! keyword RST) over a curated target list — ≥500 trials. Output is
 //! byte-identical for any `--shards` value.
 
-use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy, TrialResult};
+use underradar_campaign::{
+    CampaignSpec, CellStat, MethodKind, NamedPolicy, StreamReport, TrialResult,
+};
 use underradar_censor::CensorPolicy;
 use underradar_core::testbed::TargetSite;
 use underradar_netsim::addr::Cidr;
 use underradar_protocols::dns::DnsName;
-use underradar_telemetry::Telemetry;
+use underradar_runner::{run_service, RunConfig, VecSink};
+use underradar_surveil::exposure::{DeclaredCell, ExposureLedger, SafetyAudit};
+use underradar_telemetry::{Registry, Telemetry};
+
+/// Run `spec` through the run service on `workers` threads, with no
+/// journal, merging its telemetry into `tel`. Returns the report and
+/// every trial in index order; both are byte-identical for any `workers`.
+pub fn run_campaign(
+    spec: &CampaignSpec,
+    workers: usize,
+    tel: &Telemetry,
+) -> (StreamReport, Vec<TrialResult>) {
+    let mut sink = VecSink::new();
+    let outcome = run_service(spec, &RunConfig::new(workers), tel, &mut sink)
+        .expect("a run without a journal does no I/O and cannot fail");
+    (outcome.report, sink.into_sorted())
+}
 
 /// Look up one evidence value on a trial ("-" when absent).
 pub fn evidence(trial: &TrialResult, key: &str) -> String {
@@ -62,16 +80,25 @@ pub fn synthetic_campaign(trials: usize) -> CampaignSpec {
         .run_secs(20)
 }
 
-/// Run the paper campaign on `shards` workers and render the text view.
-pub fn run_with_shards(tel: &Telemetry, shards: usize) -> String {
-    let spec = paper_campaign(4);
-    let report = engine::run(&spec, shards, tel);
-    report.render_text()
+/// Run the paper campaign on one worker and render the text view (the
+/// `experiments::ALL`-style entry point).
+pub fn run_with(tel: &Telemetry) -> String {
+    run_campaign(&paper_campaign(4), 1, tel).0.render_text()
 }
 
-/// Run with a single worker (the `experiments::ALL`-style entry point).
-pub fn run_with(tel: &Telemetry) -> String {
-    run_with_shards(tel, 1)
+/// The adversary-eye safety audit: the campaign-wide exposure ledger
+/// reconstructed from the merged `registry`, folded against each cell's
+/// declared evasion counts.
+pub fn safety_audit(cells: &[CellStat], registry: &Registry) -> SafetyAudit {
+    let declared: Vec<DeclaredCell> = cells
+        .iter()
+        .map(|c| DeclaredCell {
+            cell: format!("{}/{}", c.method, c.policy),
+            trials: c.trials as u64,
+            evaded: c.evaded as u64,
+        })
+        .collect();
+    SafetyAudit::build(&ExposureLedger::from_registry(registry), &declared)
 }
 
 #[cfg(test)]

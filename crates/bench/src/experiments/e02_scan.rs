@@ -9,11 +9,12 @@
 //! thin `CampaignSpec` with one policy column per scenario, driven by
 //! the campaign engine.
 
-use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy};
+use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
 use underradar_censor::CensorPolicy;
 use underradar_core::testbed::TargetSite;
 use underradar_netsim::addr::Cidr;
 
+use crate::experiments::campaign::run_campaign;
 use crate::table::{heading, mark, Table};
 
 /// Run E2 with a disabled telemetry handle.
@@ -45,7 +46,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             CensorPolicy::new().block_port(Cidr::host(target), 80),
         ))
         .run_secs(30);
-    let report = engine::run(&spec, 1, tel);
+    let (_, trials) = run_campaign(&spec, 1, tel);
 
     let mut table = Table::new(&[
         "scenario",
@@ -55,7 +56,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         "evades",
     ]);
     let mut all_pass = true;
-    for trial in &report.trials {
+    for trial in &trials {
         all_pass &= trial.verdict_correct && trial.evaded;
         table.row(&[
             trial.policy.clone(),

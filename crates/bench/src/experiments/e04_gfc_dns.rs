@@ -80,8 +80,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             CensorPolicy::new().block_domain(&DnsName::parse("twitter.com").expect("n")),
         ))
         .run_secs(30);
-    let campaign = underradar_campaign::engine::run(&spec, 1, tel);
-    let trial = &campaign.trials[0];
+    let (_, trials) = crate::experiments::campaign::run_campaign(&spec, 1, tel);
+    let trial = &trials[0];
     let a_for_mx = crate::experiments::campaign::evidence(trial, "a_for_mx") == "true";
     out.push_str(&format!(
         "\nfull spam pipeline on twitter.com (campaign cell): A-for-MX tell observed = {}, verdict = {}\n",

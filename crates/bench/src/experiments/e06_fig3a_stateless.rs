@@ -11,10 +11,11 @@
 //! with `spoofed_cover` set (spoofed *addresses* may outnumber the real
 //! cover hosts — stateless protocols need no machine behind a source).
 
-use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy};
+use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
 use underradar_censor::CensorPolicy;
 use underradar_protocols::dns::DnsName;
 
+use crate::experiments::campaign::run_campaign;
 use crate::table::{heading, mark, Table};
 
 /// Run E6 with a disabled telemetry handle.
@@ -23,7 +24,7 @@ pub fn run() -> String {
 }
 
 /// Run E6 and render its report. Each sweep point runs through the
-/// campaign engine, which folds per-trial registries into `tel` in trial
+/// run service, which folds per-trial registries into `tel` in trial
 /// order (scheduling-independent).
 pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     let mut out = heading(
@@ -48,8 +49,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             .cover_hosts(cover_count.min(8)) // hosts that physically exist
             .spoofed_cover(cover_count)
             .run_secs(10);
-        let report = engine::run(&spec, 1, tel);
-        let trial = &report.trials[0];
+        let (_, trials) = run_campaign(&spec, 1, tel);
+        let trial = &trials[0];
         let per_ip = trial.anonymity_set.unwrap_or(0);
         let pass = trial.verdict_correct && per_ip == cover_count + 1;
         all_pass &= pass;

@@ -168,8 +168,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             .with_probe_path("/falun"),
         )
         .run_secs(10);
-    let campaign = underradar_campaign::engine::run(&spec, 1, tel);
-    let sweet = &campaign.trials[0];
+    let (_, trials) = crate::experiments::campaign::run_campaign(&spec, 1, tel);
+    let sweet = &trials[0];
     let sweet_reset = crate::experiments::campaign::evidence(sweet, "was_reset") == "true";
     acc.row(&[
         RoutedMimicryNet::HOPS_TO_COVER.to_string(),

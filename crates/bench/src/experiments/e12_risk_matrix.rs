@@ -15,7 +15,7 @@
 //! surveillance operator willing to write bespoke fingerprinting rules and
 //! spend pre-MVR analysis can re-identify the scanning measurement.
 
-use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy, TrialResult};
+use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy, TrialResult};
 use underradar_censor::CensorPolicy;
 use underradar_core::methods::scan::SynScanProbe;
 use underradar_core::ports::top_ports;
@@ -26,6 +26,7 @@ use underradar_netsim::addr::Cidr;
 use underradar_netsim::time::SimTime;
 use underradar_protocols::dns::DnsName;
 
+use crate::experiments::campaign::run_campaign;
 use crate::table::{heading, mark, Table};
 
 struct Row {
@@ -40,8 +41,7 @@ fn blocked(domain: &str) -> CensorPolicy {
 
 /// Run a one-cell campaign and return the trial at `pick`.
 fn cell(tel: &underradar_telemetry::Telemetry, spec: CampaignSpec, pick: usize) -> TrialResult {
-    let report = engine::run(&spec, 1, tel);
-    report.trials[pick].clone()
+    run_campaign(&spec, 1, tel).1.swap_remove(pick)
 }
 
 fn overt_row(tel: &underradar_telemetry::Telemetry) -> Row {

@@ -61,6 +61,7 @@ use underradar_netsim::wire::tcp::TcpFlags;
 use underradar_netsim::{Packet, SimRng, SimTime, TcpConn, TcpEvent};
 use underradar_telemetry::{trace, Tracer};
 
+use crate::experiments::campaign::run_campaign;
 use crate::table::{heading, mark, Table};
 
 const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 2);
@@ -752,14 +753,14 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             .trials_per_cell(2)
             .run_secs(30)
     };
-    let clean = underradar_campaign::engine::run(&spec("e13-clean"), 1, tel);
+    let (_, clean) = run_campaign(&spec("e13-clean"), 1, tel);
     let impaired_spec = spec("e13-impaired")
         .client_link_reorder(0.2)
         .client_link_duplicate(0.1);
-    let impaired = underradar_campaign::engine::run(&impaired_spec, 1, tel);
-    let mut verdicts_match = clean.trials.len() == impaired.trials.len();
+    let (_, impaired) = run_campaign(&impaired_spec, 1, tel);
+    let mut verdicts_match = clean.len() == impaired.len();
     let mut matched = 0usize;
-    for (a, b) in clean.trials.iter().zip(impaired.trials.iter()) {
+    for (a, b) in clean.iter().zip(impaired.iter()) {
         if format!("{:?}", a.verdict) == format!("{:?}", b.verdict) {
             matched += 1;
         } else {
@@ -769,18 +770,17 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     out.push_str("\ncampaign cell with client-link reorder=0.2 duplicate=0.1 vs clean:\n");
     let mut t3 = Table::new(&["trials", "verdicts unchanged", "all correct (clean)"]);
     t3.row(&[
-        clean.trials.len().to_string(),
-        format!("{matched}/{}", clean.trials.len()),
-        mark(clean.trials.iter().all(|t| t.verdict_correct)).to_string(),
+        clean.len().to_string(),
+        format!("{matched}/{}", clean.len()),
+        mark(clean.iter().all(|t| t.verdict_correct)).to_string(),
     ]);
     out.push_str(&t3.render());
 
-    let sharded = underradar_campaign::engine::run(&spec("e13-clean"), 4, tel);
-    let shard_identical = clean.trials.len() == sharded.trials.len()
+    let (_, sharded) = run_campaign(&spec("e13-clean"), 4, tel);
+    let shard_identical = clean.len() == sharded.len()
         && clean
-            .trials
             .iter()
-            .zip(sharded.trials.iter())
+            .zip(sharded.iter())
             .all(|(a, b)| format!("{:?}", a.verdict) == format!("{:?}", b.verdict));
     out.push_str(&format!(
         "1-vs-4-shard verdicts: {}\n",

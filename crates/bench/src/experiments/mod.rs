@@ -1,7 +1,12 @@
 //! One module per reproduced table/figure. See `DESIGN.md` §4 for the
 //! experiment ↔ paper mapping.
 
+use std::time::Instant;
+
+use underradar_campaign::steal;
 use underradar_telemetry::{Registry, Telemetry};
+
+use crate::runner::StageClock;
 
 pub mod a1_ablations;
 pub mod campaign;
@@ -44,30 +49,33 @@ pub const ALL: [Experiment; 15] = [
     ("a1_ablations", a1_ablations::run_with),
 ];
 
+/// Worker threads for the experiment fan-out: one per available core.
+fn workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+}
+
 /// Run every experiment, concatenating reports (used by the `cargo bench`
 /// harness so one command regenerates all tables and figures).
 ///
 /// The experiments fan out across worker threads via
-/// [`crate::runner::run_sharded`]; the concatenation is in [`ALL`] order,
-/// and each experiment seeds its own RNGs, so the report is byte-identical
-/// to the old sequential run.
+/// [`steal::run_chunked`]; the concatenation is in [`ALL`] order, and
+/// each experiment seeds its own RNGs, so the report is byte-identical
+/// to a sequential run.
 pub fn run_all() -> String {
-    crate::runner::run_sharded(&ALL, 0, |&(_, run), _| run(&Telemetry::disabled())).concat()
+    steal::run_chunked(ALL.len(), workers(), |i| (ALL[i].1)(&Telemetry::disabled())).concat()
 }
 
 /// One experiment's outcome: name, rendered report, telemetry registry.
 pub type ExperimentResult = (&'static str, String, Registry);
 
-/// Run `experiments` with telemetry enabled, sharded across worker
+/// Run `experiments` with telemetry enabled, fanned out across worker
 /// threads. Each experiment records into its own registry, so results are
 /// independent of scheduling; the output is in item order and
 /// byte-identical to [`collect_sequential`].
 pub fn collect(experiments: &[Experiment]) -> Vec<ExperimentResult> {
-    crate::runner::run_sharded(experiments, 0, |&(name, run), _| {
-        let tel = Telemetry::enabled();
-        let report = run(&tel);
-        (name, report, tel.snapshot())
-    })
+    collect_profiled(experiments).0
 }
 
 /// Run `experiments` with telemetry enabled, one after another on this
@@ -83,25 +91,28 @@ pub fn collect_sequential(experiments: &[Experiment]) -> Vec<ExperimentResult> {
         .collect()
 }
 
-/// Run every experiment with telemetry enabled (sharded).
-pub fn run_all_with_telemetry() -> Vec<ExperimentResult> {
-    collect(&ALL)
-}
-
 /// [`collect`] with wall-clock profiling: each experiment's prepare
 /// (telemetry scope build), run (experiment body), and score (registry
-/// snapshot) stages are timed on the shared [`crate::runner::StageClock`],
-/// and the returned [`crate::runner::RunProfile`] carries per-worker
-/// busy/idle splits. Results are byte-identical to [`collect`].
-pub fn collect_profiled(
-    experiments: &[Experiment],
-) -> (Vec<ExperimentResult>, crate::runner::RunProfile) {
-    crate::runner::run_sharded_profiled(experiments, 0, |&(name, run), _, clock| {
+/// snapshot) stages are timed on a [`StageClock`]. Returns the results —
+/// byte-identical to [`collect`] — and a `--- profile ---` footer (run
+/// wall time and per-stage totals) for stderr.
+pub fn collect_profiled(experiments: &[Experiment]) -> (Vec<ExperimentResult>, String) {
+    let clock = StageClock::default();
+    let start = Instant::now();
+    let results = steal::run_chunked(experiments.len(), workers(), |i| {
+        let (name, run) = experiments[i];
         let tel = clock.time("prepare", Telemetry::enabled);
         let report = clock.time("run", || run(&tel));
         let registry = clock.time("score", || tel.snapshot());
         (name, report, registry)
-    })
+    });
+    let footer = format!(
+        "--- profile ---\nwall {:.3}s across {} workers\n{}",
+        start.elapsed().as_secs_f64(),
+        workers().min(experiments.len()),
+        clock.render()
+    );
+    (results, footer)
 }
 
 /// Render `BENCH_telemetry.json`: every experiment's registry in run

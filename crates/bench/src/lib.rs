@@ -13,8 +13,12 @@
 //! its internal seeds) with a thin binary wrapper in `src/bin/` and a
 //! consolidated `cargo bench` harness (`benches/experiments.rs`) that
 //! prints all of them. [`experiments::run_all`] fans the experiments
-//! across threads with [`runner::run_sharded`]; determinism is preserved
-//! because each experiment seeds its own RNGs. The experiment ↔ paper
+//! across threads with `underradar_campaign::steal::run_chunked`;
+//! determinism is preserved because each experiment seeds its own RNGs.
+//! Campaign-backed experiments run their matrices through the one
+//! campaign executor, `underradar_runner::run_service`
+//! ([`experiments::campaign::run_campaign`]); [`runner::StageClock`]
+//! times stages for the stderr profile footers. The experiment ↔ paper
 //! mapping lives in `DESIGN.md` §4 and `EXPERIMENTS.md`.
 
 pub mod cli;

@@ -1,84 +1,14 @@
-//! Seeded, sharded trial execution.
+//! Wall-clock stage timing for the experiment and campaign binaries.
 //!
-//! Experiments are pure functions, so fanning them (or their inner
-//! parameter sweeps) across OS threads changes wall-clock time and nothing
-//! else — results come back in item order and every trial gets a seed
-//! derived only from the master seed and its index, never from scheduling.
-//! This is how `run_all` regenerates all tables in parallel and how sweeps
-//! like E6's cover-count scan use all cores.
+//! Experiments fan out with `underradar_campaign::steal::run_chunked` and
+//! campaigns run through `underradar_runner::run_service`; both keep their
+//! output independent of scheduling. [`StageClock`] only measures where
+//! the wall time went, so its numbers belong on stderr or in a side file,
+//! never in deterministic output.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Identity of one trial within a sharded run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrialSpec {
-    /// Position of the trial's item in the input slice (and of its result
-    /// in the output).
-    pub index: usize,
-    /// Deterministic per-trial seed: a function of the master seed and
-    /// `index` only, so any worker executing the trial produces the same
-    /// stream.
-    pub seed: u64,
-}
-
-/// The seed trial `index` receives under `master_seed`. Derivation uses
-/// the workspace's single shared SplitMix64 finalizer
-/// ([`underradar_netsim::rng::splitmix64_mix`]) — the same function
-/// `campaign::seed` builds on — so the two paths cannot silently drift.
-pub fn trial_seed(master_seed: u64, index: usize) -> u64 {
-    use underradar_netsim::rng::splitmix64_mix;
-    splitmix64_mix(master_seed ^ splitmix64_mix(index as u64))
-}
-
-/// Run `f` over every item on a shared pool of `std::thread` workers and
-/// return the results in item order.
-///
-/// Workers pull items from an atomic cursor (no static partitioning, so an
-/// expensive early item does not serialize the tail behind it). `f` must
-/// draw randomness only from `TrialSpec::seed`; under that contract the
-/// output is identical for any worker count, including 1.
-pub fn run_sharded<I, T, F>(items: &[I], master_seed: u64, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I, TrialSpec) -> T + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n);
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= n {
-                    break;
-                }
-                let spec = TrialSpec {
-                    index,
-                    seed: trial_seed(master_seed, index),
-                };
-                let out = f(&items[index], spec);
-                results.lock().expect("runner poisoned: a trial panicked")[index] = Some(out);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("runner poisoned: a trial panicked")
-        .into_iter()
-        .map(|slot| slot.expect("every index visited exactly once"))
-        .collect()
-}
 
 /// Wall-clock accumulator for named work stages (`prepare`, `run`,
 /// `score`, …). Shared across workers; lock contention is per stage
@@ -111,138 +41,20 @@ impl StageClock {
             .map(|(&stage, &(total, calls))| (stage, total, calls))
             .collect()
     }
-}
 
-/// One worker thread's wall-clock accounting over a profiled run.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkerProfile {
-    /// Time spent inside trial closures.
-    pub busy: Duration,
-    /// Lifetime minus busy: cursor contention plus tail starvation while
-    /// other workers drain the last items.
-    pub idle: Duration,
-    /// Trials this worker executed.
-    pub trials: u64,
-}
-
-/// Wall-clock profile of one [`run_sharded_profiled`] call. Timings are
-/// real time, not simulated time — render them to stderr or behind an
-/// explicit flag, never into deterministic report output.
-#[derive(Debug)]
-pub struct RunProfile {
-    /// End-to-end wall time of the sharded region.
-    pub wall: Duration,
-    /// Per-worker busy/idle split, in spawn order.
-    pub workers: Vec<WorkerProfile>,
-    /// Per-stage totals from the run's [`StageClock`].
-    pub stages: Vec<(&'static str, Duration, u64)>,
-}
-
-impl RunProfile {
-    /// Render the profile footer: run wall time, each worker's busy/idle
-    /// split, and per-stage totals.
-    pub fn render_footer(&self) -> String {
-        let mut out = format!(
-            "--- profile ---\nwall {:.3}s across {} workers\n",
-            self.wall.as_secs_f64(),
-            self.workers.len()
-        );
-        for (i, w) in self.workers.iter().enumerate() {
-            out.push_str(&format!(
-                "worker {i}: busy {:.3}s idle {:.3}s trials {}\n",
-                w.busy.as_secs_f64(),
-                w.idle.as_secs_f64(),
-                w.trials
-            ));
-        }
-        for (stage, total, calls) in &self.stages {
-            out.push_str(&format!(
-                "stage {stage}: {:.3}s over {calls} calls\n",
-                total.as_secs_f64()
-            ));
-        }
-        out
+    /// One `stage NAME: S.SSSs over N calls` line per stage, in
+    /// stage-name order (the body of a `--- profile ---` footer).
+    pub fn render(&self) -> String {
+        self.rows()
+            .into_iter()
+            .map(|(stage, total, calls)| {
+                format!(
+                    "stage {stage}: {:.3}s over {calls} calls\n",
+                    total.as_secs_f64()
+                )
+            })
+            .collect()
     }
-}
-
-/// [`run_sharded`] plus wall-clock profiling: the closure also receives a
-/// [`StageClock`] for timing its internal stages, and the return carries a
-/// [`RunProfile`] with per-worker busy/idle splits. Results are identical
-/// to the unprofiled path — the instrumentation reads clocks around the
-/// closure, never inside the work.
-pub fn run_sharded_profiled<I, T, F>(items: &[I], master_seed: u64, f: F) -> (Vec<T>, RunProfile)
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I, TrialSpec, &StageClock) -> T + Sync,
-{
-    let n = items.len();
-    let clock = StageClock::default();
-    let run_start = Instant::now();
-    if n == 0 {
-        return (
-            Vec::new(),
-            RunProfile {
-                wall: run_start.elapsed(),
-                workers: Vec::new(),
-                stages: clock.rows(),
-            },
-        );
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n);
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    let profiles: Mutex<Vec<WorkerProfile>> = Mutex::new(Vec::with_capacity(workers));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let born = Instant::now();
-                let mut busy = Duration::ZERO;
-                let mut trials = 0u64;
-                loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= n {
-                        break;
-                    }
-                    let spec = TrialSpec {
-                        index,
-                        seed: trial_seed(master_seed, index),
-                    };
-                    let start = Instant::now();
-                    let out = f(&items[index], spec, &clock);
-                    busy += start.elapsed();
-                    trials += 1;
-                    results.lock().expect("runner poisoned: a trial panicked")[index] = Some(out);
-                }
-                let lifetime = born.elapsed();
-                profiles
-                    .lock()
-                    .expect("runner poisoned: a trial panicked")
-                    .push(WorkerProfile {
-                        busy,
-                        idle: lifetime.saturating_sub(busy),
-                        trials,
-                    });
-            });
-        }
-    });
-    let out = results
-        .into_inner()
-        .expect("runner poisoned: a trial panicked")
-        .into_iter()
-        .map(|slot| slot.expect("every index visited exactly once"))
-        .collect();
-    let profile = RunProfile {
-        wall: run_start.elapsed(),
-        workers: profiles
-            .into_inner()
-            .expect("runner poisoned: a trial panicked"),
-        stages: clock.rows(),
-    };
-    (out, profile)
 }
 
 #[cfg(test)]
@@ -250,80 +62,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn results_come_back_in_item_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let out = run_sharded(&items, 1, |&i, spec| {
-            assert_eq!(i, spec.index);
-            i * 2
-        });
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn seeds_are_deterministic_and_distinct() {
-        let items = [(); 64];
-        let a = run_sharded(&items, 42, |_, spec| spec.seed);
-        let b = run_sharded(&items, 42, |_, spec| spec.seed);
-        assert_eq!(a, b, "same master seed, same trial seeds");
-        let mut uniq = a.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), a.len(), "trial seeds do not collide");
-        let c = run_sharded(&items, 43, |_, spec| spec.seed);
-        assert_ne!(a, c, "different master seed diverges");
-    }
-
-    #[test]
-    fn trial_seeds_agree_with_the_campaign_engine() {
-        // Both crates derive (master, index) seeds through the one shared
-        // splitmix64 finalizer; this pins that they stay byte-identical.
-        for master in [0u64, 1, 42, u64::MAX] {
-            for index in [0usize, 1, 7, 511, 1_000_000] {
-                assert_eq!(
-                    trial_seed(master, index),
-                    underradar_campaign::seed::trial_seed(master, index),
-                    "seed drift at ({master}, {index})"
-                );
-            }
+    fn stages_accumulate_time_and_calls_in_name_order() {
+        let clock = StageClock::default();
+        for i in 0..3u64 {
+            assert_eq!(clock.time("run", || i * 2), i * 2);
         }
-    }
-
-    #[test]
-    fn empty_input_and_single_item() {
-        let none: Vec<u8> = Vec::new();
-        assert!(run_sharded(&none, 0, |_, _| 0u8).is_empty());
-        assert_eq!(run_sharded(&[7u8], 0, |&x, _| x), vec![7]);
-    }
-
-    #[test]
-    fn profiled_run_matches_plain_run_and_accounts_every_trial() {
-        let items: Vec<u64> = (0..48).collect();
-        let plain = run_sharded(&items, 7, |&i, spec| i.wrapping_add(spec.seed));
-        let (profiled, profile) = run_sharded_profiled(&items, 7, |&i, spec, clock| {
-            clock.time("run", || i.wrapping_add(spec.seed))
-        });
-        assert_eq!(plain, profiled, "profiling never changes results");
-        let executed: u64 = profile.workers.iter().map(|w| w.trials).sum();
-        assert_eq!(executed, items.len() as u64);
-        let (stage, _, calls) = profile.stages[0];
-        assert_eq!((stage, calls), ("run", items.len() as u64));
-        let footer = profile.render_footer();
-        assert!(footer.starts_with("--- profile ---\nwall "));
-        assert!(footer.contains("worker 0: busy "));
-        assert!(footer.contains("stage run: "));
-    }
-
-    #[test]
-    fn uneven_work_still_fills_every_slot() {
-        // Early items are much slower than late ones; the atomic cursor
-        // keeps all workers busy and order is still preserved.
-        let items: Vec<u64> = (0..32).collect();
-        let out = run_sharded(&items, 9, |&i, _| {
-            if i < 4 {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            i
-        });
-        assert_eq!(out, items);
+        clock.time("prepare", || ());
+        let rows = clock.rows();
+        let names: Vec<(&str, u64)> = rows.iter().map(|&(s, _, c)| (s, c)).collect();
+        assert_eq!(names, vec![("prepare", 1), ("run", 3)]);
+        let text = clock.render();
+        assert!(text.starts_with("stage prepare: "), "{text}");
+        assert!(text.ends_with("s over 3 calls\n"), "{text}");
     }
 }

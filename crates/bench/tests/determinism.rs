@@ -1,10 +1,13 @@
 //! Telemetry determinism regression (ISSUE satellite): the registries an
 //! experiment produces — and the `BENCH_telemetry.json` rendering built
 //! from them — must be byte-identical run-to-run and between the
-//! sequential and sharded (`run_sharded`) execution paths.
+//! sequential and fanned-out (`steal::run_chunked`) execution paths, and
+//! a campaign's report, registry and trace must be byte-identical at 1
+//! and 4 run-service workers.
 //!
 //! Uses the cheaper experiments so the double-run stays fast; the sharded
-//! path is the same code `run_all_with_telemetry` uses for all fourteen.
+//! path is the same code `cargo bench --bench experiments` uses for all
+//! fifteen.
 
 use underradar_bench::experiments::{collect, collect_sequential, telemetry_json, Experiment, ALL};
 
@@ -51,7 +54,8 @@ fn sharded_and_sequential_runs_agree_byte_for_byte() {
 
 #[test]
 fn campaign_sequential_and_sharded_agree_byte_for_byte() {
-    use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy};
+    use underradar_bench::experiments::campaign::run_campaign;
+    use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
     use underradar_censor::CensorPolicy;
     use underradar_protocols::dns::DnsName;
     use underradar_telemetry::Telemetry;
@@ -73,12 +77,12 @@ fn campaign_sequential_and_sharded_agree_byte_for_byte() {
         .client_link_corrupt(0.05)
         .run_secs(30);
     let sequential_tel = Telemetry::enabled();
-    let sequential = engine::run(&spec, 1, &sequential_tel);
+    let (seq_report, seq_trials) = run_campaign(&spec, 1, &sequential_tel);
     let sharded_tel = Telemetry::enabled();
-    let sharded = engine::run(&spec, 4, &sharded_tel);
+    let (report, trials) = run_campaign(&spec, 4, &sharded_tel);
     assert_eq!(
-        sequential.to_json(),
-        sharded.to_json(),
+        seq_report.to_json(&seq_trials),
+        report.to_json(&trials),
         "campaign report differs under sharding"
     );
     assert_eq!(
@@ -93,7 +97,8 @@ fn campaign_sequential_and_sharded_agree_byte_for_byte() {
 /// explainer chains) whether it runs sequentially or across 4 workers.
 #[test]
 fn campaign_trace_is_byte_identical_across_shard_counts() {
-    use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy};
+    use underradar_bench::experiments::campaign::run_campaign;
+    use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
     use underradar_censor::CensorPolicy;
     use underradar_protocols::dns::DnsName;
     use underradar_telemetry::{trace, Telemetry, DEFAULT_TRACE_CAPACITY};
@@ -110,7 +115,7 @@ fn campaign_trace_is_byte_identical_across_shard_counts() {
         .run_secs(30);
     let run = |shards: usize| {
         let tel = Telemetry::with_trace(DEFAULT_TRACE_CAPACITY);
-        let report = engine::run(&spec, shards, &tel);
+        let (report, _) = run_campaign(&spec, shards, &tel);
         let snap = tel.snapshot();
         let chains = trace::render_chains(&trace::explain(&snap.trace));
         (report.render_text(), snap.trace_jsonl(), chains)

@@ -43,7 +43,7 @@ pub struct TrialResult {
 
 impl TrialResult {
     /// Render this trial as one deterministic JSON object — the exact
-    /// per-trial element of [`CampaignReport::to_json`]'s `trials` array,
+    /// per-trial element of [`StreamReport::to_json`]'s `trials` array,
     /// also emitted standalone as a JSONL row by streaming sinks.
     pub fn to_json_row(&self) -> String {
         format!(
@@ -85,124 +85,15 @@ pub struct CellStat {
     pub retries: u64,
 }
 
-/// A completed campaign: every trial plus derived matrices.
-#[derive(Debug, Clone)]
-pub struct CampaignReport {
-    /// Campaign name from the spec.
-    pub name: String,
-    /// Per-trial outcomes in matrix order.
-    pub trials: Vec<TrialResult>,
-}
-
-impl CampaignReport {
-    /// Per-(method, policy) aggregates, sorted by method label then
-    /// policy name — a deterministic accuracy/risk matrix.
-    pub fn cells(&self) -> Vec<CellStat> {
-        let mut map: BTreeMap<(&'static str, String), CellStat> = BTreeMap::new();
-        for t in &self.trials {
-            let cell = map
-                .entry((t.method.label(), t.policy.clone()))
-                .or_insert_with(|| CellStat {
-                    method: t.method.label(),
-                    policy: t.policy.clone(),
-                    trials: 0,
-                    correct: 0,
-                    evaded: 0,
-                    inconclusive: 0,
-                    retries: 0,
-                });
-            cell.trials += 1;
-            cell.correct += t.verdict_correct as usize;
-            cell.evaded += t.evaded as usize;
-            cell.inconclusive += matches!(t.verdict, Verdict::Inconclusive(_)) as usize;
-            cell.retries += t.retries as u64;
-        }
-        map.into_values().collect()
-    }
-
-    /// Total retries consumed across the campaign.
-    pub fn total_retries(&self) -> u64 {
-        self.trials.iter().map(|t| t.retries as u64).sum()
-    }
-
-    /// Trials still `Inconclusive` after all retries.
-    pub fn inconclusive_final(&self) -> usize {
-        self.trials
-            .iter()
-            .filter(|t| matches!(t.verdict, Verdict::Inconclusive(_)))
-            .count()
-    }
-
-    /// Deterministic JSON rendering: stable key order, stable cell order,
-    /// trials in matrix order. Byte-identical across worker counts.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.trials.len() * 192);
-        out.push_str(&format!(
-            "{{\"campaign\":\"{}\",\"trial_count\":{},\"retries\":{},\"inconclusive_final\":{},",
-            esc(&self.name),
-            self.trials.len(),
-            self.total_retries(),
-            self.inconclusive_final()
-        ));
-        out.push_str("\"cells\":[");
-        for (i, c) in self.cells().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"method\":\"{}\",\"policy\":\"{}\",\"trials\":{},\"correct\":{},\"evaded\":{},\"inconclusive\":{},\"retries\":{}}}",
-                c.method,
-                esc(&c.policy),
-                c.trials,
-                c.correct,
-                c.evaded,
-                c.inconclusive,
-                c.retries
-            ));
-        }
-        out.push_str("],\"trials\":[");
-        for (i, t) in self.trials.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&t.to_json_row());
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Human-readable matrix summary for terminal output.
-    pub fn render_text(&self) -> String {
-        let mut out = format!(
-            "campaign '{}': {} trials, {} retries, {} inconclusive after retry\n",
-            self.name,
-            self.trials.len(),
-            self.total_retries(),
-            self.inconclusive_final()
-        );
-        out.push_str(&format!(
-            "{:<14} {:<14} {:>6} {:>8} {:>7} {:>13} {:>8}\n",
-            "method", "policy", "trials", "correct", "evades", "inconclusive", "retries"
-        ));
-        for c in self.cells() {
-            out.push_str(&format!(
-                "{:<14} {:<14} {:>6} {:>8} {:>7} {:>13} {:>8}\n",
-                c.method, c.policy, c.trials, c.correct, c.evaded, c.inconclusive, c.retries
-            ));
-        }
-        out
-    }
-}
-
-/// Bounded-memory incremental aggregation of trial results: the cell
-/// matrix and campaign totals of a [`CampaignReport`], built by absorbing
-/// one [`TrialResult`] at a time in *any* order (completion order under
-/// work stealing included) without retaining the trials themselves.
+/// A campaign's report, aggregated incrementally: the per-(method,
+/// policy) cell matrix and campaign totals, built by absorbing one
+/// [`TrialResult`] at a time in *any* order (completion order under work
+/// stealing included) without retaining the trials themselves.
 ///
-/// Every aggregate is commutative, so for the same set of trials
-/// [`StreamReport::render_text`] is byte-identical to
-/// [`CampaignReport::render_text`] — the invariant that lets a streaming
-/// run service print the same summary as the in-memory engine.
+/// Every aggregate is commutative, so for the same set of trials the
+/// rendered report is byte-identical whatever order they were absorbed
+/// in — the invariant that makes run-service output independent of the
+/// worker count.
 #[derive(Debug, Clone)]
 pub struct StreamReport {
     /// Campaign name from the spec.
@@ -256,14 +147,53 @@ impl StreamReport {
         self.trials
     }
 
-    /// Per-(method, policy) aggregates in the same order as
-    /// [`CampaignReport::cells`].
+    /// Per-(method, policy) aggregates, sorted by method label then
+    /// policy name — a deterministic accuracy/risk matrix.
     pub fn cells(&self) -> Vec<CellStat> {
         self.cells.values().cloned().collect()
     }
 
-    /// The same matrix summary [`CampaignReport::render_text`] produces
-    /// for these trials, byte for byte.
+    /// Deterministic JSON rendering: stable key order, stable cell order,
+    /// then `trials` — the absorbed trials, which the caller passes in
+    /// index order — as [`TrialResult::to_json_row`] objects.
+    /// Byte-identical across worker counts.
+    pub fn to_json(&self, trials: &[TrialResult]) -> String {
+        let mut out = String::with_capacity(256 + trials.len() * 192);
+        out.push_str(&format!(
+            "{{\"campaign\":\"{}\",\"trial_count\":{},\"retries\":{},\"inconclusive_final\":{},",
+            esc(&self.name),
+            self.trials,
+            self.retries,
+            self.inconclusive
+        ));
+        out.push_str("\"cells\":[");
+        for (i, c) in self.cells.values().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"method\":\"{}\",\"policy\":\"{}\",\"trials\":{},\"correct\":{},\"evaded\":{},\"inconclusive\":{},\"retries\":{}}}",
+                c.method,
+                esc(&c.policy),
+                c.trials,
+                c.correct,
+                c.evaded,
+                c.inconclusive,
+                c.retries
+            ));
+        }
+        out.push_str("],\"trials\":[");
+        for (i, t) in trials.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&t.to_json_row());
+        }
+        out.push_str("]}");
+        out
+    }
+
+    /// Human-readable matrix summary for terminal output.
     pub fn render_text(&self) -> String {
         let mut out = format!(
             "campaign '{}': {} trials, {} retries, {} inconclusive after retry\n",
@@ -323,33 +253,39 @@ mod tests {
         }
     }
 
+    fn report(name: &str, trials: &[TrialResult]) -> StreamReport {
+        let mut report = StreamReport::new(name);
+        for t in trials {
+            report.absorb(t);
+        }
+        report
+    }
+
     #[test]
     fn cells_aggregate_and_sort_deterministically() {
-        let report = CampaignReport {
-            name: "t".to_string(),
-            trials: vec![
-                trial(MethodKind::Scan, "control", Verdict::Reachable, 0),
-                trial(
-                    MethodKind::Scan,
-                    "control",
-                    Verdict::Inconclusive("x".into()),
-                    2,
-                ),
-                trial(MethodKind::Ddos, "control", Verdict::Reachable, 1),
-            ],
-        };
+        let trials = [
+            trial(MethodKind::Scan, "control", Verdict::Reachable, 0),
+            trial(
+                MethodKind::Scan,
+                "control",
+                Verdict::Inconclusive("x".into()),
+                2,
+            ),
+            trial(MethodKind::Ddos, "control", Verdict::Reachable, 1),
+        ];
+        let report = report("t", &trials);
         let cells = report.cells();
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].method, "ddos", "sorted by label");
         assert_eq!(cells[1].trials, 2);
         assert_eq!(cells[1].inconclusive, 1);
         assert_eq!(cells[1].retries, 2);
-        assert_eq!(report.total_retries(), 3);
-        assert_eq!(report.inconclusive_final(), 1);
+        let json = report.to_json(&trials);
+        assert!(json.contains("\"trial_count\":3,\"retries\":3,\"inconclusive_final\":1,"));
     }
 
     #[test]
-    fn stream_report_matches_batch_report_in_any_absorb_order() {
+    fn absorb_order_never_changes_the_report() {
         let trials = vec![
             trial(MethodKind::Scan, "control", Verdict::Reachable, 0),
             trial(
@@ -361,40 +297,32 @@ mod tests {
             trial(MethodKind::Ddos, "control", Verdict::Reachable, 1),
             trial(MethodKind::Spam, "kw", Verdict::Reachable, 0),
         ];
-        let batch = CampaignReport {
-            name: "s".to_string(),
-            trials: trials.clone(),
-        };
+        let forward = report("s", &trials);
         // Absorb in reverse (a completion order stealing could produce).
-        let mut stream = StreamReport::new("s");
-        for t in trials.iter().rev() {
-            stream.absorb(t);
-        }
-        assert_eq!(stream.render_text(), batch.render_text());
-        assert_eq!(stream.cells(), batch.cells());
-        assert_eq!(stream.trial_count(), 4);
+        let reversed: Vec<TrialResult> = trials.iter().rev().cloned().collect();
+        let backward = report("s", &reversed);
+        assert_eq!(backward.render_text(), forward.render_text());
+        assert_eq!(backward.cells(), forward.cells());
+        assert_eq!(backward.to_json(&trials), forward.to_json(&trials));
+        assert_eq!(backward.trial_count(), 4);
     }
 
     #[test]
     fn json_row_is_exactly_the_envelope_trial_element() {
         let t = trial(MethodKind::Scan, "control", Verdict::Reachable, 0);
-        let report = CampaignReport {
-            name: "r".to_string(),
-            trials: vec![t.clone()],
-        };
-        assert!(report.to_json().contains(&t.to_json_row()));
+        let trials = [t.clone()];
+        let json = report("r", &trials).to_json(&trials);
+        assert!(json.ends_with(&format!("\"trials\":[{}]}}", t.to_json_row())));
     }
 
     #[test]
     fn json_is_stable_and_escapes_strings() {
-        let report = CampaignReport {
-            name: "q\"uote".to_string(),
-            trials: vec![trial(MethodKind::Scan, "control", Verdict::Reachable, 0)],
-        };
-        let a = report.to_json();
-        let b = report.to_json();
+        let trials = [trial(MethodKind::Scan, "control", Verdict::Reachable, 0)];
+        let report = report("q\"uote", &trials);
+        let a = report.to_json(&trials);
+        let b = report.to_json(&trials);
         assert_eq!(a, b);
-        assert!(a.contains("q\\\"uote"));
+        assert!(a.starts_with("{\"campaign\":\"q\\\"uote\","));
         assert!(a.contains("\"anonymity_set\":null"));
         assert!(a.starts_with('{') && a.ends_with('}'));
     }

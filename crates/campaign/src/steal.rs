@@ -1,14 +1,13 @@
 //! Work-stealing trial scheduling: per-worker deques of chunked trial
-//! batches with steal-half semantics.
+//! batches with steal-half semantics. [`Deques`] schedules the run
+//! service's trials; [`run_chunked`] is the workspace's one generic
+//! parallel map (the experiment fan-out uses it).
 //!
-//! The engine's previous scheduler partitioned work by handing every
-//! worker indices off one shared cursor and committing results into
-//! index-addressed slots. That keeps workers busy for *uniform* matrices,
-//! but a skewed matrix — a block of heavy ddos cells expanded next to
-//! cheap scan cells — still serializes behind whichever worker drew the
-//! heavy run of indices, because an index, once drawn, can never move.
-//!
-//! This module replaces it: each worker owns a deque of [`Chunk`]s
+//! Handing every worker indices off one shared cursor keeps workers busy
+//! for *uniform* matrices, but a skewed matrix — a block of heavy ddos
+//! cells expanded next to cheap scan cells — still serializes behind
+//! whichever worker drew the heavy run of indices, because an index, once
+//! drawn, can never move. Instead each worker owns a deque of [`Chunk`]s
 //! (contiguous index ranges), pops from the front of its own deque, and
 //! when empty steals **half** of the richest victim's deque (splitting a
 //! lone chunk in two when that is all the victim has). Work therefore
@@ -103,11 +102,6 @@ impl Deques {
             queues: queues.into_iter().map(Mutex::new).collect(),
             queued: AtomicUsize::new(n),
         }
-    }
-
-    /// Number of worker deques.
-    pub fn workers(&self) -> usize {
-        self.queues.len()
     }
 
     /// Pop the next batch from `worker`'s own deque (front: its oldest

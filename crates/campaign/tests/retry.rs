@@ -2,10 +2,11 @@
 //! is swallowed by packet loss (`Inconclusive`) converges on retry, and
 //! the retry count lands in the campaign telemetry.
 
-use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy, RetryPolicy};
+use underradar_campaign::engine::{self, ScopeConfig};
+use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy, RetryPolicy, TrialResult};
 use underradar_censor::CensorPolicy;
 use underradar_core::verdict::Verdict;
-use underradar_telemetry::Telemetry;
+use underradar_telemetry::{Registry, Telemetry};
 
 /// Pinned empirically: at 35% client-link loss, master seed 6 loses the
 /// first spam attempt's DNS exchange (Inconclusive) and the reseeded
@@ -22,11 +23,18 @@ fn lossy_spec(master_seed: u64) -> CampaignSpec {
         .run_secs(40)
 }
 
+/// The spec's single trial, with its telemetry (scopes enabled).
+fn run_single(spec: &CampaignSpec) -> (TrialResult, Registry) {
+    let preps = engine::prepare(spec);
+    let trials = spec.expand();
+    assert_eq!(trials.len(), 1, "single-trial spec");
+    let cfg = ScopeConfig::of(&Telemetry::enabled());
+    engine::run_trial(spec, &preps[0], &trials[0], cfg)
+}
+
 #[test]
 fn first_attempt_inconclusive_retry_converges() {
-    let tel = Telemetry::enabled();
-    let report = engine::run(&lossy_spec(PINNED_MASTER_SEED), 1, &tel);
-    let trial = &report.trials[0];
+    let (trial, snap) = run_single(&lossy_spec(PINNED_MASTER_SEED));
 
     assert_eq!(trial.retries, 1, "exactly one retry should be needed");
     assert!(
@@ -35,11 +43,9 @@ fn first_attempt_inconclusive_retry_converges() {
         trial.verdict
     );
     assert!(trial.verdict_correct, "converged verdict must be correct");
-    assert_eq!(report.total_retries(), 1);
-    assert_eq!(report.inconclusive_final(), 0);
 
-    // The retry count is visible in the merged campaign telemetry.
-    let snap = tel.snapshot();
+    // The retry count is visible in the trial's campaign telemetry.
+    assert_eq!(snap.counters.get("campaign.inconclusive_final"), None);
     assert_eq!(snap.counters.get("campaign.retries"), Some(&1));
     assert_eq!(snap.counters.get("campaign.method.spam.retries"), Some(&1));
     assert_eq!(snap.counters.get("campaign.trials"), Some(&1));
@@ -52,9 +58,8 @@ fn retry_budget_is_bounded() {
     let spec = lossy_spec(17)
         .client_link_loss(0.5)
         .retry(RetryPolicy::default());
-    let report = engine::run(&spec, 1, &Telemetry::disabled());
-    let trial = &report.trials[0];
+    let (trial, snap) = run_single(&spec);
     assert_eq!(trial.retries, RetryPolicy::default().max_retries);
     assert!(matches!(trial.verdict, Verdict::Inconclusive(_)));
-    assert_eq!(report.inconclusive_final(), 1);
+    assert_eq!(snap.counters.get("campaign.inconclusive_final"), Some(&1));
 }

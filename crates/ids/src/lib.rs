@@ -32,7 +32,6 @@ pub mod aho;
 pub mod alert;
 pub mod dfa;
 pub mod engine;
-pub mod lru;
 pub mod parser;
 pub mod rule;
 pub mod stream;

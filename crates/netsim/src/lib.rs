@@ -73,7 +73,7 @@ pub use node::{IfaceId, Node, NodeCtx, NodeId};
 pub use packet::{IcmpSegment, Packet, PacketBody, TcpSegment, UdpDatagram};
 pub use rng::SimRng;
 pub use sim::Simulator;
-pub use slab::{OrderId, OrderQueue, Slab, SlabKey};
+pub use slab::{Slab, SlabKey};
 pub use stack::tcp::{OverlapPolicy, TcpConn, TcpEvent, TcpState};
 pub use switch::Switch;
 pub use time::{SimDuration, SimTime};

@@ -6,11 +6,6 @@
 //! ([`SlabKey`]): slot indices are recycled through a free list, but each
 //! recycle bumps the slot's generation, so a stale handle can never alias
 //! the slot's next occupant — lookups through it return `None` instead.
-//!
-//! [`OrderQueue`] is the original intrusive doubly-linked list, ported
-//! onto [`Slab`]: O(1) push/pop/remove with no allocation after the slab
-//! warms up, used wherever eviction order must be maintained without
-//! scanning (the pattern [`crate::flow::FlowTable`] generalizes).
 
 use std::marker::PhantomData;
 
@@ -197,129 +192,13 @@ impl<T> Slab<T> {
     }
 
     /// Iterate over live values in slot order (deterministic, but *not*
-    /// insertion order — pair with an [`OrderQueue`] when order matters).
+    /// insertion order).
     pub fn iter(&self) -> impl Iterator<Item = (SlabKey<T>, &T)> {
         self.entries.iter().enumerate().filter_map(|(i, e)| {
             e.value
                 .as_ref()
                 .map(|v| (SlabKey::from_parts(i as u32, e.gen), v))
         })
-    }
-}
-
-/// Internal node of an [`OrderQueue`]; public only because it names the
-/// queue's handle type ([`OrderId`]). All fields are private.
-#[derive(Debug)]
-pub struct OrderSlot<K> {
-    key: K,
-    prev: Option<OrderId<K>>,
-    next: Option<OrderId<K>>,
-}
-
-/// Handle to an [`OrderQueue`] entry. Generational: removing through a
-/// stale handle is a no-op, so double-removal needs no caller bookkeeping.
-pub type OrderId<K> = SlabKey<OrderSlot<K>>;
-
-/// FIFO queue with O(1) removal from the middle: an intrusive doubly
-/// linked list threaded through a [`Slab`]. Push a key when a value is
-/// created, keep the returned [`OrderId`], and hand it back to
-/// [`OrderQueue::remove`] when the value is dropped; [`OrderQueue::front`]
-/// is then always the oldest live key — the eviction candidate.
-#[derive(Debug)]
-pub struct OrderQueue<K> {
-    slab: Slab<OrderSlot<K>>,
-    head: Option<OrderId<K>>,
-    tail: Option<OrderId<K>>,
-}
-
-impl<K: Copy> Default for OrderQueue<K> {
-    fn default() -> Self {
-        OrderQueue::new()
-    }
-}
-
-impl<K: Copy> OrderQueue<K> {
-    /// An empty queue.
-    pub fn new() -> OrderQueue<K> {
-        OrderQueue {
-            slab: Slab::new(),
-            head: None,
-            tail: None,
-        }
-    }
-
-    /// Append `key`, returning the id used for O(1) removal.
-    pub fn push_back(&mut self, key: K) -> OrderId<K> {
-        let prev = self.tail;
-        let id = self.slab.insert(OrderSlot {
-            key,
-            prev,
-            next: None,
-        });
-        match prev {
-            Some(t) => {
-                if let Some(slot) = self.slab.get_mut(t) {
-                    slot.next = Some(id);
-                }
-            }
-            None => self.head = Some(id),
-        }
-        self.tail = Some(id);
-        id
-    }
-
-    /// The oldest key, if any.
-    pub fn front(&self) -> Option<K> {
-        let head = self.head?;
-        self.slab.get(head).map(|slot| slot.key)
-    }
-
-    /// Remove and return the oldest key.
-    pub fn pop_front(&mut self) -> Option<K> {
-        let head = self.head?;
-        let key = self.slab.get(head).map(|slot| slot.key);
-        self.remove(head);
-        key
-    }
-
-    /// Remove the entry `id` points at. Idempotent: a stale id (already
-    /// removed, or its slot since recycled) is a no-op.
-    pub fn remove(&mut self, id: OrderId<K>) {
-        let Some(slot) = self.slab.remove(id) else {
-            return;
-        };
-        match slot.prev {
-            Some(p) => {
-                if let Some(prev) = self.slab.get_mut(p) {
-                    prev.next = slot.next;
-                }
-            }
-            None => self.head = slot.next,
-        }
-        match slot.next {
-            Some(n) => {
-                if let Some(next) = self.slab.get_mut(n) {
-                    next.prev = slot.prev;
-                }
-            }
-            None => self.tail = slot.prev,
-        }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.slab.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.slab.is_empty()
-    }
-
-    /// Size of the underlying slab (live + free slots): bounded by the
-    /// high-water mark of live entries, never by total churn.
-    pub fn slab_size(&self) -> usize {
-        self.slab.slab_size()
     }
 }
 
@@ -376,62 +255,5 @@ mod tests {
         slab.remove(a);
         let got: Vec<char> = slab.iter().map(|(_, v)| *v).collect();
         assert_eq!(got, vec!['b', 'c']);
-    }
-
-    #[test]
-    fn fifo_order() {
-        let mut q = OrderQueue::new();
-        q.push_back(1u32);
-        q.push_back(2);
-        q.push_back(3);
-        assert_eq!(q.front(), Some(1));
-        assert_eq!(q.pop_front(), Some(1));
-        assert_eq!(q.pop_front(), Some(2));
-        assert_eq!(q.pop_front(), Some(3));
-        assert_eq!(q.pop_front(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn middle_removal_preserves_order() {
-        let mut q = OrderQueue::new();
-        let ids: Vec<_> = (0..5u32).map(|k| q.push_back(k)).collect();
-        q.remove(ids[2]);
-        q.remove(ids[0]);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop_front(), Some(1));
-        assert_eq!(q.pop_front(), Some(3));
-        assert_eq!(q.pop_front(), Some(4));
-    }
-
-    #[test]
-    fn removal_is_idempotent_and_slots_recycle() {
-        let mut q = OrderQueue::new();
-        let id = q.push_back(7u32);
-        q.remove(id);
-        q.remove(id); // stale: no-op
-        assert!(q.is_empty());
-        let id2 = q.push_back(8);
-        assert_eq!(q.slab_size(), 1, "slot recycled");
-        assert_eq!(q.front(), Some(8));
-        q.remove(id); // stale id from the recycled slot's past life: no-op
-        assert_eq!(q.front(), Some(8), "live entry untouched");
-        q.remove(id2);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn interleaved_churn_stays_bounded() {
-        let mut q = OrderQueue::new();
-        let mut live: Vec<OrderId<u32>> = Vec::new();
-        for i in 0..1000u32 {
-            live.push(q.push_back(i));
-            if live.len() > 16 {
-                let id = live.remove((i as usize * 7) % live.len());
-                q.remove(id);
-            }
-        }
-        assert_eq!(q.len(), live.len());
-        assert!(q.slab_size() <= 17, "slab bounded by peak live entries");
     }
 }

@@ -3,14 +3,15 @@
 
 //! # underradar-runner
 //!
-//! A durable run service wrapping the campaign engine
-//! ([`underradar_campaign::engine`]): work-stealing scheduling, streaming
-//! verdict rows, and a checksummed checkpoint journal with crash recovery
-//! and exact resume.
+//! The one executor for multi-trial campaigns: a durable run service
+//! wrapping the campaign engine ([`underradar_campaign::engine`]) with
+//! work-stealing scheduling, streaming verdict rows, and a checksummed
+//! checkpoint journal with crash recovery and exact resume.
 //!
-//! The engine gives determinism (byte-identical reports at any worker
-//! count); this crate adds **durability** without giving that up. A
-//! campaign run through [`service::run_service`]:
+//! The engine makes each trial a pure function of the spec and its index;
+//! this crate schedules them and adds **durability** without giving up
+//! the resulting determinism. A campaign run through
+//! [`service::run_service`]:
 //!
 //! - schedules trials over per-worker deques with steal-half rebalancing
 //!   ([`underradar_campaign::steal`]), so a straggler cell never idles the
@@ -29,8 +30,11 @@
 //!
 //! The contract, tested in this crate: the final report and merged
 //! telemetry of a resumed run are **byte-identical** to an uninterrupted
-//! run — which is itself byte-identical to `engine::run` — at any worker
-//! count and any interruption point.
+//! run — which is itself byte-identical to running every trial in index
+//! order on one thread — at any worker count and any interruption point.
+//! Without a checkpoint path a run touches no file, so
+//! `run_service(spec, &RunConfig::new(workers), tel, sink)` is also the
+//! plain in-memory way to run a campaign; a [`VecSink`] keeps the trials.
 //!
 //! ```
 //! use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
@@ -46,7 +50,7 @@
 //! let mut sink = VecSink::new();
 //! let outcome = run_service(&spec, &RunConfig::new(2), &tel, &mut sink).unwrap();
 //! assert_eq!(outcome.report.trial_count(), 1);
-//! assert_eq!(sink.rows.len(), 1);
+//! assert_eq!(sink.into_sorted()[0].index, 0);
 //! ```
 
 pub mod codec;

@@ -1,7 +1,8 @@
-//! The durable run service: work-stealing workers, a completion-order
-//! committer, and an optional checkpoint journal — composed so the final
-//! report and merged telemetry are **byte-identical** to
-//! `campaign::engine::run` at any worker count, interrupted or not.
+//! The durable run service — the one executor for multi-trial campaigns:
+//! work-stealing workers, a completion-order committer, and an optional
+//! checkpoint journal — composed so the final report and merged telemetry
+//! are **byte-identical** to a sequential run of every trial in index
+//! order, at any worker count, interrupted or not.
 //!
 //! ## Architecture
 //!
@@ -84,8 +85,6 @@ pub struct RunConfig {
     pub checkpoint: Option<PathBuf>,
     /// Journal fsync cadence in records (see [`Journal::set_fsync_every`]).
     pub fsync_every: u64,
-    /// Steal-batch size in trials (0 = automatic).
-    pub chunk: usize,
     /// Stream interval snapshots as JSONL on **stderr** (stdout bytes are
     /// untouched, so row/report determinism survives). `None` = silent.
     pub progress: Option<ProgressConfig>,
@@ -98,7 +97,6 @@ impl RunConfig {
             workers,
             checkpoint: None,
             fsync_every: 64,
-            chunk: 0,
             progress: None,
         }
     }
@@ -147,7 +145,7 @@ pub struct RunProfile {
 #[derive(Debug)]
 pub struct ServiceOutcome {
     /// The campaign report, built incrementally (renders byte-identically
-    /// to the batch engine's report).
+    /// for any worker count and absorb order).
     pub report: StreamReport,
     /// Trials completed by *this* process.
     pub executed: usize,
@@ -351,7 +349,7 @@ pub fn run_service(
         prepare_ms = prep_start.elapsed().as_millis() as u64;
         let scope_cfg = ScopeConfig::of(tel).with_trace_capacity(spec.trace_capacity);
         let workers = cfg.workers.clamp(1, expected);
-        let deques = underradar_campaign::steal::Deques::split(remaining.len(), workers, cfg.chunk);
+        let deques = underradar_campaign::steal::Deques::split(remaining.len(), workers, 0);
         let retry_tail = Mutex::new(seeded);
         let (tx, rx) = mpsc::sync_channel::<Msg>(workers * 4);
 

@@ -63,11 +63,12 @@ impl<W: Write> RowSink for JsonlSink<W> {
     }
 }
 
-/// Collects rows in memory (tests and small interactive runs).
+/// Collects completed trials in memory, for callers that need every
+/// trial after the run (a report's JSON envelope, index-order rows).
 #[derive(Default)]
 pub struct VecSink {
-    /// Rendered JSON rows in completion order.
-    pub rows: Vec<String>,
+    /// Completed trials in completion order.
+    pub trials: Vec<TrialResult>,
 }
 
 impl VecSink {
@@ -75,11 +76,18 @@ impl VecSink {
     pub fn new() -> VecSink {
         VecSink::default()
     }
+
+    /// The collected trials sorted by trial index: the canonical order,
+    /// identical for any worker count.
+    pub fn into_sorted(mut self) -> Vec<TrialResult> {
+        self.trials.sort_by_key(|t| t.index);
+        self.trials
+    }
 }
 
 impl RowSink for VecSink {
     fn row(&mut self, result: &TrialResult) -> io::Result<()> {
-        self.rows.push(result.to_json_row());
+        self.trials.push(result.clone());
         Ok(())
     }
 }
@@ -124,8 +132,15 @@ mod tests {
     fn vec_sink_collects_and_null_sink_discards() {
         let mut v = VecSink::new();
         v.row(&result()).expect("collects");
-        assert_eq!(v.rows.len(), 1);
-        assert_eq!(v.rows[0], result().to_json_row());
+        let mut first = result();
+        first.index = 1;
+        v.row(&first).expect("collects");
+        let sorted = v.into_sorted();
+        assert_eq!(
+            sorted.iter().map(|t| t.index).collect::<Vec<_>>(),
+            vec![1, 3]
+        );
+        assert_eq!(sorted[1].to_json_row(), result().to_json_row());
         NullSink.row(&result()).expect("discards");
     }
 }

@@ -1,13 +1,17 @@
 //! End-to-end determinism and durability tests for the run service.
 //!
-//! The contract under test: service output (final report text, cell
-//! stats, merged telemetry JSON, trace JSONL) is byte-identical to the
-//! batch engine's, at any worker count, with or without checkpointing,
-//! and across a resume at **every** checkpoint boundary.
+//! The contract under test: service output (final report text and JSON,
+//! cell stats, merged telemetry JSON, trace JSONL, rows) is byte-identical
+//! to a sequential run of every trial in index order, at any worker
+//! count, with or without checkpointing, and across a resume at **every**
+//! checkpoint boundary.
 
 use std::path::PathBuf;
 
-use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy, RetryPolicy};
+use underradar_campaign::engine::{self, ScopeConfig};
+use underradar_campaign::{
+    CampaignSpec, MethodKind, NamedPolicy, RetryPolicy, StreamReport, TrialResult,
+};
 use underradar_censor::CensorPolicy;
 use underradar_runner::{run_service, JournalError, ProgressConfig, RunConfig, VecSink};
 use underradar_telemetry::Telemetry;
@@ -50,37 +54,63 @@ fn lossy_spec() -> CampaignSpec {
         .run_secs(40)
 }
 
-/// Everything the determinism contract covers, as comparable strings.
+/// The differential oracle: every trial run on this thread, in index
+/// order, through `engine::run_trial`, with each trial's registry merged
+/// into `tel` in the same order. No scheduling, no journal, no channel.
+fn oracle(spec: &CampaignSpec, tel: &Telemetry) -> (StreamReport, Vec<TrialResult>) {
+    let preps = engine::prepare(spec);
+    let cfg = ScopeConfig::of(tel).with_trace_capacity(spec.trace_capacity);
+    let mut report = StreamReport::new(&spec.name);
+    let trials = spec
+        .expand()
+        .iter()
+        .map(|trial| {
+            let (result, registry) = engine::run_trial(spec, &preps[trial.policy_idx], trial, cfg);
+            tel.merge_registry(&registry);
+            report.absorb(&result);
+            result
+        })
+        .collect();
+    (report, trials)
+}
+
+fn rows(trials: &[TrialResult]) -> Vec<String> {
+    trials.iter().map(TrialResult::to_json_row).collect()
+}
+
+/// Everything the determinism contract covers, as comparable strings;
+/// rows in index order.
 fn fingerprint_run(spec: &CampaignSpec, cfg: &RunConfig) -> (String, String, String, Vec<String>) {
     let tel = Telemetry::with_trace(4096);
     let mut sink = VecSink::new();
     let outcome = run_service(spec, cfg, &tel, &mut sink).expect("service run");
     let snap = tel.snapshot();
-    let mut rows = sink.rows;
-    rows.sort();
     (
         outcome.report.render_text(),
         snap.to_json(),
         snap.trace_jsonl(),
-        rows,
+        rows(&sink.into_sorted()),
     )
 }
 
 #[test]
-fn service_matches_the_batch_engine_byte_for_byte() {
+fn service_matches_the_sequential_oracle_byte_for_byte() {
     let spec = spec();
     let tel = Telemetry::with_trace(4096);
-    let batch = engine::run(&spec, 2, &tel);
-    let batch_snap = tel.snapshot();
+    let (report, trials) = oracle(&spec, &tel);
+    let snap = tel.snapshot();
 
-    let (report, tel_json, trace, rows) = fingerprint_run(&spec, &RunConfig::new(3));
-    assert_eq!(report, batch.render_text());
-    assert_eq!(tel_json, batch_snap.to_json());
-    assert_eq!(trace, batch_snap.trace_jsonl());
-    // Sorted rows are exactly the envelope's trial rows.
-    let mut batch_rows: Vec<String> = batch.trials.iter().map(|t| t.to_json_row()).collect();
-    batch_rows.sort();
-    assert_eq!(rows, batch_rows);
+    let tel_svc = Telemetry::with_trace(4096);
+    let mut sink = VecSink::new();
+    let outcome = run_service(&spec, &RunConfig::new(3), &tel_svc, &mut sink).expect("run");
+    let svc_trials = sink.into_sorted();
+    let svc_snap = tel_svc.snapshot();
+    assert_eq!(outcome.report.render_text(), report.render_text());
+    assert_eq!(outcome.report.to_json(&svc_trials), report.to_json(&trials));
+    assert_eq!(svc_snap.to_json(), snap.to_json());
+    assert_eq!(svc_snap.trace_jsonl(), snap.trace_jsonl());
+    // Rows sorted by index are exactly the envelope's trial rows.
+    assert_eq!(rows(&svc_trials), rows(&trials));
 }
 
 #[test]
@@ -104,18 +134,36 @@ fn one_and_many_workers_agree_with_and_without_checkpointing() {
 }
 
 #[test]
-fn retries_survive_the_tail_queue_and_match_the_engine() {
+fn retries_survive_the_tail_queue_and_match_the_oracle() {
     let spec = lossy_spec();
     let tel = Telemetry::enabled();
-    let batch = engine::run(&spec, 1, &tel);
-    let retried: u64 = batch.trials.iter().map(|t| u64::from(t.retries)).sum();
+    let (report, trials) = oracle(&spec, &tel);
+    let retried: u64 = trials.iter().map(|t| u64::from(t.retries)).sum();
     assert!(retried > 0, "lossy spec must exercise retries");
 
     let tel2 = Telemetry::enabled();
     let mut sink = VecSink::new();
     let outcome = run_service(&spec, &RunConfig::new(4), &tel2, &mut sink).expect("service run");
-    assert_eq!(outcome.report.render_text(), batch.render_text());
+    assert_eq!(outcome.report.render_text(), report.render_text());
     assert_eq!(tel2.snapshot().to_json(), tel.snapshot().to_json());
+}
+
+/// Retried trials complete late and out of order on the retry tail; a
+/// `VecSink` sorted by index still yields exactly the oracle's rows.
+#[test]
+fn vec_sink_rows_sorted_by_index_match_the_oracle_under_retries() {
+    let spec = lossy_spec();
+    let (_, trials) = oracle(&spec, &Telemetry::disabled());
+    assert!(trials.iter().any(|t| t.retries > 0), "lossy spec retries");
+
+    let mut sink = VecSink::new();
+    run_service(&spec, &RunConfig::new(4), &Telemetry::disabled(), &mut sink).expect("run");
+    let sorted = sink.into_sorted();
+    assert_eq!(
+        sorted.iter().map(|t| t.index).collect::<Vec<_>>(),
+        (0..spec.trial_count()).collect::<Vec<_>>()
+    );
+    assert_eq!(rows(&sorted), rows(&trials));
 }
 
 /// Interrupt a journaled run after every record boundary and resume;
@@ -246,9 +294,7 @@ fn progress_snapshots_leave_rows_report_and_registry_unchanged() {
     });
     let outcome = run_service(&spec, &cfg, &tel, &mut sink).expect("progress run");
     assert_eq!(outcome.report.render_text(), baseline.0);
-    let mut rows = sink.rows;
-    rows.sort();
-    assert_eq!(rows, baseline.3);
+    assert_eq!(rows(&sink.into_sorted()), baseline.3);
 
     // At least the final snapshot always fires, and it reaches the
     // registry as runner.progress.* entries.
@@ -303,7 +349,7 @@ fn resuming_a_finished_run_executes_nothing() {
     let outcome = run_service(&spec, &cfg, &tel2, &mut sink).expect("no-op resume");
     assert_eq!(outcome.executed, 0);
     assert_eq!(outcome.restored, spec.trial_count());
-    assert!(sink.rows.is_empty(), "restored rows are not re-emitted");
+    assert!(sink.trials.is_empty(), "restored rows are not re-emitted");
     assert_eq!(tel2.snapshot().to_json(), tel.snapshot().to_json());
     let _ = std::fs::remove_file(&path);
 }

@@ -308,8 +308,8 @@ impl Telemetry {
     }
 
     /// Fold an already-snapshotted registry into this live handle
-    /// (deterministic sub-shard merging, e.g. an experiment's internal
-    /// `run_sharded` sweep). Spans and events are re-sorted by
+    /// (deterministic sub-shard merging, e.g. the run service folding a
+    /// campaign's per-trial registries). Spans and events are re-sorted by
     /// (sim-time, name) after the append, so the merged order never
     /// depends on absorb call order; trace records append in merge order
     /// (trial grouping is the point) without the live ring bound.

@@ -83,6 +83,11 @@ cargo build --offline --release -p underradar-bench --bin exp_campaign
 ./target/release/exp_campaign --json --shards 4 > "$tmpdir/campaign_4.json"
 cmp "$tmpdir/campaign_1.json" "$tmpdir/campaign_4.json"
 
+echo "==> index-order row smoke (--jsonl without --service, 1 vs 4 shards byte identity)"
+./target/release/exp_campaign --jsonl --shards 1 > "$tmpdir/campaign_rows_1.jsonl"
+./target/release/exp_campaign --jsonl --shards 4 > "$tmpdir/campaign_rows_4.jsonl"
+cmp "$tmpdir/campaign_rows_1.jsonl" "$tmpdir/campaign_rows_4.jsonl"
+
 echo "==> impairment determinism smoke (reorder/duplicate knobs, 1 vs 4 shards)"
 ./target/release/exp_campaign --impair --json --shards 1 > "$tmpdir/campaign_impair_1.json"
 ./target/release/exp_campaign --impair --json --shards 4 > "$tmpdir/campaign_impair_4.json"

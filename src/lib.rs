@@ -63,11 +63,12 @@ pub use underradar_workloads as workloads;
 pub mod prelude {
     //! One-stop imports for driving measurements: the testbed, the unified
     //! [`Probe`] trait with every method that implements it, verdicts and
-    //! risk reports, and the campaign engine.
+    //! risk reports, the campaign engine, and the run service that
+    //! executes multi-trial campaigns.
 
     pub use underradar_campaign::{
-        engine as campaign_engine, CampaignReport, CampaignSpec, CellStat, MethodKind, NamedPolicy,
-        RetryPolicy, TrialResult,
+        engine as campaign_engine, CampaignSpec, CellStat, MethodKind, NamedPolicy, RetryPolicy,
+        StreamReport, TrialResult,
     };
     pub use underradar_censor::CensorPolicy;
     pub use underradar_core::methods::ddos::{DdosProbe, DdosTally};
@@ -86,4 +87,5 @@ pub mod prelude {
     pub use underradar_netsim::flow::{FlowId, FlowKey, FlowTuple};
     pub use underradar_netsim::time::{SimDuration, SimTime};
     pub use underradar_protocols::dns::DnsName;
+    pub use underradar_runner::{run_service, RunConfig, VecSink};
 }
