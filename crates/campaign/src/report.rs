@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 
 use underradar_core::probe::Evidence;
 use underradar_core::verdict::Verdict;
+use underradar_telemetry::json::escape;
 
 use crate::spec::MethodKind;
 
@@ -50,10 +51,10 @@ impl TrialResult {
             "{{\"index\":{},\"method\":\"{}\",\"policy\":\"{}\",\"target\":\"{}\",\"seed\":{},\"verdict\":\"{}\",\"correct\":{},\"evaded\":{},\"alerts\":{},\"attributed\":{},\"pursued\":{},\"anonymity_set\":{},\"retries\":{}}}",
             self.index,
             self.method.label(),
-            esc(&self.policy),
-            esc(&self.target),
+            escape(&self.policy),
+            escape(&self.target),
             self.seed,
-            esc(&self.verdict.to_string()),
+            escape(&self.verdict.to_string()),
             self.verdict_correct,
             self.evaded,
             self.alerts_on_client,
@@ -161,7 +162,7 @@ impl StreamReport {
         let mut out = String::with_capacity(256 + trials.len() * 192);
         out.push_str(&format!(
             "{{\"campaign\":\"{}\",\"trial_count\":{},\"retries\":{},\"inconclusive_final\":{},",
-            esc(&self.name),
+            escape(&self.name),
             self.trials,
             self.retries,
             self.inconclusive
@@ -174,7 +175,7 @@ impl StreamReport {
             out.push_str(&format!(
                 "{{\"method\":\"{}\",\"policy\":\"{}\",\"trials\":{},\"correct\":{},\"evaded\":{},\"inconclusive\":{},\"retries\":{}}}",
                 c.method,
-                esc(&c.policy),
+                escape(&c.policy),
                 c.trials,
                 c.correct,
                 c.evaded,
@@ -211,23 +212,6 @@ impl StreamReport {
         }
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

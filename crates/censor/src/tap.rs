@@ -22,7 +22,7 @@ use crate::policy::{CensorAction, CensorActionKind, CensorPolicy};
 
 /// Case-insensitive substring test (shared with policy matching).
 pub fn contains_nocase(haystack: &[u8], needle: &[u8]) -> bool {
-    underradar_ids::aho::find_sub(haystack, needle, true, 0).is_some()
+    underradar_ids::rule::find_sub(haystack, needle, true, 0).is_some()
 }
 
 /// Counters for the tap censor.

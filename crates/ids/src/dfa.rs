@@ -1,11 +1,11 @@
 //! A dense, byte-classed DFA built from a set of fast patterns: the
 //! engine's multi-pattern prefilter.
 //!
-//! The [`crate::aho`] Aho–Corasick matcher is correct but walks a
-//! `Vec<[u32; 256]>` goto table through two automata (case-sensitive and
-//! case-folded), which tops out around 400 MB/s. This module flattens a
-//! single *case-folded* Aho–Corasick automaton into the classic dense-DFA
-//! layout so the inner loop is one table load per input byte:
+//! A textbook Aho–Corasick matcher walks a `Vec<[u32; 256]>` goto table
+//! through two automata (case-sensitive and case-folded), which tops out
+//! around 400 MB/s. This module flattens a single *case-folded*
+//! Aho–Corasick automaton into the classic dense-DFA layout so the inner
+//! loop is one table load per input byte:
 //!
 //! * **Case folding is baked into the byte-class map** — every pattern is
 //!   lowered at build time and `cls[b]` maps a raw input byte to the class
@@ -28,9 +28,9 @@
 //!   not on the previous state, which breaks the DFA's serial dependency
 //!   chain and lets the loads pipeline.
 //!
-//! Streaming works exactly as in [`crate::aho`]: a cursor is a bare `u32`
-//! (the encoded state), fed chunk-by-chunk with [`PrefilterDfa::feed`], so
-//! patterns straddling TCP segment boundaries are still found.
+//! Streaming needs no extra state: a cursor is a bare `u32` (the encoded
+//! state), fed chunk-by-chunk with [`PrefilterDfa::feed`], so patterns
+//! straddling TCP segment boundaries are still found.
 
 use std::collections::VecDeque;
 

@@ -14,7 +14,7 @@
 //! of the same flow.
 //!
 //! The hot path makes no per-packet allocations: the candidate shortlist
-//! is an engine-owned epoch-stamped set ([`CandidateSet`]) — inserting is
+//! is an engine-owned epoch-stamped set (`CandidateSet`) — inserting is
 //! a stamp compare, clearing is an epoch bump — sorted before evaluation
 //! so rule order (and alert output) is deterministic.
 //!
@@ -31,8 +31,8 @@
 //!
 //! The prefilter DFA is case-folded; hits for case-*sensitive* fast
 //! patterns are confirmed against the exact bytes at the match offset
-//! before a rule becomes a candidate, so candidate sets match what the
-//! two-automata Aho–Corasick produced.
+//! before a rule becomes a candidate, so candidate sets match what a
+//! case-exact multi-pattern scan would produce.
 //!
 //! Per-flow matcher and dedup state lives in a *dense side table* indexed
 //! by the reassembler's [`FlowId::index`]: no `(key, direction)` hash per
@@ -818,7 +818,7 @@ impl DetectionEngine {
                         } else {
                             stream
                         };
-                        crate::aho::find_sub(hay, &c.pattern, c.nocase, 0)
+                        crate::rule::find_sub(hay, &c.pattern, c.nocase, 0)
                     })
                     .unwrap_or(0) as u64;
                 self.tracer.record(TraceRecord {

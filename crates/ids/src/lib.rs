@@ -15,12 +15,12 @@
 //! * [`rule`]/[`parser`] — a Snort-dialect rule language: actions, protocol
 //!   and address/port predicates with `$VAR` substitution and negation,
 //!   `content` matches with `nocase`/`offset`/`depth`, TCP `flags`,
-//!   `dsize`, `flow` state, and `threshold` rate limiting.
-//! * [`aho`] — a from-scratch Aho–Corasick multi-pattern matcher (kept as
-//!   the reference implementation and substring-search helper).
-//! * [`dfa`] — the same automaton flattened into a dense byte-classed DFA
-//!   with a root-row skip loop: the fast-pattern prefilter actually used
-//!   by the engine and the tap censor (Snort's architecture, at GB/s).
+//!   `dsize`, `flow` state, and `threshold` rate limiting; [`rule::find_sub`]
+//!   is the substring search that confirms a content match.
+//! * [`dfa`] — an Aho–Corasick automaton built from scratch and flattened
+//!   into a dense byte-classed DFA with a root-row skip loop: the
+//!   fast-pattern prefilter used by the engine and the tap censor (Snort's
+//!   architecture, at GB/s).
 //! * [`stream`] — TCP stream reassembly with the RST-teardown semantics the
 //!   paper's stateful mimicry exploits (§4.1): a RST makes the reassembler
 //!   stop looking at the flow.
@@ -28,7 +28,6 @@
 //!   producing [`alert::Alert`]s. A ruleset compiles once into an
 //!   immutable [`CompiledRuleset`] that any number of engines share.
 
-pub mod aho;
 pub mod alert;
 pub mod dfa;
 pub mod engine;
@@ -36,7 +35,6 @@ pub mod parser;
 pub mod rule;
 pub mod stream;
 
-pub use aho::AhoCorasick;
 pub use alert::{Alert, AlertLog};
 pub use dfa::PrefilterDfa;
 pub use engine::{CompiledRuleset, DetectionEngine};

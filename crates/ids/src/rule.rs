@@ -150,7 +150,7 @@ impl ContentMatch {
             (self.offset + self.depth).min(payload.len())
         };
         let window = payload.get(self.offset..window_end).unwrap_or(&[]);
-        let found = crate::aho::find_sub(window, &self.pattern, self.nocase, 0).is_some();
+        let found = find_sub(window, &self.pattern, self.nocase, 0).is_some();
         found != self.negated
     }
 }
@@ -312,6 +312,34 @@ impl Rule {
     }
 }
 
+/// Naive single-pattern search used for rule verification (with optional
+/// case folding). Returns the offset of the first occurrence at or after
+/// `from`.
+pub fn find_sub(haystack: &[u8], needle: &[u8], nocase: bool, from: usize) -> Option<usize> {
+    if needle.is_empty() {
+        return Some(from.min(haystack.len()));
+    }
+    if from >= haystack.len() || haystack.len() - from < needle.len() {
+        return None;
+    }
+    let eq = |a: u8, b: u8| {
+        if nocase {
+            a.eq_ignore_ascii_case(&b)
+        } else {
+            a == b
+        }
+    };
+    'outer: for start in from..=haystack.len() - needle.len() {
+        for (i, &nb) in needle.iter().enumerate() {
+            if !eq(haystack[start + i], nb) {
+                continue 'outer;
+            }
+        }
+        return Some(start);
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,5 +486,16 @@ mod tests {
         assert!(Proto::Tcp.matches(&tcp));
         assert!(!Proto::Tcp.matches(&udp));
         assert!(Proto::Ip.matches(&tcp) && Proto::Ip.matches(&udp));
+    }
+
+    #[test]
+    fn find_sub_offsets_and_nocase() {
+        let hay = b"abcABCabc";
+        assert_eq!(find_sub(hay, b"ABC", false, 0), Some(3));
+        assert_eq!(find_sub(hay, b"ABC", true, 0), Some(0));
+        assert_eq!(find_sub(hay, b"ABC", true, 1), Some(3));
+        assert_eq!(find_sub(hay, b"ABC", false, 4), None);
+        assert_eq!(find_sub(hay, b"", false, 2), Some(2));
+        assert_eq!(find_sub(hay, b"toolongpattern", false, 0), None);
     }
 }

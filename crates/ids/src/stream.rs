@@ -328,8 +328,8 @@ struct Flow {
 /// Deliberately small and `Copy`: the buffered stream itself is *not*
 /// cloned per segment — read it through [`StreamReassembler::stream_of_id`]
 /// (an index dereference, no hash), and match incrementally by feeding
-/// the last `new_bytes` of that view (the newly reassembled tail) to a
-/// persistent [`crate::aho::AcStreamState`].
+/// the last `new_bytes` of that view (the newly reassembled tail) to
+/// [`crate::dfa::PrefilterDfa::feed`] with a persistent `u32` cursor.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowContext {
     /// The flow key.

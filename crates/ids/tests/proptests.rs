@@ -1,65 +1,18 @@
-//! Property tests for the IDS: Aho–Corasick against a naive oracle,
-//! streaming-cursor equivalence, content-modifier semantics, parser
-//! totality, threshold accounting, and reassembly invariants. Inputs come
-//! from the in-tree seeded generator ([`underradar_netsim::testprop`]).
+//! Property tests for the IDS: substring-search consistency,
+//! content-modifier semantics, parser totality, threshold accounting, and
+//! reassembly invariants. Inputs come from the in-tree seeded generator
+//! ([`underradar_netsim::testprop`]).
 
 use std::net::Ipv4Addr;
 
-use underradar_ids::aho::{find_sub, AcStreamState, AhoCorasick};
 use underradar_ids::engine::DetectionEngine;
 use underradar_ids::parser::{parse_rule, VarTable};
-use underradar_ids::rule::ContentMatch;
+use underradar_ids::rule::{find_sub, ContentMatch};
 use underradar_ids::stream::{Direction, FlowKey, StreamReassembler};
 use underradar_netsim::packet::Packet;
-use underradar_netsim::testprop::{cases, Gen};
+use underradar_netsim::testprop::cases;
 use underradar_netsim::time::SimTime;
 use underradar_netsim::wire::tcp::TcpFlags;
-
-fn arb_pattern(g: &mut Gen) -> (Vec<u8>, bool) {
-    (g.bytes(1, 8), g.bool())
-}
-
-/// AC agrees with the naive oracle on which patterns occur.
-#[test]
-fn aho_matches_naive_oracle() {
-    cases(256, 0xD001, |g| {
-        let n = g.usize_in(1, 12);
-        let patterns: Vec<(Vec<u8>, bool)> = (0..n).map(|_| arb_pattern(g)).collect();
-        let haystack = g.bytes(0, 200);
-        let ac = AhoCorasick::new(&patterns);
-        let got = ac.matching_patterns(&haystack);
-        for (i, (pat, nocase)) in patterns.iter().enumerate() {
-            let expected = find_sub(&haystack, pat, *nocase, 0).is_some();
-            assert_eq!(got.contains(&i), expected, "pattern {} = {:?}", i, pat);
-        }
-    });
-}
-
-/// Streaming feed over arbitrary chunking reports exactly the patterns a
-/// one-shot scan of the concatenation reports.
-#[test]
-fn aho_feed_equals_one_shot_scan() {
-    cases(256, 0xD002, |g| {
-        let n = g.usize_in(1, 10);
-        let patterns: Vec<(Vec<u8>, bool)> = (0..n).map(|_| arb_pattern(g)).collect();
-        let ac = AhoCorasick::new(&patterns);
-        let stream = g.bytes(0, 300);
-        // Random chunk boundaries.
-        let mut state = AcStreamState::default();
-        let mut streamed = std::collections::BTreeSet::new();
-        let mut pos = 0usize;
-        while pos < stream.len() {
-            let take = g.usize_in(1, 40).min(stream.len() - pos);
-            ac.feed(&mut state, &stream[pos..pos + take], |p| {
-                streamed.insert(p);
-            });
-            pos += take;
-        }
-        let oneshot: std::collections::BTreeSet<usize> =
-            ac.matching_patterns(&stream).into_iter().collect();
-        assert_eq!(streamed, oneshot);
-    });
-}
 
 /// find_sub with `from` equals searching the suffix.
 #[test]

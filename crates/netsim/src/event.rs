@@ -5,22 +5,15 @@
 //! instant fire in the order they were scheduled — determinism does not
 //! depend on queue internals.
 //!
-//! Two implementations share that contract:
-//!
-//! * [`HeapQueue`] — the reference `BinaryHeap`, O(log n) per operation
-//!   with a full `(time, seq)` comparison at every sift step;
-//! * [`EventQueue`] — a hierarchical timer wheel ([`TimerWheel`]): six
-//!   levels of 64 slots over a 1.024 µs tick, occupancy bitmaps for slot
-//!   scans, and an overflow heap past the ~19 h horizon. Insertion is
-//!   O(1) (two shifts and a bitmap OR), which is what same-granularity
-//!   timer storms (retransmits, teardowns, link deliveries across a
-//!   population) actually exercise. Slot contents are sorted by
-//!   `(time, seq)` when the wheel reaches them, so the pop sequence is
-//!   *identical* to the heap's — property-tested in this module and
-//!   gated in `benches/perf.rs`.
-//!
-//! The simulator uses [`EventQueue`]; [`HeapQueue`] stays public as the
-//! trace-equivalence oracle and the bench baseline.
+//! [`EventQueue`] is a hierarchical timer wheel ([`TimerWheel`]): six
+//! levels of 64 slots over a 1.024 µs tick, occupancy bitmaps for slot
+//! scans, and an overflow heap past the ~19 h horizon. Insertion is O(1)
+//! (two shifts and a bitmap OR), which is what same-granularity timer
+//! storms (retransmits, teardowns, link deliveries across a population)
+//! actually exercise. Slot contents are sorted by `(time, seq)` when the
+//! wheel reaches them, so the pop sequence is *identical* to a plain
+//! `BinaryHeap`'s — property-tested in this module against a test-only
+//! heap queue.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -102,49 +95,6 @@ impl Ord for Event {
     }
 }
 
-/// The reference min-queue: a binary heap with stable FIFO ordering at
-/// equal timestamps. Kept public as the oracle the wheel is
-/// property-tested against and the baseline the perf bench gates on.
-#[derive(Debug, Default)]
-pub struct HeapQueue {
-    heap: BinaryHeap<Event>,
-    next_seq: u64,
-}
-
-impl HeapQueue {
-    /// Create an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedule `kind` at `time`.
-    pub fn push(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Event { time, seq, kind });
-    }
-
-    /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
-    }
-
-    /// The timestamp of the earliest event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 /// Slots per wheel level (one occupancy `u64` per level).
 const WHEEL_SLOTS: usize = 64;
 /// Bits of tick index consumed per level.
@@ -155,8 +105,7 @@ const WHEEL_LEVELS: usize = 6;
 /// log2 of the tick length in nanoseconds (1024 ns ≈ 1 µs).
 const TICK_SHIFT: u32 = 10;
 
-/// A hierarchical timer wheel with the same `(time, seq)` pop order as
-/// [`HeapQueue`].
+/// A hierarchical timer wheel that pops in `(time, seq)` order.
 ///
 /// Invariants:
 ///
@@ -375,8 +324,8 @@ impl TimerWheel {
     }
 }
 
-/// The simulator's min-queue of events: a [`TimerWheel`] behind the same
-/// stable FIFO-at-equal-timestamps contract as [`HeapQueue`].
+/// The simulator's min-queue of events: a [`TimerWheel`] with stable FIFO
+/// ordering at equal timestamps.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     wheel: TimerWheel,
@@ -444,6 +393,30 @@ mod tests {
         EventKind::Timer {
             node: NodeId(node),
             token: TimerToken(token),
+        }
+    }
+
+    /// The reference min-queue the wheel is property-tested against: a
+    /// binary heap with stable FIFO ordering at equal timestamps.
+    #[derive(Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<Event>,
+        next_seq: u64,
+    }
+
+    impl HeapQueue {
+        fn new() -> Self {
+            Self::default()
+        }
+
+        fn push(&mut self, time: SimTime, kind: EventKind) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Event { time, seq, kind });
+        }
+
+        fn pop(&mut self) -> Option<Event> {
+            self.heap.pop()
         }
     }
 

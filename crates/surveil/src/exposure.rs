@@ -28,6 +28,7 @@
 
 use std::collections::BTreeMap;
 
+use underradar_telemetry::json::escape;
 use underradar_telemetry::{Registry, Telemetry};
 
 /// Registry key prefix for exported exposure entries.
@@ -400,21 +401,6 @@ impl SafetyAudit {
 
     /// Deterministic sorted-key single-line JSON rendering.
     pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for ch in s.chars() {
-                match ch {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let mut out = String::with_capacity(4096);
         out.push_str("{\"cells\":{");
         for (i, (cell, c)) in self.cells.iter().enumerate() {
@@ -425,7 +411,7 @@ impl SafetyAudit {
             out.push_str(&format!(
                 "\"{}\":{{\"attributable_events\":{},\"declared_evaded\":{},\
                  \"declared_trials\":{},\"divergent\":{},\"hosts\":{{",
-                esc(cell),
+                escape(cell),
                 c.attributable_events(),
                 evaded,
                 trials,
@@ -439,7 +425,7 @@ impl SafetyAudit {
                     "\"{}\":{{\"alerts\":{},\"drops\":{},\"first_ns\":{},\
                      \"injections\":{},\"last_ns\":{},\"retained_bytes\":{},\
                      \"score\":{},\"sensitive_flows\":{}}}",
-                    esc(host),
+                    escape(host),
                     e.alerts,
                     e.drops,
                     e.first_ns.unwrap_or(0),

@@ -11,6 +11,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc -D warnings (no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> tier-1: cargo build --release && cargo test (telemetry disabled)"
 cargo build --offline --release --workspace
 cargo test --offline -q --workspace
