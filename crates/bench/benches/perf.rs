@@ -40,8 +40,9 @@ const DST: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
 
 /// Heap-allocation counter wrapped around the system allocator, so the
 /// scale section can *assert* (not merely time) that the steady-state
-/// packet path performs zero allocations, and the campaign section that
-/// trial setup stays small. Only `alloc`/`realloc` count (calls and
+/// packet path performs zero allocations, the mvr section that a retained
+/// packet through the surveillance pipeline allocates nothing amortized,
+/// and the campaign section that trial setup stays small. Only `alloc`/`realloc` count (calls and
 /// requested bytes) — frees are irrelevant to the bounds — and forwarding
 /// keeps behaviour identical to the default allocator for every other
 /// bench.
@@ -580,6 +581,49 @@ fn bench_mvr() {
         "  {:<44} {:>12.2} Mpkt/s",
         "mvr packet rate",
         stream.len() as f64 / ns * 1e9 / 1e6
+    );
+
+    // The whole surveillance pipeline on traffic the MVR retains and no
+    // signature matches — the path every stealthy trial's packets take.
+    // Retention stores only endpoints and sizes, so past the stores'
+    // amortized growth a packet costs no allocation.
+    use underradar_surveil::system::{
+        default_surveillance_rules, SurveillanceConfig, SurveillanceSystem,
+    };
+    const PACKETS: u32 = 20_000;
+    let rules = default_surveillance_rules(
+        underradar_netsim::addr::Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 8),
+        &[],
+        &["falun".to_string()],
+        None,
+    );
+    let mut system = SurveillanceSystem::new(SurveillanceConfig::with_rules(rules));
+    let acks: Vec<Packet> = (0..PACKETS)
+        .map(|i| Packet::tcp(SRC, DST, 40000, 80, 1 + i, 1, TcpFlags::ack(), vec![]))
+        .collect();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let t0 = Instant::now();
+    for (i, pkt) in acks.iter().enumerate() {
+        let now = SimTime::from_nanos(i as u64 * 1_000);
+        let (decision, alerts) = system.process(now, pkt);
+        assert!(
+            decision.retained() && alerts.is_empty(),
+            "retained, alert-free"
+        );
+    }
+    let per_packet = t0.elapsed().as_nanos() as f64 / f64::from(PACKETS);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    report("surveil_process_retained_ack", per_packet, None);
+    let per_packet_allocs = allocs as f64 / f64::from(PACKETS);
+    println!(
+        "  {:<44} {per_packet_allocs:>12.4} allocs/pkt ({allocs} over {PACKETS})",
+        "surveillance retained-packet allocations"
+    );
+    assert!(
+        per_packet_allocs < 0.01,
+        "acceptance: a retained, alert-free packet through the surveillance \
+         pipeline must cost < 0.01 heap allocations amortized (got \
+         {per_packet_allocs:.4})"
     );
 }
 

@@ -194,14 +194,16 @@ fn write_profile_json(path: &str, clock: &StageClock, p: &RunProfile) {
     };
     let mut out = format!(
         "{{\"service\":{{\"prepare_ms\":{},\"retries_seen\":{},\"snapshots\":{},\"steals\":{},\
-         \"wall_ms\":{},\"worker_attempts\":[{}],\"worker_busy_ns\":[{}]}}",
+         \"wall_ms\":{},\"worker_attempts\":[{}],\"worker_busy_ns\":[{}],\
+         \"worker_wait_ns\":[{}]}}",
         p.prepare_ms,
         p.retries_seen,
         p.snapshots,
         p.steals,
         p.wall_ms,
         join(&p.worker_attempts),
-        join(&p.worker_busy_ns)
+        join(&p.worker_busy_ns),
+        join(&p.worker_wait_ns)
     );
     out.push_str(",\"stages\":{");
     for (i, (stage, total, calls)) in clock.rows().into_iter().enumerate() {

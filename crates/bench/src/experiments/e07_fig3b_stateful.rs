@@ -41,6 +41,7 @@ fn run_ttl(
         CensorPolicy::new()
     };
     let mut net = RoutedMimicryNet::build(17, policy);
+    net.sim.enable_capture();
     let scope = crate::telemetry::instrument_routed(&mut net, tel);
     net.sim
         .node_mut::<Host>(net.mserver)

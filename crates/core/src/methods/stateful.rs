@@ -437,6 +437,9 @@ impl RoutedTemplate {
     }
 
     /// Assemble a routed network for `seed` from the shared parts.
+    /// Packet capture is off: a caller that reads `sim.capture()` calls
+    /// `sim.enable_capture()` before running, so campaign trials do not
+    /// clone every link transmission into a capture nobody reads.
     pub fn instantiate(&self, seed: u64) -> RoutedMimicryNet {
         use underradar_censor::TapCensor;
         use underradar_ids::stream::ReassemblyConfig;
@@ -459,7 +462,6 @@ impl RoutedTemplate {
         let world = Cidr::new(Ipv4Addr::new(198, 51, 100, 0), 24);
 
         let mut topo = TopologyBuilder::new(seed);
-        topo.enable_capture();
         let client = topo.add_host(Host::new("client", client_ip));
         let cover = topo.add_host(Host::new("neighbor-y", cover_ip));
         let mut mserver_host = Host::new("mserver", mserver_ip);
@@ -540,6 +542,7 @@ mod tests {
         split: bool,
     ) -> RoutedMimicryNet {
         let mut net = RoutedMimicryNet::build(3, policy);
+        net.sim.enable_capture();
         let server = MimicServer::new(PORT, ISS, reply_ttl);
         net.sim
             .node_mut::<Host>(net.mserver)
@@ -681,6 +684,31 @@ mod tests {
         // The flow still "works" from the server's blind perspective.
         let server = server_of(&net);
         assert!(!server.received.is_empty());
+    }
+
+    #[test]
+    fn capture_is_off_until_a_reader_enables_it() {
+        let net = RoutedTemplate::prepare(CensorPolicy::new()).instantiate(3);
+        assert!(
+            net.sim.capture().is_none(),
+            "instantiated worlds capture nothing"
+        );
+        // E7's path: enable capture, run, and read the reply at the tap.
+        let net = run(
+            CensorPolicy::new(),
+            Some(RoutedMimicryNet::HOPS_TO_COVER),
+            b"GET /x HTTP/1.0\r\n\r\n",
+            false,
+        );
+        let cap = net.sim.capture().expect("capture enabled by the reader");
+        assert!(cap.records().iter().any(|r| {
+            r.to_node == net.surveillance
+                && r.packet.src == net.mserver_ip
+                && r.packet
+                    .as_tcp()
+                    .map(|t| t.flags.has_syn() && t.flags.has_ack())
+                    .unwrap_or(false)
+        }));
     }
 
     #[test]

@@ -34,6 +34,19 @@
 //! records since the last sync may be lost on power failure, which a
 //! resume repairs by re-running those trials — determinism makes the
 //! re-run byte-identical to what was lost.
+//!
+//! ## Group commit
+//!
+//! Appends encode each record straight into one reusable in-memory
+//! buffer; the buffered bytes reach the file in a single `write_all` at
+//! [`Journal::flush`], at the fsync boundary, and at [`Journal::sync`] or
+//! drop. The fsync still happens exactly when the `fsync_every`-th
+//! unsynced record is appended, so [`Journal::unsynced`] stays below
+//! `fsync_every` after every append and the power-loss bound above is
+//! unchanged. A process kill additionally loses the records appended
+//! since the last flush; the run service flushes each commit group
+//! before it streams that group's rows, so no streamed row outlives its
+//! record.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -41,7 +54,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use underradar_campaign::TrialResult;
-use underradar_telemetry::codec::{encode_registry, put_u32, put_u64, CodecError, Reader};
+use underradar_telemetry::codec::{put_registry, put_u32, put_u64, CodecError, Reader};
 use underradar_telemetry::Registry;
 
 use crate::codec::{encode_trial_result, read_trial_result};
@@ -154,6 +167,8 @@ const fn build_crc_table() -> [u32; 256] {
 #[derive(Debug)]
 pub struct Journal {
     file: File,
+    /// Encoded frames appended since the last write to `file`.
+    buf: Vec<u8>,
     fsync_every: u64,
     unsynced: u64,
 }
@@ -183,14 +198,7 @@ impl Journal {
             put_u64(&mut header, trials);
             file.write_all(&header)?;
             file.sync_data()?;
-            return Ok((
-                Journal {
-                    file,
-                    fsync_every: 64,
-                    unsynced: 0,
-                },
-                Replay::default(),
-            ));
+            return Ok((Journal::at_end(file), Replay::default()));
         }
         let mut bytes = Vec::with_capacity(len as usize);
         file.read_to_end(&mut bytes)?;
@@ -201,14 +209,17 @@ impl Journal {
             file.sync_data()?;
         }
         file.seek(SeekFrom::Start(valid_len))?;
-        Ok((
-            Journal {
-                file,
-                fsync_every: 64,
-                unsynced: 0,
-            },
-            replay,
-        ))
+        Ok((Journal::at_end(file), replay))
+    }
+
+    /// A journal appending to `file` at its current position.
+    fn at_end(file: File) -> Journal {
+        Journal {
+            file,
+            buf: Vec::new(),
+            fsync_every: 64,
+            unsynced: 0,
+        }
     }
 
     /// Check the header and replay every structurally valid record;
@@ -313,12 +324,12 @@ impl Journal {
         result: &TrialResult,
         delta: &Registry,
     ) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(128);
-        payload.push(TAG_COMPLETE);
-        put_u64(&mut payload, index);
-        encode_trial_result(&mut payload, result);
-        payload.extend_from_slice(&encode_registry(delta));
-        self.append(&payload)
+        let start = self.begin_frame();
+        self.buf.push(TAG_COMPLETE);
+        put_u64(&mut self.buf, index);
+        encode_trial_result(&mut self.buf, result);
+        put_registry(&mut self.buf, delta);
+        self.end_frame(start)
     }
 
     /// Append a *retry* record: trial `index` will run `next_attempt`
@@ -329,23 +340,43 @@ impl Journal {
         next_attempt: u32,
         acc: &Registry,
     ) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(64);
-        payload.push(TAG_RETRY);
-        put_u64(&mut payload, index);
-        put_u32(&mut payload, next_attempt);
-        payload.extend_from_slice(&encode_registry(acc));
-        self.append(&payload)
+        let start = self.begin_frame();
+        self.buf.push(TAG_RETRY);
+        put_u64(&mut self.buf, index);
+        put_u32(&mut self.buf, next_attempt);
+        put_registry(&mut self.buf, acc);
+        self.end_frame(start)
     }
 
-    fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(payload));
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
+    /// Reserve the `len`/`crc32` prefix of a new frame in the buffer;
+    /// returns the frame's start offset.
+    fn begin_frame(&mut self) -> usize {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0; 8]);
+        start
+    }
+
+    /// Fill in the prefix of the frame at `start` from its payload, and
+    /// fsync when this is the `fsync_every`-th unsynced record.
+    fn end_frame(&mut self, start: usize) -> io::Result<()> {
+        let payload = &self.buf[start + 8..];
+        let len = payload.len() as u32;
+        let crc = crc32(payload);
+        self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        self.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
         self.unsynced += 1;
         if self.unsynced >= self.fsync_every {
             self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Write the buffered records to the file (no fsync). After this
+    /// returns, every appended record survives a kill of this process.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if !self.buf.is_empty() {
+            self.file.write_all(&self.buf)?;
+            self.buf.clear();
         }
         Ok(())
     }
@@ -356,8 +387,9 @@ impl Journal {
         self.unsynced
     }
 
-    /// Force written records to stable storage.
+    /// Write the buffered records and force them to stable storage.
     pub fn sync(&mut self) -> io::Result<()> {
+        self.flush()?;
         if self.unsynced > 0 {
             self.file.sync_data()?;
             self.unsynced = 0;

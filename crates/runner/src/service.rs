@@ -32,6 +32,14 @@
 //! [`StreamMerger`] keyed by trial index — both order-independent, which
 //! is where completion-order scheduling and index-order determinism meet.
 //!
+//! It commits in groups: after each blocking receive it drains whatever
+//! else is ready (up to `fsync_every` messages), journals the whole group,
+//! flushes the journal once, and only then streams the group's rows — so
+//! a row never reaches the sink before its record is in the file. The
+//! channel holds `workers * 4 + fsync_every` messages (at most
+//! `MAX_IN_FLIGHT`), enough that workers keep running through a journal
+//! fsync instead of blocking on a full channel.
+//!
 //! ## Resume
 //!
 //! With a checkpoint path, completed trials replayed from the journal are
@@ -54,6 +62,10 @@ use underradar_telemetry::{Registry, StreamMerger, Telemetry};
 
 use crate::journal::{Journal, JournalError, Replay};
 use crate::sink::RowSink;
+
+/// Upper bound on results in flight between workers and the committer:
+/// caps the channel (and so its memory) however large `fsync_every` is.
+const MAX_IN_FLIGHT: usize = 256;
 
 /// Cadence of live progress snapshots: a snapshot is emitted when either
 /// threshold is reached since the previous one, whichever comes first.
@@ -84,6 +96,8 @@ pub struct RunConfig {
     /// Checkpoint journal path; `None` runs without durability.
     pub checkpoint: Option<PathBuf>,
     /// Journal fsync cadence in records (see [`Journal::set_fsync_every`]).
+    /// Also the committer's largest commit group, which the result
+    /// channel's capacity makes room for.
     pub fsync_every: u64,
     /// Stream interval snapshots as JSONL on **stderr** (stdout bytes are
     /// untouched, so row/report determinism survives). `None` = silent.
@@ -129,8 +143,12 @@ pub struct RunProfile {
     pub wall_ms: u64,
     /// Wall milliseconds spent building policy preps.
     pub prepare_ms: u64,
-    /// Per-worker busy nanoseconds (time inside trial attempts).
+    /// Per-worker busy nanoseconds: time inside trial attempts, not
+    /// counting the hand-off to the committer.
     pub worker_busy_ns: Vec<u64>,
+    /// Per-worker nanoseconds blocked handing results to the committer
+    /// (back-pressure from a full channel).
+    pub worker_wait_ns: Vec<u64>,
     /// Per-worker attempt counts.
     pub worker_attempts: Vec<u64>,
     /// Successful steal-half operations across all workers.
@@ -168,18 +186,21 @@ struct RetryTask {
 }
 
 /// Shared worker accounting, updated with relaxed atomics on the hot path
-/// (a fetch_add per attempt — negligible against a simulated trial).
+/// (a few fetch_adds per attempt — negligible against a simulated trial).
 struct WorkerStats {
     busy_ns: Vec<AtomicU64>,
+    wait_ns: Vec<AtomicU64>,
     attempts: Vec<AtomicU64>,
     steals: AtomicU64,
 }
 
 impl WorkerStats {
     fn new(workers: usize) -> WorkerStats {
+        let zeros = || (0..workers).map(|_| AtomicU64::new(0)).collect();
         WorkerStats {
-            busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            attempts: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            busy_ns: zeros(),
+            wait_ns: zeros(),
+            attempts: zeros(),
             steals: AtomicU64::new(0),
         }
     }
@@ -351,23 +372,26 @@ pub fn run_service(
         let workers = cfg.workers.clamp(1, expected);
         let deques = underradar_campaign::steal::Deques::split(remaining.len(), workers, 0);
         let retry_tail = Mutex::new(seeded);
-        let (tx, rx) = mpsc::sync_channel::<Msg>(workers * 4);
+        // One commit group drains at most `fsync_every` messages, and the
+        // channel holds a group on top of the workers' own slack.
+        let group_max = cfg.fsync_every.clamp(1, MAX_IN_FLIGHT as u64) as usize;
+        let (tx, rx) = mpsc::sync_channel::<Msg>((workers * 4 + group_max).min(MAX_IN_FLIGHT));
 
         std::thread::scope(|scope| -> Result<(), JournalError> {
-            for w in 0..workers {
-                let tx = tx.clone();
+            for id in 0..workers {
+                let worker = Worker {
+                    id,
+                    spec,
+                    trials: &trials,
+                    preps: &preps,
+                    scope_cfg,
+                    retry_tail: &retry_tail,
+                    tx: tx.clone(),
+                    stats: &stats,
+                };
                 let deques = &deques;
-                let retry_tail = &retry_tail;
                 let remaining = &remaining;
-                let trials = &trials;
-                let preps = &preps;
-                let stats = &stats;
-                scope.spawn(move || {
-                    worker_loop(
-                        w, spec, trials, preps, scope_cfg, deques, remaining, retry_tail, &tx,
-                        stats,
-                    );
-                });
+                scope.spawn(move || worker.run(deques, remaining));
             }
             drop(tx);
             // Committer: the calling thread absorbs completions until
@@ -375,8 +399,9 @@ pub fn run_service(
             // enabled it polls on the snapshot cadence so a long-running
             // trial can't silence the stream.
             let mut done = 0usize;
+            let mut group: Vec<Msg> = Vec::with_capacity(group_max);
             while done < expected {
-                let msg = match &progress {
+                let first = match &progress {
                     Some(p) => {
                         match rx.recv_timeout(Duration::from_millis(p.cfg.every_ms.max(1))) {
                             Ok(m) => Some(m),
@@ -388,27 +413,33 @@ pub fn run_service(
                     }
                     None => Some(rx.recv().expect("workers ended with trials outstanding")),
                 };
-                match msg {
-                    Some(Msg::Done { index, result, acc }) => {
-                        if let Some(j) = journal.as_mut() {
-                            j.append_complete(index as u64, &result, &acc)?;
+                let ready = std::iter::from_fn(|| rx.try_recv().ok());
+                group.extend(first.into_iter().chain(ready).take(group_max));
+                if let Some(j) = journal.as_mut() {
+                    for msg in &group {
+                        match msg {
+                            Msg::Done { index, result, acc } => {
+                                j.append_complete(*index as u64, result, acc)?
+                            }
+                            Msg::Retry {
+                                index,
+                                next_attempt,
+                                acc,
+                            } => j.append_retry(*index as u64, *next_attempt, acc)?,
                         }
-                        sink.row(&result)?;
-                        report.absorb(&result);
-                        merger.absorb(index as u64, &acc);
-                        done += 1;
                     }
-                    Some(Msg::Retry {
-                        index,
-                        next_attempt,
-                        acc,
-                    }) => {
-                        if let Some(j) = journal.as_mut() {
-                            j.append_retry(index as u64, next_attempt, &acc)?;
+                    j.flush()?;
+                }
+                for msg in group.drain(..) {
+                    match msg {
+                        Msg::Done { index, result, acc } => {
+                            sink.row(&result)?;
+                            report.absorb(&result);
+                            merger.absorb(index as u64, &acc);
+                            done += 1;
                         }
-                        retries_seen += 1;
+                        Msg::Retry { .. } => retries_seen += 1,
                     }
-                    None => {}
                 }
                 let total_done = (restored + done) as u64;
                 if let Some(p) = progress.as_mut() {
@@ -452,6 +483,7 @@ pub fn run_service(
         wall_ms: run_start.elapsed().as_millis() as u64,
         prepare_ms,
         worker_busy_ns: stats.busy_ns.iter_mut().map(|b| *b.get_mut()).collect(),
+        worker_wait_ns: stats.wait_ns.iter_mut().map(|b| *b.get_mut()).collect(),
         worker_attempts: stats.attempts.iter_mut().map(|a| *a.get_mut()).collect(),
         steals: *stats.steals.get_mut(),
         retries_seen,
@@ -467,103 +499,91 @@ pub fn run_service(
     })
 }
 
-/// One worker: drain own deque, steal, then service the retry tail. Each
-/// unit of work is a *single attempt*; inconclusive attempts re-enqueue
-/// at the tail rather than looping inline.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    w: usize,
-    spec: &CampaignSpec,
-    trials: &[Trial],
-    preps: &[PolicyPrep<'_>],
+/// One worker's view of the run: what it needs to execute attempts and
+/// hand them to the committer.
+struct Worker<'a> {
+    id: usize,
+    spec: &'a CampaignSpec,
+    trials: &'a [Trial],
+    preps: &'a [PolicyPrep<'a>],
     scope_cfg: ScopeConfig,
-    deques: &underradar_campaign::steal::Deques,
-    remaining: &[usize],
-    retry_tail: &Mutex<VecDeque<RetryTask>>,
-    tx: &mpsc::SyncSender<Msg>,
-    stats: &WorkerStats,
-) {
-    loop {
-        let popped = deques.pop(w).or_else(|| {
-            let stolen = deques.steal(w);
-            if stolen.is_some() {
-                stats.steals.fetch_add(1, Ordering::Relaxed);
-            }
-            stolen
-        });
-        if let Some(chunk) = popped {
-            for &index in &remaining[chunk.start..chunk.end] {
-                let t0 = Instant::now();
-                attempt_once(
-                    spec,
-                    trials,
-                    preps,
-                    scope_cfg,
-                    retry_tail,
-                    tx,
-                    index,
-                    0,
-                    Registry::new(),
-                );
-                stats.busy_ns[w].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                stats.attempts[w].fetch_add(1, Ordering::Relaxed);
-            }
-            continue;
-        }
-        let task = retry_tail.lock().expect("retry tail poisoned").pop_front();
-        match task {
-            Some(t) => {
-                let t0 = Instant::now();
-                attempt_once(
-                    spec, trials, preps, scope_cfg, retry_tail, tx, t.index, t.attempt, t.acc,
-                );
-                stats.busy_ns[w].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                stats.attempts[w].fetch_add(1, Ordering::Relaxed);
-            }
-            // Deques and retry tail both empty at this check: any retry
-            // enqueued concurrently is followed by its enqueuer's own
-            // check, so exiting here strands nothing.
-            None => return,
-        }
-    }
+    retry_tail: &'a Mutex<VecDeque<RetryTask>>,
+    tx: mpsc::SyncSender<Msg>,
+    stats: &'a WorkerStats,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn attempt_once(
-    spec: &CampaignSpec,
-    trials: &[Trial],
-    preps: &[PolicyPrep<'_>],
-    scope_cfg: ScopeConfig,
-    retry_tail: &Mutex<VecDeque<RetryTask>>,
-    tx: &mpsc::SyncSender<Msg>,
-    index: usize,
-    attempt: u32,
-    mut acc: Registry,
-) {
-    let trial = &trials[index];
-    let prep = &preps[trial.policy_idx];
-    match engine::run_trial_attempt(spec, prep, trial, attempt, &mut acc, scope_cfg) {
-        AttemptOutcome::Done(result) => {
-            let _ = tx.send(Msg::Done {
+impl Worker<'_> {
+    /// Drain own deque, steal, then service the retry tail. Each unit of
+    /// work is a *single attempt*; inconclusive attempts re-enqueue at
+    /// the tail rather than looping inline.
+    fn run(&self, deques: &underradar_campaign::steal::Deques, remaining: &[usize]) {
+        loop {
+            let popped = deques.pop(self.id).or_else(|| {
+                let stolen = deques.steal(self.id);
+                if stolen.is_some() {
+                    self.stats.steals.fetch_add(1, Ordering::Relaxed);
+                }
+                stolen
+            });
+            if let Some(chunk) = popped {
+                for &index in &remaining[chunk.start..chunk.end] {
+                    self.attempt(index, 0, Registry::new());
+                }
+                continue;
+            }
+            let task = self
+                .retry_tail
+                .lock()
+                .expect("retry tail poisoned")
+                .pop_front();
+            match task {
+                Some(t) => self.attempt(t.index, t.attempt, t.acc),
+                // Deques and retry tail both empty at this check: any retry
+                // enqueued concurrently is followed by its enqueuer's own
+                // check, so exiting here strands nothing.
+                None => return,
+            }
+        }
+    }
+
+    /// Run one attempt of trial `index` and hand the outcome to the
+    /// committer. Busy time covers the attempt alone; time blocked on a
+    /// full channel is accounted as waiting.
+    fn attempt(&self, index: usize, attempt: u32, mut acc: Registry) {
+        let trial = &self.trials[index];
+        let prep = &self.preps[trial.policy_idx];
+        let t0 = Instant::now();
+        let outcome =
+            engine::run_trial_attempt(self.spec, prep, trial, attempt, &mut acc, self.scope_cfg);
+        self.stats.busy_ns[self.id].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.stats.attempts[self.id].fetch_add(1, Ordering::Relaxed);
+        match outcome {
+            AttemptOutcome::Done(result) => self.send(Msg::Done {
                 index,
                 result,
                 acc: Box::new(acc),
-            });
-        }
-        AttemptOutcome::Retry { next_attempt } => {
-            let _ = tx.send(Msg::Retry {
-                index,
-                next_attempt,
-                acc: Box::new(acc.clone()),
-            });
-            retry_tail
-                .lock()
-                .expect("retry tail poisoned")
-                .push_back(RetryTask {
+            }),
+            AttemptOutcome::Retry { next_attempt } => {
+                self.send(Msg::Retry {
                     index,
-                    attempt: next_attempt,
-                    acc,
+                    next_attempt,
+                    acc: Box::new(acc.clone()),
                 });
+                self.retry_tail
+                    .lock()
+                    .expect("retry tail poisoned")
+                    .push_back(RetryTask {
+                        index,
+                        attempt: next_attempt,
+                        acc,
+                    });
+            }
         }
+    }
+
+    fn send(&self, msg: Msg) {
+        let t0 = Instant::now();
+        let _ = self.tx.send(msg);
+        self.stats.wait_ns[self.id].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 }

@@ -1,7 +1,8 @@
 //! Never-panic properties for checkpoint-journal recovery: a journal of
-//! random complete and retry records is cut, bit-flipped past the header,
-//! or given a garbage tail, and `Journal::open_or_create` must recover
-//! the intact record prefix without panicking. Inputs come from the
+//! random complete and retry records, written with a random fsync cadence
+//! and random flush points, is cut, bit-flipped past the header, or given
+//! a garbage tail, and `Journal::open_or_create` must recover the intact
+//! record prefix without panicking. Inputs come from the
 //! in-tree seeded generator ([`underradar_netsim::testprop`]).
 
 use std::collections::BTreeMap;
@@ -88,24 +89,71 @@ fn arb_records(g: &mut Gen) -> Vec<Record> {
         .collect()
 }
 
-/// Write `records` to a fresh journal at `path`; returns the file bytes
-/// and the offset at which each record ends.
-fn write_journal(path: &Path, records: &[Record]) -> (Vec<u8>, Vec<usize>) {
+/// Write `records` to a fresh journal at `path` with a random fsync
+/// cadence and random flush points; returns the file bytes and the offset
+/// at which each record ends. Along the way it checks the group commit:
+/// `unsynced()` stays below the cadence after every append (the
+/// power-loss bound), and the file only ever holds whole records — all of
+/// those appended so far right after a flush or an fsync.
+fn write_journal(g: &mut Gen, path: &Path, records: &[Record]) -> (Vec<u8>, Vec<usize>) {
     let _ = std::fs::remove_file(path);
-    let mut ends = Vec::with_capacity(records.len());
+    let fsync_every = g.usize_in(1, 9) as u64;
+    // Per append: the file length afterwards, and whether every record
+    // appended so far must already be in the file.
+    let mut observed = Vec::with_capacity(records.len());
     {
         let (mut j, _) = Journal::open_or_create(path, FINGERPRINT, TRIALS).expect("create");
+        j.set_fsync_every(fsync_every);
         for rec in records {
             match rec {
                 Record::Complete(i, res, delta) => j.append_complete(*i, res, delta),
                 Record::Retry(i, attempt, acc) => j.append_retry(*i, *attempt, acc),
             }
             .expect("append");
-            ends.push(std::fs::metadata(path).expect("stat").len() as usize);
+            assert!(
+                j.unsynced() < fsync_every,
+                "{} unsynced records at cadence {fsync_every}",
+                j.unsynced()
+            );
+            let synced = j.unsynced() == 0;
+            let flushed = g.bool();
+            if flushed {
+                j.flush().expect("flush");
+            }
+            let len = std::fs::metadata(path).expect("stat").len() as usize;
+            observed.push((len, synced || flushed));
         }
         j.sync().expect("sync");
     }
-    (std::fs::read(path).expect("read"), ends)
+    let bytes = std::fs::read(path).expect("read");
+    let ends = record_ends(&bytes);
+    assert_eq!(ends.len(), records.len(), "one frame per record");
+    for (k, &(len, complete)) in observed.iter().enumerate() {
+        assert!(
+            len == HEADER_LEN as usize || ends[..=k].contains(&len),
+            "after append {k} the file ends mid-record at {len}"
+        );
+        if complete {
+            assert_eq!(
+                len, ends[k],
+                "append {k} flushed or synced but not in the file"
+            );
+        }
+    }
+    (bytes, ends)
+}
+
+/// The end offset of each record in a clean journal, walking the `len`
+/// prefixes of its frames.
+fn record_ends(bytes: &[u8]) -> Vec<usize> {
+    let mut ends = Vec::new();
+    let mut pos = HEADER_LEN as usize;
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
+        pos += 8 + len as usize;
+        ends.push(pos);
+    }
+    ends
 }
 
 type Completed = BTreeMap<u64, (String, Registry)>;
@@ -172,7 +220,7 @@ fn damaged_journals_recover_the_intact_prefix_and_never_panic() {
     let header = HEADER_LEN as usize;
     cases(128, 0x10A1, |g| {
         let records = arb_records(g);
-        let (clean, ends) = write_journal(&path, &records);
+        let (clean, ends) = write_journal(g, &path, &records);
 
         // Truncation: mostly cuts past the header, some inside it.
         let cut = if g.usize_in(0, 8) == 0 {

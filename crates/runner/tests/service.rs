@@ -13,7 +13,9 @@ use underradar_campaign::{
     CampaignSpec, MethodKind, NamedPolicy, RetryPolicy, StreamReport, TrialResult,
 };
 use underradar_censor::CensorPolicy;
-use underradar_runner::{run_service, JournalError, ProgressConfig, RunConfig, VecSink};
+use underradar_runner::{
+    run_service, Journal, JournalError, ProgressConfig, RowSink, RunConfig, VecSink,
+};
 use underradar_telemetry::Telemetry;
 
 fn tmp(name: &str) -> PathBuf {
@@ -325,6 +327,7 @@ fn service_outcome_carries_a_populated_profile() {
     let outcome = run_service(&spec, &RunConfig::new(3), &tel, &mut sink).expect("service run");
     let p = &outcome.profile;
     assert_eq!(p.worker_busy_ns.len(), 3);
+    assert_eq!(p.worker_wait_ns.len(), 3, "one wait entry per worker");
     assert_eq!(p.worker_attempts.len(), 3);
     let attempts: u64 = p.worker_attempts.iter().sum();
     assert!(
@@ -334,6 +337,61 @@ fn service_outcome_carries_a_populated_profile() {
     assert!(p.worker_busy_ns.iter().sum::<u64>() > 0);
     assert!(p.wall_ms >= p.prepare_ms);
     assert_eq!(p.snapshots, 0, "no progress requested");
+}
+
+/// A sink that, for every row it is handed, re-reads the journal and
+/// checks that the row's complete record is already in the file.
+struct JournalCheckingSink {
+    journal: PathBuf,
+    copy: PathBuf,
+    fingerprint: u64,
+    trials: u64,
+    rows: usize,
+}
+
+impl RowSink for JournalCheckingSink {
+    fn row(&mut self, result: &TrialResult) -> std::io::Result<()> {
+        // Replay a copy: opening the live journal would share its append
+        // position with the committer.
+        std::fs::copy(&self.journal, &self.copy)?;
+        let (_, replay) = Journal::open_or_create(&self.copy, self.fingerprint, self.trials)
+            .expect("journal copy opens");
+        assert!(
+            replay.completed.contains_key(&(result.index as u64)),
+            "row {} reached the sink before its journal record",
+            result.index
+        );
+        self.rows += 1;
+        Ok(())
+    }
+}
+
+/// The committer's ordering contract: a row never reaches the sink
+/// before its complete record is in the journal file, whatever the worker
+/// count and fsync cadence.
+#[test]
+fn rows_reach_the_sink_only_after_their_journal_record() {
+    let spec = spec();
+    for workers in [1, 4] {
+        for fsync_every in [1, 64] {
+            let name = format!("row-after-record-{workers}-{fsync_every}");
+            let journal = tmp(&name);
+            let mut sink = JournalCheckingSink {
+                journal: journal.clone(),
+                copy: tmp(&format!("{name}-copy")),
+                fingerprint: spec.fingerprint(),
+                trials: spec.trial_count() as u64,
+                rows: 0,
+            };
+            let cfg = RunConfig::new(workers)
+                .checkpoint(journal.clone())
+                .fsync_every(fsync_every);
+            run_service(&spec, &cfg, &Telemetry::disabled(), &mut sink).expect("service run");
+            assert_eq!(sink.rows, spec.trial_count());
+            let _ = std::fs::remove_file(&journal);
+            let _ = std::fs::remove_file(&sink.copy);
+        }
+    }
 }
 
 #[test]

@@ -20,8 +20,6 @@ pub struct ContentRecord {
     pub dst: Ipv4Addr,
     /// Wire length in bytes.
     pub bytes: usize,
-    /// A one-line summary of the packet (headers + payload preview).
-    pub summary: String,
 }
 
 /// A flow-metadata record ("like call-data records in a phone network").
@@ -246,7 +244,6 @@ mod tests {
             src: Ipv4Addr::new(1, 1, 1, 1),
             dst: Ipv4Addr::new(2, 2, 2, 2),
             bytes: 60,
-            summary: "pkt".to_string(),
         };
         s.content.insert(SimTime::ZERO, rec.clone(), 60);
         // 2 days later: still there. 4 days later: gone.

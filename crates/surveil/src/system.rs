@@ -214,7 +214,6 @@ impl SurveillanceSystem {
                     src: pkt.src,
                     dst: pkt.dst,
                     bytes: pkt.wire_len(),
-                    summary: pkt.summary(),
                 },
                 pkt.wire_len() as u64,
             );

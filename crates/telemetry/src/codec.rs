@@ -191,58 +191,59 @@ fn read_field_value(r: &mut Reader<'_>) -> Result<FieldValue, CodecError> {
 /// Serialize a registry exactly (all six sections, trace included).
 pub fn encode_registry(reg: &Registry) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
-    put_u32(&mut out, reg.counters.len() as u32);
+    put_registry(&mut out, reg);
+    out
+}
+
+/// Append the [`encode_registry`] bytes of `reg` to `out`, so a caller
+/// framing the registry inside a larger record encodes it in place.
+pub fn put_registry(out: &mut Vec<u8>, reg: &Registry) {
+    put_u32(out, reg.counters.len() as u32);
     for (name, v) in &reg.counters {
-        put_str(&mut out, name);
-        put_u64(&mut out, *v);
+        put_str(out, name);
+        put_u64(out, *v);
     }
-    put_u32(&mut out, reg.gauges.len() as u32);
+    put_u32(out, reg.gauges.len() as u32);
     for (name, v) in &reg.gauges {
-        put_str(&mut out, name);
-        put_i64(&mut out, *v);
+        put_str(out, name);
+        put_i64(out, *v);
     }
-    put_u32(&mut out, reg.histograms.len() as u32);
+    put_u32(out, reg.histograms.len() as u32);
     for (name, h) in &reg.histograms {
-        put_str(&mut out, name);
-        put_u64(&mut out, h.count());
-        put_u64(&mut out, h.sum());
-        put_u64(&mut out, h.min());
-        put_u64(&mut out, h.max());
-        let nonzero: Vec<(usize, u64)> = h
-            .buckets()
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n != 0)
-            .map(|(i, &n)| (i, n))
-            .collect();
-        put_u32(&mut out, nonzero.len() as u32);
-        for (i, n) in nonzero {
+        put_str(out, name);
+        put_u64(out, h.count());
+        put_u64(out, h.sum());
+        put_u64(out, h.min());
+        put_u64(out, h.max());
+        let buckets = h.buckets();
+        put_u32(out, buckets.iter().filter(|&&n| n != 0).count() as u32);
+        for (i, &n) in buckets.iter().enumerate().filter(|(_, &n)| n != 0) {
             out.push(i as u8);
-            put_u64(&mut out, n);
+            put_u64(out, n);
         }
     }
-    put_u32(&mut out, reg.spans.len() as u32);
+    put_u32(out, reg.spans.len() as u32);
     for s in &reg.spans {
-        put_str(&mut out, &s.name);
-        put_u64(&mut out, s.start_ns);
-        put_u64(&mut out, s.end_ns);
+        put_str(out, &s.name);
+        put_u64(out, s.start_ns);
+        put_u64(out, s.end_ns);
     }
-    put_u32(&mut out, reg.events.len() as u32);
+    put_u32(out, reg.events.len() as u32);
     for e in &reg.events {
-        put_u64(&mut out, e.t_ns);
-        put_str(&mut out, &e.kind);
-        put_u32(&mut out, e.fields.len() as u32);
+        put_u64(out, e.t_ns);
+        put_str(out, &e.kind);
+        put_u32(out, e.fields.len() as u32);
         for (k, v) in &e.fields {
-            put_str(&mut out, k);
-            put_field_value(&mut out, v);
+            put_str(out, k);
+            put_field_value(out, v);
         }
     }
-    put_u32(&mut out, reg.trace.len() as u32);
+    put_u32(out, reg.trace.len() as u32);
     for t in &reg.trace {
-        put_u64(&mut out, t.t_ns);
-        put_u64(&mut out, t.seq);
-        put_str(&mut out, t.stage);
-        put_str(&mut out, t.kind);
+        put_u64(out, t.t_ns);
+        put_u64(out, t.seq);
+        put_str(out, t.stage);
+        put_str(out, t.kind);
         match &t.flow {
             None => out.push(0),
             Some(flow) => {
@@ -253,13 +254,12 @@ pub fn encode_registry(reg: &Registry) -> Vec<u8> {
                 out.extend_from_slice(&flow.dst_port.to_le_bytes());
             }
         }
-        put_u32(&mut out, t.fields.len() as u32);
+        put_u32(out, t.fields.len() as u32);
         for (k, v) in &t.fields {
-            put_str(&mut out, k);
-            put_field_value(&mut out, v);
+            put_str(out, k);
+            put_field_value(out, v);
         }
     }
-    out
 }
 
 /// Decode a registry previously produced by [`encode_registry`]. The

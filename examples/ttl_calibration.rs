@@ -33,6 +33,7 @@ fn main() {
     let mut best = None;
     for ttl in 1u8..=6 {
         let mut net = RoutedMimicryNet::build(42, CensorPolicy::new());
+        net.sim.enable_capture();
         net.sim
             .node_mut::<Host>(net.mserver)
             .expect("mserver host")
