@@ -754,6 +754,20 @@ fn bench_campaign() {
     report("engine_16_scan_trials_4_workers", ns, None);
 }
 
+/// Static contiguous partitioning with **no** stealing: each of
+/// `workers` threads runs exactly its initial block of `0..n`. This is
+/// the straggler-prone baseline `steal::run_chunked` replaces, kept here
+/// only so [`bench_runner`] can gate the work-stealing speedup.
+fn run_static(n: usize, workers: usize, run: impl Fn(usize) + Sync) {
+    let per = n.div_ceil(workers.clamp(1, n.max(1))).max(1);
+    std::thread::scope(|scope| {
+        for start in (0..n).step_by(per) {
+            let run = &run;
+            scope.spawn(move || (start..(start + per).min(n)).for_each(run));
+        }
+    });
+}
+
 /// The durable run service: work stealing must beat static partitioning
 /// on a skewed matrix (heavy ddos cells pinned to the first workers by
 /// contiguous blocks, cheap scan cells everywhere else), and the
@@ -829,7 +843,7 @@ fn bench_runner() {
         if stealing {
             steal::run_chunked(trials.len(), workers, run);
         } else {
-            steal::run_static(trials.len(), workers, run);
+            run_static(trials.len(), workers, run);
         }
         makespan(&log.into_inner().expect("assignment log"))
     };

@@ -1,14 +1,23 @@
-//! Shared command-line front end for the `exp_*` binaries.
+//! The `underradar` command line: one total argv parser shared by every
+//! subcommand, the output modes, and the `experiments` and `campaign`
+//! subcommands.
 //!
-//! Every experiment binary is `exp_main(name, run)`. Modes:
+//! [`ArgParser`] is the only argv parser. It is total: a malformed value,
+//! a missing value or an unknown flag is an `Err` naming the flag, which
+//! the binary prints as one stderr line before exiting with status 2,
+//! with nothing on stdout and nothing run.
 //!
-//! * default — print the plain-text report, exactly as before;
+//! `underradar experiments <id|all>` runs rows of [`experiments::ALL`],
+//! named by table name (`e02_scan`) or short id (`e2`). Output modes,
+//! shared with `campaign`:
+//!
+//! * default — print the plain-text report;
 //! * `--json` — run with telemetry enabled and print one JSON object
 //!   `{"experiment": .., "report": .., "telemetry": <registry>}` suitable
 //!   for piping into analysis tooling;
 //! * `--jsonl` — stream one JSON object per row: generic experiments emit
-//!   a row per report line plus a trailing telemetry row; campaign-backed
-//!   binaries emit true per-trial verdict rows;
+//!   a row per report line plus a trailing telemetry row; `campaign`
+//!   emits true per-trial verdict rows;
 //! * `--telemetry` (or `UNDERRADAR_TELEMETRY=1`) — print the report
 //!   followed by the registry's text rendering;
 //! * `--trace` (or `UNDERRADAR_TRACE=1`) — run with the flight recorder
@@ -18,12 +27,117 @@
 //! * `--trace-capacity N` (or `UNDERRADAR_TRACE_CAPACITY=N`) — size the
 //!   flight-recorder ring for traced runs (default 4096 records). The
 //!   knob only tunes the ring: it never turns tracing on by itself.
+//!
+//! `all` runs every row, fanned across threads, and prints each row's
+//! output in table order.
 
+use std::process::ExitCode;
+use std::str::FromStr;
+
+use underradar_campaign::steal;
 use underradar_telemetry::{
     json, trace, Telemetry, DEFAULT_TRACE_CAPACITY, TELEMETRY_ENV, TRACE_CAPACITY_ENV, TRACE_ENV,
 };
 
-/// How the binary was asked to present its output.
+use crate::experiments::{self, Experiment};
+
+mod campaign;
+
+pub use campaign::campaign;
+
+/// A `--name` or `--name=value` argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flag<'a> {
+    /// The flag, dashes included.
+    pub name: &'a str,
+    /// The value given inline with `=`, if any.
+    pub inline: Option<&'a str>,
+}
+
+impl Flag<'_> {
+    /// Accept a flag that takes no value: `Ok(true)`, or an `Err` if it
+    /// was given one inline.
+    pub fn switch(&self) -> Result<bool, String> {
+        match self.inline {
+            None => Ok(true),
+            Some(_) => Err(format!("{} takes no value", self.name)),
+        }
+    }
+
+    /// The error for a flag the subcommand does not know.
+    pub fn unknown(&self) -> String {
+        match self.inline {
+            None => format!("unknown argument '{}'", self.name),
+            Some(v) => format!("unknown argument '{}={v}'", self.name),
+        }
+    }
+}
+
+/// One command-line argument as [`ArgParser`] sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arg<'a> {
+    /// Anything starting with `--`.
+    Flag(Flag<'a>),
+    /// Anything else.
+    Positional(&'a str),
+}
+
+/// The argv parser every subcommand uses. Iterate it for the arguments;
+/// when a flag takes a value, [`ArgParser::value`] (or
+/// [`ArgParser::number`]) consumes it: the inline `--flag=value`, else
+/// the next argument unless that is itself a flag.
+pub struct ArgParser<'a> {
+    rest: std::slice::Iter<'a, String>,
+}
+
+impl<'a> ArgParser<'a> {
+    /// A parser over `argv` (the subcommand's arguments).
+    pub fn new(argv: &'a [String]) -> ArgParser<'a> {
+        ArgParser { rest: argv.iter() }
+    }
+
+    /// `flag`'s value; an `Err` naming the flag if it has none.
+    pub fn value(&mut self, flag: &Flag<'a>) -> Result<&'a str, String> {
+        flag.inline
+            .or_else(|| {
+                if self.rest.as_slice().first()?.starts_with("--") {
+                    return None;
+                }
+                self.rest.next().map(String::as_str)
+            })
+            .ok_or_else(|| format!("{} needs a value", flag.name))
+    }
+
+    /// `flag`'s value as a non-negative integer.
+    pub fn number<T: FromStr>(&mut self, flag: &Flag<'a>) -> Result<T, String> {
+        let raw = self.value(flag)?;
+        raw.parse()
+            .map_err(|_| format!("{} needs a non-negative integer, got '{raw}'", flag.name))
+    }
+}
+
+impl<'a> Iterator for ArgParser<'a> {
+    type Item = Arg<'a>;
+
+    fn next(&mut self) -> Option<Arg<'a>> {
+        let arg = self.rest.next()?;
+        if !arg.starts_with("--") {
+            return Some(Arg::Positional(arg));
+        }
+        Some(Arg::Flag(match arg.split_once('=') {
+            Some((name, value)) => Flag {
+                name,
+                inline: Some(value),
+            },
+            None => Flag {
+                name: arg,
+                inline: None,
+            },
+        }))
+    }
+}
+
+/// How a subcommand was asked to present its output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputMode {
     /// Plain-text report only.
@@ -32,10 +146,10 @@ pub enum OutputMode {
     TextWithTelemetry,
     /// One JSON object carrying the report and the registry.
     Json,
-    /// One JSON object per row, streamed as rows complete. Campaign-backed
-    /// binaries emit true per-trial rows (`exp_campaign --service --jsonl`
-    /// streams them the moment each trial finishes); generic experiments
-    /// emit one row per report line plus a trailing telemetry row.
+    /// One JSON object per row, streamed as rows complete. `campaign`
+    /// emits true per-trial rows (`campaign --service --jsonl` streams
+    /// them the moment each trial finishes); generic experiments emit one
+    /// row per report line plus a trailing telemetry row.
     Jsonl,
     /// Report plus the flight-recorder trace (JSON lines) and the
     /// explainer's per-trial causal chains.
@@ -88,68 +202,57 @@ impl OutputSpec {
         self
     }
 
-    /// Override the flight-recorder ring capacity (tunes `--trace` runs;
-    /// never turns tracing on by itself).
-    pub fn trace_capacity(mut self, capacity: Option<usize>) -> OutputSpec {
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// The configured ring capacity override, if any.
     pub fn trace_capacity_value(self) -> Option<usize> {
         self.trace_capacity
     }
 
-    /// Parse a spec from CLI arguments plus the ambient telemetry/trace
-    /// env vars.
-    pub fn from_cli<I: IntoIterator<Item = String>>(args: I) -> OutputSpec {
-        Self::from_parts(
+    /// A spec seeded from the ambient telemetry/trace env vars; flags
+    /// then add to it through [`OutputSpec::take`].
+    pub fn from_env() -> OutputSpec {
+        Self::seeded(
             std::env::var(TELEMETRY_ENV).ok(),
             std::env::var(TRACE_ENV).ok(),
             std::env::var(TRACE_CAPACITY_ENV).ok(),
-            args,
         )
     }
 
-    /// [`OutputSpec::from_cli`] with the env vars' values passed
-    /// explicitly (testable regardless of the ambient environment).
-    pub fn from_parts<I: IntoIterator<Item = String>>(
+    /// [`OutputSpec::from_env`] with the env vars' values passed
+    /// explicitly (testable regardless of the ambient environment). An
+    /// unparsable capacity value is ignored, as the telemetry crate does.
+    pub fn seeded(
         tel_env: Option<String>,
         trace_env: Option<String>,
         capacity_env: Option<String>,
-        args: I,
     ) -> OutputSpec {
-        let mut spec = OutputSpec::new()
-            .telemetry(env_set(tel_env))
-            .trace(env_set(trace_env))
-            .trace_capacity(trace::capacity_from_env(capacity_env));
-        let args: Vec<String> = args.into_iter().collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--json" => spec.json = true,
-                "--jsonl" => spec.jsonl = true,
-                "--telemetry" => spec.telemetry = true,
-                "--trace" => spec.trace = true,
-                "--trace-capacity" => {
-                    if let Some(v) = args.get(i + 1) {
-                        if let Some(c) = trace::capacity_from_env(Some(v.clone())) {
-                            spec.trace_capacity = Some(c);
-                            i += 1;
-                        }
-                    }
-                }
-                other => {
-                    if let Some(v) = other.strip_prefix("--trace-capacity=") {
-                        if let Some(c) = trace::capacity_from_env(Some(v.to_string())) {
-                            spec.trace_capacity = Some(c);
-                        }
-                    }
-                }
-            }
-            i += 1;
+        OutputSpec {
+            telemetry: env_set(tel_env),
+            trace: env_set(trace_env),
+            trace_capacity: trace::capacity_from_env(capacity_env),
+            ..OutputSpec::default()
         }
-        spec
+    }
+
+    /// Apply `flag` if it is an output flag, consuming its value from
+    /// `args`. `Ok(false)` means `flag` is not an output flag; a malformed
+    /// output flag is an `Err` naming it.
+    pub fn take<'a>(&mut self, flag: &Flag<'a>, args: &mut ArgParser<'a>) -> Result<bool, String> {
+        match flag.name {
+            "--json" => self.json = flag.switch()?,
+            "--jsonl" => self.jsonl = flag.switch()?,
+            "--telemetry" => self.telemetry = flag.switch()?,
+            "--trace" => self.trace = flag.switch()?,
+            "--trace-capacity" => {
+                let raw = args.value(flag)?;
+                let capacity =
+                    trace::capacity_from_env(Some(raw.to_string())).ok_or_else(|| {
+                        format!("--trace-capacity needs a positive integer, got '{raw}'")
+                    })?;
+                self.trace_capacity = Some(capacity);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// Resolve the accumulated flags into one output mode.
@@ -167,21 +270,23 @@ impl OutputSpec {
         }
     }
 
+    /// The flight-recorder ring capacity for traced runs.
+    pub fn ring_capacity(self) -> usize {
+        self.trace_capacity.unwrap_or(DEFAULT_TRACE_CAPACITY)
+    }
+
     /// The telemetry handle an experiment should run under: disabled for
     /// plain text, trace-carrying for `--trace`, enabled otherwise.
     pub fn telemetry_handle(self) -> Telemetry {
         match self.mode() {
             OutputMode::Text => Telemetry::disabled(),
-            OutputMode::Trace => {
-                Telemetry::with_trace(self.trace_capacity.unwrap_or(DEFAULT_TRACE_CAPACITY))
-            }
+            OutputMode::Trace => Telemetry::with_trace(self.ring_capacity()),
             _ => Telemetry::enabled(),
         }
     }
 
     /// Render the complete stdout for this spec — the single place the
-    /// mode-to-bytes mapping lives. Byte-identical to what each mode has
-    /// always printed (pinned by the CLI golden test).
+    /// mode-to-bytes mapping lives (pinned by the CLI golden test).
     pub fn render(
         self,
         name: &str,
@@ -204,22 +309,8 @@ impl OutputSpec {
     }
 }
 
-/// Decide the output mode from flags plus the telemetry/trace env vars.
-pub fn output_mode<I: IntoIterator<Item = String>>(args: I) -> OutputMode {
-    OutputSpec::from_cli(args).mode()
-}
-
 fn env_set(v: Option<String>) -> bool {
     v.is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-#[cfg(test)]
-fn mode_from<I: IntoIterator<Item = String>>(
-    tel_env: Option<String>,
-    trace_env: Option<String>,
-    args: I,
-) -> OutputMode {
-    OutputSpec::from_parts(tel_env, trace_env, None, args).mode()
 }
 
 /// Render the `--json` envelope for one experiment.
@@ -239,8 +330,7 @@ pub fn render_json(name: &str, report: &str, registry: &underradar_telemetry::Re
 
 /// Render the `--jsonl` stream for a generic experiment: one JSON object
 /// per report line (self-describing, pipeline-friendly) followed by one
-/// telemetry object. Campaign-backed binaries emit true per-trial rows
-/// instead (see `exp_campaign`).
+/// telemetry object. `campaign` emits true per-trial rows instead.
 pub fn render_jsonl(name: &str, report: &str, registry: &underradar_telemetry::Registry) -> String {
     let mut out = String::new();
     for (i, line) in report.lines().enumerate() {
@@ -265,14 +355,6 @@ pub fn render_jsonl(name: &str, report: &str, registry: &underradar_telemetry::R
     out
 }
 
-/// The whole body of an `exp_*` binary.
-pub fn exp_main(name: &str, run: fn(&Telemetry) -> String) {
-    let spec = OutputSpec::from_cli(std::env::args().skip(1));
-    let tel = spec.telemetry_handle();
-    let report = run(&tel);
-    print!("{}", spec.render(name, &report, &tel.snapshot()));
-}
-
 /// Render the `--trace` output: the unchanged report, the trace as JSON
 /// lines, then the explainer's causal chains.
 pub fn render_trace(report: &str, registry: &underradar_telemetry::Registry) -> String {
@@ -284,6 +366,51 @@ pub fn render_trace(report: &str, registry: &underradar_telemetry::Registry) -> 
     out
 }
 
+/// Parse `experiments`' arguments on top of `spec`: the rows the id names
+/// (`all` when no id is given) and the output spec.
+fn parse_experiments(
+    mut spec: OutputSpec,
+    argv: &[String],
+) -> Result<(&'static [Experiment], OutputSpec), String> {
+    let mut id = None;
+    let mut args = ArgParser::new(argv);
+    while let Some(arg) = args.next() {
+        match arg {
+            Arg::Flag(flag) => {
+                if !spec.take(&flag, &mut args)? {
+                    return Err(flag.unknown());
+                }
+            }
+            Arg::Positional(v) if id.is_none() => id = Some(v),
+            Arg::Positional(v) => return Err(format!("unexpected argument '{v}'")),
+        }
+    }
+    let id = id.unwrap_or("all");
+    let rows = experiments::select(id).ok_or_else(|| {
+        format!(
+            "unknown experiment '{id}' (expected {})",
+            experiments::id_list()
+        )
+    })?;
+    Ok((rows, spec))
+}
+
+/// `underradar experiments <id|all> [output flags]`: run the named rows
+/// of [`experiments::ALL`], fanned across threads, and print each row's
+/// output in table order. `Err` is a usage error, reported before
+/// anything runs.
+pub fn experiments(argv: &[String]) -> Result<ExitCode, String> {
+    let (rows, spec) = parse_experiments(OutputSpec::from_env(), argv)?;
+    let out = steal::run_chunked(rows.len(), experiments::workers(), |i| {
+        let (name, run) = rows[i];
+        let tel = spec.telemetry_handle();
+        let report = run(&tel);
+        spec.render(name, &report, &tel.snapshot())
+    });
+    print!("{}", out.concat());
+    Ok(ExitCode::SUCCESS)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,80 +419,80 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parse(list: &[&str]) -> Result<OutputSpec, String> {
+        parse_experiments(OutputSpec::new(), &args(list)).map(|(_, spec)| spec)
+    }
+
+    fn mode_from(tel_env: Option<&str>, trace_env: Option<&str>, list: &[&str]) -> OutputMode {
+        let seed = OutputSpec::seeded(
+            tel_env.map(str::to_string),
+            trace_env.map(str::to_string),
+            None,
+        );
+        parse_experiments(seed, &args(list)).unwrap().1.mode()
+    }
+
     #[test]
     fn json_flag_wins() {
-        assert_eq!(mode_from(None, None, args(&[])), OutputMode::Text);
-        assert_eq!(mode_from(None, None, args(&["--json"])), OutputMode::Json);
+        assert_eq!(mode_from(None, None, &[]), OutputMode::Text);
+        assert_eq!(mode_from(None, None, &["--json"]), OutputMode::Json);
         assert_eq!(
-            mode_from(None, None, args(&["--telemetry"])),
+            mode_from(None, None, &["--telemetry"]),
             OutputMode::TextWithTelemetry
         );
         assert_eq!(
-            mode_from(None, None, args(&["--telemetry", "--json"])),
+            mode_from(None, None, &["--telemetry", "--json"]),
             OutputMode::Json
         );
     }
 
     #[test]
     fn jsonl_flag_outranks_json_but_not_trace() {
-        assert_eq!(mode_from(None, None, args(&["--jsonl"])), OutputMode::Jsonl);
+        assert_eq!(mode_from(None, None, &["--jsonl"]), OutputMode::Jsonl);
         assert_eq!(
-            mode_from(None, None, args(&["--json", "--jsonl"])),
+            mode_from(None, None, &["--json", "--jsonl"]),
             OutputMode::Jsonl
         );
         assert_eq!(
-            mode_from(None, None, args(&["--jsonl", "--json"])),
+            mode_from(None, None, &["--jsonl", "--json"]),
             OutputMode::Jsonl
         );
         assert_eq!(
-            mode_from(None, None, args(&["--jsonl", "--trace"])),
+            mode_from(None, None, &["--jsonl", "--trace"]),
             OutputMode::Trace
         );
         assert_eq!(
-            mode_from(None, None, args(&["--trace", "--jsonl"])),
+            mode_from(None, None, &["--trace", "--jsonl"]),
             OutputMode::Trace
         );
     }
 
     #[test]
     fn trace_capacity_flag_and_env_tune_the_ring() {
-        let spec = OutputSpec::from_parts(
-            None,
-            None,
-            None,
-            args(&["--trace", "--trace-capacity", "128"]),
-        );
+        let spec = parse(&["--trace", "--trace-capacity", "128"]).unwrap();
         assert_eq!(spec.trace_capacity_value(), Some(128));
         assert_eq!(spec.mode(), OutputMode::Trace);
-        let eq =
-            OutputSpec::from_parts(None, None, None, args(&["--trace", "--trace-capacity=64"]));
+        let eq = parse(&["--trace", "--trace-capacity=64"]).unwrap();
         assert_eq!(eq.trace_capacity_value(), Some(64));
         // Capacity alone never turns tracing on.
-        let plain = OutputSpec::from_parts(None, None, None, args(&["--trace-capacity", "64"]));
+        let plain = parse(&["--trace-capacity", "64"]).unwrap();
         assert_eq!(plain.mode(), OutputMode::Text);
         assert_eq!(plain.trace_capacity_value(), Some(64));
         // The env var seeds the capacity; an explicit flag overrides it.
-        let env = OutputSpec::from_parts(
-            None,
-            Some("1".to_string()),
-            Some("32".to_string()),
-            args(&[]),
-        );
+        let env = OutputSpec::seeded(None, Some("1".to_string()), Some("32".to_string()));
         assert_eq!(env.trace_capacity_value(), Some(32));
         assert_eq!(env.mode(), OutputMode::Trace);
-        let both = OutputSpec::from_parts(
-            None,
-            None,
-            Some("32".to_string()),
-            args(&["--trace-capacity", "16"]),
-        );
+        let both = OutputSpec::seeded(None, None, Some("32".to_string()));
+        let both = parse_experiments(both, &args(&["--trace-capacity", "16"]))
+            .unwrap()
+            .1;
         assert_eq!(both.trace_capacity_value(), Some(16));
-        // Invalid or missing values are ignored (and don't eat flags).
-        let bad = OutputSpec::from_parts(None, None, None, args(&["--trace-capacity", "abc"]));
-        assert_eq!(bad.trace_capacity_value(), None);
-        let tail = OutputSpec::from_parts(None, None, None, args(&["--trace-capacity", "--json"]));
-        assert_eq!(tail.trace_capacity_value(), None);
-        assert_eq!(tail.mode(), OutputMode::Json);
+    }
+
+    #[test]
+    fn no_id_means_every_row() {
+        let (rows, _) = parse_experiments(OutputSpec::new(), &args(&["--json"])).unwrap();
+        assert_eq!(rows.len(), experiments::ALL.len());
     }
 
     #[test]
@@ -389,35 +516,26 @@ mod tests {
 
     #[test]
     fn env_var_enables_telemetry_output() {
-        let on = |v: &str| mode_from(Some(v.to_string()), None, args(&[]));
+        let on = |v: &str| mode_from(Some(v), None, &[]);
         assert_eq!(on("1"), OutputMode::TextWithTelemetry);
         assert_eq!(on("0"), OutputMode::Text);
         assert_eq!(on(""), OutputMode::Text);
-        assert_eq!(
-            mode_from(Some("1".to_string()), None, args(&["--json"])),
-            OutputMode::Json
-        );
+        assert_eq!(mode_from(Some("1"), None, &["--json"]), OutputMode::Json);
     }
 
     #[test]
     fn trace_flag_and_env_outrank_other_modes() {
-        assert_eq!(mode_from(None, None, args(&["--trace"])), OutputMode::Trace);
+        assert_eq!(mode_from(None, None, &["--trace"]), OutputMode::Trace);
         assert_eq!(
-            mode_from(None, None, args(&["--trace", "--json"])),
+            mode_from(None, None, &["--trace", "--json"]),
             OutputMode::Trace
         );
         assert_eq!(
-            mode_from(None, None, args(&["--json", "--trace"])),
+            mode_from(None, None, &["--json", "--trace"]),
             OutputMode::Trace
         );
-        assert_eq!(
-            mode_from(None, Some("1".to_string()), args(&[])),
-            OutputMode::Trace
-        );
-        assert_eq!(
-            mode_from(None, Some("0".to_string()), args(&[])),
-            OutputMode::Text
-        );
+        assert_eq!(mode_from(None, Some("1"), &[]), OutputMode::Trace);
+        assert_eq!(mode_from(None, Some("0"), &[]), OutputMode::Text);
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! Runs the paper-scale measurement campaign (all 8 methods × 4 censor
-//! policies × 4 targets × 4 seeds = 512 trials) through the run service
-//! (`underradar-runner`), the one campaign executor.
+//! `underradar campaign`: the paper-scale measurement campaign (all 8
+//! methods × 4 censor policies × 4 targets × 4 seeds = 512 trials)
+//! through the run service (`underradar-runner`), the one campaign
+//! executor.
 //!
-//! Flags:
+//! Flags, beyond the output flags every subcommand shares (`--json`,
+//! `--jsonl`, `--telemetry`, `--trace`, `--trace-capacity N`; see
+//! [`crate::cli`]):
 //!
 //! * `--shards N` — worker threads (default 1). Output is byte-identical
 //!   for every `N`, which `scripts/ci.sh` checks (1 vs 4).
@@ -13,12 +16,10 @@
 //!   here too (`scripts/ci.sh` checks both).
 //! * `--json` — one JSON object `{"experiment", "report", "telemetry"}`
 //!   where `report` is the structured campaign report (cells + trials).
-//! * `--telemetry` (or `UNDERRADAR_TELEMETRY=1`) — text report plus the
-//!   merged registry's text rendering.
-//! * `--trace` (or `UNDERRADAR_TRACE=1`) — text report plus the flight
-//!   recorder: every stage decision as JSON lines (sorted keys,
-//!   byte-identical for any shard count) and the explainer's per-trial
-//!   causal chains.
+//! * `--jsonl` — one JSON row per trial, in index order.
+//! * `--trace` — text report plus the flight recorder: every stage
+//!   decision as JSON lines (sorted keys, byte-identical for any shard
+//!   count) and the explainer's per-trial causal chains.
 //! * `--trace-diff A B` — run with the flight recorder and print the
 //!   first divergent stage decision between trial `A`'s and trial `B`'s
 //!   trace segments (campaign markers excluded — they name the trials and
@@ -37,8 +38,6 @@
 //!   interval snapshots (done/total, rows/sec, ETA, per-worker busy
 //!   fractions, steal/retry counts, journal lag) as JSONL on **stderr**;
 //!   stdout bytes are untouched.
-//! * `--trace-capacity N` (or `UNDERRADAR_TRACE_CAPACITY=N`) — size the
-//!   flight-recorder ring for `--trace` / `--trace-diff` runs.
 //! * `--service` — under `--jsonl`, stream each row the moment its trial
 //!   completes (completion order; each row carries its `index`) instead
 //!   of printing every row in index order after the run. Also reports the
@@ -48,28 +47,25 @@
 //!   skips journaled trials and produces byte-identical final output.
 //! * `--synthetic N` — replace the paper matrix with an `N`-trial
 //!   synthetic scale matrix (cheap scan trials; for million-trial runs).
-//! * `--jsonl` — one JSON row per trial, in index order.
-//!
-//! A malformed or unknown flag exits with status 2 and a one-line error
-//! on stderr, before anything runs.
 
 use std::path::PathBuf;
-use std::process::exit;
+use std::process::{exit, ExitCode};
 
-use underradar_bench::cli::{render_trace, OutputMode, OutputSpec};
-use underradar_bench::experiments::campaign::{paper_campaign, safety_audit, synthetic_campaign};
-use underradar_bench::runner::StageClock;
 use underradar_campaign::spec::CampaignSpec;
 use underradar_runner::{
     run_service, JsonlSink, NullSink, ProgressConfig, RowSink, RunConfig, RunProfile,
     ServiceOutcome, VecSink,
 };
-use underradar_telemetry::{trace, Telemetry, TraceRecord, DEFAULT_TRACE_CAPACITY};
+use underradar_telemetry::{trace, Telemetry, TraceRecord};
 
-/// Everything the command line asks for beyond the output mode (which
-/// [`OutputSpec`] resolves from the same arguments).
+use super::{Arg, ArgParser, OutputMode, OutputSpec};
+use crate::experiments::campaign::{paper_campaign, safety_audit, synthetic_campaign};
+use crate::runner::StageClock;
+
+/// Everything the command line asks for.
 #[derive(Default)]
 struct Args {
+    output: OutputSpec,
     shards: usize,
     service: bool,
     checkpoint: Option<PathBuf>,
@@ -83,82 +79,47 @@ struct Args {
     profile_json: Option<String>,
 }
 
-/// Parse `raw` as a number, naming `flag` in the error.
-fn number<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T, String> {
-    let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
-    raw.parse()
-        .map_err(|_| format!("{flag} needs a non-negative integer, got '{raw}'"))
-}
-
-/// Parse every argument; later occurrences of a flag win. Total: any
-/// malformed value, missing value or unknown flag is an `Err` naming it.
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = argv.iter();
+/// Parse every argument on top of the `output` spec; later occurrences
+/// of a flag win. Total: any malformed value, missing value or unknown
+/// flag is an `Err` naming it.
+fn parse_args(output: OutputSpec, argv: &[String]) -> Result<Args, String> {
+    let mut args = Args {
+        output,
+        ..Args::default()
+    };
+    let mut it = ArgParser::new(argv);
     while let Some(arg) = it.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((flag, value)) if flag.starts_with("--") => (flag, Some(value.to_string())),
-            _ => (arg.as_str(), None),
+        let flag = match arg {
+            Arg::Flag(flag) => flag,
+            Arg::Positional(v) => return Err(format!("unknown argument '{v}'")),
         };
-        // The flag's value: inline `--flag=value`, else the next argument
-        // unless that is itself a flag.
-        let value = |it: &mut std::slice::Iter<String>| {
-            inline.clone().or_else(|| {
-                if it.as_slice().first()?.starts_with("--") {
-                    return None;
-                }
-                it.next().cloned()
-            })
-        };
-        match flag {
-            "--json" | "--jsonl" | "--telemetry" | "--trace" | "--impair" | "--service"
-            | "--profile"
-                if inline.is_some() =>
-            {
-                return Err(format!("{flag} takes no value"));
+        if args.output.take(&flag, &mut it)? {
+            continue;
+        }
+        match (flag.name, flag.inline) {
+            ("--impair", _) => args.impair = flag.switch()?,
+            ("--service", _) => args.service = flag.switch()?,
+            ("--profile", _) => args.profile = flag.switch()?,
+            ("--shards", _) => args.shards = it.number(&flag)?,
+            ("--synthetic", _) => args.synthetic = Some(it.number(&flag)?),
+            ("--checkpoint", _) => args.checkpoint = Some(PathBuf::from(it.value(&flag)?)),
+            ("--profile-json", _) => args.profile_json = Some(it.value(&flag)?.to_string()),
+            ("--audit", None) => args.audit = Some(false),
+            ("--audit", Some("json")) => args.audit = Some(true),
+            ("--audit", Some(other)) => {
+                return Err(format!("--audit takes only =json, got '{other}'"));
             }
-            "--json" | "--jsonl" | "--telemetry" | "--trace" => {}
-            "--impair" => args.impair = true,
-            "--service" => args.service = true,
-            "--profile" => args.profile = true,
-            "--shards" => args.shards = number(flag, value(&mut it).as_ref())?,
-            "--synthetic" => args.synthetic = Some(number(flag, value(&mut it).as_ref())?),
-            "--trace-capacity" => {
-                let raw = value(&mut it);
-                if trace::capacity_from_env(raw.clone()).is_none() {
-                    return Err(format!(
-                        "--trace-capacity needs a positive integer, got '{}'",
-                        raw.unwrap_or_default()
-                    ));
-                }
-            }
-            "--checkpoint" => {
-                let path = value(&mut it).ok_or("--checkpoint needs a path")?;
-                args.checkpoint = Some(PathBuf::from(path));
-            }
-            "--profile-json" => {
-                args.profile_json = Some(value(&mut it).ok_or("--profile-json needs a path")?);
-            }
-            "--audit" => {
-                args.audit = match inline.as_deref() {
-                    None => Some(false),
-                    Some("json") => Some(true),
-                    Some(other) => return Err(format!("--audit takes only =json, got '{other}'")),
-                }
-            }
-            "--progress" => {
+            ("--progress", inline) => {
                 let mut progress = ProgressConfig::default();
                 if inline.is_some() {
-                    progress.every_trials = number("--progress", inline.as_ref())?;
+                    progress.every_trials = it.number(&flag)?;
                 }
                 args.progress = Some(progress);
             }
-            "--trace-diff" if inline.is_none() => {
-                let a = number("--trace-diff A", it.next())?;
-                let b = number("--trace-diff B", it.next())?;
-                args.trace_diff = Some((a, b));
+            ("--trace-diff", None) => {
+                args.trace_diff = Some((it.number(&flag)?, it.number(&flag)?))
             }
-            _ => return Err(format!("unknown argument '{arg}'")),
+            _ => return Err(flag.unknown()),
         }
     }
     args.shards = args.shards.max(1);
@@ -254,23 +215,10 @@ impl Campaign {
         outcome
     }
 
-    /// Print the output `mode` asks for; returns the run profile.
-    fn print(&self, mode: OutputMode, trace_capacity: usize) -> RunProfile {
+    /// Print the output `spec` asks for; returns the run profile.
+    fn print(&self, spec: OutputSpec) -> RunProfile {
         let clock = &self.clock;
-        match mode {
-            OutputMode::Text => {
-                let outcome = self.run(&Telemetry::disabled(), &mut NullSink);
-                print!("{}", clock.time("score", || outcome.report.render_text()));
-                outcome.profile
-            }
-            OutputMode::TextWithTelemetry => {
-                let tel = Telemetry::enabled();
-                let outcome = self.run(&tel, &mut NullSink);
-                print!("{}", outcome.report.render_text());
-                println!("--- telemetry ---");
-                print!("{}", clock.time("score", || tel.snapshot().render_text()));
-                outcome.profile
-            }
+        match spec.mode() {
             OutputMode::Json => {
                 let tel = Telemetry::enabled();
                 let mut sink = VecSink::new();
@@ -299,11 +247,13 @@ impl Campaign {
                 print!("{out}");
                 outcome.profile
             }
-            OutputMode::Trace => {
-                let tel = Telemetry::with_trace(trace_capacity);
+            // Text, text with telemetry, and trace: the text report through
+            // the renderer `experiments` uses.
+            OutputMode::Text | OutputMode::TextWithTelemetry | OutputMode::Trace => {
+                let tel = spec.telemetry_handle();
                 let outcome = self.run(&tel, &mut NullSink);
                 let out = clock.time("score", || {
-                    render_trace(&outcome.report.render_text(), &tel.snapshot())
+                    spec.render("campaign", &outcome.report.render_text(), &tel.snapshot())
                 });
                 print!("{out}");
                 outcome.profile
@@ -330,46 +280,38 @@ impl Campaign {
     }
 
     /// `--trace-diff A B`: print the first divergent stage decision
-    /// between two trials' trace segments. An index with no segment exits
-    /// with status 2.
-    fn trace_diff(&self, a: u64, b: u64, trace_capacity: usize) -> RunProfile {
+    /// between two trials' trace segments. An index with no segment is an
+    /// `Err`, reported before anything is printed.
+    fn trace_diff(&self, a: u64, b: u64, trace_capacity: usize) -> Result<RunProfile, String> {
         let tel = Telemetry::with_trace(trace_capacity);
         let outcome = self.run(&tel, &mut NullSink);
         let snap = tel.snapshot();
         let decisions = |index| {
-            trial_decisions(&snap.trace, index).unwrap_or_else(|| {
-                eprintln!(
-                    "exp_campaign: --trace-diff: trial {index} not found in the campaign trace"
-                );
-                exit(2);
+            trial_decisions(&snap.trace, index).ok_or_else(|| {
+                format!("--trace-diff: trial {index} not found in the campaign trace")
             })
         };
-        let (left, right) = (decisions(a), decisions(b));
+        let (left, right) = (decisions(a)?, decisions(b)?);
         println!("trace diff: trial {a} (a) vs trial {b} (b)");
         print!(
             "{}",
             trace::render_diff(trace::diff(&left, &right).as_ref())
         );
-        outcome.profile
+        Ok(outcome.profile)
     }
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&argv).unwrap_or_else(|e| {
-        eprintln!("exp_campaign: {e}");
-        exit(2);
-    });
-    let out_spec = OutputSpec::from_cli(argv);
-    let trace_capacity = out_spec
-        .trace_capacity_value()
-        .unwrap_or(DEFAULT_TRACE_CAPACITY);
+/// `underradar campaign [flags]`: run the paper campaign (or a synthetic
+/// one) and print what the flags ask for. `Err` is a usage error,
+/// reported before anything is printed.
+pub fn campaign(argv: &[String]) -> Result<ExitCode, String> {
+    let args = parse_args(OutputSpec::from_env(), argv)?;
     let clock = StageClock::default();
     let mut spec = clock.time("prepare", || match args.synthetic {
         Some(n) => synthetic_campaign(n),
         None => paper_campaign(4),
     });
-    spec = spec.trace_capacity(out_spec.trace_capacity_value());
+    spec = spec.trace_capacity(args.output.trace_capacity_value());
     if args.impair {
         spec = spec.client_link_reorder(0.2).client_link_duplicate(0.1);
     }
@@ -387,9 +329,9 @@ fn main() {
         clock,
     };
     let profile = match (args.trace_diff, args.audit) {
-        (Some((a, b)), _) => campaign.trace_diff(a, b, trace_capacity),
+        (Some((a, b)), _) => campaign.trace_diff(a, b, args.output.ring_capacity())?,
         (None, Some(json)) => campaign.audit(json),
-        (None, None) => campaign.print(out_spec.mode(), trace_capacity),
+        (None, None) => campaign.print(args.output),
     };
     if let Some(path) = args.profile_json {
         write_profile_json(&path, &campaign.clock, &profile);
@@ -397,4 +339,5 @@ fn main() {
     if args.profile {
         eprint!("--- profile ---\n{}", campaign.clock.render());
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -1,4 +1,4 @@
-//! The paper-scale campaign behind `exp_campaign`, plus small helpers
+//! The paper-scale campaign behind `underradar campaign`, plus small helpers
 //! the campaign-backed experiments (e02, e04–e07, e12) share.
 //!
 //! The campaign crosses every measurement method with the censor-policy
@@ -68,7 +68,7 @@ pub fn paper_campaign(trials_per_cell: usize) -> CampaignSpec {
 /// A synthetic scale matrix for service-mode stress runs: `trials` cheap
 /// SYN-scan trials of one policy column against one target. Each trial is
 /// a full deterministic testbed simulation, but the cheapest one we have,
-/// so million-trial campaigns (`exp_campaign --service --synthetic N`)
+/// so million-trial campaigns (`underradar campaign --service --synthetic N`)
 /// finish in minutes while exercising the scheduler, journal, and
 /// streaming paths at population scale.
 pub fn synthetic_campaign(trials: usize) -> CampaignSpec {
@@ -78,12 +78,6 @@ pub fn synthetic_campaign(trials: usize) -> CampaignSpec {
         .policy(NamedPolicy::new("control", CensorPolicy::new()))
         .trials_per_cell(trials)
         .run_secs(20)
-}
-
-/// Run the paper campaign on one worker and render the text view (the
-/// `experiments::ALL`-style entry point).
-pub fn run_with(tel: &Telemetry) -> String {
-    run_campaign(&paper_campaign(4), 1, tel).0.render_text()
 }
 
 /// The adversary-eye safety audit: the campaign-wide exposure ledger

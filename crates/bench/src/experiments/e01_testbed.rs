@@ -78,11 +78,6 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-/// Run E1 with a disabled telemetry handle.
-pub fn run() -> String {
-    run_with(&underradar_telemetry::Telemetry::disabled())
-}
-
 /// Run E1 and render its report, recording per-case telemetry into `tel`.
 pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     let mut out = heading(
@@ -143,7 +138,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
 mod tests {
     #[test]
     fn e1_passes() {
-        let report = super::run();
+        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
         assert!(report.contains("PASSED"), "{report}");
     }
 }

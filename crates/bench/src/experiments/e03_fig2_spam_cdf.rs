@@ -22,11 +22,6 @@ pub fn measurement_scores() -> Vec<f64> {
         .collect()
 }
 
-/// Run E3 with a disabled telemetry handle.
-pub fn run() -> String {
-    run_with(&underradar_telemetry::Telemetry::disabled())
-}
-
 /// Run E3 and render its report, recording telemetry into `tel`.
 pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     let mut out = heading(
@@ -74,7 +69,7 @@ mod tests {
 
     #[test]
     fn e3_passes() {
-        let report = run();
+        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
         assert!(report.contains("PASSED"), "{report}");
         assert!(report.contains("100/100"), "{report}");
     }

@@ -18,11 +18,6 @@ use underradar_protocols::dns::DnsName;
 use crate::experiments::campaign::run_campaign;
 use crate::table::{heading, mark, Table};
 
-/// Run E6 with a disabled telemetry handle.
-pub fn run() -> String {
-    run_with(&underradar_telemetry::Telemetry::disabled())
-}
-
 /// Run E6 and render its report. Each sweep point runs through the
 /// run service, which folds per-trial registries into `tel` in trial
 /// order (scheduling-independent).
@@ -79,7 +74,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
 mod tests {
     #[test]
     fn e6_passes() {
-        let report = super::run();
+        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
         assert!(report.contains("PASSED"), "{report}");
     }
 }

@@ -98,11 +98,6 @@ fn run_ttl(
     }
 }
 
-/// Run E7 with a disabled telemetry handle.
-pub fn run() -> String {
-    run_with(&underradar_telemetry::Telemetry::disabled())
-}
-
 /// Run E7 and render its report, recording telemetry into `tel`.
 pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     let mut out = heading(
@@ -199,7 +194,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
 mod tests {
     #[test]
     fn e7_passes() {
-        let report = super::run();
+        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
         assert!(report.contains("PASSED"), "{report}");
     }
 }

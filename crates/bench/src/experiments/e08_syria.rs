@@ -19,11 +19,6 @@ use crate::table::{heading, Table};
 /// Population size for the synthetic log.
 pub const USERS: u32 = 30_000;
 
-/// Run E8 with a disabled telemetry handle.
-pub fn run() -> String {
-    run_with(&underradar_telemetry::Telemetry::disabled())
-}
-
 /// Run E8 and render its report, recording telemetry into `tel`.
 pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     let mut out = heading(
@@ -122,7 +117,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
 mod tests {
     #[test]
     fn e8_passes() {
-        let report = super::run();
+        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
         assert!(report.contains("PASSED"), "{report}");
     }
 }

@@ -136,11 +136,6 @@ fn stateful_row(tel: &underradar_telemetry::Telemetry) -> Row {
     }
 }
 
-/// Run E12 with a disabled telemetry handle.
-pub fn run() -> String {
-    run_with(&underradar_telemetry::Telemetry::disabled())
-}
-
 /// Run E12 and render its report, recording per-method telemetry into
 /// `tel`.
 pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
@@ -227,7 +222,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
 mod tests {
     #[test]
     fn e12_passes() {
-        let report = super::run();
+        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
         assert!(report.contains("PASSED"), "{report}");
     }
 }

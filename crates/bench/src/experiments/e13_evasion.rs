@@ -566,11 +566,6 @@ fn clean_twin(class: &EvasionClass) -> Vec<Item> {
         .collect()
 }
 
-/// Run E13 with a disabled telemetry handle.
-pub fn run() -> String {
-    run_with(&underradar_telemetry::Telemetry::disabled())
-}
-
 /// Run E13 and render its report, recording telemetry into `tel`.
 pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     let mut out = heading(
@@ -810,7 +805,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
 mod tests {
     #[test]
     fn e13_passes() {
-        let report = super::run();
+        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
         assert!(report.contains("PASSED"), "{report}");
     }
 }

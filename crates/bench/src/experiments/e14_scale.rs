@@ -220,11 +220,6 @@ fn canonical_render(alerts: &[Alert]) -> String {
     lines.join("\n")
 }
 
-/// Run E14 with a disabled telemetry handle.
-pub fn run() -> String {
-    run_with(&underradar_telemetry::Telemetry::disabled())
-}
-
 /// Run E14 at the default (or `UNDERRADAR_E14_FLOWS`-reduced) scale.
 pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     let flows = std::env::var("UNDERRADAR_E14_FLOWS")

@@ -49,22 +49,41 @@ pub const ALL: [Experiment; 15] = [
     ("a1_ablations", a1_ablations::run_with),
 ];
 
+/// The rows of [`ALL`] that `id` names: every row for `all`, else the row
+/// whose table name (`e02_scan`) or short id (`e2`, see [`short_id`])
+/// matches, ignoring ASCII case.
+pub fn select(id: &str) -> Option<&'static [Experiment]> {
+    let all: &'static [Experiment] = &ALL;
+    if id.eq_ignore_ascii_case("all") {
+        return Some(all);
+    }
+    let i = all.iter().position(|&(name, _)| {
+        name.eq_ignore_ascii_case(id) || short_id(name).eq_ignore_ascii_case(id)
+    })?;
+    Some(&all[i..=i])
+}
+
+/// A row's short id: its name's first token without leading zeros
+/// (`e02_scan` → `e2`, `a1_ablations` → `a1`).
+pub fn short_id(name: &str) -> String {
+    let token = name.split('_').next().unwrap_or(name);
+    let (letter, number) = token.split_at(1);
+    format!("{letter}{}", number.trim_start_matches('0'))
+}
+
+/// Every accepted id, taken from [`ALL`], for usage and error text:
+/// `e1|e2|…|a1|all`.
+pub fn id_list() -> String {
+    let mut ids: Vec<String> = ALL.iter().map(|&(name, _)| short_id(name)).collect();
+    ids.push("all".to_string());
+    ids.join("|")
+}
+
 /// Worker threads for the experiment fan-out: one per available core.
-fn workers() -> usize {
+pub(crate) fn workers() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
-}
-
-/// Run every experiment, concatenating reports (used by the `cargo bench`
-/// harness so one command regenerates all tables and figures).
-///
-/// The experiments fan out across worker threads via
-/// [`steal::run_chunked`]; the concatenation is in [`ALL`] order, and
-/// each experiment seeds its own RNGs, so the report is byte-identical
-/// to a sequential run.
-pub fn run_all() -> String {
-    steal::run_chunked(ALL.len(), workers(), |i| (ALL[i].1)(&Telemetry::disabled())).concat()
 }
 
 /// One experiment's outcome: name, rendered report, telemetry registry.
@@ -134,4 +153,25 @@ pub fn telemetry_json(results: &[ExperimentResult]) -> String {
     out.push_str(&merged.to_json());
     out.push_str("}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_row_has_a_distinct_short_id_that_selects_it() {
+        for (i, &(name, _)) in ALL.iter().enumerate() {
+            let id = short_id(name);
+            assert_eq!(select(&id).map(|rows| rows[0].0), Some(name), "{id}");
+            assert!(
+                ALL[..i].iter().all(|&(other, _)| short_id(other) != id),
+                "{id} is ambiguous"
+            );
+        }
+        assert_eq!(short_id("e02_scan"), "e2");
+        assert_eq!(short_id("e14_scale"), "e14");
+        assert!(id_list().ends_with("|e14|a1|all"), "{}", id_list());
+        assert!(select("e15").is_none());
+    }
 }

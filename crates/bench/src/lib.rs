@@ -9,14 +9,17 @@
 //! paper's evaluation, plus hand-rolled performance benches over the
 //! substrate (`benches/perf.rs`; no external bench framework).
 //!
-//! Each experiment is a pure function `run() -> String` (deterministic in
-//! its internal seeds) with a thin binary wrapper in `src/bin/` and a
-//! consolidated `cargo bench` harness (`benches/experiments.rs`) that
-//! prints all of them. [`experiments::run_all`] fans the experiments
-//! across threads with `underradar_campaign::steal::run_chunked`;
-//! determinism is preserved because each experiment seeds its own RNGs.
-//! Campaign-backed experiments run their matrices through the one
-//! campaign executor, `underradar_runner::run_service`
+//! Each experiment is a pure function `run_with(&Telemetry) -> String`
+//! (deterministic in its internal seeds), listed once in
+//! [`experiments::ALL`]. The `underradar` binary is the only entry point:
+//! [`cli`] holds its one total argv parser and the `experiments` and
+//! `campaign` subcommands. `experiments` dispatches only through that
+//! table and fans rows across threads with
+//! `underradar_campaign::steal::run_chunked`; determinism is preserved
+//! because each experiment seeds its own RNGs.
+//! A consolidated `cargo bench` harness (`benches/experiments.rs`) prints
+//! every report. Campaign-backed experiments run their matrices through
+//! the one campaign executor, `underradar_runner::run_service`
 //! ([`experiments::campaign::run_campaign`]); [`runner::StageClock`]
 //! times stages for the stderr profile footers. The experiment ↔ paper
 //! mapping lives in `DESIGN.md` §4 and `EXPERIMENTS.md`.

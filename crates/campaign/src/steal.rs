@@ -209,41 +209,6 @@ where
         .collect()
 }
 
-/// Static contiguous partitioning with **no** stealing: worker `w` runs
-/// exactly its initial block. This is the straggler-prone baseline
-/// `run_chunked` replaces; it is kept only so `benches/perf.rs` can
-/// assert the work-stealing speedup on a skewed matrix.
-pub fn run_static<T, F>(n: usize, workers: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 {
-        return (0..n).map(run).collect();
-    }
-    let per = n.div_ceil(workers);
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let slots = &slots;
-            let run = &run;
-            scope.spawn(move || {
-                for i in (w * per).min(n)..((w + 1) * per).min(n) {
-                    let out = run(i);
-                    slots.lock().expect("result lock")[i] = Some(out);
-                }
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("result lock")
-        .into_iter()
-        .map(|s| s.expect("every index ran"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,9 +219,7 @@ mod tests {
         let f = |i: usize| i * i + 1;
         let seq = run_chunked(37, 1, f);
         let par = run_chunked(37, 4, f);
-        let stat = run_static(37, 4, f);
         assert_eq!(seq, par);
-        assert_eq!(seq, stat);
         assert_eq!(seq[5], 26);
     }
 

@@ -59,9 +59,8 @@ echo "==> e14 population-scale smoke (120k flows; batch + 1-vs-4-shard identity 
 # budget, batched-vs-per-packet verdict identity, and 1-vs-4-shard merged
 # output identity; stdout is deterministic (throughput goes to stderr),
 # so a double run pins report byte-stability too.
-cargo build --offline --release -p underradar-bench --bin exp_e14_scale
-./target/release/exp_e14_scale > "$tmpdir/e14_a.txt" 2>/dev/null
-./target/release/exp_e14_scale > "$tmpdir/e14_b.txt" 2>/dev/null
+./target/release/underradar experiments e14 > "$tmpdir/e14_a.txt" 2>/dev/null
+./target/release/underradar experiments e14 > "$tmpdir/e14_b.txt" 2>/dev/null
 cmp "$tmpdir/e14_a.txt" "$tmpdir/e14_b.txt"
 grep -q "batched vs per-packet verdicts: identical" "$tmpdir/e14_a.txt"
 grep -q "shard merged output: byte-identical" "$tmpdir/e14_a.txt"
@@ -72,28 +71,26 @@ echo "==> e13 divergence-matrix smoke (35-cell golden; 1-vs-4-shard verdict iden
 # = schedule position), so a double run pins report byte-stability, the
 # golden line pins the divergence count, and the shard line pins that
 # worker count cannot change campaign verdicts.
-cargo build --offline --release -p underradar-bench --bin exp_e13_evasion
-./target/release/exp_e13_evasion > "$tmpdir/e13_a.txt" 2>/dev/null
-./target/release/exp_e13_evasion > "$tmpdir/e13_b.txt" 2>/dev/null
+./target/release/underradar experiments e13 > "$tmpdir/e13_a.txt" 2>/dev/null
+./target/release/underradar experiments e13 > "$tmpdir/e13_b.txt" 2>/dev/null
 cmp "$tmpdir/e13_a.txt" "$tmpdir/e13_b.txt"
 grep -q "divergence matrix: 35 cells, 30 verdict flips" "$tmpdir/e13_a.txt"
 grep -q "1-vs-4-shard verdicts: byte-identical" "$tmpdir/e13_a.txt"
 grep -q "PASSED" "$tmpdir/e13_a.txt"
 
 echo "==> campaign determinism smoke (sequential vs 4-shard byte identity)"
-cargo build --offline --release -p underradar-bench --bin exp_campaign
-./target/release/exp_campaign --json --shards 1 > "$tmpdir/campaign_1.json"
-./target/release/exp_campaign --json --shards 4 > "$tmpdir/campaign_4.json"
+./target/release/underradar campaign --json --shards 1 > "$tmpdir/campaign_1.json"
+./target/release/underradar campaign --json --shards 4 > "$tmpdir/campaign_4.json"
 cmp "$tmpdir/campaign_1.json" "$tmpdir/campaign_4.json"
 
 echo "==> index-order row smoke (--jsonl without --service, 1 vs 4 shards byte identity)"
-./target/release/exp_campaign --jsonl --shards 1 > "$tmpdir/campaign_rows_1.jsonl"
-./target/release/exp_campaign --jsonl --shards 4 > "$tmpdir/campaign_rows_4.jsonl"
+./target/release/underradar campaign --jsonl --shards 1 > "$tmpdir/campaign_rows_1.jsonl"
+./target/release/underradar campaign --jsonl --shards 4 > "$tmpdir/campaign_rows_4.jsonl"
 cmp "$tmpdir/campaign_rows_1.jsonl" "$tmpdir/campaign_rows_4.jsonl"
 
 echo "==> impairment determinism smoke (reorder/duplicate knobs, 1 vs 4 shards)"
-./target/release/exp_campaign --impair --json --shards 1 > "$tmpdir/campaign_impair_1.json"
-./target/release/exp_campaign --impair --json --shards 4 > "$tmpdir/campaign_impair_4.json"
+./target/release/underradar campaign --impair --json --shards 1 > "$tmpdir/campaign_impair_1.json"
+./target/release/underradar campaign --impair --json --shards 4 > "$tmpdir/campaign_impair_4.json"
 cmp "$tmpdir/campaign_impair_1.json" "$tmpdir/campaign_impair_4.json"
 if cmp -s "$tmpdir/campaign_1.json" "$tmpdir/campaign_impair_1.json"; then
   echo "impairment knobs had no effect on the campaign output" >&2
@@ -101,9 +98,9 @@ if cmp -s "$tmpdir/campaign_1.json" "$tmpdir/campaign_impair_1.json"; then
 fi
 
 echo "==> flight-recorder smoke (--trace: report unchanged, shard-stable, chains non-empty)"
-./target/release/exp_campaign --shards 1 > "$tmpdir/campaign_plain.txt"
-./target/release/exp_campaign --trace --shards 1 > "$tmpdir/campaign_trace_1.txt"
-./target/release/exp_campaign --trace --shards 4 > "$tmpdir/campaign_trace_4.txt"
+./target/release/underradar campaign --shards 1 > "$tmpdir/campaign_plain.txt"
+./target/release/underradar campaign --trace --shards 1 > "$tmpdir/campaign_trace_1.txt"
+./target/release/underradar campaign --trace --shards 4 > "$tmpdir/campaign_trace_4.txt"
 # Tracing is additive: the traced output must start with the exact bytes
 # of the untraced report (so leaving --trace off can never change results),
 # and must itself be byte-identical across shard counts.
@@ -129,8 +126,8 @@ awk '
 ' "$tmpdir/campaign_trace_1.txt"
 
 echo "==> run-service smoke (service vs plain engine; 1 vs 8 workers byte identity)"
-./target/release/exp_campaign --service --shards 1 > "$tmpdir/service_1.txt" 2>/dev/null
-./target/release/exp_campaign --service --shards 8 > "$tmpdir/service_8.txt" 2>/dev/null
+./target/release/underradar campaign --service --shards 1 > "$tmpdir/service_1.txt" 2>/dev/null
+./target/release/underradar campaign --service --shards 8 > "$tmpdir/service_8.txt" 2>/dev/null
 cmp "$tmpdir/campaign_plain.txt" "$tmpdir/service_1.txt"
 cmp "$tmpdir/service_1.txt" "$tmpdir/service_8.txt"
 
@@ -141,12 +138,12 @@ echo "==> safety-audit smoke (--audit: double run, 1-vs-4-shard and service-vs-b
 # matrix must also surface at least one declared-vs-observed divergence
 # (a cell that declares itself fully evaded while the adversary holds
 # attributable events).
-./target/release/exp_campaign --audit > "$tmpdir/audit_a.txt" 2>/dev/null
-./target/release/exp_campaign --audit > "$tmpdir/audit_b.txt" 2>/dev/null
+./target/release/underradar campaign --audit > "$tmpdir/audit_a.txt" 2>/dev/null
+./target/release/underradar campaign --audit > "$tmpdir/audit_b.txt" 2>/dev/null
 cmp "$tmpdir/audit_a.txt" "$tmpdir/audit_b.txt"
-./target/release/exp_campaign --audit --shards 4 > "$tmpdir/audit_4.txt" 2>/dev/null
+./target/release/underradar campaign --audit --shards 4 > "$tmpdir/audit_4.txt" 2>/dev/null
 cmp "$tmpdir/audit_a.txt" "$tmpdir/audit_4.txt"
-./target/release/exp_campaign --audit --service --shards 8 > "$tmpdir/audit_svc.txt" 2>/dev/null
+./target/release/underradar campaign --audit --service --shards 8 > "$tmpdir/audit_svc.txt" 2>/dev/null
 cmp "$tmpdir/audit_a.txt" "$tmpdir/audit_svc.txt"
 grep -q '^divergence: ' "$tmpdir/audit_a.txt"
 # Auditing is additive: the plain report's exact bytes lead the output.
@@ -157,14 +154,14 @@ echo "==> crash-resume smoke (SIGKILL mid-run, resume from journal, byte identit
 # CI hardware); the resumed run must both restore journaled trials and
 # execute the remainder, and its stdout must match the uninterrupted run.
 n=30000
-./target/release/exp_campaign --service --synthetic "$n" --shards 4 > "$tmpdir/service_clean.txt" 2>/dev/null
-./target/release/exp_campaign --service --synthetic "$n" --shards 4 \
+./target/release/underradar campaign --service --synthetic "$n" --shards 4 > "$tmpdir/service_clean.txt" 2>/dev/null
+./target/release/underradar campaign --service --synthetic "$n" --shards 4 \
   --checkpoint "$tmpdir/ckpt.journal" > /dev/null 2>&1 &
 victim=$!
 sleep 1.5
 kill -9 "$victim" 2>/dev/null || true
 wait "$victim" 2>/dev/null || true
-./target/release/exp_campaign --service --synthetic "$n" --shards 4 \
+./target/release/underradar campaign --service --synthetic "$n" --shards 4 \
   --checkpoint "$tmpdir/ckpt.journal" > "$tmpdir/service_resumed.txt" 2> "$tmpdir/service_resumed.err"
 cmp "$tmpdir/service_clean.txt" "$tmpdir/service_resumed.txt"
 grep -E 'service: [0-9]+ executed, [0-9]+ restored' "$tmpdir/service_resumed.err"
@@ -176,7 +173,7 @@ fi
 echo "==> progress smoke (--progress: snapshots stream on stderr, stdout untouched)"
 # Interval snapshots go to stderr only; stdout must be byte-identical to
 # the silent run of the same matrix (service_clean.txt from above).
-./target/release/exp_campaign --service --synthetic "$n" --shards 4 --progress=5000 \
+./target/release/underradar campaign --service --synthetic "$n" --shards 4 --progress=5000 \
   > "$tmpdir/progress_on.txt" 2> "$tmpdir/progress_on.err"
 cmp "$tmpdir/service_clean.txt" "$tmpdir/progress_on.txt"
 grep -q '"rows_per_sec"' "$tmpdir/progress_on.err"

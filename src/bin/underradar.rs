@@ -1,13 +1,21 @@
-//! The `underradar` command-line tool: run experiments and ad-hoc surveys
-//! against the simulated testbed.
+//! The `underradar` command-line tool, the workspace's only binary: run
+//! the paper's experiments and campaign, and ad-hoc surveys against the
+//! simulated testbed.
 //!
 //! ```text
-//! underradar experiments [E1..E13|all]     regenerate paper tables/figures
-//! underradar survey --domains a,b,c [--block d] [--keyword k]
+//! underradar experiments <id|all> [--json|--jsonl|--telemetry|--trace|--trace-capacity N]
+//!                                          regenerate paper tables/figures
+//! underradar campaign [flags]              the paper-scale campaign (see `cli::campaign`)
+//! underradar survey --domains a,b,c [--block d]... [--keyword k]...
 //!                                          run a stealthy survey
 //! underradar pcap <out.pcap>               write a sample capture for Wireshark
 //! underradar calibrate                     find the Fig-3b reply-TTL window
 //! ```
+//!
+//! Every subcommand parses its arguments with `underradar_bench::cli`'s
+//! one total parser: a malformed value, a missing value or an unknown
+//! flag prints one line naming it on stderr and exits with status 2,
+//! before anything runs.
 
 use std::net::Ipv4Addr;
 use std::process::ExitCode;
@@ -18,100 +26,112 @@ use underradar::core::methods::spam::SpamProbe;
 use underradar::core::methods::stateful::RoutedMimicryNet;
 use underradar::core::probe::Probe;
 use underradar::core::risk::RiskReport;
-use underradar::core::testbed::{Testbed, TestbedConfig};
+use underradar::core::testbed::{TargetSite, Testbed, TestbedConfig};
 use underradar::netsim::host::Host;
 use underradar::netsim::time::{SimDuration, SimTime};
 use underradar::protocols::dns::DnsName;
+use underradar_bench::cli::{self, Arg, ArgParser};
+use underradar_bench::experiments;
+
+/// The most domains one survey can hold: `TargetSite::numbered` puts
+/// site `i` at `93.184.0.(10 + i)`.
+const MAX_SURVEY_DOMAINS: usize = 256 - 10;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  underradar experiments [e1..e13|a1|all]\n  underradar survey --domains a,b,c \
-         [--block domain]... [--keyword kw]...\n  underradar pcap <out.pcap>\n  underradar calibrate"
+        "usage:\n  underradar experiments <{}> \
+         [--json|--jsonl|--telemetry|--trace|--trace-capacity N]\n  \
+         underradar campaign [--shards N] [--json|--jsonl|--telemetry|--trace|--audit] ...\n  \
+         underradar survey --domains a,b,c [--block domain]... [--keyword kw]...\n  \
+         underradar pcap <out.pcap>\n  underradar calibrate",
+        experiments::id_list()
     );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("experiments") => experiments(args.get(1).map(String::as_str).unwrap_or("all")),
-        Some("survey") => survey(&args[1..]),
-        Some("pcap") => match args.get(1) {
-            Some(path) => pcap_demo(path),
-            None => usage(),
-        },
-        Some("calibrate") => calibrate(),
-        _ => usage(),
-    }
-}
-
-fn experiments(which: &str) -> ExitCode {
-    use underradar_bench::experiments as exp;
-    let report = match which.to_ascii_lowercase().as_str() {
-        "all" => exp::run_all(),
-        "e1" => exp::e01_testbed::run(),
-        "e2" => exp::e02_scan::run(),
-        "e3" => exp::e03_fig2_spam_cdf::run(),
-        "e4" => exp::e04_gfc_dns::run(),
-        "e5" => exp::e05_ddos::run(),
-        "e6" => exp::e06_fig3a_stateless::run(),
-        "e7" => exp::e07_fig3b_stateful::run(),
-        "e8" => exp::e08_syria::run(),
-        "e9" => exp::e09_mvr::run(),
-        "e10" => exp::e10_spoofability::run(),
-        "e11" => exp::e11_ethics_load::run(),
-        "e12" => exp::e12_risk_matrix::run(),
-        "e13" => exp::e13_evasion::run(),
-        "a1" => exp::a1_ablations::run(),
+    let Some((command, rest)) = args.split_first() else {
+        return usage();
+    };
+    let outcome = match command.as_str() {
+        "experiments" => cli::experiments(rest),
+        "campaign" => cli::campaign(rest),
+        "survey" => survey(rest),
+        "pcap" => pcap(rest),
+        "calibrate" => calibrate(rest),
         other => {
-            eprintln!("unknown experiment '{other}' (e1..e13 or all)");
+            eprintln!(
+                "underradar: unknown command '{other}' \
+                 (expected experiments|campaign|survey|pcap|calibrate)"
+            );
             return ExitCode::from(2);
         }
     };
-    print!("{report}");
-    ExitCode::SUCCESS
+    outcome.unwrap_or_else(|e| {
+        eprintln!("underradar {command}: {e}");
+        ExitCode::from(2)
+    })
 }
 
-fn survey(args: &[String]) -> ExitCode {
-    let mut domains: Vec<String> = Vec::new();
+/// The positional arguments of a subcommand that takes no flags and at
+/// most `allowed` positionals; anything else is an `Err` naming it.
+fn positionals(argv: &[String], allowed: usize) -> Result<Vec<&str>, String> {
+    let mut out = Vec::new();
+    for arg in ArgParser::new(argv) {
+        match arg {
+            Arg::Flag(flag) => return Err(flag.unknown()),
+            Arg::Positional(v) if out.len() < allowed => out.push(v),
+            Arg::Positional(v) => return Err(format!("unexpected argument '{v}'")),
+        }
+    }
+    Ok(out)
+}
+
+/// Parse one survey domain, naming `flag` in the error.
+fn domain(flag: &str, raw: &str) -> Result<DnsName, String> {
+    match DnsName::parse(raw) {
+        Ok(d) if d.label_count() > 0 => Ok(d),
+        Ok(_) => Err(format!("{flag}: empty domain name")),
+        Err(e) => Err(format!("{flag}: invalid domain '{raw}': {e}")),
+    }
+}
+
+fn survey(argv: &[String]) -> Result<ExitCode, String> {
+    let mut domains: Vec<(&str, DnsName)> = Vec::new();
     let mut policy = CensorPolicy::new();
-    let mut i = 0usize;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--domains" if i + 1 < args.len() => {
-                domains.extend(args[i + 1].split(',').map(str::to_string));
-                i += 2;
-            }
-            "--block" if i + 1 < args.len() => {
-                match DnsName::parse(&args[i + 1]) {
-                    Ok(d) => policy = policy.block_domain(&d),
-                    Err(e) => {
-                        eprintln!("bad --block domain: {e}");
-                        return ExitCode::from(2);
-                    }
+    let mut args = ArgParser::new(argv);
+    while let Some(arg) = args.next() {
+        let flag = match arg {
+            Arg::Flag(flag) => flag,
+            Arg::Positional(v) => return Err(format!("unexpected argument '{v}'")),
+        };
+        match flag.name {
+            "--domains" => {
+                for raw in args.value(&flag)?.split(',') {
+                    domains.push((raw, domain(flag.name, raw)?));
                 }
-                i += 2;
             }
-            "--keyword" if i + 1 < args.len() => {
-                policy = policy.block_keyword(&args[i + 1]);
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown survey argument '{other}'");
-                return ExitCode::from(2);
-            }
+            "--block" => policy = policy.block_domain(&domain(flag.name, args.value(&flag)?)?),
+            "--keyword" => policy = policy.block_keyword(args.value(&flag)?),
+            _ => return Err(flag.unknown()),
         }
     }
     if domains.is_empty() {
-        eprintln!("survey needs --domains a,b,c");
-        return ExitCode::from(2);
+        return Err("needs --domains a,b,c".to_string());
+    }
+    if domains.len() > MAX_SURVEY_DOMAINS {
+        return Err(format!(
+            "--domains: at most {MAX_SURVEY_DOMAINS} domains, got {}",
+            domains.len()
+        ));
     }
 
     // Build targets for every surveyed domain so the resolver knows them.
-    let targets: Vec<underradar::core::testbed::TargetSite> = domains
+    let targets: Vec<TargetSite> = domains
         .iter()
         .enumerate()
-        .map(|(i, d)| underradar::core::testbed::TargetSite::numbered(d, i as u8))
+        .map(|(i, (raw, _))| TargetSite::numbered(raw, i as u8))
         .collect();
     let mut tb = Testbed::build(TestbedConfig {
         policy,
@@ -120,16 +140,12 @@ fn survey(args: &[String]) -> ExitCode {
     });
     let resolver = tb.resolver_ip;
     let mut idxs = Vec::new();
-    for (i, domain) in domains.iter().enumerate() {
-        let Ok(d) = DnsName::parse(domain) else {
-            eprintln!("skipping invalid domain '{domain}'");
-            continue;
-        };
+    for (i, (raw, d)) in domains.iter().enumerate() {
         let idx = tb.spawn_on_client(
             SimTime::ZERO + SimDuration::from_secs(2 * i as u64),
-            Box::new(SpamProbe::new(&d, resolver, i as u64)),
+            Box::new(SpamProbe::new(d, resolver, i as u64)),
         );
-        idxs.push((domain.clone(), idx));
+        idxs.push((raw, idx));
     }
     tb.run_secs(20 + 3 * domains.len() as u64);
 
@@ -145,7 +161,14 @@ fn survey(args: &[String]) -> ExitCode {
         let report = RiskReport::evaluate(&tb, &v);
         println!("\nrisk: {}", report.summary());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+fn pcap(argv: &[String]) -> Result<ExitCode, String> {
+    match positionals(argv, 1)?[..] {
+        [path] => Ok(pcap_demo(path)),
+        _ => Err("needs an output path: pcap <out.pcap>".to_string()),
+    }
 }
 
 fn pcap_demo(path: &str) -> ExitCode {
@@ -182,7 +205,8 @@ fn pcap_demo(path: &str) -> ExitCode {
     }
 }
 
-fn calibrate() -> ExitCode {
+fn calibrate(argv: &[String]) -> Result<ExitCode, String> {
+    positionals(argv, 0)?;
     // Hop discovery from the measurement server, then the recommended TTL.
     let mut net = RoutedMimicryNet::build(7, CensorPolicy::new());
     let cover: Ipv4Addr = net.cover_ip;
@@ -204,11 +228,11 @@ fn calibrate() -> ExitCode {
     match (probe.hops_to_target(), probe.calibrated_reply_ttl()) {
         (Some(h), Some(t)) => {
             println!("target reached at TTL {h}; calibrated reply TTL = {t}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         _ => {
             eprintln!("calibration failed: target not reached within the sweep");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
