@@ -1044,6 +1044,8 @@ fn bench_telemetry() {
          active-sink {sink_ns:.0} ns)"
     );
 
+    bench_registry_sharing();
+
     // The headline bound: with *disabled* telemetry handles on the
     // per-segment path, 8 KB flow reassembly stays within 3% of the
     // uninstrumented loop. The flight recorder holds the same bound: a
@@ -1134,6 +1136,80 @@ fn bench_telemetry() {
         "reassembly_8KB_live_trace_quiet_flow",
         live_trace_ns,
         Some((SEGS * 64) as u64),
+    );
+}
+
+/// Per-trial deltas travel scope → snapshot → merge → stream merger →
+/// handle, so what one hop allocates is paid on every trial. Two gates
+/// on the counting allocator: an event is one shared payload, so cloning
+/// a registry that holds 1,000 of them allocates nothing per event; and
+/// the merger looks a key up before cloning it, so absorbing a delta
+/// whose keys it already holds allocates nothing per key.
+fn bench_registry_sharing() {
+    use std::sync::Arc;
+    use underradar_telemetry::{Event, FieldValue, Histogram, Registry, StreamMerger};
+
+    const EVENTS: usize = 1_000;
+    let mut held = Registry::new();
+    for i in 0..EVENTS {
+        held.events.push(Event {
+            t_ns: i as u64,
+            kind: "censor.inline.action",
+            fields: Arc::new([
+                ("kind", FieldValue::from("ip_drop")),
+                ("client", FieldValue::from("10.0.1.2")),
+            ]),
+        });
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let copy = black_box(held.clone());
+    let clone_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(copy, held);
+    let ns = measure(1_000, || held.clone());
+    report("registry_clone_1000_events", ns, None);
+    let per_event = clone_allocs as f64 / EVENTS as f64;
+    println!(
+        "  {:<44} {per_event:>12.4} allocs/event ({clone_allocs} over {EVENTS})",
+        "registry clone allocations"
+    );
+    assert!(
+        per_event < 0.01,
+        "acceptance: cloning a registry must share its events, not copy \
+         them (< 0.01 allocations per event; got {per_event:.4})"
+    );
+
+    // A delta shaped like a trial's: counters, gauges and histograms, all
+    // of whose names the merger has seen from earlier trials.
+    const KEYS: usize = 64;
+    let mut delta = Registry::new();
+    let mut h = Histogram::new();
+    h.observe(1_460);
+    for i in 0..KEYS {
+        delta.counters.insert(format!("bench.counter.{i}"), 1);
+        delta.gauges.insert(format!("bench.gauge.{i}"), 2);
+        delta
+            .histograms
+            .insert(format!("bench.hist.{i}"), h.clone());
+    }
+    let mut merger = StreamMerger::new();
+    merger.absorb(0, &delta);
+    let mut src = 0u64;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let ns = measure(2_000, || {
+        src += 1;
+        merger.absorb(src, &delta);
+    });
+    let absorb_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    report("merger_absorb_192_present_keys", ns, None);
+    let per_key = absorb_allocs as f64 / (src as f64 * (3 * KEYS) as f64);
+    println!(
+        "  {:<44} {per_key:>12.4} allocs/key ({absorb_allocs} over {src} absorbs)",
+        "merger absorb allocations (keys present)"
+    );
+    assert!(
+        per_key < 0.01,
+        "acceptance: absorbing a delta whose keys are all present must not \
+         clone them (< 0.01 allocations per key; got {per_key:.4})"
     );
 }
 

@@ -122,7 +122,7 @@ impl InlineCensor {
             "censor.inline.flows.evicted",
             self.reassembler.stats().evicted,
         );
-        crate::policy::export_actions(tel, "censor.inline", &self.actions);
+        crate::policy::export_actions(tel, "censor.inline", "censor.inline.action", &self.actions);
     }
 
     fn other(iface: IfaceId) -> IfaceId {

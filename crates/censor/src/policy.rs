@@ -61,11 +61,13 @@ impl CensorActionKind {
 
 /// Export a logged action stream into `tel`: one counter per blocking
 /// mechanism under `<prefix>.actions.<label>`, plus one structured event
-/// per action keyed to its simulated time. The counters are idempotent;
-/// the events append, so call this once per run.
+/// of kind `event_kind` (by convention `<prefix>.action`) per action,
+/// keyed to its simulated time. The counters are idempotent; the events
+/// append, so call this once per run.
 pub fn export_actions(
     tel: &underradar_telemetry::Telemetry,
     prefix: &str,
+    event_kind: &'static str,
     actions: &[CensorAction],
 ) {
     if !tel.is_enabled() {
@@ -82,7 +84,7 @@ pub fn export_actions(
     for a in actions {
         tel.event(
             a.time.as_nanos(),
-            &format!("{prefix}.action"),
+            event_kind,
             &[
                 ("kind", a.kind.label().into()),
                 ("client", a.client.to_string().into()),

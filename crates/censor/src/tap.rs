@@ -204,7 +204,7 @@ impl TapCensor {
         );
         tel.set_gauge("censor.tap.cursors", self.live_states as i64);
         tel.set_counter("censor.tap.flows.evicted", self.reassembler.stats().evicted);
-        crate::policy::export_actions(tel, "censor.tap", &self.actions);
+        crate::policy::export_actions(tel, "censor.tap", "censor.tap.action", &self.actions);
     }
 
     fn keyword_hit(&mut self, ctx: &mut NodeCtx<'_>, iface: IfaceId, pkt: &Packet) {

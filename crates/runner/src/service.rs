@@ -333,6 +333,7 @@ pub fn run_service(
     for (index, (result, delta)) in &replay.completed {
         report.absorb(result);
         merger.absorb(*index, delta);
+        sink.restored(result)?;
     }
 
     // The remaining frontier: every trial with no complete record. Trials

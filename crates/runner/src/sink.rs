@@ -19,6 +19,14 @@ pub trait RowSink {
     /// order.
     fn row(&mut self, result: &TrialResult) -> io::Result<()>;
 
+    /// Accept one trial restored from the checkpoint journal instead of
+    /// run, in index order, before any [`RowSink::row`]. Its row already
+    /// reached a sink in the run that journaled it, so by default it is
+    /// not re-emitted.
+    fn restored(&mut self, _result: &TrialResult) -> io::Result<()> {
+        Ok(())
+    }
+
     /// Flush any buffered rows to the underlying medium.
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
@@ -65,9 +73,12 @@ impl<W: Write> RowSink for JsonlSink<W> {
 
 /// Collects completed trials in memory, for callers that need every
 /// trial after the run (a report's JSON envelope, index-order rows).
+/// Trials a resumed run restores from its journal are collected too, so
+/// an artifact rendered from the sink is byte-identical to an
+/// uninterrupted run's.
 #[derive(Default)]
 pub struct VecSink {
-    /// Completed trials in completion order.
+    /// Completed and restored trials, restored ones first.
     pub trials: Vec<TrialResult>,
 }
 
@@ -89,6 +100,10 @@ impl RowSink for VecSink {
     fn row(&mut self, result: &TrialResult) -> io::Result<()> {
         self.trials.push(result.clone());
         Ok(())
+    }
+
+    fn restored(&mut self, result: &TrialResult) -> io::Result<()> {
+        self.row(result)
     }
 }
 

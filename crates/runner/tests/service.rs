@@ -13,8 +13,10 @@ use underradar_campaign::{
     CampaignSpec, MethodKind, NamedPolicy, RetryPolicy, StreamReport, TrialResult,
 };
 use underradar_censor::CensorPolicy;
+use underradar_core::TargetSite;
+use underradar_netsim::addr::Cidr;
 use underradar_runner::{
-    run_service, Journal, JournalError, ProgressConfig, RowSink, RunConfig, VecSink,
+    run_service, Journal, JournalError, JsonlSink, ProgressConfig, RowSink, RunConfig, VecSink,
 };
 use underradar_telemetry::Telemetry;
 
@@ -169,9 +171,9 @@ fn vec_sink_rows_sorted_by_index_match_the_oracle_under_retries() {
 }
 
 /// Interrupt a journaled run after every record boundary and resume;
-/// assert each resumed run's report, telemetry, and trace are
-/// byte-identical to the uninterrupted baseline. Returns the boundary
-/// count so callers can assert coverage.
+/// assert each resumed run's report, telemetry, trace, and rows (restored
+/// plus executed) are byte-identical to the uninterrupted baseline.
+/// Returns the boundary count so callers can assert coverage.
 fn assert_resume_at_every_boundary(name: &str, spec: &CampaignSpec) -> usize {
     let baseline = fingerprint_run(spec, &RunConfig::new(1));
     let trials = spec.trial_count();
@@ -208,6 +210,7 @@ fn assert_resume_at_every_boundary(name: &str, spec: &CampaignSpec) -> usize {
         assert_eq!(outcome.report.render_text(), baseline.0, "boundary {i}");
         assert_eq!(snap.to_json(), baseline.1, "boundary {i}");
         assert_eq!(snap.trace_jsonl(), baseline.2, "boundary {i}");
+        assert_eq!(rows(&sink.into_sorted()), baseline.3, "boundary {i}");
     }
     let _ = std::fs::remove_file(&path);
     boundaries.len()
@@ -224,6 +227,31 @@ fn resume_at_every_checkpoint_boundary_is_byte_identical() {
         .trials_per_cell(3)
         .run_secs(20);
     assert_resume_at_every_boundary("boundaries", &spec);
+}
+
+/// The same property over an ip-blackhole column: the inline censor's
+/// drops export one `censor.inline.action` event each (most of the events
+/// a paper-scale audit carries), so every journaled delta here holds
+/// events that must decode back to identical bytes.
+#[test]
+fn resume_with_inline_censor_events_is_byte_identical() {
+    let target = TargetSite::numbered("twitter.com", 0).web_ip;
+    let spec = CampaignSpec::new("service-blackhole", 17)
+        .targets(["twitter.com"])
+        .methods([MethodKind::Scan, MethodKind::StatelessSyn])
+        .policy(NamedPolicy::new("control", CensorPolicy::new()))
+        .policy(NamedPolicy::new(
+            "ip-blackhole",
+            CensorPolicy::new().block_ip(Cidr::host(target)),
+        ))
+        .trials_per_cell(2)
+        .run_secs(20);
+    let (_, telemetry_json, _, _) = fingerprint_run(&spec, &RunConfig::new(1));
+    assert!(
+        telemetry_json.contains("\"kind\":\"censor.inline.action\""),
+        "the blackhole column must export inline censor events"
+    );
+    assert_resume_at_every_boundary("blackhole", &spec);
 }
 
 /// The same property over a campaign with retry records in the journal:
@@ -400,15 +428,26 @@ fn resuming_a_finished_run_executes_nothing() {
     let path = tmp("finished");
     let cfg = RunConfig::new(2).checkpoint(path.clone());
     let tel = Telemetry::with_trace(4096);
-    run_service(&spec, &cfg, &tel, &mut VecSink::new()).expect("full run");
+    let mut first = VecSink::new();
+    run_service(&spec, &cfg, &tel, &mut first).expect("full run");
 
     let tel2 = Telemetry::with_trace(4096);
     let mut sink = VecSink::new();
     let outcome = run_service(&spec, &cfg, &tel2, &mut sink).expect("no-op resume");
     assert_eq!(outcome.executed, 0);
     assert_eq!(outcome.restored, spec.trial_count());
-    assert!(sink.trials.is_empty(), "restored rows are not re-emitted");
+    assert_eq!(
+        rows(&sink.into_sorted()),
+        rows(&first.into_sorted()),
+        "a VecSink collects restored trials"
+    );
     assert_eq!(tel2.snapshot().to_json(), tel.snapshot().to_json());
+    let mut stream = JsonlSink::new(Vec::new());
+    run_service(&spec, &cfg, &Telemetry::disabled(), &mut stream).expect("streaming resume");
+    assert!(
+        stream.into_inner().is_empty(),
+        "restored rows are not re-streamed"
+    );
     let _ = std::fs::remove_file(&path);
 }
 

@@ -13,10 +13,11 @@
 //! checksum; the codec only needs to fail cleanly ([`CodecError`], never a
 //! panic) on truncated or corrupt payloads that slip through.
 //!
-//! Decoded [`TraceRecord`]s need `&'static str` stage/kind/field keys; the
-//! decoder leaks each **unique** string once into a process-wide intern
-//! pool ([`intern_static`]). Stage and kind names form a small closed set,
-//! so the leak is bounded and idempotent across any number of decodes.
+//! Decoded [`TraceRecord`]s and [`Event`]s need `&'static str` stage, kind
+//! and field names; the decoder leaks each **unique** string once into a
+//! process-wide intern pool ([`intern_static`]). These names form a small
+//! closed set, so the leak is bounded and idempotent across any number of
+//! decodes.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -37,6 +38,9 @@ pub enum CodecError {
     BadUtf8,
     /// A bucket index exceeded [`BUCKET_COUNT`].
     BadBucket(u8),
+    /// A histogram's parts contradict each other (see
+    /// [`Histogram::from_parts`]).
+    BadHistogram,
     /// Bytes remained after the registry was fully decoded.
     TrailingBytes(usize),
 }
@@ -48,6 +52,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown tag byte {t:#04x}"),
             CodecError::BadUtf8 => write!(f, "invalid UTF-8 in string"),
             CodecError::BadBucket(i) => write!(f, "histogram bucket index {i} out of range"),
+            CodecError::BadHistogram => write!(f, "inconsistent histogram parts"),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after registry"),
         }
     }
@@ -56,8 +61,8 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Intern a string into the process-wide `&'static str` pool, leaking it
-/// on first sight. Used by the decoder to restore [`TraceRecord`]'s
-/// static stage/kind/key strings; idempotent, so repeated decodes of the
+/// on first sight. Used by the decoder to restore the static names of
+/// [`TraceRecord`]s and [`Event`]s; idempotent, so repeated decodes of the
 /// same journal never grow the pool.
 pub fn intern_static(s: &str) -> &'static str {
     static POOL: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
@@ -152,9 +157,20 @@ impl<'a> Reader<'a> {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, CodecError> {
+        self.str_ref().map(str::to_string)
+    }
+
+    /// Read a length-prefixed UTF-8 string, borrowed from the payload.
+    pub fn str_ref(&mut self) -> Result<&'a str, CodecError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8)
+        std::str::from_utf8(bytes).map_err(|_| CodecError::BadUtf8)
+    }
+
+    /// Read a length-prefixed UTF-8 string as an interned
+    /// `&'static str` (see [`intern_static`]).
+    pub fn static_str(&mut self) -> Result<&'static str, CodecError> {
+        self.str_ref().map(intern_static)
     }
 }
 
@@ -231,9 +247,9 @@ pub fn put_registry(out: &mut Vec<u8>, reg: &Registry) {
     put_u32(out, reg.events.len() as u32);
     for e in &reg.events {
         put_u64(out, e.t_ns);
-        put_str(out, &e.kind);
+        put_str(out, e.kind);
         put_u32(out, e.fields.len() as u32);
-        for (k, v) in &e.fields {
+        for (k, v) in e.fields.iter() {
             put_str(out, k);
             put_field_value(out, v);
         }
@@ -302,7 +318,9 @@ pub fn read_registry(r: &mut Reader<'_>) -> Result<Registry, CodecError> {
             }
             buckets[idx as usize] = r.u64()?;
         }
-        histograms.insert(name, Histogram::from_parts(count, sum, min, max, buckets));
+        let h =
+            Histogram::from_parts(count, sum, min, max, buckets).ok_or(CodecError::BadHistogram)?;
+        histograms.insert(name, h);
     }
     let mut spans = Vec::new();
     for _ in 0..r.u32()? {
@@ -318,20 +336,24 @@ pub fn read_registry(r: &mut Reader<'_>) -> Result<Registry, CodecError> {
     let mut events = Vec::new();
     for _ in 0..r.u32()? {
         let t_ns = r.u64()?;
-        let kind = r.str()?;
+        let kind = r.static_str()?;
         let mut fields = Vec::new();
         for _ in 0..r.u32()? {
-            let k = r.str()?;
+            let k = r.static_str()?;
             fields.push((k, read_field_value(r)?));
         }
-        events.push(Event { t_ns, kind, fields });
+        events.push(Event {
+            t_ns,
+            kind,
+            fields: fields.into(),
+        });
     }
     let mut trace = Vec::new();
     for _ in 0..r.u32()? {
         let t_ns = r.u64()?;
         let seq = r.u64()?;
-        let stage = intern_static(&r.str()?);
-        let kind = intern_static(&r.str()?);
+        let stage = r.static_str()?;
+        let kind = r.static_str()?;
         let flow = match r.u8()? {
             0 => None,
             1 => {
@@ -350,7 +372,7 @@ pub fn read_registry(r: &mut Reader<'_>) -> Result<Registry, CodecError> {
         };
         let mut fields = Vec::new();
         for _ in 0..r.u32()? {
-            let k = intern_static(&r.str()?);
+            let k = r.static_str()?;
             fields.push((k, read_field_value(r)?));
         }
         trace.push(TraceRecord {
@@ -375,6 +397,7 @@ pub fn read_registry(r: &mut Reader<'_>) -> Result<Registry, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn full_registry() -> Registry {
         let mut reg = Registry::new();
@@ -394,12 +417,12 @@ mod tests {
         });
         reg.events.push(Event {
             t_ns: 9,
-            kind: "rst".into(),
-            fields: vec![
-                ("n".into(), FieldValue::U64(3)),
-                ("d".into(), FieldValue::I64(-1)),
-                ("who".into(), FieldValue::Str("a\"b\nc".into())),
-            ],
+            kind: "rst",
+            fields: Arc::new([
+                ("n", FieldValue::U64(3)),
+                ("d", FieldValue::I64(-1)),
+                ("who", FieldValue::Str("a\"b\nc".into())),
+            ]),
         });
         reg.trace.push(TraceRecord {
             t_ns: 5,
@@ -467,8 +490,8 @@ mod tests {
         let mut reg = Registry::new();
         reg.events.push(Event {
             t_ns: 1,
-            kind: "k".into(),
-            fields: vec![("f".into(), FieldValue::U64(1))],
+            kind: "k",
+            fields: Arc::new([("f", FieldValue::U64(1))]),
         });
         let bytes = encode_registry(&reg);
         // Corrupt the field-value tag byte: the payload ends with

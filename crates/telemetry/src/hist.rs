@@ -58,22 +58,25 @@ impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn observe(&mut self, value: u64) {
-        self.count += 1;
+        self.count = self.count.wrapping_add(1);
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        self.buckets[Self::bucket_index(value)] += 1;
+        let bucket = &mut self.buckets[Self::bucket_index(value)];
+        *bucket = bucket.wrapping_add(1);
     }
 
     /// Fold another histogram into this one (element-wise bucket addition;
     /// associative and commutative, so shard merge order does not matter).
+    /// Counts wrap on overflow, as [`crate::Counter::add`] does, so a merge
+    /// never panics.
     pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
+        self.count = self.count.wrapping_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
+            *b = b.wrapping_add(*o);
         }
     }
 
@@ -124,7 +127,7 @@ impl Histogram {
         let rank = (self.count.saturating_mul(pct)).div_ceil(100).max(1);
         let mut cumulative = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
-            cumulative += n;
+            cumulative = cumulative.saturating_add(n);
             if cumulative >= rank {
                 let (_, hi) = Self::bucket_bounds(i);
                 return hi.clamp(self.min(), self.max);
@@ -137,20 +140,40 @@ impl Histogram {
     /// decode path). `min` is as reported by [`Histogram::min`] — 0 for an
     /// empty histogram — and is restored to the internal sentinel when
     /// `count == 0`, so decode(encode(h)) == h for every histogram.
+    ///
+    /// `None` when the parts describe no histogram that observations and
+    /// merges can produce: the buckets must sum to `count`, an empty
+    /// histogram must be all zeros, and otherwise `min` and `max` must
+    /// fall in the lowest and highest non-empty buckets. Accepting only
+    /// such parts keeps [`Histogram::quantile`]'s `[min, max]` clamp
+    /// well-formed for every decoded histogram.
     pub fn from_parts(
         count: u64,
         sum: u64,
         min: u64,
         max: u64,
         buckets: [u64; BUCKET_COUNT],
-    ) -> Histogram {
-        Histogram {
+    ) -> Option<Histogram> {
+        let total = buckets
+            .iter()
+            .try_fold(0u64, |acc, &n| acc.checked_add(n))?;
+        if total != count {
+            return None;
+        }
+        if count == 0 {
+            return (sum == 0 && min == 0 && max == 0).then(Histogram::new);
+        }
+        let lowest = buckets.iter().position(|&n| n != 0)?;
+        let highest = buckets.iter().rposition(|&n| n != 0)?;
+        let consistent =
+            min <= max && Self::bucket_index(min) == lowest && Self::bucket_index(max) == highest;
+        consistent.then_some(Histogram {
             count,
             sum,
-            min: if count == 0 { u64::MAX } else { min },
+            min,
             max,
             buckets,
-        }
+        })
     }
 
     /// Whether no observations have been recorded.

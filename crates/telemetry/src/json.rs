@@ -36,6 +36,14 @@ pub fn push_str_value(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Append the decimal form of an integer to `out`, formatting in place
+/// (no intermediate `String`).
+pub fn push_num(out: &mut String, n: impl std::fmt::Display) {
+    use std::fmt::Write;
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{n}");
+}
+
 /// Append `"key":` to `out`.
 pub fn push_key(out: &mut String, key: &str) {
     push_str_value(out, key);
@@ -58,6 +66,8 @@ mod tests {
         let mut s = String::new();
         push_key(&mut s, "k");
         push_str_value(&mut s, "v");
-        assert_eq!(s, "\"k\":\"v\"");
+        s.push(',');
+        push_num(&mut s, -7i64);
+        assert_eq!(s, "\"k\":\"v\",-7");
     }
 }

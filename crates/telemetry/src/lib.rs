@@ -56,6 +56,8 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use registry::with_slot;
+
 /// Environment variable that turns telemetry on for [`Telemetry::from_env`].
 pub const TELEMETRY_ENV: &str = "UNDERRADAR_TELEMETRY";
 
@@ -173,41 +175,29 @@ impl Telemetry {
     /// same name share one cell; resolution is a map lookup, so hot paths
     /// should resolve once and reuse the handle.
     pub fn counter(&self, name: &str) -> Counter {
-        Counter(self.inner.as_ref().map(|inner| {
-            Rc::clone(
-                inner
-                    .borrow_mut()
-                    .counters
-                    .entry(name.to_string())
-                    .or_default(),
-            )
-        }))
+        Counter(
+            self.inner
+                .as_ref()
+                .map(|inner| cell(&mut inner.borrow_mut().counters, name)),
+        )
     }
 
     /// Resolve (creating on first use) a gauge handle.
     pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(self.inner.as_ref().map(|inner| {
-            Rc::clone(
-                inner
-                    .borrow_mut()
-                    .gauges
-                    .entry(name.to_string())
-                    .or_default(),
-            )
-        }))
+        Gauge(
+            self.inner
+                .as_ref()
+                .map(|inner| cell(&mut inner.borrow_mut().gauges, name)),
+        )
     }
 
     /// Resolve (creating on first use) a histogram handle.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
-        HistogramHandle(self.inner.as_ref().map(|inner| {
-            Rc::clone(
-                inner
-                    .borrow_mut()
-                    .histograms
-                    .entry(name.to_string())
-                    .or_default(),
-            )
-        }))
+        HistogramHandle(
+            self.inner
+                .as_ref()
+                .map(|inner| cell(&mut inner.borrow_mut().histograms, name)),
+        )
     }
 
     /// Add `n` to counter `name` (resolves by name; use [`Counter`] handles
@@ -242,15 +232,12 @@ impl Telemetry {
 
     /// Record a structured event at simulated time `t_ns`. Retained in the
     /// registry; also rendered and streamed if the sink is active.
-    pub fn event(&self, t_ns: u64, kind: &str, fields: &[(&str, FieldValue)]) {
+    pub fn event(&self, t_ns: u64, kind: &'static str, fields: &[(&'static str, FieldValue)]) {
         let Some(inner) = &self.inner else { return };
         let event = Event {
             t_ns,
-            kind: kind.to_string(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
+            kind,
+            fields: fields.into(),
         };
         let mut inner = inner.borrow_mut();
         if inner.sink.active() {
@@ -315,18 +302,20 @@ impl Telemetry {
     /// (trial grouping is the point) without the live ring bound.
     pub fn merge_registry(&self, other: &Registry) {
         let Some(inner) = &self.inner else { return };
+        let mut inner = inner.borrow_mut();
         for (name, v) in &other.counters {
-            self.counter(name).add(*v);
+            with_slot(&mut inner.counters, name, |c| {
+                c.set(c.get().wrapping_add(*v))
+            });
         }
         for (name, v) in &other.gauges {
-            self.gauge(name).set(*v);
+            with_slot(&mut inner.gauges, name, |g| g.set(*v));
         }
         for (name, h) in &other.histograms {
-            if let HistogramHandle(Some(cell)) = self.histogram(name) {
-                cell.borrow_mut().merge(h);
-            }
+            with_slot(&mut inner.histograms, name, |cell| {
+                cell.borrow_mut().merge(h)
+            });
         }
-        let mut inner = inner.borrow_mut();
         inner.spans.extend(other.spans.iter().cloned());
         inner
             .spans
@@ -358,9 +347,9 @@ impl Telemetry {
         let trace = match &inner.trace {
             Some(buf) => {
                 let buf = buf.borrow();
-                *counters
-                    .entry("telemetry.trace.dropped".to_string())
-                    .or_insert(0) += buf.dropped();
+                with_slot(&mut counters, "telemetry.trace.dropped", |c| {
+                    *c = c.wrapping_add(buf.dropped())
+                });
                 buf.records().cloned().collect()
             }
             None => Vec::new(),
@@ -382,6 +371,11 @@ impl Telemetry {
             trace,
         }
     }
+}
+
+/// The shared cell behind `name`, created on first use.
+fn cell<T: Default>(map: &mut BTreeMap<String, Rc<T>>, name: &str) -> Rc<T> {
+    with_slot(map, name, |slot| Rc::clone(slot))
 }
 
 /// Pre-resolved counter handle; disabled handles cost one null check per op.

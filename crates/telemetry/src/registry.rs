@@ -2,20 +2,25 @@
 //! metric, span and event a [`crate::Telemetry`] handle recorded.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::hist::Histogram;
 use crate::json;
 use crate::trace::TraceRecord;
 
 /// A structured event captured at a simulated-time instant.
+///
+/// Names are static and the payload is one shared allocation, so every
+/// copy an event makes on its way from a trial scope to the merged
+/// registry (snapshot, delta merge, stream merge) is a pointer copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// Simulated time of the event in nanoseconds.
     pub t_ns: u64,
-    /// Event kind, e.g. `censor.rst_injected`.
-    pub kind: String,
-    /// Ordered key/value payload.
-    pub fields: Vec<(String, FieldValue)>,
+    /// Event kind, e.g. `censor.tap.action`.
+    pub kind: &'static str,
+    /// Ordered key/value payload, shared by every copy of the event.
+    pub fields: Arc<[(&'static str, FieldValue)]>,
 }
 
 /// An event field value (integers and strings only — deterministic output).
@@ -114,13 +119,13 @@ impl Registry {
     /// Fold `other` into `self` (see type docs for per-kind semantics).
     pub fn merge(&mut self, other: &Registry) {
         for (name, v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
+            with_slot(&mut self.counters, name, |c| *c = c.wrapping_add(*v));
         }
         for (name, v) in &other.gauges {
-            self.gauges.insert(name.clone(), *v);
+            with_slot(&mut self.gauges, name, |g| *g = *v);
         }
         for (name, h) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(h);
+            with_slot(&mut self.histograms, name, |mine| mine.merge(h));
         }
         self.spans.extend(other.spans.iter().cloned());
         self.spans
@@ -160,7 +165,7 @@ impl Registry {
     /// values only, non-zero histogram buckets as `[low_bound, count]`
     /// pairs. Byte-identical for equal registries on every platform.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
+        let mut out = String::with_capacity(1024 + 96 * self.events.len());
         out.push('{');
         json::push_key(&mut out, "counters");
         out.push('{');
@@ -169,7 +174,7 @@ impl Registry {
                 out.push(',');
             }
             json::push_key(&mut out, name);
-            out.push_str(&v.to_string());
+            json::push_num(&mut out, v);
         }
         out.push('}');
         out.push(',');
@@ -180,7 +185,7 @@ impl Registry {
                 out.push(',');
             }
             json::push_key(&mut out, name);
-            out.push_str(&v.to_string());
+            json::push_num(&mut out, v);
         }
         out.push('}');
         out.push(',');
@@ -192,27 +197,20 @@ impl Registry {
             }
             json::push_key(&mut out, name);
             out.push('{');
-            json::push_key(&mut out, "count");
-            out.push_str(&h.count().to_string());
-            out.push(',');
-            json::push_key(&mut out, "sum");
-            out.push_str(&h.sum().to_string());
-            out.push(',');
-            json::push_key(&mut out, "min");
-            out.push_str(&h.min().to_string());
-            out.push(',');
-            json::push_key(&mut out, "max");
-            out.push_str(&h.max().to_string());
-            out.push(',');
-            json::push_key(&mut out, "p50");
-            out.push_str(&h.quantile(50).to_string());
-            out.push(',');
-            json::push_key(&mut out, "p90");
-            out.push_str(&h.quantile(90).to_string());
-            out.push(',');
-            json::push_key(&mut out, "p99");
-            out.push_str(&h.quantile(99).to_string());
-            out.push(',');
+            let stats = [
+                ("count", h.count()),
+                ("sum", h.sum()),
+                ("min", h.min()),
+                ("max", h.max()),
+                ("p50", h.quantile(50)),
+                ("p90", h.quantile(90)),
+                ("p99", h.quantile(99)),
+            ];
+            for (key, v) in stats {
+                json::push_key(&mut out, key);
+                json::push_num(&mut out, v);
+                out.push(',');
+            }
             json::push_key(&mut out, "buckets");
             out.push('[');
             let mut first = true;
@@ -226,9 +224,9 @@ impl Registry {
                 first = false;
                 let (lo, _) = Histogram::bucket_bounds(bi);
                 out.push('[');
-                out.push_str(&lo.to_string());
+                json::push_num(&mut out, lo);
                 out.push(',');
-                out.push_str(&n.to_string());
+                json::push_num(&mut out, n);
                 out.push(']');
             }
             out.push_str("]}");
@@ -246,10 +244,10 @@ impl Registry {
             json::push_str_value(&mut out, &s.name);
             out.push(',');
             json::push_key(&mut out, "start_ns");
-            out.push_str(&s.start_ns.to_string());
+            json::push_num(&mut out, s.start_ns);
             out.push(',');
             json::push_key(&mut out, "end_ns");
-            out.push_str(&s.end_ns.to_string());
+            json::push_num(&mut out, s.end_ns);
             out.push('}');
         }
         out.push(']');
@@ -260,7 +258,7 @@ impl Registry {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&event_json(e));
+            push_event(&mut out, e);
         }
         out.push_str("]}");
         out
@@ -275,9 +273,9 @@ impl Registry {
     /// The events as JSON lines, one event per line (the structured stream
     /// a sink receives live).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(96 * self.events.len());
         for e in &self.events {
-            out.push_str(&event_json(e));
+            push_event(&mut out, e);
             out.push('\n');
         }
         out
@@ -327,23 +325,43 @@ impl Registry {
 /// Serialize one event as a deterministic JSON object.
 pub fn event_json(e: &Event) -> String {
     let mut out = String::with_capacity(64);
+    push_event(&mut out, e);
+    out
+}
+
+/// Append [`event_json`]'s bytes for `e` to `out`.
+fn push_event(out: &mut String, e: &Event) {
     out.push('{');
-    json::push_key(&mut out, "t_ns");
-    out.push_str(&e.t_ns.to_string());
+    json::push_key(out, "t_ns");
+    json::push_num(out, e.t_ns);
     out.push(',');
-    json::push_key(&mut out, "kind");
-    json::push_str_value(&mut out, &e.kind);
-    for (k, v) in &e.fields {
+    json::push_key(out, "kind");
+    json::push_str_value(out, e.kind);
+    for (k, v) in e.fields.iter() {
         out.push(',');
-        json::push_key(&mut out, k);
+        json::push_key(out, k);
         match v {
-            FieldValue::U64(n) => out.push_str(&n.to_string()),
-            FieldValue::I64(n) => out.push_str(&n.to_string()),
-            FieldValue::Str(s) => json::push_str_value(&mut out, s),
+            FieldValue::U64(n) => json::push_num(out, n),
+            FieldValue::I64(n) => json::push_num(out, n),
+            FieldValue::Str(s) => json::push_str_value(out, s),
         }
     }
     out.push('}');
-    out
+}
+
+/// Apply `f` to `map[name]`, inserting a default first when the key is
+/// absent. The lookup comes before the clone, so a key already present —
+/// the common case when per-trial deltas fold into a running total —
+/// costs no allocation.
+pub(crate) fn with_slot<T: Default, R>(
+    map: &mut BTreeMap<String, T>,
+    name: &str,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    match map.get_mut(name) {
+        Some(slot) => f(slot),
+        None => f(map.entry(name.to_string()).or_default()),
+    }
 }
 
 #[cfg(test)]
@@ -366,8 +384,8 @@ mod tests {
         });
         r.events.push(Event {
             t_ns: 7,
-            kind: "rst".into(),
-            fields: vec![("flow".into(), FieldValue::Str("a\"b".into()))],
+            kind: "rst",
+            fields: Arc::new([("flow", FieldValue::Str("a\"b".into()))]),
         });
         r
     }
@@ -410,7 +428,7 @@ mod tests {
     fn merge_order_of_spans_and_events_is_canonical() {
         // Two registries with interleaved sim-times: whichever is merged
         // first, the result sorts to the same (time, name) order.
-        let mk = |name: &str, t: u64| {
+        let mk = |name: &'static str, t: u64| {
             let mut r = Registry::new();
             r.spans.push(SpanRecord {
                 name: name.into(),
@@ -419,8 +437,8 @@ mod tests {
             });
             r.events.push(Event {
                 t_ns: t,
-                kind: name.into(),
-                fields: vec![],
+                kind: name,
+                fields: Arc::new([]),
             });
             r
         };

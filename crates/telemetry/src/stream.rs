@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 
 use crate::hist::Histogram;
-use crate::registry::{Event, Registry, SpanRecord};
+use crate::registry::{with_slot, Event, Registry, SpanRecord};
 use crate::trace::TraceRecord;
 
 /// Absorbs per-source [`Registry`] deltas in any order and finishes into
@@ -53,16 +53,18 @@ impl StreamMerger {
     pub fn absorb(&mut self, src: u64, delta: &Registry) {
         self.absorbed += 1;
         for (name, v) in &delta.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
+            with_slot(&mut self.counters, name, |c| *c = c.wrapping_add(*v));
         }
         for (name, v) in &delta.gauges {
-            let entry = self.gauges.entry(name.clone()).or_insert((src, *v));
-            if src >= entry.0 {
-                *entry = (src, *v);
-            }
+            // A fresh slot is `(0, 0)`, which every source overwrites.
+            with_slot(&mut self.gauges, name, |slot| {
+                if src >= slot.0 {
+                    *slot = (src, *v);
+                }
+            });
         }
         for (name, h) in &delta.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(h);
+            with_slot(&mut self.histograms, name, |mine| mine.merge(h));
         }
         self.spans
             .extend(delta.spans.iter().map(|s| (src, s.clone())));
@@ -108,6 +110,7 @@ impl StreamMerger {
 mod tests {
     use super::*;
     use crate::registry::FieldValue;
+    use std::sync::Arc;
 
     /// A per-trial delta with deliberate cross-trial collisions: same
     /// counter names, same gauge names, colliding span/event timestamps.
@@ -130,8 +133,8 @@ mod tests {
         });
         r.events.push(Event {
             t_ns: (i % 2) * 50, // collide event times across trials
-            kind: "verdict".into(),
-            fields: vec![("trial".into(), FieldValue::U64(i))],
+            kind: "verdict",
+            fields: Arc::new([("trial", FieldValue::U64(i))]),
         });
         r.trace.push(TraceRecord {
             t_ns: i,

@@ -1,9 +1,15 @@
-//! Property tests for the histogram, driven by the in-tree seeded
-//! property harness `netsim::testprop` (a dev-only dependency — the
-//! library itself is dependency-free).
+//! Property tests for the histogram and the registry codec, driven by the
+//! in-tree seeded property harness `netsim::testprop` (a dev-only
+//! dependency — the library itself is dependency-free).
+
+use std::sync::Arc;
 
 use underradar_netsim::testprop;
-use underradar_telemetry::{Histogram, BUCKET_COUNT};
+use underradar_telemetry::codec::{decode_registry, encode_registry};
+use underradar_telemetry::{
+    Event, FieldValue, Histogram, Registry, SpanRecord, StreamMerger, Telemetry, TraceRecord,
+    BUCKET_COUNT,
+};
 
 fn arbitrary_value(g: &mut testprop::Gen) -> u64 {
     // Mix small values (dense low buckets) with full-range ones.
@@ -95,4 +101,194 @@ fn count_is_conserved_under_sharded_merge() {
         let bucket_total: u64 = merged.buckets().iter().sum();
         assert_eq!(bucket_total, merged.count(), "buckets must sum to count");
     });
+}
+
+/// A registry exercising every codec section, with extreme counter values
+/// so that merges reach the overflow edge.
+fn arbitrary_registry(g: &mut testprop::Gen) -> Registry {
+    const KINDS: [&str; 3] = ["censor.tap.action", "censor.inline.action", "verdict"];
+    const KEYS: [&str; 3] = ["kind", "client", "n"];
+    let mut r = Registry::new();
+    for _ in 0..g.usize_in(0, 4) {
+        let v = if g.bool() {
+            u64::MAX - u64::from(g.u8())
+        } else {
+            g.u64()
+        };
+        r.counters.insert(g.printable(1, 10), v);
+    }
+    for _ in 0..g.usize_in(0, 3) {
+        r.gauges.insert(g.printable(1, 10), g.u64() as i64);
+    }
+    for _ in 0..g.usize_in(0, 3) {
+        r.histograms
+            .insert(g.printable(1, 10), arbitrary_hist(g, 6));
+    }
+    for _ in 0..g.usize_in(0, 3) {
+        let start_ns = g.u64();
+        r.spans.push(SpanRecord {
+            name: g.printable(1, 10),
+            start_ns,
+            end_ns: start_ns.saturating_add(u64::from(g.u32())),
+        });
+    }
+    for _ in 0..g.usize_in(0, 4) {
+        let fields: Vec<(&'static str, FieldValue)> = (0..g.usize_in(0, 3))
+            .map(|_| {
+                let v = match g.usize_in(0, 3) {
+                    0 => FieldValue::U64(g.u64()),
+                    1 => FieldValue::I64(g.u64() as i64),
+                    _ => FieldValue::Str(g.printable(0, 12)),
+                };
+                (*g.choose(&KEYS), v)
+            })
+            .collect();
+        r.events.push(Event {
+            t_ns: g.u64(),
+            kind: KINDS[g.usize_in(0, KINDS.len())],
+            fields: fields.into(),
+        });
+    }
+    for _ in 0..g.usize_in(0, 2) {
+        r.trace.push(TraceRecord {
+            t_ns: g.u64(),
+            seq: g.u64(),
+            stage: "censor",
+            kind: "rst_pair",
+            flow: None,
+            fields: vec![("rule", FieldValue::U64(g.u64()))],
+        });
+    }
+    r
+}
+
+/// Everything a consumer does with a decoded registry; none of it may
+/// panic, whatever the decoder accepted.
+fn exercise(decoded: &Registry, valid: &Registry) {
+    let mut merged = decoded.clone();
+    merged.merge(decoded);
+    merged.merge(valid);
+    let mut other_way = valid.clone();
+    other_way.merge(decoded);
+    for r in [decoded, &merged, &other_way] {
+        let _ = r.to_json();
+        let _ = r.to_jsonl();
+        let _ = r.render_text();
+    }
+    let mut merger = StreamMerger::new();
+    merger.absorb(1, decoded);
+    merger.absorb(0, decoded);
+    let _ = merger.finish().to_json();
+    let tel = Telemetry::enabled();
+    tel.merge_registry(decoded);
+    tel.merge_registry(decoded);
+    let _ = tel.snapshot().render_text();
+}
+
+#[test]
+fn registry_codec_round_trips_every_reachable_registry() {
+    testprop::cases(200, 0x1e1e_0004, |g| {
+        let reg = arbitrary_registry(g);
+        let back = decode_registry(&encode_registry(&reg)).expect("valid encoding decodes");
+        assert_eq!(back, reg);
+        assert_eq!(back.to_json(), reg.to_json());
+    });
+}
+
+#[test]
+fn decode_registry_never_panics_on_arbitrary_bytes() {
+    testprop::cases(2_000, 0x1e1e_0005, |g| {
+        let bytes = g.bytes(0, 160);
+        if let Ok(decoded) = decode_registry(&bytes) {
+            exercise(&decoded, &Registry::new());
+        }
+    });
+}
+
+#[test]
+fn decode_registry_never_panics_on_mutated_encodings() {
+    testprop::cases(2_000, 0x1e1e_0006, |g| {
+        let valid = arbitrary_registry(g);
+        let mut bytes = encode_registry(&valid);
+        if bytes.is_empty() {
+            return;
+        }
+        for _ in 0..g.usize_in(1, 4) {
+            let at = g.usize_in(0, bytes.len());
+            match g.usize_in(0, 4) {
+                // Flip one bit.
+                0 => bytes[at] ^= 1 << g.u8_in(0, 8),
+                // Overwrite one byte.
+                1 => bytes[at] = g.u8(),
+                // Saturate a word: huge lengths, counts and extremes.
+                2 => {
+                    let end = (at + 8).min(bytes.len());
+                    bytes[at..end].fill(0xFF);
+                }
+                // Cut the payload short.
+                _ => bytes.truncate(at),
+            }
+            if bytes.is_empty() {
+                break;
+            }
+        }
+        if let Ok(decoded) = decode_registry(&bytes) {
+            exercise(&decoded, &valid);
+        }
+    });
+}
+
+#[test]
+fn inconsistent_histogram_parts_are_rejected() {
+    let mut buckets = [0u64; BUCKET_COUNT];
+    buckets[Histogram::bucket_index(5)] = 1;
+    assert!(Histogram::from_parts(1, 5, 5, 5, buckets).is_some());
+    // min above max: the quantile clamp would panic on this histogram.
+    assert!(Histogram::from_parts(1, 5, 6, 5, buckets).is_none());
+    // Buckets that do not sum to the count.
+    assert!(Histogram::from_parts(2, 5, 5, 5, buckets).is_none());
+    // min/max outside the lowest/highest non-empty bucket.
+    assert!(Histogram::from_parts(1, 5, 1, 5, buckets).is_none());
+    assert!(Histogram::from_parts(1, 5, 5, 900, buckets).is_none());
+    // An empty histogram is all zeros.
+    let empty = [0u64; BUCKET_COUNT];
+    assert_eq!(
+        Histogram::from_parts(0, 0, 0, 0, empty),
+        Some(Histogram::new())
+    );
+    assert!(Histogram::from_parts(0, 0, 0, 3, empty).is_none());
+    // Buckets whose sum overflows.
+    let mut huge = [0u64; BUCKET_COUNT];
+    huge[1] = u64::MAX;
+    huge[2] = 1;
+    assert!(Histogram::from_parts(0, 0, 1, 2, huge).is_none());
+}
+
+#[test]
+fn merges_wrap_instead_of_panicking() {
+    let mut r = Registry::new();
+    r.counters.insert("c".into(), u64::MAX);
+    let mut h = Histogram::new();
+    h.observe(3);
+    r.histograms.insert("h".into(), h);
+    r.events.push(Event {
+        t_ns: 1,
+        kind: "k",
+        fields: Arc::new([]),
+    });
+    let copy = r.clone();
+    r.merge(&copy);
+    assert_eq!(
+        r.counter("c"),
+        u64::MAX - 1,
+        "counters wrap as Counter::add does"
+    );
+    let mut merger = StreamMerger::new();
+    merger.absorb(0, &copy);
+    merger.absorb(1, &copy);
+    assert_eq!(merger.finish().counter("c"), u64::MAX - 1);
+    let tel = Telemetry::enabled();
+    tel.merge_registry(&copy);
+    tel.merge_registry(&copy);
+    assert_eq!(tel.snapshot().counter("c"), u64::MAX - 1);
 }

@@ -83,6 +83,18 @@ echo "==> campaign determinism smoke (sequential vs 4-shard byte identity)"
 ./target/release/underradar campaign --json --shards 4 > "$tmpdir/campaign_4.json"
 cmp "$tmpdir/campaign_1.json" "$tmpdir/campaign_4.json"
 
+echo "==> restored --json smoke (every trial restored from decoded journal deltas)"
+# The first run journals all 512 trials; the second restores every one of
+# them, so its report, rows and telemetry (every censor event included)
+# come only from decoded journal records. Both must match the clean run.
+./target/release/underradar campaign --json --checkpoint "$tmpdir/json.journal" \
+  > "$tmpdir/campaign_journal_a.json" 2>/dev/null
+./target/release/underradar campaign --json --checkpoint "$tmpdir/json.journal" \
+  > "$tmpdir/campaign_journal_b.json" 2> "$tmpdir/campaign_journal_b.err"
+cmp "$tmpdir/campaign_1.json" "$tmpdir/campaign_journal_a.json"
+cmp "$tmpdir/campaign_1.json" "$tmpdir/campaign_journal_b.json"
+grep -q 'service: 0 executed, 512 restored' "$tmpdir/campaign_journal_b.err"
+
 echo "==> index-order row smoke (--jsonl without --service, 1 vs 4 shards byte identity)"
 ./target/release/underradar campaign --jsonl --shards 1 > "$tmpdir/campaign_rows_1.jsonl"
 ./target/release/underradar campaign --jsonl --shards 4 > "$tmpdir/campaign_rows_4.jsonl"
