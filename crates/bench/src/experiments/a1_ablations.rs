@@ -12,8 +12,7 @@ use underradar_core::probe::Probe;
 use underradar_core::risk::RiskReport;
 use underradar_core::testbed::{TargetSite, Testbed, TestbedConfig};
 use underradar_netsim::addr::Cidr;
-use underradar_netsim::host::Host;
-use underradar_netsim::time::{SimDuration, SimTime};
+use underradar_netsim::time::SimTime;
 use underradar_spoof::anonymity_set;
 
 use crate::table::{heading, Table};
@@ -26,35 +25,24 @@ const ISS: u32 = 0x0102_0304;
 fn censor_catches_split_keyword(tel: &underradar_telemetry::Telemetry, rst_teardown: bool) -> bool {
     let policy = CensorPolicy::new().block_keyword("falun");
     let mut net = RoutedMimicryNet::build(71, policy);
-    let scope = crate::telemetry::instrument_routed(&mut net, tel);
+    let scope = tel.scope();
+    net.set_telemetry(scope.clone());
     if let Some(censor) = net.sim.node_mut::<TapCensor>(net.censor) {
         censor.set_rst_teardown(rst_teardown);
     }
-    net.sim
-        .node_mut::<Host>(net.mserver)
-        .expect("mserver")
-        .spawn_task_at(
-            SimTime::ZERO,
-            Box::new(MimicServer::new(PORT, ISS, None)), // unlimited TTL: replay happens
-        );
-    net.sim
-        .node_mut::<Host>(net.client)
-        .expect("client")
-        .spawn_task_at(
-            SimTime::ZERO,
-            Box::new(
-                StatefulMimicry::new(net.cover_ip, net.mserver_ip, PORT, ISS, b"GET /falun HTTP")
-                    .with_split_payload(),
-            ),
-        );
-    net.sim.run_for(SimDuration::from_secs(10)).expect("run");
-    crate::telemetry::finish_routed(&net, &scope, tel);
-    net.sim
-        .node_ref::<TapCensor>(net.censor)
-        .expect("censor")
-        .stats()
-        .rst_injections
-        > 0
+    // Unlimited TTL: replay happens.
+    net.spawn(net.mserver, Box::new(MimicServer::new(PORT, ISS, None)));
+    net.spawn(
+        net.client,
+        Box::new(
+            StatefulMimicry::new(net.cover_ip, net.mserver_ip, PORT, ISS, b"GET /falun HTTP")
+                .with_split_payload(),
+        ),
+    );
+    net.run_secs(10);
+    net.export_telemetry(&scope);
+    tel.absorb(&scope);
+    net.censor_acted()
 }
 
 /// A 120-port scan against a blackholed target; returns the alert count
@@ -68,7 +56,8 @@ fn scan_alerts(tel: &underradar_telemetry::Telemetry, alert_first: bool) -> usiz
         seed: 72,
         ..TestbedConfig::default()
     });
-    let scope = crate::telemetry::instrument_testbed(&mut tb, tel);
+    let scope = tel.scope();
+    tb.set_telemetry(scope.clone());
     let idx = tb.spawn_on_client(
         SimTime::ZERO,
         Box::new(SynScanProbe::new(target, top_ports(120), vec![80])),
@@ -76,7 +65,8 @@ fn scan_alerts(tel: &underradar_telemetry::Telemetry, alert_first: bool) -> usiz
     tb.run_secs(60);
     let verdict = tb.client_task::<SynScanProbe>(idx).expect("scan").verdict();
     let alerts = RiskReport::evaluate(&tb, &verdict).alerts_on_client;
-    crate::telemetry::finish_testbed(&tb, &scope, tel);
+    tb.export_telemetry(&scope);
+    tel.absorb(&scope);
     alerts
 }
 

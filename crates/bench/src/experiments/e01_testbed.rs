@@ -98,7 +98,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             policy: case.policy,
             ..TestbedConfig::default()
         });
-        let scope = crate::telemetry::instrument_testbed(&mut tb, tel);
+        let scope = tel.scope();
+        tb.set_telemetry(scope.clone());
         let domain = DnsName::parse(case.domain).expect("domain");
         let probe = OvertProbe::new(&domain, tb.resolver_ip, tb.collector_ip, case.path);
         let idx = tb.spawn_on_client(SimTime::ZERO, Box::new(probe));
@@ -106,7 +107,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         let probe = tb.client_task::<OvertProbe>(idx).expect("probe state");
         let verdict = probe.verdict();
         let acted = tb.censor_acted();
-        crate::telemetry::finish_testbed(&tb, &scope, tel);
+        tb.export_telemetry(&scope);
+        tel.absorb(&scope);
         let pass = match case.expect_mechanism {
             Some(m) => acted && verdict.mechanism() == Some(m),
             None => !acted && verdict.is_reachable(),

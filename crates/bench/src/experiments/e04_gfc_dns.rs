@@ -38,7 +38,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
                 policy,
                 ..TestbedConfig::default()
             });
-            let scope = crate::telemetry::instrument_testbed(&mut tb, tel);
+            let scope = tel.scope();
+            tb.set_telemetry(scope.clone());
             // Use a bare mimicry lookup (no cover) to capture the raw DNS
             // behaviour for this qtype.
             let probe = StatelessDnsMimicry::new(&name, qtype, tb.resolver_ip, vec![]);
@@ -51,7 +52,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
                 .any(|answers| answers.contains(&poison))
                 || probe.a_for_mx;
             let verdict = probe.verdict();
-            crate::telemetry::finish_testbed(&tb, &scope, tel);
+            tb.export_telemetry(&scope);
+            tel.absorb(&scope);
             let pass = bad_a && verdict.is_censored();
             all_pass &= pass;
             table.row(&[

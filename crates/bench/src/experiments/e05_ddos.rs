@@ -29,12 +29,14 @@ fn run_burst(
         seed: 11,
         ..TestbedConfig::default()
     });
-    let scope = crate::telemetry::instrument_testbed(&mut tb, tel);
+    let scope = tel.scope();
+    tb.set_telemetry(scope.clone());
     let target = tb.target("youtube.com").expect("target").web_ip;
     let probe = DdosProbe::new(target, "youtube.com", path, samples);
     let idx = tb.spawn_on_client(SimTime::ZERO, Box::new(probe));
     tb.run_secs(180);
-    crate::telemetry::finish_testbed(&tb, &scope, tel);
+    tb.export_telemetry(&scope);
+    tel.absorb(&scope);
     (tb, idx)
 }
 

@@ -11,10 +11,9 @@
 //! Y received it (the replay hazard), whether Y RST the flow, and whether
 //! the keyword measurement still detected censorship.
 
-use underradar_censor::{CensorPolicy, TapCensor};
+use underradar_censor::CensorPolicy;
 use underradar_core::methods::stateful::{MimicServer, RoutedMimicryNet, StatefulMimicry};
 use underradar_netsim::host::Host;
-use underradar_netsim::time::{SimDuration, SimTime};
 
 use crate::table::{heading, mark, Table};
 
@@ -42,33 +41,28 @@ fn run_ttl(
     };
     let mut net = RoutedMimicryNet::build(17, policy);
     net.sim.enable_capture();
-    let scope = crate::telemetry::instrument_routed(&mut net, tel);
-    net.sim
-        .node_mut::<Host>(net.mserver)
-        .expect("mserver")
-        .spawn_task_at(
-            SimTime::ZERO,
-            Box::new(MimicServer::new(PORT, ISS, reply_ttl)),
-        );
+    let scope = tel.scope();
+    net.set_telemetry(scope.clone());
+    net.spawn(
+        net.mserver,
+        Box::new(MimicServer::new(PORT, ISS, reply_ttl)),
+    );
     let payload: &[u8] = if keyword_blocked {
         b"GET /falun HTTP/1.0\r\n\r\n"
     } else {
         b"GET /weather HTTP/1.0\r\n\r\n"
     };
-    net.sim
-        .node_mut::<Host>(net.client)
-        .expect("client")
-        .spawn_task_at(
-            SimTime::ZERO,
-            Box::new(StatefulMimicry::new(
-                net.cover_ip,
-                net.mserver_ip,
-                PORT,
-                ISS,
-                payload,
-            )),
-        );
-    net.sim.run_for(SimDuration::from_secs(10)).expect("run");
+    net.spawn(
+        net.client,
+        Box::new(StatefulMimicry::new(
+            net.cover_ip,
+            net.mserver_ip,
+            PORT,
+            ISS,
+            payload,
+        )),
+    );
+    net.run_secs(10);
 
     let cap = net.sim.capture().expect("capture enabled");
     let tap_saw_reply = cap.records().iter().any(|r| {
@@ -80,20 +74,15 @@ fn run_ttl(
                 .unwrap_or(false)
     });
     let cover_host = net.sim.node_ref::<Host>(net.cover).expect("cover");
-    let server = net
-        .sim
-        .node_ref::<Host>(net.mserver)
-        .expect("mserver")
-        .task_ref::<MimicServer>(0)
-        .expect("server task");
-    let censor = net.sim.node_ref::<TapCensor>(net.censor).expect("censor");
-    crate::telemetry::finish_routed(&net, &scope, tel);
+    let server = net.mserver_task::<MimicServer>(0).expect("server task");
+    net.export_telemetry(&scope);
+    tel.absorb(&scope);
     TtlOutcome {
         tap_saw_reply,
         neighbor_got_reply: cover_host.counters().tcp_in > 0,
         neighbor_rst: cover_host.counters().rst_sent > 0,
         server_got_data: !server.received.is_empty(),
-        censor_detected: censor.stats().rst_injections > 0,
+        censor_detected: net.censor_acted(),
         flow_reset: server.was_reset(),
     }
 }

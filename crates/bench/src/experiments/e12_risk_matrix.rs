@@ -194,7 +194,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         surveillance_alert_first: true,
         ..TestbedConfig::default()
     });
-    let scope = crate::telemetry::instrument_testbed(&mut tb, tel);
+    let scope = tel.scope();
+    tb.set_telemetry(scope.clone());
     let idx = tb.spawn_on_client(
         SimTime::ZERO,
         Box::new(SynScanProbe::new(target, top_ports(120), vec![80])),
@@ -202,7 +203,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     tb.run_secs(60);
     let verdict = tb.client_task::<SynScanProbe>(idx).expect("p").verdict();
     let ablation = RiskReport::evaluate(&tb, &verdict);
-    crate::telemetry::finish_testbed(&tb, &scope, tel);
+    tb.export_telemetry(&scope);
+    tel.absorb(&scope);
     out.push_str(&format!(
         "\nablation (§3.2.1 caveat): alert-before-MVR surveillance with a generic SYN-fanout\n\
          rule re-identifies the 120-port scan: evades={} alerts={}\n",

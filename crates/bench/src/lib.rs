@@ -28,6 +28,5 @@ pub mod cli;
 pub mod experiments;
 pub mod runner;
 pub mod table;
-pub mod telemetry;
 
 pub use table::Table;

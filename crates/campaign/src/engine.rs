@@ -13,7 +13,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use underradar_censor::{CensorAction, CensorActionKind, TapCensor};
+use underradar_censor::{CensorAction, CensorActionKind};
 use underradar_core::methods::ddos::DdosProbe;
 use underradar_core::methods::hops::HopProbe;
 use underradar_core::methods::overt::OvertProbe;
@@ -23,16 +23,17 @@ use underradar_core::methods::stateful::{
     MimicServer, RoutedMimicryNet, RoutedTemplate, StatefulMimicry,
 };
 use underradar_core::methods::stateless::{StatelessDnsMimicry, StatelessSynMimicry};
+use underradar_core::monitors::MonitorSet;
 use underradar_core::ports::top_ports;
 use underradar_core::probe::Probe;
 use underradar_core::risk::RiskReport;
 use underradar_core::testbed::{TargetSite, TestbedConfig, TestbedTemplate};
 use underradar_core::verdict::Verdict;
-use underradar_netsim::host::Host;
+use underradar_netsim::sim::Simulator;
 use underradar_netsim::time::{SimDuration, SimTime};
 use underradar_protocols::dns::QType;
 use underradar_surveil::exposure::{ExposureEventKind, ExposureLedger};
-use underradar_surveil::system::{SurveillanceNode, SurveillanceSystem};
+use underradar_surveil::system::SurveillanceSystem;
 use underradar_telemetry::{FieldValue, Registry, Telemetry, TraceRecord};
 
 use crate::report::TrialResult;
@@ -93,7 +94,8 @@ pub fn prepare(spec: &CampaignSpec) -> Vec<PolicyPrep<'_>> {
             PolicyPrep {
                 named,
                 template,
-                routed: RoutedTemplate::prepare(named.policy.clone()),
+                routed: RoutedTemplate::prepare(named.policy.clone())
+                    .with_reassembly(spec.monitor_reassembly),
             }
         })
         .collect()
@@ -207,7 +209,12 @@ pub fn run_trial_attempt(
     let horizon = spec.run_secs + spec.retry.backoff_secs * attempt as u64;
     let horizon_ns = horizon.saturating_mul(1_000_000_000);
     let scope = cfg.scope();
-    let mut result = execute(spec, prep, trial, attempt_seed, horizon, &scope);
+    let mut result = match trial.method {
+        MethodKind::Hops | MethodKind::Stateful => {
+            execute_routed(prep, trial, attempt_seed, horizon, &scope)
+        }
+        _ => execute_flat(spec, prep, trial, attempt_seed, horizon, &scope),
+    };
     acc.merge(&scope.snapshot());
     let inconclusive = matches!(result.verdict, Verdict::Inconclusive(_));
     if !inconclusive || attempt >= spec.retry.max_retries {
@@ -289,16 +296,13 @@ fn bump(registry: &mut Registry, name: &str, n: u64) {
 /// Everything here is read from records the adversary actually holds —
 /// censor action log, IDS alert log, retention stores — never from ground
 /// truth, so the resulting ledger is the adversary's view of the campaign.
-fn export_exposure(
+fn export_exposure<'a>(
     scope: &Telemetry,
     method_label: &str,
     policy_name: &str,
-    actions: &[CensorAction],
+    actions: impl Iterator<Item = &'a CensorAction>,
     system: &SurveillanceSystem,
 ) {
-    if !scope.is_enabled() {
-        return;
-    }
     let cell = format!("{method_label}/{policy_name}");
     let mut ledger = ExposureLedger::new();
     for action in actions {
@@ -347,19 +351,46 @@ fn export_exposure(
     ledger.export(scope);
 }
 
-fn execute(
-    spec: &CampaignSpec,
+/// The tail every trial shares, whichever world it ran in: read the
+/// probe's verdict and evidence, score the verdict with the world's
+/// `score`, export the world's monitors and the adversary's exposure into
+/// the scope (only when it records), and build the row.
+fn finish(
     prep: &PolicyPrep<'_>,
     trial: &Trial,
-    seed: u64,
-    horizon_secs: u64,
     scope: &Telemetry,
+    sim: &Simulator,
+    monitors: MonitorSet,
+    probe: &dyn Probe,
+    score: impl FnOnce(&Verdict) -> RiskReport,
 ) -> TrialResult {
-    match trial.method {
-        MethodKind::Hops | MethodKind::Stateful => {
-            execute_routed(prep, trial, seed, horizon_secs, scope)
-        }
-        _ => execute_flat(spec, prep, trial, seed, horizon_secs, scope),
+    let verdict = probe.verdict();
+    let risk = score(&verdict);
+    if scope.is_enabled() {
+        monitors.export_telemetry(sim, scope);
+        export_exposure(
+            scope,
+            trial.method.label(),
+            &prep.named.name,
+            monitors.censor_actions(sim),
+            monitors.surveillance(sim),
+        );
+    }
+    TrialResult {
+        index: trial.index,
+        method: trial.method,
+        policy: prep.named.name.clone(),
+        target: trial_target(prep, trial),
+        seed: trial.seed,
+        verdict,
+        verdict_correct: risk.verdict_correct,
+        evaded: risk.evades(),
+        alerts_on_client: risk.alerts_on_client,
+        attributed: risk.attributed,
+        pursued: risk.pursued,
+        anonymity_set: risk.anonymity_set,
+        retries: 0,
+        evidence: probe.evidence(),
     }
 }
 
@@ -495,37 +526,20 @@ fn execute_flat(
             .expect("probe state"),
         MethodKind::Hops | MethodKind::Stateful => unreachable!("routed methods"),
     };
-    let verdict = probe.verdict();
-    let evidence = probe.evidence();
-    let risk = RiskReport::evaluate(&tb, &verdict);
-    tb.export_telemetry(scope);
-    export_exposure(
+    finish(
+        prep,
+        trial,
         scope,
-        trial.method.label(),
-        &prep.named.name,
-        &tb.censor_actions(),
-        tb.surveillance(),
-    );
-    TrialResult {
-        index: trial.index,
-        method: trial.method,
-        policy: prep.named.name.clone(),
-        target: domain.to_string(),
-        seed: trial.seed,
-        verdict,
-        verdict_correct: risk.verdict_correct,
-        evaded: risk.evades(),
-        alerts_on_client: risk.alerts_on_client,
-        attributed: risk.attributed,
-        pursued: risk.pursued,
-        anonymity_set: risk.anonymity_set,
-        retries: 0,
-        evidence,
-    }
+        &tb.sim,
+        tb.monitors(),
+        probe,
+        |verdict| RiskReport::evaluate(&tb, verdict),
+    )
 }
 
-/// Drive a routed-topology method (hops, stateful mimicry) and score it
-/// against the tap censor and surveillance node directly.
+/// Drive a routed-topology method (hops, stateful mimicry) from the
+/// measurement server and client hosts. Routed rows keep
+/// `anonymity_set: None` ([`RiskReport::score`]).
 fn execute_routed(
     prep: &PolicyPrep<'_>,
     trial: &Trial,
@@ -534,23 +548,11 @@ fn execute_routed(
     scope: &Telemetry,
 ) -> TrialResult {
     let mut net = prep.routed.instantiate(seed);
-    let tracer = scope.tracer();
-    net.sim.set_telemetry(scope.clone());
-    if tracer.is_live() {
-        if let Some(tap) = net.sim.node_mut::<TapCensor>(net.censor) {
-            tap.set_tracer(tracer.clone());
-        }
-        if let Some(surv) = net.sim.node_mut::<SurveillanceNode>(net.surveillance) {
-            surv.set_tracer(tracer);
-        }
-    }
+    net.set_telemetry(scope.clone());
     match trial.method {
         MethodKind::Hops => {
             let probe = HopProbe::new(net.cover_ip, HOP_PORT, HOP_MAX_TTL);
-            net.sim
-                .node_mut::<Host>(net.mserver)
-                .expect("mserver host")
-                .spawn_task_at(SimTime::ZERO, Box::new(probe));
+            net.spawn(net.mserver, Box::new(probe));
         }
         MethodKind::Stateful => {
             let agreed_iss = (seed as u32) | 1;
@@ -559,10 +561,7 @@ fn execute_routed(
                 agreed_iss,
                 Some(RoutedMimicryNet::HOPS_TO_COVER),
             );
-            net.sim
-                .node_mut::<Host>(net.mserver)
-                .expect("mserver host")
-                .spawn_task_at(SimTime::ZERO, Box::new(server));
+            net.spawn(net.mserver, Box::new(server));
             let payload = format!("GET {} HTTP/1.0\r\n\r\n", prep.named.probe_path);
             let client = StatefulMimicry::new(
                 net.cover_ip,
@@ -571,75 +570,25 @@ fn execute_routed(
                 agreed_iss,
                 payload.as_bytes(),
             );
-            net.sim
-                .node_mut::<Host>(net.client)
-                .expect("client host")
-                .spawn_task_at(SimTime::ZERO, Box::new(client));
+            net.spawn(net.client, Box::new(client));
         }
         _ => unreachable!("flat methods"),
     }
-    net.sim
-        .run_for(SimDuration::from_secs(horizon_secs))
-        .expect("sim run");
-    let mserver = net.sim.node_ref::<Host>(net.mserver).expect("mserver host");
+    net.run_secs(horizon_secs);
     let probe: &dyn Probe = match trial.method {
-        MethodKind::Hops => mserver.task_ref::<HopProbe>(0).expect("probe state"),
-        MethodKind::Stateful => mserver.task_ref::<MimicServer>(0).expect("server state"),
+        MethodKind::Hops => net.mserver_task::<HopProbe>(0).expect("probe state"),
+        MethodKind::Stateful => net.mserver_task::<MimicServer>(0).expect("server state"),
         _ => unreachable!("flat methods"),
     };
-    let verdict = probe.verdict();
-    let evidence = probe.evidence();
-    let censor_acted = net
-        .sim
-        .node_ref::<TapCensor>(net.censor)
-        .map(|tap| !tap.actions().is_empty())
-        .unwrap_or(false);
-    let system = net
-        .sim
-        .node_ref::<SurveillanceNode>(net.surveillance)
-        .expect("surveillance node")
-        .system();
-    if scope.is_enabled() {
-        net.sim.export_telemetry(scope);
-        if let Some(tap) = net.sim.node_ref::<TapCensor>(net.censor) {
-            tap.export_telemetry(scope);
-        }
-        system.export_telemetry(scope);
-        let tap_actions = net
-            .sim
-            .node_ref::<TapCensor>(net.censor)
-            .map(|tap| tap.actions().to_vec())
-            .unwrap_or_default();
-        export_exposure(
-            scope,
-            trial.method.label(),
-            &prep.named.name,
-            &tap_actions,
-            system,
-        );
-    }
-    TrialResult {
-        index: trial.index,
-        method: trial.method,
-        policy: prep.named.name.clone(),
-        target: prep
-            .template
-            .config()
-            .targets
-            .get(trial.target_idx)
-            .map(|t| t.domain.to_string())
-            .unwrap_or_default(),
-        seed: trial.seed,
-        verdict_correct: verdict.correct_against(censor_acted),
-        evaded: system.alerts_for(net.client_ip) == 0,
-        alerts_on_client: system.alerts_for(net.client_ip),
-        attributed: system.is_attributed(net.client_ip),
-        pursued: system.is_pursued(net.client_ip),
-        anonymity_set: None,
-        retries: 0,
-        evidence,
-        verdict,
-    }
+    finish(
+        prep,
+        trial,
+        scope,
+        &net.sim,
+        net.monitors(),
+        probe,
+        |verdict| RiskReport::score(&net.sim, net.monitors(), net.client_ip, verdict),
+    )
 }
 
 #[cfg(test)]

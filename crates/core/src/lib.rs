@@ -29,6 +29,8 @@
 //! * [`testbed`] — the Figure-1 reference environment: client, switch with
 //!   censor and MVR taps, target services (web/MX/DNS), all on the
 //!   deterministic simulator.
+//! * [`monitors`] — the monitor set both worlds delegate to: attaching
+//!   telemetry and tracers, exporting, and reading the censors' actions.
 //! * [`verdict`] — what a measurement concludes (censored / reachable /
 //!   inconclusive, with mechanism).
 //! * [`risk`] — the safety side: did the surveillance system log, attribute
@@ -36,6 +38,7 @@
 //! * [`ports`] — the top-1000 TCP port list the scan method walks.
 
 pub mod methods;
+pub mod monitors;
 pub mod ports;
 pub mod probe;
 pub mod risk;

@@ -233,8 +233,6 @@ mod tests {
     use super::*;
     use crate::methods::stateful::RoutedMimicryNet;
     use underradar_censor::CensorPolicy;
-    use underradar_netsim::host::Host;
-    use underradar_netsim::time::SimTime;
 
     /// Run a hop probe from the measurement server toward the cover
     /// client in the routed Fig-3b topology (the paper's direction: the
@@ -242,20 +240,13 @@ mod tests {
     fn probe_from_server(max_ttl: u8) -> RoutedMimicryNet {
         let mut net = RoutedMimicryNet::build(91, CensorPolicy::new());
         let probe = HopProbe::new(net.cover_ip, 33434, max_ttl);
-        net.sim
-            .node_mut::<Host>(net.mserver)
-            .expect("mserver")
-            .spawn_task_at(SimTime::ZERO, Box::new(probe));
-        net.sim.run_for(SimDuration::from_secs(10)).expect("run");
+        net.spawn(net.mserver, Box::new(probe));
+        net.run_secs(10);
         net
     }
 
     fn probe_of(net: &RoutedMimicryNet) -> &HopProbe {
-        net.sim
-            .node_ref::<Host>(net.mserver)
-            .expect("mserver")
-            .task_ref::<HopProbe>(0)
-            .expect("probe")
+        net.mserver_task::<HopProbe>(0).expect("probe")
     }
 
     #[test]

@@ -22,16 +22,20 @@
 use std::net::Ipv4Addr;
 use std::sync::{Arc, OnceLock};
 
-use underradar_censor::{CensorPolicy, CompiledPolicy};
+use underradar_censor::{CensorAction, CensorPolicy, CompiledPolicy};
 use underradar_ids::engine::CompiledRuleset;
 use underradar_ids::rule::Rule;
+use underradar_ids::stream::ReassemblyConfig;
 use underradar_netsim::addr::Cidr;
-use underradar_netsim::host::{HostApi, HostTask, RawVerdict};
+use underradar_netsim::host::{Host, HostApi, HostTask, RawVerdict};
+use underradar_netsim::node::NodeId;
 use underradar_netsim::packet::Packet;
-use underradar_netsim::time::SimDuration;
+use underradar_netsim::time::{SimDuration, SimTime};
 use underradar_netsim::wire::tcp::TcpFlags;
 use underradar_surveil::system::default_surveillance_rules;
+use underradar_surveil::SurveillanceSystem;
 
+use crate::monitors::MonitorSet;
 use crate::probe::{Evidence, Probe};
 use crate::testbed::Testbed;
 use crate::verdict::{Mechanism, Verdict};
@@ -363,15 +367,15 @@ pub struct RoutedMimicryNet {
     /// The simulator.
     pub sim: underradar_netsim::Simulator,
     /// The measurement client node.
-    pub client: underradar_netsim::NodeId,
+    pub client: NodeId,
     /// The spoofed neighbor node.
-    pub cover: underradar_netsim::NodeId,
+    pub cover: NodeId,
     /// The off-path censor (tapped at R2).
-    pub censor: underradar_netsim::NodeId,
+    pub censor: NodeId,
     /// The surveillance system (tapped at R2).
-    pub surveillance: underradar_netsim::NodeId,
+    pub surveillance: NodeId,
     /// The controlled server node.
-    pub mserver: underradar_netsim::NodeId,
+    pub mserver: NodeId,
     /// Client address.
     pub client_ip: Ipv4Addr,
     /// Neighbor address used as spoof source.
@@ -399,6 +403,63 @@ impl RoutedMimicryNet {
     pub fn build_with_rules(seed: u64, policy: CensorPolicy, rules: Vec<Rule>) -> RoutedMimicryNet {
         RoutedTemplate::with_rules(policy, rules).instantiate(seed)
     }
+
+    /// Start `task` at time zero on `host`, one of the net's hosts.
+    pub fn spawn(&mut self, host: NodeId, task: Box<dyn HostTask>) {
+        self.sim
+            .node_mut::<Host>(host)
+            .expect("node is a host")
+            .spawn_task_at(SimTime::ZERO, task);
+    }
+
+    /// Run the simulation for `secs` simulated seconds.
+    pub fn run_secs(&mut self, secs: u64) {
+        self.sim
+            .run_for(SimDuration::from_secs(secs))
+            .expect("simulation within event budget");
+    }
+
+    /// A typed view of an mserver task after the run.
+    pub fn mserver_task<T: HostTask>(&self, idx: usize) -> Option<&T> {
+        self.sim.node_ref::<Host>(self.mserver)?.task_ref::<T>(idx)
+    }
+
+    /// The world's monitors: the tap censor and surveillance at R2 (the
+    /// routed net has no inline censor).
+    pub fn monitors(&self) -> MonitorSet {
+        MonitorSet {
+            tap: self.censor,
+            inline: None,
+            surveillance: self.surveillance,
+        }
+    }
+
+    /// Ground truth: the tap censor's logged actions.
+    pub fn censor_actions(&self) -> Vec<CensorAction> {
+        self.monitors().censor_actions(&self.sim).cloned().collect()
+    }
+
+    /// Whether the censor acted during the run.
+    pub fn censor_acted(&self) -> bool {
+        self.monitors().censor_acted(&self.sim)
+    }
+
+    /// The surveillance system, for evasion/attribution queries.
+    pub fn surveillance(&self) -> &SurveillanceSystem {
+        self.monitors().surveillance(&self.sim)
+    }
+
+    /// Attach a telemetry handle to the simulator, and its tracer to the
+    /// monitors ([`MonitorSet::set_telemetry`]).
+    pub fn set_telemetry(&mut self, tel: underradar_netsim::telemetry::Telemetry) {
+        self.monitors().set_telemetry(&mut self.sim, tel);
+    }
+
+    /// Mirror the net's state into `tel`
+    /// ([`MonitorSet::export_telemetry`]); call once per run.
+    pub fn export_telemetry(&self, tel: &underradar_netsim::telemetry::Telemetry) {
+        self.monitors().export_telemetry(&self.sim, tel);
+    }
 }
 
 /// The seed-independent parts of a [`RoutedMimicryNet`]: the policy and
@@ -412,6 +473,7 @@ impl RoutedMimicryNet {
 pub struct RoutedTemplate {
     policy: CensorPolicy,
     rules: Vec<Rule>,
+    reassembly: ReassemblyConfig,
     monitors: OnceLock<(Arc<CompiledPolicy>, Arc<CompiledRuleset>)>,
 }
 
@@ -432,8 +494,18 @@ impl RoutedTemplate {
         RoutedTemplate {
             policy,
             rules,
+            reassembly: ReassemblyConfig::default(),
             monitors: OnceLock::new(),
         }
+    }
+
+    /// Give both monitors these reassembly limits (default:
+    /// [`ReassemblyConfig::default`]), as
+    /// [`crate::testbed::TestbedConfig::monitor_reassembly`] does for the
+    /// flat testbed.
+    pub fn with_reassembly(mut self, reassembly: ReassemblyConfig) -> RoutedTemplate {
+        self.reassembly = reassembly;
+        self
     }
 
     /// Assemble a routed network for `seed` from the shared parts.
@@ -442,8 +514,6 @@ impl RoutedTemplate {
     /// clone every link transmission into a capture nobody reads.
     pub fn instantiate(&self, seed: u64) -> RoutedMimicryNet {
         use underradar_censor::TapCensor;
-        use underradar_ids::stream::ReassemblyConfig;
-        use underradar_netsim::host::Host;
         use underradar_netsim::link::LinkConfig;
         use underradar_netsim::switch::Switch;
         use underradar_netsim::topology::TopologyBuilder;
@@ -473,12 +543,11 @@ impl RoutedTemplate {
         let censor = topo.add_node(Box::new(TapCensor::from_compiled(
             "censor",
             censor_policy.clone(),
-            ReassemblyConfig::default(),
+            self.reassembly,
         )));
-        let surveillance = topo.add_node(Box::new(SurveillanceNode::new(
-            "mvr",
-            SurveillanceConfig::with_compiled(ruleset.clone()),
-        )));
+        let mut surv_config = SurveillanceConfig::with_compiled(ruleset.clone());
+        surv_config.reassembly = self.reassembly;
+        let surveillance = topo.add_node(Box::new(SurveillanceNode::new("mvr", surv_config)));
 
         let sw1 = topo.add_switch(Switch::new("sw1"));
         let r1 = topo.add_switch(Switch::router("r1", Ipv4Addr::new(192, 0, 2, 1)));
@@ -528,9 +597,8 @@ impl RoutedTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use underradar_censor::{CensorPolicy, TapCensor};
+    use underradar_censor::CensorPolicy;
     use underradar_netsim::host::Host;
-    use underradar_netsim::{SimDuration, SimTime};
 
     const PORT: u16 = 7443;
     const ISS: u32 = 0xaa55_aa55;
@@ -544,28 +612,18 @@ mod tests {
         let mut net = RoutedMimicryNet::build(3, policy);
         net.sim.enable_capture();
         let server = MimicServer::new(PORT, ISS, reply_ttl);
-        net.sim
-            .node_mut::<Host>(net.mserver)
-            .expect("mserver")
-            .spawn_task_at(SimTime::ZERO, Box::new(server));
+        net.spawn(net.mserver, Box::new(server));
         let mut client = StatefulMimicry::new(net.cover_ip, net.mserver_ip, PORT, ISS, payload);
         if split {
             client = client.with_split_payload();
         }
-        net.sim
-            .node_mut::<Host>(net.client)
-            .expect("client")
-            .spawn_task_at(SimTime::ZERO, Box::new(client));
-        net.sim.run_for(SimDuration::from_secs(10)).expect("run");
+        net.spawn(net.client, Box::new(client));
+        net.run_secs(10);
         net
     }
 
     fn server_of(net: &RoutedMimicryNet) -> &MimicServer {
-        net.sim
-            .node_ref::<Host>(net.mserver)
-            .expect("mserver")
-            .task_ref::<MimicServer>(0)
-            .expect("server task")
+        net.mserver_task::<MimicServer>(0).expect("server task")
     }
 
     #[test]
@@ -623,11 +681,11 @@ mod tests {
             server.events
         );
         assert_eq!(server.verdict(), Verdict::Censored(Mechanism::RstInjection));
-        let censor = net.sim.node_ref::<TapCensor>(net.censor).expect("censor");
-        assert_eq!(censor.stats().rst_injections, 1);
+        let actions = net.censor_actions();
+        assert_eq!(actions.len(), 1);
         // Ground truth: the censor attributes the action to the *spoofed*
         // neighbor, not the measurement client.
-        assert_eq!(censor.actions()[0].client, net.cover_ip);
+        assert_eq!(actions[0].client, net.cover_ip);
     }
 
     #[test]
@@ -654,8 +712,7 @@ mod tests {
         );
         let server = server_of(&net);
         assert_eq!(server.verdict(), Verdict::Reachable);
-        let censor = net.sim.node_ref::<TapCensor>(net.censor).expect("censor");
-        assert_eq!(censor.stats().rst_injections, 0);
+        assert!(!net.censor_acted());
     }
 
     #[test]
@@ -720,12 +777,7 @@ mod tests {
             b"GET /falun HTTP/1.0\r\n\r\n",
             false,
         );
-        use underradar_surveil::system::SurveillanceNode;
-        let surv = net
-            .sim
-            .node_ref::<SurveillanceNode>(net.surveillance)
-            .expect("surveillance")
-            .system();
+        let surv = net.surveillance();
         assert_eq!(
             surv.alerts_for(net.client_ip),
             0,

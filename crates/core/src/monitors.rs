@@ -1,0 +1,91 @@
+//! The monitors a world is judged against (§3.2, §4.2): a tap censor, an
+//! optional inline censor and the surveillance node (the MVR and its IDS).
+//!
+//! The flat testbed ([`crate::testbed::Testbed`]) has all three; the
+//! routed TTL topology ([`crate::methods::stateful::RoutedMimicryNet`])
+//! has no inline censor. Both delegate to one [`MonitorSet`], so how a
+//! world attaches telemetry and a tracer to its monitors, exports them and
+//! reads their actions is written once.
+
+use underradar_censor::{CensorAction, InlineCensor, TapCensor};
+use underradar_netsim::node::NodeId;
+use underradar_netsim::sim::Simulator;
+use underradar_netsim::telemetry::Telemetry;
+use underradar_surveil::system::{SurveillanceNode, SurveillanceSystem};
+
+/// A world's monitor nodes, by id in its simulator.
+#[derive(Debug, Clone, Copy)]
+pub struct MonitorSet {
+    /// The off-path censor.
+    pub(crate) tap: NodeId,
+    /// The inline censor, if the world has one.
+    pub(crate) inline: Option<NodeId>,
+    /// The surveillance node.
+    pub(crate) surveillance: NodeId,
+}
+
+impl MonitorSet {
+    /// Attach `tel` to the simulator so the scheduler's live counters
+    /// record into it as the world runs. When the handle carries a
+    /// flight-recorder trace, the tracer also goes to every monitor, so
+    /// one trace holds the full causal chain.
+    pub fn set_telemetry(&self, sim: &mut Simulator, tel: Telemetry) {
+        let tracer = tel.tracer();
+        sim.set_telemetry(tel);
+        if !tracer.is_live() {
+            return;
+        }
+        if let Some(tap) = sim.node_mut::<TapCensor>(self.tap) {
+            tap.set_tracer(tracer.clone());
+        }
+        if let Some(inline) = self.inline.and_then(|id| sim.node_mut::<InlineCensor>(id)) {
+            inline.set_tracer(tracer.clone());
+        }
+        if let Some(surv) = sim.node_mut::<SurveillanceNode>(self.surveillance) {
+            surv.set_tracer(tracer);
+        }
+    }
+
+    /// Mirror the world into `tel`: scheduler totals, then the tap censor,
+    /// the inline censor and the surveillance pipeline. Counters and
+    /// gauges are idempotent; censor-action events append, so call once
+    /// per run.
+    pub fn export_telemetry(&self, sim: &Simulator, tel: &Telemetry) {
+        if !tel.is_enabled() {
+            return;
+        }
+        sim.export_telemetry(tel);
+        if let Some(tap) = sim.node_ref::<TapCensor>(self.tap) {
+            tap.export_telemetry(tel);
+        }
+        if let Some(inline) = self.inline.and_then(|id| sim.node_ref::<InlineCensor>(id)) {
+            inline.export_telemetry(tel);
+        }
+        self.surveillance(sim).export_telemetry(tel);
+    }
+
+    /// Ground truth, borrowed: the tap censor's logged actions, then the
+    /// inline censor's.
+    pub fn censor_actions<'s>(&self, sim: &'s Simulator) -> impl Iterator<Item = &'s CensorAction> {
+        let tap = sim
+            .node_ref::<TapCensor>(self.tap)
+            .map_or(&[][..], TapCensor::actions);
+        let inline = self
+            .inline
+            .and_then(|id| sim.node_ref::<InlineCensor>(id))
+            .map_or(&[][..], InlineCensor::actions);
+        tap.iter().chain(inline)
+    }
+
+    /// Whether any censor acted during the run.
+    pub fn censor_acted(&self, sim: &Simulator) -> bool {
+        self.censor_actions(sim).next().is_some()
+    }
+
+    /// The surveillance system, for evasion and attribution queries.
+    pub fn surveillance<'s>(&self, sim: &'s Simulator) -> &'s SurveillanceSystem {
+        sim.node_ref::<SurveillanceNode>(self.surveillance)
+            .expect("surveillance node exists")
+            .system()
+    }
+}

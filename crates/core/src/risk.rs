@@ -7,6 +7,9 @@
 
 use std::net::Ipv4Addr;
 
+use underradar_netsim::sim::Simulator;
+
+use crate::monitors::MonitorSet;
 use crate::testbed::Testbed;
 use crate::verdict::Verdict;
 
@@ -31,13 +34,12 @@ pub struct RiskReport {
 
 impl RiskReport {
     /// Evaluate a verdict against the testbed's ground truth and
-    /// surveillance state.
+    /// surveillance state, anonymity set included.
     pub fn evaluate(tb: &Testbed, verdict: &Verdict) -> RiskReport {
-        let censor_triggered = tb.censor_acted();
-        let surveillance = tb.surveillance();
-        let alerts_on_client = surveillance.alerts_for(tb.client_ip);
+        let mut report = RiskReport::score(&tb.sim, tb.monitors(), tb.client_ip, verdict);
         let home = Testbed::home_net();
-        let alert_sources: Vec<Ipv4Addr> = surveillance
+        let alert_sources: Vec<Ipv4Addr> = tb
+            .surveillance()
             .engine()
             .log()
             .all()
@@ -45,18 +47,31 @@ impl RiskReport {
             .map(|a| a.src)
             .filter(|s| home.contains(*s))
             .collect();
-        let anonymity_set = if alert_sources.is_empty() {
-            None
-        } else {
-            Some(underradar_spoof::anonymity_set(&alert_sources, 32))
-        };
+        if !alert_sources.is_empty() {
+            report.anonymity_set = Some(underradar_spoof::anonymity_set(&alert_sources, 32));
+        }
+        report
+    }
+
+    /// Score a verdict for `client` against any world's monitors: censor
+    /// ground truth, alerts, attribution and pursuit. The anonymity set
+    /// stays `None`; only [`RiskReport::evaluate`] measures it, over the
+    /// flat testbed's cover population.
+    pub fn score(
+        sim: &Simulator,
+        monitors: MonitorSet,
+        client: Ipv4Addr,
+        verdict: &Verdict,
+    ) -> RiskReport {
+        let censor_triggered = monitors.censor_acted(sim);
+        let surveillance = monitors.surveillance(sim);
         RiskReport {
             censor_triggered,
             verdict_correct: verdict.correct_against(censor_triggered),
-            alerts_on_client,
-            attributed: surveillance.is_attributed(tb.client_ip),
-            pursued: surveillance.is_pursued(tb.client_ip),
-            anonymity_set,
+            alerts_on_client: surveillance.alerts_for(client),
+            attributed: surveillance.is_attributed(client),
+            pursued: surveillance.is_pursued(client),
+            anonymity_set: None,
         }
     }
 

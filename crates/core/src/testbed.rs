@@ -46,6 +46,8 @@ use underradar_surveil::system::{
     default_surveillance_rules, SurveillanceConfig, SurveillanceNode,
 };
 
+use crate::monitors::MonitorSet;
+
 /// A measurable target site.
 #[derive(Debug, Clone)]
 pub struct TargetSite {
@@ -414,28 +416,22 @@ impl Testbed {
         TestbedTemplate::prepare(config).instantiate(seed)
     }
 
-    fn spawn_on(&mut self, node: NodeId, at: SimTime, task: Box<dyn HostTask>) -> usize {
-        // External scheduling works whether or not the simulation has
-        // started, so tasks can be staged between run calls.
-        let token = self.sim.alloc_timer_token();
-        let host = self.sim.node_mut::<Host>(node).expect("node is a host");
-        let idx = host.add_task(task);
-        host.bind_task_start(idx, token);
-        self.sim
-            .schedule_timer(node, at, token)
-            .expect("node exists");
-        idx
-    }
-
     /// Spawn a task on the measurement client at `at` (works before and
     /// between runs).
     pub fn spawn_on_client(&mut self, at: SimTime, task: Box<dyn HostTask>) -> usize {
-        self.spawn_on(self.client, at, task)
-    }
-
-    /// Spawn a task on the measurer-controlled server.
-    pub fn spawn_on_mserver(&mut self, at: SimTime, task: Box<dyn HostTask>) -> usize {
-        self.spawn_on(self.mserver, at, task)
+        // External scheduling works whether or not the simulation has
+        // started, so tasks can be staged between run calls.
+        let token = self.sim.alloc_timer_token();
+        let host = self
+            .sim
+            .node_mut::<Host>(self.client)
+            .expect("client is a host");
+        let idx = host.add_task(task);
+        host.bind_task_start(idx, token);
+        self.sim
+            .schedule_timer(self.client, at, token)
+            .expect("node exists");
+        idx
     }
 
     /// Run the simulation for `secs` simulated seconds.
@@ -450,77 +446,40 @@ impl Testbed {
         self.sim.node_ref::<Host>(self.client)?.task_ref::<T>(idx)
     }
 
-    /// A typed view of an mserver task after the run.
-    pub fn mserver_task<T: HostTask>(&self, idx: usize) -> Option<&T> {
-        self.sim.node_ref::<Host>(self.mserver)?.task_ref::<T>(idx)
+    /// The world's monitors: tap censor, inline censor, surveillance.
+    pub fn monitors(&self) -> MonitorSet {
+        MonitorSet {
+            tap: self.censor,
+            inline: Some(self.inline_censor),
+            surveillance: self.surveillance,
+        }
     }
 
-    /// Ground truth: the off-path censor's logged actions.
+    /// Ground truth: both censors' logged actions, tap first.
     pub fn censor_actions(&self) -> Vec<CensorAction> {
-        let mut actions = self
-            .sim
-            .node_ref::<TapCensor>(self.censor)
-            .map(|c| c.actions().to_vec())
-            .unwrap_or_default();
-        if let Some(inline) = self.sim.node_ref::<InlineCensor>(self.inline_censor) {
-            actions.extend(inline.actions().to_vec());
-        }
-        actions
+        self.monitors().censor_actions(&self.sim).cloned().collect()
     }
 
     /// Whether any censor acted during the run.
     pub fn censor_acted(&self) -> bool {
-        !self.censor_actions().is_empty()
+        self.monitors().censor_acted(&self.sim)
     }
 
     /// The surveillance system, for evasion/attribution queries.
     pub fn surveillance(&self) -> &underradar_surveil::SurveillanceSystem {
-        self.sim
-            .node_ref::<SurveillanceNode>(self.surveillance)
-            .expect("surveillance node exists")
-            .system()
+        self.monitors().surveillance(&self.sim)
     }
 
-    /// Attach a telemetry handle to the simulator so the scheduler's live
-    /// counters (events, link transmits/drops, queue depths) record into
-    /// it as the simulation runs. When the handle carries a flight-recorder
-    /// trace, the tracer is also pushed into every decision stage — link
-    /// scheduler, censors, and the surveillance pipeline — so one trace
-    /// holds the full causal chain.
+    /// Attach a telemetry handle to the simulator, and its tracer to every
+    /// monitor ([`MonitorSet::set_telemetry`]).
     pub fn set_telemetry(&mut self, tel: underradar_netsim::telemetry::Telemetry) {
-        let tracer = tel.tracer();
-        self.sim.set_telemetry(tel);
-        if tracer.is_live() {
-            if let Some(tap) = self.sim.node_mut::<TapCensor>(self.censor) {
-                tap.set_tracer(tracer.clone());
-            }
-            if let Some(inline) = self.sim.node_mut::<InlineCensor>(self.inline_censor) {
-                inline.set_tracer(tracer.clone());
-            }
-            if let Some(surv) = self.sim.node_mut::<SurveillanceNode>(self.surveillance) {
-                surv.set_tracer(tracer);
-            }
-        }
+        self.monitors().set_telemetry(&mut self.sim, tel);
     }
 
-    /// Mirror the whole testbed's state into `tel`: scheduler totals plus
-    /// the tap censor, inline censor, and surveillance pipeline exports.
-    /// Counters and gauges are idempotent; censor-action events append,
-    /// so call once per run.
+    /// Mirror the whole testbed's state into `tel`
+    /// ([`MonitorSet::export_telemetry`]); call once per run.
     pub fn export_telemetry(&self, tel: &underradar_netsim::telemetry::Telemetry) {
-        if !tel.is_enabled() {
-            return;
-        }
-        self.sim.export_telemetry(tel);
-        if let Some(tap) = self.sim.node_ref::<TapCensor>(self.censor) {
-            tap.export_telemetry(tel);
-        }
-        if let Some(inline) = self.sim.node_ref::<InlineCensor>(self.inline_censor) {
-            inline.export_telemetry(tel);
-        }
-        if let Some(surv) = self.sim.node_ref::<SurveillanceNode>(self.surveillance) {
-            surv.system().export_telemetry(tel);
-        }
+        self.monitors().export_telemetry(&self.sim, tel);
     }
 
     /// A target by domain string.
@@ -542,42 +501,55 @@ mod tests {
     use super::*;
     use underradar_netsim::{ConnId, HostApi, TcpEvent};
 
+    /// Fetches `path` from `target:80`, recording the response status and
+    /// whether the flow was reset.
+    struct Get {
+        target: Ipv4Addr,
+        path: &'static str,
+        buf: Vec<u8>,
+        status: Option<u16>,
+        reset: bool,
+    }
+
+    impl Get {
+        fn boxed(target: Ipv4Addr, path: &'static str) -> Box<Get> {
+            Box::new(Get {
+                target,
+                path,
+                buf: Vec::new(),
+                status: None,
+                reset: false,
+            })
+        }
+    }
+
+    impl HostTask for Get {
+        fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
+            api.tcp_connect(self.target, 80);
+        }
+        fn on_tcp(&mut self, api: &mut HostApi<'_, '_>, conn: ConnId, ev: TcpEvent) {
+            match ev {
+                TcpEvent::Connected => {
+                    let request = format!("GET {} HTTP/1.0\r\nHost: x\r\n\r\n", self.path);
+                    api.tcp_send(conn, request.as_bytes())
+                }
+                TcpEvent::Data(d) => {
+                    self.buf.extend_from_slice(&d);
+                    if let Ok(r) = underradar_protocols::http::HttpResponse::parse(&self.buf) {
+                        self.status = Some(r.status);
+                    }
+                }
+                TcpEvent::Reset => self.reset = true,
+                _ => {}
+            }
+        }
+    }
+
     #[test]
     fn default_testbed_builds_and_routes_web_traffic() {
-        struct Get {
-            target: Ipv4Addr,
-            status: Option<u16>,
-            buf: Vec<u8>,
-        }
-        impl HostTask for Get {
-            fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
-                api.tcp_connect(self.target, 80);
-            }
-            fn on_tcp(&mut self, api: &mut HostApi<'_, '_>, conn: ConnId, ev: TcpEvent) {
-                match ev {
-                    TcpEvent::Connected => {
-                        api.tcp_send(conn, b"GET / HTTP/1.0\r\nHost: bbc.com\r\n\r\n")
-                    }
-                    TcpEvent::Data(d) => {
-                        self.buf.extend_from_slice(&d);
-                        if let Ok(r) = underradar_protocols::http::HttpResponse::parse(&self.buf) {
-                            self.status = Some(r.status);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
         let mut tb = Testbed::build(TestbedConfig::default());
         let bbc = tb.target("bbc.com").expect("bbc target").web_ip;
-        tb.spawn_on_client(
-            SimTime::ZERO,
-            Box::new(Get {
-                target: bbc,
-                status: None,
-                buf: vec![],
-            }),
-        );
+        tb.spawn_on_client(SimTime::ZERO, Get::boxed(bbc, "/"));
         tb.run_secs(10);
         let task = tb.client_task::<Get>(0).expect("task");
         assert_eq!(
@@ -633,37 +605,13 @@ mod tests {
 
     #[test]
     fn censored_keyword_triggers_censor_in_testbed() {
-        struct Get {
-            target: Ipv4Addr,
-            reset: bool,
-        }
-        impl HostTask for Get {
-            fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
-                api.tcp_connect(self.target, 80);
-            }
-            fn on_tcp(&mut self, api: &mut HostApi<'_, '_>, conn: ConnId, ev: TcpEvent) {
-                match ev {
-                    TcpEvent::Connected => {
-                        api.tcp_send(conn, b"GET /falun HTTP/1.0\r\nHost: x\r\n\r\n")
-                    }
-                    TcpEvent::Reset => self.reset = true,
-                    _ => {}
-                }
-            }
-        }
         let config = TestbedConfig {
             policy: CensorPolicy::new().block_keyword("falun"),
             ..TestbedConfig::default()
         };
         let mut tb = Testbed::build(config);
         let web = tb.target("bbc.com").expect("t").web_ip;
-        tb.spawn_on_client(
-            SimTime::ZERO,
-            Box::new(Get {
-                target: web,
-                reset: false,
-            }),
-        );
+        tb.spawn_on_client(SimTime::ZERO, Get::boxed(web, "/falun"));
         tb.run_secs(10);
         assert!(tb.client_task::<Get>(0).expect("t").reset);
         assert!(tb.censor_acted());
@@ -671,17 +619,9 @@ mod tests {
 
     #[test]
     fn surveillance_observes_client_traffic() {
-        struct Syn {
-            target: Ipv4Addr,
-        }
-        impl HostTask for Syn {
-            fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
-                api.tcp_connect(self.target, 80);
-            }
-        }
         let mut tb = Testbed::build(TestbedConfig::default());
         let web = tb.target("example.org").expect("t").web_ip;
-        tb.spawn_on_client(SimTime::ZERO, Box::new(Syn { target: web }));
+        tb.spawn_on_client(SimTime::ZERO, Get::boxed(web, "/"));
         tb.run_secs(5);
         assert!(tb.surveillance().stats().observed > 0);
     }
@@ -689,19 +629,6 @@ mod tests {
     #[test]
     fn telemetry_covers_scheduler_censor_and_surveillance() {
         use underradar_netsim::telemetry::Telemetry;
-        struct Get {
-            target: Ipv4Addr,
-        }
-        impl HostTask for Get {
-            fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
-                api.tcp_connect(self.target, 80);
-            }
-            fn on_tcp(&mut self, api: &mut HostApi<'_, '_>, conn: ConnId, ev: TcpEvent) {
-                if let TcpEvent::Connected = ev {
-                    api.tcp_send(conn, b"GET /falun HTTP/1.0\r\nHost: x\r\n\r\n");
-                }
-            }
-        }
         let config = TestbedConfig {
             policy: CensorPolicy::new().block_keyword("falun"),
             ..TestbedConfig::default()
@@ -710,7 +637,7 @@ mod tests {
         let tel = Telemetry::enabled();
         tb.set_telemetry(tel.clone());
         let web = tb.target("bbc.com").expect("t").web_ip;
-        tb.spawn_on_client(SimTime::ZERO, Box::new(Get { target: web }));
+        tb.spawn_on_client(SimTime::ZERO, Get::boxed(web, "/falun"));
         tb.run_secs(10);
         tb.export_telemetry(&tel);
         let snap = tel.snapshot();
@@ -732,19 +659,6 @@ mod tests {
     fn monitor_reassembly_knob_reaches_every_monitor() {
         use underradar_ids::stream::ReassemblyConfig;
         use underradar_netsim::telemetry::Telemetry;
-        struct Get {
-            target: Ipv4Addr,
-        }
-        impl HostTask for Get {
-            fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
-                api.tcp_connect(self.target, 80);
-            }
-            fn on_tcp(&mut self, api: &mut HostApi<'_, '_>, conn: ConnId, ev: TcpEvent) {
-                if let TcpEvent::Connected = ev {
-                    api.tcp_send(conn, b"GET / HTTP/1.0\r\nHost: x\r\n\r\n");
-                }
-            }
-        }
         let config = TestbedConfig {
             monitor_reassembly: ReassemblyConfig {
                 max_flows: 1,
@@ -760,7 +674,7 @@ mod tests {
         for (i, web) in webs.into_iter().enumerate() {
             tb.spawn_on_client(
                 SimTime::ZERO + SimDuration::from_secs(i as u64),
-                Box::new(Get { target: web }),
+                Get::boxed(web, "/"),
             );
         }
         tb.run_secs(10);
@@ -814,32 +728,8 @@ mod tests {
         };
         let template = TestbedTemplate::prepare(config());
         let run = |mut tb: Testbed| {
-            struct Get {
-                target: Ipv4Addr,
-                reset: bool,
-            }
-            impl HostTask for Get {
-                fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
-                    api.tcp_connect(self.target, 80);
-                }
-                fn on_tcp(&mut self, api: &mut HostApi<'_, '_>, conn: ConnId, ev: TcpEvent) {
-                    match ev {
-                        TcpEvent::Connected => {
-                            api.tcp_send(conn, b"GET /falun HTTP/1.0\r\nHost: x\r\n\r\n")
-                        }
-                        TcpEvent::Reset => self.reset = true,
-                        _ => {}
-                    }
-                }
-            }
             let web = tb.target("bbc.com").expect("t").web_ip;
-            tb.spawn_on_client(
-                SimTime::ZERO,
-                Box::new(Get {
-                    target: web,
-                    reset: false,
-                }),
-            );
+            tb.spawn_on_client(SimTime::ZERO, Get::boxed(web, "/falun"));
             tb.run_secs(10);
             (
                 tb.client_task::<Get>(0).expect("t").reset,

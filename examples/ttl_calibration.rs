@@ -18,7 +18,6 @@
 use underradar::censor::CensorPolicy;
 use underradar::core::methods::stateful::{MimicServer, RoutedMimicryNet, StatefulMimicry};
 use underradar::netsim::host::Host;
-use underradar::netsim::time::{SimDuration, SimTime};
 
 const PORT: u16 = 7443;
 const ISS: u32 = 0x0badcafe;
@@ -34,29 +33,21 @@ fn main() {
     for ttl in 1u8..=6 {
         let mut net = RoutedMimicryNet::build(42, CensorPolicy::new());
         net.sim.enable_capture();
-        net.sim
-            .node_mut::<Host>(net.mserver)
-            .expect("mserver host")
-            .spawn_task_at(
-                SimTime::ZERO,
-                Box::new(MimicServer::new(PORT, ISS, Some(ttl))),
-            );
-        net.sim
-            .node_mut::<Host>(net.client)
-            .expect("client host")
-            .spawn_task_at(
-                SimTime::ZERO,
-                Box::new(StatefulMimicry::new(
-                    net.cover_ip,
-                    net.mserver_ip,
-                    PORT,
-                    ISS,
-                    b"calibration payload",
-                )),
-            );
-        net.sim
-            .run_for(SimDuration::from_secs(10))
-            .expect("run within budget");
+        net.spawn(
+            net.mserver,
+            Box::new(MimicServer::new(PORT, ISS, Some(ttl))),
+        );
+        net.spawn(
+            net.client,
+            Box::new(StatefulMimicry::new(
+                net.cover_ip,
+                net.mserver_ip,
+                PORT,
+                ISS,
+                b"calibration payload",
+            )),
+        );
+        net.run_secs(10);
 
         let cap = net.sim.capture().expect("capture enabled");
         let tap_sees = cap.records().iter().any(|r| {
@@ -70,12 +61,7 @@ fn main() {
         let cover = net.sim.node_ref::<Host>(net.cover).expect("cover host");
         let leak = cover.counters().tcp_in > 0;
         let rst = cover.counters().rst_sent > 0;
-        let server = net
-            .sim
-            .node_ref::<Host>(net.mserver)
-            .expect("mserver host")
-            .task_ref::<MimicServer>(0)
-            .expect("server task");
+        let server = net.mserver_task::<MimicServer>(0).expect("server task");
         let completed = !server.received.is_empty() && !server.was_reset();
         let usable = tap_sees && !leak && completed;
         if usable && best.is_none() {

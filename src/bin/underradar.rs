@@ -27,7 +27,6 @@ use underradar::core::methods::stateful::RoutedMimicryNet;
 use underradar::core::probe::Probe;
 use underradar::core::risk::RiskReport;
 use underradar::core::testbed::{TargetSite, Testbed, TestbedConfig};
-use underradar::netsim::host::Host;
 use underradar::netsim::time::{SimDuration, SimTime};
 use underradar::protocols::dns::DnsName;
 use underradar_bench::cli::{self, Arg, ArgParser};
@@ -210,17 +209,9 @@ fn calibrate(argv: &[String]) -> Result<ExitCode, String> {
     // Hop discovery from the measurement server, then the recommended TTL.
     let mut net = RoutedMimicryNet::build(7, CensorPolicy::new());
     let cover: Ipv4Addr = net.cover_ip;
-    net.sim
-        .node_mut::<Host>(net.mserver)
-        .expect("mserver host")
-        .spawn_task_at(SimTime::ZERO, Box::new(HopProbe::new(cover, 33434, 8)));
-    net.sim.run_for(SimDuration::from_secs(10)).expect("run");
-    let probe = net
-        .sim
-        .node_ref::<Host>(net.mserver)
-        .expect("mserver host")
-        .task_ref::<HopProbe>(0)
-        .expect("probe state");
+    net.spawn(net.mserver, Box::new(HopProbe::new(cover, 33434, 8)));
+    net.run_secs(10);
+    let probe = net.mserver_task::<HopProbe>(0).expect("probe state");
     println!("path from measurement server toward {cover}:");
     for (ttl, router) in probe.path() {
         println!("  hop {ttl}: {router}");

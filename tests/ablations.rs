@@ -12,7 +12,7 @@ use underradar::core::risk::RiskReport;
 use underradar::core::testbed::{TargetSite, Testbed, TestbedConfig};
 use underradar::netsim::addr::Cidr;
 use underradar::netsim::host::Host;
-use underradar::netsim::time::{SimDuration, SimTime};
+use underradar::netsim::time::SimTime;
 use underradar::spoof::anonymity_set;
 
 const PORT: u16 = 7443;
@@ -27,31 +27,18 @@ fn split_keyword_run(censor_rst_teardown: bool) -> (bool, bool) {
     if let Some(censor) = net.sim.node_mut::<TapCensor>(net.censor) {
         censor.set_rst_teardown(censor_rst_teardown);
     }
-    net.sim
-        .node_mut::<Host>(net.mserver)
-        .expect("mserver")
-        .spawn_task_at(
-            SimTime::ZERO,
-            // Unlimited TTL: the neighbor WILL see the SYN/ACK and RST the flow.
-            Box::new(MimicServer::new(PORT, ISS, None)),
-        );
-    net.sim
-        .node_mut::<Host>(net.client)
-        .expect("client")
-        .spawn_task_at(
-            SimTime::ZERO,
-            Box::new(
-                StatefulMimicry::new(net.cover_ip, net.mserver_ip, PORT, ISS, b"GET /falun HTTP")
-                    .with_split_payload(),
-            ),
-        );
-    net.sim.run_for(SimDuration::from_secs(10)).expect("run");
-    let censor = net.sim.node_ref::<TapCensor>(net.censor).expect("censor");
+    // Unlimited TTL: the neighbor WILL see the SYN/ACK and RST the flow.
+    net.spawn(net.mserver, Box::new(MimicServer::new(PORT, ISS, None)));
+    net.spawn(
+        net.client,
+        Box::new(
+            StatefulMimicry::new(net.cover_ip, net.mserver_ip, PORT, ISS, b"GET /falun HTTP")
+                .with_split_payload(),
+        ),
+    );
+    net.run_secs(10);
     let neighbor = net.sim.node_ref::<Host>(net.cover).expect("cover");
-    (
-        censor.stats().rst_injections > 0,
-        neighbor.counters().rst_sent > 0,
-    )
+    (net.censor_acted(), neighbor.counters().rst_sent > 0)
 }
 
 #[test]
