@@ -5,13 +5,13 @@
 //! `cargo bench --bench perf`; pass section names to run a subset (e.g.
 //! `cargo bench --bench perf -- telemetry` for the CI smoke). Besides
 //! timing, the reassembly section *checks* that bytes copied stay ≤ 2×
-//! payload (no per-segment O(window) clone). The telemetry section checks the observability acceptance bounds:
-//! disabled telemetry handles *and* a disabled flight-recorder tracer
-//! each keep the 8 KB reassembly hot path within 3% of the
-//! uninstrumented throughput, and the `NoopSink` skips all rendering
-//! work. Unfiltered runs also snapshot every result row to
-//! `BENCH_perf.json` at the workspace root; the committed copy pins the
-//! bench schema (`scripts/ci.sh` regenerates and diffs it).
+//! payload (no per-segment O(window) clone). The telemetry section checks
+//! the observability acceptance bounds: disabled telemetry handles *and* a
+//! disabled flight-recorder tracer each keep the 8 KB reassembly hot path
+//! within 3% of the uninstrumented throughput. Unfiltered runs also
+//! snapshot every result row to `BENCH_perf.json` at the workspace root;
+//! the committed copy pins the bench schema (`scripts/ci.sh` regenerates
+//! and diffs it).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -1013,7 +1013,7 @@ fn drive_flow_traced(trace: &[Packet], tracer: &underradar_telemetry::Tracer) ->
 }
 
 fn bench_telemetry() {
-    use underradar_telemetry::{FieldValue, MemorySink, Telemetry};
+    use underradar_telemetry::Telemetry;
     println!("telemetry");
 
     // Raw per-op cost of the pre-resolved handles.
@@ -1024,25 +1024,6 @@ fn bench_telemetry() {
     let dead = underradar_telemetry::Counter::disabled();
     let ns = measure(1_000_000, || dead.incr());
     report("counter_incr_disabled", ns, None);
-
-    // NoopSink (inactive) must skip event rendering entirely: recording an
-    // event through it should cost well under half of rendering+buffering
-    // the same event through an active sink.
-    let fields: [(&str, FieldValue); 2] = [
-        ("kind", FieldValue::from("keyword_rst")),
-        ("client", FieldValue::from("10.0.1.2")),
-    ];
-    let noop_tel = Telemetry::enabled(); // NoopSink, inactive
-    let noop_ns = measure(100_000, || noop_tel.event(7, "censor.action", &fields));
-    report("event_noop_sink", noop_ns, None);
-    let sink_tel = Telemetry::with_sink(Box::new(MemorySink::new()));
-    let sink_ns = measure(100_000, || sink_tel.event(7, "censor.action", &fields));
-    report("event_memory_sink", sink_ns, None);
-    assert!(
-        noop_ns < sink_ns,
-        "acceptance: NoopSink must skip rendering (noop {noop_ns:.0} ns ≥ \
-         active-sink {sink_ns:.0} ns)"
-    );
 
     bench_registry_sharing();
 
@@ -1213,14 +1194,12 @@ fn bench_registry_sharing() {
     );
 }
 
-/// A passive monitor node carrying a [`DetectionEngine`], switchable
-/// between per-packet and batched dispatch — the two sides of the scale
-/// section's coalescing comparison. Mirrors the tap/surveillance nodes:
-/// pure observer, no randomness, no injected traffic.
+/// A passive monitor node carrying a [`DetectionEngine`]. Mirrors the
+/// tap/surveillance nodes: pure observer, no randomness, no injected
+/// traffic.
 struct EngineMonitor {
     name: String,
     engine: DetectionEngine,
-    batch: bool,
     alerts: Vec<underradar_ids::alert::Alert>,
 }
 
@@ -1237,19 +1216,6 @@ impl underradar_netsim::node::Node for EngineMonitor {
         let mut fired = self.engine.process(ctx.now(), &packet);
         self.alerts.append(&mut fired);
     }
-    fn wants_batch(&self) -> bool {
-        self.batch
-    }
-    fn receive_batch(
-        &mut self,
-        ctx: &mut underradar_netsim::node::NodeCtx<'_>,
-        _iface: underradar_netsim::node::IfaceId,
-        packets: &mut Vec<Packet>,
-    ) {
-        self.engine
-            .process_batch(ctx.now(), packets, &mut self.alerts);
-        packets.clear();
-    }
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -1260,8 +1226,8 @@ impl underradar_netsim::node::Node for EngineMonitor {
 
 /// Round-major flow fleet: `flows` concurrent TCP sessions advancing in
 /// lockstep (SYN round, SYN-ACK round, ACK round, `data_rounds` payload
-/// rounds), every round at one shared instant. This is exactly the shape
-/// `drain_batch` coalesces — maximal same-instant runs to one node.
+/// rounds), every round at one shared instant: maximal same-instant runs
+/// to one node, the shape `DetectionEngine::process_batch` takes.
 fn fleet_rounds(flows: usize, data_rounds: usize, payload: &[u8]) -> Vec<Vec<Packet>> {
     // Three address octets so fleets past 65k flows stay distinct.
     let client = |f: usize| Ipv4Addr::new(10, (f >> 16) as u8, (f >> 8) as u8, f as u8);
@@ -1316,12 +1282,12 @@ fn fleet_rounds(flows: usize, data_rounds: usize, payload: &[u8]) -> Vec<Vec<Pac
 }
 
 /// The population-scale core of the arena / wheel / batch redesign.
-/// (1) timer-wheel insertion+drain on a 100k-timer storm; (2) coalesced
-/// delivery runs are no slower than per-packet dispatch through the
-/// simulator→engine pipeline, and batched arena processing is timed on
-/// steady-state segments; (3) the steady-state packet path performs zero
-/// heap allocations (counted, not sampled); (4) 100k concurrent flows fit
-/// the per-flow byte budget the e14 experiment runs under.
+/// (1) timer-wheel insertion+drain on a 100k-timer storm; (2) delivery
+/// through the simulator→engine pipeline is timed, and batched arena
+/// processing is timed on steady-state segments; (3) the steady-state
+/// packet path performs zero heap allocations (counted, not sampled);
+/// (4) 100k concurrent flows fit the per-flow byte budget the e14
+/// experiment runs under.
 fn bench_scale() {
     use underradar_ids::stream::ReassemblyConfig;
     use underradar_netsim::event::{EventKind, EventQueue, TimerToken};
@@ -1361,20 +1327,18 @@ fn bench_scale() {
     report("timer_storm_100k_wheel", wheel_ns, None);
 
     // -- (2a) full-pipeline TCP fleet, for the record: one simulator, one
-    // engine-carrying monitor, identical round-major traffic; the only
-    // difference is `wants_batch`. Injection, queue and engine costs are
-    // shared, so the gap here is diluted — the gated measurement below
+    // engine-carrying monitor, round-major traffic. Injection, queue and
+    // engine costs are all inside the clock; the measurement below
     // isolates the dispatch term.
     const FLOWS: usize = 512;
     let rounds = fleet_rounds(FLOWS, 4, &sample_payload(64));
     let n_packets: usize = rounds.iter().map(Vec::len).sum();
-    let fleet_side = |batch: bool| -> f64 {
+    let fleet_ns = {
         let mut sim = Simulator::new(7);
         sim.set_event_budget(u64::MAX);
         let node = sim.add_node(Box::new(EngineMonitor {
             name: "mon".into(),
             engine: DetectionEngine::with_reassembly(ruleset(10), ReassemblyConfig::default()),
-            batch,
             alerts: Vec::new(),
         }));
         let mut base = 0u64;
@@ -1391,33 +1355,22 @@ fn bench_scale() {
             sim.events_processed()
         })
     };
-    report(
-        &format!("fleet_{n_packets}pkts_per_packet"),
-        fleet_side(false),
-        None,
-    );
-    report(
-        &format!("fleet_{n_packets}pkts_batched"),
-        fleet_side(true),
-        None,
-    );
+    report(&format!("fleet_{n_packets}pkts_per_packet"), fleet_ns, None);
 
-    // -- (2b) the gated dispatch measurement: the queue is pre-filled
-    // *outside* the timed region, so the clock covers exactly the drain
-    // loop — pop, dispatch, engine entry. The workload is empty UDP
-    // datagrams, which the engine rejects in constant time (no flow, no
-    // payload, no TCP rule group), so per-packet work is a floor and the
-    // ratio measures the per-delivery dispatch the batch path amortizes
-    // into one `receive_batch` per same-instant run.
+    // -- (2b) the dispatch measurement: the queue is pre-filled *outside*
+    // the timed region, so the clock covers exactly the drain loop — pop,
+    // dispatch, engine entry. The workload is empty UDP datagrams, which
+    // the engine rejects in constant time (no flow, no payload, no TCP
+    // rule group), so per-packet work is a floor and the row measures the
+    // per-delivery cost of the simulator's one delivery path.
     const DISPATCH_INSTANTS: u64 = 64;
     const PER_INSTANT: u64 = 2_048;
-    let dispatch_side = |batch: bool| -> f64 {
+    let dispatch_ns = || -> f64 {
         let mut sim = Simulator::new(7);
         sim.set_event_budget(u64::MAX);
         let node = sim.add_node(Box::new(EngineMonitor {
             name: "mon".into(),
             engine: DetectionEngine::with_reassembly(ruleset(10), ReassemblyConfig::default()),
-            batch,
             alerts: Vec::new(),
         }));
         let pkt = Packet::udp(SRC, DST, 4000, 53, vec![]);
@@ -1433,33 +1386,14 @@ fn bench_scale() {
             }
             base += DISPATCH_INSTANTS * 2_000_000;
             let t0 = Instant::now();
-            while sim.drain_batch().expect("drain") > 0 {}
+            sim.run_to_completion().expect("drain");
             best =
                 best.min(t0.elapsed().as_nanos() as f64 / (DISPATCH_INSTANTS * PER_INSTANT) as f64);
         }
         best
     };
-    let mut per_packet_ns = f64::MAX;
-    let mut batched_ns = f64::MAX;
-    let mut dispatch_speedup = 0.0f64;
-    for _ in 0..3 {
-        let p = dispatch_side(false);
-        let b = dispatch_side(true);
-        per_packet_ns = per_packet_ns.min(p);
-        batched_ns = batched_ns.min(b);
-        dispatch_speedup = dispatch_speedup.max(p / b);
-    }
+    let per_packet_ns = (0..3).map(|_| dispatch_ns()).fold(f64::MAX, f64::min);
     report("dispatch_udp_flood_per_packet", per_packet_ns, None);
-    report("dispatch_udp_flood_batched", batched_ns, None);
-    println!(
-        "  {:<44} {dispatch_speedup:>11.2}x",
-        "delivery-run coalescing (for the record)"
-    );
-    assert!(
-        dispatch_speedup >= 1.0,
-        "coalesced delivery runs must not be slower than per-packet \
-         delivery (got {dispatch_speedup:.2}x)"
-    );
 
     // -- (2c) batched arena processing on steady-state 16 B data
     // segments. Population scale is the point: with tens of thousands of

@@ -87,8 +87,8 @@ fn generate(flows: usize) -> ScaleLoad {
 
     let mut stream = Vec::with_capacity(flows * 4 + 4096);
     // Round r of the handshake script for every flow shares one instant:
-    // the engine sees flows*1 same-time deliveries per round, exactly the
-    // shape `Simulator::drain_batch` coalesces.
+    // the engine sees flows*1 same-time packets per round, one maximal
+    // run for `DetectionEngine::process_batch`.
     for round in 0..4u64 {
         let t = SimTime::from_nanos(round * 1_000_000_000);
         for i in 0..flows {
@@ -172,8 +172,8 @@ fn scale_engine(flows: usize) -> DetectionEngine {
     )
 }
 
-/// Feed the whole stream through `engine`, batching maximal equal-time
-/// runs (the shape the simulator's `drain_batch` hands a node).
+/// Feed the whole stream through `engine`, handing each maximal
+/// equal-time run to `DetectionEngine::process_batch` in one call.
 fn run_batched(engine: &mut DetectionEngine, stream: &[Timed], out: &mut Vec<Alert>) {
     let mut i = 0;
     let mut batch: Vec<Packet> = Vec::new();

@@ -50,6 +50,11 @@ const MIMIC_PORT: u16 = 7443;
 const SCAN_PORTS: usize = 60;
 /// Request samples per DDoS-style trial.
 const DDOS_SAMPLES: usize = 20;
+/// Spoofed cover address `i` is `10.0.1.(SPOOFED_COVER_BASE + i)`.
+const SPOOFED_COVER_BASE: u8 = 30;
+/// The most spoofed cover addresses a stateless-mimicry trial can
+/// address ([`CampaignSpec::spoofed_cover`]'s limit).
+pub const MAX_SPOOFED_COVER: usize = 256 - SPOOFED_COVER_BASE as usize;
 
 /// Everything shareable across a policy column's trials: the flat
 /// testbed template and the routed-topology template. Each derives its
@@ -418,7 +423,7 @@ fn execute_flat(
     let collector = tb.collector_ip;
     let cover = if spec.spoofed_cover > 0 {
         (0..spec.spoofed_cover)
-            .map(|i| std::net::Ipv4Addr::new(10, 0, 1, 30 + i as u8))
+            .map(|i| std::net::Ipv4Addr::new(10, 0, 1, SPOOFED_COVER_BASE + i as u8))
             .collect()
     } else {
         tb.cover_ips.clone()

@@ -2,8 +2,10 @@
 //! deterministic trial matrix.
 
 use underradar_censor::CensorPolicy;
+use underradar_core::testbed::{MAX_COVER_HOSTS, MAX_TARGET_SITES};
 use underradar_ids::stream::{OverlapPolicy, ReassemblyConfig};
 
+use crate::engine::MAX_SPOOFED_COVER;
 use crate::seed;
 
 /// One of the paper's measurement methods, selectable in a campaign.
@@ -103,6 +105,28 @@ impl Default for RetryPolicy {
             max_retries: 2,
             backoff_secs: 30,
         }
+    }
+}
+
+/// A [`CampaignSpec`] count that overruns the testbed's address plan
+/// (see [`CampaignSpec::check_address_plan`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AddressPlanOverrun {
+    /// The overrunning field: `targets`, `cover_hosts` or `spoofed_cover`.
+    pub field: &'static str,
+    /// Its count in the spec.
+    pub got: usize,
+    /// The most the address plan holds.
+    pub max: usize,
+}
+
+impl std::fmt::Display for AddressPlanOverrun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "campaign spec overruns the address plan: {} = {}, at most {}",
+            self.field, self.got, self.max
+        )
     }
 }
 
@@ -281,6 +305,23 @@ impl CampaignSpec {
     pub fn trace_capacity(mut self, capacity: Option<usize>) -> CampaignSpec {
         self.trace_capacity = capacity;
         self
+    }
+
+    /// Check every addressed count against the testbed's address plan:
+    /// at most [`MAX_TARGET_SITES`] targets, [`MAX_COVER_HOSTS`] cover
+    /// hosts and [`MAX_SPOOFED_COVER`] spoofed cover addresses. Past these
+    /// the last address octet wraps and worlds collide, so a spec must be
+    /// rejected before any world is built.
+    pub fn check_address_plan(&self) -> Result<(), AddressPlanOverrun> {
+        let limits = [
+            ("targets", self.targets.len(), MAX_TARGET_SITES),
+            ("cover_hosts", self.cover_hosts, MAX_COVER_HOSTS),
+            ("spoofed_cover", self.spoofed_cover, MAX_SPOOFED_COVER),
+        ];
+        match limits.into_iter().find(|&(_, got, max)| got > max) {
+            Some((field, got, max)) => Err(AddressPlanOverrun { field, got, max }),
+            None => Ok(()),
+        }
     }
 
     /// Total trials the matrix expands to.

@@ -135,12 +135,6 @@ impl Node for InlineCensor {
         &self.name
     }
 
-    // Forwarding draws no randomness, so same-instant deliveries can be
-    // coalesced into one dispatch (order within the batch is preserved).
-    fn wants_batch(&self) -> bool {
-        true
-    }
-
     fn receive(&mut self, ctx: &mut NodeCtx<'_>, iface: IfaceId, packet: Packet) {
         if self.tracer.is_live() {
             self.reassembler.set_now(ctx.now().as_nanos());

@@ -305,12 +305,6 @@ impl Node for TapCensor {
         &self.name
     }
 
-    // Inspection draws no randomness, so same-instant deliveries can be
-    // coalesced into one dispatch.
-    fn wants_batch(&self) -> bool {
-        true
-    }
-
     fn receive(&mut self, ctx: &mut NodeCtx<'_>, iface: IfaceId, packet: Packet) {
         self.stats.observed += 1;
         if self.tracer.is_live() {

@@ -48,6 +48,14 @@ use underradar_surveil::system::{
 
 use crate::monitors::MonitorSet;
 
+/// The most target sites one testbed can address: [`TargetSite::numbered`]
+/// puts site `i` at `93.184.0.(10 + i)`.
+pub const MAX_TARGET_SITES: usize = 256 - 10;
+
+/// The most cover hosts one testbed can address: cover host `i` sits at
+/// `10.0.1.(10 + i)`.
+pub const MAX_COVER_HOSTS: usize = 256 - 10;
+
 /// A measurable target site.
 #[derive(Debug, Clone)]
 pub struct TargetSite {
@@ -62,7 +70,8 @@ pub struct TargetSite {
 }
 
 impl TargetSite {
-    /// Build the `i`-th target for `domain`.
+    /// Build the `i`-th target for `domain`; `i` must stay below
+    /// [`MAX_TARGET_SITES`].
     pub fn numbered(domain: &str, i: u8) -> TargetSite {
         let domain = DnsName::parse(domain).expect("valid domain literal");
         let mx_name = domain.prepend("mx1").expect("mx label");
@@ -86,7 +95,8 @@ pub struct TestbedConfig {
     /// bbc.com, example.org as controls — blocking is decided by the
     /// policy, not the list).
     pub targets: Vec<TargetSite>,
-    /// Number of cover-client hosts on the access network.
+    /// Number of cover-client hosts on the access network (at most
+    /// [`MAX_COVER_HOSTS`]).
     pub cover_hosts: usize,
     /// Surveillance ablation: run signatures before MVR discard.
     pub surveillance_alert_first: bool,
@@ -653,6 +663,40 @@ mod tests {
         let before = snap.counters.clone();
         tb.export_telemetry(&tel);
         assert_eq!(tel.snapshot().counters, before);
+    }
+
+    #[test]
+    fn every_event_samples_the_queue_depth_including_same_instant_deliveries() {
+        use underradar_netsim::telemetry::Telemetry;
+        let mut tb = Testbed::build(TestbedConfig::default());
+        let tel = Telemetry::enabled();
+        tb.set_telemetry(tel.clone());
+        // Two packets reach the surveillance tap at one instant: each is
+        // its own delivery event and its own queue-depth sample.
+        let at = SimTime::ZERO + SimDuration::from_millis(5);
+        for ident in [1, 2] {
+            let pkt = underradar_netsim::packet::Packet::udp(
+                tb.client_ip,
+                tb.resolver_ip,
+                4000,
+                53,
+                vec![],
+            )
+            .with_ident(ident);
+            tb.sim
+                .inject_at(tb.surveillance, IfaceId(0), pkt, at)
+                .expect("surveillance node exists");
+        }
+        tb.run_secs(1);
+        tb.export_telemetry(&tel);
+        let snap = tel.snapshot();
+        assert_eq!(tb.surveillance().stats().observed, 2);
+        let events = snap.counter("netsim.events_processed");
+        assert!(events >= 2);
+        let depth = snap
+            .histogram("netsim.queue.depth")
+            .expect("queue depth sampled");
+        assert_eq!(depth.count(), events);
     }
 
     #[test]

@@ -52,11 +52,12 @@
 //! those rules (a campaign compiles each policy's ruleset once, not once
 //! per trial). A [`DetectionEngine`] owns only mutable matching state.
 //!
-//! [`DetectionEngine::process_batch`] is the scale entry point: it runs a
-//! same-instant packet run through the identical per-packet pipeline but
-//! appends alerts into one caller-owned buffer and hoists per-call
-//! bookkeeping (trace clock, teardown drain scheduling) out of the loop —
-//! byte-identical verdicts to per-packet [`DetectionEngine::process`].
+//! [`DetectionEngine::process_batch`] is the ids-level batch entry point:
+//! it runs a same-instant packet run through the identical per-packet
+//! pipeline but appends alerts into one caller-owned buffer and hoists
+//! per-call bookkeeping (trace clock, teardown drain scheduling) out of
+//! the loop — byte-identical verdicts to per-packet
+//! [`DetectionEngine::process`].
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -554,11 +555,10 @@ impl DetectionEngine {
     /// Verdict-identical to calling [`DetectionEngine::process`] per
     /// packet — same alerts, stats, telemetry, traces — but the per-call
     /// output allocation is amortized into one caller-owned buffer. This
-    /// is the engine half of the scale path: the netsim side coalesces
-    /// same-instant deliveries ([`Node::receive_batch`]) and hands the
-    /// whole run here in one dispatch.
-    ///
-    /// [`Node::receive_batch`]: underradar_netsim::node::Node::receive_batch
+    /// is the ids-level batch entry: population-scale callers (E14's
+    /// flow-population sweep) hand a whole same-instant run here in one
+    /// call, outside the simulator, which delivers packets to nodes one
+    /// at a time.
     pub fn process_batch(&mut self, now: SimTime, packets: &[Packet], out: &mut Vec<Alert>) {
         for packet in packets {
             self.process_into(now, packet, out);

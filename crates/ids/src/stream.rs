@@ -457,11 +457,6 @@ impl StreamReassembler {
         self.limits
     }
 
-    /// The overlap-resolution policy in force.
-    pub fn overlap_policy(&self) -> OverlapPolicy {
-        self.overlap
-    }
-
     /// The flow-table eviction threshold.
     pub fn flow_capacity(&self) -> usize {
         self.flows.capacity()

@@ -274,45 +274,6 @@ impl TimerWheel {
         self.ready.last()
     }
 
-    /// Pop the maximal run of consecutive earliest events that are
-    /// deliveries at `time` to `(node, iface)`, pushing their packets
-    /// onto `out` in pop order. Equivalent to a peek/pop loop — same
-    /// events, same order — but walks the sorted ready buffer directly,
-    /// so a same-instant delivery run costs one scan and one bulk move
-    /// instead of a peek/pop call pair per event. Returns the run length.
-    pub fn pop_deliver_run(
-        &mut self,
-        time: SimTime,
-        node: NodeId,
-        iface: IfaceId,
-        out: &mut Vec<Packet>,
-    ) -> usize {
-        self.fill_ready();
-        // `ready` is sorted descending by (time, seq): the run is the
-        // suffix ending at the minimum.
-        let mut end = self.ready.len();
-        while end > 0 {
-            let e = &self.ready[end - 1];
-            let same = e.time == time
-                && matches!(
-                    &e.kind,
-                    EventKind::Deliver { node: n, iface: i, .. } if *n == node && *i == iface
-                );
-            if !same {
-                break;
-            }
-            end -= 1;
-        }
-        let n = self.ready.len() - end;
-        for event in self.ready.drain(end..).rev() {
-            if let EventKind::Deliver { packet, .. } = event.kind {
-                out.push(packet);
-            }
-        }
-        self.len -= n;
-        n
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -348,24 +309,6 @@ impl EventQueue {
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
         self.wheel.pop()
-    }
-
-    /// The earliest event without removing it (used by the simulator's
-    /// batched drain to extend a same-instant delivery run).
-    pub fn peek(&mut self) -> Option<&Event> {
-        self.wheel.peek()
-    }
-
-    /// Bulk-pop the pending same-instant delivery run to `(node, iface)`
-    /// at `time` (see [`TimerWheel::pop_deliver_run`]).
-    pub fn pop_deliver_run(
-        &mut self,
-        time: SimTime,
-        node: NodeId,
-        iface: IfaceId,
-        out: &mut Vec<Packet>,
-    ) -> usize {
-        self.wheel.pop_deliver_run(time, node, iface, out)
     }
 
     /// The timestamp of the earliest event, if any.

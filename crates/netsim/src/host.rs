@@ -369,11 +369,6 @@ impl HostApi<'_, '_> {
         self.stack.conn_abort(self.ctx, conn);
     }
 
-    /// Stamp all future output of a connection with `ttl`.
-    pub fn tcp_set_reply_ttl(&mut self, conn: ConnId, ttl: u8) {
-        self.stack.set_reply_ttl(conn, ttl);
-    }
-
     /// Bind a UDP port for this task (0 picks an ephemeral port). Returns
     /// the bound port, or `None` if the requested port is taken.
     pub fn udp_bind(&mut self, port: u16) -> Option<u16> {
@@ -541,12 +536,6 @@ impl Host {
         self.stack.respond_rst = respond;
     }
 
-    /// Override the base retransmission timeout applied to new connections
-    /// (the floor under the adaptive, backed-off per-connection RTO).
-    pub fn set_rto(&mut self, rto: SimDuration) {
-        self.stack.rto = rto;
-    }
-
     /// Schedule `task` to start at `at`. Returns the task index, usable
     /// with [`Host::task_ref`] to read results after the run.
     ///
@@ -603,12 +592,6 @@ impl Host {
         }
         self.udp_services.push(Some(service));
         true
-    }
-
-    /// Typed access to a UDP service.
-    pub fn udp_service_ref<T: UdpService>(&self, idx: usize) -> Option<&T> {
-        let any: &dyn Any = self.udp_services.get(idx)?.as_deref()? as &dyn Any;
-        any.downcast_ref::<T>()
     }
 
     fn with_task<F>(&mut self, ctx: &mut NodeCtx<'_>, idx: usize, f: F)

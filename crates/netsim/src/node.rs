@@ -48,7 +48,6 @@ pub(crate) enum Emit {
 /// simulator after the callback returns, in the order they were requested.
 pub struct NodeCtx<'a> {
     pub(crate) now: SimTime,
-    pub(crate) node: NodeId,
     pub(crate) emits: &'a mut Vec<Emit>,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) next_timer: &'a mut u64,
@@ -58,11 +57,6 @@ impl NodeCtx<'_> {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The id of the node being called.
-    pub fn node_id(&self) -> NodeId {
-        self.node
     }
 
     /// Transmit `packet` out of `iface`. Delivery time and loss are decided
@@ -98,32 +92,6 @@ pub trait Node: Any {
 
     /// A packet arrived on `iface`.
     fn receive(&mut self, ctx: &mut NodeCtx<'_>, iface: IfaceId, packet: Packet);
-
-    /// Whether the scheduler may coalesce a run of same-instant deliveries
-    /// to this node into one [`Node::receive_batch`] call.
-    ///
-    /// Only opt in if `receive` never draws from [`NodeCtx::rng`]: batching
-    /// reorders the node's processing relative to the link-impairment draws
-    /// of its own emissions, so an RNG-using node would see a different
-    /// stream. Passive monitors and deterministic forwarders qualify —
-    /// their batched trace is identical to the unbatched one (emits keep
-    /// their order, and batch members were already consecutive in the
-    /// queue).
-    fn wants_batch(&self) -> bool {
-        false
-    }
-
-    /// A consecutive run of packets arrived on `iface` at the same instant.
-    ///
-    /// Only called when [`Node::wants_batch`] returns true. The slice is
-    /// in delivery order; the buffer is owned by the scheduler and reused
-    /// across batches, so implementations must drain it (the default
-    /// forwards each packet to [`Node::receive`]).
-    fn receive_batch(&mut self, ctx: &mut NodeCtx<'_>, iface: IfaceId, packets: &mut Vec<Packet>) {
-        for packet in packets.drain(..) {
-            self.receive(ctx, iface, packet);
-        }
-    }
 
     /// A timer set with [`NodeCtx::set_timer`] fired.
     fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _token: TimerToken) {}
@@ -166,7 +134,6 @@ mod tests {
         let mut next_timer = 0;
         let mut ctx = NodeCtx {
             now: SimTime::ZERO,
-            node: NodeId(0),
             emits: &mut emits,
             rng: &mut rng,
             next_timer: &mut next_timer,

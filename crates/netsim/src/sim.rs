@@ -128,9 +128,6 @@ pub struct Simulator {
     events_processed: u64,
     next_timer: u64,
     emits: Vec<Emit>,
-    /// Reusable buffer for batched same-instant deliveries; lives on the
-    /// simulator so steady-state batching allocates nothing per packet.
-    batch: Vec<Packet>,
     telemetry: Telemetry,
     metrics: SimMetrics,
     tracer: Tracer,
@@ -156,7 +153,6 @@ impl Simulator {
             events_processed: 0,
             next_timer: 0,
             emits: Vec::new(),
-            batch: Vec::new(),
             telemetry: Telemetry::disabled(),
             metrics: SimMetrics::disabled(),
             tracer: Tracer::disabled(),
@@ -213,11 +209,6 @@ impl Simulator {
         self.capture.as_ref()
     }
 
-    /// Take the capture out of the simulator (e.g. to analyze after a run).
-    pub fn take_capture(&mut self) -> Option<Capture> {
-        self.capture.take()
-    }
-
     /// Override the runaway-guard event budget.
     pub fn set_event_budget(&mut self, budget: u64) {
         self.event_budget = budget;
@@ -240,11 +231,6 @@ impl Simulator {
         self.nodes.push(Some(node));
         self.wiring.push(Vec::new());
         id
-    }
-
-    /// The registered name of `node`.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        self.names.get(node.0).map(String::as_str).unwrap_or("?")
     }
 
     /// All node names indexed by id (for [`Capture::render`]).
@@ -386,11 +372,6 @@ impl Simulator {
         Ok(())
     }
 
-    /// Whether any events are pending.
-    pub fn has_pending_events(&self) -> bool {
-        !self.queue.is_empty()
-    }
-
     fn ensure_started(&mut self) {
         if self.started {
             return;
@@ -401,18 +382,11 @@ impl Simulator {
         }
     }
 
+    /// Process the next event. Every packet reaches its node here, through
+    /// [`Node::receive`], one delivery event at a time.
     fn step(&mut self) -> Result<(), NetsimError> {
-        self.drain_batch().map(|_| ())
-    }
-
-    /// Process the next event. When it is a delivery to a node that opted
-    /// into batching ([`Node::wants_batch`]), the whole consecutive run of
-    /// same-instant deliveries to that node and interface is popped and
-    /// handed over as one [`Node::receive_batch`] call, amortizing the
-    /// per-packet dispatch. Returns the number of events consumed.
-    pub fn drain_batch(&mut self) -> Result<usize, NetsimError> {
         let Some(event) = self.queue.pop() else {
-            return Ok(0);
+            return Ok(());
         };
         self.events_processed += 1;
         if self.events_processed > self.event_budget {
@@ -431,31 +405,7 @@ impl Simulator {
                 packet,
             } => {
                 self.metrics.events_deliver.incr();
-                let batching = self
-                    .nodes
-                    .get(node.0)
-                    .and_then(|slot| slot.as_deref())
-                    .is_some_and(|n| n.wants_batch());
-                if !batching {
-                    self.with_node(node, |n, ctx| n.receive(ctx, iface, packet));
-                    return Ok(1);
-                }
-                let mut batch = std::mem::take(&mut self.batch);
-                batch.clear();
-                batch.push(packet);
-                // Bulk-pop the rest of the same-instant run: one ready-
-                // buffer scan instead of a peek/pop pair per event, with
-                // the per-event accounting hoisted to one add each.
-                let followers = self
-                    .queue
-                    .pop_deliver_run(event.time, node, iface, &mut batch);
-                self.events_processed += followers as u64;
-                self.metrics.events_deliver.add(followers as u64);
-                let consumed = batch.len();
-                self.with_node(node, |n, ctx| n.receive_batch(ctx, iface, &mut batch));
-                batch.clear();
-                self.batch = batch;
-                return Ok(consumed);
+                self.with_node(node, |n, ctx| n.receive(ctx, iface, packet));
             }
             EventKind::Timer { node, token } => {
                 self.metrics.events_timer.incr();
@@ -470,7 +420,7 @@ impl Simulator {
                 self.transmit(node, iface, packet, self.now);
             }
         }
-        Ok(1)
+        Ok(())
     }
 
     /// Call `f` on a node with a fresh context, then apply its emitted
@@ -489,7 +439,6 @@ impl Simulator {
         {
             let mut ctx = NodeCtx {
                 now: self.now,
-                node: id,
                 emits: &mut emits,
                 rng: &mut self.rng,
                 next_timer: &mut self.next_timer,
@@ -1074,34 +1023,18 @@ mod tests {
         assert_eq!(trace(true), trace(false));
     }
 
-    /// A passive monitor that opts into batched delivery and records the
-    /// batch boundaries it observed.
-    struct BatchingMonitor {
+    /// A passive monitor that records what it received and when.
+    struct RecordingMonitor {
         name: String,
-        batches: Vec<usize>,
         received: Vec<(SimTime, Packet)>,
     }
 
-    impl Node for BatchingMonitor {
+    impl Node for RecordingMonitor {
         fn name(&self) -> &str {
             &self.name
         }
         fn receive(&mut self, ctx: &mut NodeCtx<'_>, _: IfaceId, packet: Packet) {
             self.received.push((ctx.now(), packet));
-        }
-        fn wants_batch(&self) -> bool {
-            true
-        }
-        fn receive_batch(
-            &mut self,
-            ctx: &mut NodeCtx<'_>,
-            iface: IfaceId,
-            packets: &mut Vec<Packet>,
-        ) {
-            self.batches.push(packets.len());
-            for packet in packets.drain(..) {
-                self.receive(ctx, iface, packet);
-            }
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -1112,15 +1045,14 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_deliveries_coalesce_into_one_batch() {
+    fn same_instant_deliveries_arrive_in_fifo_order() {
         let mut sim = Simulator::new(1);
-        let m = sim.add_node(Box::new(BatchingMonitor {
+        let m = sim.add_node(Box::new(RecordingMonitor {
             name: "mon".into(),
-            batches: vec![],
             received: vec![],
         }));
-        // Five same-instant injections plus one later: one batch of 5, one
-        // of 1, with packet order and timestamps exactly as unbatched.
+        // Five same-instant injections plus one later: each reaches
+        // `receive` in injection order at its own timestamp.
         for i in 0..5u16 {
             let p = Packet::udp(A_IP, B_IP, 1000 + i, 2, vec![]).with_ident(i);
             sim.inject_at(m, IfaceId(0), p, SimTime::from_nanos(100))
@@ -1130,14 +1062,14 @@ mod tests {
         sim.inject_at(m, IfaceId(0), late, SimTime::from_nanos(200))
             .expect("inject");
         sim.run_to_completion().expect("run");
-        let mon = sim.node_ref::<BatchingMonitor>(m).expect("mon");
-        assert_eq!(mon.batches, vec![5, 1]);
+        let mon = sim.node_ref::<RecordingMonitor>(m).expect("mon");
         let idents: Vec<u16> = mon.received.iter().map(|(_, p)| p.ident).collect();
         assert_eq!(idents, vec![0, 1, 2, 3, 4, 99]);
         assert!(mon.received[..5]
             .iter()
             .all(|(t, _)| *t == SimTime::from_nanos(100)));
-        // Every queue event was still accounted against the budget.
+        assert_eq!(mon.received[5].0, SimTime::from_nanos(200));
+        // One queue event per delivery, each accounted against the budget.
         assert_eq!(sim.events_processed(), 6);
     }
 

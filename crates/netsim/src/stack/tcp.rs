@@ -330,11 +330,6 @@ impl TcpConn {
         self.overlap = policy;
     }
 
-    /// The receive-side overlap policy.
-    pub fn overlap_policy(&self) -> OverlapPolicy {
-        self.overlap
-    }
-
     /// Next sequence number the receive side expects.
     pub fn rcv_nxt(&self) -> u32 {
         self.rcv_nxt

@@ -53,7 +53,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use underradar_campaign::TrialResult;
+use underradar_campaign::{AddressPlanOverrun, TrialResult};
 use underradar_telemetry::codec::{put_registry, put_u32, put_u64, CodecError, Reader};
 use underradar_telemetry::Registry;
 
@@ -90,6 +90,9 @@ pub enum JournalError {
         /// Fingerprint of the spec attempting to resume.
         expected: u64,
     },
+    /// The spec overruns the testbed's address plan; no trial ran and no
+    /// journal was opened.
+    AddressPlan(AddressPlanOverrun),
 }
 
 impl std::fmt::Display for JournalError {
@@ -105,6 +108,7 @@ impl std::fmt::Display for JournalError {
                 "journal belongs to a different campaign \
                  (fingerprint {found:#018x}, spec is {expected:#018x})"
             ),
+            JournalError::AddressPlan(overrun) => write!(f, "{overrun}"),
         }
     }
 }

@@ -309,7 +309,9 @@ enum Msg {
 /// Run `spec` as a durable service: schedule with work stealing, stream
 /// rows into `sink` as trials complete, journal to `cfg.checkpoint`, and
 /// merge telemetry into `tel`. Resumes automatically when the journal
-/// already holds progress for this spec.
+/// already holds progress for this spec. A spec that overruns the
+/// testbed's address plan is rejected with [`JournalError::AddressPlan`]
+/// before any journal is opened or world built.
 pub fn run_service(
     spec: &CampaignSpec,
     cfg: &RunConfig,
@@ -317,6 +319,8 @@ pub fn run_service(
     sink: &mut dyn RowSink,
 ) -> Result<ServiceOutcome, JournalError> {
     let run_start = Instant::now();
+    spec.check_address_plan()
+        .map_err(JournalError::AddressPlan)?;
     let trials = spec.expand();
     let (mut journal, replay) = match &cfg.checkpoint {
         Some(path) => {

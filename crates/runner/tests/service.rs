@@ -464,3 +464,79 @@ fn a_journal_from_a_different_spec_is_refused() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+/// Target site `i` lives at `93.184.0.(10 + i)`, cover host `i` at
+/// `10.0.1.(10 + i)` and spoofed cover address `i` at `10.0.1.(30 + i)`.
+/// One past any of these limits the last octet would wrap and trials
+/// would share addresses (target 256 would get target 0's web server), so
+/// such a spec is refused before any world is built; a spec at every
+/// limit runs.
+#[test]
+fn specs_past_the_address_plan_are_refused_before_any_world_is_built() {
+    use underradar_campaign::engine::MAX_SPOOFED_COVER;
+    use underradar_campaign::AddressPlanOverrun;
+    use underradar_core::testbed::{MAX_COVER_HOSTS, MAX_TARGET_SITES};
+
+    assert_eq!(
+        (MAX_TARGET_SITES, MAX_COVER_HOSTS, MAX_SPOOFED_COVER),
+        (246, 246, 226)
+    );
+    let domains: Vec<String> = (0..=MAX_TARGET_SITES)
+        .map(|i| format!("site{i}.example"))
+        .collect();
+    let names = |n: usize| domains[..n].iter().map(String::as_str);
+    let base = || {
+        CampaignSpec::new("address-plan", 3)
+            .method(MethodKind::StatelessSyn)
+            .policy(NamedPolicy::new("control", CensorPolicy::new()))
+            .warmup(false)
+            .run_secs(5)
+    };
+    let run = |spec: &CampaignSpec| {
+        let mut sink = VecSink::new();
+        run_service(spec, &RunConfig::new(2), &Telemetry::disabled(), &mut sink)
+            .map(|outcome| (outcome.executed, sink.into_sorted()))
+    };
+
+    let at_limit = [
+        base().targets(names(MAX_TARGET_SITES)),
+        base().target("twitter.com").cover_hosts(MAX_COVER_HOSTS),
+        base()
+            .target("twitter.com")
+            .spoofed_cover(MAX_SPOOFED_COVER),
+    ];
+    for spec in &at_limit {
+        let (executed, trials) = run(spec).expect("a spec at the limit runs");
+        assert_eq!(executed, spec.trial_count());
+        assert_eq!(trials.len(), spec.trial_count());
+    }
+
+    let past = [
+        (base().targets(names(MAX_TARGET_SITES + 1)), "targets", 246),
+        (
+            base()
+                .target("twitter.com")
+                .cover_hosts(MAX_COVER_HOSTS + 1),
+            "cover_hosts",
+            246,
+        ),
+        (
+            base()
+                .target("twitter.com")
+                .spoofed_cover(MAX_SPOOFED_COVER + 1),
+            "spoofed_cover",
+            226,
+        ),
+    ];
+    for (spec, field, max) in past {
+        let expected = AddressPlanOverrun {
+            field,
+            got: max + 1,
+            max,
+        };
+        match run(&spec) {
+            Err(JournalError::AddressPlan(overrun)) => assert_eq!(overrun, expected),
+            other => panic!("expected an address-plan overrun on {field}, got {other:?}"),
+        }
+    }
+}

@@ -156,11 +156,6 @@ impl Classifier {
         }
     }
 
-    /// Number of distinct sources with live behavioural state.
-    pub fn source_count(&self) -> usize {
-        self.sources.len()
-    }
-
     /// Classify one packet (updates per-source behavioural state).
     pub fn classify(&mut self, now: SimTime, pkt: &Packet) -> TrafficClass {
         let slot = match self.index.get(&pkt.src) {

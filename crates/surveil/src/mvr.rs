@@ -179,11 +179,6 @@ impl Mvr {
             .collect()
     }
 
-    /// Accounting for one class (O(1)).
-    pub fn volume_of(&self, class: TrafficClass) -> ClassVolume {
-        self.volumes[class.index()]
-    }
-
     /// Total bytes observed.
     pub fn total_bytes(&self) -> u64 {
         self.volumes.iter().map(|v| v.bytes).sum()

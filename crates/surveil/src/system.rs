@@ -337,12 +337,6 @@ impl Node for SurveillanceNode {
         &self.name
     }
 
-    // Pure observer: no randomness, no injected traffic — same-instant
-    // deliveries coalesce into one dispatch.
-    fn wants_batch(&self) -> bool {
-        true
-    }
-
     fn receive(&mut self, ctx: &mut NodeCtx<'_>, _iface: IfaceId, packet: Packet) {
         let _ = self.system.process(ctx.now(), &packet);
     }

@@ -40,13 +40,11 @@ pub mod codec;
 pub mod hist;
 pub mod json;
 pub mod registry;
-pub mod sink;
 pub mod stream;
 pub mod trace;
 
 pub use hist::{Histogram, BUCKET_COUNT};
 pub use registry::{Event, FieldValue, Registry, SpanRecord};
-pub use sink::{EventSink, MemorySink, NoopSink};
 pub use stream::StreamMerger;
 pub use trace::{
     TraceBuf, TraceFlow, TraceRecord, Tracer, DEFAULT_TRACE_CAPACITY, TRACE_CAPACITY_ENV, TRACE_ENV,
@@ -67,7 +65,6 @@ struct Inner {
     histograms: BTreeMap<String, Rc<RefCell<Histogram>>>,
     spans: Vec<SpanRecord>,
     events: Vec<Event>,
-    sink: Box<dyn EventSink>,
     trace: Option<Rc<RefCell<TraceBuf>>>,
 }
 
@@ -92,14 +89,8 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// A live handle with a fresh registry and a [`NoopSink`] (events are
-    /// retained in the registry; no live streaming).
+    /// A live handle with a fresh registry (events are retained in it).
     pub fn enabled() -> Self {
-        Telemetry::with_sink(Box::new(NoopSink))
-    }
-
-    /// A live handle streaming rendered event lines to `sink`.
-    pub fn with_sink(sink: Box<dyn EventSink>) -> Self {
         Telemetry {
             inner: Some(Rc::new(RefCell::new(Inner {
                 counters: BTreeMap::new(),
@@ -107,7 +98,6 @@ impl Telemetry {
                 histograms: BTreeMap::new(),
                 spans: Vec::new(),
                 events: Vec::new(),
-                sink,
                 trace: None,
             }))),
         }
@@ -230,21 +220,15 @@ impl Telemetry {
         }
     }
 
-    /// Record a structured event at simulated time `t_ns`. Retained in the
-    /// registry; also rendered and streamed if the sink is active.
+    /// Record a structured event at simulated time `t_ns`, retained in the
+    /// registry.
     pub fn event(&self, t_ns: u64, kind: &'static str, fields: &[(&'static str, FieldValue)]) {
         let Some(inner) = &self.inner else { return };
-        let event = Event {
+        inner.borrow_mut().events.push(Event {
             t_ns,
             kind,
             fields: fields.into(),
-        };
-        let mut inner = inner.borrow_mut();
-        if inner.sink.active() {
-            let line = registry::event_json(&event);
-            inner.sink.emit(&line);
-        }
-        inner.events.push(event);
+        });
     }
 
     /// Record a completed span over simulated time and observe its
@@ -440,14 +424,6 @@ impl Gauge {
         }
     }
 
-    /// Adjust the gauge by `delta`.
-    #[inline]
-    pub fn adjust(&self, delta: i64) {
-        if let Some(cell) = &self.0 {
-            cell.set(cell.get().wrapping_add(delta));
-        }
-    }
-
     /// Current value (0 when disabled).
     pub fn get(&self) -> i64 {
         self.0.as_ref().map(|c| c.get()).unwrap_or(0)
@@ -535,19 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn events_stream_to_active_sink() {
-        let sink = MemorySink::new();
-        let tel = Telemetry::with_sink(Box::new(sink.clone()));
-        tel.event(42, "censor.rst", &[("port", 80u64.into())]);
-        assert_eq!(
-            sink.lines(),
-            vec!["{\"t_ns\":42,\"kind\":\"censor.rst\",\"port\":80}"]
-        );
-        assert_eq!(tel.snapshot().events.len(), 1);
-    }
-
-    #[test]
-    fn noop_sink_still_retains_events() {
+    fn events_are_retained_in_the_registry() {
         let tel = Telemetry::enabled();
         tel.event(1, "k", &[]);
         assert_eq!(tel.snapshot().to_jsonl(), "{\"t_ns\":1,\"kind\":\"k\"}\n");

@@ -270,8 +270,8 @@ impl Registry {
         crate::trace::to_jsonl(&self.trace)
     }
 
-    /// The events as JSON lines, one event per line (the structured stream
-    /// a sink receives live).
+    /// The events as JSON lines, one deterministic object per event in
+    /// recording order.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(96 * self.events.len());
         for e in &self.events {
@@ -322,14 +322,7 @@ impl Registry {
     }
 }
 
-/// Serialize one event as a deterministic JSON object.
-pub fn event_json(e: &Event) -> String {
-    let mut out = String::with_capacity(64);
-    push_event(&mut out, e);
-    out
-}
-
-/// Append [`event_json`]'s bytes for `e` to `out`.
+/// Append `e` to `out` as a deterministic JSON object.
 fn push_event(out: &mut String, e: &Event) {
     out.push('{');
     json::push_key(out, "t_ns");

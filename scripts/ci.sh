@@ -82,6 +82,14 @@ echo "==> campaign determinism smoke (sequential vs 4-shard byte identity)"
 ./target/release/underradar campaign --json --shards 1 > "$tmpdir/campaign_1.json"
 ./target/release/underradar campaign --json --shards 4 > "$tmpdir/campaign_4.json"
 cmp "$tmpdir/campaign_1.json" "$tmpdir/campaign_4.json"
+# Every packet reaches its node as its own event, and every event samples
+# the queue depth once: the histogram's count must equal the events run.
+events=$(grep -o '"netsim.events_processed":[0-9]*' "$tmpdir/campaign_1.json" | cut -d: -f2)
+depth=$(grep -o '"netsim.queue.depth":{"count":[0-9]*' "$tmpdir/campaign_1.json" | cut -d: -f3)
+if [ -z "$events" ] || [ "$events" != "$depth" ]; then
+  echo "netsim.queue.depth count ($depth) != netsim.events_processed ($events)" >&2
+  exit 1
+fi
 
 echo "==> restored --json smoke (every trial restored from decoded journal deltas)"
 # The first run journals all 512 trials; the second restores every one of

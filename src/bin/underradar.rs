@@ -26,15 +26,11 @@ use underradar::core::methods::spam::SpamProbe;
 use underradar::core::methods::stateful::RoutedMimicryNet;
 use underradar::core::probe::Probe;
 use underradar::core::risk::RiskReport;
-use underradar::core::testbed::{TargetSite, Testbed, TestbedConfig};
+use underradar::core::testbed::{TargetSite, Testbed, TestbedConfig, MAX_TARGET_SITES};
 use underradar::netsim::time::{SimDuration, SimTime};
 use underradar::protocols::dns::DnsName;
 use underradar_bench::cli::{self, Arg, ArgParser};
 use underradar_bench::experiments;
-
-/// The most domains one survey can hold: `TargetSite::numbered` puts
-/// site `i` at `93.184.0.(10 + i)`.
-const MAX_SURVEY_DOMAINS: usize = 256 - 10;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -119,9 +115,9 @@ fn survey(argv: &[String]) -> Result<ExitCode, String> {
     if domains.is_empty() {
         return Err("needs --domains a,b,c".to_string());
     }
-    if domains.len() > MAX_SURVEY_DOMAINS {
+    if domains.len() > MAX_TARGET_SITES {
         return Err(format!(
-            "--domains: at most {MAX_SURVEY_DOMAINS} domains, got {}",
+            "--domains: at most {MAX_TARGET_SITES} domains, got {}",
             domains.len()
         ));
     }
