@@ -1,6 +1,7 @@
-//! The campaign engine: expands a [`CampaignSpec`] into trials, caches a
-//! [`TestbedTemplate`] (and a [`RoutedTemplate`]) per policy
-//! ([`prepare`]), and runs one trial at a time ([`run_trial`]), retrying
+//! The campaign engine: expands a [`CampaignSpec`] into trials, caches one
+//! [`TestbedTemplate`] per policy ([`prepare`]), and runs one trial at a
+//! time ([`run_trial`]) down one path — the method table picks the world
+//! and spawns the probe, the run and the scoring are shared — retrying
 //! `Inconclusive` verdicts with backoff in *simulated* time. Each trial
 //! returns its own telemetry registry; scheduling trials across workers
 //! and merging their registries is the run service's job
@@ -12,6 +13,7 @@
 //! about to run.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::net::Ipv4Addr;
 
 use underradar_censor::{CensorAction, CensorActionKind};
 use underradar_core::methods::ddos::DdosProbe;
@@ -19,15 +21,13 @@ use underradar_core::methods::hops::HopProbe;
 use underradar_core::methods::overt::OvertProbe;
 use underradar_core::methods::scan::SynScanProbe;
 use underradar_core::methods::spam::SpamProbe;
-use underradar_core::methods::stateful::{
-    MimicServer, RoutedMimicryNet, RoutedTemplate, StatefulMimicry,
-};
+use underradar_core::methods::stateful::{MimicServer, RoutedMimicryNet, StatefulMimicry};
 use underradar_core::methods::stateless::{StatelessDnsMimicry, StatelessSynMimicry};
 use underradar_core::monitors::MonitorSet;
 use underradar_core::ports::top_ports;
-use underradar_core::probe::Probe;
+use underradar_core::probe::ProbeHandle;
 use underradar_core::risk::RiskReport;
-use underradar_core::testbed::{TargetSite, TestbedConfig, TestbedTemplate};
+use underradar_core::testbed::{TargetSite, Testbed, TestbedConfig, TestbedTemplate};
 use underradar_core::verdict::Verdict;
 use underradar_netsim::sim::Simulator;
 use underradar_netsim::time::{SimDuration, SimTime};
@@ -56,22 +56,22 @@ const SPOOFED_COVER_BASE: u8 = 30;
 /// address ([`CampaignSpec::spoofed_cover`]'s limit).
 pub const MAX_SPOOFED_COVER: usize = 256 - SPOOFED_COVER_BASE as usize;
 
-/// Everything shareable across a policy column's trials: the flat
-/// testbed template and the routed-topology template. Each derives its
-/// zone and rules here and compiles its monitors' immutable parts — the
-/// surveillance engine's ruleset and prefilter DFA, the tap censor's
-/// keyword DFA, the indexed zone — once, on the column's first trial;
-/// every later trial shares them and builds only its own world. All
-/// fields are `Send + Sync`, so worker threads borrow one prep.
+/// Everything shareable across a policy column's trials: one template
+/// that builds either topology. It derives the zone and rules here and
+/// compiles the monitors' immutable parts — the tap censor's keyword DFA
+/// (one copy for both topologies), each topology's surveillance ruleset
+/// and prefilter DFA, the indexed zone — once, on first use; every later
+/// trial shares them and builds only its own world. All fields are
+/// `Send + Sync`, so worker threads borrow one prep.
 pub struct PolicyPrep<'a> {
     named: &'a NamedPolicy,
     template: TestbedTemplate,
-    routed: RoutedTemplate,
 }
 
 /// Build one [`PolicyPrep`] per policy column, in spec order. The vector
 /// is indexed by [`Trial::policy_idx`]; external drivers (the runner
 /// service) call this once and borrow the preps across worker threads.
+/// Every target must pass [`CampaignSpec::check_targets`].
 pub fn prepare(spec: &CampaignSpec) -> Vec<PolicyPrep<'_>> {
     let targets: Vec<TargetSite> = spec
         .targets
@@ -96,12 +96,7 @@ pub fn prepare(spec: &CampaignSpec) -> Vec<PolicyPrep<'_>> {
                 client_link_corrupt: spec.client_link_corrupt,
                 monitor_reassembly: spec.monitor_reassembly,
             });
-            PolicyPrep {
-                named,
-                template,
-                routed: RoutedTemplate::prepare(named.policy.clone())
-                    .with_reassembly(spec.monitor_reassembly),
-            }
+            PolicyPrep { named, template }
         })
         .collect()
 }
@@ -214,12 +209,14 @@ pub fn run_trial_attempt(
     let horizon = spec.run_secs + spec.retry.backoff_secs * attempt as u64;
     let horizon_ns = horizon.saturating_mul(1_000_000_000);
     let scope = cfg.scope();
-    let mut result = match trial.method {
-        MethodKind::Hops | MethodKind::Stateful => {
-            execute_routed(prep, trial, attempt_seed, horizon, &scope)
-        }
-        _ => execute_flat(spec, prep, trial, attempt_seed, horizon, &scope),
+    let stage = Stage {
+        spec,
+        prep,
+        trial,
+        seed: attempt_seed,
+        scope: &scope,
     };
+    let mut result = execute(&stage, horizon);
     acc.merge(&scope.snapshot());
     let inconclusive = matches!(result.verdict, Verdict::Inconclusive(_));
     if !inconclusive || attempt >= spec.retry.max_retries {
@@ -326,7 +323,7 @@ fn export_exposure<'a>(
     }
     // Distinct sensitive flows per source: the alert log's flow tuples.
     type FlowTuple = (Option<u16>, u32, Option<u16>);
-    let mut flows: BTreeMap<std::net::Ipv4Addr, BTreeSet<FlowTuple>> = BTreeMap::new();
+    let mut flows: BTreeMap<Ipv4Addr, BTreeSet<FlowTuple>> = BTreeMap::new();
     for alert in system.engine().log().all() {
         ledger.record(
             &cell,
@@ -346,7 +343,7 @@ fn export_exposure<'a>(
     // Bytes of each host's traffic sitting in the content retention store
     // (trial horizons are far shorter than retention windows, so nothing
     // has evicted by scoring time).
-    let mut retained: BTreeMap<std::net::Ipv4Addr, u64> = BTreeMap::new();
+    let mut retained: BTreeMap<Ipv4Addr, u64> = BTreeMap::new();
     for (_, rec) in system.stores().content.iter() {
         *retained.entry(rec.src).or_insert(0) += rec.bytes as u64;
     }
@@ -356,21 +353,191 @@ fn export_exposure<'a>(
     ledger.export(scope);
 }
 
-/// The tail every trial shares, whichever world it ran in: read the
-/// probe's verdict and evidence, score the verdict with the world's
-/// `score`, export the world's monitors and the adversary's exposure into
-/// the scope (only when it records), and build the row.
-fn finish(
-    prep: &PolicyPrep<'_>,
-    trial: &Trial,
-    scope: &Telemetry,
-    sim: &Simulator,
+/// What the trial path needs of a world, whichever topology the column's
+/// template built: its simulator, its monitors and the client it scores.
+struct World {
+    sim: Simulator,
     monitors: MonitorSet,
-    probe: &dyn Probe,
-    score: impl FnOnce(&Verdict) -> RiskReport,
-) -> TrialResult {
+    client: Ipv4Addr,
+    /// Whether the world has a cover population to measure the anonymity
+    /// set over: the flat testbed does; the routed chain does not, so its
+    /// rows keep `anonymity_set: None`.
+    cover_population: bool,
+}
+
+/// One attempt's inputs, for the method table.
+struct Stage<'s, 'p> {
+    spec: &'s CampaignSpec,
+    prep: &'s PolicyPrep<'p>,
+    trial: &'s Trial,
+    seed: u64,
+    scope: &'s Telemetry,
+}
+
+impl Stage<'_, '_> {
+    /// Instantiate the flat testbed and let `spawn` start the method's
+    /// tasks on it, given the trial's target site.
+    fn flat(
+        &self,
+        spawn: impl FnOnce(&mut Testbed, &TargetSite) -> ProbeHandle,
+    ) -> (World, ProbeHandle) {
+        let mut tb = self.prep.template.instantiate(self.seed);
+        tb.set_telemetry(self.scope.clone());
+        let site = tb.targets[self.trial.target_idx].clone();
+        let probe = spawn(&mut tb, &site);
+        let world = World {
+            monitors: tb.monitors(),
+            client: tb.client_ip,
+            cover_population: true,
+            sim: tb.sim,
+        };
+        (world, probe)
+    }
+
+    /// Instantiate the routed chain and let `spawn` start the method's
+    /// tasks on it.
+    fn routed(
+        &self,
+        spawn: impl FnOnce(&mut RoutedMimicryNet) -> ProbeHandle,
+    ) -> (World, ProbeHandle) {
+        let mut net = self.prep.template.instantiate_routed(self.seed);
+        net.set_telemetry(self.scope.clone());
+        let probe = spawn(&mut net);
+        let world = World {
+            monitors: net.monitors(),
+            client: net.client_ip,
+            cover_population: false,
+            sim: net.sim,
+        };
+        (world, probe)
+    }
+
+    /// The sources stateless mimicry hides among: the spec's spoofed cover
+    /// addresses, or else the testbed's cover hosts.
+    fn cover(&self, tb: &Testbed) -> Vec<Ipv4Addr> {
+        match self.spec.spoofed_cover {
+            0 => tb.cover_ips.clone(),
+            n => (0..n)
+                .map(|i| Ipv4Addr::new(10, 0, 1, SPOOFED_COVER_BASE + i as u8))
+                .collect(),
+        }
+    }
+}
+
+/// The method table: the one place each [`MethodKind`] is named. Each arm
+/// picks the method's world, spawns its tasks — warm-ups first — and
+/// returns the handle of the probe whose verdict the row reports.
+///
+/// Spam and ddos trials optionally run their paper-faithful warm-up
+/// phase first (§3.2.2: a spam campaign earns the spammer label before
+/// the measured lookup; a flood is already MVR-classified as DDoS by the
+/// time the measured samples fire), so campaign cells reproduce the
+/// per-experiment setups without bespoke wiring.
+fn spawn_method(stage: &Stage<'_, '_>) -> (World, ProbeHandle) {
+    let (spec, named, seed) = (stage.spec, stage.prep.named, stage.seed);
+    let t0 = SimTime::ZERO;
+    match stage.trial.method {
+        MethodKind::Overt => stage.flat(|tb, site| {
+            let probe = OvertProbe::new(
+                &site.domain,
+                tb.resolver_ip,
+                tb.collector_ip,
+                &named.probe_path,
+            );
+            ProbeHandle::spawn(&mut tb.sim, tb.client, t0, probe)
+        }),
+        MethodKind::Scan => stage.flat(|tb, site| {
+            let probe = SynScanProbe::new(site.web_ip, top_ports(SCAN_PORTS), vec![80]);
+            ProbeHandle::spawn(&mut tb.sim, tb.client, t0, probe)
+        }),
+        MethodKind::Spam => stage.flat(|tb, site| {
+            let mut at = t0;
+            if spec.warmup {
+                // Reputation warm-up: spam probes toward the other zone
+                // targets stagger in first, earning the spammer label.
+                let others: Vec<_> = tb
+                    .targets
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| *i != stage.trial.target_idx)
+                    .map(|(_, t)| t.domain.clone())
+                    .take(3)
+                    .collect();
+                for (i, warm) in others.iter().enumerate() {
+                    let warm =
+                        SpamProbe::new(warm, tb.resolver_ip, seed.wrapping_add(1 + i as u64));
+                    tb.spawn_on_client(t0 + SimDuration::from_secs(i as u64), Box::new(warm));
+                }
+                at = t0 + SimDuration::from_secs(10);
+            }
+            let probe = SpamProbe::new(&site.domain, tb.resolver_ip, seed);
+            ProbeHandle::spawn(&mut tb.sim, tb.client, at, probe)
+        }),
+        MethodKind::Ddos => stage.flat(|tb, site| {
+            let (domain, mut at) = (site.domain.to_string(), t0);
+            if spec.warmup {
+                // Front-page flood: the source is already in the discarded
+                // DDoS class when the measured samples ride along.
+                let flood = DdosProbe::new(site.web_ip, &domain, "/", 3 * DDOS_SAMPLES);
+                tb.spawn_on_client(t0, Box::new(flood));
+                at = t0 + SimDuration::from_secs(5);
+            }
+            let probe = DdosProbe::new(site.web_ip, &domain, &named.probe_path, DDOS_SAMPLES);
+            ProbeHandle::spawn(&mut tb.sim, tb.client, at, probe)
+        }),
+        MethodKind::StatelessDns => stage.flat(|tb, site| {
+            let cover = stage.cover(tb);
+            let probe = StatelessDnsMimicry::new(&site.domain, QType::A, tb.resolver_ip, cover);
+            ProbeHandle::spawn(&mut tb.sim, tb.client, t0, probe)
+        }),
+        MethodKind::StatelessSyn => stage.flat(|tb, site| {
+            let probe = StatelessSynMimicry::new(site.web_ip, 80, stage.cover(tb));
+            ProbeHandle::spawn(&mut tb.sim, tb.client, t0, probe)
+        }),
+        MethodKind::Hops => stage.routed(|net| {
+            let probe = HopProbe::new(net.cover_ip, HOP_PORT, HOP_MAX_TTL);
+            ProbeHandle::spawn(&mut net.sim, net.mserver, t0, probe)
+        }),
+        MethodKind::Stateful => stage.routed(|net| {
+            // The verdict is read at the server the measurer controls; the
+            // client half spoofs the flow blind.
+            let agreed_iss = (seed as u32) | 1;
+            let hops = Some(RoutedMimicryNet::HOPS_TO_COVER);
+            let server = MimicServer::new(MIMIC_PORT, agreed_iss, hops);
+            let server = ProbeHandle::spawn(&mut net.sim, net.mserver, t0, server);
+            let payload = format!("GET {} HTTP/1.0\r\n\r\n", named.probe_path);
+            let client = StatefulMimicry::new(
+                net.cover_ip,
+                net.mserver_ip,
+                MIMIC_PORT,
+                agreed_iss,
+                payload.as_bytes(),
+            );
+            net.spawn(net.client, Box::new(client));
+            server
+        }),
+    }
+}
+
+/// Run one attempt in its world: spawn through the method table, run to
+/// the horizon, read the probe's verdict and evidence back through its
+/// handle, score the verdict, export the world's monitors and the
+/// adversary's exposure into the scope (only when it records), and build
+/// the row.
+fn execute(stage: &Stage<'_, '_>, horizon_secs: u64) -> TrialResult {
+    let (prep, trial, scope) = (stage.prep, stage.trial, stage.scope);
+    let (mut world, handle) = spawn_method(stage);
+    world
+        .sim
+        .run_for(SimDuration::from_secs(horizon_secs))
+        .expect("simulation within event budget");
+    let (sim, monitors) = (&world.sim, world.monitors);
+    let probe = handle.read(sim);
     let verdict = probe.verdict();
-    let risk = score(&verdict);
+    let mut risk = RiskReport::score(sim, monitors, world.client, &verdict);
+    if world.cover_population {
+        risk = risk.with_anonymity_set(monitors.surveillance(sim));
+    }
     if scope.is_enabled() {
         monitors.export_telemetry(sim, scope);
         export_exposure(
@@ -397,203 +564,6 @@ fn finish(
         retries: 0,
         evidence: probe.evidence(),
     }
-}
-
-/// Drive a flat-testbed method (overt, scan, spam, ddos, stateless-*)
-/// from the client host and score it with [`RiskReport`].
-///
-/// Spam and ddos trials optionally run their paper-faithful warm-up
-/// phase first (§3.2.2: a spam campaign earns the spammer label before
-/// the measured lookup; a flood is already MVR-classified as DDoS by the
-/// time the measured samples fire), so campaign cells reproduce the
-/// per-experiment setups without bespoke wiring.
-fn execute_flat(
-    spec: &CampaignSpec,
-    prep: &PolicyPrep<'_>,
-    trial: &Trial,
-    seed: u64,
-    horizon_secs: u64,
-    scope: &Telemetry,
-) -> TrialResult {
-    let mut tb = prep.template.instantiate(seed);
-    tb.set_telemetry(scope.clone());
-    let site = tb.targets[trial.target_idx].clone();
-    let domain = site.domain.clone();
-    let resolver = tb.resolver_ip;
-    let collector = tb.collector_ip;
-    let cover = if spec.spoofed_cover > 0 {
-        (0..spec.spoofed_cover)
-            .map(|i| std::net::Ipv4Addr::new(10, 0, 1, SPOOFED_COVER_BASE + i as u8))
-            .collect()
-    } else {
-        tb.cover_ips.clone()
-    };
-    if spec.warmup {
-        match trial.method {
-            MethodKind::Spam => {
-                // Reputation warm-up: spam probes toward the other zone
-                // targets stagger in first, earning the spammer label.
-                let others: Vec<_> = tb
-                    .targets
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != trial.target_idx)
-                    .map(|(_, t)| t.domain.clone())
-                    .take(3)
-                    .collect();
-                for (i, warm) in others.into_iter().enumerate() {
-                    tb.spawn_on_client(
-                        SimTime::ZERO + SimDuration::from_secs(i as u64),
-                        Box::new(SpamProbe::new(
-                            &warm,
-                            resolver,
-                            seed.wrapping_add(1 + i as u64),
-                        )),
-                    );
-                }
-            }
-            MethodKind::Ddos => {
-                // Front-page flood: the source is already in the discarded
-                // DDoS class when the measured samples ride along.
-                tb.spawn_on_client(
-                    SimTime::ZERO,
-                    Box::new(DdosProbe::new(
-                        site.web_ip,
-                        &domain.to_string(),
-                        "/",
-                        3 * DDOS_SAMPLES,
-                    )),
-                );
-            }
-            _ => {}
-        }
-    }
-    let idx = match trial.method {
-        MethodKind::Overt => tb.spawn_on_client(
-            SimTime::ZERO,
-            Box::new(OvertProbe::new(
-                &domain,
-                resolver,
-                collector,
-                &prep.named.probe_path,
-            )),
-        ),
-        MethodKind::Scan => tb.spawn_on_client(
-            SimTime::ZERO,
-            Box::new(SynScanProbe::new(
-                site.web_ip,
-                top_ports(SCAN_PORTS),
-                vec![80],
-            )),
-        ),
-        MethodKind::Spam => tb.spawn_on_client(
-            if spec.warmup {
-                SimTime::ZERO + SimDuration::from_secs(10)
-            } else {
-                SimTime::ZERO
-            },
-            Box::new(SpamProbe::new(&domain, resolver, seed)),
-        ),
-        MethodKind::Ddos => tb.spawn_on_client(
-            if spec.warmup {
-                SimTime::ZERO + SimDuration::from_secs(5)
-            } else {
-                SimTime::ZERO
-            },
-            Box::new(DdosProbe::new(
-                site.web_ip,
-                &domain.to_string(),
-                &prep.named.probe_path,
-                DDOS_SAMPLES,
-            )),
-        ),
-        MethodKind::StatelessDns => tb.spawn_on_client(
-            SimTime::ZERO,
-            Box::new(StatelessDnsMimicry::new(&domain, QType::A, resolver, cover)),
-        ),
-        MethodKind::StatelessSyn => tb.spawn_on_client(
-            SimTime::ZERO,
-            Box::new(StatelessSynMimicry::new(site.web_ip, 80, cover)),
-        ),
-        MethodKind::Hops | MethodKind::Stateful => unreachable!("routed methods"),
-    };
-    tb.run_secs(horizon_secs);
-    let probe: &dyn Probe = match trial.method {
-        MethodKind::Overt => tb.client_task::<OvertProbe>(idx).expect("probe state"),
-        MethodKind::Scan => tb.client_task::<SynScanProbe>(idx).expect("probe state"),
-        MethodKind::Spam => tb.client_task::<SpamProbe>(idx).expect("probe state"),
-        MethodKind::Ddos => tb.client_task::<DdosProbe>(idx).expect("probe state"),
-        MethodKind::StatelessDns => tb
-            .client_task::<StatelessDnsMimicry>(idx)
-            .expect("probe state"),
-        MethodKind::StatelessSyn => tb
-            .client_task::<StatelessSynMimicry>(idx)
-            .expect("probe state"),
-        MethodKind::Hops | MethodKind::Stateful => unreachable!("routed methods"),
-    };
-    finish(
-        prep,
-        trial,
-        scope,
-        &tb.sim,
-        tb.monitors(),
-        probe,
-        |verdict| RiskReport::evaluate(&tb, verdict),
-    )
-}
-
-/// Drive a routed-topology method (hops, stateful mimicry) from the
-/// measurement server and client hosts. Routed rows keep
-/// `anonymity_set: None` ([`RiskReport::score`]).
-fn execute_routed(
-    prep: &PolicyPrep<'_>,
-    trial: &Trial,
-    seed: u64,
-    horizon_secs: u64,
-    scope: &Telemetry,
-) -> TrialResult {
-    let mut net = prep.routed.instantiate(seed);
-    net.set_telemetry(scope.clone());
-    match trial.method {
-        MethodKind::Hops => {
-            let probe = HopProbe::new(net.cover_ip, HOP_PORT, HOP_MAX_TTL);
-            net.spawn(net.mserver, Box::new(probe));
-        }
-        MethodKind::Stateful => {
-            let agreed_iss = (seed as u32) | 1;
-            let server = MimicServer::new(
-                MIMIC_PORT,
-                agreed_iss,
-                Some(RoutedMimicryNet::HOPS_TO_COVER),
-            );
-            net.spawn(net.mserver, Box::new(server));
-            let payload = format!("GET {} HTTP/1.0\r\n\r\n", prep.named.probe_path);
-            let client = StatefulMimicry::new(
-                net.cover_ip,
-                net.mserver_ip,
-                MIMIC_PORT,
-                agreed_iss,
-                payload.as_bytes(),
-            );
-            net.spawn(net.client, Box::new(client));
-        }
-        _ => unreachable!("flat methods"),
-    }
-    net.run_secs(horizon_secs);
-    let probe: &dyn Probe = match trial.method {
-        MethodKind::Hops => net.mserver_task::<HopProbe>(0).expect("probe state"),
-        MethodKind::Stateful => net.mserver_task::<MimicServer>(0).expect("server state"),
-        _ => unreachable!("flat methods"),
-    };
-    finish(
-        prep,
-        trial,
-        scope,
-        &net.sim,
-        net.monitors(),
-        probe,
-        |verdict| RiskReport::score(&net.sim, net.monitors(), net.client_ip, verdict),
-    )
 }
 
 #[cfg(test)]

@@ -50,4 +50,6 @@ pub mod spec;
 pub mod steal;
 
 pub use report::{CellStat, StreamReport, TrialResult};
-pub use spec::{AddressPlanOverrun, CampaignSpec, MethodKind, NamedPolicy, RetryPolicy, Trial};
+pub use spec::{
+    AddressPlanOverrun, CampaignSpec, InvalidTarget, MethodKind, NamedPolicy, RetryPolicy, Trial,
+};

@@ -2,8 +2,9 @@
 //! deterministic trial matrix.
 
 use underradar_censor::CensorPolicy;
-use underradar_core::testbed::{MAX_COVER_HOSTS, MAX_TARGET_SITES};
+use underradar_core::testbed::{TargetSite, MAX_COVER_HOSTS, MAX_TARGET_SITES};
 use underradar_ids::stream::{OverlapPolicy, ReassemblyConfig};
+use underradar_protocols::dns::DnsError;
 
 use crate::engine::MAX_SPOOFED_COVER;
 use crate::seed;
@@ -126,6 +127,26 @@ impl std::fmt::Display for AddressPlanOverrun {
             f,
             "campaign spec overruns the address plan: {} = {}, at most {}",
             self.field, self.got, self.max
+        )
+    }
+}
+
+/// A [`CampaignSpec`] target no testbed can name (see
+/// [`CampaignSpec::check_targets`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InvalidTarget {
+    /// The target as the spec gives it.
+    pub domain: String,
+    /// Why it cannot be a target site.
+    pub error: DnsError,
+}
+
+impl std::fmt::Display for InvalidTarget {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "invalid campaign target '{}': {}",
+            self.domain, self.error
         )
     }
 }
@@ -322,6 +343,20 @@ impl CampaignSpec {
             Some((field, got, max)) => Err(AddressPlanOverrun { field, got, max }),
             None => Ok(()),
         }
+    }
+
+    /// Check that every target can be a target site
+    /// ([`TargetSite::try_numbered`]): it parses as a domain, and so does
+    /// its mail exchanger's name. A spec must pass this before any world
+    /// is built.
+    pub fn check_targets(&self) -> Result<(), InvalidTarget> {
+        for domain in &self.targets {
+            TargetSite::try_numbered(domain, 0).map_err(|error| InvalidTarget {
+                domain: domain.clone(),
+                error,
+            })?;
+        }
+        Ok(())
     }
 
     /// Total trials the matrix expands to.

@@ -25,10 +25,12 @@
 //!
 //! * [`probe`] — the unified [`probe::Probe`] trait every method implements:
 //!   `label` / `is_finished` / `verdict` / `evidence`, so engines drive all
-//!   techniques through one trait-object surface.
+//!   techniques through one trait-object surface, and
+//!   [`probe::ProbeHandle`], which reads a spawned probe back.
 //! * [`testbed`] — the Figure-1 reference environment: client, switch with
 //!   censor and MVR taps, target services (web/MX/DNS), all on the
-//!   deterministic simulator.
+//!   deterministic simulator; its template also builds the Fig 3b routed
+//!   chain.
 //! * [`monitors`] — the monitor set both worlds delegate to: attaching
 //!   telemetry and tracers, exporting, and reading the censors' actions.
 //! * [`verdict`] — what a measurement concludes (censored / reachable /

@@ -20,24 +20,20 @@
 //! the flow was censored; clean delivery means reachable.
 
 use std::net::Ipv4Addr;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use underradar_censor::{CensorAction, CensorPolicy, CompiledPolicy};
+use underradar_censor::{CensorPolicy, CompiledPolicy};
 use underradar_ids::engine::CompiledRuleset;
 use underradar_ids::rule::Rule;
-use underradar_ids::stream::ReassemblyConfig;
-use underradar_netsim::addr::Cidr;
 use underradar_netsim::host::{Host, HostApi, HostTask, RawVerdict};
 use underradar_netsim::node::NodeId;
 use underradar_netsim::packet::Packet;
 use underradar_netsim::time::{SimDuration, SimTime};
 use underradar_netsim::wire::tcp::TcpFlags;
-use underradar_surveil::system::default_surveillance_rules;
-use underradar_surveil::SurveillanceSystem;
 
 use crate::monitors::MonitorSet;
 use crate::probe::{Evidence, Probe};
-use crate::testbed::Testbed;
+use crate::testbed::{wire_chain, TestbedConfig, TestbedTemplate};
 use crate::verdict::{Mechanism, Verdict};
 
 /// Events the measurer-controlled server records.
@@ -392,31 +388,34 @@ impl RoutedMimicryNet {
     pub const HOPS_TO_COVER: u8 = 3;
 
     /// Build the routed network, deriving the surveillance ruleset from
-    /// the policy.
+    /// the policy. One-shot path; campaigns build many through one
+    /// [`TestbedTemplate::instantiate_routed`] per policy column.
     pub fn build(seed: u64, policy: CensorPolicy) -> RoutedMimicryNet {
-        RoutedTemplate::prepare(policy).instantiate(seed)
+        TestbedTemplate::prepare(TestbedConfig {
+            policy,
+            ..TestbedConfig::default()
+        })
+        .instantiate_routed(seed)
     }
 
-    /// Build the routed network with a pre-parsed surveillance ruleset.
-    /// One-shot path: it compiles the monitors for this one network;
-    /// callers building many should hold a [`RoutedTemplate`].
+    /// Build the routed network with a pre-parsed surveillance ruleset,
+    /// compiling the monitors for this one network.
     pub fn build_with_rules(seed: u64, policy: CensorPolicy, rules: Vec<Rule>) -> RoutedMimicryNet {
-        RoutedTemplate::with_rules(policy, rules).instantiate(seed)
+        wire_chain(
+            seed,
+            &TestbedConfig::default(),
+            &Arc::new(CompiledPolicy::new(policy)),
+            &Arc::new(CompiledRuleset::new(rules)),
+        )
     }
 
-    /// Start `task` at time zero on `host`, one of the net's hosts.
-    pub fn spawn(&mut self, host: NodeId, task: Box<dyn HostTask>) {
+    /// Start `task` at time zero on `host`, one of the net's hosts
+    /// ([`underradar_netsim::Simulator::spawn_task`]: works before and
+    /// between runs), and return its task index.
+    pub fn spawn(&mut self, host: NodeId, task: Box<dyn HostTask>) -> usize {
         self.sim
-            .node_mut::<Host>(host)
+            .spawn_task(host, SimTime::ZERO, task)
             .expect("node is a host")
-            .spawn_task_at(SimTime::ZERO, task);
-    }
-
-    /// Run the simulation for `secs` simulated seconds.
-    pub fn run_secs(&mut self, secs: u64) {
-        self.sim
-            .run_for(SimDuration::from_secs(secs))
-            .expect("simulation within event budget");
     }
 
     /// A typed view of an mserver task after the run.
@@ -431,165 +430,6 @@ impl RoutedMimicryNet {
             tap: self.censor,
             inline: None,
             surveillance: self.surveillance,
-        }
-    }
-
-    /// Ground truth: the tap censor's logged actions.
-    pub fn censor_actions(&self) -> Vec<CensorAction> {
-        self.monitors().censor_actions(&self.sim).cloned().collect()
-    }
-
-    /// Whether the censor acted during the run.
-    pub fn censor_acted(&self) -> bool {
-        self.monitors().censor_acted(&self.sim)
-    }
-
-    /// The surveillance system, for evasion/attribution queries.
-    pub fn surveillance(&self) -> &SurveillanceSystem {
-        self.monitors().surveillance(&self.sim)
-    }
-
-    /// Attach a telemetry handle to the simulator, and its tracer to the
-    /// monitors ([`MonitorSet::set_telemetry`]).
-    pub fn set_telemetry(&mut self, tel: underradar_netsim::telemetry::Telemetry) {
-        self.monitors().set_telemetry(&mut self.sim, tel);
-    }
-
-    /// Mirror the net's state into `tel`
-    /// ([`MonitorSet::export_telemetry`]); call once per run.
-    pub fn export_telemetry(&self, tel: &underradar_netsim::telemetry::Telemetry) {
-        self.monitors().export_telemetry(&self.sim, tel);
-    }
-}
-
-/// The seed-independent parts of a [`RoutedMimicryNet`]: the policy and
-/// the parsed surveillance ruleset, and — compiled from them on the
-/// first [`RoutedTemplate::instantiate`] — the tap censor's keyword DFA
-/// and the surveillance engine's compiled ruleset, which every network
-/// instantiated from the template shares by `Arc`.
-///
-/// Campaigns prepare one per policy column, as with
-/// [`crate::testbed::TestbedTemplate`]; it is `Send + Sync`.
-pub struct RoutedTemplate {
-    policy: CensorPolicy,
-    rules: Vec<Rule>,
-    reassembly: ReassemblyConfig,
-    monitors: OnceLock<(Arc<CompiledPolicy>, Arc<CompiledRuleset>)>,
-}
-
-impl RoutedTemplate {
-    /// Prepare for `policy`, deriving the surveillance ruleset from it.
-    pub fn prepare(policy: CensorPolicy) -> RoutedTemplate {
-        let rules = default_surveillance_rules(
-            Testbed::home_net(),
-            &policy.dns_blocked,
-            &policy.keywords,
-            None,
-        );
-        Self::with_rules(policy, rules)
-    }
-
-    /// Prepare for `policy` with a pre-parsed surveillance ruleset.
-    pub fn with_rules(policy: CensorPolicy, rules: Vec<Rule>) -> RoutedTemplate {
-        RoutedTemplate {
-            policy,
-            rules,
-            reassembly: ReassemblyConfig::default(),
-            monitors: OnceLock::new(),
-        }
-    }
-
-    /// Give both monitors these reassembly limits (default:
-    /// [`ReassemblyConfig::default`]), as
-    /// [`crate::testbed::TestbedConfig::monitor_reassembly`] does for the
-    /// flat testbed.
-    pub fn with_reassembly(mut self, reassembly: ReassemblyConfig) -> RoutedTemplate {
-        self.reassembly = reassembly;
-        self
-    }
-
-    /// Assemble a routed network for `seed` from the shared parts.
-    /// Packet capture is off: a caller that reads `sim.capture()` calls
-    /// `sim.enable_capture()` before running, so campaign trials do not
-    /// clone every link transmission into a capture nobody reads.
-    pub fn instantiate(&self, seed: u64) -> RoutedMimicryNet {
-        use underradar_censor::TapCensor;
-        use underradar_netsim::link::LinkConfig;
-        use underradar_netsim::switch::Switch;
-        use underradar_netsim::topology::TopologyBuilder;
-        use underradar_surveil::system::{SurveillanceConfig, SurveillanceNode};
-
-        let (censor_policy, ruleset) = self.monitors.get_or_init(|| {
-            (
-                Arc::new(CompiledPolicy::new(self.policy.clone())),
-                Arc::new(CompiledRuleset::new(self.rules.clone())),
-            )
-        });
-        let client_ip = Ipv4Addr::new(10, 0, 1, 2);
-        let cover_ip = Ipv4Addr::new(10, 0, 1, 77);
-        let mserver_ip = Ipv4Addr::new(198, 51, 100, 200);
-        let home = Testbed::home_net();
-        let world = Cidr::new(Ipv4Addr::new(198, 51, 100, 0), 24);
-
-        let mut topo = TopologyBuilder::new(seed);
-        let client = topo.add_host(Host::new("client", client_ip));
-        let cover = topo.add_host(Host::new("neighbor-y", cover_ip));
-        let mut mserver_host = Host::new("mserver", mserver_ip);
-        // The mimic server task consumes everything addressed to its port;
-        // anything else would draw kernel RSTs that confuse the traces.
-        mserver_host.set_respond_rst(false);
-        let mserver = topo.add_host(mserver_host);
-
-        let censor = topo.add_node(Box::new(TapCensor::from_compiled(
-            "censor",
-            censor_policy.clone(),
-            self.reassembly,
-        )));
-        let mut surv_config = SurveillanceConfig::with_compiled(ruleset.clone());
-        surv_config.reassembly = self.reassembly;
-        let surveillance = topo.add_node(Box::new(SurveillanceNode::new("mvr", surv_config)));
-
-        let sw1 = topo.add_switch(Switch::new("sw1"));
-        let r1 = topo.add_switch(Switch::router("r1", Ipv4Addr::new(192, 0, 2, 1)));
-        let r2 = topo.add_switch(Switch::router("r2", Ipv4Addr::new(192, 0, 2, 2)));
-        let r3 = topo.add_switch(Switch::router("r3", Ipv4Addr::new(192, 0, 2, 3)));
-        let sw2 = topo.add_switch(Switch::new("sw2"));
-
-        topo.attach_host(client, client_ip, sw1, LinkConfig::default())
-            .expect("client");
-        topo.attach_host(cover, cover_ip, sw1, LinkConfig::default())
-            .expect("cover");
-        topo.attach_host(mserver, mserver_ip, sw2, LinkConfig::default())
-            .expect("mserver");
-        topo.attach_tap(censor, r2, LinkConfig::ideal())
-            .expect("censor tap");
-        topo.attach_tap(surveillance, r2, LinkConfig::ideal())
-            .expect("mvr tap");
-
-        let (s1_up, r1_down) = topo.trunk(sw1, r1, LinkConfig::default()).expect("sw1-r1");
-        let (r1_up, r2_down) = topo.trunk(r1, r2, LinkConfig::default()).expect("r1-r2");
-        let (r2_up, r3_down) = topo.trunk(r2, r3, LinkConfig::default()).expect("r2-r3");
-        let (r3_up, s2_down) = topo.trunk(r3, sw2, LinkConfig::default()).expect("r3-sw2");
-
-        topo.route(sw1, world, s1_up);
-        topo.route(r1, world, r1_up);
-        topo.route(r1, home, r1_down);
-        topo.route(r2, world, r2_up);
-        topo.route(r2, home, r2_down);
-        topo.route(r3, world, r3_up);
-        topo.route(r3, home, r3_down);
-        topo.route(sw2, home, s2_down);
-
-        RoutedMimicryNet {
-            sim: topo.finish(),
-            client,
-            cover,
-            censor,
-            surveillance,
-            mserver,
-            client_ip,
-            cover_ip,
-            mserver_ip,
         }
     }
 }
@@ -745,7 +585,7 @@ mod tests {
 
     #[test]
     fn capture_is_off_until_a_reader_enables_it() {
-        let net = RoutedTemplate::prepare(CensorPolicy::new()).instantiate(3);
+        let net = RoutedMimicryNet::build(3, CensorPolicy::new());
         assert!(
             net.sim.capture().is_none(),
             "instantiated worlds capture nothing"

@@ -1,11 +1,15 @@
 //! The monitors a world is judged against (§3.2, §4.2): a tap censor, an
 //! optional inline censor and the surveillance node (the MVR and its IDS).
 //!
-//! The flat testbed ([`crate::testbed::Testbed`]) has all three; the
-//! routed TTL topology ([`crate::methods::stateful::RoutedMimicryNet`])
-//! has no inline censor. Both delegate to one [`MonitorSet`], so how a
-//! world attaches telemetry and a tracer to its monitors, exports them and
-//! reads their actions is written once.
+//! A policy column's one [`crate::testbed::TestbedTemplate`] builds both
+//! worlds: the flat testbed ([`crate::testbed::Testbed`]) has all three
+//! monitors; the routed TTL chain
+//! ([`crate::methods::stateful::RoutedMimicryNet`]) has no inline censor,
+//! shares the column's compiled tap-censor policy, and keeps its own
+//! surveillance ruleset (it has no collector, so no collector rule). Both
+//! delegate to one [`MonitorSet`], and the surface they share — running,
+//! attaching telemetry and a tracer, exporting, reading the censors'
+//! actions — is written once, here.
 
 use underradar_censor::{CensorAction, InlineCensor, TapCensor};
 use underradar_netsim::node::NodeId;
@@ -89,3 +93,50 @@ impl MonitorSet {
             .system()
     }
 }
+
+/// Give a world type — one with a `sim` field and a `monitors()` method —
+/// the surface both world types share: running, and wiring and reading
+/// its monitors through [`MonitorSet`]. Written once here until the two
+/// types merge into one.
+macro_rules! world_surface {
+    ($world:ty) => {
+        impl $world {
+            /// Run the simulation for `secs` simulated seconds.
+            pub fn run_secs(&mut self, secs: u64) {
+                self.sim
+                    .run_for(underradar_netsim::time::SimDuration::from_secs(secs))
+                    .expect("simulation within event budget");
+            }
+
+            /// Ground truth: the censors' logged actions, tap first.
+            pub fn censor_actions(&self) -> Vec<CensorAction> {
+                self.monitors().censor_actions(&self.sim).cloned().collect()
+            }
+
+            /// Whether any censor acted during the run.
+            pub fn censor_acted(&self) -> bool {
+                self.monitors().censor_acted(&self.sim)
+            }
+
+            /// The surveillance system, for evasion and attribution queries.
+            pub fn surveillance(&self) -> &SurveillanceSystem {
+                self.monitors().surveillance(&self.sim)
+            }
+
+            /// Attach a telemetry handle to the simulator, and its tracer
+            /// to every monitor ([`MonitorSet::set_telemetry`]).
+            pub fn set_telemetry(&mut self, tel: Telemetry) {
+                self.monitors().set_telemetry(&mut self.sim, tel);
+            }
+
+            /// Mirror the world's state into `tel`
+            /// ([`MonitorSet::export_telemetry`]); call once per run.
+            pub fn export_telemetry(&self, tel: &Telemetry) {
+                self.monitors().export_telemetry(&self.sim, tel);
+            }
+        }
+    };
+}
+
+world_surface!(crate::testbed::Testbed);
+world_surface!(crate::methods::stateful::RoutedMimicryNet);

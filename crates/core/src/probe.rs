@@ -1,16 +1,8 @@
 //! The unified probe API.
 //!
-//! Every measurement method used to expose ad-hoc inherent methods
-//! (`verdict()`, `is_finished()`, per-struct accessors), which forced each
-//! experiment harness to hand-wire every technique separately. [`Probe`]
-//! is now the public entry point for reading a measurement's outcome: one
-//! trait object surface an engine — the campaign runner, the experiment
-//! harnesses, user code — can drive all seven techniques through.
-//!
-//! A probe still *runs* as a [`underradar_netsim::host::HostTask`] inside
-//! the simulator; once the simulation completes, retrieve the task (e.g.
-//! via [`crate::testbed::Testbed::client_task`]) and read its conclusion
-//! through this trait:
+//! [`Probe`] is the public entry point for reading a measurement's
+//! outcome: one trait-object surface an engine — the campaign runner, the
+//! experiment harnesses, user code — drives every technique through:
 //!
 //! * [`Probe::label`] — stable method name for tables and telemetry keys;
 //! * [`Probe::is_finished`] — did the measurement run to completion, or
@@ -20,6 +12,15 @@
 //!   was observed (sample tallies, DNS answers, hop counts), for reports
 //!   and structured output.
 //!
+//! A probe *runs* as a [`underradar_netsim::host::HostTask`] inside the
+//! simulator. [`ProbeHandle::spawn`] starts it by the simulator's one
+//! task-start rule ([`Simulator::spawn_task`]) and returns a handle typed
+//! when the probe is spawned, so reading it back after the run is one
+//! generic call ([`ProbeHandle::read`]) with no downcast at the reader.
+//! The campaign engine's method table spawns every method this way, into
+//! either world a [`crate::testbed::TestbedTemplate`] builds: the flat
+//! testbed or the routed TTL chain.
+//!
 //! Implemented by [`crate::methods::scan::SynScanProbe`],
 //! [`crate::methods::spam::SpamProbe`], [`crate::methods::ddos::DdosProbe`],
 //! [`crate::methods::overt::OvertProbe`], [`crate::methods::hops::HopProbe`],
@@ -28,6 +29,11 @@
 //! [`crate::methods::stateful::StatefulMimicry`] (the blind client half)
 //! and [`crate::methods::stateful::MimicServer`] (where the stateful
 //! verdict is actually read).
+
+use underradar_netsim::host::{Host, HostTask};
+use underradar_netsim::node::NodeId;
+use underradar_netsim::sim::Simulator;
+use underradar_netsim::time::SimTime;
 
 use crate::verdict::Verdict;
 
@@ -52,6 +58,46 @@ pub trait Probe {
 
     /// What the probe observed, as deterministic key/value pairs.
     fn evidence(&self) -> Evidence;
+}
+
+/// A spawned probe: its host, its task index, and a reader typed for the
+/// probe's own type when it was spawned.
+#[derive(Clone, Copy)]
+pub struct ProbeHandle {
+    host: NodeId,
+    idx: usize,
+    read: fn(&Host, usize) -> Option<&dyn Probe>,
+}
+
+impl ProbeHandle {
+    /// Start `probe` on `host` at `at` ([`Simulator::spawn_task`]) and
+    /// return the handle that reads it back. `host` must be a host node.
+    pub fn spawn<P: Probe + HostTask>(
+        sim: &mut Simulator,
+        host: NodeId,
+        at: SimTime,
+        probe: P,
+    ) -> ProbeHandle {
+        let idx = sim
+            .spawn_task(host, at, Box::new(probe))
+            .expect("probes are spawned on host nodes");
+        ProbeHandle {
+            host,
+            idx,
+            read: read_as::<P>,
+        }
+    }
+
+    /// The probe, read from `sim`, the simulator it was spawned into.
+    pub fn read<'s>(&self, sim: &'s Simulator) -> &'s dyn Probe {
+        sim.node_ref::<Host>(self.host)
+            .and_then(|host| (self.read)(host, self.idx))
+            .expect("a spawned probe stays on its host")
+    }
+}
+
+fn read_as<P: Probe + HostTask>(host: &Host, idx: usize) -> Option<&dyn Probe> {
+    host.task_ref::<P>(idx).map(|p| p as &dyn Probe)
 }
 
 #[cfg(test)]

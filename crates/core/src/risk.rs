@@ -8,6 +8,7 @@
 use std::net::Ipv4Addr;
 
 use underradar_netsim::sim::Simulator;
+use underradar_surveil::SurveillanceSystem;
 
 use crate::monitors::MonitorSet;
 use crate::testbed::Testbed;
@@ -36,10 +37,16 @@ impl RiskReport {
     /// Evaluate a verdict against the testbed's ground truth and
     /// surveillance state, anonymity set included.
     pub fn evaluate(tb: &Testbed, verdict: &Verdict) -> RiskReport {
-        let mut report = RiskReport::score(&tb.sim, tb.monitors(), tb.client_ip, verdict);
+        RiskReport::score(&tb.sim, tb.monitors(), tb.client_ip, verdict)
+            .with_anonymity_set(tb.surveillance())
+    }
+
+    /// Add the anonymity set: the distinct in-home sources `surveillance`
+    /// alerted on, if any. Only a world with a cover population (the flat
+    /// testbed) has one to measure.
+    pub fn with_anonymity_set(mut self, surveillance: &SurveillanceSystem) -> RiskReport {
         let home = Testbed::home_net();
-        let alert_sources: Vec<Ipv4Addr> = tb
-            .surveillance()
+        let alert_sources: Vec<Ipv4Addr> = surveillance
             .engine()
             .log()
             .all()
@@ -48,15 +55,14 @@ impl RiskReport {
             .filter(|s| home.contains(*s))
             .collect();
         if !alert_sources.is_empty() {
-            report.anonymity_set = Some(underradar_spoof::anonymity_set(&alert_sources, 32));
+            self.anonymity_set = Some(underradar_spoof::anonymity_set(&alert_sources, 32));
         }
-        report
+        self
     }
 
     /// Score a verdict for `client` against any world's monitors: censor
     /// ground truth, alerts, attribution and pursuit. The anonymity set
-    /// stays `None`; only [`RiskReport::evaluate`] measures it, over the
-    /// flat testbed's cover population.
+    /// stays `None` ([`RiskReport::with_anonymity_set`] adds it).
     pub fn score(
         sim: &Simulator,
         monitors: MonitorSet,

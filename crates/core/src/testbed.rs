@@ -26,7 +26,7 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
-use underradar_censor::{CensorAction, CensorPolicy, CompiledPolicy, InlineCensor, TapCensor};
+use underradar_censor::{CensorPolicy, CompiledPolicy, InlineCensor, TapCensor};
 use underradar_ids::engine::CompiledRuleset;
 use underradar_ids::rule::Rule;
 use underradar_ids::stream::ReassemblyConfig;
@@ -38,7 +38,7 @@ use underradar_netsim::sim::Simulator;
 use underradar_netsim::switch::Switch;
 use underradar_netsim::time::{SimDuration, SimTime};
 use underradar_netsim::topology::TopologyBuilder;
-use underradar_protocols::dns::{DnsName, DnsServer, DnsZone, Record, ZoneBuilder};
+use underradar_protocols::dns::{DnsError, DnsName, DnsServer, DnsZone, Record, ZoneBuilder};
 use underradar_protocols::email::EmailMessage;
 use underradar_protocols::http::HttpServer;
 use underradar_protocols::smtp::SmtpServerService;
@@ -46,6 +46,7 @@ use underradar_surveil::system::{
     default_surveillance_rules, SurveillanceConfig, SurveillanceNode,
 };
 
+use crate::methods::stateful::RoutedMimicryNet;
 use crate::monitors::MonitorSet;
 
 /// The most target sites one testbed can address: [`TargetSite::numbered`]
@@ -70,17 +71,24 @@ pub struct TargetSite {
 }
 
 impl TargetSite {
-    /// Build the `i`-th target for `domain`; `i` must stay below
-    /// [`MAX_TARGET_SITES`].
-    pub fn numbered(domain: &str, i: u8) -> TargetSite {
-        let domain = DnsName::parse(domain).expect("valid domain literal");
-        let mx_name = domain.prepend("mx1").expect("mx label");
-        TargetSite {
+    /// Build the `i`-th target for `domain`, or say why no testbed can
+    /// name it: `domain` must parse, and so must its mail exchanger
+    /// `mx1.<domain>`. `i` must stay below [`MAX_TARGET_SITES`]. Callers
+    /// taking domains from outside check each one here before building.
+    pub fn try_numbered(domain: &str, i: u8) -> Result<TargetSite, DnsError> {
+        let domain = DnsName::parse(domain)?;
+        let mx_name = domain.prepend("mx1")?;
+        Ok(TargetSite {
             domain,
             web_ip: Ipv4Addr::new(93, 184, 0, 10 + i),
             mx_name,
             mx_ip: Ipv4Addr::new(93, 184, 1, 10 + i),
-        }
+        })
+    }
+
+    /// [`TargetSite::try_numbered`] for a domain known to be valid.
+    pub fn numbered(domain: &str, i: u8) -> TargetSite {
+        TargetSite::try_numbered(domain, i).expect("a checked target domain")
     }
 }
 
@@ -150,34 +158,35 @@ const RESOLVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 2, 53);
 const COLLECTOR_IP: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 99);
 const MSERVER_IP: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 200);
 
-/// The seed-independent parts of a [`TestbedConfig`]: the resolver zone
-/// and the parsed surveillance ruleset, and — compiled from them on the
-/// first [`TestbedTemplate::instantiate`] — the monitors' immutable
-/// parts: the indexed zone, the surveillance engine's compiled ruleset
-/// (prefilter DFA included) and the tap censor's keyword DFA. Every
-/// testbed instantiated from the template shares those by `Arc` and
-/// builds only its own mutable state (simulator, hosts, reassemblers,
+/// The seed-independent parts of a policy column's worlds: the resolver
+/// zone and the parsed surveillance ruleset, and — compiled on first use —
+/// the monitors' immutable parts. The tap censor's keyword DFA
+/// ([`CompiledPolicy`]) is compiled once and shared by both topologies the
+/// template builds: the flat testbed ([`TestbedTemplate::instantiate`])
+/// and the routed TTL chain ([`TestbedTemplate::instantiate_routed`]).
+/// Each topology compiles its own surveillance ruleset: the chain's omits
+/// the collector rule (it has no collector), which shifts every later SID.
+/// Every world instantiated from the template shares those parts by `Arc`
+/// and builds only its own mutable state (simulator, hosts, reassemblers,
 /// logs), so per-trial construction does no string formatting, rule
 /// parsing, DFA building or zone indexing.
 ///
 /// A campaign prepares one template per censor policy and instantiates a
-/// fresh testbed per trial seed from it. Preparing stays as cheap as
-/// deriving the zone and parsing the rules: compilation happens once, on
-/// first use, so columns a run never reaches cost nothing. The template
+/// fresh world per trial seed from it. Preparing stays as cheap as
+/// deriving the zone and parsing the flat rules: compilation happens on
+/// first use, so parts a run never reaches cost nothing. The template
 /// holds no simulator state, so it is `Send + Sync` and shards can share
 /// it by reference.
 pub struct TestbedTemplate {
     config: TestbedConfig,
     zone: Vec<Record>,
     rules: Vec<Rule>,
-    monitors: OnceLock<SharedMonitors>,
-}
-
-/// The compiled, immutable parts a policy column's testbeds share.
-struct SharedMonitors {
-    zone: Arc<DnsZone>,
-    ruleset: Arc<CompiledRuleset>,
-    censor: Arc<CompiledPolicy>,
+    /// The tap censor's keyword DFA, shared by both topologies.
+    censor: OnceLock<Arc<CompiledPolicy>>,
+    /// The flat testbed's indexed zone and surveillance ruleset.
+    flat: OnceLock<(Arc<DnsZone>, Arc<CompiledRuleset>)>,
+    /// The routed chain's surveillance ruleset.
+    chain: OnceLock<Arc<CompiledRuleset>>,
 }
 
 impl TestbedTemplate {
@@ -200,17 +209,16 @@ impl TestbedTemplate {
             config,
             zone: zone.build(),
             rules,
-            monitors: OnceLock::new(),
+            censor: OnceLock::new(),
+            flat: OnceLock::new(),
+            chain: OnceLock::new(),
         }
     }
 
-    /// The shared monitor parts, compiled on first use.
-    fn monitors(&self) -> &SharedMonitors {
-        self.monitors.get_or_init(|| SharedMonitors {
-            zone: Arc::new(DnsZone::new(self.zone.clone())),
-            ruleset: Arc::new(CompiledRuleset::new(self.rules.clone())),
-            censor: Arc::new(CompiledPolicy::new(self.config.policy.clone())),
-        })
+    /// The column's compiled tap-censor policy, compiled on first use.
+    fn censor(&self) -> &Arc<CompiledPolicy> {
+        self.censor
+            .get_or_init(|| Arc::new(CompiledPolicy::new(self.config.policy.clone())))
     }
 
     /// The configuration the template was prepared from.
@@ -218,11 +226,30 @@ impl TestbedTemplate {
         &self.config
     }
 
-    /// Assemble a testbed from the prepared parts, with `seed` replacing
-    /// the config's seed (each trial gets its own).
+    /// Assemble the routed TTL chain ([`RoutedMimicryNet`]) for `seed` from
+    /// the shared parts. Its surveillance rules are the flat ones less the
+    /// collector rule: the chain has no collector.
+    pub fn instantiate_routed(&self, seed: u64) -> RoutedMimicryNet {
+        let ruleset = self.chain.get_or_init(|| {
+            let policy = &self.config.policy;
+            let home = Testbed::home_net();
+            let rules =
+                default_surveillance_rules(home, &policy.dns_blocked, &policy.keywords, None);
+            Arc::new(CompiledRuleset::new(rules))
+        });
+        wire_chain(seed, &self.config, self.censor(), ruleset)
+    }
+
+    /// Assemble a flat testbed from the prepared parts, with `seed`
+    /// replacing the config's seed (each trial gets its own).
     pub fn instantiate(&self, seed: u64) -> Testbed {
         let config = &self.config;
-        let monitors = self.monitors();
+        let (zone, ruleset) = self.flat.get_or_init(|| {
+            (
+                Arc::new(DnsZone::new(self.zone.clone())),
+                Arc::new(CompiledRuleset::new(self.rules.clone())),
+            )
+        });
         let client_ip = CLIENT_IP;
         let resolver_ip = RESOLVER_IP;
         let collector_ip = COLLECTOR_IP;
@@ -245,19 +272,10 @@ impl TestbedTemplate {
 
         // Resolver serving the pre-built zone.
         let mut resolver_host = Host::new("resolver", resolver_ip);
-        resolver_host.add_udp_service(53, Box::new(DnsServer::with_zone(monitors.zone.clone())));
+        resolver_host.add_udp_service(53, Box::new(DnsServer::with_zone(zone.clone())));
         let resolver = topo.add_host(resolver_host);
 
-        // --- monitors ---
-        let mut tap_censor =
-            TapCensor::from_compiled("censor", monitors.censor.clone(), config.monitor_reassembly);
-        tap_censor.set_rst_teardown(config.censor_rst_teardown);
-        let censor = topo.add_node(Box::new(tap_censor));
-
-        let mut surv_config = SurveillanceConfig::with_compiled(monitors.ruleset.clone());
-        surv_config.alert_first = config.surveillance_alert_first;
-        surv_config.reassembly = config.monitor_reassembly;
-        let surveillance = topo.add_node(Box::new(SurveillanceNode::new("mvr", surv_config)));
+        let (censor, surveillance) = add_monitors(&mut topo, config, self.censor(), ruleset);
 
         // --- switches and inline censor ---
         let sw1 = topo.add_switch(Switch::new("sw1"));
@@ -378,6 +396,93 @@ impl TestbedTemplate {
     }
 }
 
+/// Add the tap censor, then the surveillance node, with the config's
+/// monitor knobs (reassembly limits, RST teardown, alert-first).
+fn add_monitors(
+    topo: &mut TopologyBuilder,
+    config: &TestbedConfig,
+    censor: &Arc<CompiledPolicy>,
+    ruleset: &Arc<CompiledRuleset>,
+) -> (NodeId, NodeId) {
+    let mut tap = TapCensor::from_compiled("censor", censor.clone(), config.monitor_reassembly);
+    tap.set_rst_teardown(config.censor_rst_teardown);
+    let tap = topo.add_node(Box::new(tap));
+    let mut surv_config = SurveillanceConfig::with_compiled(ruleset.clone());
+    surv_config.alert_first = config.surveillance_alert_first;
+    surv_config.reassembly = config.monitor_reassembly;
+    let surveillance = topo.add_node(Box::new(SurveillanceNode::new("mvr", surv_config)));
+    (tap, surveillance)
+}
+
+/// Wire the routed TTL chain of [`RoutedMimicryNet`] around the given
+/// compiled monitors. It reads the config's monitor knobs and capture
+/// flag only: the chain has no targets or cover population, and its links
+/// are clean, so access-link impairment stays a flat-testbed knob.
+pub(crate) fn wire_chain(
+    seed: u64,
+    config: &TestbedConfig,
+    censor: &Arc<CompiledPolicy>,
+    ruleset: &Arc<CompiledRuleset>,
+) -> RoutedMimicryNet {
+    let client_ip = CLIENT_IP;
+    let cover_ip = Ipv4Addr::new(10, 0, 1, 77);
+    let mserver_ip = MSERVER_IP;
+    let home = Testbed::home_net();
+    let world = Cidr::new(Ipv4Addr::new(198, 51, 100, 0), 24);
+
+    let mut topo = TopologyBuilder::new(seed);
+    if config.capture {
+        topo.enable_capture();
+    }
+    let client = topo.add_host(Host::new("client", client_ip));
+    let cover = topo.add_host(Host::new("neighbor-y", cover_ip));
+    let mut mserver_host = Host::new("mserver", mserver_ip);
+    // The mimic server task consumes everything addressed to its port;
+    // anything else would draw kernel RSTs that confuse the traces.
+    mserver_host.set_respond_rst(false);
+    let mserver = topo.add_host(mserver_host);
+    let (censor, surveillance) = add_monitors(&mut topo, config, censor, ruleset);
+
+    let sw1 = topo.add_switch(Switch::new("sw1"));
+    let r1 = topo.add_switch(Switch::router("r1", Ipv4Addr::new(192, 0, 2, 1)));
+    let r2 = topo.add_switch(Switch::router("r2", Ipv4Addr::new(192, 0, 2, 2)));
+    let r3 = topo.add_switch(Switch::router("r3", Ipv4Addr::new(192, 0, 2, 3)));
+    let sw2 = topo.add_switch(Switch::new("sw2"));
+
+    topo.attach_host(client, client_ip, sw1, LinkConfig::default())
+        .expect("client");
+    topo.attach_host(cover, cover_ip, sw1, LinkConfig::default())
+        .expect("cover");
+    topo.attach_host(mserver, mserver_ip, sw2, LinkConfig::default())
+        .expect("mserver");
+    topo.attach_tap(censor, r2, LinkConfig::ideal())
+        .expect("censor tap");
+    topo.attach_tap(surveillance, r2, LinkConfig::ideal())
+        .expect("mvr tap");
+
+    // Each hop forwards world-bound traffic up the chain and home-bound
+    // traffic down it.
+    for hop in [sw1, r1, r2, r3, sw2].windows(2) {
+        let (up, down) = topo
+            .trunk(hop[0], hop[1], LinkConfig::default())
+            .expect("trunk");
+        topo.route(hop[0], world, up);
+        topo.route(hop[1], home, down);
+    }
+
+    RoutedMimicryNet {
+        sim: topo.finish(),
+        client,
+        cover,
+        censor,
+        surveillance,
+        mserver,
+        client_ip,
+        cover_ip,
+        mserver_ip,
+    }
+}
+
 /// The assembled testbed.
 pub struct Testbed {
     /// The simulator (run it, then inspect).
@@ -426,29 +531,12 @@ impl Testbed {
         TestbedTemplate::prepare(config).instantiate(seed)
     }
 
-    /// Spawn a task on the measurement client at `at` (works before and
-    /// between runs).
+    /// Spawn a task on the measurement client at `at`
+    /// ([`Simulator::spawn_task`]: works before and between runs).
     pub fn spawn_on_client(&mut self, at: SimTime, task: Box<dyn HostTask>) -> usize {
-        // External scheduling works whether or not the simulation has
-        // started, so tasks can be staged between run calls.
-        let token = self.sim.alloc_timer_token();
-        let host = self
-            .sim
-            .node_mut::<Host>(self.client)
-            .expect("client is a host");
-        let idx = host.add_task(task);
-        host.bind_task_start(idx, token);
         self.sim
-            .schedule_timer(self.client, at, token)
-            .expect("node exists");
-        idx
-    }
-
-    /// Run the simulation for `secs` simulated seconds.
-    pub fn run_secs(&mut self, secs: u64) {
-        self.sim
-            .run_for(SimDuration::from_secs(secs))
-            .expect("simulation within event budget");
+            .spawn_task(self.client, at, task)
+            .expect("client is a host")
     }
 
     /// A typed view of a client task after the run.
@@ -463,33 +551,6 @@ impl Testbed {
             inline: Some(self.inline_censor),
             surveillance: self.surveillance,
         }
-    }
-
-    /// Ground truth: both censors' logged actions, tap first.
-    pub fn censor_actions(&self) -> Vec<CensorAction> {
-        self.monitors().censor_actions(&self.sim).cloned().collect()
-    }
-
-    /// Whether any censor acted during the run.
-    pub fn censor_acted(&self) -> bool {
-        self.monitors().censor_acted(&self.sim)
-    }
-
-    /// The surveillance system, for evasion/attribution queries.
-    pub fn surveillance(&self) -> &underradar_surveil::SurveillanceSystem {
-        self.monitors().surveillance(&self.sim)
-    }
-
-    /// Attach a telemetry handle to the simulator, and its tracer to every
-    /// monitor ([`MonitorSet::set_telemetry`]).
-    pub fn set_telemetry(&mut self, tel: underradar_netsim::telemetry::Telemetry) {
-        self.monitors().set_telemetry(&mut self.sim, tel);
-    }
-
-    /// Mirror the whole testbed's state into `tel`
-    /// ([`MonitorSet::export_telemetry`]); call once per run.
-    pub fn export_telemetry(&self, tel: &underradar_netsim::telemetry::Telemetry) {
-        self.monitors().export_telemetry(&self.sim, tel);
     }
 
     /// A target by domain string.
@@ -742,22 +803,35 @@ mod tests {
             policy: CensorPolicy::new().block_keyword("falun"),
             ..TestbedConfig::default()
         });
-        assert!(
-            template.monitors.get().is_none(),
+        let compiled = || {
+            let t = &template;
+            (
+                t.censor.get().is_some(),
+                t.flat.get().is_some(),
+                t.chain.get().is_some(),
+            )
+        };
+        assert_eq!(
+            compiled(),
+            (false, false, false),
             "prepare compiles nothing"
         );
-        let worlds = (template.instantiate(1), template.instantiate(2));
-        let m = template
-            .monitors
-            .get()
-            .expect("compiled on first instantiate");
-        // The template's handle plus one per live world: both worlds hold
-        // the column's single compiled copy.
-        assert_eq!(Arc::strong_count(&m.ruleset), 3);
-        assert_eq!(Arc::strong_count(&m.censor), 3);
-        assert_eq!(Arc::strong_count(&m.zone), 3);
-        drop(worlds);
-        assert_eq!(Arc::strong_count(&m.ruleset), 1);
+        let flat = (template.instantiate(1), template.instantiate(2));
+        assert_eq!(compiled(), (true, true, false), "no routed world yet");
+        let routed = template.instantiate_routed(3);
+        let censor = template.censor.get().expect("compiled on first use");
+        let (zone, ruleset) = template.flat.get().expect("compiled on first use");
+        let chain = template.chain.get().expect("compiled on first use");
+        // The template's handle plus one per live world: every world holds
+        // the column's single compiled copy, and the tap censor's keyword
+        // DFA is one copy across both topologies.
+        assert_eq!(Arc::strong_count(censor), 4);
+        assert_eq!(Arc::strong_count(ruleset), 3);
+        assert_eq!(Arc::strong_count(zone), 3);
+        assert_eq!(Arc::strong_count(chain), 2, "the chain's own ruleset");
+        drop((flat, routed));
+        assert_eq!(Arc::strong_count(censor), 1);
+        assert_eq!(Arc::strong_count(ruleset), 1);
     }
 
     #[test]

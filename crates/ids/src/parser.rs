@@ -271,14 +271,15 @@ fn decode_content(quoted: &str) -> Result<Vec<u8>, RuleParseError> {
         .and_then(|s| s.strip_suffix('"'))
         .ok_or_else(|| RuleParseError::new(format!("content must be quoted: {quoted}")))?;
     let mut out = Vec::new();
-    let mut chars = inner.chars().peekable();
-    while let Some(c) = chars.next() {
+    let mut chars = inner.chars();
+    while let Some(mut c) = chars.next() {
         match c {
+            // An escaped character stands for itself, UTF-8 encoded like
+            // any other literal character.
             '\\' => {
-                let next = chars
+                c = chars
                     .next()
                     .ok_or_else(|| RuleParseError::new("dangling escape in content"))?;
-                out.push(next as u8);
             }
             '|' => {
                 let mut hex = String::new();
@@ -294,12 +295,12 @@ fn decode_content(quoted: &str) -> Result<Vec<u8>, RuleParseError> {
                     })?;
                     out.push(b);
                 }
+                continue;
             }
-            _ => {
-                let mut buf = [0u8; 4];
-                out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-            }
+            _ => {}
         }
+        let mut buf = [0u8; 4];
+        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
     }
     Ok(out)
 }
@@ -607,6 +608,16 @@ mod tests {
         )
         .expect("parse");
         assert_eq!(rule.contents[0].pattern, b"a\"b;c");
+    }
+
+    #[test]
+    fn escaped_non_ascii_content_keeps_its_utf8_bytes() {
+        let rule = parse_rule(
+            r#"alert tcp any any -> any any (msg:"m"; content:"x\é\𐍈y"; sid:8;)"#,
+            &VarTable::new(),
+        )
+        .expect("parse");
+        assert_eq!(rule.contents[0].pattern, "xé𐍈y".as_bytes());
     }
 
     #[test]

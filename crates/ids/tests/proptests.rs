@@ -6,11 +6,13 @@
 use std::net::Ipv4Addr;
 
 use underradar_ids::engine::DetectionEngine;
-use underradar_ids::parser::{parse_rule, VarTable};
+use underradar_ids::parser::{parse_rule, parse_ruleset, VarTable};
+use underradar_ids::rule::AddrSpec;
 use underradar_ids::rule::{find_sub, ContentMatch};
 use underradar_ids::stream::{Direction, FlowKey, StreamReassembler};
+use underradar_netsim::addr::Cidr;
 use underradar_netsim::packet::Packet;
-use underradar_netsim::testprop::cases;
+use underradar_netsim::testprop::{cases, Gen};
 use underradar_netsim::time::SimTime;
 use underradar_netsim::wire::tcp::TcpFlags;
 
@@ -80,6 +82,98 @@ fn parser_never_panics() {
     cases(512, 0xD006, |g| {
         let line = g.printable(0, 120);
         let _ = parse_rule(&line, &VarTable::new());
+    });
+}
+
+/// Valid rule lines that together reach every option arm, every header
+/// form (variables, negation, lists, ranges, bidirectional) and every
+/// content encoding (escapes, hex runs, non-ASCII text).
+const SEED_RULES: &[&str] = &[
+    r#"alert tcp $HOME_NET any -> any 80 (msg:"GFW keyword falun"; content:"falun"; nocase; sid:3000001; rev:2;)"#,
+    r#"alert tcp any any -> $HOME_NET any (msg:"SYN scan"; flags:S; threshold: type threshold, track by_src, count 20, seconds 60; sid:1000010;)"#,
+    r#"alert udp any any -> any 53 (msg:"dns odd"; content:"|01 00 00 01|"; offset:2; depth:4; content:!"safe"; sid:6;)"#,
+    r#"alert tcp any 1:1024 -> [192.0.2.0/24,198.51.100.7] [25,587] (msg:"m"; content:"a\"b;c"; flow:to_server,established; dsize:>100; classtype:policy-violation; priority:2; sid:7;)"#,
+    r#"pass ip !203.0.113.0/24 !80 <> any :1000 (msg:"x\é"; content:"x\é\𐍈y"; reference:url,example.org; metadata:k v; gid:1; sid:8;)"#,
+    r#"log icmp any any -> any any (flags:S+; dsize:10<>20; threshold: type limit, track by_dst, count 1, seconds 5; sid:9;)"#,
+];
+
+/// Non-ASCII text and rule punctuation spliced into seed rules.
+const SPLICES: &[&str] = &[
+    "é",
+    "𐍈",
+    "日本語",
+    "\u{FFFD}",
+    "\0",
+    ";",
+    "(",
+    ")",
+    "\"",
+    "\\",
+    "|",
+    ":",
+    ",",
+    "!",
+    "[",
+    "]",
+    "$",
+    "<>",
+    "->",
+    " ",
+    "|zz|",
+    "|0",
+    "content:",
+    "dsize:",
+    "threshold:",
+    "flow:",
+    "sid:",
+    "18446744073709551616",
+    "-1",
+    ">",
+    "<",
+];
+
+/// A seed rule after one to three byte flips, truncations or splices.
+fn mutated_rule(g: &mut Gen) -> String {
+    let mut bytes = g.choose(SEED_RULES).as_bytes().to_vec();
+    for _ in 0..g.usize_in(1, 4) {
+        match g.usize_in(0, 3) {
+            0 if !bytes.is_empty() => {
+                let at = g.usize_in(0, bytes.len());
+                bytes[at] ^= g.u8_in(1, 255);
+            }
+            1 => bytes.truncate(g.usize_in(0, bytes.len() + 1)),
+            _ => {
+                let at = g.usize_in(0, bytes.len() + 1);
+                let splice = g.choose(SPLICES).as_bytes();
+                bytes.splice(at..at, splice.iter().copied());
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// The rule parser is total over mutated valid rules: near-valid input,
+/// which reaches deep into the option arms, returns an error or a rule
+/// and never panics, one line at a time or as a ruleset.
+#[test]
+fn parser_never_panics_on_mutated_rules() {
+    let mut vars = VarTable::new();
+    vars.insert(
+        "HOME_NET".to_string(),
+        AddrSpec::Net(Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 8)),
+    );
+    for seed in SEED_RULES {
+        assert!(
+            parse_rule(seed, &vars).is_ok(),
+            "seed rule must parse: {seed}"
+        );
+    }
+    cases(16384, 0xD00A, |g| {
+        let lines: Vec<String> = (0..g.usize_in(1, 4)).map(|_| mutated_rule(g)).collect();
+        for line in &lines {
+            let _ = parse_rule(line, &vars);
+        }
+        let _ = parse_ruleset(&lines.join("\n"), &vars);
     });
 }
 

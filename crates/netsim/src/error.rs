@@ -60,6 +60,8 @@ impl std::error::Error for WireError {}
 pub enum NetsimError {
     /// A node id did not refer to a registered node.
     UnknownNode(usize),
+    /// A task was spawned on a node that is not a host.
+    NotAHost(usize),
     /// An interface id was out of range for the node.
     UnknownIface {
         /// The node whose interface table was consulted.
@@ -96,6 +98,7 @@ impl fmt::Display for NetsimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetsimError::UnknownNode(id) => write!(f, "unknown node id {id}"),
+            NetsimError::NotAHost(id) => write!(f, "node {id} is not a host"),
             NetsimError::UnknownIface { node, iface } => {
                 write!(f, "unknown iface {iface} on node {node}")
             }

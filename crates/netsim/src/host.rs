@@ -539,28 +539,25 @@ impl Host {
     /// Schedule `task` to start at `at`. Returns the task index, usable
     /// with [`Host::task_ref`] to read results after the run.
     ///
-    /// Start timers are armed when the simulation starts; to add a task to
-    /// an already-running simulation, use [`Host::add_task`] +
-    /// [`Host::bind_task_start`] with an externally scheduled timer
-    /// ([`crate::Simulator::alloc_timer_token`] /
-    /// [`crate::Simulator::schedule_timer`]).
+    /// Start timers are armed when the simulation starts, so a task added
+    /// here to an already-running simulation never starts;
+    /// [`crate::Simulator::spawn_task`] starts a task either way.
     pub fn spawn_task_at(&mut self, at: SimTime, task: Box<dyn HostTask>) -> usize {
         let idx = self.add_task(task);
         self.task_starts.push((idx, at));
         idx
     }
 
-    /// Register a task without scheduling its start (see
-    /// [`Host::spawn_task_at`] for the late-spawn protocol).
-    pub fn add_task(&mut self, task: Box<dyn HostTask>) -> usize {
+    /// Register a task without scheduling its start.
+    pub(crate) fn add_task(&mut self, task: Box<dyn HostTask>) -> usize {
         let idx = self.tasks.len();
         self.tasks.push(Some(task));
         idx
     }
 
-    /// Bind an externally scheduled timer token to a task's start: when
-    /// the token fires, `on_start` runs.
-    pub fn bind_task_start(&mut self, idx: usize, token: TimerToken) {
+    /// Bind a scheduled timer token to a task's start: when the token
+    /// fires, `on_start` runs.
+    pub(crate) fn bind_task_start(&mut self, idx: usize, token: TimerToken) {
         self.stack
             .timer_map
             .insert(token, TimerPurpose::TaskStart(idx));
@@ -1255,17 +1252,19 @@ mod tests {
 
     #[test]
     fn late_spawn_after_simulation_started() {
-        // spawn_task_at only arms timers at Node::start; the add_task +
-        // bind_task_start protocol works mid-run.
+        // spawn_task_at only arms timers at Node::start; the simulator's
+        // spawn_task starts a task mid-run too.
         let (mut sim, c, _s) = two_hosts(0.0);
         sim.run_for(SimDuration::from_secs(1))
             .expect("warm up: sim started");
-        let token = sim.alloc_timer_token();
-        let host = sim.node_mut::<Host>(c).expect("client host");
-        let idx = host.add_task(Box::new(EchoClient::new(SERVER_IP)));
-        host.bind_task_start(idx, token);
-        sim.schedule_timer(c, SimTime::ZERO + SimDuration::from_secs(2), token)
-            .expect("schedule");
+        let at = SimTime::ZERO + SimDuration::from_secs(2);
+        let echo = || Box::new(EchoClient::new(SERVER_IP));
+        let idx = sim.spawn_task(c, at, echo()).expect("client is a host");
+        let ghost = crate::NodeId(99);
+        assert_eq!(
+            sim.spawn_task(ghost, at, echo()),
+            Err(crate::NetsimError::NotAHost(99))
+        );
         sim.run_for(SimDuration::from_secs(10)).expect("run");
         let task = sim
             .node_ref::<Host>(c)

@@ -27,6 +27,7 @@
 use crate::capture::{Capture, CapturedPacket};
 use crate::error::NetsimError;
 use crate::event::{EventKind, EventQueue, TimerToken};
+use crate::host::{Host, HostTask};
 use crate::link::{Endpoint, Link, LinkConfig, LinkId, TxOutcome};
 use crate::node::{Emit, IfaceId, Node, NodeCtx, NodeId};
 use crate::packet::Packet;
@@ -578,29 +579,31 @@ impl Simulator {
         }
     }
 
-    /// Allocate a timer token from the same counter node contexts use, for
-    /// pairing with [`Simulator::schedule_timer`] (e.g. to arm work on a
-    /// node after the simulation has already started).
-    pub fn alloc_timer_token(&mut self) -> TimerToken {
-        let token = TimerToken(self.next_timer);
-        self.next_timer += 1;
-        token
-    }
-
-    /// Schedule a timer for a node from outside a node callback (used by
-    /// topology setup to arm initial work).
-    pub fn schedule_timer(
+    /// Start `task` on the [`Host`] `host` at `at` (clamped to now), and
+    /// return its index for [`Host::task_ref`]. The one task-start rule:
+    /// before the run starts, the task is armed at [`Node::start`], as
+    /// [`Host::spawn_task_at`] does; once the run has started, `start` has
+    /// passed, so the task gets its own timer token scheduled from here.
+    pub fn spawn_task(
         &mut self,
-        node: NodeId,
+        host: NodeId,
         at: SimTime,
-        token: TimerToken,
-    ) -> Result<(), NetsimError> {
-        if node.0 >= self.nodes.len() {
-            return Err(NetsimError::UnknownNode(node.0));
+        task: Box<dyn HostTask>,
+    ) -> Result<usize, NetsimError> {
+        let started = self.started;
+        let token = TimerToken(self.next_timer);
+        let node = self
+            .node_mut::<Host>(host)
+            .ok_or(NetsimError::NotAHost(host.0))?;
+        if !started {
+            return Ok(node.spawn_task_at(at, task));
         }
+        let idx = node.add_task(task);
+        node.bind_task_start(idx, token);
+        self.next_timer += 1;
         let at = at.max(self.now);
-        self.queue.push(at, EventKind::Timer { node, token });
-        Ok(())
+        self.queue.push(at, EventKind::Timer { node: host, token });
+        Ok(idx)
     }
 }
 
@@ -859,9 +862,6 @@ mod tests {
             .send_from(ghost, IfaceId(0), p.clone(), SimTime::ZERO)
             .is_err());
         assert!(sim.inject_at(ghost, IfaceId(0), p, SimTime::ZERO).is_err());
-        assert!(sim
-            .schedule_timer(ghost, SimTime::ZERO, TimerToken(0))
-            .is_err());
     }
 
     #[test]

@@ -82,9 +82,15 @@ impl DnsName {
     }
 
     /// Prepend a label, e.g. `"mail"` + `example.com` = `mail.example.com`.
+    /// Fails when the label is empty or overlong, or when the longer name
+    /// would pass [`MAX_NAME_LEN`] encoded bytes.
     pub fn prepend(&self, label: &str) -> Result<DnsName, DnsError> {
         if label.is_empty() || label.len() > MAX_LABEL_LEN {
             return Err(DnsError::BadName("bad label for prepend"));
+        }
+        let total: usize = self.labels.iter().map(|l| l.len() + 1).sum();
+        if total + label.len() + 1 + 1 > MAX_NAME_LEN {
+            return Err(DnsError::BadName("name too long"));
         }
         let mut labels = Vec::with_capacity(self.labels.len() + 1);
         labels.push(label.as_bytes().to_ascii_lowercase());
@@ -240,6 +246,17 @@ mod tests {
         let back = n.parent().prepend("MAIL").expect("prepend");
         assert_eq!(back, n);
         assert_eq!(DnsName::root().parent(), DnsName::root());
+    }
+
+    #[test]
+    fn prepend_refuses_to_pass_the_name_limit() {
+        // 252 characters, the longest name `parse` accepts; four fewer
+        // leave exactly room for `mx1.`.
+        let text = [63, 63, 63, 60].map(|n| "a".repeat(n)).join(".");
+        let too_long = DnsName::parse(&text).expect("p").prepend("mx1");
+        assert_eq!(too_long, Err(DnsError::BadName("name too long")));
+        let at_limit = DnsName::parse(&text[4..]).expect("p").prepend("mx1");
+        assert_eq!(at_limit, DnsName::parse(&format!("mx1.{}", &text[4..])));
     }
 
     #[test]

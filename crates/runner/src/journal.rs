@@ -53,7 +53,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use underradar_campaign::{AddressPlanOverrun, TrialResult};
+use underradar_campaign::{AddressPlanOverrun, InvalidTarget, TrialResult};
 use underradar_telemetry::codec::{put_registry, put_u32, put_u64, CodecError, Reader};
 use underradar_telemetry::Registry;
 
@@ -93,6 +93,9 @@ pub enum JournalError {
     /// The spec overruns the testbed's address plan; no trial ran and no
     /// journal was opened.
     AddressPlan(AddressPlanOverrun),
+    /// A spec target cannot be a target site; no trial ran and no journal
+    /// was opened.
+    InvalidTarget(InvalidTarget),
 }
 
 impl std::fmt::Display for JournalError {
@@ -109,6 +112,7 @@ impl std::fmt::Display for JournalError {
                  (fingerprint {found:#018x}, spec is {expected:#018x})"
             ),
             JournalError::AddressPlan(overrun) => write!(f, "{overrun}"),
+            JournalError::InvalidTarget(target) => write!(f, "{target}"),
         }
     }
 }

@@ -310,8 +310,10 @@ enum Msg {
 /// rows into `sink` as trials complete, journal to `cfg.checkpoint`, and
 /// merge telemetry into `tel`. Resumes automatically when the journal
 /// already holds progress for this spec. A spec that overruns the
-/// testbed's address plan is rejected with [`JournalError::AddressPlan`]
-/// before any journal is opened or world built.
+/// testbed's address plan, or names a target no testbed can build, is
+/// rejected with [`JournalError::AddressPlan`] or
+/// [`JournalError::InvalidTarget`] before any journal is opened or world
+/// built.
 pub fn run_service(
     spec: &CampaignSpec,
     cfg: &RunConfig,
@@ -321,6 +323,7 @@ pub fn run_service(
     let run_start = Instant::now();
     spec.check_address_plan()
         .map_err(JournalError::AddressPlan)?;
+    spec.check_targets().map_err(JournalError::InvalidTarget)?;
     let trials = spec.expand();
     let (mut journal, replay) = match &cfg.checkpoint {
         Some(path) => {

@@ -540,3 +540,34 @@ fn specs_past_the_address_plan_are_refused_before_any_world_is_built() {
         }
     }
 }
+
+/// A target no testbed can name — one that does not parse, or one whose
+/// mail exchanger `mx1.<target>` would pass the 255-byte DNS name limit —
+/// is refused with an error before any journal is opened or world built,
+/// never run or panicked on.
+#[test]
+fn specs_with_unbuildable_targets_are_refused_before_any_world_is_built() {
+    // 252 characters: a valid domain whose `mx1.` name is 256.
+    let longest = [63, 63, 63, 60].map(|n| "a".repeat(n)).join(".");
+    let cases = [
+        ("a..b".to_string(), "empty label"),
+        (longest, "name too long"),
+    ];
+    for (domain, why) in cases {
+        let spec = CampaignSpec::new("bad-target", 3)
+            .targets(["twitter.com", domain.as_str()])
+            .method(MethodKind::StatelessSyn)
+            .policy(NamedPolicy::new("control", CensorPolicy::new()))
+            .run_secs(5);
+        let path = tmp("bad-target");
+        let cfg = RunConfig::new(2).checkpoint(path.clone());
+        match run_service(&spec, &cfg, &Telemetry::disabled(), &mut VecSink::new()) {
+            Err(JournalError::InvalidTarget(got)) => {
+                assert_eq!(got.domain, domain);
+                assert!(got.to_string().contains(why), "{got}");
+            }
+            other => panic!("expected an invalid-target refusal, got {other:?}"),
+        }
+        assert!(!path.exists(), "no journal opened for {domain}");
+    }
+}

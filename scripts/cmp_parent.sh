@@ -1,0 +1,88 @@
+#!/usr/bin/env bash
+# Byte-compare this tree's release outputs against revision REV's.
+#   ./scripts/cmp_parent.sh REV        (e.g. HEAD~)
+#
+# Builds REV's release `underradar` (and the ttl_calibration example)
+# offline from a `git archive` export in a temp dir, with its own
+# CARGO_TARGET_DIR, builds this tree's, then runs every deterministic
+# smoke with both and `cmp`s their stdout (and the pcap file). Prints one
+# line per output and exits non-zero if any differ. A refactor meant to
+# move no byte should report every line `same`.
+#
+# It builds the workspace twice, so it is not part of scripts/ci.sh.
+set -euo pipefail
+rev="${1:?usage: scripts/cmp_parent.sh REV}"
+cd "$(dirname "$0")/.."
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+mkdir -p "$tmp/src" "$tmp/old" "$tmp/new"
+git archive "$(git rev-parse --verify "$rev^{commit}")" | tar -x -C "$tmp/src"
+
+echo "==> building $rev in $tmp/src" >&2
+(cd "$tmp/src" && CARGO_TARGET_DIR="$tmp/target" \
+  cargo build --offline --release -q --bin underradar --example ttl_calibration)
+echo "==> building the working tree" >&2
+cargo build --offline --release -q --bin underradar --example ttl_calibration
+
+old_bin="$tmp/target/release"
+new_bin="$PWD/target/release"
+
+# name | argv. Each runs in its side's own directory, so relative output
+# paths (journals, pcaps) never collide.
+smokes=(
+  "campaign|campaign"
+  "campaign-json|campaign --json"
+  "campaign-jsonl|campaign --jsonl"
+  "campaign-impair|campaign --impair --json"
+  "campaign-trace|campaign --trace"
+  "campaign-service|campaign --service --shards 4"
+  "campaign-service-jsonl|campaign --service --jsonl --shards 1"
+  "campaign-audit|campaign --audit"
+  "campaign-audit-json|campaign --audit=json"
+  "campaign-telemetry|campaign --telemetry"
+  "campaign-journal-first|campaign --json --checkpoint run.journal"
+  "campaign-journal-restored|campaign --json --checkpoint run.journal"
+  "experiments|experiments all"
+  "experiments-json|experiments all --json"
+  "experiments-jsonl|experiments all --jsonl"
+  "experiments-telemetry|experiments all --telemetry"
+  "experiments-trace|experiments all --trace"
+  "survey|survey --domains twitter.com,bbc.com,example.org --block twitter.com"
+  "calibrate|calibrate"
+  "pcap|pcap demo.pcap"
+)
+
+run() { # side bin_dir argv...
+  local side="$1" bin="$2"
+  shift 2
+  (cd "$tmp/$side" && "$bin/underradar" "$@" 2>/dev/null) || true
+}
+
+differ=0
+report() { # name file_a file_b
+  if [ ! -s "$2" ] || [ ! -s "$3" ]; then
+    echo "EMPTY   $1"
+    differ=1
+  elif cmp -s "$2" "$3"; then
+    echo "same    $1 ($(wc -c < "$2") bytes)"
+  else
+    echo "DIFFER  $1"
+    differ=1
+  fi
+}
+
+for smoke in "${smokes[@]}"; do
+  name="${smoke%%|*}"
+  read -r -a argv <<< "${smoke#*|}"
+  run old "$old_bin" "${argv[@]}" > "$tmp/old/$name.out"
+  run new "$new_bin" "${argv[@]}" > "$tmp/new/$name.out"
+  report "$name" "$tmp/old/$name.out" "$tmp/new/$name.out"
+done
+report "pcap-file" "$tmp/old/demo.pcap" "$tmp/new/demo.pcap"
+
+"$old_bin/examples/ttl_calibration" > "$tmp/old/ttl_calibration.out" 2>/dev/null || true
+"$new_bin/examples/ttl_calibration" > "$tmp/new/ttl_calibration.out" 2>/dev/null || true
+report "examples/ttl_calibration" "$tmp/old/ttl_calibration.out" "$tmp/new/ttl_calibration.out"
+
+exit "$differ"

@@ -123,11 +123,14 @@ fn survey(argv: &[String]) -> Result<ExitCode, String> {
     }
 
     // Build targets for every surveyed domain so the resolver knows them.
-    let targets: Vec<TargetSite> = domains
+    let targets = domains
         .iter()
         .enumerate()
-        .map(|(i, (raw, _))| TargetSite::numbered(raw, i as u8))
-        .collect();
+        .map(|(i, (raw, _))| {
+            TargetSite::try_numbered(raw, i as u8)
+                .map_err(|e| format!("--domains: invalid domain '{raw}': {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let mut tb = Testbed::build(TestbedConfig {
         policy,
         targets,

@@ -159,3 +159,19 @@ fn survey_accepts_the_largest_addressable_domain_list() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("site245.example"), "{stdout}");
 }
+
+/// The longest domain a DNS name holds (252 characters) leaves no room
+/// for its mail exchanger `mx1.<domain>`, so no testbed can survey it:
+/// the survey refuses it up front instead of reporting an uncensored
+/// site as inconclusive.
+#[test]
+fn survey_refuses_a_domain_its_mail_server_name_cannot_extend() {
+    let longest = [63, 63, 63, 60].map(|n| "a".repeat(n)).join(".");
+    let out = underradar(&strings(&["survey", "--domains", &longest]));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr {stderr}");
+    assert!(out.stdout.is_empty(), "printed to stdout");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("--domains"), "{stderr}");
+    assert!(stderr.contains("name too long"), "{stderr}");
+}
