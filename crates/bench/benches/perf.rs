@@ -220,32 +220,29 @@ fn bench_engine() {
 
     // Pass-rule scaling: 50 content pass rules ride the same prefilter
     // scan, so on innocuous traffic they must not scale per-packet cost.
-    // Both engines are sampled back-to-back per round and the bound is
-    // the best *paired* ratio, as elsewhere, to cancel clock drift.
     let payload = sample_payload(512);
     let pkt = Packet::tcp(SRC, DST, 40000, 80, 1, 1, TcpFlags::psh_ack(), payload);
     let mut alerts_only = DetectionEngine::new(mixed_ruleset(500, 0));
     let mut with_passes = DetectionEngine::new(mixed_ruleset(500, 50));
-    let mut base_ns = f64::MAX;
-    let mut pass_ns = f64::MAX;
-    let mut ratio = f64::MAX;
-    for _ in 0..3 {
-        let b = measure(2_000, || {
-            alerts_only.process(SimTime::ZERO, black_box(&pkt))
-        });
-        let p = measure(2_000, || {
-            with_passes.process(SimTime::ZERO, black_box(&pkt))
-        });
-        base_ns = base_ns.min(b);
-        pass_ns = pass_ns.min(p);
-        ratio = ratio.min(p / b);
-    }
+    let (base_ns, pass_ns, ratio) = paired_gate(
+        "500 alert rules vs +50 pass rules",
+        || {
+            measure(2_000, || {
+                alerts_only.process(SimTime::ZERO, black_box(&pkt))
+            })
+        },
+        || {
+            measure(2_000, || {
+                with_passes.process(SimTime::ZERO, black_box(&pkt))
+            })
+        },
+    );
     report("process_512B_500alert_0pass", base_ns, Some(512));
     report("process_512B_500alert_50pass", pass_ns, Some(512));
     let overhead = ratio - 1.0;
     println!(
         "  {:<44} {:>11.2}%",
-        "50-pass-rule overhead (innocuous traffic)",
+        "50-pass-rule overhead (innocuous traffic, median)",
         overhead * 100.0
     );
     assert!(
@@ -459,7 +456,7 @@ fn bench_reassembly_holdback() {
 /// where it is not exercised: on in-order traffic the policy is never
 /// consulted, so keep-last must price identically to keep-first on both
 /// hot paths E13/E14 lean on — the in-order 8 KB reassembly path and the
-/// batched steady-state engine path. Paired best-of ratios, 5% bound.
+/// batched steady-state engine path. Median paired ratios, 5% bound.
 fn bench_overlap_policy_guard() {
     use underradar_ids::stream::ReassemblyConfig;
     println!("overlap_policy_guard");
@@ -675,6 +672,7 @@ fn bench_simulator() {
     use underradar_core::methods::ddos::DdosProbe;
     use underradar_core::testbed::{Testbed, TestbedConfig};
     println!("simulator");
+    let mut events = 0;
     let ns = measure(5, || {
         let mut tb = Testbed::build(TestbedConfig::default());
         let target = tb.target("youtube.com").expect("t").web_ip;
@@ -683,9 +681,13 @@ fn bench_simulator() {
             Box::new(DdosProbe::new(target, "youtube.com", "/", 20)),
         );
         tb.run_secs(30);
-        tb.sim.events_processed()
+        events = tb.sim.events_processed();
+        events
     });
     report("testbed_ddos_20_samples_end_to_end", ns, None);
+    // The same run per simulated event: build, schedule and every node
+    // handler, divided by the (deterministic) event count.
+    report("testbed_ddos_ns_per_event", ns / events as f64, None);
 }
 
 /// Campaign engine substrate: the per-policy `TestbedTemplate` cache.
@@ -695,9 +697,11 @@ fn bench_simulator() {
 /// DFA, indexed zone), which every later trial shares; the naive
 /// alternative re-prepares and recompiles for every trial. The
 /// assertions pin the caching win the campaign engine's throughput rests
-/// on, and that a warm instantiation compiles nothing: it must allocate
-/// under 64 KiB, less than one DFA's 64 KB pair table.
+/// on, that a warm instantiation compiles nothing: it must allocate
+/// under 64 KiB, less than one DFA's 64 KB pair table, and that a
+/// paper-matrix trial makes at most 1,250 allocations.
 fn bench_campaign() {
+    use underradar_bench::experiments::campaign::paper_campaign;
     use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
     use underradar_censor::CensorPolicy;
     use underradar_core::testbed::{TargetSite, TestbedConfig, TestbedTemplate};
@@ -776,6 +780,25 @@ fn bench_campaign() {
     report("engine_16_scan_trials_sequential", ns, None);
     let ns = measure(3, || black_box(run(4)));
     report("engine_16_scan_trials_4_workers", ns, None);
+
+    // Allocations per trial over the 512-trial paper matrix, telemetry
+    // off, one worker: world build, simulation, scoring and commit. The
+    // scheduler's event arena keeps the wheel's share near zero; wheel
+    // slots that allocate per world again put a trial near 2,000.
+    let spec = paper_campaign(4);
+    let trials = spec.expand().len() as u64;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    run_service(&spec, &RunConfig::new(1), &tel, &mut NullSink).expect("in-memory run");
+    let per_trial = (ALLOCS.load(Ordering::Relaxed) - before) as f64 / trials as f64;
+    println!(
+        "  {:<44} {per_trial:>12.0} allocs/trial",
+        "paper_matrix_512_trials"
+    );
+    assert!(
+        per_trial <= 1_250.0,
+        "acceptance: a paper-matrix trial must stay within 1,250 allocations \
+         (got {per_trial:.0})"
+    );
 }
 
 /// Static contiguous partitioning with **no** stealing: each of
@@ -871,9 +894,13 @@ fn bench_runner() {
         }
         makespan(&log.into_inner().expect("assignment log"))
     };
-    // Paired best-of-3 ratio, as elsewhere, to cancel drift: the static
-    // makespan is fixed by construction, while the stealing one depends
-    // on which chunks migrated before each straggler drained.
+    // Paired best-of-3 ratio: the static makespan is fixed by
+    // construction, while the stealing one depends on which chunks
+    // migrated before each straggler drained. This gate stays off
+    // `paired_gate`: on a loaded 2-vCPU machine many pairs read exactly
+    // 1.00x, because the thieves start only after the owners have popped
+    // every chunk, so a median of 5 pairs would gate on thread start-up
+    // latency rather than on stealing.
     let mut static_ns = f64::MAX;
     let mut steal_ns = f64::MAX;
     let mut speedup = 0.0f64;
@@ -902,31 +929,30 @@ fn bench_runner() {
     let path = std::env::temp_dir().join(format!("underradar-perf-journal-{}", std::process::id()));
     let plain_cfg = RunConfig::new(4);
     let _ = std::fs::remove_file(&path);
-    let mut plain_ns = f64::MAX;
-    let mut ckpt_ns = f64::MAX;
-    let mut ratio = f64::MAX;
-    for _ in 0..3 {
-        let p = measure(1, || {
-            run_service(&spec, &plain_cfg, &tel, &mut NullSink).expect("service run")
-        });
-        let c = measure(1, || {
-            // A fresh journal per run: reopening a finished journal would
-            // resume (and execute nothing).
-            let _ = std::fs::remove_file(&path);
-            let cfg = RunConfig::new(4).checkpoint(path.clone());
-            run_service(&spec, &cfg, &tel, &mut NullSink).expect("service run")
-        });
-        plain_ns = plain_ns.min(p);
-        ckpt_ns = ckpt_ns.min(c);
-        ratio = ratio.min(c / p);
-    }
+    let (plain_ns, ckpt_ns, ratio) = paired_gate(
+        "unjournaled vs journaled service run",
+        || {
+            measure(1, || {
+                run_service(&spec, &plain_cfg, &tel, &mut NullSink).expect("service run")
+            })
+        },
+        || {
+            measure(1, || {
+                // A fresh journal per run: reopening a finished journal
+                // would resume (and execute nothing).
+                let _ = std::fs::remove_file(&path);
+                let cfg = RunConfig::new(4).checkpoint(path.clone());
+                run_service(&spec, &cfg, &tel, &mut NullSink).expect("service run")
+            })
+        },
+    );
     let _ = std::fs::remove_file(&path);
     report("service_512_trials_no_journal", plain_ns, None);
     report("service_512_trials_journaled", ckpt_ns, None);
     let overhead = ratio - 1.0;
     println!(
         "  {:<44} {:>11.2}%",
-        "checkpoint overhead (512-trial matrix)",
+        "checkpoint overhead (512-trial matrix, median)",
         overhead * 100.0
     );
     assert!(
@@ -939,7 +965,7 @@ fn bench_runner() {
     // Progress-snapshot overhead on a 30k-trial synthetic service run:
     // the `--progress` emitter (committer-side recv_timeout poll, stderr
     // JSONL, worker busy accounting) must stay within 3% of the silent
-    // run. Single-run paired best-of-3 — each side is a full 30k-trial
+    // run. One run per side of each pair — each is a full 30k-trial
     // campaign, so `measure`'s batch repetition would cost minutes for no
     // extra signal.
     use underradar_bench::experiments::campaign::synthetic_campaign;
@@ -958,24 +984,22 @@ fn bench_runner() {
         (t0.elapsed().as_nanos() as f64, outcome.profile.snapshots)
     };
     let _ = once(false); // warmup
-    let mut silent_ns = f64::MAX;
-    let mut progress_ns = f64::MAX;
-    let mut ratio = f64::MAX;
     let mut snapshots = 0u64;
-    for _ in 0..3 {
-        let (s, _) = once(false);
-        let (p, snaps) = once(true);
-        silent_ns = silent_ns.min(s);
-        progress_ns = progress_ns.min(p);
-        ratio = ratio.min(p / s);
-        snapshots = snapshots.max(snaps);
-    }
+    let (silent_ns, progress_ns, ratio) = paired_gate(
+        "silent vs progress service run",
+        || once(false).0,
+        || {
+            let (ns, snaps) = once(true);
+            snapshots = snapshots.max(snaps);
+            ns
+        },
+    );
     report("service_30k_synthetic_silent", silent_ns, None);
     report("service_30k_synthetic_progress", progress_ns, None);
     let overhead = ratio - 1.0;
     println!(
         "  {:<44} {:>11.2}%",
-        "progress overhead (30k-trial service run)",
+        "progress overhead (30k-trial service run, median)",
         overhead * 100.0
     );
     assert!(
@@ -1056,9 +1080,8 @@ fn bench_telemetry() {
     // uninstrumented loop. The flight recorder holds the same bound: a
     // reassembler carrying a dead tracer — what every run outside
     // `--trace` resolves, the attached-handle steady state — stays within
-    // 3% of the bare loop too. All three loops are sampled in alternating
-    // rounds (best of 3 per side) so CPU frequency drift across the run
-    // biases them equally instead of inflating the later blocks.
+    // 3% of the bare loop too. Each bound is its own paired gate against
+    // the bare loop.
     const SEGS: usize = 512;
     let trace = flow_trace(SEGS);
     let disabled = Telemetry::disabled();
@@ -1067,24 +1090,15 @@ fn bench_telemetry() {
         !dead_tracer.is_live(),
         "telemetry without with_trace must resolve a dead tracer"
     );
-    let mut plain_ns = f64::MAX;
-    let mut instr_ns = f64::MAX;
-    let mut dead_trace_ns = f64::MAX;
-    // Assert on the best *paired* ratio — instrumented vs plain sampled
-    // back-to-back within one round — so the bound measures the
-    // instrumentation, not clock drift between separately-timed blocks.
-    let mut tel_ratio = f64::MAX;
-    let mut trace_ratio = f64::MAX;
-    for _ in 0..5 {
-        let p = measure(500, || drive_flow(&trace));
-        let i = measure(500, || drive_flow_telemetry(&trace, &disabled));
-        let t = measure(500, || drive_flow_traced(&trace, &dead_tracer));
-        plain_ns = plain_ns.min(p);
-        instr_ns = instr_ns.min(i);
-        dead_trace_ns = dead_trace_ns.min(t);
-        tel_ratio = tel_ratio.min(i / p);
-        trace_ratio = trace_ratio.min(t / p);
-    }
+    let plain = || measure(500, || drive_flow(&trace));
+    let (plain_ns, instr_ns, tel_ratio) = paired_gate("plain vs disabled telemetry", plain, || {
+        measure(500, || drive_flow_telemetry(&trace, &disabled))
+    });
+    let (plain_trace_ns, dead_trace_ns, trace_ratio) =
+        paired_gate("plain vs disabled trace", plain, || {
+            measure(500, || drive_flow_traced(&trace, &dead_tracer))
+        });
+    let plain_ns = plain_ns.min(plain_trace_ns);
     let overhead = tel_ratio - 1.0;
     report("reassembly_8KB_plain", plain_ns, Some((SEGS * 64) as u64));
     report(
@@ -1094,7 +1108,7 @@ fn bench_telemetry() {
     );
     println!(
         "  {:<44} {:>11.2}%",
-        "disabled-telemetry overhead",
+        "disabled-telemetry overhead (median)",
         overhead * 100.0
     );
     assert!(
@@ -1122,7 +1136,7 @@ fn bench_telemetry() {
     );
     println!(
         "  {:<44} {:>11.2}%",
-        "disabled-trace overhead",
+        "disabled-trace overhead (median)",
         trace_overhead * 100.0
     );
     assert!(
@@ -1317,6 +1331,7 @@ fn bench_scale() {
     use underradar_netsim::event::{EventKind, EventQueue, TimerToken};
     use underradar_netsim::node::{IfaceId, NodeId};
     use underradar_netsim::sim::Simulator;
+    use underradar_netsim::time::SimDuration;
     println!("scale");
 
     // -- (1) 100k-timer storm through the wheel, push-all then pop-all.
@@ -1327,28 +1342,46 @@ fn bench_scale() {
     let times: Vec<SimTime> = (0..TIMERS)
         .map(|_| SimTime::from_nanos(rng.next_u64() % 30_000_000_000))
         .collect();
+    let storm = |q: &mut EventQueue, shift: SimDuration| {
+        for (i, t) in times.iter().enumerate() {
+            q.push(
+                *t + shift,
+                EventKind::Timer {
+                    node: NodeId(0),
+                    token: TimerToken(i as u64),
+                },
+            );
+        }
+        let mut popped = 0u64;
+        while q.pop().is_some() {
+            popped += 1;
+        }
+        popped
+    };
     let wheel_ns = (0..3)
-        .map(|_| {
-            measure(5, || {
-                let mut q = EventQueue::new();
-                for (i, t) in times.iter().enumerate() {
-                    q.push(
-                        *t,
-                        EventKind::Timer {
-                            node: NodeId(0),
-                            token: TimerToken(i as u64),
-                        },
-                    );
-                }
-                let mut popped = 0u64;
-                while q.pop().is_some() {
-                    popped += 1;
-                }
-                popped
-            })
-        })
+        .map(|_| measure(5, || storm(&mut EventQueue::new(), SimDuration::ZERO)))
         .fold(f64::MAX, f64::min);
     report("timer_storm_100k_wheel", wheel_ns, None);
+
+    // -- (1b) A drained queue keeps its arena, its free list and its ready
+    // buffer, so the same storm again allocates nothing. The second storm
+    // is shifted by one level-5 slot span (2^30 ticks of 1024 ns), so it
+    // files and cascades through the wheel exactly as the first did.
+    let mut q = EventQueue::new();
+    storm(&mut q, SimDuration::ZERO);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let popped = storm(&mut q, SimDuration::from_nanos(1 << 40));
+    let second_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(popped, TIMERS, "the second storm pops every timer");
+    println!(
+        "  {:<44} {second_allocs:>12} allocs",
+        "timer_storm_100k_second_pass"
+    );
+    assert_eq!(
+        second_allocs, 0,
+        "acceptance: a drained event queue must reuse its cells and ready \
+         buffer, so a second 100k-timer storm allocates nothing"
+    );
 
     // -- (2a) full-pipeline TCP fleet, for the record: one simulator, one
     // engine-carrying monitor, round-major traffic. Injection, queue and

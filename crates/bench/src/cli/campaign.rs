@@ -13,7 +13,10 @@
 //!   (reorder 0.2 with 2 ms displacement, duplicate 0.1). Deterministic:
 //!   every impairment draw comes from the per-trial simulator RNG in
 //!   simulated-time order, so the 1-vs-4-shard byte identity must hold
-//!   here too (`scripts/ci.sh` checks both).
+//!   here too (`scripts/ci.sh` checks both). The knobs reach the flat
+//!   testbed's client link only: `hops` and `stateful` trials run on the
+//!   routed chain, whose links stay clean, so their rows are those of an
+//!   unimpaired run.
 //! * `--json` — one JSON object `{"experiment", "report", "telemetry"}`
 //!   where `report` is the structured campaign report (cells + trials).
 //! * `--jsonl` — one JSON row per trial, in index order.

@@ -180,6 +180,9 @@ pub struct CampaignSpec {
     /// measured probe.
     pub warmup: bool,
     /// Packet-loss fraction on the client access link (0.0 = ideal).
+    /// Like the other `client_link_*` knobs, it reaches flat-testbed
+    /// trials only: `Hops` and `Stateful` trials run on the routed chain,
+    /// whose links stay clean whatever these are set to.
     pub client_link_loss: f64,
     /// Reorder probability on the client access link (bounded 2 ms
     /// displacement; 0.0 = strict per-direction FIFO).
@@ -286,25 +289,29 @@ impl CampaignSpec {
         self
     }
 
-    /// Set the client access-link loss fraction.
+    /// Set the client access-link loss fraction (flat-testbed trials only;
+    /// `Hops` and `Stateful` ignore it).
     pub fn client_link_loss(mut self, loss: f64) -> CampaignSpec {
         self.client_link_loss = loss;
         self
     }
 
-    /// Set the client access-link reorder probability.
+    /// Set the client access-link reorder probability (flat-testbed trials only;
+    /// `Hops` and `Stateful` ignore it).
     pub fn client_link_reorder(mut self, reorder: f64) -> CampaignSpec {
         self.client_link_reorder = reorder;
         self
     }
 
-    /// Set the client access-link duplication probability.
+    /// Set the client access-link duplication probability (flat-testbed trials only;
+    /// `Hops` and `Stateful` ignore it).
     pub fn client_link_duplicate(mut self, duplicate: f64) -> CampaignSpec {
         self.client_link_duplicate = duplicate;
         self
     }
 
-    /// Set the client access-link corruption probability.
+    /// Set the client access-link corruption probability (flat-testbed trials only;
+    /// `Hops` and `Stateful` ignore it).
     pub fn client_link_corrupt(mut self, corrupt: f64) -> CampaignSpec {
         self.client_link_corrupt = corrupt;
         self

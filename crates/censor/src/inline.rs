@@ -188,7 +188,6 @@ impl Node for InlineCensor {
         // is small and anchored scans are cheap, so the window is rescanned
         // on append (unlike keyword matching, which is incremental).
         if let Some(seg) = packet.as_tcp() {
-            let seg = seg.clone();
             if let Some(flow_ctx) = self.reassembler.process(&packet) {
                 let id = flow_ctx.id.filter(|_| flow_ctx.appended);
                 if let Some(id) = id.filter(|&id| !self.url_fired(id)) {
@@ -216,6 +215,7 @@ impl Node for InlineCensor {
                             time: ctx.now(),
                             kind: CensorActionKind::UrlBlock {
                                 url_fragment: frag.to_string(),
+                                dst: packet.dst,
                             },
                             client: packet.src,
                         });

@@ -18,6 +18,9 @@ pub enum CensorActionKind {
     KeywordRst {
         /// The keyword that matched.
         keyword: String,
+        /// The other end of the reset flow: the destination of the
+        /// segment that carried the keyword.
+        dst: Ipv4Addr,
     },
     /// Forged DNS answer injected.
     DnsInjection {
@@ -42,6 +45,8 @@ pub enum CensorActionKind {
     UrlBlock {
         /// The URL substring that matched.
         url_fragment: String,
+        /// The server the blocked request was bound for.
+        dst: Ipv4Addr,
     },
 }
 

@@ -293,6 +293,7 @@ impl TapCensor {
                 time: ctx.now(),
                 kind: CensorActionKind::KeywordRst {
                     keyword: kw.clone(),
+                    dst: pkt.dst,
                 },
                 client: pkt.src,
             });

@@ -11,7 +11,7 @@ use underradar_netsim::sim::Simulator;
 use underradar_surveil::SurveillanceSystem;
 
 use crate::monitors::MonitorSet;
-use crate::testbed::Testbed;
+use crate::testbed::{TargetSite, Testbed};
 use crate::verdict::Verdict;
 
 /// The outcome of one measurement run, on both axes the paper evaluates.
@@ -39,6 +39,26 @@ impl RiskReport {
     pub fn evaluate(tb: &Testbed, verdict: &Verdict) -> RiskReport {
         RiskReport::score(&tb.sim, tb.monitors(), tb.client_ip, verdict)
             .with_anonymity_set(tb.surveillance())
+    }
+
+    /// Evaluate a survey: one verdict per target site, each scored
+    /// against the censor's actions on that site alone
+    /// ([`TargetSite::concerns`]). The report is correct only if every
+    /// verdict is; censor ground truth, alerts, attribution and the
+    /// anonymity set cover the whole run.
+    pub fn evaluate_survey(tb: &Testbed, verdicts: &[(&TargetSite, Verdict)]) -> RiskReport {
+        let monitors = tb.monitors();
+        let verdict_correct = verdicts.iter().all(|(site, verdict)| {
+            let censored = monitors
+                .censor_actions(&tb.sim)
+                .any(|action| site.concerns(action));
+            verdict.correct_against(censored)
+        });
+        // Every other field is independent of the verdict.
+        RiskReport {
+            verdict_correct,
+            ..RiskReport::evaluate(tb, &Verdict::Reachable)
+        }
     }
 
     /// Add the anonymity set: the distinct in-home sources `surveillance`

@@ -26,7 +26,9 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
-use underradar_censor::{CensorPolicy, CompiledPolicy, InlineCensor, TapCensor};
+use underradar_censor::{
+    CensorAction, CensorActionKind, CensorPolicy, CompiledPolicy, InlineCensor, TapCensor,
+};
 use underradar_ids::engine::CompiledRuleset;
 use underradar_ids::rule::Rule;
 use underradar_ids::stream::ReassemblyConfig;
@@ -90,6 +92,20 @@ impl TargetSite {
     pub fn numbered(domain: &str, i: u8) -> TargetSite {
         TargetSite::try_numbered(domain, i).expect("a checked target domain")
     }
+
+    /// Whether a censor action concerned this site: a forged answer for a
+    /// name in its zone, or a drop, reset or URL block on traffic to or
+    /// from its web server or mail exchanger.
+    pub fn concerns(&self, action: &CensorAction) -> bool {
+        let ours = |ip: Ipv4Addr| ip == self.web_ip || ip == self.mx_ip;
+        match &action.kind {
+            CensorActionKind::DnsInjection { name, .. } => name.is_subdomain_of(&self.domain),
+            CensorActionKind::IpDrop { dst }
+            | CensorActionKind::PortDrop { dst, .. }
+            | CensorActionKind::KeywordRst { dst, .. }
+            | CensorActionKind::UrlBlock { dst, .. } => ours(*dst) || ours(action.client),
+        }
+    }
 }
 
 /// Testbed construction parameters.
@@ -113,7 +129,10 @@ pub struct TestbedConfig {
     /// Record every packet on every link.
     pub capture: bool,
     /// Packet-loss probability on the client's access link (failure
-    /// injection; measurements must degrade gracefully, not lie).
+    /// injection; measurements must degrade gracefully, not lie). Like
+    /// the other `client_link_*` knobs, it shapes the flat testbed only:
+    /// the routed chain ([`TestbedTemplate::instantiate_routed`]) wires
+    /// its client on a clean link.
     pub client_link_loss: f64,
     /// Reorder probability on the client's access link: selected packets
     /// are displaced by up to 2 ms and may arrive after later packets.
@@ -614,6 +633,27 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    #[test]
+    fn a_censor_action_concerns_the_site_it_names_or_addresses() {
+        let twitter = TargetSite::numbered("twitter.com", 0);
+        let bbc = TargetSite::numbered("bbc.com", 1);
+        let action = |kind| CensorAction {
+            time: SimTime::ZERO,
+            kind,
+            client: CLIENT_IP,
+        };
+        let forged = action(CensorActionKind::DnsInjection {
+            name: twitter.mx_name.clone(),
+            qtype: 1,
+        });
+        let reset = action(CensorActionKind::KeywordRst {
+            keyword: "falun".into(),
+            dst: bbc.web_ip,
+        });
+        assert!(twitter.concerns(&forged) && !bbc.concerns(&forged));
+        assert!(bbc.concerns(&reset) && !twitter.concerns(&reset));
     }
 
     #[test]

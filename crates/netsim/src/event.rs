@@ -5,15 +5,18 @@
 //! instant fire in the order they were scheduled — determinism does not
 //! depend on queue internals.
 //!
-//! [`EventQueue`] is a hierarchical timer wheel ([`TimerWheel`]): six
-//! levels of 64 slots over a 1.024 µs tick, occupancy bitmaps for slot
-//! scans, and an overflow heap past the ~19 h horizon. Insertion is O(1)
-//! (two shifts and a bitmap OR), which is what same-granularity timer
-//! storms (retransmits, teardowns, link deliveries across a population)
-//! actually exercise. Slot contents are sorted by `(time, seq)` when the
-//! wheel reaches them, so the pop sequence is *identical* to a plain
-//! `BinaryHeap`'s — property-tested in this module against a test-only
-//! heap queue.
+//! [`EventQueue`] is a hierarchical timer wheel: six levels of 64 slots
+//! over a 1.024 µs tick, occupancy bitmaps for slot scans, and an
+//! overflow heap past the ~19 h horizon. Wheel events sit in one arena of
+//! cells per queue; each slot is an intrusive linked list through that
+//! arena, and drained cells return to a free list, so the queue's
+//! footprint follows its peak live load and a warm queue allocates
+//! nothing. Insertion is O(1) (two shifts, a list push and a bitmap OR),
+//! which is what same-granularity timer storms (retransmits, teardowns,
+//! link deliveries across a population) actually exercise. Slot contents
+//! are sorted by `(time, seq)` when the wheel reaches them, so the pop
+//! sequence is *identical* to a plain `BinaryHeap`'s — property-tested in
+//! this module against a test-only heap queue.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -104,8 +107,35 @@ const LEVEL_BITS: u32 = 6;
 const WHEEL_LEVELS: usize = 6;
 /// log2 of the tick length in nanoseconds (1024 ns ≈ 1 µs).
 const TICK_SHIFT: u32 = 10;
+/// The null cell index: ends a slot list or the free list.
+const NIL: u32 = u32::MAX;
 
-/// A hierarchical timer wheel that pops in `(time, seq)` order.
+/// One arena cell: an event filed in a wheel slot (`event` is `Some`,
+/// `next` links the slot's list) or a free cell (`event` is `None`,
+/// `next` links the free list).
+#[derive(Debug)]
+struct Cell {
+    event: Option<Event>,
+    next: u32,
+}
+
+/// The `(time, seq)` order key of a filed cell's event.
+fn key(cells: &[Cell], idx: u32) -> (SimTime, u64) {
+    let event = cells[idx as usize]
+        .event
+        .as_ref()
+        .expect("a filed cell holds an event");
+    (event.time, event.seq)
+}
+
+/// The simulator's min-queue of events: a hierarchical timer wheel that
+/// pops in `(time, seq)` order, with stable FIFO ordering at equal
+/// timestamps.
+///
+/// Wheel events live in one arena of cells; each slot is the head of an
+/// intrusive singly linked list through it, and drained cells go back on
+/// a free list, so a queue that has seen its peak load pushes and pops
+/// without allocating.
 ///
 /// Invariants:
 ///
@@ -117,41 +147,82 @@ const TICK_SHIFT: u32 = 10;
 ///   at that level. Whenever `current` changes a digit, the slot now
 ///   named by that digit is drained and its events re-filed lower, so a
 ///   level's current-digit slot is always empty.
+/// * Slot lists are unordered; a level-0 slot's cells are sorted by
+///   `(time, seq)` as they drain into `ready`. An event stays in its cell
+///   from push to pop: cascades and drains move only cell indices.
 /// * Events past the wheel's horizon wait in an overflow heap; they are
 ///   strictly later than every wheel event, so they re-file only when the
 ///   wheel drains empty.
 #[derive(Debug)]
-pub struct TimerWheel {
-    levels: Vec<Vec<Vec<Event>>>,
+pub struct EventQueue {
+    cells: Vec<Cell>,
+    /// Head of the free-cell list.
+    free: u32,
+    /// Per level and slot, the head of that slot's cell list.
+    heads: [[u32; WHEEL_SLOTS]; WHEEL_LEVELS],
     occupied: [u64; WHEEL_LEVELS],
     /// Tick of the last drained level-0 slot.
     current: u64,
-    /// Events due now, sorted by `(time, seq)` descending (pop from the
-    /// end yields the minimum).
-    ready: Vec<Event>,
+    /// Cells of the events due now, sorted by `(time, seq)` descending
+    /// (pop from the end yields the minimum).
+    ready: Vec<u32>,
     overflow: BinaryHeap<Event>,
     len: usize,
+    next_seq: u64,
 }
 
-impl Default for TimerWheel {
+impl Default for EventQueue {
     fn default() -> Self {
-        TimerWheel {
-            levels: (0..WHEEL_LEVELS)
-                .map(|_| (0..WHEEL_SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
+        EventQueue {
+            cells: Vec::new(),
+            free: NIL,
+            heads: [[NIL; WHEEL_SLOTS]; WHEEL_LEVELS],
             occupied: [0; WHEEL_LEVELS],
             current: 0,
             ready: Vec::new(),
             overflow: BinaryHeap::new(),
             len: 0,
+            next_seq: 0,
         }
     }
 }
 
-impl TimerWheel {
-    /// Create an empty wheel.
+impl EventQueue {
+    /// Create an empty queue.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Schedule `kind` at `time`.
+    pub fn push(&mut self, time: SimTime, kind: EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.len += 1;
+        self.file(Event { time, seq, kind });
+    }
+
+    /// Remove and return the earliest event.
+    pub fn pop(&mut self) -> Option<Event> {
+        self.fill_ready();
+        let idx = self.ready.pop()?;
+        self.len -= 1;
+        Some(self.release(idx))
+    }
+
+    /// The timestamp of the earliest event, if any.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.fill_ready();
+        self.ready.last().map(|&idx| key(&self.cells, idx).0)
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     fn tick_of(time: SimTime) -> u64 {
@@ -162,38 +233,72 @@ impl TimerWheel {
         ((tick >> (LEVEL_BITS * level as u32)) & (WHEEL_SLOTS as u64 - 1)) as usize
     }
 
+    /// The level at which a wheel event at `tick > current` lives: that of
+    /// the highest 6-bit digit where the two differ (`WHEEL_LEVELS` and
+    /// above mean past the horizon).
+    fn level_of(&self, tick: u64) -> usize {
+        let differing = tick ^ self.current;
+        ((63 - differing.leading_zeros()) / LEVEL_BITS) as usize
+    }
+
     /// File an event into `ready`, a wheel slot, or the overflow heap —
     /// seq already assigned, `len` already accounted.
     fn file(&mut self, event: Event) {
         let tick = Self::tick_of(event.time);
-        if tick <= self.current {
-            // Due now (or scheduled into the past): keep `ready` sorted
-            // descending by (time, seq) so the end is the minimum.
-            let pos = self
-                .ready
-                .partition_point(|e| (e.time, e.seq) > (event.time, event.seq));
-            self.ready.insert(pos, event);
-            return;
-        }
-        let differing = tick ^ self.current;
-        let level = ((63 - differing.leading_zeros()) / LEVEL_BITS) as usize;
-        if level >= WHEEL_LEVELS {
+        if tick > self.current && self.level_of(tick) >= WHEEL_LEVELS {
             self.overflow.push(event);
             return;
         }
+        let cell = Cell {
+            event: Some(event),
+            next: NIL,
+        };
+        let idx = if self.free == NIL {
+            let idx = u32::try_from(self.cells.len())
+                .ok()
+                .filter(|&idx| idx != NIL)
+                .expect("fewer than u32::MAX events wait in the wheel");
+            self.cells.push(cell);
+            idx
+        } else {
+            let idx = self.free;
+            self.free = std::mem::replace(&mut self.cells[idx as usize], cell).next;
+            idx
+        };
+        self.place(idx, tick);
+    }
+
+    /// Put cell `idx`, whose event falls in `tick` (within the horizon),
+    /// into `ready` if it is due now (or past), else onto the list of its
+    /// wheel slot.
+    fn place(&mut self, idx: u32, tick: u64) {
+        if tick <= self.current {
+            // Keep `ready` sorted descending so the end is the minimum.
+            let at = key(&self.cells, idx);
+            let cells = &self.cells;
+            let pos = self.ready.partition_point(|&i| key(cells, i) > at);
+            self.ready.insert(pos, idx);
+            return;
+        }
+        let level = self.level_of(tick);
         let slot = Self::digit(tick, level);
-        self.levels[level][slot].push(event);
+        self.cells[idx as usize].next = self.heads[level][slot];
+        self.heads[level][slot] = idx;
         self.occupied[level] |= 1 << slot;
     }
 
-    /// Drain a level's slot, re-filing its events (lower levels or
-    /// `ready`).
-    fn cascade(&mut self, level: usize, slot: usize) {
+    /// Detach a slot's list, returning its head.
+    fn unlink(&mut self, level: usize, slot: usize) -> u32 {
         self.occupied[level] &= !(1 << slot);
-        let events = std::mem::take(&mut self.levels[level][slot]);
-        for event in events {
-            self.file(event);
-        }
+        std::mem::replace(&mut self.heads[level][slot], NIL)
+    }
+
+    /// Take a cell's event and return the cell to the free list.
+    fn release(&mut self, idx: u32) -> Event {
+        let cell = &mut self.cells[idx as usize];
+        cell.next = self.free;
+        self.free = idx;
+        cell.event.take().expect("a filed cell holds an event")
     }
 
     /// Advance the wheel until `ready` holds the next due events (or the
@@ -206,10 +311,14 @@ impl TimerWheel {
             if mask != 0 {
                 let slot = mask.trailing_zeros() as usize;
                 self.current = (self.current & !(WHEEL_SLOTS as u64 - 1)) | slot as u64;
-                self.occupied[0] &= !(1 << slot);
-                let mut events = std::mem::take(&mut self.levels[0][slot]);
-                events.sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
-                self.ready = events;
+                let mut idx = self.unlink(0, slot);
+                while idx != NIL {
+                    self.ready.push(idx);
+                    idx = self.cells[idx as usize].next;
+                }
+                let cells = &self.cells;
+                self.ready
+                    .sort_unstable_by_key(|&i| std::cmp::Reverse(key(cells, i)));
                 continue;
             }
             // Level 0 exhausted for this window: pull the nearest
@@ -225,7 +334,15 @@ impl TimerWheel {
                     // Jump to the start of that slot's window.
                     self.current = (self.current & !(((1u64 << shift) << LEVEL_BITS) - 1))
                         | ((slot as u64) << shift);
-                    self.cascade(level, slot);
+                    // Drain that slot: its events now differ from
+                    // `current` only below `level`, so each cell moves
+                    // down (or into `ready`) without its event moving.
+                    let mut idx = self.unlink(level, slot);
+                    while idx != NIL {
+                        let next = self.cells[idx as usize].next;
+                        self.place(idx, Self::tick_of(key(&self.cells, idx).0));
+                        idx = next;
+                    }
                     cascaded = true;
                     break;
                 }
@@ -250,80 +367,6 @@ impl TimerWheel {
                 None => return,
             }
         }
-    }
-
-    /// File `event` (seq must already be assigned by the caller).
-    pub fn insert(&mut self, event: Event) {
-        self.len += 1;
-        self.file(event);
-    }
-
-    /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.fill_ready();
-        let event = self.ready.pop();
-        if event.is_some() {
-            self.len -= 1;
-        }
-        event
-    }
-
-    /// The earliest event without removing it.
-    pub fn peek(&mut self) -> Option<&Event> {
-        self.fill_ready();
-        self.ready.last()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// The simulator's min-queue of events: a [`TimerWheel`] with stable FIFO
-/// ordering at equal timestamps.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    wheel: TimerWheel,
-    next_seq: u64,
-}
-
-impl EventQueue {
-    /// Create an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedule `kind` at `time`.
-    pub fn push(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.wheel.insert(Event { time, seq, kind });
-    }
-
-    /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.wheel.pop()
-    }
-
-    /// The timestamp of the earliest event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.wheel.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
     }
 }
 
@@ -368,6 +411,17 @@ mod tests {
             EventKind::Timer { token, .. } => token.0,
             _ => unreachable!(),
         }
+    }
+
+    /// Length of the queue's free-cell list.
+    fn free_cells(q: &EventQueue) -> usize {
+        let mut n = 0;
+        let mut idx = q.free;
+        while idx != NIL {
+            n += 1;
+            idx = q.cells[idx as usize].next;
+        }
+        n
     }
 
     #[test]
@@ -449,6 +503,32 @@ mod tests {
     }
 
     #[test]
+    fn a_drained_queue_reuses_its_cells() {
+        // The second storm is the first shifted by one level-5 slot span
+        // (2^30 ticks), so it files and cascades exactly as the first did
+        // and needs no cell the first did not. No time falls in tick 0,
+        // which the first storm would file straight into `ready`.
+        let mut q = EventQueue::new();
+        let span = 1u64 << (30 + TICK_SHIFT);
+        let mut first_pass_cells = None;
+        for pass in 0..2u64 {
+            for i in 0..500u64 {
+                let t = pass * span + 1024 + (i * 7919) % 5_000_000;
+                q.push(SimTime::from_nanos(t), timer(0, i));
+            }
+            let mut last = SimTime::ZERO;
+            while let Some(e) = q.pop() {
+                assert!(e.time >= last);
+                last = e.time;
+            }
+            let cells = *first_pass_cells.get_or_insert(q.cells.len());
+            assert!(cells > 0, "the storm files into wheel slots");
+            assert_eq!(q.cells.len(), cells, "the second storm needs no new cell");
+            assert_eq!(free_cells(&q), cells, "every cell is free once drained");
+        }
+    }
+
+    #[test]
     fn overflow_events_past_the_horizon_still_order() {
         let mut q = EventQueue::new();
         // ~19.5 h horizon at a 1.024 µs tick; push one event a week out,
@@ -512,6 +592,11 @@ mod tests {
                 heap_trace.push((h.time, h.seq, token_of(&h)));
             }
             assert!(heap.pop().is_none(), "heap drained with the wheel");
+            assert_eq!(
+                free_cells(&wheel),
+                wheel.cells.len(),
+                "a drained wheel holds every arena cell on its free list"
+            );
             assert_eq!(
                 wheel_trace, heap_trace,
                 "wheel and heap event traces diverged"

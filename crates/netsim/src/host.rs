@@ -824,10 +824,7 @@ impl Node for Host {
         }
 
         match &packet.body {
-            PacketBody::Tcp(seg) => {
-                let seg = seg.clone();
-                self.handle_tcp(ctx, &packet, &seg);
-            }
+            PacketBody::Tcp(seg) => self.handle_tcp(ctx, &packet, seg),
             PacketBody::Udp(_) => self.handle_udp(ctx, &packet),
             PacketBody::Icmp(_) => self.handle_icmp(ctx, &packet),
             PacketBody::Raw { .. } => {}

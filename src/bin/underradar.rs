@@ -149,16 +149,17 @@ fn survey(argv: &[String]) -> Result<ExitCode, String> {
 
     println!("spam-cloaked survey results");
     println!("---------------------------");
-    let mut last_verdict = None;
-    for (domain, idx) in &idxs {
-        let probe = tb.client_task::<SpamProbe>(*idx).expect("probe state");
-        println!("{domain:<24} {}", probe.verdict());
-        last_verdict = Some(probe.verdict());
+    let mut verdicts = Vec::new();
+    for ((domain, idx), site) in idxs.iter().zip(&tb.targets) {
+        let verdict = tb
+            .client_task::<SpamProbe>(*idx)
+            .expect("probe state")
+            .verdict();
+        println!("{domain:<24} {verdict}");
+        verdicts.push((site, verdict));
     }
-    if let Some(v) = last_verdict {
-        let report = RiskReport::evaluate(&tb, &v);
-        println!("\nrisk: {}", report.summary());
-    }
+    let report = RiskReport::evaluate_survey(&tb, &verdicts);
+    println!("\nrisk: {}", report.summary());
     Ok(ExitCode::SUCCESS)
 }
 

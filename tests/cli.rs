@@ -152,6 +152,36 @@ fn well_formed_survey_reports_the_blocked_domain() {
     );
 }
 
+/// The risk line scores every domain's verdict against the censor's
+/// actions on that domain, so listing the blocked domain first or last
+/// reads the same.
+#[test]
+fn survey_risk_scores_every_domain_in_either_order() {
+    for domains in ["twitter.com,bbc.com", "bbc.com,twitter.com"] {
+        let out = underradar(&strings(&[
+            "survey",
+            "--domains",
+            domains,
+            "--block",
+            "twitter.com",
+        ]));
+        assert_eq!(out.status.code(), Some(0));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("twitter.com              CENSORED"),
+            "{stdout}"
+        );
+        assert!(
+            stdout.contains("bbc.com                  reachable"),
+            "{stdout}"
+        );
+        assert!(
+            stdout.contains("risk: censor=true correct=true "),
+            "{domains}: {stdout}"
+        );
+    }
+}
+
 #[test]
 fn survey_accepts_the_largest_addressable_domain_list() {
     let out = underradar(&strings(&["survey", "--domains", &domains(246)]));
