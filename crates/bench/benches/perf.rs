@@ -699,7 +699,8 @@ fn bench_simulator() {
 /// assertions pin the caching win the campaign engine's throughput rests
 /// on, that a warm instantiation compiles nothing: it must allocate
 /// under 64 KiB, less than one DFA's 64 KB pair table, and that a
-/// paper-matrix trial makes at most 1,250 allocations.
+/// paper-matrix trial makes at most 1,250 allocations, and at most 300
+/// more with telemetry on.
 fn bench_campaign() {
     use underradar_bench::experiments::campaign::paper_campaign;
     use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
@@ -798,6 +799,27 @@ fn bench_campaign() {
         per_trial <= 1_250.0,
         "acceptance: a paper-matrix trial must stay within 1,250 allocations \
          (got {per_trial:.0})"
+    );
+
+    // The same matrix with telemetry on: each trial also exports its
+    // monitors and its exposure into a scope and hands the scope's
+    // registry to the committer. Value slots, the by-move hand-off and
+    // names built in one buffer keep that within 300 allocations per
+    // trial; per-name cells, snapshot-and-merge and `format!` names put
+    // it near 600.
+    let on = underradar_telemetry::Telemetry::enabled();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    run_service(&spec, &RunConfig::new(1), &on, &mut NullSink).expect("in-memory run");
+    let on_per_trial = (ALLOCS.load(Ordering::Relaxed) - before) as f64 / trials as f64;
+    println!(
+        "  {:<44} {on_per_trial:>12.0} allocs/trial",
+        "paper_matrix_512_trials_telemetry"
+    );
+    let telemetry_allocs = on_per_trial - per_trial;
+    assert!(
+        telemetry_allocs <= 300.0,
+        "acceptance: telemetry may add at most 300 allocations to a \
+         paper-matrix trial (got {telemetry_allocs:.0})"
     );
 }
 

@@ -32,13 +32,13 @@ use underradar_core::verdict::Verdict;
 use underradar_netsim::sim::Simulator;
 use underradar_netsim::time::{SimDuration, SimTime};
 use underradar_protocols::dns::QType;
-use underradar_surveil::exposure::{ExposureEventKind, ExposureLedger};
+use underradar_surveil::exposure::{ExposureEventKind, ExposureLedger, HostExposure};
 use underradar_surveil::system::SurveillanceSystem;
 use underradar_telemetry::{FieldValue, Registry, Telemetry, TraceRecord};
 
 use crate::report::TrialResult;
 use crate::seed;
-use crate::spec::{CampaignSpec, MethodKind, NamedPolicy, Trial};
+use crate::spec::{CampaignSpec, MethodKind, NamedPolicy, SpecError, Trial};
 
 /// UDP port hop probes aim at (classic traceroute base port).
 const HOP_PORT: u16 = 33434;
@@ -68,18 +68,22 @@ pub struct PolicyPrep<'a> {
     template: TestbedTemplate,
 }
 
-/// Build one [`PolicyPrep`] per policy column, in spec order. The vector
-/// is indexed by [`Trial::policy_idx`]; external drivers (the runner
-/// service) call this once and borrow the preps across worker threads.
-/// Every target must pass [`CampaignSpec::check_targets`].
-pub fn prepare(spec: &CampaignSpec) -> Vec<PolicyPrep<'_>> {
+/// Build one [`PolicyPrep`] per policy column, in spec order, once the
+/// spec passes [`CampaignSpec::check_address_plan`] and
+/// [`CampaignSpec::check_targets`]. The vector is indexed by
+/// [`Trial::policy_idx`]; external drivers (the runner service) call this
+/// once and borrow the preps across worker threads.
+pub fn try_prepare(spec: &CampaignSpec) -> Result<Vec<PolicyPrep<'_>>, SpecError> {
+    spec.check_address_plan().map_err(SpecError::AddressPlan)?;
+    spec.check_targets().map_err(SpecError::InvalidTarget)?;
     let targets: Vec<TargetSite> = spec
         .targets
         .iter()
         .enumerate()
         .map(|(i, domain)| TargetSite::numbered(domain, i as u8))
         .collect();
-    spec.policies
+    Ok(spec
+        .policies
         .iter()
         .map(|named| {
             let template = TestbedTemplate::prepare(TestbedConfig {
@@ -98,7 +102,17 @@ pub fn prepare(spec: &CampaignSpec) -> Vec<PolicyPrep<'_>> {
             });
             PolicyPrep { named, template }
         })
-        .collect()
+        .collect())
+}
+
+/// [`try_prepare`] for a spec known to pass its checks.
+///
+/// # Panics
+///
+/// On a spec [`try_prepare`] rejects: a count past the address plan, or
+/// a target no testbed can name.
+pub fn prepare(spec: &CampaignSpec) -> Vec<PolicyPrep<'_>> {
+    try_prepare(spec).expect("a campaign spec that passes its checks")
 }
 
 /// What kind of telemetry scope each worker should build. `Telemetry` is
@@ -217,7 +231,8 @@ pub fn run_trial_attempt(
         scope: &scope,
     };
     let mut result = execute(&stage, horizon);
-    acc.merge(&scope.snapshot());
+    // The world is gone, so the scope's registry moves out whole.
+    acc.accumulate(scope.into_registry());
     let inconclusive = matches!(result.verdict, Verdict::Inconclusive(_));
     if !inconclusive || attempt >= spec.retry.max_retries {
         result.retries = attempt;
@@ -298,6 +313,8 @@ fn bump(registry: &mut Registry, name: &str, n: u64) {
 /// Everything here is read from records the adversary actually holds —
 /// censor action log, IDS alert log, retention stores — never from ground
 /// truth, so the resulting ledger is the adversary's view of the campaign.
+/// Events aggregate per address first, so each host's dotted name is
+/// rendered once per trial.
 fn export_exposure<'a>(
     scope: &Telemetry,
     method_label: &str,
@@ -305,8 +322,7 @@ fn export_exposure<'a>(
     actions: impl Iterator<Item = &'a CensorAction>,
     system: &SurveillanceSystem,
 ) {
-    let cell = format!("{method_label}/{policy_name}");
-    let mut ledger = ExposureLedger::new();
+    let mut hosts: BTreeMap<Ipv4Addr, HostExposure> = BTreeMap::new();
     for action in actions {
         let kind = match action.kind {
             CensorActionKind::KeywordRst { .. } | CensorActionKind::DnsInjection { .. } => {
@@ -314,23 +330,19 @@ fn export_exposure<'a>(
             }
             _ => ExposureEventKind::Drop,
         };
-        ledger.record(
-            &cell,
-            &action.client.to_string(),
-            kind,
-            action.time.as_nanos(),
-        );
+        hosts
+            .entry(action.client)
+            .or_default()
+            .record(kind, action.time.as_nanos());
     }
     // Distinct sensitive flows per source: the alert log's flow tuples.
     type FlowTuple = (Option<u16>, u32, Option<u16>);
     let mut flows: BTreeMap<Ipv4Addr, BTreeSet<FlowTuple>> = BTreeMap::new();
     for alert in system.engine().log().all() {
-        ledger.record(
-            &cell,
-            &alert.src.to_string(),
-            ExposureEventKind::Alert,
-            alert.time.as_nanos(),
-        );
+        hosts
+            .entry(alert.src)
+            .or_default()
+            .record(ExposureEventKind::Alert, alert.time.as_nanos());
         flows.entry(alert.src).or_default().insert((
             alert.src_port,
             u32::from(alert.dst),
@@ -338,17 +350,18 @@ fn export_exposure<'a>(
         ));
     }
     for (src, set) in &flows {
-        ledger.add_sensitive_flows(&cell, &src.to_string(), set.len() as u64);
+        hosts.entry(*src).or_default().sensitive_flows += set.len() as u64;
     }
     // Bytes of each host's traffic sitting in the content retention store
     // (trial horizons are far shorter than retention windows, so nothing
     // has evicted by scoring time).
-    let mut retained: BTreeMap<Ipv4Addr, u64> = BTreeMap::new();
     for (_, rec) in system.stores().content.iter() {
-        *retained.entry(rec.src).or_insert(0) += rec.bytes as u64;
+        hosts.entry(rec.src).or_default().retained_bytes += rec.bytes as u64;
     }
-    for (src, bytes) in &retained {
-        ledger.add_retained(&cell, &src.to_string(), *bytes);
+    let cell = format!("{method_label}/{policy_name}");
+    let mut ledger = ExposureLedger::new();
+    for (host, exposure) in &hosts {
+        ledger.add_host(&cell, &host.to_string(), exposure);
     }
     ledger.export(scope);
 }
@@ -584,6 +597,31 @@ mod tests {
                 result
             })
             .collect()
+    }
+
+    #[test]
+    fn try_prepare_rejects_what_no_testbed_can_build() {
+        let spec = |targets: Vec<String>| {
+            CampaignSpec::new("bad", 1)
+                .targets(targets.iter().map(String::as_str))
+                .method(MethodKind::Scan)
+                .policy(NamedPolicy::new("control", CensorPolicy::new()))
+        };
+        let unnamed = spec(vec!["a..b".to_string()]);
+        assert!(matches!(
+            try_prepare(&unnamed),
+            Err(SpecError::InvalidTarget(t)) if t.domain == "a..b"
+        ));
+        // One past the address plan: target 247's address octet would wrap.
+        let crowded = spec((0..247).map(|i| format!("t{i}.com")).collect());
+        assert!(matches!(
+            try_prepare(&crowded),
+            Err(SpecError::AddressPlan(o)) if o.field == "targets" && o.got == 247
+        ));
+        assert_eq!(
+            try_prepare(&spec(vec!["bbc.com".to_string()])).map(|p| p.len()),
+            Ok(1)
+        );
     }
 
     #[test]

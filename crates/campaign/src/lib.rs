@@ -51,5 +51,6 @@ pub mod steal;
 
 pub use report::{CellStat, StreamReport, TrialResult};
 pub use spec::{
-    AddressPlanOverrun, CampaignSpec, InvalidTarget, MethodKind, NamedPolicy, RetryPolicy, Trial,
+    AddressPlanOverrun, CampaignSpec, InvalidTarget, MethodKind, NamedPolicy, RetryPolicy,
+    SpecError, Trial,
 };

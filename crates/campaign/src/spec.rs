@@ -151,6 +151,28 @@ impl std::fmt::Display for InvalidTarget {
     }
 }
 
+/// Why no world can be built for a [`CampaignSpec`]: the checks
+/// [`crate::engine::try_prepare`] runs before it prepares any column.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// A count overruns the address plan
+    /// ([`CampaignSpec::check_address_plan`]).
+    AddressPlan(AddressPlanOverrun),
+    /// A target cannot be a target site ([`CampaignSpec::check_targets`]).
+    InvalidTarget(InvalidTarget),
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpecError::AddressPlan(overrun) => write!(f, "{overrun}"),
+            SpecError::InvalidTarget(target) => write!(f, "{target}"),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
 /// A declarative measurement campaign: the full cross product of
 /// policies × methods × targets × trial repeats.
 #[derive(Debug, Clone)]

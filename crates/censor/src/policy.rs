@@ -83,8 +83,13 @@ pub fn export_actions(
     for a in actions {
         *counts.entry(a.kind.label()).or_insert(0) += 1;
     }
+    let mut name = underradar_telemetry::MetricName::default();
+    name.stem(|s| {
+        s.push_str(prefix);
+        s.push_str(".actions");
+    });
     for (label, n) in counts {
-        tel.set_counter(&format!("{prefix}.actions.{label}"), n);
+        tel.set_counter(name.leaf(label), n);
     }
     for a in actions {
         tel.event(

@@ -493,51 +493,46 @@ impl DetectionEngine {
         if !tel.is_enabled() {
             return;
         }
+        let mut name = underradar_telemetry::MetricName::new(prefix);
         let s = self.stats;
-        tel.set_counter(&format!("{prefix}.packets"), s.packets);
-        tel.set_counter(&format!("{prefix}.evaluations"), s.evaluations);
-        tel.set_counter(&format!("{prefix}.alerts"), s.alerts);
-        tel.set_counter(&format!("{prefix}.passed"), s.passed);
-        tel.set_counter(&format!("{prefix}.pass_evaluations"), s.pass_evaluations);
-        tel.set_counter(&format!("{prefix}.ac_bytes_scanned"), s.ac_bytes_scanned);
+        tel.set_counter(name.leaf("packets"), s.packets);
+        tel.set_counter(name.leaf("evaluations"), s.evaluations);
+        tel.set_counter(name.leaf("alerts"), s.alerts);
+        tel.set_counter(name.leaf("passed"), s.passed);
+        tel.set_counter(name.leaf("pass_evaluations"), s.pass_evaluations);
+        tel.set_counter(name.leaf("ac_bytes_scanned"), s.ac_bytes_scanned);
         tel.set_gauge(
-            &format!("{prefix}.prefilter.patterns"),
+            name.leaf("prefilter.patterns"),
             self.ruleset.prefilter.pattern_count() as i64,
         );
         tel.set_gauge(
-            &format!("{prefix}.prefilter.states"),
+            name.leaf("prefilter.states"),
             self.ruleset.prefilter.state_count() as i64,
         );
         let r = self.reassembler.stats();
-        tel.set_counter(&format!("{prefix}.flows.created"), r.flows_created);
-        tel.set_counter(&format!("{prefix}.flows.evicted"), r.evicted);
-        tel.set_counter(&format!("{prefix}.flows.rst_teardowns"), r.rst_teardowns);
-        tel.set_counter(&format!("{prefix}.flows.fin_teardowns"), r.fin_teardowns);
-        tel.set_counter(&format!("{prefix}.flows.removals"), r.removals);
-        tel.set_counter(&format!("{prefix}.segments"), r.segments);
-        tel.set_counter(&format!("{prefix}.bytes_appended"), r.bytes_appended);
-        tel.set_counter(&format!("{prefix}.bytes_copied"), r.bytes_copied());
-        tel.set_counter(&format!("{prefix}.reassembly.ooo_held"), r.ooo_held);
-        tel.set_counter(&format!("{prefix}.reassembly.ooo_dropped"), r.ooo_dropped);
-        tel.set_counter(
-            &format!("{prefix}.reassembly.overlap_trimmed"),
-            r.overlap_trimmed,
-        );
-        tel.set_counter(&format!("{prefix}.reassembly.dup_ignored"), r.dup_ignored);
+        tel.set_counter(name.leaf("flows.created"), r.flows_created);
+        tel.set_counter(name.leaf("flows.evicted"), r.evicted);
+        tel.set_counter(name.leaf("flows.rst_teardowns"), r.rst_teardowns);
+        tel.set_counter(name.leaf("flows.fin_teardowns"), r.fin_teardowns);
+        tel.set_counter(name.leaf("flows.removals"), r.removals);
+        tel.set_counter(name.leaf("segments"), r.segments);
+        tel.set_counter(name.leaf("bytes_appended"), r.bytes_appended);
+        tel.set_counter(name.leaf("bytes_copied"), r.bytes_copied());
+        tel.set_counter(name.leaf("reassembly.ooo_held"), r.ooo_held);
+        tel.set_counter(name.leaf("reassembly.ooo_dropped"), r.ooo_dropped);
+        tel.set_counter(name.leaf("reassembly.overlap_trimmed"), r.overlap_trimmed);
+        tel.set_counter(name.leaf("reassembly.dup_ignored"), r.dup_ignored);
         tel.set_gauge(
-            &format!("{prefix}.flows.live"),
+            name.leaf("flows.live"),
             self.reassembler.flow_count() as i64,
         );
+        tel.set_gauge(name.leaf("flow_match_states"), self.live_states as i64);
         tel.set_gauge(
-            &format!("{prefix}.flow_match_states"),
-            self.live_states as i64,
-        );
-        tel.set_gauge(
-            &format!("{prefix}.flows.capacity"),
+            name.leaf("flows.capacity"),
             self.reassembler.flow_capacity().min(i64::MAX as usize) as i64,
         );
         tel.set_gauge(
-            &format!("{prefix}.flows.table_bytes"),
+            name.leaf("flows.table_bytes"),
             self.flow_memory_bytes() as i64,
         );
     }

@@ -311,7 +311,7 @@ impl DnsMessage {
     /// Serialize to wire bytes (with name compression).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
-        let mut offsets: Vec<(DnsName, usize)> = Vec::new();
+        let mut offsets: Vec<usize> = Vec::new();
         buf.extend_from_slice(&self.id.to_be_bytes());
         let mut flags: u16 = 0;
         if self.is_response {
@@ -343,7 +343,7 @@ impl DnsMessage {
         buf
     }
 
-    fn encode_record(r: &Record, buf: &mut Vec<u8>, offsets: &mut Vec<(DnsName, usize)>) {
+    fn encode_record(r: &Record, buf: &mut Vec<u8>, offsets: &mut Vec<usize>) {
         r.name.encode(buf, offsets);
         buf.extend_from_slice(&r.data.qtype().number().to_be_bytes());
         buf.extend_from_slice(&DnsClass::In.number().to_be_bytes());

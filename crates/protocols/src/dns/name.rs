@@ -98,35 +98,27 @@ impl DnsName {
         Ok(DnsName { labels })
     }
 
-    /// Encode at the end of `buf`. `offsets` maps previously written name
-    /// suffixes (rendered as dotted strings) to their buffer offsets, and is
-    /// updated; matching suffixes are emitted as compression pointers.
-    pub fn encode(&self, buf: &mut Vec<u8>, offsets: &mut Vec<(DnsName, usize)>) {
-        let mut remaining = self.clone();
-        let mut idx = 0usize;
-        loop {
-            if remaining.labels.is_empty() {
-                buf.push(0);
-                return;
-            }
-            // A pointer offset must fit in 14 bits.
-            if let Some(&(_, off)) = offsets
-                .iter()
-                .find(|(n, off)| *n == remaining && *off < 0x3fff)
-            {
+    /// Encode at the end of `buf`. `offsets` lists the positions in `buf`
+    /// where earlier names and their suffixes start, and is updated; a
+    /// suffix equal to the name written at a listed position becomes a
+    /// compression pointer to the first such position. Only the growth of
+    /// `buf` and `offsets` allocates.
+    pub fn encode(&self, buf: &mut Vec<u8>, offsets: &mut Vec<usize>) {
+        for (idx, label) in self.labels.iter().enumerate() {
+            let rest = &self.labels[idx..];
+            if let Some(&off) = offsets.iter().find(|&&off| written_at(buf, off, rest)) {
                 buf.push(0xc0 | ((off >> 8) as u8));
                 buf.push((off & 0xff) as u8);
                 return;
             }
+            // A pointer offset must fit in 14 bits.
             if buf.len() < 0x3fff {
-                offsets.push((remaining.clone(), buf.len()));
+                offsets.push(buf.len());
             }
-            let label = &self.labels[idx];
             buf.push(label.len() as u8);
             buf.extend_from_slice(label);
-            idx += 1;
-            remaining = remaining.parent();
         }
+        buf.push(0);
     }
 
     /// Decode a name starting at `pos` in `msg`. Returns the name and the
@@ -172,6 +164,35 @@ impl DnsName {
             }
             labels.push(label.to_ascii_lowercase());
             cursor = stop;
+        }
+    }
+}
+
+/// Whether the name [`DnsName::encode`] wrote at `pos` in `buf` — labels,
+/// then a zero byte or a pointer to more of them — is exactly `labels`.
+fn written_at(buf: &[u8], mut pos: usize, labels: &[Vec<u8>]) -> bool {
+    let mut labels = labels.iter();
+    loop {
+        let Some(&len) = buf.get(pos) else {
+            return false;
+        };
+        if len & 0xc0 == 0xc0 {
+            let Some(&lo) = buf.get(pos + 1) else {
+                return false;
+            };
+            let target = (usize::from(len & 0x3f) << 8) | usize::from(lo);
+            if target >= pos {
+                return false;
+            }
+            pos = target;
+            continue;
+        }
+        let start = pos + 1;
+        pos = start + usize::from(len);
+        match labels.next() {
+            None => return len == 0,
+            Some(label) if len > 0 && buf.get(start..pos) == Some(&label[..]) => {}
+            Some(_) => return false,
         }
     }
 }
@@ -301,6 +322,82 @@ mod tests {
             2,
             "full name collapses to one pointer"
         );
+    }
+
+    /// The encoder as it was when `offsets` held a clone of every suffix
+    /// written: the oracle for [`DnsName::encode`]'s bytes.
+    fn encode_with_suffix_clones(
+        name: &DnsName,
+        buf: &mut Vec<u8>,
+        offsets: &mut Vec<(DnsName, usize)>,
+    ) {
+        let mut remaining = name.clone();
+        let mut idx = 0usize;
+        loop {
+            if remaining.labels.is_empty() {
+                buf.push(0);
+                return;
+            }
+            if let Some(&(_, off)) = offsets
+                .iter()
+                .find(|(n, off)| *n == remaining && *off < 0x3fff)
+            {
+                buf.push(0xc0 | ((off >> 8) as u8));
+                buf.push((off & 0xff) as u8);
+                return;
+            }
+            if buf.len() < 0x3fff {
+                offsets.push((remaining.clone(), buf.len()));
+            }
+            let label = &name.labels[idx];
+            buf.push(label.len() as u8);
+            buf.extend_from_slice(label);
+            idx += 1;
+            remaining = remaining.parent();
+        }
+    }
+
+    #[test]
+    fn encode_matches_the_suffix_clone_oracle() {
+        use underradar_netsim::testprop::cases;
+        // A small label pool, so suffixes recur; mixed case, so equality
+        // must hold across spellings; random bytes between names, as
+        // record data sits between them in a message.
+        const POOL: [&str; 10] = [
+            "com", "org", "bbc", "twitter", "mx1", "www", "a", "mail", "b0", "cdn",
+        ];
+        let mut past_pointer_limit = 0;
+        cases(40, 0xD45E_0001, |g| {
+            let names = if g.usize_in(0, 7) == 0 {
+                g.usize_in(900, 1200)
+            } else {
+                g.usize_in(1, 40)
+            };
+            let mut buf = g.bytes(0, 12);
+            let mut oracle_buf = buf.clone();
+            let (mut offsets, mut oracle_offsets) = (Vec::new(), Vec::new());
+            for _ in 0..names {
+                let labels: Vec<String> = (0..g.usize_in(0, 4))
+                    .map(|_| {
+                        g.choose(&POOL)
+                            .chars()
+                            .map(|c| if g.bool() { c.to_ascii_uppercase() } else { c })
+                            .collect()
+                    })
+                    .collect();
+                let name = DnsName::parse(&labels.join(".")).expect("pool names parse");
+                name.encode(&mut buf, &mut offsets);
+                encode_with_suffix_clones(&name, &mut oracle_buf, &mut oracle_offsets);
+                let between = g.bytes(0, 40);
+                buf.extend_from_slice(&between);
+                oracle_buf.extend_from_slice(&between);
+            }
+            assert_eq!(buf, oracle_buf);
+            if buf.len() > 0x3fff {
+                past_pointer_limit += 1;
+            }
+        });
+        assert!(past_pointer_limit > 0, "some buffer must pass 0x3fff");
     }
 
     #[test]

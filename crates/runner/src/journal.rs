@@ -53,7 +53,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use underradar_campaign::{AddressPlanOverrun, InvalidTarget, TrialResult};
+use underradar_campaign::{AddressPlanOverrun, InvalidTarget, SpecError, TrialResult};
 use underradar_telemetry::codec::{put_registry, put_u32, put_u64, CodecError, Reader};
 use underradar_telemetry::Registry;
 
@@ -118,6 +118,15 @@ impl std::fmt::Display for JournalError {
 }
 
 impl std::error::Error for JournalError {}
+
+impl From<SpecError> for JournalError {
+    fn from(e: SpecError) -> Self {
+        match e {
+            SpecError::AddressPlan(overrun) => JournalError::AddressPlan(overrun),
+            SpecError::InvalidTarget(target) => JournalError::InvalidTarget(target),
+        }
+    }
+}
 
 impl From<io::Error> for JournalError {
     fn from(e: io::Error) -> Self {

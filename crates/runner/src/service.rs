@@ -321,9 +321,9 @@ pub fn run_service(
     sink: &mut dyn RowSink,
 ) -> Result<ServiceOutcome, JournalError> {
     let run_start = Instant::now();
-    spec.check_address_plan()
-        .map_err(JournalError::AddressPlan)?;
-    spec.check_targets().map_err(JournalError::InvalidTarget)?;
+    // The spec's one check: every column prepares, or nothing runs.
+    let preps = engine::try_prepare(spec)?;
+    let prepare_ms = run_start.elapsed().as_millis() as u64;
     let trials = spec.expand();
     let (mut journal, replay) = match &cfg.checkpoint {
         Some(path) => {
@@ -370,12 +370,8 @@ pub fn run_service(
     let mut progress = cfg.progress.map(|p| ProgressState::new(p, run_start));
     let mut retries_seen = 0u64;
     let mut stats = WorkerStats::new(cfg.workers.clamp(1, expected.max(1)));
-    let mut prepare_ms = 0u64;
 
     if expected > 0 {
-        let prep_start = Instant::now();
-        let preps = engine::prepare(spec);
-        prepare_ms = prep_start.elapsed().as_millis() as u64;
         let scope_cfg = ScopeConfig::of(tel).with_trace_capacity(spec.trace_capacity);
         let workers = cfg.workers.clamp(1, expected);
         let deques = underradar_campaign::steal::Deques::split(remaining.len(), workers, 0);

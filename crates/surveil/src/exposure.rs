@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 
 use underradar_telemetry::json::escape;
-use underradar_telemetry::{Registry, Telemetry};
+use underradar_telemetry::{MetricName, Registry, Telemetry};
 
 /// Registry key prefix for exported exposure entries.
 pub const EXPOSURE_PREFIX: &str = "exposure.";
@@ -96,6 +96,17 @@ impl HostExposure {
             + byte_term
     }
 
+    /// Count one attributable event at `t_ns`.
+    pub fn record(&mut self, kind: ExposureEventKind, t_ns: u64) {
+        match kind {
+            ExposureEventKind::Alert => self.alerts += 1,
+            ExposureEventKind::Injection => self.injections += 1,
+            ExposureEventKind::Drop => self.drops += 1,
+        }
+        self.first_ns = Some(self.first_ns.map_or(t_ns, |f| f.min(t_ns)));
+        self.last_ns = Some(self.last_ns.map_or(t_ns, |l| l.max(t_ns)));
+    }
+
     /// Fold `other` into `self` (commutative, associative).
     pub fn merge(&mut self, other: &HostExposure) {
         self.alerts += other.alerts;
@@ -140,14 +151,15 @@ impl ExposureLedger {
 
     /// Record one attributable event against `host` in `cell` at `t_ns`.
     pub fn record(&mut self, cell: &str, host: &str, kind: ExposureEventKind, t_ns: u64) {
-        let e = self.entry(cell, host);
-        match kind {
-            ExposureEventKind::Alert => e.alerts += 1,
-            ExposureEventKind::Injection => e.injections += 1,
-            ExposureEventKind::Drop => e.drops += 1,
+        self.entry(cell, host).record(kind, t_ns);
+    }
+
+    /// Fold a host's exposure, already aggregated, into `cell` (no-op
+    /// when it holds nothing, so empty entries are never created).
+    pub fn add_host(&mut self, cell: &str, host: &str, exposure: &HostExposure) {
+        if !exposure.is_empty() {
+            self.entry(cell, host).merge(exposure);
         }
-        e.first_ns = Some(e.first_ns.map_or(t_ns, |f| f.min(t_ns)));
-        e.last_ns = Some(e.last_ns.map_or(t_ns, |l| l.max(t_ns)));
     }
 
     /// Count `n` distinct sensitive flows for `host` in `cell` (no-op at 0,
@@ -192,8 +204,14 @@ impl ExposureLedger {
         if !tel.is_enabled() {
             return;
         }
+        let mut name = MetricName::default();
         for ((cell, host), e) in &self.hosts {
-            let base = format!("{EXPOSURE_PREFIX}{cell}.{}", host.replace('.', "_"));
+            name.stem(|s| {
+                s.push_str(EXPOSURE_PREFIX);
+                s.push_str(cell);
+                s.push('.');
+                s.extend(host.chars().map(|c| if c == '.' { '_' } else { c }));
+            });
             let counters = [
                 ("alerts", e.alerts),
                 ("injections", e.injections),
@@ -203,13 +221,14 @@ impl ExposureLedger {
             ];
             for (metric, v) in counters {
                 if v > 0 {
-                    tel.counter(&format!("{base}.{metric}")).add(v);
+                    tel.count(name.leaf(metric), v);
                 }
             }
             if let (Some(first), Some(last)) = (e.first_ns, e.last_ns) {
-                tel.observe(&format!("{base}.t_ns"), first);
+                let t_ns = name.leaf("t_ns");
+                tel.observe(t_ns, first);
                 if last != first {
-                    tel.observe(&format!("{base}.t_ns"), last);
+                    tel.observe(t_ns, last);
                 }
             }
         }
@@ -496,6 +515,35 @@ mod tests {
         ledger.export(&tel);
         let back = ExposureLedger::from_registry(&tel.snapshot());
         assert_eq!(back, ledger);
+    }
+
+    #[test]
+    fn hosts_aggregated_first_equal_per_event_records() {
+        // `sample()`'s "scan/control" events, folded per host first and
+        // added once each; a host with nothing adds no entry.
+        let mut client = HostExposure::default();
+        client.record(ExposureEventKind::Alert, 1500);
+        client.record(ExposureEventKind::Alert, 500);
+        client.sensitive_flows += 3;
+        client.retained_bytes += 6400;
+        let cover = HostExposure {
+            retained_bytes: 1280,
+            ..HostExposure::default()
+        };
+        let mut aggregated = ExposureLedger::new();
+        aggregated.add_host("scan/control", "10.0.1.2", &client);
+        aggregated.add_host("scan/control", "10.0.200.1", &cover);
+        aggregated.add_host("scan/control", "10.0.7.7", &HostExposure::default());
+        let per_event: Vec<_> = sample()
+            .iter()
+            .filter(|((cell, _), _)| cell == "scan/control")
+            .map(|(k, e)| (k.clone(), e.clone()))
+            .collect();
+        let aggregated: Vec<_> = aggregated
+            .iter()
+            .map(|(k, e)| (k.clone(), e.clone()))
+            .collect();
+        assert_eq!(aggregated, per_event);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //!
 //! The measurement techniques of §3 aim to be discarded at step 2.
 
+use std::fmt::Write as _;
+
 use underradar_netsim::flow::FlowTuple;
 use underradar_netsim::hash::FxHashSet;
 use underradar_netsim::packet::Packet;
@@ -218,15 +220,18 @@ impl Mvr {
         if !tel.is_enabled() {
             return;
         }
+        let mut name = underradar_telemetry::MetricName::default();
         for (class, v) in self.volumes() {
             if v.packets == 0 {
                 continue;
             }
-            let p = format!("surveil.mvr.{class}");
-            tel.set_counter(&format!("{p}.packets"), v.packets);
-            tel.set_counter(&format!("{p}.bytes"), v.bytes);
-            tel.set_counter(&format!("{p}.retained_packets"), v.retained_packets);
-            tel.set_counter(&format!("{p}.retained_bytes"), v.retained_bytes);
+            name.stem(|s| {
+                let _ = write!(s, "surveil.mvr.{class}");
+            });
+            tel.set_counter(name.leaf("packets"), v.packets);
+            tel.set_counter(name.leaf("bytes"), v.bytes);
+            tel.set_counter(name.leaf("retained_packets"), v.retained_packets);
+            tel.set_counter(name.leaf("retained_bytes"), v.retained_bytes);
         }
         tel.set_counter("surveil.mvr.total_bytes", self.total_bytes());
         tel.set_counter("surveil.mvr.retained_bytes", self.retained_bytes());

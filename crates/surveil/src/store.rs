@@ -158,14 +158,16 @@ impl StoreSet {
                 self.alerts.window(),
             ),
         ];
+        let mut name = underradar_telemetry::MetricName::default();
         for (tier, live, inserted, bytes, window) in tiers {
-            tel.set_counter(&format!("surveil.store.{tier}.inserted"), inserted);
-            tel.set_counter(&format!("surveil.store.{tier}.bytes"), bytes);
-            tel.set_gauge(&format!("surveil.store.{tier}.live"), live as i64);
-            tel.set_gauge(
-                &format!("surveil.store.{tier}.window_ns"),
-                window.as_nanos() as i64,
-            );
+            name.stem(|s| {
+                s.push_str("surveil.store.");
+                s.push_str(tier);
+            });
+            tel.set_counter(name.leaf("inserted"), inserted);
+            tel.set_counter(name.leaf("bytes"), bytes);
+            tel.set_gauge(name.leaf("live"), live as i64);
+            tel.set_gauge(name.leaf("window_ns"), window.as_nanos() as i64);
         }
     }
 

@@ -59,13 +59,130 @@ use registry::with_slot;
 /// Environment variable that turns telemetry on for [`Telemetry::from_env`].
 pub const TELEMETRY_ENV: &str = "UNDERRADAR_TELEMETRY";
 
+/// A live registry. Every value is kept plain in `values`, which the
+/// hand-off moves out whole. A name gets a shared cell only when a handle
+/// is resolved for it; from then on its handles and by-name writes go
+/// through that cell, and its entry in `values` is refreshed from the
+/// cell when the registry is read.
 struct Inner {
-    counters: BTreeMap<String, Rc<Cell<u64>>>,
-    gauges: BTreeMap<String, Rc<Cell<i64>>>,
-    histograms: BTreeMap<String, Rc<RefCell<Histogram>>>,
-    spans: Vec<SpanRecord>,
-    events: Vec<Event>,
+    values: Registry,
+    counter_cells: BTreeMap<String, Rc<Cell<u64>>>,
+    gauge_cells: BTreeMap<String, Rc<Cell<i64>>>,
+    histogram_cells: BTreeMap<String, Rc<RefCell<Histogram>>>,
     trace: Option<Rc<RefCell<TraceBuf>>>,
+}
+
+impl Inner {
+    /// An owned copy of everything recorded (see [`Telemetry::snapshot`]).
+    fn snapshot(&self) -> Registry {
+        let mut reg = self.values.clone();
+        refresh(&mut reg.counters, &self.counter_cells);
+        refresh(&mut reg.gauges, &self.gauge_cells);
+        for (name, cell) in &self.histogram_cells {
+            if let Some(h) = reg.histograms.get_mut(name) {
+                h.clone_from(&cell.borrow());
+            }
+        }
+        if let Some(buf) = &self.trace {
+            let buf = buf.borrow();
+            mirror_trace_dropped(&mut reg.counters, buf.dropped());
+            reg.trace = buf.records().cloned().collect();
+        }
+        reg
+    }
+
+    /// [`Inner::snapshot`] by move: names, values, spans and events leave
+    /// the scope without a copy, as do histograms and trace records no
+    /// handle still shares.
+    fn into_registry(self) -> Registry {
+        let mut reg = self.values;
+        refresh(&mut reg.counters, &self.counter_cells);
+        refresh(&mut reg.gauges, &self.gauge_cells);
+        for (name, cell) in self.histogram_cells {
+            if let Some(h) = reg.histograms.get_mut(&name) {
+                *h = Rc::try_unwrap(cell).map_or_else(|c| c.borrow().clone(), RefCell::into_inner);
+            }
+        }
+        match self.trace.map(Rc::try_unwrap) {
+            Some(Ok(buf)) => {
+                let buf = buf.into_inner();
+                mirror_trace_dropped(&mut reg.counters, buf.dropped());
+                reg.trace = buf.into_records();
+            }
+            Some(Err(shared)) => {
+                let buf = shared.borrow();
+                mirror_trace_dropped(&mut reg.counters, buf.dropped());
+                reg.trace = buf.records().cloned().collect();
+            }
+            None => {}
+        }
+        reg
+    }
+}
+
+/// Apply `f` to the value named `name`: through its cell when a handle
+/// was resolved for it, else in place (the first write allocates the
+/// name, later ones nothing).
+fn with_value<T: Copy + Default, R>(
+    values: &mut BTreeMap<String, T>,
+    cells: &BTreeMap<String, Rc<Cell<T>>>,
+    name: &str,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    match cells.get(name) {
+        Some(cell) => {
+            let mut v = cell.get();
+            let r = f(&mut v);
+            cell.set(v);
+            r
+        }
+        None => with_slot(values, name, f),
+    }
+}
+
+/// [`with_value`] for histograms.
+fn with_histogram<R>(
+    values: &mut BTreeMap<String, Histogram>,
+    cells: &BTreeMap<String, Rc<RefCell<Histogram>>>,
+    name: &str,
+    f: impl FnOnce(&mut Histogram) -> R,
+) -> R {
+    match cells.get(name) {
+        Some(cell) => f(&mut cell.borrow_mut()),
+        None => with_slot(values, name, f),
+    }
+}
+
+/// The cell behind `name`, made on first use from its plain value, whose
+/// entry stays so the name is read back even if never written.
+fn share<T: Copy + Default>(
+    values: &mut BTreeMap<String, T>,
+    cells: &mut BTreeMap<String, Rc<Cell<T>>>,
+    name: &str,
+) -> Rc<Cell<T>> {
+    if let Some(cell) = cells.get(name) {
+        return Rc::clone(cell);
+    }
+    let cell = Rc::new(Cell::new(with_slot(values, name, |v| *v)));
+    cells.insert(name.to_string(), Rc::clone(&cell));
+    cell
+}
+
+/// Copy each cell's value over its name's plain entry.
+fn refresh<T: Copy>(values: &mut BTreeMap<String, T>, cells: &BTreeMap<String, Rc<Cell<T>>>) {
+    for (name, cell) in cells {
+        if let Some(v) = values.get_mut(name) {
+            *v = cell.get();
+        }
+    }
+}
+
+/// Mirror the flight recorder's eviction count into the
+/// `telemetry.trace.dropped` counter.
+fn mirror_trace_dropped(counters: &mut BTreeMap<String, u64>, dropped: u64) {
+    with_slot(counters, "telemetry.trace.dropped", |c| {
+        *c = c.wrapping_add(dropped)
+    });
 }
 
 /// A cheaply-cloneable recording handle. Either live (shared registry) or
@@ -93,11 +210,10 @@ impl Telemetry {
     pub fn enabled() -> Self {
         Telemetry {
             inner: Some(Rc::new(RefCell::new(Inner {
-                counters: BTreeMap::new(),
-                gauges: BTreeMap::new(),
-                histograms: BTreeMap::new(),
-                spans: Vec::new(),
-                events: Vec::new(),
+                values: Registry::new(),
+                counter_cells: BTreeMap::new(),
+                gauge_cells: BTreeMap::new(),
+                histogram_cells: BTreeMap::new(),
                 trace: None,
             }))),
         }
@@ -162,69 +278,93 @@ impl Telemetry {
     }
 
     /// Resolve (creating on first use) a counter handle. Handles for the
-    /// same name share one cell; resolution is a map lookup, so hot paths
-    /// should resolve once and reuse the handle.
+    /// same name share one cell with each other and with by-name writes;
+    /// resolution is a map lookup, so hot paths should resolve once and
+    /// reuse the handle. A resolved name appears in snapshots even if
+    /// nothing is ever written to it.
     pub fn counter(&self, name: &str) -> Counter {
-        Counter(
-            self.inner
-                .as_ref()
-                .map(|inner| cell(&mut inner.borrow_mut().counters, name)),
-        )
+        Counter(self.inner.as_ref().map(|inner| {
+            let inner = &mut *inner.borrow_mut();
+            share(&mut inner.values.counters, &mut inner.counter_cells, name)
+        }))
     }
 
     /// Resolve (creating on first use) a gauge handle.
     pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(
-            self.inner
-                .as_ref()
-                .map(|inner| cell(&mut inner.borrow_mut().gauges, name)),
-        )
+        Gauge(self.inner.as_ref().map(|inner| {
+            let inner = &mut *inner.borrow_mut();
+            share(&mut inner.values.gauges, &mut inner.gauge_cells, name)
+        }))
     }
 
     /// Resolve (creating on first use) a histogram handle.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
-        HistogramHandle(
-            self.inner
-                .as_ref()
-                .map(|inner| cell(&mut inner.borrow_mut().histograms, name)),
-        )
+        HistogramHandle(self.inner.as_ref().map(|inner| {
+            let inner = &mut *inner.borrow_mut();
+            if let Some(cell) = inner.histogram_cells.get(name) {
+                return Rc::clone(cell);
+            }
+            let h = with_slot(&mut inner.values.histograms, name, std::mem::take);
+            let cell = Rc::new(RefCell::new(h));
+            inner
+                .histogram_cells
+                .insert(name.to_string(), Rc::clone(&cell));
+            cell
+        }))
     }
 
-    /// Add `n` to counter `name` (resolves by name; use [`Counter`] handles
-    /// on hot paths).
+    /// Add `n` to counter `name`. By-name writes need no handle: the
+    /// first one allocates the name, later ones allocate nothing.
     pub fn count(&self, name: &str, n: u64) {
-        if self.inner.is_some() {
-            self.counter(name).add(n);
-        }
+        let Some(inner) = &self.inner else { return };
+        let inner = &mut *inner.borrow_mut();
+        with_value(
+            &mut inner.values.counters,
+            &inner.counter_cells,
+            name,
+            |c| *c = c.wrapping_add(n),
+        );
     }
 
     /// Set counter `name` to an absolute total (idempotent export-style
     /// mirroring of an existing stat struct).
     pub fn set_counter(&self, name: &str, total: u64) {
-        if self.inner.is_some() {
-            self.counter(name).set(total);
-        }
+        let Some(inner) = &self.inner else { return };
+        let inner = &mut *inner.borrow_mut();
+        with_value(
+            &mut inner.values.counters,
+            &inner.counter_cells,
+            name,
+            |c| *c = total,
+        );
     }
 
     /// Set gauge `name` to `value`.
     pub fn set_gauge(&self, name: &str, value: i64) {
-        if self.inner.is_some() {
-            self.gauge(name).set(value);
-        }
+        let Some(inner) = &self.inner else { return };
+        let inner = &mut *inner.borrow_mut();
+        with_value(&mut inner.values.gauges, &inner.gauge_cells, name, |g| {
+            *g = value
+        });
     }
 
     /// Observe `value` into histogram `name` (resolves by name).
     pub fn observe(&self, name: &str, value: u64) {
-        if self.inner.is_some() {
-            self.histogram(name).observe(value);
-        }
+        let Some(inner) = &self.inner else { return };
+        let inner = &mut *inner.borrow_mut();
+        with_histogram(
+            &mut inner.values.histograms,
+            &inner.histogram_cells,
+            name,
+            |h| h.observe(value),
+        );
     }
 
     /// Record a structured event at simulated time `t_ns`, retained in the
     /// registry.
     pub fn event(&self, t_ns: u64, kind: &'static str, fields: &[(&'static str, FieldValue)]) {
         let Some(inner) = &self.inner else { return };
-        inner.borrow_mut().events.push(Event {
+        inner.borrow_mut().values.events.push(Event {
             t_ns,
             kind,
             fields: fields.into(),
@@ -241,7 +381,7 @@ impl Telemetry {
             end_ns,
         };
         let duration = record.duration_ns();
-        inner.borrow_mut().spans.push(record);
+        inner.borrow_mut().values.spans.push(record);
         self.observe(&format!("span.{name}.ns"), duration);
     }
 
@@ -286,28 +426,27 @@ impl Telemetry {
     /// (trial grouping is the point) without the live ring bound.
     pub fn merge_registry(&self, other: &Registry) {
         let Some(inner) = &self.inner else { return };
-        let mut inner = inner.borrow_mut();
+        let inner = &mut *inner.borrow_mut();
+        let values = &mut inner.values;
         for (name, v) in &other.counters {
-            with_slot(&mut inner.counters, name, |c| {
-                c.set(c.get().wrapping_add(*v))
+            with_value(&mut values.counters, &inner.counter_cells, name, |c| {
+                *c = c.wrapping_add(*v)
             });
         }
         for (name, v) in &other.gauges {
-            with_slot(&mut inner.gauges, name, |g| g.set(*v));
+            with_value(&mut values.gauges, &inner.gauge_cells, name, |g| *g = *v);
         }
         for (name, h) in &other.histograms {
-            with_slot(&mut inner.histograms, name, |cell| {
-                cell.borrow_mut().merge(h)
-            });
+            with_histogram(
+                &mut values.histograms,
+                &inner.histogram_cells,
+                name,
+                |mine| mine.merge(h),
+            );
         }
-        inner.spans.extend(other.spans.iter().cloned());
-        inner
-            .spans
-            .sort_by(|a, b| (a.start_ns, &a.name).cmp(&(b.start_ns, &b.name)));
-        inner.events.extend(other.events.iter().cloned());
-        inner
-            .events
-            .sort_by(|a, b| (a.t_ns, &a.kind).cmp(&(b.t_ns, &b.kind)));
+        values.spans.extend(other.spans.iter().cloned());
+        values.events.extend(other.events.iter().cloned());
+        values.sort_records();
         if !other.trace.is_empty() {
             if let Some(buf) = &inner.trace {
                 buf.borrow_mut().extend_unbounded(&other.trace);
@@ -319,47 +458,24 @@ impl Telemetry {
     /// recorder is attached, the snapshot carries its records and mirrors
     /// the eviction count into the `telemetry.trace.dropped` counter.
     pub fn snapshot(&self) -> Registry {
-        let Some(inner) = &self.inner else {
-            return Registry::new();
-        };
-        let inner = inner.borrow();
-        let mut counters: BTreeMap<String, u64> = inner
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        let trace = match &inner.trace {
-            Some(buf) => {
-                let buf = buf.borrow();
-                with_slot(&mut counters, "telemetry.trace.dropped", |c| {
-                    *c = c.wrapping_add(buf.dropped())
-                });
-                buf.records().cloned().collect()
-            }
-            None => Vec::new(),
-        };
-        Registry {
-            counters,
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.borrow().clone()))
-                .collect(),
-            spans: inner.spans.clone(),
-            events: inner.events.clone(),
-            trace,
+        match &self.inner {
+            Some(inner) => inner.borrow().snapshot(),
+            None => Registry::new(),
         }
     }
-}
 
-/// The shared cell behind `name`, created on first use.
-fn cell<T: Default>(map: &mut BTreeMap<String, Rc<T>>, name: &str) -> Rc<T> {
-    with_slot(map, name, |slot| Rc::clone(slot))
+    /// Hand the registry off as a value equal to [`Telemetry::snapshot`].
+    /// When this is its last clone — the world that recorded into it has
+    /// been dropped — names and values move out instead of being copied;
+    /// otherwise this falls back to a snapshot. Counter and gauge handles
+    /// still alive keep their cells but no longer reach the registry.
+    pub fn into_registry(self) -> Registry {
+        match self.inner.map(Rc::try_unwrap) {
+            Some(Ok(inner)) => inner.into_inner().into_registry(),
+            Some(Err(shared)) => shared.borrow().snapshot(),
+            None => Registry::new(),
+        }
+    }
 }
 
 /// Pre-resolved counter handle; disabled handles cost one null check per op.
@@ -446,6 +562,52 @@ impl HistogramHandle {
         if let Some(cell) = &self.0 {
             cell.borrow_mut().observe(value);
         }
+    }
+}
+
+/// One reusable buffer for a family of metric names `<stem>.<leaf>`.
+/// Exporters that write many names under one stem build each name in
+/// place, so a name costs no allocation of its own:
+///
+/// ```
+/// use underradar_telemetry::{MetricName, Telemetry};
+///
+/// let tel = Telemetry::enabled();
+/// let mut name = MetricName::new("ids");
+/// tel.set_counter(name.leaf("packets"), 7);
+/// name.stem(|s| s.push_str("surveil.store.content"));
+/// tel.set_counter(name.leaf("bytes"), 40);
+/// let snap = tel.snapshot();
+/// assert_eq!(snap.counter("ids.packets"), 7);
+/// assert_eq!(snap.counter("surveil.store.content.bytes"), 40);
+/// ```
+#[derive(Debug, Default)]
+pub struct MetricName {
+    buf: String,
+    stem: usize,
+}
+
+impl MetricName {
+    /// A buffer whose stem is `stem`.
+    pub fn new(stem: &str) -> MetricName {
+        let mut name = MetricName::default();
+        name.stem(|s| s.push_str(stem));
+        name
+    }
+
+    /// Replace the stem with what `write` puts into the cleared buffer.
+    pub fn stem(&mut self, write: impl FnOnce(&mut String)) {
+        self.buf.clear();
+        write(&mut self.buf);
+        self.buf.push('.');
+        self.stem = self.buf.len();
+    }
+
+    /// The name `<stem>.<leaf>`.
+    pub fn leaf(&mut self, leaf: &str) -> &str {
+        self.buf.truncate(self.stem);
+        self.buf.push_str(leaf);
+        &self.buf
     }
 }
 

@@ -128,12 +128,31 @@ impl Registry {
             with_slot(&mut self.histograms, name, |mine| mine.merge(h));
         }
         self.spans.extend(other.spans.iter().cloned());
+        self.events.extend(other.events.iter().cloned());
+        self.sort_records();
+        self.trace.extend(other.trace.iter().cloned());
+    }
+
+    /// The accumulator rule for an owned delta: exactly
+    /// `self.merge(&delta)`, but an empty `self` takes the delta whole —
+    /// its maps by move, its spans and events sorted as the merge would
+    /// sort them — instead of cloning every name into fresh maps.
+    pub fn accumulate(&mut self, delta: Registry) {
+        if self.is_empty() {
+            *self = delta;
+            self.sort_records();
+        } else {
+            self.merge(&delta);
+        }
+    }
+
+    /// Stable-sort spans by (start time, name) and events by (time, kind),
+    /// the canonical order every merge leaves them in.
+    pub(crate) fn sort_records(&mut self) {
         self.spans
             .sort_by(|a, b| (a.start_ns, &a.name).cmp(&(b.start_ns, &b.name)));
-        self.events.extend(other.events.iter().cloned());
         self.events
             .sort_by(|a, b| (a.t_ns, &a.kind).cmp(&(b.t_ns, &b.kind)));
-        self.trace.extend(other.trace.iter().cloned());
     }
 
     /// Whether nothing has been recorded.

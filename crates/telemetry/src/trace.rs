@@ -228,6 +228,11 @@ impl TraceBuf {
         self.records.iter()
     }
 
+    /// The records held, oldest first, by move.
+    pub(crate) fn into_records(self) -> Vec<TraceRecord> {
+        self.records.into()
+    }
+
     /// Number of records currently held.
     pub fn len(&self) -> usize {
         self.records.len()
