@@ -29,10 +29,11 @@ pub struct MonitorSet {
 }
 
 impl MonitorSet {
-    /// Attach `tel` to the simulator so the scheduler's live counters
-    /// record into it as the world runs. When the handle carries a
-    /// flight-recorder trace, the tracer also goes to every monitor, so
-    /// one trace holds the full causal chain.
+    /// Attach `tel` to the simulator, which then samples its queue depth
+    /// for [`MonitorSet::export_telemetry`] to write with its per-kind
+    /// counts. The only handle anything keeps is the tracer: when `tel`
+    /// carries a flight-recorder trace, it goes to the simulator and to
+    /// every monitor, so one trace holds the full causal chain.
     pub fn set_telemetry(&self, sim: &mut Simulator, tel: Telemetry) {
         let tracer = tel.tracer();
         sim.set_telemetry(tel);

@@ -30,10 +30,11 @@
 //! Everything is seeded and single-threaded: the same seed reproduces the
 //! same packet trace, which the test suite exploits heavily.
 //!
-//! The scheduler can record live metrics (events by kind, link
-//! transmits/bytes/drops, queue depths) into an `underradar-telemetry`
-//! registry via [`Simulator::set_telemetry`]; the crate is re-exported as
-//! [`telemetry`] for downstream convenience.
+//! The scheduler counts its own activity (events by kind, link
+//! transmits/bytes/impairments, and queue depths once a handle is attached
+//! with [`Simulator::set_telemetry`]) and writes it by name into an
+//! `underradar-telemetry` registry via [`Simulator::export_telemetry`];
+//! the crate is re-exported as [`telemetry`] for downstream convenience.
 
 pub mod addr;
 pub mod capture;

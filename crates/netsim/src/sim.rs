@@ -33,59 +33,24 @@ use crate::node::{Emit, IfaceId, Node, NodeCtx, NodeId};
 use crate::packet::Packet;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use underradar_telemetry::{Counter, HistogramHandle, Telemetry, TraceRecord, Tracer};
+use underradar_telemetry::{Histogram, Telemetry, TraceRecord, Tracer};
 
 /// Default cap on processed events, a guard against runaway packet storms.
 pub const DEFAULT_EVENT_BUDGET: u64 = 50_000_000;
 
-/// Pre-resolved scheduler metric handles. All-disabled by default, so the
-/// hot loop pays one boolean check per event when telemetry is off.
-struct SimMetrics {
-    live: bool,
-    events_deliver: Counter,
-    events_timer: Counter,
-    events_transmit: Counter,
-    link_transmits: Counter,
-    link_tx_bytes: Counter,
-    link_drops: Counter,
-    link_reordered: Counter,
-    link_duplicates: Counter,
-    link_corrupted: Counter,
-    queue_depth: HistogramHandle,
-}
-
-impl SimMetrics {
-    fn disabled() -> Self {
-        SimMetrics {
-            live: false,
-            events_deliver: Counter::disabled(),
-            events_timer: Counter::disabled(),
-            events_transmit: Counter::disabled(),
-            link_transmits: Counter::disabled(),
-            link_tx_bytes: Counter::disabled(),
-            link_drops: Counter::disabled(),
-            link_reordered: Counter::disabled(),
-            link_duplicates: Counter::disabled(),
-            link_corrupted: Counter::disabled(),
-            queue_depth: HistogramHandle::disabled(),
-        }
-    }
-
-    fn resolve(tel: &Telemetry) -> Self {
-        SimMetrics {
-            live: tel.is_enabled(),
-            events_deliver: tel.counter("netsim.events.deliver"),
-            events_timer: tel.counter("netsim.events.timer"),
-            events_transmit: tel.counter("netsim.events.transmit"),
-            link_transmits: tel.counter("netsim.link.transmits"),
-            link_tx_bytes: tel.counter("netsim.link.tx_bytes"),
-            link_drops: tel.counter("netsim.link.drops"),
-            link_reordered: tel.counter("netsim.link.reordered"),
-            link_duplicates: tel.counter("netsim.link.duplicates"),
-            link_corrupted: tel.counter("netsim.link.corrupted"),
-            queue_depth: tel.histogram("netsim.queue.depth"),
-        }
-    }
+/// The scheduler's own counts, kept plain (one add per event, no branch)
+/// and written by name by [`Simulator::export_telemetry`].
+#[derive(Default)]
+struct SimStats {
+    events_deliver: u64,
+    events_timer: u64,
+    events_transmit: u64,
+    link_transmits: u64,
+    link_tx_bytes: u64,
+    link_drops: u64,
+    link_reordered: u64,
+    link_duplicates: u64,
+    link_corrupted: u64,
 }
 
 /// A link-stage flight-recorder record: an impairment draw that fired.
@@ -129,8 +94,11 @@ pub struct Simulator {
     events_processed: u64,
     next_timer: u64,
     emits: Vec<Emit>,
-    telemetry: Telemetry,
-    metrics: SimMetrics,
+    stats: SimStats,
+    /// The queue depth each event sees, sampled only while an enabled
+    /// telemetry handle is attached; boxed so a detached simulator does
+    /// not carry the histogram body.
+    queue_depth: Option<Box<Histogram>>,
     tracer: Tracer,
     /// Running transmit attempt counter (1-based); stamps link-stage
     /// flight-recorder records so they correlate with the pcap capture.
@@ -154,21 +122,22 @@ impl Simulator {
             events_processed: 0,
             next_timer: 0,
             emits: Vec::new(),
-            telemetry: Telemetry::disabled(),
-            metrics: SimMetrics::disabled(),
+            stats: SimStats::default(),
+            queue_depth: None,
             tracer: Tracer::disabled(),
             tx_seq: 0,
         }
     }
 
-    /// Attach a telemetry handle. The scheduler records live counters
-    /// (events by kind, link transmits/bytes/drops, queue depths) into it;
-    /// when the handle is disabled — the default — the hot loop pays one
-    /// boolean check per event.
+    /// Attach a telemetry handle. When it is enabled, the scheduler
+    /// samples the queue depth at every event from here on, and
+    /// [`Simulator::export_telemetry`] also writes the per-kind event and
+    /// link counts and that histogram. The handle's tracer, if any, records
+    /// the link impairments that fire. When the handle is disabled — the
+    /// default — the hot loop pays one branch per event.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.metrics = SimMetrics::resolve(&tel);
+        self.queue_depth = tel.is_enabled().then(Box::default);
         self.tracer = tel.tracer();
-        self.telemetry = tel;
     }
 
     /// The resolved flight-recorder handle (disabled unless the attached
@@ -177,16 +146,13 @@ impl Simulator {
         self.tracer.clone()
     }
 
-    /// The attached telemetry handle (disabled unless
-    /// [`Simulator::set_telemetry`] was called).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Export point-in-time scheduler state into `tel`: total events
-    /// processed, node/link counts, pending events, and the simulated
-    /// clock. Idempotent (uses absolute totals), so it can be called at
-    /// any point; live per-kind counters require [`Simulator::set_telemetry`].
+    /// Write the scheduler's state into `tel` by name: total events
+    /// processed, node/link counts, pending events and the simulated
+    /// clock; and, when an enabled handle was attached with
+    /// [`Simulator::set_telemetry`], events by kind, link transmits,
+    /// bytes and impairments (zeros included) and the queue-depth
+    /// histogram. Idempotent (absolute totals), so it can be called at
+    /// any point.
     pub fn export_telemetry(&self, tel: &Telemetry) {
         if !tel.is_enabled() {
             return;
@@ -196,6 +162,24 @@ impl Simulator {
         tel.set_gauge("netsim.links", self.links.len() as i64);
         tel.set_gauge("netsim.pending_events", self.queue.len() as i64);
         tel.set_gauge("netsim.now_ns", self.now.as_nanos() as i64);
+        let Some(depth) = &self.queue_depth else {
+            return;
+        };
+        let s = &self.stats;
+        for (name, total) in [
+            ("netsim.events.deliver", s.events_deliver),
+            ("netsim.events.timer", s.events_timer),
+            ("netsim.events.transmit", s.events_transmit),
+            ("netsim.link.transmits", s.link_transmits),
+            ("netsim.link.tx_bytes", s.link_tx_bytes),
+            ("netsim.link.drops", s.link_drops),
+            ("netsim.link.reordered", s.link_reordered),
+            ("netsim.link.duplicates", s.link_duplicates),
+            ("netsim.link.corrupted", s.link_corrupted),
+        ] {
+            tel.set_counter(name, total);
+        }
+        tel.set_histogram("netsim.queue.depth", depth);
     }
 
     /// Enable global packet capture (every packet accepted onto any link).
@@ -396,8 +380,8 @@ impl Simulator {
             });
         }
         self.now = self.now.max(event.time);
-        if self.metrics.live {
-            self.metrics.queue_depth.observe(self.queue.len() as u64);
+        if let Some(depth) = &mut self.queue_depth {
+            depth.observe(self.queue.len() as u64);
         }
         match event.kind {
             EventKind::Deliver {
@@ -405,11 +389,11 @@ impl Simulator {
                 iface,
                 packet,
             } => {
-                self.metrics.events_deliver.incr();
+                self.stats.events_deliver += 1;
                 self.with_node(node, |n, ctx| n.receive(ctx, iface, packet));
             }
             EventKind::Timer { node, token } => {
-                self.metrics.events_timer.incr();
+                self.stats.events_timer += 1;
                 self.with_node(node, |n, ctx| n.on_timer(ctx, token));
             }
             EventKind::Transmit {
@@ -417,7 +401,7 @@ impl Simulator {
                 iface,
                 packet,
             } => {
-                self.metrics.events_transmit.incr();
+                self.stats.events_transmit += 1;
                 self.transmit(node, iface, packet, self.now);
             }
         }
@@ -481,12 +465,10 @@ impl Simulator {
         self.tx_seq += 1;
         match link.transmit(node, iface, wire_len, when, &mut self.rng) {
             TxOutcome::Deliver(d) => {
-                if self.metrics.live {
-                    self.metrics.link_transmits.incr();
-                    self.metrics.link_tx_bytes.add(wire_len as u64);
-                    if d.reordered {
-                        self.metrics.link_reordered.incr();
-                    }
+                self.stats.link_transmits += 1;
+                self.stats.link_tx_bytes += wire_len as u64;
+                if d.reordered {
+                    self.stats.link_reordered += 1;
                 }
                 if self.tracer.is_live() && d.reordered {
                     self.tracer.record(link_record(
@@ -502,7 +484,7 @@ impl Simulator {
                     if !payload.is_empty() {
                         let idx = self.rng.index(payload.len());
                         payload[idx] ^= 0x55;
-                        self.metrics.link_corrupted.incr();
+                        self.stats.link_corrupted += 1;
                         if self.tracer.is_live() {
                             self.tracer.record(link_record(
                                 when,
@@ -534,10 +516,8 @@ impl Simulator {
                     },
                 );
                 if let Some((dup_at, copy)) = duplicate {
-                    self.metrics.link_duplicates.incr();
-                    if self.metrics.live {
-                        self.metrics.link_tx_bytes.add(wire_len as u64);
-                    }
+                    self.stats.link_duplicates += 1;
+                    self.stats.link_tx_bytes += wire_len as u64;
                     if self.tracer.is_live() {
                         self.tracer.record(link_record(
                             when,
@@ -570,7 +550,7 @@ impl Simulator {
                 }
             }
             TxOutcome::Lost => {
-                self.metrics.link_drops.incr();
+                self.stats.link_drops += 1;
                 if self.tracer.is_live() {
                     self.tracer
                         .record(link_record(when, self.tx_seq, "dropped", &packet, None));
@@ -918,6 +898,25 @@ mod tests {
             snap.histogram("netsim.queue.depth").map(|h| h.count()),
             Some(3)
         );
+        // Impairments that never fired are still exported, as zeros.
+        for name in [
+            "netsim.link.drops",
+            "netsim.link.reordered",
+            "netsim.link.duplicates",
+            "netsim.link.corrupted",
+        ] {
+            assert_eq!(snap.counters.get(name), Some(&0), "{name}");
+        }
+        // Every event is one of the three kinds.
+        assert_eq!(
+            snap.counter("netsim.events.deliver")
+                + snap.counter("netsim.events.timer")
+                + snap.counter("netsim.events.transmit"),
+            snap.counter("netsim.events_processed")
+        );
+        // The export writes absolute totals, so repeating it changes nothing.
+        sim.export_telemetry(&tel);
+        assert_eq!(tel.snapshot(), snap);
     }
 
     #[test]
@@ -940,6 +939,7 @@ mod tests {
         sim.send_from(a, IfaceId(0), p, SimTime::ZERO)
             .expect("send");
         sim.run_to_completion().expect("run");
+        sim.export_telemetry(&tel);
         assert_eq!(tel.snapshot().counter("netsim.link.drops"), 1);
     }
 
@@ -968,6 +968,7 @@ mod tests {
         assert_eq!(bnode.received.len(), 2, "original plus duplicate");
         assert_eq!(bnode.received[0].1, bnode.received[1].1);
         assert_eq!(sim.capture().expect("cap").len(), 2, "both copies captured");
+        sim.export_telemetry(&tel);
         assert_eq!(tel.snapshot().counter("netsim.link.duplicates"), 1);
     }
 
@@ -997,6 +998,7 @@ mod tests {
         let got = bnode.received[0].1.body.payload();
         let diffs = sent.iter().zip(got.iter()).filter(|(s, g)| s != g).count();
         assert_eq!(diffs, 1, "exactly one byte flipped");
+        sim.export_telemetry(&tel);
         assert_eq!(tel.snapshot().counter("netsim.link.corrupted"), 1);
     }
 

@@ -278,7 +278,7 @@ impl ProgressState {
             tel.set_gauge("runner.progress.done", done as i64);
             tel.set_gauge("runner.progress.total", total as i64);
             tel.set_gauge("runner.progress.journal_lag", journal_lag as i64);
-            tel.counter("runner.progress.snapshots").incr();
+            tel.count("runner.progress.snapshots", 1);
             tel.observe("runner.progress.rows_per_sec", rows_per_sec);
             tel.observe("runner.progress.eta_ms", eta_ms);
         }

@@ -186,8 +186,8 @@ pub fn is_spam(msg: &EmailMessage) -> bool {
 
 /// Mirror a batch of scored messages into `tel` under `spam.*`: message
 /// and over-threshold counts (counters) plus a histogram of rounded
-/// scores. Counters are idempotent; the histogram appends, so call once
-/// per batch.
+/// scores, all absolute totals of this batch, so re-exporting it is
+/// harmless. An empty batch still writes every name.
 pub fn export_score_telemetry(tel: &underradar_telemetry::Telemetry, scores: &[f64]) {
     if !tel.is_enabled() {
         return;
@@ -197,10 +197,11 @@ pub fn export_score_telemetry(tel: &underradar_telemetry::Telemetry, scores: &[f
         "spam.flagged",
         scores.iter().filter(|&&s| s >= SPAM_THRESHOLD).count() as u64,
     );
-    let hist = tel.histogram("spam.score");
+    let mut hist = underradar_telemetry::Histogram::new();
     for &s in scores {
         hist.observe(s.round().max(0.0) as u64);
     }
+    tel.set_histogram("spam.score", &hist);
 }
 
 #[cfg(test)]
@@ -288,5 +289,14 @@ mod tests {
         let calm = EmailMessage::new("a@b.c", "d@e.f", "quarterly report", "see attached");
         let shouting = EmailMessage::new("a@b.c", "d@e.f", "QUARTERLY REPORT", "see attached");
         assert!(spam_score(&shouting) > spam_score(&calm));
+    }
+
+    #[test]
+    fn empty_batch_still_exports_its_score_histogram() {
+        let tel = underradar_telemetry::Telemetry::enabled();
+        export_score_telemetry(&tel, &[]);
+        let snap = tel.snapshot();
+        assert_eq!(snap.histogram("spam.score").map(|h| h.count()), Some(0));
+        assert_eq!(snap.counters.get("spam.messages"), Some(&0));
     }
 }

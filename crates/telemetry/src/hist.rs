@@ -68,7 +68,7 @@ impl Histogram {
 
     /// Fold another histogram into this one (element-wise bucket addition;
     /// associative and commutative, so shard merge order does not matter).
-    /// Counts wrap on overflow, as [`crate::Counter::add`] does, so a merge
+    /// Counts wrap on overflow, as [`crate::Telemetry::count`] does, so a merge
     /// never panics.
     pub fn merge(&mut self, other: &Histogram) {
         self.count = self.count.wrapping_add(other.count);

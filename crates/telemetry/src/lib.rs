@@ -5,9 +5,13 @@
 //! records into a shared, deterministic metric registry instead of ad-hoc
 //! stat structs. Three design rules:
 //!
-//! 1. **Zero overhead when disabled.** A [`Telemetry`] handle is either
-//!    live or a null handle; pre-resolved [`Counter`]/[`Gauge`]/
-//!    [`HistogramHandle`]s cost one null check per operation when disabled.
+//! 1. **One way to record a metric, free when disabled.** A component
+//!    keeps its own stats as plain fields and writes them by name
+//!    ([`Telemetry::set_counter`], [`Telemetry::set_gauge`],
+//!    [`Telemetry::set_histogram`], or the additive [`Telemetry::count`]
+//!    and [`Telemetry::observe`]). A [`Telemetry`] handle is either live or
+//!    a null handle, and on a null handle every write is one null check.
+//!    The only handle a hot path holds is the flight recorder's [`Tracer`].
 //!    The perf bench asserts the bound.
 //! 2. **Deterministic output.** Metrics are integers, histogram buckets
 //!    have fixed boundaries, snapshots serialize in sorted key order, and
@@ -21,8 +25,7 @@
 //! use underradar_telemetry::Telemetry;
 //!
 //! let tel = Telemetry::enabled();
-//! let pkts = tel.counter("netsim.events");
-//! pkts.add(3);
+//! tel.set_counter("netsim.events", 3);
 //! tel.observe("ids.segment_bytes", 1460);
 //! tel.record_span("experiment.demo", 0, 2_000_000_000);
 //! let snap = tel.snapshot();
@@ -30,7 +33,7 @@
 //! assert!(snap.to_json().starts_with("{\"counters\""));
 //!
 //! let off = Telemetry::disabled();
-//! off.counter("netsim.events").add(1); // a null check, nothing else
+//! off.count("netsim.events", 1); // a null check, nothing else
 //! assert!(off.snapshot().is_empty());
 //! ```
 #![warn(missing_docs)]
@@ -50,7 +53,7 @@ pub use trace::{
     TraceBuf, TraceFlow, TraceRecord, Tracer, DEFAULT_TRACE_CAPACITY, TRACE_CAPACITY_ENV, TRACE_ENV,
 };
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -59,16 +62,11 @@ use registry::with_slot;
 /// Environment variable that turns telemetry on for [`Telemetry::from_env`].
 pub const TELEMETRY_ENV: &str = "UNDERRADAR_TELEMETRY";
 
-/// A live registry. Every value is kept plain in `values`, which the
-/// hand-off moves out whole. A name gets a shared cell only when a handle
-/// is resolved for it; from then on its handles and by-name writes go
-/// through that cell, and its entry in `values` is refreshed from the
-/// cell when the registry is read.
+/// A live registry: every value is kept plain in `values`, which the
+/// hand-off moves out whole, next to the flight recorder's ring, which
+/// the handle's tracers share.
 struct Inner {
     values: Registry,
-    counter_cells: BTreeMap<String, Rc<Cell<u64>>>,
-    gauge_cells: BTreeMap<String, Rc<Cell<i64>>>,
-    histogram_cells: BTreeMap<String, Rc<RefCell<Histogram>>>,
     trace: Option<Rc<RefCell<TraceBuf>>>,
 }
 
@@ -76,13 +74,6 @@ impl Inner {
     /// An owned copy of everything recorded (see [`Telemetry::snapshot`]).
     fn snapshot(&self) -> Registry {
         let mut reg = self.values.clone();
-        refresh(&mut reg.counters, &self.counter_cells);
-        refresh(&mut reg.gauges, &self.gauge_cells);
-        for (name, cell) in &self.histogram_cells {
-            if let Some(h) = reg.histograms.get_mut(name) {
-                h.clone_from(&cell.borrow());
-            }
-        }
         if let Some(buf) = &self.trace {
             let buf = buf.borrow();
             mirror_trace_dropped(&mut reg.counters, buf.dropped());
@@ -92,17 +83,10 @@ impl Inner {
     }
 
     /// [`Inner::snapshot`] by move: names, values, spans and events leave
-    /// the scope without a copy, as do histograms and trace records no
-    /// handle still shares.
+    /// the scope without a copy, as do trace records no tracer still
+    /// shares.
     fn into_registry(self) -> Registry {
         let mut reg = self.values;
-        refresh(&mut reg.counters, &self.counter_cells);
-        refresh(&mut reg.gauges, &self.gauge_cells);
-        for (name, cell) in self.histogram_cells {
-            if let Some(h) = reg.histograms.get_mut(&name) {
-                *h = Rc::try_unwrap(cell).map_or_else(|c| c.borrow().clone(), RefCell::into_inner);
-            }
-        }
         match self.trace.map(Rc::try_unwrap) {
             Some(Ok(buf)) => {
                 let buf = buf.into_inner();
@@ -117,63 +101,6 @@ impl Inner {
             None => {}
         }
         reg
-    }
-}
-
-/// Apply `f` to the value named `name`: through its cell when a handle
-/// was resolved for it, else in place (the first write allocates the
-/// name, later ones nothing).
-fn with_value<T: Copy + Default, R>(
-    values: &mut BTreeMap<String, T>,
-    cells: &BTreeMap<String, Rc<Cell<T>>>,
-    name: &str,
-    f: impl FnOnce(&mut T) -> R,
-) -> R {
-    match cells.get(name) {
-        Some(cell) => {
-            let mut v = cell.get();
-            let r = f(&mut v);
-            cell.set(v);
-            r
-        }
-        None => with_slot(values, name, f),
-    }
-}
-
-/// [`with_value`] for histograms.
-fn with_histogram<R>(
-    values: &mut BTreeMap<String, Histogram>,
-    cells: &BTreeMap<String, Rc<RefCell<Histogram>>>,
-    name: &str,
-    f: impl FnOnce(&mut Histogram) -> R,
-) -> R {
-    match cells.get(name) {
-        Some(cell) => f(&mut cell.borrow_mut()),
-        None => with_slot(values, name, f),
-    }
-}
-
-/// The cell behind `name`, made on first use from its plain value, whose
-/// entry stays so the name is read back even if never written.
-fn share<T: Copy + Default>(
-    values: &mut BTreeMap<String, T>,
-    cells: &mut BTreeMap<String, Rc<Cell<T>>>,
-    name: &str,
-) -> Rc<Cell<T>> {
-    if let Some(cell) = cells.get(name) {
-        return Rc::clone(cell);
-    }
-    let cell = Rc::new(Cell::new(with_slot(values, name, |v| *v)));
-    cells.insert(name.to_string(), Rc::clone(&cell));
-    cell
-}
-
-/// Copy each cell's value over its name's plain entry.
-fn refresh<T: Copy>(values: &mut BTreeMap<String, T>, cells: &BTreeMap<String, Rc<Cell<T>>>) {
-    for (name, cell) in cells {
-        if let Some(v) = values.get_mut(name) {
-            *v = cell.get();
-        }
     }
 }
 
@@ -211,9 +138,6 @@ impl Telemetry {
         Telemetry {
             inner: Some(Rc::new(RefCell::new(Inner {
                 values: Registry::new(),
-                counter_cells: BTreeMap::new(),
-                gauge_cells: BTreeMap::new(),
-                histogram_cells: BTreeMap::new(),
                 trace: None,
             }))),
         }
@@ -277,87 +201,39 @@ impl Telemetry {
         )
     }
 
-    /// Resolve (creating on first use) a counter handle. Handles for the
-    /// same name share one cell with each other and with by-name writes;
-    /// resolution is a map lookup, so hot paths should resolve once and
-    /// reuse the handle. A resolved name appears in snapshots even if
-    /// nothing is ever written to it.
-    pub fn counter(&self, name: &str) -> Counter {
-        Counter(self.inner.as_ref().map(|inner| {
-            let inner = &mut *inner.borrow_mut();
-            share(&mut inner.values.counters, &mut inner.counter_cells, name)
-        }))
-    }
-
-    /// Resolve (creating on first use) a gauge handle.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(self.inner.as_ref().map(|inner| {
-            let inner = &mut *inner.borrow_mut();
-            share(&mut inner.values.gauges, &mut inner.gauge_cells, name)
-        }))
-    }
-
-    /// Resolve (creating on first use) a histogram handle.
-    pub fn histogram(&self, name: &str) -> HistogramHandle {
-        HistogramHandle(self.inner.as_ref().map(|inner| {
-            let inner = &mut *inner.borrow_mut();
-            if let Some(cell) = inner.histogram_cells.get(name) {
-                return Rc::clone(cell);
-            }
-            let h = with_slot(&mut inner.values.histograms, name, std::mem::take);
-            let cell = Rc::new(RefCell::new(h));
-            inner
-                .histogram_cells
-                .insert(name.to_string(), Rc::clone(&cell));
-            cell
-        }))
-    }
-
-    /// Add `n` to counter `name`. By-name writes need no handle: the
-    /// first one allocates the name, later ones allocate nothing.
+    /// Add `n` to counter `name`. The first write to a name allocates
+    /// it; later ones allocate nothing.
     pub fn count(&self, name: &str, n: u64) {
-        let Some(inner) = &self.inner else { return };
-        let inner = &mut *inner.borrow_mut();
-        with_value(
-            &mut inner.values.counters,
-            &inner.counter_cells,
-            name,
-            |c| *c = c.wrapping_add(n),
-        );
+        self.with_values(|v| with_slot(&mut v.counters, name, |c| *c = c.wrapping_add(n)));
     }
 
     /// Set counter `name` to an absolute total (idempotent export-style
-    /// mirroring of an existing stat struct).
+    /// mirroring of a component's own stats).
     pub fn set_counter(&self, name: &str, total: u64) {
-        let Some(inner) = &self.inner else { return };
-        let inner = &mut *inner.borrow_mut();
-        with_value(
-            &mut inner.values.counters,
-            &inner.counter_cells,
-            name,
-            |c| *c = total,
-        );
+        self.with_values(|v| with_slot(&mut v.counters, name, |c| *c = total));
     }
 
     /// Set gauge `name` to `value`.
     pub fn set_gauge(&self, name: &str, value: i64) {
-        let Some(inner) = &self.inner else { return };
-        let inner = &mut *inner.borrow_mut();
-        with_value(&mut inner.values.gauges, &inner.gauge_cells, name, |g| {
-            *g = value
-        });
+        self.with_values(|v| with_slot(&mut v.gauges, name, |g| *g = value));
     }
 
-    /// Observe `value` into histogram `name` (resolves by name).
+    /// Observe `value` into histogram `name`.
     pub fn observe(&self, name: &str, value: u64) {
-        let Some(inner) = &self.inner else { return };
-        let inner = &mut *inner.borrow_mut();
-        with_histogram(
-            &mut inner.values.histograms,
-            &inner.histogram_cells,
-            name,
-            |h| h.observe(value),
-        );
+        self.with_values(|v| with_slot(&mut v.histograms, name, |h| h.observe(value)));
+    }
+
+    /// Set histogram `name` to `hist` (absolute and idempotent, like
+    /// [`Telemetry::set_counter`]); an empty `hist` still writes the name.
+    pub fn set_histogram(&self, name: &str, hist: &Histogram) {
+        self.with_values(|v| with_slot(&mut v.histograms, name, |h| h.clone_from(hist)));
+    }
+
+    /// Apply `f` to the value registry, when this handle records.
+    fn with_values(&self, f: impl FnOnce(&mut Registry)) {
+        if let Some(inner) = &self.inner {
+            f(&mut inner.borrow_mut().values);
+        }
     }
 
     /// Record a structured event at simulated time `t_ns`, retained in the
@@ -383,16 +259,6 @@ impl Telemetry {
         let duration = record.duration_ns();
         inner.borrow_mut().values.spans.push(record);
         self.observe(&format!("span.{name}.ns"), duration);
-    }
-
-    /// Open a scoped span starting at simulated time `start_ns`; finish it
-    /// with [`Span::end`].
-    pub fn span(&self, name: &str, start_ns: u64) -> Span {
-        Span {
-            tel: self.clone(),
-            name: name.to_string(),
-            start_ns,
-        }
     }
 
     /// A fresh sub-registry, enabled iff this handle is enabled. Scopes
@@ -427,26 +293,7 @@ impl Telemetry {
     pub fn merge_registry(&self, other: &Registry) {
         let Some(inner) = &self.inner else { return };
         let inner = &mut *inner.borrow_mut();
-        let values = &mut inner.values;
-        for (name, v) in &other.counters {
-            with_value(&mut values.counters, &inner.counter_cells, name, |c| {
-                *c = c.wrapping_add(*v)
-            });
-        }
-        for (name, v) in &other.gauges {
-            with_value(&mut values.gauges, &inner.gauge_cells, name, |g| *g = *v);
-        }
-        for (name, h) in &other.histograms {
-            with_histogram(
-                &mut values.histograms,
-                &inner.histogram_cells,
-                name,
-                |mine| mine.merge(h),
-            );
-        }
-        values.spans.extend(other.spans.iter().cloned());
-        values.events.extend(other.events.iter().cloned());
-        values.sort_records();
+        inner.values.merge_metrics(other);
         if !other.trace.is_empty() {
             if let Some(buf) = &inner.trace {
                 buf.borrow_mut().extend_unbounded(&other.trace);
@@ -467,100 +314,12 @@ impl Telemetry {
     /// Hand the registry off as a value equal to [`Telemetry::snapshot`].
     /// When this is its last clone — the world that recorded into it has
     /// been dropped — names and values move out instead of being copied;
-    /// otherwise this falls back to a snapshot. Counter and gauge handles
-    /// still alive keep their cells but no longer reach the registry.
+    /// otherwise this falls back to a snapshot.
     pub fn into_registry(self) -> Registry {
         match self.inner.map(Rc::try_unwrap) {
             Some(Ok(inner)) => inner.into_inner().into_registry(),
             Some(Err(shared)) => shared.borrow().snapshot(),
             None => Registry::new(),
-        }
-    }
-}
-
-/// Pre-resolved counter handle; disabled handles cost one null check per op.
-#[derive(Clone, Default)]
-pub struct Counter(Option<Rc<Cell<u64>>>);
-
-impl Counter {
-    /// A handle that records nothing.
-    pub fn disabled() -> Self {
-        Counter(None)
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if let Some(cell) = &self.0 {
-            cell.set(cell.get().wrapping_add(n));
-        }
-    }
-
-    /// Add 1.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Overwrite with an absolute total (export-style mirroring).
-    #[inline]
-    pub fn set(&self, total: u64) {
-        if let Some(cell) = &self.0 {
-            cell.set(total);
-        }
-    }
-
-    /// Current value (0 when disabled).
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map(|c| c.get()).unwrap_or(0)
-    }
-
-    /// Whether this handle records.
-    #[inline]
-    pub fn is_live(&self) -> bool {
-        self.0.is_some()
-    }
-}
-
-/// Pre-resolved gauge handle.
-#[derive(Clone, Default)]
-pub struct Gauge(Option<Rc<Cell<i64>>>);
-
-impl Gauge {
-    /// A handle that records nothing.
-    pub fn disabled() -> Self {
-        Gauge(None)
-    }
-
-    /// Set the gauge.
-    #[inline]
-    pub fn set(&self, value: i64) {
-        if let Some(cell) = &self.0 {
-            cell.set(value);
-        }
-    }
-
-    /// Current value (0 when disabled).
-    pub fn get(&self) -> i64 {
-        self.0.as_ref().map(|c| c.get()).unwrap_or(0)
-    }
-}
-
-/// Pre-resolved histogram handle.
-#[derive(Clone, Default)]
-pub struct HistogramHandle(Option<Rc<RefCell<Histogram>>>);
-
-impl HistogramHandle {
-    /// A handle that records nothing.
-    pub fn disabled() -> Self {
-        HistogramHandle(None)
-    }
-
-    /// Record one observation.
-    #[inline]
-    pub fn observe(&self, value: u64) {
-        if let Some(cell) = &self.0 {
-            cell.borrow_mut().observe(value);
         }
     }
 }
@@ -611,21 +370,6 @@ impl MetricName {
     }
 }
 
-/// An open span; call [`Span::end`] with the simulated end time to record.
-#[derive(Debug)]
-pub struct Span {
-    tel: Telemetry,
-    name: String,
-    start_ns: u64,
-}
-
-impl Span {
-    /// Close the span at simulated time `end_ns`.
-    pub fn end(self, end_ns: u64) {
-        self.tel.record_span(&self.name, self.start_ns, end_ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,23 +378,13 @@ mod tests {
     fn disabled_records_nothing() {
         let tel = Telemetry::disabled();
         assert!(!tel.is_enabled());
-        tel.counter("c").incr();
+        tel.count("c", 1);
         tel.set_gauge("g", 7);
+        tel.set_histogram("h2", &Histogram::new());
         tel.observe("h", 3);
         tel.event(1, "e", &[("k", 1u64.into())]);
         tel.record_span("s", 0, 10);
         assert!(tel.snapshot().is_empty());
-    }
-
-    #[test]
-    fn handles_share_cells_by_name() {
-        let tel = Telemetry::enabled();
-        let a = tel.counter("x");
-        let b = tel.counter("x");
-        a.add(2);
-        b.add(3);
-        assert_eq!(a.get(), 5);
-        assert_eq!(tel.snapshot().counter("x"), 5);
     }
 
     #[test]
@@ -664,8 +398,7 @@ mod tests {
     #[test]
     fn span_records_and_feeds_histogram() {
         let tel = Telemetry::enabled();
-        let span = tel.span("phase", 100);
-        span.end(350);
+        tel.record_span("phase", 100, 350);
         let snap = tel.snapshot();
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.spans[0].duration_ns(), 250);
@@ -754,5 +487,20 @@ mod tests {
         tel.set_counter("total", 10);
         tel.set_counter("total", 10);
         assert_eq!(tel.snapshot().counter("total"), 10);
+    }
+
+    #[test]
+    fn set_histogram_is_absolute_and_writes_empty_histograms() {
+        let tel = Telemetry::enabled();
+        tel.set_histogram("empty", &Histogram::new());
+        let mut h = Histogram::new();
+        h.observe(3);
+        h.observe(9);
+        tel.observe("h", 100);
+        tel.set_histogram("h", &h);
+        tel.set_histogram("h", &h);
+        let snap = tel.snapshot();
+        assert_eq!(snap.histogram("empty").map(Histogram::count), Some(0));
+        assert_eq!(snap.histogram("h"), Some(&h));
     }
 }

@@ -118,6 +118,13 @@ impl Registry {
 
     /// Fold `other` into `self` (see type docs for per-kind semantics).
     pub fn merge(&mut self, other: &Registry) {
+        self.merge_metrics(other);
+        self.trace.extend(other.trace.iter().cloned());
+    }
+
+    /// [`Registry::merge`] without the trace records, which a live handle
+    /// keeps in its flight recorder's ring instead.
+    pub(crate) fn merge_metrics(&mut self, other: &Registry) {
         for (name, v) in &other.counters {
             with_slot(&mut self.counters, name, |c| *c = c.wrapping_add(*v));
         }
@@ -130,7 +137,6 @@ impl Registry {
         self.spans.extend(other.spans.iter().cloned());
         self.events.extend(other.events.iter().cloned());
         self.sort_records();
-        self.trace.extend(other.trace.iter().cloned());
     }
 
     /// The accumulator rule for an owned delta: exactly

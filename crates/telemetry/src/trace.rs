@@ -4,7 +4,7 @@
 //! Counters say *how many* alerts fired; the trace says *why this trial*
 //! flipped. Every stage appends typed [`TraceRecord`]s through a cheap
 //! [`Tracer`] handle (one null check when tracing is off, the same
-//! discipline as [`crate::Counter`]):
+//! discipline as a disabled [`crate::Telemetry`]):
 //!
 //! * `netsim` link impairment draws that fired (drop / reorder / corrupt /
 //!   duplicate), carrying the transmit sequence id that correlates with
@@ -245,7 +245,7 @@ impl TraceBuf {
 }
 
 /// Pre-resolved recording handle; a disabled tracer costs one null check
-/// per decision site (same discipline as [`crate::Counter`]).
+/// per decision site (same discipline as a disabled [`crate::Telemetry`]).
 #[derive(Clone, Default)]
 pub struct Tracer(pub(crate) Option<Rc<RefCell<TraceBuf>>>);
 

@@ -281,7 +281,7 @@ fn merges_wrap_instead_of_panicking() {
     assert_eq!(
         r.counter("c"),
         u64::MAX - 1,
-        "counters wrap as Counter::add does"
+        "counters wrap as Telemetry::count does"
     );
     let mut merger = StreamMerger::new();
     merger.absorb(0, &copy);

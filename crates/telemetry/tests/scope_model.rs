@@ -1,10 +1,9 @@
 //! A scope against a plain model: random operation sequences over a pool
 //! of names that share prefixes, run through a live [`Telemetry`] scope
 //! and through `BTreeMap`s written out by hand. Whatever a scope stores
-//! internally — plain values, cells shared with handles — its snapshot
-//! and its by-move hand-off must equal the model, and the accumulator
-//! rule must equal [`Registry::merge`]. Inputs come from the in-tree
-//! seeded generator ([`underradar_netsim::testprop`]).
+//! internally, its snapshot and its by-move hand-off must equal the
+//! model, and the accumulator rule must equal [`Registry::merge`]. Inputs
+//! come from the in-tree seeded generator ([`underradar_netsim::testprop`]).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -12,8 +11,7 @@ use std::sync::Arc;
 use underradar_netsim::testprop::{cases, Gen};
 use underradar_telemetry::codec::encode_registry;
 use underradar_telemetry::{
-    Counter, Event, FieldValue, Gauge, Histogram, HistogramHandle, Registry, SpanRecord, Telemetry,
-    TraceRecord,
+    Event, FieldValue, Histogram, Registry, SpanRecord, Telemetry, TraceRecord,
 };
 
 /// Names that share prefixes, so a map keyed by name must keep them apart.
@@ -22,12 +20,6 @@ const KINDS: [&str; 3] = ["censor.tap.action", "k", "a"];
 /// The flight recorder's ring capacity when tracing is on: small, so
 /// evictions happen.
 const TRACE_CAPACITY: usize = 3;
-
-enum Handle {
-    Counter(Counter, &'static str),
-    Gauge(Gauge, &'static str),
-    Histogram(HistogramHandle, &'static str),
-}
 
 /// What the scope should hold, kept in plain maps.
 #[derive(Default)]
@@ -81,71 +73,39 @@ fn small(g: &mut Gen) -> u64 {
 }
 
 /// Run one random operation against both the scope and the model.
-fn step(g: &mut Gen, tel: &Telemetry, handles: &mut Vec<Handle>, model: &mut Model) {
+fn step(g: &mut Gen, tel: &Telemetry, model: &mut Model) {
     let name = *g.choose(&NAMES);
-    match g.usize_in(0, 9) {
-        0 => {
-            let handle = match g.usize_in(0, 2) {
-                0 => {
-                    model.counter(name);
-                    Handle::Counter(tel.counter(name), name)
-                }
-                1 => {
-                    model.gauge(name);
-                    Handle::Gauge(tel.gauge(name), name)
-                }
-                _ => {
-                    model.histogram(name);
-                    Handle::Histogram(tel.histogram(name), name)
-                }
-            };
-            handles.push(handle);
-        }
-        1 | 2 if !handles.is_empty() => {
-            let i = g.usize_in(0, handles.len() - 1);
-            let v = small(g);
-            match &handles[i] {
-                Handle::Counter(c, name) if g.bool() => {
-                    c.add(v);
-                    let total = model.counter(name);
-                    *total = total.wrapping_add(v);
-                }
-                Handle::Counter(c, name) => {
-                    c.set(v);
-                    *model.counter(name) = v;
-                }
-                Handle::Gauge(gauge, name) => {
-                    gauge.set(v as i64);
-                    *model.gauge(name) = v as i64;
-                }
-                Handle::Histogram(h, name) => {
-                    h.observe(v);
-                    model.histogram(name).observe(v);
-                }
+    match g.usize_in(0, 8) {
+        0 | 1 => {
+            let mut h = Histogram::new();
+            for _ in 0..g.usize_in(0, 3) {
+                h.observe(small(g));
             }
+            tel.set_histogram(name, &h);
+            *model.histogram(name) = h;
         }
-        3 => {
+        2 => {
             let n = small(g);
             tel.count(name, n);
             let total = model.counter(name);
             *total = total.wrapping_add(n);
         }
-        4 => {
+        3 => {
             let v = small(g);
             tel.set_counter(name, v);
             *model.counter(name) = v;
         }
-        5 => {
+        4 => {
             let v = small(g) as i64;
             tel.set_gauge(name, v);
             *model.gauge(name) = v;
         }
-        6 => {
+        5 => {
             let v = small(g);
             tel.observe(name, v);
             model.histogram(name).observe(v);
         }
-        7 => {
+        6 => {
             let start = u64::from(g.u16());
             let end = u64::from(g.u16());
             tel.record_span(name, start, end);
@@ -159,7 +119,7 @@ fn step(g: &mut Gen, tel: &Telemetry, handles: &mut Vec<Handle>, model: &mut Mod
                 .observe(span.duration_ns());
             model.spans.push(span);
         }
-        8 => {
+        7 => {
             let t_ns = u64::from(g.u8());
             let kind = *g.choose(&KINDS);
             let fields = [("n", FieldValue::U64(small(g)))];
@@ -239,10 +199,9 @@ fn snapshot_and_hand_off_equal_a_plain_model() {
         } else {
             Telemetry::enabled()
         };
-        let mut handles = Vec::new();
         let mut model = Model::default();
         for _ in 0..g.usize_in(0, 60) {
-            step(g, &tel, &mut handles, &mut model);
+            step(g, &tel, &mut model);
         }
 
         let expected = model.registry(tracing);

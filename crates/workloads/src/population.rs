@@ -83,7 +83,8 @@ impl PopulationTraffic {
     /// Mirror a generated stream into `tel` under
     /// `workloads.population.*`: packet/byte totals, a wire-size
     /// histogram, and a span over the generation window. Idempotent for
-    /// the counters; call once per stream (the span appends).
+    /// the counters and the histogram; call once per stream (the span
+    /// appends).
     pub fn export_telemetry(stream: &[TimedPacket], tel: &underradar_telemetry::Telemetry) {
         if !tel.is_enabled() {
             return;
@@ -91,10 +92,11 @@ impl PopulationTraffic {
         let bytes: u64 = stream.iter().map(|t| t.packet.wire_len() as u64).sum();
         tel.set_counter("workloads.population.packets", stream.len() as u64);
         tel.set_counter("workloads.population.bytes", bytes);
-        let hist = tel.histogram("workloads.population.pkt_bytes");
+        let mut hist = underradar_telemetry::Histogram::new();
         for t in stream {
             hist.observe(t.packet.wire_len() as u64);
         }
+        tel.set_histogram("workloads.population.pkt_bytes", &hist);
         if let (Some(first), Some(last)) = (stream.first(), stream.last()) {
             tel.record_span(
                 "workloads.population",
@@ -481,5 +483,15 @@ mod tests {
             PopulationTraffic::domain_ip(1)
         );
         assert_eq!(PopulationTraffic::domain_name(7), "site7.example");
+    }
+
+    #[test]
+    fn empty_stream_still_exports_its_size_histogram() {
+        let tel = underradar_telemetry::Telemetry::enabled();
+        PopulationTraffic::export_telemetry(&[], &tel);
+        let snap = tel.snapshot();
+        let sizes = snap.histogram("workloads.population.pkt_bytes");
+        assert_eq!(sizes.map(|h| h.count()), Some(0));
+        assert!(snap.spans.is_empty(), "no window, no span");
     }
 }

@@ -90,6 +90,21 @@ if [ -z "$events" ] || [ "$events" != "$depth" ]; then
   echo "netsim.queue.depth count ($depth) != netsim.events_processed ($events)" >&2
   exit 1
 fi
+# Every event is a delivery, a timer or a transmit: the per-kind counts
+# (exported even when zero) must sum to the events run.
+kinds=0
+for kind in deliver timer transmit; do
+  n=$(grep -o "\"netsim.events.$kind\":[0-9]*" "$tmpdir/campaign_1.json" | cut -d: -f2 || true)
+  if [ -z "$n" ]; then
+    echo "netsim.events.$kind missing from campaign --json" >&2
+    exit 1
+  fi
+  kinds=$((kinds + n))
+done
+if [ "$kinds" != "$events" ]; then
+  echo "netsim.events.{deliver,timer,transmit} sum to $kinds, not netsim.events_processed ($events)" >&2
+  exit 1
+fi
 
 echo "==> restored --json smoke (every trial restored from decoded journal deltas)"
 # The first run journals all 512 trials; the second restores every one of
