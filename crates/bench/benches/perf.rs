@@ -1545,7 +1545,7 @@ fn bench_scale() {
     );
 
     // -- (4) 100k concurrent flows: handshake cost per flow, and the
-    // arena + side-table budget the e14 experiment asserts end to end.
+    // arena + per-flow state budget the e14 experiment asserts end to end.
     const BIG: usize = 100_000;
     let mut engine = DetectionEngine::with_reassembly(
         ruleset(10),

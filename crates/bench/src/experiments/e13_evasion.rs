@@ -221,7 +221,7 @@ fn replay(isn: u32, schedule: &[Item], cfg: ReplayCfg) -> Divergence {
 /// schedule position of the segment that triggered the decision.
 fn replay_traced(isn: u32, schedule: &[Item], cfg: ReplayCfg, tracer: Tracer) -> Divergence {
     let traced = tracer.is_live();
-    let mut monitor = StreamReassembler::with_config(ReassemblyConfig {
+    let mut monitor: StreamReassembler = StreamReassembler::with_config(ReassemblyConfig {
         overlap: cfg.monitor_overlap,
         ..ReassemblyConfig::default()
     });

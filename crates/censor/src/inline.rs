@@ -11,7 +11,7 @@
 
 use std::any::Any;
 
-use underradar_ids::stream::{FlowId, ReassemblyConfig, StreamReassembler};
+use underradar_ids::stream::{ReassemblyConfig, StreamReassembler};
 use underradar_netsim::node::{IfaceId, Node, NodeCtx};
 use underradar_netsim::packet::Packet;
 use underradar_netsim::telemetry::{TraceRecord, Tracer};
@@ -32,23 +32,14 @@ pub struct InlineCensorStats {
     pub url_blocks: u64,
 }
 
-/// Per-flow "already blocked a URL" marker, dense by [`FlowId::index`].
-/// Valid only while the generation matches the presented handle — a
-/// recycled arena slot reads as unfired without any teardown bookkeeping,
-/// so the inline censor needs no removal log at all.
-#[derive(Debug, Clone, Copy, Default)]
-struct UrlFired {
-    gen: u32,
-    fired: bool,
-}
-
 /// A two-port inline censor. Wire interface 0 toward the clients and
 /// interface 1 toward the wider network.
 pub struct InlineCensor {
     name: String,
     policy: CensorPolicy,
+    /// The flows; a flow holds its (unit) consumer state once a URL on it
+    /// was blocked, until the reassembler forgets the flow.
     reassembler: StreamReassembler,
-    fired_urls: Vec<UrlFired>,
     actions: Vec<CensorAction>,
     stats: InlineCensorStats,
     tracer: Tracer,
@@ -71,17 +62,10 @@ impl InlineCensor {
             name: name.to_string(),
             policy,
             reassembler: StreamReassembler::with_config(cfg),
-            fired_urls: Vec::new(),
             actions: Vec::new(),
             stats: InlineCensorStats::default(),
             tracer: Tracer::disabled(),
         }
-    }
-
-    fn url_fired(&self, id: FlowId) -> bool {
-        self.fired_urls
-            .get(id.index())
-            .is_some_and(|f| f.fired && f.gen == id.generation())
     }
 
     /// Attach a flight-recorder trace. Records one decision per drop or
@@ -190,16 +174,11 @@ impl Node for InlineCensor {
         if let Some(seg) = packet.as_tcp() {
             if let Some(flow_ctx) = self.reassembler.process(&packet) {
                 let id = flow_ctx.id.filter(|_| flow_ctx.appended);
-                if let Some(id) = id.filter(|&id| !self.url_fired(id)) {
+                if let Some(id) = id.filter(|&id| self.reassembler.state(id).is_none()) {
                     let stream = self.reassembler.stream_of_id(id, flow_ctx.direction);
                     if let Some(frag) = self.policy.matching_url(stream) {
-                        if id.index() >= self.fired_urls.len() {
-                            self.fired_urls.resize(id.index() + 1, UrlFired::default());
-                        }
-                        self.fired_urls[id.index()] = UrlFired {
-                            gen: id.generation(),
-                            fired: true,
-                        };
+                        // Mark the flow: one block per flow.
+                        self.reassembler.state_mut(id);
                         self.stats.url_blocks += 1;
                         if self.tracer.is_live() {
                             self.tracer.record(TraceRecord {

@@ -212,18 +212,14 @@ impl CensorPolicy {
             .any(|(c, p)| *p == port && c.contains(dst))
     }
 
-    /// The first keyword present in `payload`, if any (case-insensitive).
-    pub fn matching_keyword(&self, payload: &[u8]) -> Option<&str> {
-        self.keywords.iter().find_map(|kw| {
-            crate::tap::contains_nocase(payload, kw.as_bytes()).then_some(kw.as_str())
-        })
-    }
-
-    /// The first blocked URL fragment present in `payload`, if any.
+    /// The first blocked URL fragment present in `payload`, if any
+    /// (case-insensitive).
     pub fn matching_url(&self, payload: &[u8]) -> Option<&str> {
-        self.url_blocked.iter().find_map(|frag| {
-            crate::tap::contains_nocase(payload, frag.as_bytes()).then_some(frag.as_str())
-        })
+        let contains_nocase =
+            |needle: &[u8]| underradar_ids::rule::find_sub(payload, needle, true, 0).is_some();
+        self.url_blocked
+            .iter()
+            .find_map(|frag| contains_nocase(frag.as_bytes()).then_some(frag.as_str()))
     }
 
     /// Render the policy as the equivalent Snort-dialect ruleset (what the
@@ -325,8 +321,6 @@ mod tests {
     #[test]
     fn keyword_and_url_matching() {
         let p = policy();
-        assert_eq!(p.matching_keyword(b"GET /FaLuN news"), Some("falun"));
-        assert_eq!(p.matching_keyword(b"GET /ok"), None);
         assert_eq!(
             p.matching_url(b"GET /banned-page HTTP/1.0"),
             Some("/banned-page")
@@ -355,6 +349,5 @@ mod tests {
         let p = CensorPolicy::new();
         assert!(!p.is_domain_blocked(&name("anything.example")));
         assert!(!p.is_ip_blocked(Ipv4Addr::new(1, 2, 3, 4)));
-        assert_eq!(p.matching_keyword(b"whatever"), None);
     }
 }

@@ -11,7 +11,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 use underradar_ids::dfa::{PrefilterDfa, DFA_START};
-use underradar_ids::stream::{Direction, FlowId, ReassemblyConfig, StreamReassembler};
+use underradar_ids::stream::{Direction, FlowState, ReassemblyConfig, StreamReassembler};
 use underradar_netsim::node::{IfaceId, Node, NodeCtx};
 use underradar_netsim::packet::Packet;
 use underradar_netsim::telemetry::{TraceRecord, Tracer};
@@ -19,11 +19,6 @@ use underradar_netsim::wire::tcp::TcpFlags;
 
 use crate::dns::DnsInjector;
 use crate::policy::{CensorAction, CensorActionKind, CensorPolicy};
-
-/// Case-insensitive substring test (shared with policy matching).
-pub fn contains_nocase(haystack: &[u8], needle: &[u8]) -> bool {
-    underradar_ids::rule::find_sub(haystack, needle, true, 0).is_some()
-}
 
 /// Counters for the tap censor.
 #[derive(Debug, Clone, Copy, Default)]
@@ -36,13 +31,11 @@ pub struct TapCensorStats {
     pub dns_injections: u64,
 }
 
-/// Dense per-flow censor state, indexed by the reassembler's
-/// [`FlowId::index`]. Meaningful only while `live` with a matching
-/// generation; a recycled arena slot is reset in place on first touch.
+/// Per-flow censor state, kept by the reassembler: created when a flow
+/// first appends bytes, reset when the reassembler forgets the flow —
+/// exactly the forgetting the paper's RST mimicry (§4.1) induces.
 #[derive(Debug)]
 struct TapFlowState {
-    gen: u32,
-    live: bool,
     /// Persistent matcher cursor per direction.
     c2s: u32,
     s2c: u32,
@@ -53,12 +46,18 @@ struct TapFlowState {
 impl Default for TapFlowState {
     fn default() -> TapFlowState {
         TapFlowState {
-            gen: 0,
-            live: false,
             c2s: DFA_START,
             s2c: DFA_START,
             fired: Vec::new(),
         }
+    }
+}
+
+impl FlowState for TapFlowState {
+    fn reset(&mut self) {
+        self.c2s = DFA_START;
+        self.s2c = DFA_START;
+        self.fired.clear();
     }
 }
 
@@ -90,12 +89,10 @@ pub struct TapCensor {
     /// The shared policy and keyword DFA, matched incrementally against
     /// each flow direction.
     compiled: Arc<CompiledPolicy>,
-    reassembler: StreamReassembler,
+    /// The flows and, as their consumer state, each flow's cursors and
+    /// strike list.
+    reassembler: StreamReassembler<TapFlowState>,
     injector: DnsInjector,
-    /// Per-flow cursors and strike lists, dense by [`FlowId::index`].
-    flow_states: Vec<TapFlowState>,
-    /// Slots currently live (telemetry / leak introspection).
-    live_states: usize,
     actions: Vec<CensorAction>,
     stats: TapCensorStats,
     tracer: Tracer,
@@ -121,40 +118,15 @@ impl TapCensor {
         compiled: Arc<CompiledPolicy>,
         cfg: ReassemblyConfig,
     ) -> TapCensor {
-        let injector = DnsInjector::new(&compiled.policy);
-        let mut reassembler = StreamReassembler::with_config(cfg);
-        reassembler.track_removals(true);
         TapCensor {
             name: name.to_string(),
+            injector: DnsInjector::new(&compiled.policy),
             compiled,
-            reassembler,
-            injector,
-            flow_states: Vec::new(),
-            live_states: 0,
+            reassembler: StreamReassembler::with_config(cfg),
             actions: Vec::new(),
             stats: TapCensorStats::default(),
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// The state slot for `id`, creating or recycling it in place.
-    fn ensure_state(&mut self, id: FlowId) -> &mut TapFlowState {
-        let idx = id.index();
-        if idx >= self.flow_states.len() {
-            self.flow_states.resize_with(idx + 1, TapFlowState::default);
-        }
-        let st = &mut self.flow_states[idx];
-        if !st.live || st.gen != id.generation() {
-            if !st.live {
-                self.live_states += 1;
-            }
-            st.gen = id.generation();
-            st.live = true;
-            st.c2s = DFA_START;
-            st.s2c = DFA_START;
-            st.fired.clear();
-        }
-        st
     }
 
     /// Attach a flight-recorder trace. The censor records one decision per
@@ -202,7 +174,7 @@ impl TapCensor {
             "censor.tap.live_flows",
             self.reassembler.flow_count() as i64,
         );
-        tel.set_gauge("censor.tap.cursors", self.live_states as i64);
+        tel.set_gauge("censor.tap.cursors", self.reassembler.state_count() as i64);
         tel.set_counter("censor.tap.flows.evicted", self.reassembler.stats().evicted);
         crate::policy::export_actions(tel, "censor.tap", "censor.tap.action", &self.actions);
     }
@@ -212,31 +184,20 @@ impl TapCensor {
         let Some(flow_ctx) = self.reassembler.process(pkt) else {
             return;
         };
-        // Drop matcher state in lockstep with reassembler teardowns — this
-        // is exactly the forgetting the paper's RST mimicry (§4.1) induces.
-        for (_key, id) in self.reassembler.take_removed() {
-            if let Some(st) = self.flow_states.get_mut(id.index()) {
-                if st.live && st.gen == id.generation() {
-                    st.live = false;
-                    st.fired.clear();
-                    self.live_states -= 1;
-                }
-            }
-        }
         if !flow_ctx.appended {
             return;
         }
-        let id = flow_ctx.id.expect("appended bytes imply a live flow");
-        self.ensure_state(id);
         // Feed only the newly reassembled tail to this direction's
         // persistent cursor: keywords straddling segment boundaries still
         // complete, without rescanning the buffered stream per segment.
         // The tail — not the raw segment — is what the hold-back queue
         // actually appended (it may splice in held out-of-order segments
         // or drop an overlap-trimmed prefix).
-        let view = self.reassembler.stream_of_id(id, flow_ctx.direction);
+        let (view, st) = flow_ctx
+            .id
+            .and_then(|id| self.reassembler.stream_and_state(id, flow_ctx.direction))
+            .expect("appended bytes imply a live flow");
         let tail = &view[view.len() - flow_ctx.new_bytes.min(view.len())..];
-        let st = &mut self.flow_states[id.index()];
         let cursor = match flow_ctx.direction {
             Direction::ToServer => &mut st.c2s,
             Direction::ToClient => &mut st.s2c,

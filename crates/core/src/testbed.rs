@@ -369,25 +369,12 @@ impl TestbedTemplate {
 
         // --- trunk through the inline censor ---
         // sw1 <-> inline(0); inline(1) <-> sw2.
-        let p1 = {
-            // Allocate a port on sw1 by wiring manually through the builder's
-            // trunk helper twice (switch-to-node wiring).
-            let sim = topo.sim_mut();
-            // ports already allocated on sw1: client + covers + resolver + 2 taps
-            let used = 1 + config.cover_hosts + 1 + 2;
-            let port = IfaceId(used);
-            sim.wire(sw1, port, inline_censor, IfaceId(0), LinkConfig::default())
-                .expect("sw1-inline");
-            port
-        };
-        let p2 = {
-            let sim = topo.sim_mut();
-            let used = config.targets.len() * 2 + 2; // webs + mxes + collector + mserver
-            let port = IfaceId(used);
-            sim.wire(sw2, port, inline_censor, IfaceId(1), LinkConfig::default())
-                .expect("sw2-inline");
-            port
-        };
+        let p1 = topo
+            .attach_iface(sw1, inline_censor, IfaceId(0), LinkConfig::default())
+            .expect("sw1-inline");
+        let p2 = topo
+            .attach_iface(sw2, inline_censor, IfaceId(1), LinkConfig::default())
+            .expect("sw2-inline");
         // Routes: world-bound prefixes leave sw1 via the inline censor; the
         // home prefix returns via sw2's inline port.
         topo.route(sw1, Cidr::new(Ipv4Addr::new(93, 184, 0, 0), 16), p1);

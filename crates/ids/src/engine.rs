@@ -34,13 +34,12 @@
 //! before a rule becomes a candidate, so candidate sets match what a
 //! case-exact multi-pattern scan would produce.
 //!
-//! Per-flow matcher and dedup state lives in a *dense side table* indexed
-//! by the reassembler's [`FlowId::index`]: no `(key, direction)` hash per
-//! packet — the flow context carries the handle and the engine
-//! dereferences. Slots store the generation they were initialized for, so
-//! recycled flow slots start clean by construction; the teardown log is
-//! still drained each packet to keep the live-state count exact, and
-//! engine memory stays bounded by the flow table's high-water mark. One
+//! Per-flow matcher and dedup state is the reassembler's consumer state
+//! ([`crate::stream::FlowState`]), reached through the flow context's
+//! [`crate::stream::FlowId`]: no `(key, direction)` hash per packet. The
+//! reassembler resets it whenever it forgets the flow (RST, close,
+//! removal, eviction), so a reused flow slot starts clean and engine
+//! memory stays bounded by the flow table's high-water mark. One
 //! consequence of teardown-before-evaluation: a stream rule can no longer
 //! fire on the RST segment itself — by then the buffer is gone, which is
 //! precisely the monitor blindness the paper's §4.1 mimicry relies on.
@@ -55,8 +54,7 @@
 //! [`DetectionEngine::process_batch`] is the ids-level batch entry point:
 //! it runs a same-instant packet run through the identical per-packet
 //! pipeline but appends alerts into one caller-owned buffer and hoists
-//! per-call bookkeeping (trace clock, teardown drain scheduling) out of
-//! the loop — byte-identical verdicts to per-packet
+//! per-call bookkeeping (the trace clock) out of the loop — byte-identical verdicts to per-packet
 //! [`DetectionEngine::process`].
 
 use std::net::Ipv4Addr;
@@ -71,7 +69,7 @@ use underradar_netsim::time::{SimDuration, SimTime};
 use crate::alert::{Alert, AlertLog};
 use crate::dfa::{PrefilterDfa, DFA_START};
 use crate::rule::{FlowOption, PortSpec, Proto, Rule, RuleAction, ThresholdKind};
-use crate::stream::{Direction, FlowContext, FlowId, ReassemblyConfig, StreamReassembler};
+use crate::stream::{Direction, FlowContext, FlowState, ReassemblyConfig, StreamReassembler};
 
 /// Engine statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -116,18 +114,12 @@ impl Default for StreamMatchState {
     }
 }
 
-/// Dense per-flow engine state, indexed by [`FlowId::index`]. A slot is
-/// meaningful only while `live` is set and `gen` matches the presented
-/// handle's generation; a recycled arena index carries a bumped
-/// generation and is reset in place on first touch, so stale matcher or
-/// dedup state can never leak into a new flow. The table's length is
-/// bounded by the reassembler flow table's high-water mark, and cleared
-/// slots keep their `Vec` capacities — steady-state churn allocates
-/// nothing.
+/// Per-flow engine state, kept by the reassembler: created when a flow
+/// first appends bytes or first alerts on a stream rule, reset (`Vec`
+/// capacities kept, so steady-state churn allocates nothing) when the
+/// reassembler forgets the flow.
 #[derive(Debug, Default)]
 struct FlowEngineState {
-    gen: u32,
-    live: bool,
     c2s: StreamMatchState,
     s2c: StreamMatchState,
     /// Stream-rule dedup: sids already alerted on this flow.
@@ -141,13 +133,20 @@ impl FlowEngineState {
             Direction::ToClient => &self.s2c,
         }
     }
+}
 
-    fn clear(&mut self) {
+impl FlowState for FlowEngineState {
+    fn reset(&mut self) {
         self.c2s.cursor = DFA_START;
         self.c2s.seen.clear();
         self.s2c.cursor = DFA_START;
         self.s2c.seen.clear();
         self.alerted.clear();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.c2s.seen.capacity() + self.s2c.seen.capacity() + self.alerted.capacity())
+            * std::mem::size_of::<u32>()
     }
 }
 
@@ -336,13 +335,10 @@ impl CompiledRuleset {
 /// A Snort-like detection engine over a fixed, shared [`CompiledRuleset`].
 pub struct DetectionEngine {
     ruleset: Arc<CompiledRuleset>,
-    reassembler: StreamReassembler,
+    /// The flows and, as their consumer state, each flow's matcher
+    /// cursors and alert dedup.
+    reassembler: StreamReassembler<FlowEngineState>,
     thresholds: FxHashMap<(u32, Ipv4Addr), ThresholdState>,
-    /// Dense per-flow matcher and dedup state, indexed by
-    /// [`FlowId::index`]; no per-packet key hash after flow setup.
-    flow_states: Vec<FlowEngineState>,
-    /// Slots in `flow_states` currently live (leak-test introspection).
-    live_states: usize,
     /// Reused per-packet candidate shortlist (no per-packet allocation).
     candidates: CandidateSet,
     log: AlertLog,
@@ -366,55 +362,15 @@ impl DetectionEngine {
     /// An engine over an already compiled, shared ruleset with explicit
     /// reassembly limits: builds only the per-engine matching state.
     pub fn from_compiled(ruleset: Arc<CompiledRuleset>, cfg: ReassemblyConfig) -> DetectionEngine {
-        let mut reassembler = StreamReassembler::with_config(cfg);
-        reassembler.track_removals(true);
         DetectionEngine {
             candidates: CandidateSet::with_universe(ruleset.rules.len()),
             ruleset,
-            reassembler,
+            reassembler: StreamReassembler::with_config(cfg),
             thresholds: FxHashMap::default(),
-            flow_states: Vec::new(),
-            live_states: 0,
             log: AlertLog::new(),
             stats: EngineStats::default(),
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// The live state slot for `id`, if one was created for exactly this
-    /// flow (index *and* generation match). Over the bare table so
-    /// callers can hold other field borrows.
-    fn state_in(states: &[FlowEngineState], id: FlowId) -> Option<&FlowEngineState> {
-        let st = states.get(id.index())?;
-        (st.live && st.gen == id.generation()).then_some(st)
-    }
-
-    /// The state slot for `id`, creating or recycling it in place. Takes
-    /// the fields rather than `&mut self` so callers can hold disjoint
-    /// borrows (e.g. a stream view from the reassembler).
-    fn ensure_state<'a>(
-        states: &'a mut Vec<FlowEngineState>,
-        live_states: &mut usize,
-        id: FlowId,
-    ) -> &'a mut FlowEngineState {
-        let idx = id.index();
-        if idx >= states.len() {
-            states.resize_with(idx + 1, FlowEngineState::default);
-        }
-        let st = &mut states[idx];
-        if !st.live || st.gen != id.generation() {
-            // A live slot under a different generation means the arena
-            // recycled the index before this packet's removal log was
-            // drained (evict-and-create in one insert): the old flow's
-            // liveness transfers to the new one, net zero.
-            if !st.live {
-                *live_states += 1;
-            }
-            st.gen = id.generation();
-            st.live = true;
-            st.clear();
-        }
-        st
     }
 
     /// Disable RST-teardown in the reassembler (ablation knob).
@@ -452,15 +408,14 @@ impl DetectionEngine {
     /// Number of per-flow matcher states currently live (introspection
     /// for leak tests; bounded by live flows).
     pub fn flow_state_count(&self) -> usize {
-        self.live_states
+        self.reassembler.state_count()
     }
 
     /// Total stream rules currently pending across live flow directions
     /// (introspection: bounded growth is the point of seen-retirement).
     pub fn pending_stream_rules(&self) -> usize {
-        self.flow_states
-            .iter()
-            .filter(|s| s.live)
+        self.reassembler
+            .states()
             .map(|s| s.c2s.seen.len() + s.s2c.seen.len())
             .sum()
     }
@@ -468,16 +423,7 @@ impl DetectionEngine {
     /// Approximate bytes held by per-flow engine state and the flow
     /// table (memory-budget introspection for population-scale runs).
     pub fn flow_memory_bytes(&self) -> usize {
-        let side = self.flow_states.capacity() * std::mem::size_of::<FlowEngineState>()
-            + self
-                .flow_states
-                .iter()
-                .map(|s| {
-                    (s.c2s.seen.capacity() + s.s2c.seen.capacity() + s.alerted.capacity())
-                        * std::mem::size_of::<u32>()
-                })
-                .sum::<usize>();
-        side + self.reassembler.table_bytes()
+        self.reassembler.state_bytes() + self.reassembler.table_bytes()
     }
 
     /// The compiled rules.
@@ -526,7 +472,10 @@ impl DetectionEngine {
             name.leaf("flows.live"),
             self.reassembler.flow_count() as i64,
         );
-        tel.set_gauge(name.leaf("flow_match_states"), self.live_states as i64);
+        tel.set_gauge(
+            name.leaf("flow_match_states"),
+            self.reassembler.state_count() as i64,
+        );
         tel.set_gauge(
             name.leaf("flows.capacity"),
             self.reassembler.flow_capacity().min(i64::MAX as usize) as i64,
@@ -568,24 +517,23 @@ impl DetectionEngine {
         let flow_ctx = self.reassembler.process(packet);
 
         // Feed newly appended stream bytes to the flow's persistent
-        // prefilter cursor, then drop state for flows this packet tore down
-        // (RST / completed close / eviction).
+        // prefilter cursor. State of flows this packet tore down (RST /
+        // completed close / eviction) is already reset.
         let payload = packet.body.payload();
         if let Some(ctx) = &flow_ctx {
             if ctx.appended {
-                let id = ctx.id.expect("appended bytes imply a live flow");
                 // Feed the newly reassembled tail, not the raw segment:
                 // with hold-back and overlap trimming the appended bytes
                 // can differ from this segment's payload in both content
                 // and length.
-                let view = self.reassembler.stream_of_id(id, ctx.direction);
+                let (view, st) = ctx
+                    .id
+                    .and_then(|id| self.reassembler.stream_and_state(id, ctx.direction))
+                    .expect("appended bytes imply a live flow");
                 let tail = &view[view.len() - ctx.new_bytes.min(view.len())..];
                 self.stats.ac_bytes_scanned += tail.len() as u64;
                 let base = view.len() - tail.len();
-                let st = Self::ensure_state(&mut self.flow_states, &mut self.live_states, id);
-                let FlowEngineState {
-                    c2s, s2c, alerted, ..
-                } = st;
+                let FlowEngineState { c2s, s2c, alerted } = st;
                 let StreamMatchState { cursor, seen } = match ctx.direction {
                     Direction::ToServer => c2s,
                     Direction::ToClient => s2c,
@@ -630,27 +578,8 @@ impl DetectionEngine {
                 });
             }
         }
-        for (_key, id) in self.reassembler.take_removed() {
-            if let Some(st) = self.flow_states.get_mut(id.index()) {
-                if st.live && st.gen == id.generation() {
-                    st.live = false;
-                    st.clear();
-                    self.live_states -= 1;
-                }
-            }
-        }
 
-        // The reassembled window for this segment's direction — borrowed,
-        // never cloned. A torn-down flow's handle is stale by now, so the
-        // arena's generation check yields the empty window, matching the
-        // removed-flow behavior of the old key lookup.
-        let stream: &[u8] = match &flow_ctx {
-            Some(ctx) => match ctx.id {
-                Some(id) => self.reassembler.stream_of_id(id, ctx.direction),
-                None => &[],
-            },
-            None => &[],
-        };
+        let stream = Self::stream(&self.reassembler, flow_ctx.as_ref());
 
         // Candidate shortlist: prefilter over this packet's payload, stream
         // rules whose fast pattern has appeared in the flow (incremental),
@@ -673,7 +602,7 @@ impl DetectionEngine {
                 cand.insert(m.rule);
             });
             if let Some(ctx) = &flow_ctx {
-                if let Some(st) = ctx.id.and_then(|id| Self::state_in(&self.flow_states, id)) {
+                if let Some(st) = ctx.id.and_then(|id| self.reassembler.state(id)) {
                     for &idx in &st.dir(ctx.direction).seen {
                         cand.insert(idx);
                     }
@@ -717,7 +646,7 @@ impl DetectionEngine {
             // stream scan per segment.
             if ruleset.is_stream[idx] {
                 if let Some(ctx) = &flow_ctx {
-                    if let Some(st) = ctx.id.and_then(|id| Self::state_in(&self.flow_states, id)) {
+                    if let Some(st) = ctx.id.and_then(|id| self.reassembler.state(id)) {
                         if st.alerted.contains(&rule.sid) {
                             continue;
                         }
@@ -725,30 +654,25 @@ impl DetectionEngine {
                 }
             }
             self.stats.evaluations += 1;
+            // Re-borrowed per candidate: a dedup write below needs the
+            // reassembler mutably.
+            let stream = Self::stream(&self.reassembler, flow_ctx.as_ref());
             if !Self::rule_matches(rule, packet, flow_ctx.as_ref(), stream) {
                 continue;
             }
             if ruleset.is_stream[idx] {
                 // Record dedup state only for flows that are still live:
                 // a rule firing on the teardown segment itself has no flow
-                // left to dedup against (the next flow on the 4-tuple gets
-                // a fresh generation regardless).
-                if let Some(ctx) = &flow_ctx {
-                    if !ctx.torn_down {
-                        if let Some(id) = ctx.id {
-                            let st = Self::ensure_state(
-                                &mut self.flow_states,
-                                &mut self.live_states,
-                                id,
-                            );
-                            st.alerted.push(rule.sid);
-                            // Retire the rule from both directions' pending
-                            // lists: it can never fire again on this flow.
-                            for s in [&mut st.c2s, &mut st.s2c] {
-                                if let Ok(pos) = s.seen.binary_search(&(idx as u32)) {
-                                    s.seen.remove(pos);
-                                }
-                            }
+                // left to dedup against (its handle is already stale, so
+                // `state_mut` creates nothing).
+                let id = flow_ctx.as_ref().and_then(|ctx| ctx.id);
+                if let Some(st) = id.and_then(|id| self.reassembler.state_mut(id)) {
+                    st.alerted.push(rule.sid);
+                    // Retire the rule from both directions' pending lists:
+                    // it can never fire again on this flow.
+                    for s in [&mut st.c2s, &mut st.s2c] {
+                        if let Ok(pos) = s.seen.binary_search(&(idx as u32)) {
+                            s.seen.remove(pos);
                         }
                     }
                 }
@@ -811,7 +735,7 @@ impl DetectionEngine {
                         let hay: &[u8] = if rule.flow.is_empty() {
                             payload
                         } else {
-                            stream
+                            Self::stream(&self.reassembler, flow_ctx.as_ref())
                         };
                         crate::rule::find_sub(hay, &c.pattern, c.nocase, 0)
                     })
@@ -831,6 +755,23 @@ impl DetectionEngine {
             }
             self.log.push(alert.clone());
             out.push(alert);
+        }
+    }
+
+    /// The reassembled window for this segment's direction — borrowed,
+    /// never cloned. A torn-down flow's handle is stale by now, so it
+    /// reads as the empty window.
+    fn stream<'a>(
+        reassembler: &'a StreamReassembler<FlowEngineState>,
+        ctx: Option<&FlowContext>,
+    ) -> &'a [u8] {
+        match ctx {
+            Some(FlowContext {
+                id: Some(id),
+                direction,
+                ..
+            }) => reassembler.stream_of_id(*id, *direction),
+            _ => &[],
         }
     }
 
@@ -1513,12 +1454,14 @@ pass tcp 10.0.9.9 any -> any any (msg:"trusted"; sid:502;)"#;
     #[test]
     fn recycled_flow_slot_starts_clean() {
         // Arena slot reuse: after teardown the same index is handed to the
-        // next flow under a new generation. The dense side table must not
-        // leak the old flow's dedup set into it — and flow_state_count must
-        // return to zero once the recycled flow also tears down.
+        // next flow under a new generation. The reassembler's per-flow
+        // state must not leak the old flow's dedup set into it — and
+        // flow_state_count must return to zero once the recycled flow
+        // also tears down.
         let mut e = engine(
             r#"alert tcp any any -> any 80 (msg:"kw"; flow:established,to_server; content:"falun"; sid:700;)"#,
         );
+        let mut warm_bytes = None;
         for round in 0..5u32 {
             let seq = 100 + round * 1000;
             let syn = Packet::tcp(C, S, 4000, 80, seq, 0, TcpFlags::syn(), vec![]);
@@ -1545,6 +1488,9 @@ pass tcp 10.0.9.9 any -> any any (msg:"trusted"; sid:502;)"#;
             );
             let _ = e.process(t(0), &rst);
             assert_eq!(e.flow_state_count(), 0, "round {round}: state released");
+            // The reset keeps capacity: later rounds reuse it, growing nothing.
+            let bytes = *warm_bytes.get_or_insert(e.flow_memory_bytes());
+            assert_eq!(e.flow_memory_bytes(), bytes, "round {round}: no growth");
         }
         assert_eq!(e.stats().alerts, 5);
     }

@@ -15,9 +15,16 @@
 //! lives in an arena-backed [`FlowTable`]: one hash lookup when a segment
 //! arrives, index dereferences for everything else, O(1) oldest-first
 //! eviction. Every [`FlowContext`] carries the flow's generational
-//! [`FlowId`] so consumers (the engine's per-flow matcher state, censor
-//! verdict caches) can keep their own state in dense side tables indexed
-//! by [`FlowId::index`] instead of re-hashing the key per packet.
+//! [`FlowId`], an index dereference for everything read per packet.
+//!
+//! The reassembler also owns its consumer's per-flow state (a
+//! [`FlowState`]: the engine's matcher cursors and alert dedup, the tap
+//! censor's cursors and strikes, the inline censor's URL-block mark). The
+//! state is created on the consumer's first write and reset in place,
+//! capacity kept, whenever the reassembler forgets the flow: on RST, on a
+//! completed close, on [`StreamReassembler::remove`] and on eviction. So
+//! the monitor forgets exactly what its reassembler forgets, and a reused
+//! slot starts clean.
 //!
 //! Out-of-order segments are *held back* (bounded by
 //! [`DirLimits::holdback`]) until the gap before them fills, overlapping
@@ -35,7 +42,7 @@ use std::net::Ipv4Addr;
 use underradar_netsim::flow::FlowTable;
 pub use underradar_netsim::flow::{FlowId, FlowKey};
 use underradar_netsim::packet::{Packet, TcpSegment};
-pub use underradar_netsim::stack::tcp::OverlapPolicy;
+pub use underradar_netsim::stack::tcp::{seq_le, seq_lt, OverlapPolicy};
 use underradar_netsim::telemetry::{TraceFlow, TraceRecord, Tracer};
 
 /// Default per-direction cap on buffered stream bytes; older bytes are
@@ -53,19 +60,6 @@ pub const MAX_OOO_BUFFER: usize = 4 * 1024;
 /// Default cap on tracked flows; least-recently-created flows are
 /// evicted. Override via [`ReassemblyConfig::max_flows`].
 pub const MAX_FLOWS: usize = 100_000;
-
-/// `a < b` in windowed 32-bit TCP sequence space (RFC 1982-style
-/// wrap-around comparison: correct for distances under 2^31).
-#[inline]
-pub fn seq_lt(a: u32, b: u32) -> bool {
-    (a.wrapping_sub(b) as i32) < 0
-}
-
-/// `a <= b` in windowed 32-bit TCP sequence space.
-#[inline]
-pub fn seq_le(a: u32, b: u32) -> bool {
-    (a.wrapping_sub(b) as i32) <= 0
-}
 
 /// Which way a segment is heading relative to the connection initiator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -335,8 +329,8 @@ pub struct FlowContext {
     /// The flow key.
     pub key: FlowKey,
     /// The flow's table handle. `None` for a RST against an untracked
-    /// flow. Stale once `torn_down` is set (the slot is already freed),
-    /// but still usable as a side-table index for the dying flow's state.
+    /// flow. Stale once `torn_down` is set: the slot is already freed and
+    /// the flow's consumer state reset, so reads through it find nothing.
     pub id: Option<FlowId>,
     /// Direction of this segment.
     pub direction: Direction,
@@ -400,22 +394,95 @@ impl ReassemblyStats {
     }
 }
 
-/// The stream reassembler.
+/// Per-flow state a consumer keeps in its [`StreamReassembler`]. It is
+/// created as `Default` on the consumer's first write and put back with
+/// [`FlowState::reset`] when the flow dies, so a reset must leave exactly
+/// the `Default` value (heap capacity aside).
+pub trait FlowState: Default {
+    /// Return to the `Default` value in place, keeping heap capacity so a
+    /// reused slot allocates nothing.
+    fn reset(&mut self);
+
+    /// Heap bytes this state holds (memory-budget accounting).
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+}
+
+/// No per-flow state: the reassembler alone.
+impl FlowState for () {
+    fn reset(&mut self) {}
+}
+
+#[derive(Debug, Default)]
+struct StateSlot<S> {
+    touched: bool,
+    state: S,
+}
+
+/// The consumer states, dense by [`FlowId::index`] and grown to a slot
+/// index on its first write, so never longer than the flow slab. Reset
+/// slots keep their heap capacity: steady-state churn allocates nothing.
 #[derive(Debug)]
-pub struct StreamReassembler {
+struct FlowStates<S> {
+    slots: Vec<StateSlot<S>>,
+    /// Slots holding a live flow's state.
+    touched: usize,
+}
+
+impl<S: FlowState> FlowStates<S> {
+    fn get(&self, index: usize) -> Option<&S> {
+        self.slots
+            .get(index)
+            .filter(|slot| slot.touched)
+            .map(|slot| &slot.state)
+    }
+
+    fn touch(&mut self, index: usize) -> &mut S {
+        if index >= self.slots.len() {
+            self.slots.resize_with(index + 1, StateSlot::default);
+        }
+        let slot = &mut self.slots[index];
+        if !slot.touched {
+            slot.touched = true;
+            self.touched += 1;
+        }
+        &mut slot.state
+    }
+
+    fn reset(&mut self, index: usize) {
+        if let Some(slot) = self.slots.get_mut(index) {
+            if slot.touched {
+                slot.touched = false;
+                slot.state.reset();
+                self.touched -= 1;
+            }
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<StateSlot<S>>()
+            + self
+                .slots
+                .iter()
+                .map(|slot| slot.state.heap_bytes())
+                .sum::<usize>()
+    }
+}
+
+/// The stream reassembler, keeping one consumer state `S` per flow.
+#[derive(Debug)]
+pub struct StreamReassembler<S = ()> {
     /// Arena-backed flow state: hash once at setup/teardown, index
     /// dereferences per segment, O(1) oldest-first eviction.
     flows: FlowTable<Flow>,
+    states: FlowStates<S>,
     limits: DirLimits,
     overlap: OverlapPolicy,
     /// Tear down flows on RST (the real-IDS default, and the paper's
     /// exploited behaviour). When `false`, RSTs are ignored — the ablation.
     pub rst_teardown: bool,
     stats: ReassemblyStats,
-    /// Teardown log for consumers carrying per-flow state (matcher cursors,
-    /// alert dedup). Only populated when `track_removals` is on.
-    removed: Vec<(FlowKey, FlowId)>,
-    track_removals: bool,
     /// Flight recorder for reassembly decisions (hold/drop/trim/dup/evict).
     /// Disabled by default: one branch per processed segment.
     tracer: Tracer,
@@ -425,28 +492,32 @@ pub struct StreamReassembler {
     now_ns: u64,
 }
 
-impl Default for StreamReassembler {
+impl<S: FlowState> Default for StreamReassembler<S> {
     fn default() -> Self {
-        Self::new()
+        Self::with_config(ReassemblyConfig::default())
     }
 }
 
 impl StreamReassembler {
-    /// A reassembler with RST teardown on and default limits.
+    /// A stateless reassembler with RST teardown on and default limits.
     pub fn new() -> StreamReassembler {
-        Self::with_config(ReassemblyConfig::default())
+        Self::default()
     }
+}
 
+impl<S: FlowState> StreamReassembler<S> {
     /// A reassembler with explicit capacity and buffering limits.
-    pub fn with_config(cfg: ReassemblyConfig) -> StreamReassembler {
+    pub fn with_config(cfg: ReassemblyConfig) -> StreamReassembler<S> {
         StreamReassembler {
             flows: FlowTable::new(cfg.max_flows),
+            states: FlowStates {
+                slots: Vec::new(),
+                touched: 0,
+            },
             limits: cfg.limits,
             overlap: cfg.overlap,
             rst_teardown: true,
             stats: ReassemblyStats::default(),
-            removed: Vec::new(),
-            track_removals: false,
             tracer: Tracer::disabled(),
             now_ns: 0,
         }
@@ -478,22 +549,6 @@ impl StreamReassembler {
         self.now_ns = t_ns;
     }
 
-    /// Record torn-down flows so a consumer can drop its own per-flow
-    /// state in lockstep. The consumer must call
-    /// [`StreamReassembler::take_removed`] regularly or the log grows.
-    pub fn track_removals(&mut self, on: bool) {
-        self.track_removals = on;
-        if !on {
-            self.removed.clear();
-        }
-    }
-
-    /// Drain the teardown log (flows removed since the last call, with
-    /// the handle each held while live).
-    pub fn take_removed(&mut self) -> Vec<(FlowKey, FlowId)> {
-        std::mem::take(&mut self.removed)
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> ReassemblyStats {
         self.stats
@@ -519,10 +574,69 @@ impl StreamReassembler {
     }
 
     /// Total slab slots (live + free): bounded by the live high-water
-    /// mark, never by total churn. Dense side tables indexed by
-    /// [`FlowId::index`] need at most this many entries.
+    /// mark, never by total churn. The consumer-state store never holds
+    /// more ([`StreamReassembler::state_slots`]).
     pub fn slab_size(&self) -> usize {
         self.flows.slab_size()
+    }
+
+    /// The consumer state of a live flow; `None` if the consumer never
+    /// wrote one, the handle is stale or the flow was torn down.
+    pub fn state(&self, id: FlowId) -> Option<&S> {
+        self.flows.get(id)?;
+        self.states.get(id.index())
+    }
+
+    /// The consumer state of a live flow, created as `S::default()` on
+    /// the first call; `None` only for a stale handle.
+    pub fn state_mut(&mut self, id: FlowId) -> Option<&mut S> {
+        self.flows.get(id)?;
+        Some(self.states.touch(id.index()))
+    }
+
+    /// A live flow direction's buffered stream window together with the
+    /// flow's consumer state (created as by
+    /// [`StreamReassembler::state_mut`]): what an incremental matcher
+    /// reads and advances per segment. `None` for a stale handle.
+    pub fn stream_and_state(
+        &mut self,
+        id: FlowId,
+        direction: Direction,
+    ) -> Option<(&[u8], &mut S)> {
+        let flow = self.flows.get(id)?;
+        let view = match direction {
+            Direction::ToServer => flow.c2s.view(),
+            Direction::ToClient => flow.s2c.view(),
+        };
+        Some((view, self.states.touch(id.index())))
+    }
+
+    /// Every live flow's consumer state (flows without one skipped), in
+    /// slot order.
+    pub fn states(&self) -> impl Iterator<Item = &S> {
+        self.states
+            .slots
+            .iter()
+            .filter(|slot| slot.touched)
+            .map(|slot| &slot.state)
+    }
+
+    /// Number of live flows holding a consumer state.
+    pub fn state_count(&self) -> usize {
+        self.states.touched
+    }
+
+    /// Slots in the consumer-state store: grown to the highest slot index
+    /// written, so never above [`StreamReassembler::slab_size`].
+    pub fn state_slots(&self) -> usize {
+        self.states.slots.len()
+    }
+
+    /// Approximate bytes of consumer-state storage: the dense store's
+    /// capacity plus the heap each state reports, reset slots included
+    /// (they keep their capacity).
+    pub fn state_bytes(&self) -> usize {
+        self.states.bytes()
     }
 
     /// Whether a flow is currently tracked.
@@ -630,10 +744,11 @@ impl StreamReassembler {
                 let (id, evicted) = self.flows.insert(key, flow);
                 self.stats.flows_created += 1;
                 if let Some((evicted_id, evicted_key, _)) = evicted {
+                    // The new flow may have taken the evicted flow's slot,
+                    // but no consumer can reach its state before this
+                    // returns, so the reset clears only the evicted flow's.
+                    self.states.reset(evicted_id.index());
                     self.stats.evicted += 1;
-                    if self.track_removals {
-                        self.removed.push((evicted_key, evicted_id));
-                    }
                     if self.tracer.is_live() {
                         self.tracer.record(TraceRecord {
                             t_ns: self.now_ns,
@@ -732,14 +847,13 @@ impl StreamReassembler {
         }
     }
 
-    /// Drop a flow and all its bookkeeping. Returns whether it existed.
+    /// Drop a flow, its bookkeeping and its consumer state. Returns
+    /// whether it existed.
     fn teardown(&mut self, key: &FlowKey) -> bool {
         match self.flows.lookup(key) {
             Some(id) => {
                 self.flows.remove(id);
-                if self.track_removals {
-                    self.removed.push((*key, id));
-                }
+                self.states.reset(id.index());
                 true
             }
             None => false,
@@ -1168,7 +1282,7 @@ mod tests {
             },
             overlap: OverlapPolicy::KeepFirst,
         };
-        let mut r = StreamReassembler::with_config(cfg);
+        let mut r: StreamReassembler = StreamReassembler::with_config(cfg);
         assert_eq!(r.limits(), cfg.limits);
         assert_eq!(r.flow_capacity(), 2);
         // An out-of-order segment over the reduced hold-back budget drops
@@ -1515,21 +1629,11 @@ mod tests {
         assert_eq!(r.stats().removals, 1);
     }
 
-    #[test]
-    fn removal_log_reports_teardowns() {
-        let mut r = StreamReassembler::new();
-        r.track_removals(true);
-        handshake(&mut r);
-        let key = FlowKey::of(
-            &pkt(C, S, 4000, 80, 0, TcpFlags::ack(), b""),
-            pkt(C, S, 4000, 80, 0, TcpFlags::ack(), b"")
-                .as_tcp()
-                .expect("t"),
-        );
-        let id = r.flow_id(&key).expect("tracked");
-        let _ = r.process(&pkt(C, S, 4000, 80, 101, TcpFlags::rst(), b""));
-        assert_eq!(r.take_removed(), vec![(key, id)]);
-        assert!(r.take_removed().is_empty(), "log drained");
+    /// A test consumer state: a value written to the flow.
+    impl FlowState for u32 {
+        fn reset(&mut self) {
+            *self = 0;
+        }
     }
 
     /// Leak regression (property): under random create/remove/RST churn the
@@ -1570,9 +1674,15 @@ mod tests {
     /// RST teardowns) leave bookkeeping exactly equal to live flows, which
     /// the LRU caps at [`MAX_FLOWS`]. The seed's `Vec::remove(0)` eviction
     /// and its stale-key leak made this O(n²) and unbounded respectively.
+    ///
+    /// Every third flow also carries consumer state (its own index), and
+    /// a model of the live flows, oldest first, follows the churn. At each
+    /// checkpoint the touched count equals the written live flows, every
+    /// live flow reads back its own value (or `None` if never written),
+    /// and the state store stays within the slab.
     #[test]
     fn one_million_flow_churn_keeps_bookkeeping_bounded() {
-        let mut r = StreamReassembler::new();
+        let mut r: StreamReassembler<u32> = StreamReassembler::default();
         // Full scale only under optimization (~3 s); debug builds run a
         // reduced churn that still crosses the eviction cap. CI runs the
         // release flavour explicitly (scripts/ci.sh).
@@ -1581,17 +1691,45 @@ mod tests {
         } else {
             1_000_000
         };
+        let written = |i: u32| i.is_multiple_of(3);
+        let mut live: std::collections::VecDeque<(u32, FlowId)> = Default::default();
+        let mut live_written = 0;
         for i in 0..total {
             let src = Ipv4Addr::from(0x0a00_0000 | (i >> 4));
             let sport = 40_000 + (i & 0xF) as u16;
+            let evicted = r.stats().evicted;
             let syn = pkt(src, S, sport, 80, 100, TcpFlags::syn(), b"");
-            r.process(&syn);
+            let id = r.process(&syn).and_then(|ctx| ctx.id).expect("new flow");
+            if r.stats().evicted > evicted {
+                let (oldest, _) = live.pop_front().expect("a live flow was evicted");
+                live_written -= usize::from(written(oldest));
+            }
+            if written(i) {
+                *r.state_mut(id).expect("live flow") = i + 1;
+                live_written += 1;
+            }
             if i % 7 == 0 {
                 let rst = pkt(src, S, sport, 80, 101, TcpFlags::rst(), b"");
                 r.process(&rst);
+                live_written -= usize::from(written(i));
+            } else {
+                live.push_back((i, id));
             }
-            if i % 65_536 == 0 {
+            if i % 65_536 == 0 || i == total - 1 {
                 assert_eq!(r.order_len(), r.flow_count(), "bookkeeping == live flows");
+                assert_eq!(
+                    r.state_count(),
+                    live_written,
+                    "touched == written live flows"
+                );
+                assert!(
+                    r.state_slots() <= r.slab_size(),
+                    "state store within the slab"
+                );
+                for &(j, id) in &live {
+                    let want = written(j).then_some(j + 1);
+                    assert_eq!(r.state(id).copied(), want, "flow {j} keeps its own state");
+                }
             }
         }
         assert_eq!(r.order_len(), r.flow_count());

@@ -27,7 +27,9 @@ use underradar_ids::engine::{CompiledRuleset, DetectionEngine};
 use underradar_ids::rule::{
     ContentMatch, FlowOption, PortSpec, Proto, Rule, RuleAction, ThresholdKind, ThresholdOption,
 };
-use underradar_ids::stream::{Direction, FlowContext, ReassemblyConfig, StreamReassembler};
+use underradar_ids::stream::{
+    Direction, FlowContext, FlowId, FlowKey, ReassemblyConfig, StreamReassembler,
+};
 use underradar_netsim::packet::Packet;
 use underradar_netsim::testprop::{cases, Gen};
 use underradar_netsim::time::{SimDuration, SimTime};
@@ -45,17 +47,18 @@ struct ReferenceEngine {
     rules: Vec<Rule>,
     reassembler: StreamReassembler,
     thresholds: HashMap<(u32, Ipv4Addr), (SimTime, u32)>,
-    flow_alerted: HashMap<underradar_ids::stream::FlowKey, Vec<u32>>,
+    /// Stream-rule dedup per 4-tuple, tagged with the handle of the flow
+    /// it was recorded for. Kept here, not in the reassembler's consumer
+    /// state, so the oracle does not share the mechanism it checks.
+    flow_alerted: HashMap<FlowKey, (Option<FlowId>, Vec<u32>)>,
     passed: u64,
 }
 
 impl ReferenceEngine {
     fn new(rules: Vec<Rule>) -> ReferenceEngine {
-        let mut reassembler = StreamReassembler::new();
-        reassembler.track_removals(true);
         ReferenceEngine {
             rules,
-            reassembler,
+            reassembler: StreamReassembler::new(),
             thresholds: HashMap::new(),
             flow_alerted: HashMap::new(),
             passed: 0,
@@ -90,8 +93,17 @@ impl ReferenceEngine {
 
     fn process(&mut self, now: SimTime, packet: &Packet) -> Vec<Alert> {
         let flow_ctx = self.reassembler.process(packet);
-        for (key, _id) in self.reassembler.take_removed() {
-            self.flow_alerted.remove(&key);
+        // A dedup entry dies with its flow: drop it once the packet's flow
+        // was torn down or is a different flow than the entry's (the old
+        // one was torn down or evicted in between).
+        if let Some(ctx) = &flow_ctx {
+            if self
+                .flow_alerted
+                .get(&ctx.key)
+                .is_some_and(|(id, _)| ctx.torn_down || *id != ctx.id)
+            {
+                self.flow_alerted.remove(&ctx.key);
+            }
         }
         let stream: &[u8] = match &flow_ctx {
             Some(ctx) => self.reassembler.stream_of(&ctx.key, ctx.direction),
@@ -120,7 +132,10 @@ impl ReferenceEngine {
             // oracle models the fixed semantics.
             if !rule.flow.is_empty() {
                 if let Some(ctx) = &flow_ctx {
-                    let sids = self.flow_alerted.entry(ctx.key).or_default();
+                    let (_, sids) = self
+                        .flow_alerted
+                        .entry(ctx.key)
+                        .or_insert_with(|| (ctx.id, Vec::new()));
                     if sids.contains(&rule.sid) {
                         continue;
                     }

@@ -9,7 +9,9 @@ use underradar_ids::engine::DetectionEngine;
 use underradar_ids::parser::{parse_rule, parse_ruleset, VarTable};
 use underradar_ids::rule::AddrSpec;
 use underradar_ids::rule::{find_sub, ContentMatch};
-use underradar_ids::stream::{Direction, FlowKey, StreamReassembler};
+use underradar_ids::stream::{
+    Direction, FlowId, FlowKey, FlowState, ReassemblyConfig, StreamReassembler,
+};
 use underradar_netsim::addr::Cidr;
 use underradar_netsim::packet::Packet;
 use underradar_netsim::testprop::{cases, Gen};
@@ -280,4 +282,121 @@ fn stream_of_unknown_flow_is_empty() {
     };
     assert!(r.stream_of(&key, Direction::ToServer).is_empty());
     assert!(r.stream_of(&key, Direction::ToClient).is_empty());
+}
+
+/// A consumer state for the lifetime property: the last value written.
+#[derive(Debug, Default, PartialEq)]
+struct Written(u64);
+
+impl FlowState for Written {
+    fn reset(&mut self) {
+        self.0 = 0;
+    }
+}
+
+/// Consumer state lives exactly as long as its flow. Random schedules over
+/// a few 4-tuples, in a table small enough to evict, mix SYN, data, RST,
+/// FIN/FIN/ACK closes, `remove` and 4-tuple reuse, and write per-flow
+/// values as they go. A model flow table, kept apart from the
+/// reassembler, decides which flows live; after every packet each live
+/// flow reads back the model's value, a dead flow's handle reads `None`
+/// and creates nothing, and the touched count is the model's.
+#[test]
+fn flow_state_lives_exactly_as_long_as_its_flow() {
+    let (c, s) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+    cases(128, 0xD00F, |g| {
+        let max_flows = g.usize_in(1, 4);
+        let mut r: StreamReassembler<Written> = StreamReassembler::with_config(ReassemblyConfig {
+            max_flows,
+            ..ReassemblyConfig::default()
+        });
+        // Live flows, oldest (next evicted) first: source port, handle,
+        // FIN seen from [client, server], value written.
+        let mut live: Vec<(u16, FlowId, [bool; 2], Option<u64>)> = Vec::new();
+        let mut dead: Vec<FlowId> = Vec::new();
+        for _ in 0..g.usize_in(1, 60) {
+            let sport = 1000 + g.u16() % 4;
+            let key = FlowKey::from_endpoints((c, sport), (s, 80));
+            let fwd = |flags, payload| Some(Packet::tcp(c, s, sport, 80, 7, 0, flags, payload));
+            let rev = |flags| Some(Packet::tcp(s, c, 80, sport, 9, 0, flags, vec![]));
+            let steps = match g.usize_in(0, 6) {
+                0 => vec![fwd(TcpFlags::syn(), vec![])],
+                1 => vec![fwd(TcpFlags::psh_ack(), g.bytes(1, 8))],
+                2 => vec![fwd(TcpFlags::rst(), vec![])],
+                3 => vec![
+                    fwd(TcpFlags::fin_ack(), vec![]),
+                    rev(TcpFlags::fin_ack()),
+                    fwd(TcpFlags::ack(), vec![]),
+                ],
+                4 => vec![rev(TcpFlags::fin_ack())],
+                _ => vec![None], // an explicit `remove`
+            };
+            for step in steps {
+                let pos = live.iter().position(|f| f.0 == sport);
+                let died = match &step {
+                    None => {
+                        r.remove(&key);
+                        pos.is_some()
+                    }
+                    Some(p) => {
+                        let ctx = r.process(p).expect("tcp");
+                        let seg = p.as_tcp().expect("tcp");
+                        let (flags, side) = (seg.flags, usize::from(p.src == s));
+                        match pos {
+                            Some(_) if flags.has_rst() => true,
+                            Some(i) => {
+                                let fins = &mut live[i].2;
+                                fins[side] |= flags.has_fin();
+                                fins[0]
+                                    && fins[1]
+                                    && flags.has_ack()
+                                    && !flags.has_fin()
+                                    && !flags.has_syn()
+                                    && seg.payload.is_empty()
+                            }
+                            None if flags.has_rst() => false,
+                            None => {
+                                if live.len() == max_flows {
+                                    dead.push(live.remove(0).1);
+                                }
+                                let mut fins = [false; 2];
+                                fins[side] = flags.has_fin();
+                                live.push((sport, ctx.id.expect("a new flow"), fins, None));
+                                false
+                            }
+                        }
+                    }
+                };
+                if died {
+                    dead.push(live.remove(pos.expect("a live flow died")).1);
+                }
+                // Write a value on this flow now and then, through either
+                // creating accessor.
+                if let Some(f) = live.iter_mut().find(|f| f.0 == sport) {
+                    if g.bool() {
+                        let state = if g.bool() {
+                            r.state_mut(f.1)
+                        } else {
+                            r.stream_and_state(f.1, Direction::ToServer)
+                                .map(|(_, st)| st)
+                        };
+                        let v = g.u64();
+                        state.expect("live flow").0 = v;
+                        f.3 = Some(v);
+                    }
+                }
+                for &(sport, id, _, value) in &live {
+                    let key = FlowKey::from_endpoints((c, sport), (s, 80));
+                    assert_eq!(r.flow_id(&key), Some(id), "model and table agree");
+                    assert_eq!(r.state(id), value.map(Written).as_ref());
+                }
+                for &id in &dead {
+                    assert_eq!(r.state(id), None, "a dead flow's state is gone");
+                    assert_eq!(r.state_mut(id), None, "a dead handle creates nothing");
+                }
+                let touched = live.iter().filter(|f| f.3.is_some()).count();
+                assert_eq!(r.state_count(), touched);
+            }
+        }
+    });
 }

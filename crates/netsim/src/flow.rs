@@ -19,8 +19,9 @@
 //! handle goes stale: [`FlowTable::get`] returns `None`, and a removal
 //! through it is a no-op. Slot indices are recycled but generations are
 //! not, so a stale handle can never read the slot's next occupant.
-//! Dense side tables indexed by [`FlowId::index`] must store the
-//! generation alongside and compare via [`FlowId::generation`].
+//! State kept outside the table in a store indexed by [`FlowId::index`]
+//! must be reset when the flow goes, as `ids::stream` does for its
+//! consumers' per-flow state, and read only through a live handle.
 
 use std::net::Ipv4Addr;
 
@@ -101,15 +102,9 @@ pub struct FlowId {
 
 impl FlowId {
     /// The dense slot index — stable for the flow's lifetime, reused after
-    /// removal. Side tables indexed by it must also check
-    /// [`FlowId::generation`].
+    /// removal.
     pub fn index(&self) -> usize {
         self.index as usize
-    }
-
-    /// The slot generation when this handle was issued.
-    pub fn generation(&self) -> u32 {
-        self.gen
     }
 
     fn to_key<V>(self) -> SlabKey<FlowSlot<V>> {
@@ -405,7 +400,7 @@ mod tests {
         t.remove(a);
         let (b, _) = t.insert(key(2), 2);
         assert_eq!(b.index(), a.index(), "slot recycled");
-        assert_ne!(b.generation(), a.generation());
+        assert_ne!(b, a, "a new generation");
         assert_eq!(t.get(a), None);
         assert_eq!(t.get(b), Some(&2));
     }

@@ -93,6 +93,21 @@ impl TopologyBuilder {
         Ok(port)
     }
 
+    /// Wire a node's interface `iface` to the next free port of `switch`
+    /// (an in-path middlebox, say). Returns the switch port used; add
+    /// routes through it with [`TopologyBuilder::route`].
+    pub fn attach_iface(
+        &mut self,
+        switch: NodeId,
+        node: NodeId,
+        iface: IfaceId,
+        config: LinkConfig,
+    ) -> Result<IfaceId, NetsimError> {
+        let port = self.alloc_port(switch);
+        self.sim.wire(switch, port, node, iface, config)?;
+        Ok(port)
+    }
+
     /// Wire two switches together. Returns `(port on a, port on b)`; add
     /// routes across the trunk with [`TopologyBuilder::route`].
     pub fn trunk(
@@ -112,12 +127,6 @@ impl TopologyBuilder {
         if let Some(sw) = self.sim.node_mut::<Switch>(switch) {
             sw.add_route(prefix, out);
         }
-    }
-
-    /// Mutable access to the simulator under construction (e.g. to spawn
-    /// tasks on hosts).
-    pub fn sim_mut(&mut self) -> &mut Simulator {
-        &mut self.sim
     }
 
     /// Finish building and return the simulator.
