@@ -1607,7 +1607,7 @@ fn main() {
     }
     println!("done: all acceptance assertions held");
     // Unfiltered runs snapshot every result row to `BENCH_perf.json`
-    // (workspace root, next to `BENCH_telemetry.json`). The committed
+    // (workspace root). The committed
     // copy pins the bench *schema* — names and keys — not the timings;
     // `scripts/ci.sh` regenerates it and fails on schema drift.
     if filters.is_empty() {

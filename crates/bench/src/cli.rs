@@ -396,19 +396,26 @@ fn parse_experiments(
 }
 
 /// `underradar experiments <id|all> [output flags]`: run the named rows
-/// of [`experiments::ALL`], fanned across threads, and print each row's
-/// output in table order. `Err` is a usage error, reported before
-/// anything runs.
+/// of [`experiments::ALL`] across one worker per core and print their
+/// output. `Err` is a usage error, reported before anything runs.
 pub fn experiments(argv: &[String]) -> Result<ExitCode, String> {
     let (rows, spec) = parse_experiments(OutputSpec::from_env(), argv)?;
-    let out = steal::run_chunked(rows.len(), experiments::workers(), |i| {
+    print!("{}", run_experiments(rows, spec, experiments::workers()));
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The one experiment runner: run `rows` fanned across `workers` threads,
+/// each under its own telemetry handle, and return the stdout `spec` asks
+/// for, every row's output in table order. Each experiment seeds its own
+/// RNGs, so the bytes are the same for any worker count.
+pub fn run_experiments(rows: &[Experiment], spec: OutputSpec, workers: usize) -> String {
+    steal::run_chunked(rows.len(), workers, |i| {
         let (name, run) = rows[i];
         let tel = spec.telemetry_handle();
         let report = run(&tel);
         spec.render(name, &report, &tel.snapshot())
-    });
-    print!("{}", out.concat());
-    Ok(ExitCode::SUCCESS)
+    })
+    .concat()
 }
 
 #[cfg(test)]

@@ -27,11 +27,10 @@
 //!   first divergent stage decision between trial `A`'s and trial `B`'s
 //!   trace segments (campaign markers excluded — they name the trials and
 //!   would differ trivially).
-//! * `--profile` — print a wall-clock profile footer (prepare/run/score
-//!   stage timings) to stderr; stdout stays deterministic.
-//! * `--profile-json PATH` — write the run profile (per-worker busy and
-//!   attempt counts, steal/retry totals) and the stage timings to `PATH`
-//!   as sorted-key JSON.
+//! * `--profile-json PATH` — write the run's wall-clock profile
+//!   (`RunProfile`: wall and prepare time, per-worker busy, wait and
+//!   attempt counts, steal/retry totals) to `PATH` as sorted-key JSON;
+//!   stdout stays deterministic.
 //! * `--audit` (or `--audit=json`) — the report, then the adversary-eye
 //!   **safety audit**: per-host attributability scores rebuilt from the
 //!   merged `exposure.*` registry entries, with every cell that declared
@@ -63,7 +62,6 @@ use underradar_telemetry::{trace, Telemetry, TraceRecord};
 
 use super::{Arg, ArgParser, OutputMode, OutputSpec};
 use crate::experiments::campaign::{paper_campaign, safety_audit, synthetic_campaign};
-use crate::runner::StageClock;
 
 /// Everything the command line asks for.
 #[derive(Default)]
@@ -78,7 +76,6 @@ struct Args {
     /// `Some(json)` under `--audit` / `--audit=json`.
     audit: Option<bool>,
     trace_diff: Option<(u64, u64)>,
-    profile: bool,
     profile_json: Option<String>,
 }
 
@@ -102,7 +99,6 @@ fn parse_args(output: OutputSpec, argv: &[String]) -> Result<Args, String> {
         match (flag.name, flag.inline) {
             ("--impair", _) => args.impair = flag.switch()?,
             ("--service", _) => args.service = flag.switch()?,
-            ("--profile", _) => args.profile = flag.switch()?,
             ("--shards", _) => args.shards = it.number(&flag)?,
             ("--synthetic", _) => args.synthetic = Some(it.number(&flag)?),
             ("--checkpoint", _) => args.checkpoint = Some(PathBuf::from(it.value(&flag)?)),
@@ -147,19 +143,18 @@ fn trial_decisions(records: &[TraceRecord], index: u64) -> Option<Vec<TraceRecor
         })
 }
 
-/// `--profile-json PATH`: the run profile and stage timings as sorted-key
-/// JSON.
-fn write_profile_json(path: &str, clock: &StageClock, p: &RunProfile) {
+/// `--profile-json PATH`: the run profile as sorted-key JSON.
+fn write_profile_json(path: &str, p: &RunProfile) {
     let join = |v: &[u64]| {
         v.iter()
             .map(|n| n.to_string())
             .collect::<Vec<_>>()
             .join(",")
     };
-    let mut out = format!(
-        "{{\"service\":{{\"prepare_ms\":{},\"retries_seen\":{},\"snapshots\":{},\"steals\":{},\
+    let out = format!(
+        "{{\"prepare_ms\":{},\"retries_seen\":{},\"snapshots\":{},\"steals\":{},\
          \"wall_ms\":{},\"worker_attempts\":[{}],\"worker_busy_ns\":[{}],\
-         \"worker_wait_ns\":[{}]}}",
+         \"worker_wait_ns\":[{}]}}\n",
         p.prepare_ms,
         p.retries_seen,
         p.snapshots,
@@ -169,43 +164,27 @@ fn write_profile_json(path: &str, clock: &StageClock, p: &RunProfile) {
         join(&p.worker_busy_ns),
         join(&p.worker_wait_ns)
     );
-    out.push_str(",\"stages\":{");
-    for (i, (stage, total, calls)) in clock.rows().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{stage}\":{{\"calls\":{calls},\"ns\":{}}}",
-            total.as_nanos()
-        ));
-    }
-    out.push_str("}}\n");
     if let Err(e) = std::fs::write(path, out) {
         eprintln!("--profile-json {path}: {e}");
         exit(1);
     }
 }
 
-/// One campaign run: the spec, the service config, and the clock every
-/// mode times its stages on.
+/// One campaign run: the spec and the service config.
 struct Campaign {
     spec: CampaignSpec,
     cfg: RunConfig,
     service: bool,
-    clock: StageClock,
 }
 
 impl Campaign {
     /// Run the campaign under `tel`, handing each completed trial to
     /// `sink`. A journal failure exits with status 1.
     fn run(&self, tel: &Telemetry, sink: &mut dyn RowSink) -> ServiceOutcome {
-        let outcome = self
-            .clock
-            .time("run", || run_service(&self.spec, &self.cfg, tel, sink))
-            .unwrap_or_else(|e| {
-                eprintln!("campaign run failed: {e}");
-                exit(1);
-            });
+        let outcome = run_service(&self.spec, &self.cfg, tel, sink).unwrap_or_else(|e| {
+            eprintln!("campaign run failed: {e}");
+            exit(1);
+        });
         if self.service {
             eprintln!(
                 "service: {} executed, {} restored, {} resumed retries, {} journal bytes truncated",
@@ -220,7 +199,6 @@ impl Campaign {
 
     /// Print the output `spec` asks for; returns the run profile.
     fn print(&self, spec: OutputSpec) -> RunProfile {
-        let clock = &self.clock;
         match spec.mode() {
             OutputMode::Json => {
                 let tel = Telemetry::enabled();
@@ -229,7 +207,7 @@ impl Campaign {
                 println!(
                     "{{\"experiment\":\"campaign\",\"report\":{},\"telemetry\":{}}}",
                     outcome.report.to_json(&sink.into_sorted()),
-                    clock.time("score", || tel.snapshot().to_json())
+                    tel.snapshot().to_json()
                 );
                 outcome.profile
             }
@@ -241,12 +219,11 @@ impl Campaign {
             OutputMode::Jsonl => {
                 let mut sink = VecSink::new();
                 let outcome = self.run(&Telemetry::disabled(), &mut sink);
-                let out = clock.time("score", || {
-                    sink.into_sorted()
-                        .iter()
-                        .map(|t| t.to_json_row() + "\n")
-                        .collect::<String>()
-                });
+                let out: String = sink
+                    .into_sorted()
+                    .iter()
+                    .map(|t| t.to_json_row() + "\n")
+                    .collect();
                 print!("{out}");
                 outcome.profile
             }
@@ -255,9 +232,7 @@ impl Campaign {
             OutputMode::Text | OutputMode::TextWithTelemetry | OutputMode::Trace => {
                 let tel = spec.telemetry_handle();
                 let outcome = self.run(&tel, &mut NullSink);
-                let out = clock.time("score", || {
-                    spec.render("campaign", &outcome.report.render_text(), &tel.snapshot())
-                });
+                let out = spec.render("campaign", &outcome.report.render_text(), &tel.snapshot());
                 print!("{out}");
                 outcome.profile
             }
@@ -271,14 +246,11 @@ impl Campaign {
         let outcome = self.run(&tel, &mut NullSink);
         print!("{}", outcome.report.render_text());
         println!("--- audit ---");
-        let audit = self.clock.time("score", || {
-            let audit = safety_audit(&outcome.report.cells(), &tel.snapshot());
-            match json {
-                true => audit.render_json() + "\n",
-                false => audit.render_text(),
-            }
-        });
-        print!("{audit}");
+        let audit = safety_audit(&outcome.report.cells(), &tel.snapshot());
+        match json {
+            true => println!("{}", audit.render_json()),
+            false => print!("{}", audit.render_text()),
+        }
         outcome.profile
     }
 
@@ -309,11 +281,10 @@ impl Campaign {
 /// reported before anything is printed.
 pub fn campaign(argv: &[String]) -> Result<ExitCode, String> {
     let args = parse_args(OutputSpec::from_env(), argv)?;
-    let clock = StageClock::default();
-    let mut spec = clock.time("prepare", || match args.synthetic {
+    let mut spec = match args.synthetic {
         Some(n) => synthetic_campaign(n),
         None => paper_campaign(4),
-    });
+    };
     spec = spec.trace_capacity(args.output.trace_capacity_value());
     if args.impair {
         spec = spec.client_link_reorder(0.2).client_link_duplicate(0.1);
@@ -329,7 +300,6 @@ pub fn campaign(argv: &[String]) -> Result<ExitCode, String> {
         spec,
         cfg,
         service: args.service,
-        clock,
     };
     let profile = match (args.trace_diff, args.audit) {
         (Some((a, b)), _) => campaign.trace_diff(a, b, args.output.ring_capacity())?,
@@ -337,10 +307,7 @@ pub fn campaign(argv: &[String]) -> Result<ExitCode, String> {
         (None, None) => campaign.print(args.output),
     };
     if let Some(path) = args.profile_json {
-        write_profile_json(&path, &campaign.clock, &profile);
-    }
-    if args.profile {
-        eprint!("--- profile ---\n{}", campaign.clock.render());
+        write_profile_json(&path, &profile);
     }
     Ok(ExitCode::SUCCESS)
 }

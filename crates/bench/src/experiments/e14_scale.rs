@@ -18,8 +18,7 @@
 //!    population contributes bulk, not noise.
 //!
 //! Wall-clock packets/sec goes to stderr so stdout stays deterministic.
-//! `UNDERRADAR_E14_FLOWS` shrinks the run for smoke tests (CI uses a
-//! reduced flow count; the default exercises the 100k+ target).
+//! Tests run smaller populations through [`run_sized`].
 
 use std::net::Ipv4Addr;
 
@@ -220,13 +219,9 @@ fn canonical_render(alerts: &[Alert]) -> String {
     lines.join("\n")
 }
 
-/// Run E14 at the default (or `UNDERRADAR_E14_FLOWS`-reduced) scale.
+/// Run E14 at the default scale (120,000 concurrent flows).
 pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
-    let flows = std::env::var("UNDERRADAR_E14_FLOWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_FLOWS);
-    run_sized(tel, flows)
+    run_sized(tel, DEFAULT_FLOWS)
 }
 
 /// Run E14 with an explicit concurrent-flow target.

@@ -1,12 +1,7 @@
 //! One module per reproduced table/figure. See `DESIGN.md` §4 for the
 //! experiment ↔ paper mapping.
 
-use std::time::Instant;
-
-use underradar_campaign::steal;
-use underradar_telemetry::{Registry, Telemetry};
-
-use crate::runner::StageClock;
+use underradar_telemetry::Telemetry;
 
 pub mod a1_ablations;
 pub mod campaign;
@@ -84,75 +79,6 @@ pub(crate) fn workers() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
-}
-
-/// One experiment's outcome: name, rendered report, telemetry registry.
-pub type ExperimentResult = (&'static str, String, Registry);
-
-/// Run `experiments` with telemetry enabled, fanned out across worker
-/// threads. Each experiment records into its own registry, so results are
-/// independent of scheduling; the output is in item order and
-/// byte-identical to [`collect_sequential`].
-pub fn collect(experiments: &[Experiment]) -> Vec<ExperimentResult> {
-    collect_profiled(experiments).0
-}
-
-/// Run `experiments` with telemetry enabled, one after another on this
-/// thread (the reference ordering [`collect`] must match byte-for-byte).
-pub fn collect_sequential(experiments: &[Experiment]) -> Vec<ExperimentResult> {
-    experiments
-        .iter()
-        .map(|&(name, run)| {
-            let tel = Telemetry::enabled();
-            let report = run(&tel);
-            (name, report, tel.snapshot())
-        })
-        .collect()
-}
-
-/// [`collect`] with wall-clock profiling: each experiment's prepare
-/// (telemetry scope build), run (experiment body), and score (registry
-/// snapshot) stages are timed on a [`StageClock`]. Returns the results —
-/// byte-identical to [`collect`] — and a `--- profile ---` footer (run
-/// wall time and per-stage totals) for stderr.
-pub fn collect_profiled(experiments: &[Experiment]) -> (Vec<ExperimentResult>, String) {
-    let clock = StageClock::default();
-    let start = Instant::now();
-    let results = steal::run_chunked(experiments.len(), workers(), |i| {
-        let (name, run) = experiments[i];
-        let tel = clock.time("prepare", Telemetry::enabled);
-        let report = clock.time("run", || run(&tel));
-        let registry = clock.time("score", || tel.snapshot());
-        (name, report, registry)
-    });
-    let footer = format!(
-        "--- profile ---\nwall {:.3}s across {} workers\n{}",
-        start.elapsed().as_secs_f64(),
-        workers().min(experiments.len()),
-        clock.render()
-    );
-    (results, footer)
-}
-
-/// Render `BENCH_telemetry.json`: every experiment's registry in run
-/// order, plus a merged view folding all of them together (counters add,
-/// gauges overwrite, histograms bucket-add). Deterministic: same inputs,
-/// same bytes.
-pub fn telemetry_json(results: &[ExperimentResult]) -> String {
-    let mut merged = Registry::default();
-    let mut out = String::from("{\"experiments\":{");
-    for (i, (name, _, registry)) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        underradar_telemetry::json::push_key(&mut out, name);
-        out.push_str(&registry.to_json());
-        merged.merge(registry);
-    }
-    out.push_str("},\"merged\":");
-    out.push_str(&merged.to_json());
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]

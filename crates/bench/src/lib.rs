@@ -14,19 +14,17 @@
 //! [`experiments::ALL`]. The `underradar` binary is the only entry point:
 //! [`cli`] holds its one total argv parser and the `experiments` and
 //! `campaign` subcommands. `experiments` dispatches only through that
-//! table and fans rows across threads with
+//! table, and [`cli::run_experiments`] fans rows across threads with
 //! `underradar_campaign::steal::run_chunked`; determinism is preserved
-//! because each experiment seeds its own RNGs.
-//! A consolidated `cargo bench` harness (`benches/experiments.rs`) prints
-//! every report. Campaign-backed experiments run their matrices through
-//! the one campaign executor, `underradar_runner::run_service`
-//! ([`experiments::campaign::run_campaign`]); [`runner::StageClock`]
-//! times stages for the stderr profile footers. The experiment ↔ paper
-//! mapping lives in `DESIGN.md` §4 and `EXPERIMENTS.md`.
+//! because each experiment seeds its own RNGs. Campaign-backed
+//! experiments run their matrices through the one campaign executor,
+//! `underradar_runner::run_service`
+//! ([`experiments::campaign::run_campaign`]), and its `RunProfile` is the
+//! run timer that `campaign --profile-json` writes. The experiment ↔
+//! paper mapping lives in `DESIGN.md` §4 and `EXPERIMENTS.md`.
 
 pub mod cli;
 pub mod experiments;
-pub mod runner;
 pub mod table;
 
 pub use table::Table;

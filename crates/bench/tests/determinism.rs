@@ -1,15 +1,15 @@
-//! Telemetry determinism regression (ISSUE satellite): the registries an
-//! experiment produces — and the `BENCH_telemetry.json` rendering built
-//! from them — must be byte-identical run-to-run and between the
-//! sequential and fanned-out (`steal::run_chunked`) execution paths, and
-//! a campaign's report, registry and trace must be byte-identical at 1
-//! and 4 run-service workers.
+//! Determinism regression: the one experiment runner
+//! ([`run_experiments`], what `underradar experiments` prints) must give
+//! byte-identical reports and registries run-to-run and at any worker
+//! count, and a campaign's report, registry and trace must be
+//! byte-identical at 1 and 4 run-service workers.
 //!
-//! Uses the cheaper experiments so the double-run stays fast; the sharded
-//! path is the same code `cargo bench --bench experiments` uses for all
+//! Uses the cheaper experiments so the repeated runs stay fast; the
+//! runner is the same code `underradar experiments all` uses for all
 //! fifteen.
 
-use underradar_bench::experiments::{collect, collect_sequential, telemetry_json, Experiment, ALL};
+use underradar_bench::cli::{run_experiments, OutputSpec};
+use underradar_bench::experiments::{Experiment, ALL};
 
 /// A representative, fast subset: pure-generator (E3, E8, E10) and
 /// pipeline (E9) experiments.
@@ -26,30 +26,24 @@ fn subset() -> Vec<Experiment> {
 }
 
 #[test]
-fn telemetry_json_is_identical_across_repeat_runs() {
+fn experiments_output_is_identical_across_worker_counts_and_runs() {
+    // `--json` carries each row's report and telemetry registry.
     let exps = subset();
-    let a = telemetry_json(&collect_sequential(&exps));
-    let b = telemetry_json(&collect_sequential(&exps));
-    assert_eq!(a, b, "same experiments, same seed, same bytes");
-    assert!(a.contains("\"e09_mvr\""));
-    assert!(a.contains("\"merged\""));
-}
-
-#[test]
-fn sharded_and_sequential_runs_agree_byte_for_byte() {
-    let exps = subset();
-    let sequential = collect_sequential(&exps);
-    let sharded = collect(&exps);
-    for ((n1, r1, reg1), (n2, r2, reg2)) in sequential.iter().zip(sharded.iter()) {
-        assert_eq!(n1, n2);
-        assert_eq!(r1, r2, "{n1}: report differs under sharding");
-        assert_eq!(
-            reg1.to_json(),
-            reg2.to_json(),
-            "{n1}: registry differs under sharding"
-        );
+    let spec = OutputSpec::new().json(true);
+    let one = run_experiments(&exps, spec, 1);
+    let four = run_experiments(&exps, spec, 4);
+    assert_eq!(one, four, "output differs between 1 and 4 workers");
+    assert_eq!(
+        four,
+        run_experiments(&exps, spec, 4),
+        "output differs run-to-run"
+    );
+    // One envelope per row, in table order.
+    assert_eq!(one.lines().count(), exps.len());
+    for (line, (name, _)) in one.lines().zip(&exps) {
+        let head = format!("{{\"experiment\":\"{name}\",");
+        assert!(line.starts_with(&head), "{name} out of place");
     }
-    assert_eq!(telemetry_json(&sequential), telemetry_json(&sharded));
 }
 
 #[test]
@@ -146,13 +140,11 @@ fn campaign_trace_is_byte_identical_across_shard_counts() {
 
 #[test]
 fn e09_registry_covers_the_surveillance_pipeline() {
-    let exps: Vec<Experiment> = ALL
-        .iter()
-        .copied()
-        .filter(|(name, _)| *name == "e09_mvr")
-        .collect();
-    let results = collect_sequential(&exps);
-    let registry = &results[0].2;
+    use underradar_telemetry::Telemetry;
+
+    let tel = Telemetry::enabled();
+    underradar_bench::experiments::e09_mvr::run_with(&tel);
+    let registry = tel.snapshot();
     assert!(registry.counter("surveil.observed") > 0);
     assert!(registry.counter("surveil.mvr.total_bytes") > 0);
     assert!(registry.counter("surveil.store.metadata.inserted") > 0);

@@ -5,8 +5,8 @@
 /// SplitMix64 finalizer — decorrelates seeds that differ in few bits.
 ///
 /// Delegates to the workspace's single shared definition in
-/// [`underradar_netsim::rng::splitmix64_mix`] (also used by
-/// `bench::runner`), so the two seed-derivation paths cannot drift.
+/// [`underradar_netsim::rng::splitmix64_mix`] (also the simulator RNG's
+/// seeding step), so the two cannot drift.
 pub fn splitmix64(x: u64) -> u64 {
     underradar_netsim::rng::splitmix64_mix(x)
 }

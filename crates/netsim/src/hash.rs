@@ -5,6 +5,12 @@
 //! / FxHash construction (word-at-a-time multiply-rotate). It is not
 //! DoS-resistant — fine in a simulator whose inputs we generate ourselves;
 //! do not use it on attacker-controlled keys outside that setting.
+//!
+//! The multiply leaves the entropy of a key's last word in the hash's
+//! high bits, while `hashbrown` picks buckets from the low bits. `finish`
+//! therefore rotates the high bits down, as rustc-hash 2 does; without it
+//! sequential flow keys (addresses stepping every few ports) share a
+//! small fraction of the buckets.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -32,7 +38,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 
     #[inline]
@@ -115,5 +121,29 @@ mod tests {
         // into a handful of buckets.
         let hashes: FxHashSet<u64> = (0..4096u32).map(|i| hash_of(&i)).collect();
         assert_eq!(hashes.len(), 4096);
+    }
+
+    #[test]
+    fn sequential_flow_keys_spread_over_the_low_bits() {
+        // The churn layout: a source address stepping every 16 flows, ports
+        // 40000-40015, one server. Bucket choice reads the low bits, so they
+        // must not collapse (8,092 distinct values without the finaliser).
+        use crate::flow::FlowKey;
+        use std::net::Ipv4Addr;
+        let server = (Ipv4Addr::new(10, 0, 2, 2), 80);
+        let low: FxHashSet<u64> = (0..100_000u32)
+            .map(|i| {
+                let src = (
+                    Ipv4Addr::from(0x0a00_0000 | (i >> 4)),
+                    40_000 + (i & 0xF) as u16,
+                );
+                hash_of(&FlowKey::from_endpoints(src, server)) & 0x1_FFFF
+            })
+            .collect();
+        assert!(
+            low.len() >= 60_000,
+            "{} distinct low-17-bit values",
+            low.len()
+        );
     }
 }

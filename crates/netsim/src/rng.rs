@@ -12,9 +12,8 @@
 /// increment and scrambles, so seeds differing in few bits decorrelate.
 ///
 /// This is the **single shared definition** for the whole workspace —
-/// `campaign::seed` derives per-trial and per-attempt seeds from it and
-/// `bench::runner` derives sharded-run trial seeds from it, so the seed
-/// streams those two paths produce can never silently drift apart.
+/// [`SimRng`] seeds its state with it and `campaign::seed` derives
+/// per-trial and per-attempt seeds from it.
 #[inline]
 pub fn splitmix64_mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

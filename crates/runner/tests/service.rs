@@ -246,9 +246,9 @@ fn resume_with_inline_censor_events_is_byte_identical() {
         ))
         .trials_per_cell(2)
         .run_secs(20);
-    let (_, telemetry_json, _, _) = fingerprint_run(&spec, &RunConfig::new(1));
+    let (_, registry_json, _, _) = fingerprint_run(&spec, &RunConfig::new(1));
     assert!(
-        telemetry_json.contains("\"kind\":\"censor.inline.action\""),
+        registry_json.contains("\"kind\":\"censor.inline.action\""),
         "the blackhole column must export inline censor events"
     );
     assert_resume_at_every_boundary("blackhole", &spec);

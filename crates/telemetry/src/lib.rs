@@ -59,7 +59,8 @@ use std::rc::Rc;
 
 use registry::with_slot;
 
-/// Environment variable that turns telemetry on for [`Telemetry::from_env`].
+/// Environment variable that turns telemetry output on in the `underradar`
+/// command line (as `--telemetry` does).
 pub const TELEMETRY_ENV: &str = "UNDERRADAR_TELEMETRY";
 
 /// A live registry: every value is kept plain in `values`, which the
@@ -152,29 +153,6 @@ impl Telemetry {
             inner.borrow_mut().trace = Some(Rc::new(RefCell::new(TraceBuf::new(capacity))));
         }
         tel
-    }
-
-    /// Enabled iff the `UNDERRADAR_TELEMETRY` environment variable is set
-    /// to a non-empty value other than `0`; disabled otherwise. CI runs
-    /// the suite both ways. Setting `UNDERRADAR_TRACE` likewise attaches
-    /// the flight recorder (and implies telemetry); its ring capacity is
-    /// `UNDERRADAR_TRACE_CAPACITY` records when that parses as a positive
-    /// integer, [`DEFAULT_TRACE_CAPACITY`] otherwise.
-    pub fn from_env() -> Self {
-        let env_on = |name: &str| {
-            std::env::var_os(name)
-                .map(|v| !v.is_empty() && v != *"0")
-                .unwrap_or(false)
-        };
-        if env_on(TRACE_ENV) {
-            let capacity = trace::capacity_from_env(std::env::var(TRACE_CAPACITY_ENV).ok())
-                .unwrap_or(DEFAULT_TRACE_CAPACITY);
-            Telemetry::with_trace(capacity)
-        } else if env_on(TELEMETRY_ENV) {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        }
     }
 
     /// Whether this handle records anything.

@@ -31,16 +31,16 @@ use std::rc::Rc;
 use crate::json;
 use crate::registry::FieldValue;
 
-/// Environment variable that turns tracing on for
-/// [`crate::Telemetry::from_env`] (implies telemetry).
+/// Environment variable that turns tracing on in the `underradar` command
+/// line (as `--trace` does).
 pub const TRACE_ENV: &str = "UNDERRADAR_TRACE";
 
 /// Default per-trial ring capacity (records).
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// Environment variable overriding the flight-recorder ring capacity
-/// (records) wherever the default would apply — [`crate::Telemetry::from_env`]
-/// and the `bench::cli` front end. Does not itself enable tracing.
+/// (records) in the `underradar` command line (as `--trace-capacity`
+/// does). Does not itself enable tracing.
 pub const TRACE_CAPACITY_ENV: &str = "UNDERRADAR_TRACE_CAPACITY";
 
 /// Parse a ring capacity from an env-var value: a positive integer, or

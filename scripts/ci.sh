@@ -14,12 +14,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> rustdoc -D warnings (no broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
-echo "==> tier-1: cargo build --release && cargo test (telemetry disabled)"
+echo "==> tier-1: cargo build --release && cargo test"
 cargo build --offline --release --workspace
 cargo test --offline -q --workspace
-
-echo "==> tier-1 re-run with telemetry enabled (UNDERRADAR_TELEMETRY=1)"
-UNDERRADAR_TELEMETRY=1 cargo test --offline -q --workspace
 
 echo "==> end-to-end benchmark builds and passes its toy-size tests"
 # underbench is a standalone package outside the workspace, so the
@@ -159,6 +156,15 @@ awk '
     exit bad
   }
 ' "$tmpdir/campaign_trace_1.txt"
+
+echo "==> wall-clock profile smoke (--profile-json: side file only, stdout untouched)"
+# The run profile is host time; it goes to its own file and must never
+# reach stdout, so the profiled run prints the plain run's exact bytes.
+./target/release/underradar campaign --shards 1 --profile-json "$tmpdir/profile.json" \
+  > "$tmpdir/campaign_profiled.txt"
+cmp "$tmpdir/campaign_plain.txt" "$tmpdir/campaign_profiled.txt"
+grep -q '"wall_ms"' "$tmpdir/profile.json"
+grep -q '"worker_busy_ns"' "$tmpdir/profile.json"
 
 echo "==> run-service smoke (service vs plain engine; 1 vs 8 workers byte identity)"
 ./target/release/underradar campaign --service --shards 1 > "$tmpdir/service_1.txt" 2>/dev/null

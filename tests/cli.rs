@@ -6,8 +6,8 @@
 
 use std::process::{Command, Output};
 
-/// Run the binary with the `UNDERRADAR_*` env vars cleared, so a
-/// telemetry-on test run cannot change what these checks see.
+/// Run the binary with the `UNDERRADAR_*` env vars cleared, so the
+/// caller's environment cannot change what these checks see.
 fn underradar(args: &[String]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_underradar"))
         .env_remove("UNDERRADAR_TELEMETRY")
@@ -62,6 +62,7 @@ fn malformed() -> Vec<(Vec<String>, &'static str)> {
         (&["campaign", "--checkpoint"], "--checkpoint"),
         (&["campaign", "--checkpoint", "--json"], "--checkpoint"),
         (&["campaign", "--profile-json"], "--profile-json"),
+        (&["campaign", "--profile"], "--profile"),
         // campaign: unknown flags and values
         (&["campaign", "--shard", "4"], "--shard"),
         (&["campaign", "--audit=yaml"], "--audit"),
