@@ -18,15 +18,17 @@
 //! * `--jsonl` — stream one JSON object per row: generic experiments emit
 //!   a row per report line plus a trailing telemetry row; `campaign`
 //!   emits true per-trial verdict rows;
-//! * `--telemetry` (or `UNDERRADAR_TELEMETRY=1`) — print the report
-//!   followed by the registry's text rendering;
-//! * `--trace` (or `UNDERRADAR_TRACE=1`) — run with the flight recorder
-//!   live and print the report, then the trace as JSON lines, then the
-//!   explainer's causal chains. The report section is byte-identical to
-//!   the default mode's output;
-//! * `--trace-capacity N` (or `UNDERRADAR_TRACE_CAPACITY=N`) — size the
-//!   flight-recorder ring for traced runs (default 4096 records). The
-//!   knob only tunes the ring: it never turns tracing on by itself.
+//! * `--telemetry` — print the report followed by the registry's text
+//!   rendering;
+//! * `--trace` — run with the flight recorder live and print the report,
+//!   then the trace as JSON lines, then the explainer's causal chains. The
+//!   report section is byte-identical to the default mode's output;
+//! * `--trace-capacity N` — size the flight-recorder ring for traced runs
+//!   (default 4096 records; `N` must be a positive integer). The knob only
+//!   tunes the ring: it never turns tracing on by itself.
+//!
+//! The flags are the only input: no environment variable changes what a
+//! subcommand prints.
 //!
 //! `all` runs every row, fanned across threads, and prints each row's
 //! output in table order.
@@ -35,9 +37,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use underradar_campaign::steal;
-use underradar_telemetry::{
-    json, trace, Telemetry, DEFAULT_TRACE_CAPACITY, TELEMETRY_ENV, TRACE_CAPACITY_ENV, TRACE_ENV,
-};
+use underradar_telemetry::{json, trace, Telemetry, DEFAULT_TRACE_CAPACITY};
 
 use crate::experiments::{self, Experiment};
 
@@ -157,10 +157,10 @@ pub enum OutputMode {
 }
 
 /// Typed accumulation of the output flags. Each `--json` / `--jsonl` /
-/// `--telemetry` / `--trace` occurrence (or its env-var equivalent) sets
-/// an independent bit; [`OutputSpec::mode`] resolves any combination with
-/// one precedence order — trace ≻ jsonl ≻ json ≻ telemetry ≻ text — so
-/// flag order never matters and every combination is defined. A trace
+/// `--telemetry` / `--trace` occurrence sets an independent bit;
+/// [`OutputSpec::mode`] resolves any combination with one precedence
+/// order — trace ≻ jsonl ≻ json ≻ telemetry ≻ text — so flag order never
+/// matters and every combination is defined. A trace
 /// subsumes the registry, and the JSON envelopes deliberately exclude
 /// trace records, which is why trace outranks everything.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -207,32 +207,6 @@ impl OutputSpec {
         self.trace_capacity
     }
 
-    /// A spec seeded from the ambient telemetry/trace env vars; flags
-    /// then add to it through [`OutputSpec::take`].
-    pub fn from_env() -> OutputSpec {
-        Self::seeded(
-            std::env::var(TELEMETRY_ENV).ok(),
-            std::env::var(TRACE_ENV).ok(),
-            std::env::var(TRACE_CAPACITY_ENV).ok(),
-        )
-    }
-
-    /// [`OutputSpec::from_env`] with the env vars' values passed
-    /// explicitly (testable regardless of the ambient environment). An
-    /// unparsable capacity value is ignored, as the telemetry crate does.
-    pub fn seeded(
-        tel_env: Option<String>,
-        trace_env: Option<String>,
-        capacity_env: Option<String>,
-    ) -> OutputSpec {
-        OutputSpec {
-            telemetry: env_set(tel_env),
-            trace: env_set(trace_env),
-            trace_capacity: trace::capacity_from_env(capacity_env),
-            ..OutputSpec::default()
-        }
-    }
-
     /// Apply `flag` if it is an output flag, consuming its value from
     /// `args`. `Ok(false)` means `flag` is not an output flag; a malformed
     /// output flag is an `Err` naming it.
@@ -244,11 +218,10 @@ impl OutputSpec {
             "--trace" => self.trace = flag.switch()?,
             "--trace-capacity" => {
                 let raw = args.value(flag)?;
-                let capacity =
-                    trace::capacity_from_env(Some(raw.to_string())).ok_or_else(|| {
-                        format!("--trace-capacity needs a positive integer, got '{raw}'")
-                    })?;
-                self.trace_capacity = Some(capacity);
+                let capacity = raw.trim().parse::<usize>().ok().filter(|&c| c > 0);
+                self.trace_capacity = Some(capacity.ok_or_else(|| {
+                    format!("--trace-capacity needs a positive integer, got '{raw}'")
+                })?);
             }
             _ => return Ok(false),
         }
@@ -309,10 +282,6 @@ impl OutputSpec {
     }
 }
 
-fn env_set(v: Option<String>) -> bool {
-    v.is_some_and(|v| !v.is_empty() && v != "0")
-}
-
 /// Render the `--json` envelope for one experiment.
 pub fn render_json(name: &str, report: &str, registry: &underradar_telemetry::Registry) -> String {
     let mut out = String::from("{");
@@ -366,12 +335,10 @@ pub fn render_trace(report: &str, registry: &underradar_telemetry::Registry) -> 
     out
 }
 
-/// Parse `experiments`' arguments on top of `spec`: the rows the id names
-/// (`all` when no id is given) and the output spec.
-fn parse_experiments(
-    mut spec: OutputSpec,
-    argv: &[String],
-) -> Result<(&'static [Experiment], OutputSpec), String> {
+/// Parse `experiments`' arguments: the rows the id names (`all` when no
+/// id is given) and the output spec.
+fn parse_experiments(argv: &[String]) -> Result<(&'static [Experiment], OutputSpec), String> {
+    let mut spec = OutputSpec::new();
     let mut id = None;
     let mut args = ArgParser::new(argv);
     while let Some(arg) = args.next() {
@@ -399,7 +366,7 @@ fn parse_experiments(
 /// of [`experiments::ALL`] across one worker per core and print their
 /// output. `Err` is a usage error, reported before anything runs.
 pub fn experiments(argv: &[String]) -> Result<ExitCode, String> {
-    let (rows, spec) = parse_experiments(OutputSpec::from_env(), argv)?;
+    let (rows, spec) = parse_experiments(argv)?;
     print!("{}", run_experiments(rows, spec, experiments::workers()));
     Ok(ExitCode::SUCCESS)
 }
@@ -427,55 +394,32 @@ mod tests {
     }
 
     fn parse(list: &[&str]) -> Result<OutputSpec, String> {
-        parse_experiments(OutputSpec::new(), &args(list)).map(|(_, spec)| spec)
+        parse_experiments(&args(list)).map(|(_, spec)| spec)
     }
 
-    fn mode_from(tel_env: Option<&str>, trace_env: Option<&str>, list: &[&str]) -> OutputMode {
-        let seed = OutputSpec::seeded(
-            tel_env.map(str::to_string),
-            trace_env.map(str::to_string),
-            None,
-        );
-        parse_experiments(seed, &args(list)).unwrap().1.mode()
+    fn mode_from(list: &[&str]) -> OutputMode {
+        parse(list).unwrap().mode()
     }
 
     #[test]
     fn json_flag_wins() {
-        assert_eq!(mode_from(None, None, &[]), OutputMode::Text);
-        assert_eq!(mode_from(None, None, &["--json"]), OutputMode::Json);
-        assert_eq!(
-            mode_from(None, None, &["--telemetry"]),
-            OutputMode::TextWithTelemetry
-        );
-        assert_eq!(
-            mode_from(None, None, &["--telemetry", "--json"]),
-            OutputMode::Json
-        );
+        assert_eq!(mode_from(&[]), OutputMode::Text);
+        assert_eq!(mode_from(&["--json"]), OutputMode::Json);
+        assert_eq!(mode_from(&["--telemetry"]), OutputMode::TextWithTelemetry);
+        assert_eq!(mode_from(&["--telemetry", "--json"]), OutputMode::Json);
     }
 
     #[test]
     fn jsonl_flag_outranks_json_but_not_trace() {
-        assert_eq!(mode_from(None, None, &["--jsonl"]), OutputMode::Jsonl);
-        assert_eq!(
-            mode_from(None, None, &["--json", "--jsonl"]),
-            OutputMode::Jsonl
-        );
-        assert_eq!(
-            mode_from(None, None, &["--jsonl", "--json"]),
-            OutputMode::Jsonl
-        );
-        assert_eq!(
-            mode_from(None, None, &["--jsonl", "--trace"]),
-            OutputMode::Trace
-        );
-        assert_eq!(
-            mode_from(None, None, &["--trace", "--jsonl"]),
-            OutputMode::Trace
-        );
+        assert_eq!(mode_from(&["--jsonl"]), OutputMode::Jsonl);
+        assert_eq!(mode_from(&["--json", "--jsonl"]), OutputMode::Jsonl);
+        assert_eq!(mode_from(&["--jsonl", "--json"]), OutputMode::Jsonl);
+        assert_eq!(mode_from(&["--jsonl", "--trace"]), OutputMode::Trace);
+        assert_eq!(mode_from(&["--trace", "--jsonl"]), OutputMode::Trace);
     }
 
     #[test]
-    fn trace_capacity_flag_and_env_tune_the_ring() {
+    fn trace_capacity_flag_tunes_the_ring() {
         let spec = parse(&["--trace", "--trace-capacity", "128"]).unwrap();
         assert_eq!(spec.trace_capacity_value(), Some(128));
         assert_eq!(spec.mode(), OutputMode::Trace);
@@ -485,20 +429,19 @@ mod tests {
         let plain = parse(&["--trace-capacity", "64"]).unwrap();
         assert_eq!(plain.mode(), OutputMode::Text);
         assert_eq!(plain.trace_capacity_value(), Some(64));
-        // The env var seeds the capacity; an explicit flag overrides it.
-        let env = OutputSpec::seeded(None, Some("1".to_string()), Some("32".to_string()));
-        assert_eq!(env.trace_capacity_value(), Some(32));
-        assert_eq!(env.mode(), OutputMode::Trace);
-        let both = OutputSpec::seeded(None, None, Some("32".to_string()));
-        let both = parse_experiments(both, &args(&["--trace-capacity", "16"]))
-            .unwrap()
-            .1;
-        assert_eq!(both.trace_capacity_value(), Some(16));
+        // The last occurrence wins; surrounding blanks are trimmed.
+        let twice = parse(&["--trace-capacity", "32", "--trace-capacity= 16 "]).unwrap();
+        assert_eq!(twice.trace_capacity_value(), Some(16));
+        // Anything but a positive integer is an error naming the flag.
+        for bad in ["0", "abc", "", "-1"] {
+            let err = parse(&[&format!("--trace-capacity={bad}")]).unwrap_err();
+            assert!(err.starts_with("--trace-capacity"), "{err}");
+        }
     }
 
     #[test]
     fn no_id_means_every_row() {
-        let (rows, _) = parse_experiments(OutputSpec::new(), &args(&["--json"])).unwrap();
+        let (rows, _) = parse_experiments(&args(&["--json"])).unwrap();
         assert_eq!(rows.len(), experiments::ALL.len());
     }
 
@@ -522,27 +465,10 @@ mod tests {
     }
 
     #[test]
-    fn env_var_enables_telemetry_output() {
-        let on = |v: &str| mode_from(Some(v), None, &[]);
-        assert_eq!(on("1"), OutputMode::TextWithTelemetry);
-        assert_eq!(on("0"), OutputMode::Text);
-        assert_eq!(on(""), OutputMode::Text);
-        assert_eq!(mode_from(Some("1"), None, &["--json"]), OutputMode::Json);
-    }
-
-    #[test]
-    fn trace_flag_and_env_outrank_other_modes() {
-        assert_eq!(mode_from(None, None, &["--trace"]), OutputMode::Trace);
-        assert_eq!(
-            mode_from(None, None, &["--trace", "--json"]),
-            OutputMode::Trace
-        );
-        assert_eq!(
-            mode_from(None, None, &["--json", "--trace"]),
-            OutputMode::Trace
-        );
-        assert_eq!(mode_from(None, Some("1"), &[]), OutputMode::Trace);
-        assert_eq!(mode_from(None, Some("0"), &[]), OutputMode::Text);
+    fn trace_flag_outranks_other_modes() {
+        assert_eq!(mode_from(&["--trace"]), OutputMode::Trace);
+        assert_eq!(mode_from(&["--trace", "--json"]), OutputMode::Trace);
+        assert_eq!(mode_from(&["--json", "--trace"]), OutputMode::Trace);
     }
 
     #[test]

@@ -79,14 +79,10 @@ struct Args {
     profile_json: Option<String>,
 }
 
-/// Parse every argument on top of the `output` spec; later occurrences
-/// of a flag win. Total: any malformed value, missing value or unknown
-/// flag is an `Err` naming it.
-fn parse_args(output: OutputSpec, argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        output,
-        ..Args::default()
-    };
+/// Parse every argument; later occurrences of a flag win. Total: any
+/// malformed value, missing value or unknown flag is an `Err` naming it.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut args = Args::default();
     let mut it = ArgParser::new(argv);
     while let Some(arg) = it.next() {
         let flag = match arg {
@@ -280,7 +276,7 @@ impl Campaign {
 /// one) and print what the flags ask for. `Err` is a usage error,
 /// reported before anything is printed.
 pub fn campaign(argv: &[String]) -> Result<ExitCode, String> {
-    let args = parse_args(OutputSpec::from_env(), argv)?;
+    let args = parse_args(argv)?;
     let mut spec = match args.synthetic {
         Some(n) => synthetic_campaign(n),
         None => paper_campaign(4),

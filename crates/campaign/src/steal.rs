@@ -165,11 +165,6 @@ impl Deques {
         }
         Some(first)
     }
-
-    /// Whether any deque still holds unclaimed work.
-    pub fn has_work(&self) -> bool {
-        self.queued.load(Ordering::Relaxed) > 0
-    }
 }
 
 /// Run `run(i)` for every `i in 0..n` across `workers` OS threads with
@@ -272,7 +267,7 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-        assert!(!d.has_work());
+        assert!(d.steal(0).is_none(), "nothing left to steal");
     }
 
     #[test]

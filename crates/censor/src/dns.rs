@@ -82,26 +82,6 @@ impl DnsInjector {
     }
 }
 
-/// Heuristics for *detecting* injection from the measurement side: an MX
-/// question answered with only A records is the GFC's tell.
-pub fn response_looks_injected(
-    query_qtype: QType,
-    response: &DnsMessage,
-    poison_pool: &[Ipv4Addr],
-) -> bool {
-    if query_qtype == QType::Mx {
-        let has_mx = response
-            .answers
-            .iter()
-            .any(|r| matches!(r.data, RecordData::Mx { .. }));
-        let has_a = !response.a_records().is_empty();
-        if !has_mx && has_a {
-            return true;
-        }
-    }
-    response.a_records().iter().any(|a| poison_pool.contains(a))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,13 +133,6 @@ mod tests {
             vec![policy.dns_poison_ip],
             "bad A injected for MX query"
         );
-        // And the measurement-side detector flags it.
-        assert!(response_looks_injected(QType::Mx, &msg, &[]));
-        assert!(response_looks_injected(
-            QType::Mx,
-            &msg,
-            &[policy.dns_poison_ip]
-        ));
     }
 
     #[test]
@@ -216,24 +189,5 @@ mod tests {
         assert_eq!(msg.rcode, underradar_protocols::dns::Rcode::NxDomain);
         assert!(msg.answers.is_empty());
         assert_eq!(msg.id, 0x4242);
-    }
-
-    #[test]
-    fn legit_mx_response_not_flagged() {
-        let q = DnsMessage::query(1, name("example.com"), QType::Mx);
-        let mut resp = DnsMessage::response_to(&q, Rcode::NoError);
-        resp.answers = vec![Record {
-            name: name("example.com"),
-            ttl: 300,
-            data: RecordData::Mx {
-                preference: 10,
-                exchange: name("mail.example.com"),
-            },
-        }];
-        assert!(!response_looks_injected(
-            QType::Mx,
-            &resp,
-            &[Ipv4Addr::new(203, 0, 113, 113)]
-        ));
     }
 }

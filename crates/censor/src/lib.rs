@@ -24,9 +24,9 @@
 //!   traffic to blocked addresses/ports and kills requests for blocked
 //!   URLs.
 //!
-//! All mechanisms are configured through one [`policy::CensorPolicy`],
-//! which also compiles to the equivalent Snort-dialect ruleset — the
-//! "transaction-focused" censor the measurement techniques must trigger.
+//! All mechanisms are configured through one [`policy::CensorPolicy`] —
+//! the "transaction-focused" censor the measurement techniques must
+//! trigger.
 
 pub mod dns;
 pub mod inline;

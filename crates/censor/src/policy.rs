@@ -1,8 +1,6 @@
 //! Censorship policy: what is blocked and how.
 //!
 //! One policy object configures every censor deployment in the testbed.
-//! It can also render itself as a Snort-dialect ruleset (the paper built
-//! its reference censor from such rules), which the IDS engine compiles.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -221,52 +219,6 @@ impl CensorPolicy {
             .iter()
             .find_map(|frag| contains_nocase(frag.as_bytes()).then_some(frag.as_str()))
     }
-
-    /// Render the policy as the equivalent Snort-dialect ruleset (what the
-    /// paper's reference censor was configured with). Keyword rules are
-    /// stream rules so split keywords still match; DNS rules match the
-    /// query name in wire form.
-    pub fn to_snort_rules(&self) -> String {
-        let mut out = String::from("# generated censor ruleset\n");
-        let mut sid = 3_000_000u32;
-        for kw in &self.keywords {
-            sid += 1;
-            out.push_str(&format!(
-                "reject tcp any any -> any any (msg:\"censor keyword {kw}\"; flow:to_server; content:\"{kw}\"; nocase; sid:{sid};)\n"
-            ));
-        }
-        for name in &self.dns_blocked {
-            sid += 1;
-            // Wire-format name: length-prefixed labels.
-            let mut pattern = String::new();
-            for label in name.labels() {
-                pattern.push_str(&format!("|{:02x}|", label.len()));
-                pattern.push_str(&String::from_utf8_lossy(label));
-            }
-            out.push_str(&format!(
-                "reject udp any any -> any 53 (msg:\"censor dns {name}\"; content:\"{pattern}\"; nocase; sid:{sid};)\n"
-            ));
-        }
-        for prefix in &self.ip_blocked {
-            sid += 1;
-            out.push_str(&format!(
-                "drop ip any any -> {prefix} any (msg:\"censor blackhole {prefix}\"; sid:{sid};)\n"
-            ));
-        }
-        for (prefix, port) in &self.port_blocked {
-            sid += 1;
-            out.push_str(&format!(
-                "drop tcp any any -> {prefix} {port} (msg:\"censor port {prefix}:{port}\"; sid:{sid};)\n"
-            ));
-        }
-        for frag in &self.url_blocked {
-            sid += 1;
-            out.push_str(&format!(
-                "drop tcp any any -> any 80 (msg:\"censor url {frag}\"; content:\"{frag}\"; nocase; sid:{sid};)\n"
-            ));
-        }
-        out
-    }
 }
 
 impl fmt::Display for CensorPolicy {
@@ -326,22 +278,6 @@ mod tests {
             Some("/banned-page")
         );
         assert_eq!(p.matching_url(b"GET /fine HTTP/1.0"), None);
-    }
-
-    #[test]
-    fn snort_rendering_parses_back() {
-        use underradar_ids::parser::{parse_ruleset, VarTable};
-        let text = policy().to_snort_rules();
-        let rules = parse_ruleset(&text, &VarTable::new()).expect("generated rules parse");
-        assert_eq!(rules.len(), 5);
-        // The DNS rule carries the length-prefixed wire pattern.
-        let dns_rule = rules
-            .iter()
-            .find(|r| r.msg.contains("dns"))
-            .expect("dns rule");
-        let pat = &dns_rule.contents[0].pattern;
-        assert_eq!(pat[0], 7); // len("twitter")
-        assert_eq!(&pat[1..8], b"twitter");
     }
 
     #[test]

@@ -22,6 +22,8 @@ use crate::probe::{Evidence, Probe};
 use crate::verdict::{Mechanism, Verdict};
 
 const TIMER_NEXT_SAMPLE: u64 = 1;
+/// Gap between one sample's end and the next request.
+const PACE: SimDuration = SimDuration::from_millis(50);
 
 /// The fate of one request sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +65,6 @@ pub struct DdosProbe {
     host_header: String,
     path: String,
     samples_wanted: usize,
-    pace: SimDuration,
     current: Option<ConnId>,
     buf: Vec<u8>,
     /// Outcome of each sample, in order.
@@ -81,19 +82,12 @@ impl DdosProbe {
             host_header: host_header.to_string(),
             path: path.to_string(),
             samples_wanted: samples,
-            pace: SimDuration::from_millis(50),
             current: None,
             buf: Vec::new(),
             samples: Vec::new(),
             retries: 0,
             retries_used: 0,
         }
-    }
-
-    /// Adjust request pacing (builder style).
-    pub fn with_pace(mut self, pace: SimDuration) -> DdosProbe {
-        self.pace = pace;
-        self
     }
 
     /// Extra attempts for samples that time out (builder style; like the
@@ -134,12 +128,12 @@ impl DdosProbe {
             // Re-attempt instead of recording: a lone timeout is more
             // likely loss than censorship.
             self.retries_used += 1;
-            api.set_timer(self.pace, TIMER_NEXT_SAMPLE);
+            api.set_timer(PACE, TIMER_NEXT_SAMPLE);
             return;
         }
         self.samples.push(outcome);
         if !Probe::is_finished(self) {
-            api.set_timer(self.pace, TIMER_NEXT_SAMPLE);
+            api.set_timer(PACE, TIMER_NEXT_SAMPLE);
         }
     }
 }

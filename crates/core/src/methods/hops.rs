@@ -27,6 +27,8 @@ use crate::verdict::Verdict;
 const TIMER_NEXT: u64 = 1;
 const TIMER_DONE: u64 = 2;
 const BASE_SPORT: u16 = 46000;
+/// Gap between successive TTL probes.
+const PACE: SimDuration = SimDuration::from_millis(100);
 
 /// What a probe at one TTL observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +47,6 @@ pub struct HopProbe {
     port: u16,
     max_ttl: u8,
     next_ttl: u8,
-    pace: SimDuration,
     /// Replies per probed TTL.
     pub replies: BTreeMap<u8, HopReply>,
     finished: bool,
@@ -59,16 +60,9 @@ impl HopProbe {
             port,
             max_ttl: max_ttl.max(1),
             next_ttl: 1,
-            pace: SimDuration::from_millis(100),
             replies: BTreeMap::new(),
             finished: false,
         }
-    }
-
-    /// Adjust probe pacing (builder style).
-    pub fn with_pace(mut self, pace: SimDuration) -> HopProbe {
-        self.pace = pace;
-        self
     }
 
     /// Hop distance to the target: the smallest TTL whose probe reached it.
@@ -118,7 +112,7 @@ impl HopProbe {
         )
         .with_ttl(ttl);
         api.raw_send(probe);
-        api.set_timer(self.pace, TIMER_NEXT);
+        api.set_timer(PACE, TIMER_NEXT);
     }
 
     fn ttl_of_sport(sport: u16) -> Option<u8> {

@@ -24,6 +24,8 @@ use crate::verdict::{Mechanism, Verdict};
 
 const TIMER_NEXT_PROBE: u64 = 1;
 const TIMER_GRACE: u64 = 2;
+/// Gap between successive SYNs.
+const PACE: SimDuration = SimDuration::from_millis(20);
 
 /// What the scan observed for one port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +45,6 @@ pub struct SynScanProbe {
     /// Ports that must be open for the service to function (e.g. 80 for a
     /// web site); censorship is inferred from their state.
     expected_open: Vec<u16>,
-    pace: SimDuration,
     next_index: usize,
     base_sport: u16,
     /// Observed state per port (absent = still filtered/unanswered).
@@ -61,7 +62,6 @@ impl SynScanProbe {
             target,
             ports,
             expected_open,
-            pace: SimDuration::from_millis(20),
             next_index: 0,
             base_sport: 40000,
             results: HashMap::new(),
@@ -69,12 +69,6 @@ impl SynScanProbe {
             retries: 1,
             round: 0,
         }
-    }
-
-    /// Adjust probe pacing (builder style).
-    pub fn with_pace(mut self, pace: SimDuration) -> SynScanProbe {
-        self.pace = pace;
-        self
     }
 
     /// Extra probe rounds for unanswered ports (builder style; nmap
@@ -120,7 +114,7 @@ impl SynScanProbe {
             vec![],
         );
         api.raw_send(syn);
-        api.set_timer(self.pace, TIMER_NEXT_PROBE);
+        api.set_timer(PACE, TIMER_NEXT_PROBE);
     }
 
     fn sport_to_port(&self, sport: u16) -> Option<u16> {
@@ -331,10 +325,8 @@ mod tests {
     }
 
     #[test]
-    fn pacing_is_configurable() {
-        let probe = SynScanProbe::new(Ipv4Addr::new(1, 2, 3, 4), vec![80], vec![80])
-            .with_pace(SimDuration::from_millis(5));
-        assert_eq!(probe.pace, SimDuration::from_millis(5));
+    fn unstarted_scan_reads_in_progress() {
+        let probe = SynScanProbe::new(Ipv4Addr::new(1, 2, 3, 4), vec![80], vec![80]);
         assert_eq!(
             probe.verdict(),
             Verdict::Inconclusive("scan still in progress".to_string())

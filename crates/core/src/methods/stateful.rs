@@ -36,6 +36,9 @@ use crate::probe::{Evidence, Probe};
 use crate::testbed::{wire_chain, TestbedConfig, TestbedTemplate};
 use crate::verdict::{Mechanism, Verdict};
 
+/// Gap between spoofed conversation steps.
+const STEP_GAP: SimDuration = SimDuration::from_millis(50);
+
 /// Events the measurer-controlled server records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerEvent {
@@ -229,7 +232,6 @@ pub struct StatefulMimicry {
     /// Split the payload into two segments (exercises the censor's
     /// reassembler).
     pub split_payload: bool,
-    step_gap: SimDuration,
     step: u32,
 }
 
@@ -252,15 +254,8 @@ impl StatefulMimicry {
             client_iss: 0x1357_9bdf,
             payload: payload.to_vec(),
             split_payload: false,
-            step_gap: SimDuration::from_millis(50),
             step: 0,
         }
-    }
-
-    /// Adjust the gap between spoofed conversation steps (builder style).
-    pub fn with_pace(mut self, pace: SimDuration) -> StatefulMimicry {
-        self.step_gap = pace;
-        self
     }
 
     /// Split the payload across two segments (builder style).
@@ -312,7 +307,7 @@ impl Probe for StatefulMimicry {
 impl HostTask for StatefulMimicry {
     fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
         api.raw_send(self.spoofed(self.client_iss, 0, TcpFlags::syn(), vec![]));
-        api.set_timer(self.step_gap, 1);
+        api.set_timer(STEP_GAP, 1);
     }
 
     fn on_timer(&mut self, api: &mut HostApi<'_, '_>, _token: u64) {
@@ -323,14 +318,14 @@ impl HostTask for StatefulMimicry {
             1 => {
                 // Blind ACK completes the spoofed handshake.
                 api.raw_send(self.spoofed(data_seq, srv_ack, TcpFlags::ack(), vec![]));
-                api.set_timer(self.step_gap, 2);
+                api.set_timer(STEP_GAP, 2);
             }
             2 => {
                 if self.split_payload && self.payload.len() >= 2 {
                     let mid = self.payload.len() / 2;
                     let first = self.payload[..mid].to_vec();
                     api.raw_send(self.spoofed(data_seq, srv_ack, TcpFlags::psh_ack(), first));
-                    api.set_timer(self.step_gap, 3);
+                    api.set_timer(STEP_GAP, 3);
                 } else {
                     api.raw_send(self.spoofed(
                         data_seq,

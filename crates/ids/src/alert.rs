@@ -78,23 +78,10 @@ impl AlertLog {
         self.alerts.is_empty()
     }
 
-    /// Alerts for one rule.
-    pub fn by_sid(&self, sid: u32) -> impl Iterator<Item = &Alert> {
-        self.alerts.iter().filter(move |a| a.sid == sid)
-    }
-
     /// Alerts attributable to one source address — the surveillance
     /// system's user-attribution query.
     pub fn by_src(&self, src: Ipv4Addr) -> impl Iterator<Item = &Alert> {
         self.alerts.iter().filter(move |a| a.src == src)
-    }
-
-    /// Distinct source addresses appearing in the log.
-    pub fn distinct_sources(&self) -> Vec<Ipv4Addr> {
-        let mut srcs: Vec<Ipv4Addr> = self.alerts.iter().map(|a| a.src).collect();
-        srcs.sort();
-        srcs.dedup();
-        srcs
     }
 
     /// Drop all alerts.
@@ -128,9 +115,7 @@ mod tests {
         log.push(alert(2, [1, 1, 1, 1]));
         log.push(alert(1, [2, 2, 2, 2]));
         assert_eq!(log.len(), 3);
-        assert_eq!(log.by_sid(1).count(), 2);
         assert_eq!(log.by_src([1, 1, 1, 1].into()).count(), 2);
-        assert_eq!(log.distinct_sources().len(), 2);
         log.clear();
         assert!(log.is_empty());
     }

@@ -411,15 +411,6 @@ impl DetectionEngine {
         self.reassembler.state_count()
     }
 
-    /// Total stream rules currently pending across live flow directions
-    /// (introspection: bounded growth is the point of seen-retirement).
-    pub fn pending_stream_rules(&self) -> usize {
-        self.reassembler
-            .states()
-            .map(|s| s.c2s.seen.len() + s.s2c.seen.len())
-            .sum()
-    }
-
     /// Approximate bytes held by per-flow engine state and the flow
     /// table (memory-budget introspection for population-scale runs).
     pub fn flow_memory_bytes(&self) -> usize {
@@ -938,11 +929,12 @@ mod tests {
         seq += hit.len() as u32;
         assert_eq!(e.process(t(0), &first).len(), 1);
         let after_alert = e.stats().evaluations;
-        assert_eq!(
-            e.pending_stream_rules(),
-            0,
-            "alerted rule retired from the pending list"
-        );
+        let pending: usize = e
+            .reassembler
+            .states()
+            .map(|s| s.c2s.seen.len() + s.s2c.seen.len())
+            .sum();
+        assert_eq!(pending, 0, "alerted rule retired from the pending list");
         for _ in 0..1000 {
             let d = Packet::tcp(C, S, 4000, 80, seq, 501, TcpFlags::psh_ack(), hit.clone());
             seq += hit.len() as u32;

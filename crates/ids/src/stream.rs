@@ -42,8 +42,24 @@ use std::net::Ipv4Addr;
 use underradar_netsim::flow::FlowTable;
 pub use underradar_netsim::flow::{FlowId, FlowKey};
 use underradar_netsim::packet::{Packet, TcpSegment};
-pub use underradar_netsim::stack::tcp::{seq_le, seq_lt, OverlapPolicy};
+pub use underradar_netsim::stack::tcp::{seq_le, seq_lt};
 use underradar_netsim::telemetry::{TraceFlow, TraceRecord, Tracer};
+
+/// What the monitor does when newly arrived bytes overlap bytes it has
+/// already seen. Honest senders always retransmit identical bytes so the
+/// policy is unobservable; evasion clients send *different* bytes in
+/// overlapping retransmits, and which copy the monitor keeps decides what
+/// its rules match. The testbed's TCP endpoint always keeps the last copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OverlapPolicy {
+    /// The first copy to arrive wins; later overlapping bytes are ignored
+    /// (BSD-style).
+    KeepFirst,
+    /// The most recent copy wins; later arrivals overwrite held bytes
+    /// (Linux-ish behaviour for data ahead of `rcv_nxt`, and the
+    /// endpoint's).
+    KeepLast,
+}
 
 /// Default per-direction cap on buffered stream bytes; older bytes are
 /// discarded (the monitor has bounded per-flow memory — §2.1's storage

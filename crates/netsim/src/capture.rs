@@ -75,11 +75,6 @@ impl Capture {
         self.records.iter().filter(move |r| r.packet.src == src)
     }
 
-    /// Records whose packet destination address is `dst`.
-    pub fn to_addr(&self, dst: Ipv4Addr) -> impl Iterator<Item = &CapturedPacket> {
-        self.records.iter().filter(move |r| r.packet.dst == dst)
-    }
-
     /// Total wire bytes recorded.
     pub fn total_bytes(&self) -> u64 {
         self.records
@@ -134,7 +129,6 @@ mod tests {
         assert_eq!(cap.len(), 3);
         assert_eq!(cap.sent_by(NodeId(0)).count(), 2);
         assert_eq!(cap.from_addr([10, 0, 0, 1].into()).count(), 2);
-        assert_eq!(cap.to_addr([10, 0, 0, 3].into()).count(), 1);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use packet::{IcmpSegment, Packet, PacketBody, TcpSegment, UdpDatagram};
 pub use rng::SimRng;
 pub use sim::Simulator;
 pub use slab::{Slab, SlabKey};
-pub use stack::tcp::{OverlapPolicy, TcpConn, TcpEvent, TcpState};
+pub use stack::tcp::{TcpConn, TcpEvent, TcpState};
 pub use switch::Switch;
 pub use time::{SimDuration, SimTime};
 pub use topology::TopologyBuilder;

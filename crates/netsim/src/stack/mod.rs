@@ -5,5 +5,5 @@
 pub mod tcp;
 pub mod udp;
 
-pub use tcp::{OverlapPolicy, TcpConn, TcpEvent, TcpState};
+pub use tcp::{TcpConn, TcpEvent, TcpState};
 pub use udp::UdpBindings;

@@ -6,13 +6,14 @@
 //! (SRTT/RTTVAR, exponential backoff, Karn's rule, retries reset on forward
 //! progress), head-of-queue retransmission, fast retransmit on three
 //! duplicate ACKs, a compact slow-start/AIMD congestion window,
-//! advertised-receive-window respect, an out-of-order receive buffer with a
-//! configurable overlap policy ([`OverlapPolicy`] — real stacks disagree on
-//! who wins when retransmitted bytes differ, which is exactly the ambiguity
-//! Ptacek–Newsham evasion exploits), windowed RST validation (out-of-window
-//! RSTs draw a challenge ACK instead of tearing down, RFC 5961-style), FIN
-//! teardown, and per-connection reply-TTL override (the paper's TTL-limited
-//! stateful mimicry, §4.1).
+//! advertised-receive-window respect, an out-of-order receive buffer in
+//! which the most recent copy of overlapping bytes wins (real stacks
+//! disagree on who wins when retransmitted bytes differ, which is exactly
+//! the ambiguity Ptacek–Newsham evasion exploits; the monitor's side of
+//! that choice is `ids::stream::OverlapPolicy`), windowed RST validation
+//! (out-of-window RSTs draw a challenge ACK instead of tearing down, RFC
+//! 5961-style), FIN teardown, and per-connection reply-TTL override (the
+//! paper's TTL-limited stateful mimicry, §4.1).
 //!
 //! Still deliberately omitted: SACK, window scaling, timestamps,
 //! simultaneous open, and delayed ACKs. None of these affect the
@@ -69,22 +70,6 @@ pub fn seq_lt(a: u32, b: u32) -> bool {
 #[inline]
 pub fn seq_le(a: u32, b: u32) -> bool {
     a == b || seq_lt(a, b)
-}
-
-/// What a receiver does when newly arrived bytes overlap bytes it already
-/// holds (in the reassembly buffer or already delivered). Honest senders
-/// always retransmit identical bytes so the policy is unobservable; evasion
-/// clients send *different* bytes in overlapping retransmits, and which copy
-/// the endpoint keeps decides what the application sees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverlapPolicy {
-    /// The first copy to arrive wins; later overlapping bytes are ignored
-    /// (BSD-style, and what `ids::stream`'s hold-back reassembler does).
-    KeepFirst,
-    /// The most recent copy wins; later arrivals overwrite held bytes
-    /// (Linux-ish behaviour for data ahead of `rcv_nxt`).
-    #[default]
-    KeepLast,
 }
 
 /// TCP connection states (RFC 793 subset).
@@ -194,8 +179,6 @@ pub struct TcpConn {
     /// sorted by offset from `rcv_nxt`, non-overlapping. Because offsets are
     /// clipped to `rcv_wnd`, total held bytes never exceed the window.
     rcv_ooo: Vec<(u32, Vec<u8>)>,
-    /// Who wins when arriving bytes overlap held bytes.
-    overlap: OverlapPolicy,
     /// TTL stamped on outgoing packets; `None` uses the default. Servers in
     /// the stateful-mimicry experiment set this so replies die in-network.
     pub reply_ttl: Option<u8>,
@@ -233,7 +216,6 @@ impl TcpConn {
             rtt_probe: None,
             rcv_wnd: DEFAULT_WINDOW,
             rcv_ooo: Vec::new(),
-            overlap: OverlapPolicy::default(),
             reply_ttl: None,
             fin_sent: false,
         }
@@ -323,11 +305,6 @@ impl TcpConn {
     /// `rcv_nxt + rcv_wnd` are dropped — the lever for window-based evasion.
     pub fn set_rcv_wnd(&mut self, wnd: u32) {
         self.rcv_wnd = wnd;
-    }
-
-    /// Set the receive-side overlap policy.
-    pub fn set_overlap_policy(&mut self, policy: OverlapPolicy) {
-        self.overlap = policy;
     }
 
     /// Next sequence number the receive side expects.
@@ -710,20 +687,6 @@ impl TcpConn {
         if bytes.len() as u32 > self.rcv_wnd.max(1) {
             bytes.truncate(self.rcv_wnd.max(1) as usize);
         }
-        if self.overlap == OverlapPolicy::KeepFirst {
-            // Bytes already held out-of-order arrived first: they win over
-            // this late in-order copy wherever the two ranges overlap.
-            let base = self.rcv_nxt;
-            let len = bytes.len() as u32;
-            for (hseq, hdata) in &self.rcv_ooo {
-                let hoff = hseq.wrapping_sub(base);
-                if hoff >= len {
-                    break;
-                }
-                let copy = (hdata.len() as u32).min(len - hoff) as usize;
-                bytes[hoff as usize..hoff as usize + copy].copy_from_slice(&hdata[..copy]);
-            }
-        }
         self.rcv_nxt = self.rcv_nxt.wrapping_add(bytes.len() as u32);
         events.push(TcpEvent::Data(bytes));
         self.drain_ooo(events);
@@ -748,8 +711,8 @@ impl TcpConn {
     }
 
     /// Buffer a future segment (rcv_nxt < seq, inside the window). The held
-    /// set stays sorted and non-overlapping; the overlap policy decides
-    /// which copy survives where the new range crosses held ranges.
+    /// set stays sorted and non-overlapping; where the new range crosses held
+    /// ranges the new bytes win (keep-last).
     fn hold_ooo(&mut self, seq: u32, payload: &[u8]) {
         let base = self.rcv_nxt;
         let off = seq.wrapping_sub(base);
@@ -763,65 +726,28 @@ impl TcpConn {
         }
         let new_start = off;
         let new_end = off + data.len() as u32;
-        match self.overlap {
-            OverlapPolicy::KeepFirst => {
-                // Insert only the sub-ranges no held chunk already covers.
-                let mut cursor = new_start;
-                let mut inserts: Vec<(u32, Vec<u8>)> = Vec::new();
-                for (hseq, hdata) in &self.rcv_ooo {
-                    let hs = hseq.wrapping_sub(base);
-                    let he = hs + hdata.len() as u32;
-                    if he <= cursor {
-                        continue;
-                    }
-                    if hs >= new_end {
-                        break;
-                    }
-                    if hs > cursor {
-                        let hi = hs.min(new_end);
-                        inserts.push((
-                            base.wrapping_add(cursor),
-                            data[(cursor - new_start) as usize..(hi - new_start) as usize].to_vec(),
-                        ));
-                    }
-                    cursor = cursor.max(he);
-                    if cursor >= new_end {
-                        break;
-                    }
-                }
-                if cursor < new_end {
-                    inserts.push((
-                        base.wrapping_add(cursor),
-                        data[(cursor - new_start) as usize..].to_vec(),
-                    ));
-                }
-                self.rcv_ooo.extend(inserts);
+        // Trim or split held chunks the new range crosses, then
+        // insert the new bytes whole.
+        let mut kept: Vec<(u32, Vec<u8>)> = Vec::new();
+        for (hseq, hdata) in std::mem::take(&mut self.rcv_ooo) {
+            let hs = hseq.wrapping_sub(base);
+            let he = hs + hdata.len() as u32;
+            if he <= new_start || hs >= new_end {
+                kept.push((hseq, hdata));
+                continue;
             }
-            OverlapPolicy::KeepLast => {
-                // Trim or split held chunks the new range crosses, then
-                // insert the new bytes whole.
-                let mut kept: Vec<(u32, Vec<u8>)> = Vec::new();
-                for (hseq, hdata) in std::mem::take(&mut self.rcv_ooo) {
-                    let hs = hseq.wrapping_sub(base);
-                    let he = hs + hdata.len() as u32;
-                    if he <= new_start || hs >= new_end {
-                        kept.push((hseq, hdata));
-                        continue;
-                    }
-                    if hs < new_start {
-                        kept.push((hseq, hdata[..(new_start - hs) as usize].to_vec()));
-                    }
-                    if he > new_end {
-                        kept.push((
-                            base.wrapping_add(new_end),
-                            hdata[(new_end - hs) as usize..].to_vec(),
-                        ));
-                    }
-                }
-                kept.push((base.wrapping_add(new_start), data));
-                self.rcv_ooo = kept;
+            if hs < new_start {
+                kept.push((hseq, hdata[..(new_start - hs) as usize].to_vec()));
+            }
+            if he > new_end {
+                kept.push((
+                    base.wrapping_add(new_end),
+                    hdata[(new_end - hs) as usize..].to_vec(),
+                ));
             }
         }
+        kept.push((base.wrapping_add(new_start), data));
+        self.rcv_ooo = kept;
         self.rcv_ooo.sort_by_key(|(s, _)| s.wrapping_sub(base));
     }
 
@@ -1286,71 +1212,56 @@ mod tests {
     }
 
     #[test]
-    fn overlap_policy_decides_conflicting_retransmits() {
+    fn later_copy_wins_conflicting_retransmits() {
         // An evasion client sends two different payloads for the same
-        // out-of-order range. Which copy the endpoint accepts is the policy.
-        for (policy, expect) in [
-            (OverlapPolicy::KeepFirst, b"AAAA".as_slice()),
-            (OverlapPolicy::KeepLast, b"BBBB".as_slice()),
-        ] {
-            let (mut client, mut server) = handshake();
-            server.set_overlap_policy(policy);
-            let first = seg_of(&client.send(b"0123", T0)[0]);
-            let mut a = first.clone();
-            a.seq = first.seq.wrapping_add(4);
-            a.payload = b"AAAA".to_vec();
-            let mut b = a.clone();
-            b.payload = b"BBBB".to_vec();
-            // Both conflicting copies arrive ahead of the gap fill.
-            let (_, ev) = server.on_segment(&a, T0);
-            assert!(ev.is_empty());
-            let (_, ev) = server.on_segment(&b, T0);
-            assert!(ev.is_empty());
-            // Now the in-order bytes arrive and everything drains.
-            let (_, ev) = server.on_segment(&first, T0);
-            let got: Vec<u8> = ev
-                .iter()
-                .filter_map(|e| match e {
-                    TcpEvent::Data(d) => Some(d.clone()),
-                    _ => None,
-                })
-                .flatten()
-                .collect();
-            let mut want = b"0123".to_vec();
-            want.extend_from_slice(expect);
-            assert_eq!(got, want, "policy {policy:?}");
-        }
+        // out-of-order range. The endpoint keeps the most recent copy.
+        let (mut client, mut server) = handshake();
+        let first = seg_of(&client.send(b"0123", T0)[0]);
+        let mut a = first.clone();
+        a.seq = first.seq.wrapping_add(4);
+        a.payload = b"AAAA".to_vec();
+        let mut b = a.clone();
+        b.payload = b"BBBB".to_vec();
+        // Both conflicting copies arrive ahead of the gap fill.
+        let (_, ev) = server.on_segment(&a, T0);
+        assert!(ev.is_empty());
+        let (_, ev) = server.on_segment(&b, T0);
+        assert!(ev.is_empty());
+        // Now the in-order bytes arrive and everything drains.
+        let (_, ev) = server.on_segment(&first, T0);
+        let got: Vec<u8> = ev
+            .iter()
+            .filter_map(|e| match e {
+                TcpEvent::Data(d) => Some(d.clone()),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        assert_eq!(got, b"0123BBBB".to_vec());
     }
 
     #[test]
-    fn overlap_policy_applies_to_late_in_order_copy() {
+    fn late_in_order_copy_overwrites_held_bytes() {
         // A conflicting copy for [2,4) arrives out of order and is held;
         // then the original "0123" arrives in order covering the same range.
-        // KeepFirst: the held copy wins over the late bytes → "01XX".
-        // KeepLast: the late in-order copy wins → "0123".
-        for (policy, expected) in [
-            (OverlapPolicy::KeepFirst, b"01XX".as_slice()),
-            (OverlapPolicy::KeepLast, b"0123".as_slice()),
-        ] {
-            let (mut client, mut server) = handshake();
-            server.set_overlap_policy(policy);
-            let first = seg_of(&client.send(b"0123", T0)[0]);
-            let mut held = first.clone();
-            held.seq = first.seq.wrapping_add(2);
-            held.payload = b"XX".to_vec();
-            let (_, ev) = server.on_segment(&held, T0);
-            assert!(ev.is_empty());
-            let (_, ev) = server.on_segment(&first, T0);
-            let got: Vec<u8> = ev
-                .iter()
-                .filter_map(|e| match e {
-                    TcpEvent::Data(d) => Some(d.clone()),
-                    _ => None,
-                })
-                .flatten()
-                .collect();
-            assert_eq!(got, expected, "policy {policy:?}");
-        }
+        // The late in-order copy wins → "0123".
+        let (mut client, mut server) = handshake();
+        let first = seg_of(&client.send(b"0123", T0)[0]);
+        let mut held = first.clone();
+        held.seq = first.seq.wrapping_add(2);
+        held.payload = b"XX".to_vec();
+        let (_, ev) = server.on_segment(&held, T0);
+        assert!(ev.is_empty());
+        let (_, ev) = server.on_segment(&first, T0);
+        let got: Vec<u8> = ev
+            .iter()
+            .filter_map(|e| match e {
+                TcpEvent::Data(d) => Some(d.clone()),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        assert_eq!(got, b"0123".to_vec());
     }
 
     #[test]

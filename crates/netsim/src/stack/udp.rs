@@ -39,11 +39,6 @@ impl UdpBindings {
         }
     }
 
-    /// Release `port`.
-    pub fn unbind(&mut self, port: u16) {
-        self.ports.remove(&port);
-    }
-
     /// Who owns `port`, if bound.
     pub fn owner(&self, port: u16) -> Option<UdpOwner> {
         self.ports.get(&port).copied()
@@ -75,14 +70,5 @@ mod tests {
         assert!(b.bind(53, UdpOwner::Service(0)));
         assert!(!b.bind(53, UdpOwner::Task(1)));
         assert_eq!(b.owner(53), Some(UdpOwner::Service(0)));
-    }
-
-    #[test]
-    fn unbind_frees_port() {
-        let mut b = UdpBindings::new();
-        assert!(b.bind(53, UdpOwner::Service(0)));
-        b.unbind(53);
-        assert!(!b.is_bound(53));
-        assert!(b.bind(53, UdpOwner::Task(7)));
     }
 }

@@ -44,9 +44,6 @@ pub struct Switch {
     taps: Vec<IfaceId>,
     /// Router mode: decrement TTL and emit ICMP Time Exceeded on expiry.
     router_mode: bool,
-    /// Send ICMP Time Exceeded back toward the source on TTL expiry.
-    /// Disabling models middleboxes that drop silently.
-    send_time_exceeded: bool,
     /// Address used as the source of ICMP errors this switch originates.
     router_addr: std::net::Ipv4Addr,
     stats: SwitchStats,
@@ -60,7 +57,6 @@ impl Switch {
             routes: Vec::new(),
             taps: Vec::new(),
             router_mode: false,
-            send_time_exceeded: true,
             router_addr: std::net::Ipv4Addr::new(192, 0, 2, 254),
             stats: SwitchStats::default(),
         }
@@ -90,11 +86,6 @@ impl Switch {
         }
     }
 
-    /// Disable ICMP Time Exceeded generation (silent TTL drops).
-    pub fn set_silent_ttl_drop(&mut self) {
-        self.send_time_exceeded = false;
-    }
-
     /// Forwarding statistics.
     pub fn stats(&self) -> SwitchStats {
         self.stats
@@ -118,22 +109,20 @@ impl Node for Switch {
         if self.router_mode {
             if packet.ttl <= 1 {
                 self.stats.ttl_expired += 1;
-                if self.send_time_exceeded {
-                    let quoted = IcmpRepr::error_payload(&packet.to_wire());
-                    let err =
-                        Packet::icmp(self.router_addr, packet.src, IcmpKind::TimeExceeded, quoted)
-                            .with_ttl(DEFAULT_TTL);
-                    if let Some(back) = self.lookup(err.dst) {
-                        ctx.send(back, err.clone());
-                        self.stats.forwarded += 1;
-                    }
-                    // The expiry event is still visible to taps: monitors on
-                    // the path see the ICMP error go by.
-                    for &tap in &self.taps {
-                        if tap != in_iface {
-                            ctx.send(tap, err.clone());
-                            self.stats.tapped += 1;
-                        }
+                let quoted = IcmpRepr::error_payload(&packet.to_wire());
+                let err =
+                    Packet::icmp(self.router_addr, packet.src, IcmpKind::TimeExceeded, quoted)
+                        .with_ttl(DEFAULT_TTL);
+                if let Some(back) = self.lookup(err.dst) {
+                    ctx.send(back, err.clone());
+                    self.stats.forwarded += 1;
+                }
+                // The expiry event is still visible to taps: monitors on
+                // the path see the ICMP error go by.
+                for &tap in &self.taps {
+                    if tap != in_iface {
+                        ctx.send(tap, err.clone());
+                        self.stats.tapped += 1;
                     }
                 }
                 return;
@@ -331,28 +320,6 @@ mod tests {
                 .ttl_expired,
             1
         );
-    }
-
-    #[test]
-    fn silent_ttl_drop() {
-        let mut sim = Simulator::new(3);
-        let a = sim.add_node(Sink::boxed("a"));
-        let b = sim.add_node(Sink::boxed("b"));
-        let mut rt = Switch::router("r1", Ipv4Addr::new(192, 0, 2, 1));
-        rt.add_route(Cidr::slash24(CLIENT), IfaceId(0));
-        rt.add_route(Cidr::slash24(SERVER), IfaceId(1));
-        rt.set_silent_ttl_drop();
-        let rt = sim.add_node(Box::new(rt));
-        sim.wire(a, IfaceId(0), rt, IfaceId(0), LinkConfig::ideal())
-            .expect("wire");
-        sim.wire(b, IfaceId(0), rt, IfaceId(1), LinkConfig::ideal())
-            .expect("wire");
-        let p = Packet::udp(CLIENT, SERVER, 7, 9, vec![]).with_ttl(1);
-        sim.send_from(a, IfaceId(0), p, SimTime::ZERO)
-            .expect("send");
-        sim.run_to_completion().expect("run");
-        assert!(sim.node_ref::<Sink>(a).expect("a").got.is_empty());
-        assert!(sim.node_ref::<Sink>(b).expect("b").got.is_empty());
     }
 
     #[test]

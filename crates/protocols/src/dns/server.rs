@@ -71,16 +71,6 @@ impl ZoneBuilder {
         self
     }
 
-    /// Add a TXT record.
-    pub fn txt(mut self, name: &DnsName, text: &[u8]) -> Self {
-        self.records.push(Record {
-            name: name.clone(),
-            ttl: 60,
-            data: RecordData::Txt(text.to_vec()),
-        });
-        self
-    }
-
     /// Add an NS record.
     pub fn ns(mut self, name: &DnsName, target: &DnsName) -> Self {
         self.records.push(Record {
@@ -243,7 +233,6 @@ mod tests {
             .a(&name("mx1.twitter.com"), Ipv4Addr::new(199, 59, 150, 10))
             .a(&name("mx2.twitter.com"), Ipv4Addr::new(199, 59, 150, 11))
             .cname(&name("alias.bbc.com"), &name("www.bbc.com"))
-            .txt(&name("bbc.com"), b"v=spf1 include:_spf.bbc.com -all")
             .ns(&name("bbc.com"), &name("ns1.bbc.com"))
             .build();
         DnsServer::new(zone)

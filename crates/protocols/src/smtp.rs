@@ -210,11 +210,6 @@ impl SmtpClientMachine {
         self.phase == SmtpPhase::Done
     }
 
-    /// Whether the server rejected the transaction.
-    pub fn is_failed(&self) -> bool {
-        self.phase == SmtpPhase::Failed
-    }
-
     /// Consume server bytes; returns client bytes to transmit (possibly
     /// empty).
     pub fn on_data(&mut self, data: &[u8]) -> Vec<u8> {
@@ -388,7 +383,7 @@ mod tests {
         let _ = m.on_data(b"250 hello\r\n");
         let out = m.on_data(b"550 blocked sender\r\n");
         assert_eq!(out, b"QUIT\r\n");
-        assert!(m.is_failed());
+        assert_eq!(m.phase(), SmtpPhase::Failed);
     }
 
     #[test]

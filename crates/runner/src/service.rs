@@ -231,14 +231,12 @@ impl ProgressState {
             || self.last_emit.elapsed() >= Duration::from_millis(self.cfg.every_ms)
     }
 
-    /// Emit one snapshot line to stderr and mirror it into `tel` as
-    /// `runner.progress.*` metrics. Wall-clock values are nondeterministic
-    /// by nature, which is why they only exist when progress is enabled —
-    /// default runs keep registries byte-identical across hosts.
-    #[allow(clippy::too_many_arguments)]
+    /// Emit one snapshot line to stderr. Wall-clock values are
+    /// nondeterministic by nature, so they go to stderr only and never
+    /// into the run's registry: stdout and telemetry are the same bytes
+    /// with progress on or off.
     fn emit(
         &mut self,
-        tel: &Telemetry,
         stats: &WorkerStats,
         done: u64,
         total: u64,
@@ -274,14 +272,6 @@ impl ProgressState {
         );
         let mut err = std::io::stderr().lock();
         let _ = writeln!(err, "{line}");
-        if tel.is_enabled() {
-            tel.set_gauge("runner.progress.done", done as i64);
-            tel.set_gauge("runner.progress.total", total as i64);
-            tel.set_gauge("runner.progress.journal_lag", journal_lag as i64);
-            tel.count("runner.progress.snapshots", 1);
-            tel.observe("runner.progress.rows_per_sec", rows_per_sec);
-            tel.observe("runner.progress.eta_ms", eta_ms);
-        }
         self.last_emit = Instant::now();
         self.last_done = done;
         self.snapshots += 1;
@@ -450,7 +440,6 @@ pub fn run_service(
                     if p.due(total_done) {
                         let lag = journal.as_ref().map(|j| j.unsynced()).unwrap_or(0);
                         p.emit(
-                            tel,
                             &stats,
                             total_done,
                             trials.len() as u64,
@@ -474,7 +463,6 @@ pub fn run_service(
         // Always close the stream with a final snapshot: done == total,
         // journal fully synced.
         p.emit(
-            tel,
             &stats,
             (restored + expected) as u64,
             trials.len() as u64,

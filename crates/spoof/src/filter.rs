@@ -7,12 +7,9 @@
 //! filtering still lets a host borrow any neighbor in its /24 — the case
 //! Beverly et al. found for 77 % of clients.
 
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 use underradar_netsim::addr::Cidr;
-use underradar_netsim::node::{IfaceId, Node, NodeCtx};
-use underradar_netsim::packet::Packet;
 
 /// How precisely the ingress filter validates source addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,82 +47,6 @@ impl FilterGranularity {
     }
 }
 
-/// Filter statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FilterStats {
-    /// Packets forwarded.
-    pub passed: u64,
-    /// Packets dropped as spoofed.
-    pub dropped: u64,
-}
-
-/// An in-path ingress filter node: interface 0 faces the access network
-/// whose legitimate prefix is `access_prefix`; interface 1 faces the wider
-/// network. Traffic entering from the access side must carry a source the
-/// filter's granularity allows for that prefix; reverse traffic passes.
-pub struct IngressFilterNode {
-    name: String,
-    access_prefix: Cidr,
-    granularity: FilterGranularity,
-    stats: FilterStats,
-}
-
-impl IngressFilterNode {
-    /// Build a filter for an access network.
-    pub fn new(name: &str, access_prefix: Cidr, granularity: FilterGranularity) -> Self {
-        IngressFilterNode {
-            name: name.to_string(),
-            access_prefix,
-            granularity,
-            stats: FilterStats::default(),
-        }
-    }
-
-    /// Statistics.
-    pub fn stats(&self) -> FilterStats {
-        self.stats
-    }
-
-    fn egress_allowed(&self, src: Ipv4Addr) -> bool {
-        match self.granularity {
-            FilterGranularity::None => true,
-            // Deployed at the access boundary, the filter can only check
-            // membership in the legitimate prefix at its granularity: a
-            // /24-granular filter accepts any source within the /24s the
-            // access network owns. Exact-match would require per-port
-            // state; we model it as "must be inside the access prefix" at
-            // /32 granularity only when the prefix itself is a /32.
-            FilterGranularity::Slash24 | FilterGranularity::Slash16 | FilterGranularity::Exact => {
-                self.access_prefix.contains(src)
-            }
-        }
-    }
-}
-
-impl Node for IngressFilterNode {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn receive(&mut self, ctx: &mut NodeCtx<'_>, iface: IfaceId, packet: Packet) {
-        let out = IfaceId(1 - iface.0.min(1));
-        if iface == IfaceId(0) && !self.egress_allowed(packet.src) {
-            self.stats.dropped += 1;
-            return;
-        }
-        self.stats.passed += 1;
-        ctx.send(out, packet);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,78 +73,5 @@ mod tests {
         assert_eq!(FilterGranularity::Slash24.address_freedom(), 256);
         assert_eq!(FilterGranularity::Slash16.address_freedom(), 65_536);
         assert_eq!(FilterGranularity::None.address_freedom(), 1u64 << 32);
-    }
-
-    #[test]
-    fn node_drops_out_of_prefix_spoofs() {
-        use underradar_netsim::{Host, LinkConfig, SimDuration, SimTime, Simulator, HOST_IFACE};
-        let mut sim = Simulator::new(5);
-        let inside = sim.add_node(Box::new(Host::new("inside", HOST)));
-        let outside_ip = Ipv4Addr::new(93, 184, 216, 34);
-        let outside = sim.add_node(Box::new(Host::new("outside", outside_ip)));
-        let filter = sim.add_node(Box::new(IngressFilterNode::new(
-            "bcp38",
-            Cidr::slash24(HOST),
-            FilterGranularity::Slash24,
-        )));
-        sim.wire(inside, HOST_IFACE, filter, IfaceId(0), LinkConfig::ideal())
-            .expect("w");
-        sim.wire(outside, HOST_IFACE, filter, IfaceId(1), LinkConfig::ideal())
-            .expect("w");
-        sim.enable_capture();
-        // Legit source, in-prefix spoof, out-of-prefix spoof.
-        for (src, _expect) in [
-            (HOST, true),
-            (Ipv4Addr::new(10, 7, 3, 200), true),
-            (Ipv4Addr::new(10, 9, 9, 9), false),
-        ] {
-            let p = Packet::udp(src, outside_ip, 1000, 53, b"q".to_vec());
-            sim.send_from(inside, HOST_IFACE, p, SimTime::ZERO)
-                .expect("send");
-        }
-        sim.run_for(SimDuration::from_secs(1)).expect("run");
-        let stats = sim
-            .node_ref::<IngressFilterNode>(filter)
-            .expect("f")
-            .stats();
-        assert_eq!(stats.dropped, 1);
-        assert_eq!(stats.passed, 2);
-        let cap = sim.capture().expect("cap");
-        let delivered: Vec<Ipv4Addr> = cap
-            .records()
-            .iter()
-            .filter(|r| r.to_node == outside)
-            .map(|r| r.packet.src)
-            .collect();
-        assert_eq!(delivered, vec![HOST, Ipv4Addr::new(10, 7, 3, 200)]);
-    }
-
-    #[test]
-    fn reverse_traffic_passes_unchecked() {
-        use underradar_netsim::{Host, LinkConfig, SimDuration, SimTime, Simulator, HOST_IFACE};
-        let mut sim = Simulator::new(5);
-        let inside = sim.add_node(Box::new(Host::new("inside", HOST)));
-        let outside_ip = Ipv4Addr::new(93, 184, 216, 34);
-        let outside = sim.add_node(Box::new(Host::new("outside", outside_ip)));
-        let filter = sim.add_node(Box::new(IngressFilterNode::new(
-            "bcp38",
-            Cidr::slash24(HOST),
-            FilterGranularity::Exact,
-        )));
-        sim.wire(inside, HOST_IFACE, filter, IfaceId(0), LinkConfig::ideal())
-            .expect("w");
-        sim.wire(outside, HOST_IFACE, filter, IfaceId(1), LinkConfig::ideal())
-            .expect("w");
-        let p = Packet::udp(outside_ip, HOST, 53, 1000, b"resp".to_vec());
-        sim.send_from(outside, HOST_IFACE, p, SimTime::ZERO)
-            .expect("send");
-        sim.run_for(SimDuration::from_secs(1)).expect("run");
-        assert_eq!(
-            sim.node_ref::<IngressFilterNode>(filter)
-                .expect("f")
-                .stats()
-                .passed,
-            1
-        );
     }
 }

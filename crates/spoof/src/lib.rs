@@ -12,8 +12,7 @@
 //! consistently across regions. This crate models:
 //!
 //! * [`filter`] — ingress source-address validation at configurable
-//!   granularity, both as a pure predicate and as an in-path simulator
-//!   node that drops non-conforming spoofs.
+//!   granularity, as a pure predicate on claimed sources.
 //! * [`population`] — client populations sampled to match the Beverly
 //!   deployment fractions, with spoofability queries.
 //! * [`cover`] — cover-source selection (which neighbor addresses a
@@ -27,5 +26,5 @@ pub mod filter;
 pub mod population;
 
 pub use cover::{anonymity_set, cover_sources};
-pub use filter::{FilterGranularity, IngressFilterNode};
+pub use filter::FilterGranularity;
 pub use population::{BeverlyFractions, ClientProfile, SpoofPopulation};

@@ -49,19 +49,13 @@ pub mod trace;
 pub use hist::{Histogram, BUCKET_COUNT};
 pub use registry::{Event, FieldValue, Registry, SpanRecord};
 pub use stream::StreamMerger;
-pub use trace::{
-    TraceBuf, TraceFlow, TraceRecord, Tracer, DEFAULT_TRACE_CAPACITY, TRACE_CAPACITY_ENV, TRACE_ENV,
-};
+pub use trace::{TraceBuf, TraceFlow, TraceRecord, Tracer, DEFAULT_TRACE_CAPACITY};
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use registry::with_slot;
-
-/// Environment variable that turns telemetry output on in the `underradar`
-/// command line (as `--telemetry` does).
-pub const TELEMETRY_ENV: &str = "UNDERRADAR_TELEMETRY";
 
 /// A live registry: every value is kept plain in `values`, which the
 /// hand-off moves out whole, next to the flight recorder's ring, which

@@ -31,27 +31,8 @@ use std::rc::Rc;
 use crate::json;
 use crate::registry::FieldValue;
 
-/// Environment variable that turns tracing on in the `underradar` command
-/// line (as `--trace` does).
-pub const TRACE_ENV: &str = "UNDERRADAR_TRACE";
-
 /// Default per-trial ring capacity (records).
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
-
-/// Environment variable overriding the flight-recorder ring capacity
-/// (records) in the `underradar` command line (as `--trace-capacity`
-/// does). Does not itself enable tracing.
-pub const TRACE_CAPACITY_ENV: &str = "UNDERRADAR_TRACE_CAPACITY";
-
-/// Parse a ring capacity from an env-var value: a positive integer, or
-/// `None` for unset/empty/unparseable values (callers fall back to
-/// [`DEFAULT_TRACE_CAPACITY`]).
-pub fn capacity_from_env(value: Option<String>) -> Option<usize> {
-    value
-        .as_deref()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&c| c > 0)
-}
 
 /// The flow a record belongs to (client-to-server orientation of the
 /// packet that triggered the decision).
@@ -500,16 +481,6 @@ mod tests {
         assert_eq!(buf.dropped(), 1);
         let times: Vec<u64> = buf.records().map(|r| r.t_ns).collect();
         assert_eq!(times, vec![2, 3]);
-    }
-
-    #[test]
-    fn capacity_env_parses_positive_integers_only() {
-        assert_eq!(capacity_from_env(None), None);
-        assert_eq!(capacity_from_env(Some(String::new())), None);
-        assert_eq!(capacity_from_env(Some("0".into())), None);
-        assert_eq!(capacity_from_env(Some("abc".into())), None);
-        assert_eq!(capacity_from_env(Some("128".into())), Some(128));
-        assert_eq!(capacity_from_env(Some(" 64 ".into())), Some(64));
     }
 
     #[test]

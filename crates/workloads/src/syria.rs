@@ -72,12 +72,6 @@ impl SyriaLogConfig {
             ],
         }
     }
-
-    /// The analytic expectation of the fraction of users with ≥1 censored
-    /// access under this config.
-    pub fn expected_fraction(&self) -> f64 {
-        1.0 - (-self.mean_requests * self.p_censored).exp()
-    }
 }
 
 /// A generated log.
@@ -200,7 +194,8 @@ mod tests {
     #[test]
     fn calibration_matches_the_paper_fraction() {
         let config = SyriaLogConfig::paper_calibrated(30_000);
-        assert!((config.expected_fraction() - 0.0157).abs() < 1e-9);
+        let expected = 1.0 - (-config.mean_requests * config.p_censored).exp();
+        assert!((expected - 0.0157).abs() < 1e-9);
         let mut rng = SimRng::seed_from_u64(42);
         let log = SyriaLog::generate(&config, &mut rng);
         let frac = log.fraction_users_censored();

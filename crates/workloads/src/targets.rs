@@ -40,15 +40,6 @@ pub fn synthetic(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("site-{i:03}.example.net")).collect()
 }
 
-/// A campaign-scale mix: the curated sample padded with synthetic
-/// domains up to `n` total.
-pub fn campaign_mix(n: usize) -> Vec<String> {
-    let mut out: Vec<String> = curated(n).into_iter().map(str::to_string).collect();
-    let pad = n.saturating_sub(out.len());
-    out.extend(synthetic(pad).into_iter().map(|d| format!("pad-{d}")));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,9 +48,8 @@ mod tests {
     fn lists_are_deterministic_and_distinct() {
         assert_eq!(curated(3), vec!["twitter.com", "youtube.com", "bbc.com"]);
         assert_eq!(synthetic(2), synthetic(2));
-        let mix = campaign_mix(25);
-        assert_eq!(mix.len(), 25);
-        let mut uniq = mix.clone();
+        let list = synthetic(25);
+        let mut uniq = list.clone();
         uniq.sort();
         uniq.dedup();
         assert_eq!(uniq.len(), 25, "no duplicate domains");

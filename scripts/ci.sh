@@ -166,7 +166,7 @@ cmp "$tmpdir/campaign_plain.txt" "$tmpdir/campaign_profiled.txt"
 grep -q '"wall_ms"' "$tmpdir/profile.json"
 grep -q '"worker_busy_ns"' "$tmpdir/profile.json"
 
-echo "==> run-service smoke (service vs plain engine; 1 vs 8 workers byte identity)"
+echo "==> run-service smoke (--service vs default run; 1 vs 8 workers byte identity)"
 ./target/release/underradar campaign --service --shards 1 > "$tmpdir/service_1.txt" 2>/dev/null
 ./target/release/underradar campaign --service --shards 8 > "$tmpdir/service_8.txt" 2>/dev/null
 cmp "$tmpdir/campaign_plain.txt" "$tmpdir/service_1.txt"
@@ -175,7 +175,7 @@ cmp "$tmpdir/service_1.txt" "$tmpdir/service_8.txt"
 echo "==> safety-audit smoke (--audit: double run, 1-vs-4-shard and service-vs-batch identity)"
 # The exposure ledger rides the merged telemetry registry, so the audit
 # inherits the campaign's determinism contract: byte-identical for any
-# shard count and for the durable service vs the plain engine. The paper
+# shard count and with or without --service. The paper
 # matrix must also surface at least one declared-vs-observed divergence
 # (a cell that declares itself fully evaded while the adversary holds
 # attributable events).
@@ -218,5 +218,10 @@ echo "==> progress smoke (--progress: snapshots stream on stderr, stdout untouch
   > "$tmpdir/progress_on.txt" 2> "$tmpdir/progress_on.err"
 cmp "$tmpdir/service_clean.txt" "$tmpdir/progress_on.txt"
 grep -q '"rows_per_sec"' "$tmpdir/progress_on.err"
+# Wall-clock snapshot values must not reach the telemetry registry either:
+# the --json envelope is the silent run's exact bytes (campaign_1.json).
+./target/release/underradar campaign --json --progress=100 --shards 4 \
+  > "$tmpdir/progress_json.json" 2>/dev/null
+cmp "$tmpdir/campaign_1.json" "$tmpdir/progress_json.json"
 
 echo "CI green"

@@ -6,13 +6,8 @@
 
 use std::process::{Command, Output};
 
-/// Run the binary with the `UNDERRADAR_*` env vars cleared, so the
-/// caller's environment cannot change what these checks see.
 fn underradar(args: &[String]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_underradar"))
-        .env_remove("UNDERRADAR_TELEMETRY")
-        .env_remove("UNDERRADAR_TRACE")
-        .env_remove("UNDERRADAR_TRACE_CAPACITY")
         .args(args)
         .output()
         .expect("spawn underradar")
@@ -134,6 +129,22 @@ fn output_flags_reach_the_experiment() {
         stdout.starts_with("{\"experiment\":\"e02_scan\",\"report\":"),
         "{stdout}"
     );
+}
+
+/// The flags are the only input: environment variables named like the
+/// output flags change no output byte.
+#[test]
+fn environment_variables_change_no_output() {
+    let plain = underradar(&strings(&["experiments", "e2"]));
+    let with_env = Command::new(env!("CARGO_BIN_EXE_underradar"))
+        .args(["experiments", "e2"])
+        .env("UNDERRADAR_TELEMETRY", "1")
+        .env("UNDERRADAR_TRACE", "1")
+        .output()
+        .expect("spawn underradar");
+    assert_eq!(plain.status.code(), Some(0));
+    assert_eq!(with_env.status.code(), Some(0));
+    assert_eq!(plain.stdout, with_env.stdout);
 }
 
 #[test]
