@@ -32,7 +32,7 @@ use underradar_netsim::rng::SimRng;
 use underradar_netsim::time::SimTime;
 use underradar_netsim::wire::tcp::TcpFlags;
 use underradar_protocols::dns::{DnsMessage, DnsName, QType};
-use underradar_surveil::mvr::{Mvr, MvrConfig};
+use underradar_surveil::mvr::Mvr;
 use underradar_workloads::population::{PopulationConfig, PopulationTraffic};
 
 const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 2);
@@ -587,7 +587,7 @@ fn bench_mvr() {
     let stream = PopulationTraffic::generate(&PopulationConfig::default(), &mut rng);
     let bytes: u64 = stream.iter().map(|tp| tp.packet.wire_len() as u64).sum();
     let ns = measure(20, || {
-        let mut mvr = Mvr::new(MvrConfig::default());
+        let mut mvr = Mvr::new();
         for tp in &stream {
             mvr.process(tp.time, &tp.packet);
         }
@@ -660,10 +660,9 @@ fn bench_generators() {
     });
     report("spam_score_100_messages", ns, None);
     let ns = measure(10, || {
-        use underradar_workloads::syria::{SyriaLog, SyriaLogConfig};
-        let config = SyriaLogConfig::paper_calibrated(2_000);
+        use underradar_workloads::syria::SyriaLog;
         let mut rng = SimRng::seed_from_u64(1);
-        SyriaLog::generate(black_box(&config), &mut rng).total_requests()
+        SyriaLog::generate(black_box(2_000), &mut rng).total_requests()
     });
     report("syria_log_2000_users", ns, None);
 }

@@ -12,7 +12,7 @@ use underradar_ids::alert::Alert;
 use underradar_ids::rule::RuleAction;
 use underradar_netsim::rng::SimRng;
 use underradar_surveil::analyst::{Analyst, AnalystConfig};
-use underradar_workloads::syria::{SyriaLog, SyriaLogConfig};
+use underradar_workloads::syria::SyriaLog;
 
 use crate::table::{heading, Table};
 
@@ -26,9 +26,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         "§2.2 (Syria censorship logs)",
         "≈1.57% of users touch censored content — too many to pursue",
     );
-    let config = SyriaLogConfig::paper_calibrated(USERS);
     let mut rng = SimRng::seed_from_u64(1507);
-    let log = SyriaLog::generate(&config, &mut rng);
+    let log = SyriaLog::generate(USERS, &mut rng);
 
     log.export_telemetry(tel);
     let frac = log.fraction_users_censored();

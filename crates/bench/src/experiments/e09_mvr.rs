@@ -28,8 +28,6 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     let config = PopulationConfig {
         // Heavier P2P share, like a real access network.
         p2p_pps: 60.0,
-        web_rps: 40.0,
-        dns_rps: 30.0,
         scan_pps: 20.0,
         ..PopulationConfig::default()
     };

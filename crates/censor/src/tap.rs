@@ -101,14 +101,11 @@ pub struct TapCensor {
 impl TapCensor {
     /// Build from a policy with default reassembly limits.
     pub fn new(name: &str, policy: CensorPolicy) -> TapCensor {
-        Self::with_reassembly(name, policy, ReassemblyConfig::default())
-    }
-
-    /// Build from a policy with explicit reassembly limits (flow-table
-    /// capacity and per-direction buffering caps) — the monitor-resource
-    /// knobs population-scale experiments sweep.
-    pub fn with_reassembly(name: &str, policy: CensorPolicy, cfg: ReassemblyConfig) -> TapCensor {
-        Self::from_compiled(name, Arc::new(CompiledPolicy::new(policy)), cfg)
+        Self::from_compiled(
+            name,
+            Arc::new(CompiledPolicy::new(policy)),
+            ReassemblyConfig::default(),
+        )
     }
 
     /// Build over an already compiled, shared policy with explicit

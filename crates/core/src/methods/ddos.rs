@@ -69,9 +69,6 @@ pub struct DdosProbe {
     buf: Vec<u8>,
     /// Outcome of each sample, in order.
     pub samples: Vec<SampleOutcome>,
-    /// Extra attempts granted to samples that time out.
-    retries: u32,
-    retries_used: u32,
 }
 
 impl DdosProbe {
@@ -85,17 +82,7 @@ impl DdosProbe {
             current: None,
             buf: Vec::new(),
             samples: Vec::new(),
-            retries: 0,
-            retries_used: 0,
         }
-    }
-
-    /// Extra attempts for samples that time out (builder style; like the
-    /// scan method's retry rounds, this keeps random loss from reading as
-    /// censorship). Default 0: every outcome is recorded as observed.
-    pub fn with_retries(mut self, retries: u32) -> DdosProbe {
-        self.retries = retries;
-        self
     }
 
     /// Sample counts by outcome class.
@@ -124,13 +111,6 @@ impl DdosProbe {
 
     fn record(&mut self, api: &mut HostApi<'_, '_>, outcome: SampleOutcome) {
         self.current = None;
-        if outcome == SampleOutcome::TimedOut && self.retries_used < self.retries {
-            // Re-attempt instead of recording: a lone timeout is more
-            // likely loss than censorship.
-            self.retries_used += 1;
-            api.set_timer(PACE, TIMER_NEXT_SAMPLE);
-            return;
-        }
         self.samples.push(outcome);
         if !Probe::is_finished(self) {
             api.set_timer(PACE, TIMER_NEXT_SAMPLE);
@@ -182,7 +162,9 @@ impl Probe for DdosProbe {
             ("reset", t.reset.to_string()),
             ("refused", t.refused.to_string()),
             ("timed_out", t.timed_out.to_string()),
-            ("retries_used", self.retries_used.to_string()),
+            // The probe never retries; the entry keeps rows and journals
+            // byte-stable.
+            ("retries_used", "0".to_string()),
         ]
     }
 }

@@ -32,10 +32,6 @@ use crate::wire::tcp::TcpFlags;
 /// The interface every host uses (hosts are single-homed).
 pub const HOST_IFACE: IfaceId = IfaceId(0);
 
-/// Default base (minimum) retransmission timeout. Connections adapt their
-/// actual RTO from RTT samples and back off exponentially; this is the floor.
-pub const DEFAULT_RTO: SimDuration = SimDuration::from_millis(200);
-
 /// Handle to a TCP connection on a host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConnId(pub u64);
@@ -160,9 +156,7 @@ pub struct HostStack {
     next_conn: u64,
     next_ephemeral: u16,
     timer_map: HashMap<TimerToken, TimerPurpose>,
-    rto: SimDuration,
     respond_rst: bool,
-    reply_to_ping: bool,
     counters: HostCounters,
     /// Events produced during stack processing, dispatched afterwards.
     pending_dispatch: Vec<(ConnId, TcpEvent)>,
@@ -245,12 +239,6 @@ impl HostStack {
         self.gc(cid);
     }
 
-    fn set_reply_ttl(&mut self, cid: ConnId, ttl: u8) {
-        if let Some(entry) = self.conns.get_mut(&cid) {
-            entry.conn.reply_ttl = Some(ttl);
-        }
-    }
-
     fn conn_peer(&self, cid: ConnId) -> Option<(Ipv4Addr, u16)> {
         self.conns.get(&cid).map(|e| e.conn.remote)
     }
@@ -330,13 +318,12 @@ impl HostApi<'_, '_> {
     pub fn tcp_connect(&mut self, dst: Ipv4Addr, dst_port: u16) -> ConnId {
         let local_port = self.stack.alloc_ephemeral();
         let iss = self.ctx.rng().next_u32();
-        let (mut conn, syn) = TcpConn::connect(
+        let (conn, syn) = TcpConn::connect(
             (self.stack.ip, local_port),
             (dst, dst_port),
             iss,
             self.ctx.now(),
         );
-        conn.set_base_rto(self.stack.rto);
         let cid = self.stack.alloc_conn_id();
         self.stack
             .conn_index
@@ -442,11 +429,6 @@ impl ServiceApi<'_, '_> {
     pub fn abort(&mut self) {
         self.stack.conn_abort(self.ctx, self.conn);
     }
-
-    /// Stamp replies with a limited TTL — the Fig 3b server knob.
-    pub fn set_reply_ttl(&mut self, ttl: u8) {
-        self.stack.set_reply_ttl(self.conn, ttl);
-    }
 }
 
 /// The I/O surface handed to [`UdpService`] callbacks.
@@ -506,9 +488,7 @@ impl Host {
                 next_conn: 0,
                 next_ephemeral: 49152,
                 timer_map: HashMap::new(),
-                rto: DEFAULT_RTO,
                 respond_rst: true,
-                reply_to_ping: true,
                 counters: HostCounters::default(),
                 pending_dispatch: Vec::new(),
             },
@@ -697,14 +677,13 @@ impl Host {
         if seg.flags.has_syn() && !seg.flags.has_ack() {
             if let Some(&factory_idx) = self.stack.listeners.get(&seg.dst_port) {
                 let iss = ctx.rng().next_u32();
-                let (mut conn, syn_ack) = TcpConn::accept(
+                let (conn, syn_ack) = TcpConn::accept(
                     (self.stack.ip, seg.dst_port),
                     (pkt.src, seg.src_port),
                     seg.seq,
                     iss,
                     ctx.now(),
                 );
-                conn.set_base_rto(self.stack.rto);
                 let cid = self.stack.alloc_conn_id();
                 self.stack.conn_index.insert(key, cid);
                 self.stack.conns.insert(
@@ -765,17 +744,15 @@ impl Host {
 
     fn handle_icmp(&mut self, ctx: &mut NodeCtx<'_>, pkt: &Packet) {
         let Some(icmp) = pkt.as_icmp() else { return };
-        if self.stack.reply_to_ping {
-            if let IcmpKind::EchoRequest { ident, seq } = icmp.kind {
-                let reply = Packet::icmp(
-                    self.stack.ip,
-                    pkt.src,
-                    IcmpKind::EchoReply { ident, seq },
-                    icmp.payload.clone(),
-                );
-                ctx.send(HOST_IFACE, reply);
-                self.stack.counters.echo_replies += 1;
-            }
+        if let IcmpKind::EchoRequest { ident, seq } = icmp.kind {
+            let reply = Packet::icmp(
+                self.stack.ip,
+                pkt.src,
+                IcmpKind::EchoReply { ident, seq },
+                icmp.payload.clone(),
+            );
+            ctx.send(HOST_IFACE, reply);
+            self.stack.counters.echo_replies += 1;
         }
     }
 }

@@ -2,13 +2,14 @@
 //!
 //! A link joins two (node, interface) endpoints full-duplex. Each direction
 //! applies, in order: random loss, store-and-forward serialization at the
-//! configured bandwidth, propagation latency, and optional uniform jitter.
+//! configured bandwidth, and propagation latency.
 //!
-//! Jitter models delay *variance*, not covert reordering: per-direction
-//! delivery times are clamped monotone (FIFO). Actual reordering — along
-//! with duplication and payload corruption — is an explicit adversarial
-//! impairment knob, drawn from the link's RNG in simulated-time order so
-//! seeded runs stay byte-identical regardless of sharding.
+//! Each direction is FIFO by construction: a delivery arrives at the
+//! transmitter's busy horizon plus the link's fixed latency, and that
+//! horizon never moves back. Reordering — along with duplication and
+//! payload corruption — is an explicit adversarial impairment knob, drawn
+//! from the link's RNG in simulated-time order so seeded runs stay
+//! byte-identical regardless of sharding.
 
 use crate::node::{IfaceId, NodeId};
 use crate::rng::SimRng;
@@ -36,11 +37,9 @@ pub struct LinkConfig {
     pub bandwidth_bps: u64,
     /// Probability in `[0, 1]` that a packet is dropped.
     pub loss: f64,
-    /// Uniform extra delay in `[0, jitter)` added per packet.
-    pub jitter: SimDuration,
-    /// Probability in `[0, 1]` that a packet is reordered: it escapes the
-    /// FIFO clamp and is displaced by up to [`LinkConfig::reorder_extra`],
-    /// letting later packets overtake it.
+    /// Probability in `[0, 1]` that a packet is reordered: it is displaced
+    /// by up to [`LinkConfig::reorder_extra`], letting later packets
+    /// overtake it.
     pub reorder: f64,
     /// Displacement bound for reordered packets: uniform extra delay in
     /// `[0, reorder_extra)` on top of the packet's natural delivery time.
@@ -59,7 +58,6 @@ impl Default for LinkConfig {
             latency: SimDuration::from_millis(1),
             bandwidth_bps: 1_000_000_000,
             loss: 0.0,
-            jitter: SimDuration::ZERO,
             reorder: 0.0,
             reorder_extra: SimDuration::ZERO,
             duplicate: 0.0,
@@ -75,7 +73,6 @@ impl LinkConfig {
             latency: SimDuration::ZERO,
             bandwidth_bps: 0,
             loss: 0.0,
-            jitter: SimDuration::ZERO,
             reorder: 0.0,
             reorder_extra: SimDuration::ZERO,
             duplicate: 0.0,
@@ -98,12 +95,6 @@ impl LinkConfig {
     /// Builder: set loss probability (clamped to `[0, 1]`).
     pub fn with_loss(mut self, loss: f64) -> Self {
         self.loss = loss.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Builder: set jitter bound.
-    pub fn with_jitter(mut self, jitter: SimDuration) -> Self {
-        self.jitter = jitter;
         self
     }
 
@@ -143,8 +134,8 @@ impl LinkConfig {
 pub struct TxDelivery {
     /// Arrival time of the (first) copy.
     pub at: SimTime,
-    /// The reorder knob selected this packet: it bypassed the FIFO clamp
-    /// and later packets may overtake it.
+    /// The reorder knob selected this packet: it arrives after its FIFO
+    /// slot and later packets may overtake it.
     pub reordered: bool,
     /// One payload byte should be flipped in transit.
     pub corrupt: bool,
@@ -172,8 +163,6 @@ pub struct Link {
     pub config: LinkConfig,
     next_free_ab: SimTime,
     next_free_ba: SimTime,
-    last_arrival_ab: SimTime,
-    last_arrival_ba: SimTime,
 }
 
 impl Link {
@@ -185,8 +174,6 @@ impl Link {
             config,
             next_free_ab: SimTime::ZERO,
             next_free_ba: SimTime::ZERO,
-            last_arrival_ab: SimTime::ZERO,
-            last_arrival_ba: SimTime::ZERO,
         }
     }
 
@@ -202,9 +189,9 @@ impl Link {
     }
 
     /// Offer a packet of `bytes` length for transmission from `(node, iface)`
-    /// at time `now`. Applies loss, serialization, latency, jitter and the
+    /// at time `now`. Applies loss, serialization, latency and the
     /// impairment knobs, and advances the direction's transmitter-busy
-    /// horizon. Delivery times are FIFO-clamped per direction unless the
+    /// horizon. Delivery times never decrease within a direction unless the
     /// reorder knob selects the packet for bounded displacement.
     pub fn transmit(
         &mut self,
@@ -218,35 +205,27 @@ impl Link {
             return TxOutcome::Lost;
         }
         let from_a = self.a.node == node && self.a.iface == iface;
-        let (next_free, last_arrival) = if from_a {
-            (&mut self.next_free_ab, &mut self.last_arrival_ab)
+        let next_free = if from_a {
+            &mut self.next_free_ab
         } else {
-            (&mut self.next_free_ba, &mut self.last_arrival_ba)
+            &mut self.next_free_ba
         };
-        let start = now.max(*next_free);
-        let serialize = self.config.serialize_time(bytes);
-        *next_free = start + serialize;
-        let jitter = if self.config.jitter == SimDuration::ZERO {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(rng.range_u64(0, self.config.jitter.as_nanos()))
-        };
-        let base = start + serialize + self.config.latency + jitter;
+        // The busy horizon only moves forward and the latency is fixed, so
+        // natural slots never decrease within a direction (FIFO).
+        *next_free = now.max(*next_free) + self.config.serialize_time(bytes);
+        let slot = *next_free + self.config.latency;
         let reordered = rng.chance(self.config.reorder);
         let at = if reordered {
-            // Displaced past its natural slot; deliberately NOT advancing
-            // the FIFO horizon, so later packets may overtake it.
+            // Displaced past its natural slot, so later packets may
+            // overtake it.
             let extra = if self.config.reorder_extra == SimDuration::ZERO {
                 SimDuration::ZERO
             } else {
                 SimDuration::from_nanos(rng.range_u64(0, self.config.reorder_extra.as_nanos()))
             };
-            base + extra
+            slot + extra
         } else {
-            // FIFO clamp: jitter varies delay but never reorders a direction.
-            let at = base.max(*last_arrival);
-            *last_arrival = at;
-            at
+            slot
         };
         let duplicate_at = if rng.chance(self.config.duplicate) {
             Some(at)
@@ -387,47 +366,6 @@ mod tests {
             })
         );
         assert_eq!(l.peer_of(NodeId(2), IfaceId(0)), None);
-    }
-
-    #[test]
-    fn jitter_bounded() {
-        let cfg = LinkConfig::ideal().with_jitter(SimDuration::from_millis(2));
-        let mut l = link(cfg);
-        let mut rng = SimRng::seed_from_u64(5);
-        for _ in 0..1000 {
-            match l.transmit(NodeId(0), IfaceId(0), 10, SimTime::ZERO, &mut rng) {
-                TxOutcome::Deliver(d) => {
-                    assert!(
-                        d.at.as_nanos() < 2_000_000,
-                        "jitter exceeded bound: {}",
-                        d.at
-                    )
-                }
-                TxOutcome::Lost => panic!("lossless"),
-            }
-        }
-    }
-
-    #[test]
-    fn max_jitter_never_reorders_a_direction() {
-        // Regression: two back-to-back segments under maximal jitter must
-        // still arrive in order — jitter is delay variance, not reordering.
-        for seed in 0..64 {
-            let cfg = LinkConfig::default().with_jitter(SimDuration::from_millis(50));
-            let mut l = link(cfg);
-            let mut rng = SimRng::seed_from_u64(seed);
-            let mut last = SimTime::ZERO;
-            for _ in 0..20 {
-                match l.transmit(NodeId(0), IfaceId(0), 100, SimTime::ZERO, &mut rng) {
-                    TxOutcome::Deliver(d) => {
-                        assert!(d.at >= last, "same-link reorder: {} < {last}", d.at);
-                        assert!(!d.reordered && !d.corrupt && d.duplicate_at.is_none());
-                        last = d.at;
-                    }
-                    TxOutcome::Lost => panic!("lossless"),
-                }
-            }
-        }
     }
 
     #[test]

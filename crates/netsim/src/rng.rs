@@ -1,6 +1,6 @@
 //! Seeded randomness for reproducible simulations.
 //!
-//! Every stochastic decision in the simulator (link loss, jitter, workload
+//! Every stochastic decision in the simulator (link loss, workload
 //! inter-arrival times) draws from a [`SimRng`] created from an explicit
 //! seed, so a run is a pure function of its configuration.
 //!

@@ -1086,9 +1086,7 @@ mod tests {
                 IfaceId(0),
                 b,
                 IfaceId(0),
-                LinkConfig::default()
-                    .with_loss(0.3)
-                    .with_jitter(SimDuration::from_millis(2)),
+                LinkConfig::default().with_loss(0.3),
             )
             .expect("wire");
             sim.enable_capture();
@@ -1109,7 +1107,7 @@ mod tests {
         assert_ne!(
             run(99),
             run(100),
-            "different seeds should diverge under loss/jitter"
+            "different seeds should diverge under loss"
         );
     }
 }

@@ -30,7 +30,6 @@ use std::net::Ipv4Addr;
 
 use crate::packet::{Packet, TcpSegment};
 use crate::time::{SimDuration, SimTime};
-use crate::wire::ipv4::DEFAULT_TTL;
 use crate::wire::tcp::TcpFlags;
 
 /// Maximum retransmissions before the connection gives up.
@@ -47,6 +46,9 @@ const MIN_SSTHRESH: u32 = 2 * MSS as u32;
 
 /// Upper bound on the congestion window (keeps runaway growth bounded).
 const MAX_CWND: u32 = 4 * 1024 * 1024;
+
+/// Floor for the computed RTO, and the RTO used before any RTT sample.
+const RTO_MIN: SimDuration = SimDuration::from_millis(200);
 
 /// Upper bound on the retransmission timeout (RFC 6298 §2.5).
 const RTO_MAX: SimDuration = SimDuration::from_secs(60);
@@ -166,8 +168,6 @@ pub struct TcpConn {
     srtt: Option<SimDuration>,
     /// RTT variance estimator.
     rttvar: SimDuration,
-    /// Floor for the computed RTO (and the RTO used before any RTT sample).
-    base_rto: SimDuration,
     /// Current RTO, including exponential backoff.
     rto_cur: SimDuration,
     /// The one segment currently being timed for an RTT sample (Karn's
@@ -179,9 +179,6 @@ pub struct TcpConn {
     /// sorted by offset from `rcv_nxt`, non-overlapping. Because offsets are
     /// clipped to `rcv_wnd`, total held bytes never exceed the window.
     rcv_ooo: Vec<(u32, Vec<u8>)>,
-    /// TTL stamped on outgoing packets; `None` uses the default. Servers in
-    /// the stateful-mimicry experiment set this so replies die in-network.
-    pub reply_ttl: Option<u8>,
     fin_sent: bool,
 }
 
@@ -211,12 +208,10 @@ impl TcpConn {
             retries: 0,
             srtt: None,
             rttvar: SimDuration::ZERO,
-            base_rto: SimDuration::from_millis(200),
-            rto_cur: SimDuration::from_millis(200),
+            rto_cur: RTO_MIN,
             rtt_probe: None,
             rcv_wnd: DEFAULT_WINDOW,
             rcv_ooo: Vec::new(),
-            reply_ttl: None,
             fin_sent: false,
         }
     }
@@ -292,15 +287,6 @@ impl TcpConn {
         self.rto_cur
     }
 
-    /// Set the base (minimum) RTO. Applied by the host at connection setup;
-    /// also resets the current RTO if no backoff is in progress.
-    pub fn set_base_rto(&mut self, rto: SimDuration) {
-        self.base_rto = rto;
-        if self.retries == 0 {
-            self.rto_cur = self.computed_rto();
-        }
-    }
-
     /// Set the advertised receive window (bytes). Segments wholly beyond
     /// `rcv_nxt + rcv_wnd` are dropped — the lever for window-based evasion.
     pub fn set_rcv_wnd(&mut self, wnd: u32) {
@@ -344,7 +330,6 @@ impl TcpConn {
             payload,
         )
         .with_tcp_window(self.rcv_wnd.min(u16::MAX as u32) as u16)
-        .with_ttl(self.reply_ttl.unwrap_or(DEFAULT_TTL))
     }
 
     fn ack_packet(&self) -> Packet {
@@ -772,7 +757,7 @@ impl TcpConn {
         }
     }
 
-    /// RTO = clamp(srtt + max(G, 4·rttvar), base_rto, RTO_MAX).
+    /// RTO = clamp(srtt + max(G, 4·rttvar), RTO_MIN, RTO_MAX).
     fn computed_rto(&self) -> SimDuration {
         match self.srtt {
             Some(srtt) => {
@@ -782,9 +767,9 @@ impl TcpConn {
                     .max(RTO_GRANULARITY)
                     .as_nanos();
                 let rto = SimDuration::from_nanos(srtt.as_nanos().saturating_add(var));
-                cap_duration(rto.max(self.base_rto), RTO_MAX)
+                cap_duration(rto.max(RTO_MIN), RTO_MAX)
             }
-            None => self.base_rto,
+            None => RTO_MIN,
         }
     }
 
@@ -1340,28 +1325,6 @@ mod tests {
         assert!(seg_of(&rst).flags.has_rst());
         assert!(client.is_closed());
         assert!(client.abort().is_none(), "second abort is a no-op");
-    }
-
-    #[test]
-    fn reply_ttl_override_applies_to_all_output() {
-        let (mut server, syn_ack) = TcpConn::accept((S, 80), (C, 4000), 0, 50, T0);
-        assert_eq!(syn_ack.ttl, DEFAULT_TTL);
-        server.reply_ttl = Some(3);
-        // Complete handshake.
-        let ack = TcpSegment {
-            src_port: 4000,
-            dst_port: 80,
-            seq: 1,
-            ack: 51,
-            flags: TcpFlags::ack(),
-            window: 65535,
-            payload: Vec::new(),
-        };
-        let _ = server.on_segment(&ack, T0);
-        assert_eq!(server.state(), TcpState::Established);
-        let pkts = server.send(b"ttl-limited reply", T0);
-        assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].ttl, 3, "server reply carries the limited TTL");
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! keyword-censorship tests (the GFC-style censor matches on request URLs
 //! and payload keywords).
 
-use std::collections::HashMap;
-
 use underradar_netsim::host::{Service, ServiceApi};
 
 /// Errors from HTTP parsing.
@@ -143,26 +141,6 @@ impl HttpResponse {
         }
     }
 
-    /// A 404 Not Found.
-    pub fn not_found() -> HttpResponse {
-        HttpResponse {
-            status: 404,
-            reason: "Not Found".to_string(),
-            headers: Vec::new(),
-            body: b"<html><body>404</body></html>".to_vec(),
-        }
-    }
-
-    /// A 403 Forbidden — what an HTTP-level censor serves for blocked URLs.
-    pub fn forbidden() -> HttpResponse {
-        HttpResponse {
-            status: 403,
-            reason: "Forbidden".to_string(),
-            headers: Vec::new(),
-            body: b"<html><body>Blocked</body></html>".to_vec(),
-        }
-    }
-
     /// Serialize to wire bytes.
     pub fn to_wire(&self) -> Vec<u8> {
         let mut out = format!("HTTP/1.0 {} {}\r\n", self.status, self.reason);
@@ -208,34 +186,20 @@ impl HttpResponse {
     }
 }
 
-/// A static-content HTTP server service (one request per connection,
-/// HTTP/1.0 style: respond then close).
+/// A static-content HTTP server service answering every path with the
+/// same body (one request per connection, HTTP/1.0 style: respond then
+/// close).
 pub struct HttpServer {
-    routes: HashMap<String, String>,
-    default_body: Option<String>,
+    body: String,
     buffer: Vec<u8>,
-    /// Requests served by this connection (for assertions).
-    pub served: Vec<HttpRequest>,
 }
 
 impl HttpServer {
-    /// A server with explicit path → body routes.
-    pub fn new(routes: HashMap<String, String>) -> HttpServer {
-        HttpServer {
-            routes,
-            default_body: None,
-            buffer: Vec::new(),
-            served: Vec::new(),
-        }
-    }
-
-    /// A server answering every path with the same body.
+    /// A server answering every path with `body`.
     pub fn catch_all(body: &str) -> HttpServer {
         HttpServer {
-            routes: HashMap::new(),
-            default_body: Some(body.to_string()),
+            body: body.to_string(),
             buffer: Vec::new(),
-            served: Vec::new(),
         }
     }
 }
@@ -244,19 +208,11 @@ impl Service for HttpServer {
     fn on_data(&mut self, api: &mut ServiceApi<'_, '_>, data: &[u8]) {
         self.buffer.extend_from_slice(data);
         // HTTP/1.0 GETs: complete once the blank line arrives.
-        let Ok(req) = HttpRequest::parse(&self.buffer) else {
+        if HttpRequest::parse(&self.buffer).is_err() {
             return;
-        };
+        }
         self.buffer.clear();
-        let response = match self.routes.get(&req.path) {
-            Some(body) => HttpResponse::ok(body),
-            None => match &self.default_body {
-                Some(body) => HttpResponse::ok(body),
-                None => HttpResponse::not_found(),
-            },
-        };
-        self.served.push(req);
-        api.send(&response.to_wire());
+        api.send(&HttpResponse::ok(&self.body).to_wire());
         api.close();
     }
 }
@@ -288,12 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn status_constructors() {
-        assert_eq!(HttpResponse::not_found().status, 404);
-        assert_eq!(HttpResponse::forbidden().status, 403);
-    }
-
-    #[test]
     fn incomplete_and_malformed_inputs() {
         assert_eq!(
             HttpRequest::parse(b"GET / HTTP/1.0\r\n"),
@@ -314,7 +264,7 @@ mod tests {
     }
 
     #[test]
-    fn server_serves_route_over_sim() {
+    fn catch_all_server_answers_every_path_over_sim() {
         use std::net::Ipv4Addr;
         use underradar_netsim::{
             ConnId, Host, HostApi, HostTask, LinkConfig, SimDuration, SimTime, Simulator, TcpEvent,
@@ -326,6 +276,7 @@ mod tests {
             path: String,
             response: Vec<u8>,
             status: Option<u16>,
+            body: Vec<u8>,
         }
         impl HostTask for Fetcher {
             fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
@@ -341,6 +292,7 @@ mod tests {
                         self.response.extend_from_slice(&d);
                         if let Ok(resp) = HttpResponse::parse(&self.response) {
                             self.status = Some(resp.status);
+                            self.body = resp.body;
                         }
                     }
                     _ => {}
@@ -354,9 +306,7 @@ mod tests {
         let client = sim.add_node(Box::new(Host::new("client", client_ip)));
         let mut server = Host::new("web", server_ip);
         server.add_tcp_listener(80, || {
-            let mut routes = HashMap::new();
-            routes.insert("/news".to_string(), "<html>headlines</html>".to_string());
-            Box::new(HttpServer::new(routes))
+            Box::new(HttpServer::catch_all("<html>headlines</html>"))
         });
         let server = sim.add_node(Box::new(server));
         sim.wire(
@@ -374,6 +324,7 @@ mod tests {
                 path: "/news".to_string(),
                 response: Vec::new(),
                 status: None,
+                body: Vec::new(),
             }),
         );
         sim.node_mut::<Host>(client).expect("c").spawn_task_at(
@@ -383,11 +334,15 @@ mod tests {
                 path: "/missing".to_string(),
                 response: Vec::new(),
                 status: None,
+                body: Vec::new(),
             }),
         );
         sim.run_for(SimDuration::from_secs(5)).expect("run");
         let host = sim.node_ref::<Host>(client).expect("c");
-        assert_eq!(host.task_ref::<Fetcher>(0).expect("t0").status, Some(200));
-        assert_eq!(host.task_ref::<Fetcher>(1).expect("t1").status, Some(404));
+        for i in 0..2 {
+            let fetcher = host.task_ref::<Fetcher>(i).expect("fetcher");
+            assert_eq!(fetcher.status, Some(200));
+            assert_eq!(fetcher.body, b"<html>headlines</html>");
+        }
     }
 }

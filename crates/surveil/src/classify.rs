@@ -77,32 +77,17 @@ impl fmt::Display for TrafficClass {
     }
 }
 
-/// Tunable thresholds for the behavioural detectors.
-#[derive(Debug, Clone, Copy)]
-pub struct ClassifierConfig {
-    /// Sliding window length.
-    pub window: SimDuration,
-    /// Distinct (dst, port) SYN targets within the window that make a
-    /// source a scanner.
-    pub scan_targets: usize,
-    /// Distinct SMTP destinations within the window that make a source a
-    /// spammer.
-    pub spam_fanout: usize,
-    /// Requests to one (dst, port) within the window that make a source a
-    /// DDoS participant.
-    pub ddos_rate: usize,
-}
-
-impl Default for ClassifierConfig {
-    fn default() -> Self {
-        ClassifierConfig {
-            window: SimDuration::from_secs(60),
-            scan_targets: 15,
-            spam_fanout: 3,
-            ddos_rate: 50,
-        }
-    }
-}
+/// Sliding window length of the behavioural detectors.
+const WINDOW: SimDuration = SimDuration::from_secs(60);
+/// Distinct (dst, port) SYN targets within the window that make a source a
+/// scanner.
+const SCAN_TARGETS: usize = 15;
+/// Distinct SMTP destinations within the window that make a source a
+/// spammer.
+const SPAM_FANOUT: usize = 3;
+/// Requests to one (dst, port) within the window that make a source a
+/// DDoS participant.
+const DDOS_RATE: usize = 50;
 
 #[derive(Debug, Default)]
 struct SourceState {
@@ -139,21 +124,16 @@ impl SourceState {
 /// window state lives in a `Vec` arena — table growth rehashes 4-byte
 /// indices instead of moving three hash sets per source, and slots stay
 /// stable for the classifier's lifetime.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Classifier {
-    config: ClassifierConfig,
     index: FxHashMap<Ipv4Addr, u32>,
     sources: Vec<SourceState>,
 }
 
 impl Classifier {
-    /// Build with the given thresholds.
-    pub fn new(config: ClassifierConfig) -> Classifier {
-        Classifier {
-            config,
-            index: FxHashMap::default(),
-            sources: Vec::new(),
-        }
+    /// An empty classifier (no source seen yet).
+    pub fn new() -> Classifier {
+        Classifier::default()
     }
 
     /// Classify one packet (updates per-source behavioural state).
@@ -168,7 +148,7 @@ impl Classifier {
             }
         };
         let state = &mut self.sources[slot];
-        if now.saturating_since(state.window_start) > self.config.window {
+        if now.saturating_since(state.window_start) > WINDOW {
             state.reset(now);
         }
 
@@ -193,13 +173,13 @@ impl Classifier {
                 // Behavioural updates.
                 if t.flags.has_syn() && !t.flags.has_ack() {
                     state.syn_targets.insert((pkt.dst, t.dst_port));
-                    if state.syn_targets.len() >= self.config.scan_targets {
+                    if state.syn_targets.len() >= SCAN_TARGETS {
                         state.is_scanner = true;
                     }
                 }
                 if t.dst_port == 25 {
                     state.smtp_dsts.insert(pkt.dst);
-                    if state.smtp_dsts.len() >= self.config.spam_fanout {
+                    if state.smtp_dsts.len() >= SPAM_FANOUT {
                         state.is_spammer = true;
                     }
                 }
@@ -209,7 +189,7 @@ impl Classifier {
                         .entry((pkt.dst, t.dst_port))
                         .or_insert(0);
                     *hits += 1;
-                    if *hits >= self.config.ddos_rate {
+                    if *hits >= DDOS_RATE {
                         state.is_ddos = true;
                     }
                 }
@@ -222,7 +202,7 @@ impl Classifier {
                     && state
                         .per_target_hits
                         .get(&(pkt.dst, t.dst_port))
-                        .map(|h| *h >= self.config.ddos_rate)
+                        .map(|h| *h >= DDOS_RATE)
                         .unwrap_or(false)
                 {
                     return TrafficClass::DdosSource;
@@ -266,7 +246,7 @@ mod tests {
     const DST: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
 
     fn classifier() -> Classifier {
-        Classifier::new(ClassifierConfig::default())
+        Classifier::new()
     }
 
     fn t(secs: u64) -> SimTime {

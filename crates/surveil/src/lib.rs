@@ -19,7 +19,7 @@
 //!
 //! Stage 2 — a signature engine over *retained* traffic feeding an
 //! [`analyst::Analyst`]: alerts are stored (1 year, like the campus IDS),
-//! flow metadata is stored (30 days / 36 hours), content briefly (3 days),
+//! flow metadata is stored (30 days), content briefly (3 days),
 //! and a capacity-limited analyst attributes and pursues the most
 //! suspicious users. Attribution of the measurement client is the "risk"
 //! every experiment measures.
@@ -34,6 +34,6 @@ pub mod system;
 pub use analyst::{Analyst, AnalystConfig, Investigation};
 pub use classify::{Classifier, TrafficClass};
 pub use exposure::{DeclaredCell, ExposureEventKind, ExposureLedger, HostExposure, SafetyAudit};
-pub use mvr::{Mvr, MvrConfig, MvrDecision};
+pub use mvr::{Mvr, MvrDecision};
 pub use store::{ContentRecord, FlowRecord, RetentionStore};
 pub use system::{SurveillanceConfig, SurveillanceNode, SurveillanceSystem};

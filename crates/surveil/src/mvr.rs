@@ -6,8 +6,8 @@
 //! traffic". The MVR therefore:
 //!
 //! 1. classifies each packet behaviourally ([`crate::classify`]),
-//! 2. discards whole classes configured as valueless (default: P2P, scan,
-//!    spam, DDoS — high-volume, non-user-attributable noise),
+//! 2. discards whole classes as valueless (P2P, scan, spam, DDoS —
+//!    high-volume, non-user-attributable noise),
 //! 3. tracks how much of the remaining volume fits in the retention budget.
 //!
 //! The measurement techniques of §3 aim to be discarded at step 2.
@@ -20,7 +20,7 @@ use underradar_netsim::packet::Packet;
 use underradar_netsim::telemetry::{TraceRecord, Tracer};
 use underradar_netsim::time::SimTime;
 
-use crate::classify::{Classifier, ClassifierConfig, TrafficClass};
+use crate::classify::{Classifier, TrafficClass};
 
 /// What the MVR decided about a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,31 +45,16 @@ impl MvrDecision {
     }
 }
 
-/// MVR configuration.
-#[derive(Debug, Clone)]
-pub struct MvrConfig {
-    /// Classes discarded wholesale.
-    pub discard_classes: Vec<TrafficClass>,
-    /// Fraction of observed bytes the collector can afford to retain
-    /// (the NSA's 2009 figure was 0.075).
-    pub retention_budget: f64,
-    /// Classifier thresholds.
-    pub classifier: ClassifierConfig,
-}
+/// Fraction of observed bytes the collector can afford to retain (the
+/// NSA's 2009 figure).
+const RETENTION_BUDGET: f64 = 0.075;
 
-impl Default for MvrConfig {
-    fn default() -> Self {
-        MvrConfig {
-            discard_classes: vec![
-                TrafficClass::P2p,
-                TrafficClass::Scan,
-                TrafficClass::Spam,
-                TrafficClass::DdosSource,
-            ],
-            retention_budget: 0.075,
-            classifier: ClassifierConfig::default(),
-        }
-    }
+/// Whether the MVR discards `class` wholesale.
+fn discarded(class: TrafficClass) -> bool {
+    matches!(
+        class,
+        TrafficClass::P2p | TrafficClass::Scan | TrafficClass::Spam | TrafficClass::DdosSource
+    )
 }
 
 /// Per-class byte/packet accounting.
@@ -88,14 +73,12 @@ pub struct ClassVolume {
 /// The MVR stage.
 ///
 /// Per-class accounting is indexed by [`TrafficClass::index`] — the
-/// per-packet hot path is two array accesses, not a scan over the class
-/// list and a `contains` over the discard list.
-#[derive(Debug)]
+/// per-packet hot path is one array access, not a scan over the class
+/// list.
+#[derive(Debug, Default)]
 pub struct Mvr {
-    config: MvrConfig,
     classifier: Classifier,
     volumes: [ClassVolume; TrafficClass::COUNT],
-    discard_mask: [bool; TrafficClass::COUNT],
     tracer: Tracer,
     /// Dedup sets for trace records, one per class (indexed by
     /// [`TrafficClass::index`], like `volumes`): one record per
@@ -109,20 +92,8 @@ pub struct Mvr {
 
 impl Mvr {
     /// Build an MVR stage.
-    pub fn new(config: MvrConfig) -> Mvr {
-        let classifier = Classifier::new(config.classifier);
-        let mut discard_mask = [false; TrafficClass::COUNT];
-        for class in &config.discard_classes {
-            discard_mask[class.index()] = true;
-        }
-        Mvr {
-            config,
-            classifier,
-            volumes: [ClassVolume::default(); TrafficClass::COUNT],
-            discard_mask,
-            tracer: Tracer::disabled(),
-            traced: std::array::from_fn(|_| FxHashSet::default()),
-        }
+    pub fn new() -> Mvr {
+        Mvr::default()
     }
 
     /// Attach a flight-recorder trace (stage `mvr`): one retain/discard
@@ -139,7 +110,7 @@ impl Mvr {
         let vol = &mut self.volumes[class.index()];
         vol.packets += 1;
         vol.bytes += bytes;
-        let decision = if self.discard_mask[class.index()] {
+        let decision = if discarded(class) {
             MvrDecision::Discard(class)
         } else {
             vol.retained_packets += 1;
@@ -201,10 +172,10 @@ impl Mvr {
         }
     }
 
-    /// Whether the achieved retention fits the configured budget — the
+    /// Whether the achieved retention fits the 7.5 % budget — the
     /// check the storage-constraint experiment (E9) reports.
     pub fn within_budget(&self) -> bool {
-        self.retention_rate() <= self.config.retention_budget
+        self.retention_rate() <= RETENTION_BUDGET
     }
 
     /// Access the classifier (e.g. for label queries).
@@ -254,7 +225,7 @@ mod tests {
 
     #[test]
     fn scan_traffic_discarded_web_retained() {
-        let mut mvr = Mvr::new(MvrConfig::default());
+        let mut mvr = Mvr::new();
         // Make the source a scanner.
         let mut scan_decisions = Vec::new();
         for port in 0..30u16 {
@@ -283,7 +254,7 @@ mod tests {
 
     #[test]
     fn p2p_always_discarded() {
-        let mut mvr = Mvr::new(MvrConfig::default());
+        let mut mvr = Mvr::new();
         let raw = Packet {
             src: SRC,
             dst: DST,
@@ -302,7 +273,7 @@ mod tests {
 
     #[test]
     fn accounting_sums() {
-        let mut mvr = Mvr::new(MvrConfig::default());
+        let mut mvr = Mvr::new();
         let web = Packet::tcp(SRC, DST, 40000, 80, 0, 0, TcpFlags::psh_ack(), vec![0; 100]);
         let raw = Packet {
             src: SRC,
@@ -326,30 +297,8 @@ mod tests {
     }
 
     #[test]
-    fn custom_discard_classes() {
-        let config = MvrConfig {
-            discard_classes: vec![TrafficClass::Web],
-            ..MvrConfig::default()
-        };
-        let mut mvr = Mvr::new(config);
-        let web = Packet::tcp(
-            SRC,
-            DST,
-            40000,
-            80,
-            0,
-            0,
-            TcpFlags::psh_ack(),
-            b"GET".to_vec(),
-        );
-        assert!(!mvr.process(SimTime::ZERO, &web).retained());
-        let dns = Packet::udp(SRC, DST, 5000, 53, b"q".to_vec());
-        assert!(mvr.process(SimTime::ZERO, &dns).retained());
-    }
-
-    #[test]
     fn empty_mvr_rates() {
-        let mvr = Mvr::new(MvrConfig::default());
+        let mvr = Mvr::new();
         assert_eq!(mvr.retention_rate(), 0.0);
         assert!(mvr.within_budget());
         assert_eq!(mvr.total_bytes(), 0);

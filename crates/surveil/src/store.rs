@@ -1,10 +1,9 @@
 //! Time-windowed retention stores.
 //!
-//! §2.1's storage numbers, as configuration: the NSA kept *content* for
-//! three days and *connection metadata* for 30; the campus network kept
-//! flow records ~36 hours and IDS alerts about a year. [`RetentionStore`]
-//! is the common mechanism: an append-only log that evicts records older
-//! than its window.
+//! §2.1's storage numbers: the NSA kept *content* for three days and
+//! *connection metadata* for 30; the campus network kept IDS alerts about
+//! a year. [`RetentionStore`] is the common mechanism: an append-only log
+//! that evicts records older than its window.
 
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -179,16 +178,6 @@ impl StoreSet {
             alerts: RetentionStore::new(SimDuration::from_days(365)),
         }
     }
-
-    /// Stores with the campus network's windows (36 h metadata, 1 y
-    /// alerts, no full content capture — window zero).
-    pub fn campus_defaults() -> StoreSet {
-        StoreSet {
-            content: RetentionStore::new(SimDuration::ZERO),
-            metadata: RetentionStore::new(SimDuration::from_hours(36)),
-            alerts: RetentionStore::new(SimDuration::from_days(365)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -234,9 +223,6 @@ mod tests {
         assert_eq!(s.content.window(), SimDuration::from_days(3));
         assert_eq!(s.metadata.window(), SimDuration::from_days(30));
         assert_eq!(s.alerts.window(), SimDuration::from_days(365));
-        let c = StoreSet::campus_defaults();
-        assert_eq!(c.metadata.window(), SimDuration::from_hours(36));
-        assert_eq!(c.content.window(), SimDuration::ZERO);
     }
 
     #[test]

@@ -31,19 +31,15 @@ use underradar_netsim::time::SimTime;
 use underradar_protocols::dns::DnsName;
 
 use crate::analyst::{Analyst, AnalystConfig, Investigation};
-use crate::mvr::{Mvr, MvrConfig, MvrDecision};
+use crate::mvr::{Mvr, MvrDecision};
 use crate::store::{ContentRecord, FlowRecord, StoreSet};
 
 /// Configuration for the whole surveillance system.
 #[derive(Debug)]
 pub struct SurveillanceConfig {
-    /// Stage-1 volume reduction.
-    pub mvr: MvrConfig,
     /// The compiled signature ruleset run over retained traffic, shared
     /// with every other system built from the same ruleset.
     pub rules: Arc<CompiledRuleset>,
-    /// Analyst capacity model.
-    pub analyst: AnalystConfig,
     /// Ablation: run signatures before the MVR discards (default false —
     /// the storage-constrained ordering the paper exploits).
     pub alert_first: bool,
@@ -62,9 +58,7 @@ impl SurveillanceConfig {
     /// paper-default stages.
     pub fn with_compiled(rules: Arc<CompiledRuleset>) -> SurveillanceConfig {
         SurveillanceConfig {
-            mvr: MvrConfig::default(),
             rules,
-            analyst: AnalystConfig::default(),
             alert_first: false,
             reassembly: ReassemblyConfig::default(),
         }
@@ -149,24 +143,13 @@ pub struct SurveillanceSystem {
 
 impl SurveillanceSystem {
     /// Build from a config with the paper's NSA-style retention stores
-    /// (3 d content / 30 d metadata / 1 y alerts).
+    /// (3 d content / 30 d metadata / 1 y alerts) and the default analyst.
     pub fn new(config: SurveillanceConfig) -> SurveillanceSystem {
-        Self::with_stores(config, StoreSet::paper_defaults())
-    }
-
-    /// Build with the campus-network retention profile from §2.1 (no full
-    /// content capture, ~36 h flow records, ~1 y alerts).
-    pub fn campus(config: SurveillanceConfig) -> SurveillanceSystem {
-        Self::with_stores(config, StoreSet::campus_defaults())
-    }
-
-    /// Build with explicit retention stores.
-    pub fn with_stores(config: SurveillanceConfig, stores: StoreSet) -> SurveillanceSystem {
         SurveillanceSystem {
-            mvr: Mvr::new(config.mvr),
+            mvr: Mvr::new(),
             engine: DetectionEngine::from_compiled(config.rules, config.reassembly),
-            stores,
-            analyst: Analyst::new(config.analyst),
+            stores: StoreSet::paper_defaults(),
+            analyst: Analyst::new(AnalystConfig::default()),
             alert_first: config.alert_first,
             stats: SurveillanceStats::default(),
         }
@@ -492,49 +475,6 @@ mod tests {
         let pkt = Packet::udp(foreign, OUT, 5555, 53, q.encode());
         let (_, alerts) = s.process(t(0), &pkt);
         assert!(alerts.is_empty(), "surveillance tracks its own users");
-    }
-
-    #[test]
-    fn campus_profile_keeps_no_content() {
-        let mut s = SurveillanceSystem::campus(SurveillanceConfig::with_rules(vec![]));
-        let pkt = Packet::tcp(
-            HOME,
-            OUT,
-            40000,
-            80,
-            0,
-            0,
-            TcpFlags::psh_ack(),
-            b"GET /".to_vec(),
-        );
-        s.process(t(0), &pkt);
-        assert_eq!(
-            s.stores().content.window(),
-            underradar_netsim::time::SimDuration::ZERO
-        );
-        assert_eq!(
-            s.stores().metadata.window(),
-            underradar_netsim::time::SimDuration::from_hours(36)
-        );
-        // Content inserted at t still lives at the same instant...
-        assert_eq!(s.stores().content.len(), 1);
-        // ...but any later packet evicts it (zero retention window).
-        let pkt2 = Packet::tcp(
-            HOME,
-            OUT,
-            40001,
-            80,
-            0,
-            0,
-            TcpFlags::psh_ack(),
-            b"GET /2".to_vec(),
-        );
-        s.process(t(1), &pkt2);
-        assert_eq!(
-            s.stores().content.len(),
-            1,
-            "only the newest instant survives"
-        );
     }
 
     #[test]

@@ -295,17 +295,6 @@ impl Registry {
         crate::trace::to_jsonl(&self.trace)
     }
 
-    /// The events as JSON lines, one deterministic object per event in
-    /// recording order.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(96 * self.events.len());
-        for e in &self.events {
-            push_event(&mut out, e);
-            out.push('\n');
-        }
-        out
-    }
-
     /// Human-readable text summary: one metric per line, sorted by name.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -490,14 +479,6 @@ mod tests {
         assert_eq!(a.trace.len(), 2);
         assert!(!a.to_json().contains("retain"), "trace excluded from JSON");
         assert_eq!(a.trace_jsonl().lines().count(), 2);
-    }
-
-    #[test]
-    fn jsonl_one_line_per_event() {
-        let r = sample();
-        let l = r.to_jsonl();
-        assert_eq!(l.lines().count(), 1);
-        assert!(l.starts_with("{\"t_ns\":7,\"kind\":\"rst\""));
     }
 
     #[test]

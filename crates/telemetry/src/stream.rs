@@ -38,7 +38,6 @@ pub struct StreamMerger {
     spans: Vec<(u64, SpanRecord)>,
     events: Vec<(u64, Event)>,
     trace: BTreeMap<u64, Vec<TraceRecord>>,
-    absorbed: usize,
 }
 
 impl StreamMerger {
@@ -51,7 +50,6 @@ impl StreamMerger {
     /// running merge. Call order does not matter; the result depends only
     /// on the set of `(src, delta)` pairs absorbed.
     pub fn absorb(&mut self, src: u64, delta: &Registry) {
-        self.absorbed += 1;
         for (name, v) in &delta.counters {
             with_slot(&mut self.counters, name, |c| *c = c.wrapping_add(*v));
         }
@@ -76,11 +74,6 @@ impl StreamMerger {
                 .or_default()
                 .extend(delta.trace.iter().cloned());
         }
-    }
-
-    /// Deltas absorbed so far.
-    pub fn absorbed(&self) -> usize {
-        self.absorbed
     }
 
     /// Resolve the order-sensitive pieces and return the merged registry —
@@ -167,7 +160,6 @@ mod tests {
         for &i in &order {
             merger.absorb(i, &delta(i));
         }
-        assert_eq!(merger.absorbed(), n as usize);
         let streamed = merger.finish();
         let reference = sequential(n);
         assert_eq!(streamed, reference, "structural equality");

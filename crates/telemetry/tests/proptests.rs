@@ -172,7 +172,6 @@ fn exercise(decoded: &Registry, valid: &Registry) {
     other_way.merge(decoded);
     for r in [decoded, &merged, &other_way] {
         let _ = r.to_json();
-        let _ = r.to_jsonl();
         let _ = r.render_text();
     }
     let mut merger = StreamMerger::new();

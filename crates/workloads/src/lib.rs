@@ -28,5 +28,5 @@ pub mod targets;
 pub mod zipf;
 
 pub use population::{PopulationConfig, PopulationTraffic, TimedPacket};
-pub use syria::{SyriaLog, SyriaLogConfig, SyriaLogEntry};
+pub use syria::{SyriaLog, SyriaLogEntry};
 pub use zipf::Zipf;

@@ -34,19 +34,11 @@ pub struct PopulationConfig {
     pub client_prefix: Cidr,
     /// Length of the generated window.
     pub duration: SimDuration,
-    /// Aggregate web requests per second across the population.
-    pub web_rps: f64,
-    /// Aggregate DNS queries per second.
-    pub dns_rps: f64,
-    /// Aggregate mail deliveries per second.
-    pub email_rps: f64,
     /// Aggregate P2P packets per second.
     pub p2p_pps: f64,
     /// Background scan SYNs per second arriving from the Internet
     /// (Durumeric-style noise; sources are external).
     pub scan_pps: f64,
-    /// Number of distinct web domains (Zipf popularity).
-    pub domains: usize,
 }
 
 impl Default for PopulationConfig {
@@ -55,15 +47,20 @@ impl Default for PopulationConfig {
             clients: 200,
             client_prefix: Cidr::slash16(Ipv4Addr::new(10, 20, 0, 0)),
             duration: SimDuration::from_secs(60),
-            web_rps: 40.0,
-            dns_rps: 30.0,
-            email_rps: 2.0,
             p2p_pps: 25.0,
             scan_pps: 10.0,
-            domains: 500,
         }
     }
 }
+
+/// Aggregate web requests per second across the population.
+const WEB_RPS: f64 = 40.0;
+/// Aggregate DNS queries per second.
+const DNS_RPS: f64 = 30.0;
+/// Aggregate mail deliveries per second.
+const EMAIL_RPS: f64 = 2.0;
+/// Number of distinct web domains (Zipf popularity).
+const DOMAINS: usize = 500;
 
 /// The generator.
 pub struct PopulationTraffic;
@@ -126,7 +123,7 @@ impl PopulationTraffic {
     /// Generate the population's packet stream, sorted by time.
     pub fn generate(config: &PopulationConfig, rng: &mut SimRng) -> Vec<TimedPacket> {
         let mut out = Vec::new();
-        let zipf = Zipf::new(config.domains.max(1), 1.0);
+        let zipf = Zipf::new(DOMAINS, 1.0);
         let horizon = config.duration.as_secs_f64();
         let client_at = |i: u64, cfg: &PopulationConfig| {
             cfg.client_prefix.nth(1 + i % cfg.clients.max(1) as u64)
@@ -134,7 +131,7 @@ impl PopulationTraffic {
 
         // Web: request + response pair per event.
         Self::poisson_events(
-            config.web_rps,
+            WEB_RPS,
             horizon,
             rng,
             |t, rng| {
@@ -181,7 +178,7 @@ impl PopulationTraffic {
 
         // DNS: query + response.
         Self::poisson_events(
-            config.dns_rps,
+            DNS_RPS,
             horizon,
             rng,
             |t, rng| {
@@ -214,7 +211,7 @@ impl PopulationTraffic {
 
         // Email: a couple of SMTP data packets to the local MX.
         Self::poisson_events(
-            config.email_rps,
+            EMAIL_RPS,
             horizon,
             rng,
             |t, rng| {
@@ -358,7 +355,7 @@ mod tests {
             .iter()
             .filter(|tp| tp.packet.dst_port() == Some(80))
             .count() as f64;
-        let expected = cfg.web_rps * cfg.duration.as_secs_f64();
+        let expected = WEB_RPS * cfg.duration.as_secs_f64();
         assert!(
             (web - expected).abs() < expected * 0.35,
             "web {web} vs {expected}"
@@ -459,17 +456,19 @@ mod tests {
     }
 
     #[test]
-    fn zero_rates_generate_nothing() {
+    fn zero_p2p_and_scan_rates_generate_neither() {
         let cfg = PopulationConfig {
-            web_rps: 0.0,
-            dns_rps: 0.0,
-            email_rps: 0.0,
             p2p_pps: 0.0,
             scan_pps: 0.0,
             ..PopulationConfig::default()
         };
         let mut rng = SimRng::seed_from_u64(1);
-        assert!(PopulationTraffic::generate(&cfg, &mut rng).is_empty());
+        let stream = PopulationTraffic::generate(&cfg, &mut rng);
+        assert!(!stream.is_empty(), "web, DNS and mail remain");
+        assert!(stream.iter().all(|tp| {
+            !matches!(tp.packet.body, PacketBody::Raw { .. })
+                && !tp.packet.as_tcp().is_some_and(|t| t.flags.has_syn())
+        }));
     }
 
     #[test]

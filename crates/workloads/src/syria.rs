@@ -6,12 +6,12 @@
 //! to be actionable. The real logs are not available (and should not be),
 //! so this module generates a synthetic log with the same aggregate shape:
 //!
-//! * per-user request counts are Poisson with mean `mean_requests`;
+//! * per-user request counts are Poisson with mean λ = 100 over two days;
 //! * each request independently hits censored content with probability
-//!   `p_censored`;
+//!   `p`;
 //! * hence the fraction of users with ≥1 censored access is
 //!   `1 − E[(1−p)^N] = 1 − exp(−λ·p)` — and `p` is solved from the target
-//!   fraction in [`SyriaLogConfig::paper_calibrated`].
+//!   fraction.
 
 use underradar_netsim::rng::SimRng;
 use underradar_netsim::time::{SimDuration, SimTime};
@@ -32,46 +32,28 @@ pub struct SyriaLogEntry {
     pub censored: bool,
 }
 
-/// Generator configuration.
-#[derive(Debug, Clone)]
-pub struct SyriaLogConfig {
-    /// Number of users in the population.
-    pub users: u32,
-    /// Log window (the leak covered two days).
-    pub window: SimDuration,
-    /// Mean requests per user over the window (Poisson λ).
-    pub mean_requests: f64,
-    /// Per-request probability of touching censored content.
-    pub p_censored: f64,
-    /// Number of ordinary domains (Zipf popularity).
-    pub domains: usize,
-    /// Names of censored sites requests may hit.
-    pub censored_sites: Vec<String>,
-}
+/// Log window (the leak covered two days).
+const WINDOW: SimDuration = SimDuration::from_days(2);
+/// Mean requests per user over the window (Poisson λ).
+const MEAN_REQUESTS: f64 = 100.0;
+/// The paper's fraction of users with ≥1 censored access.
+const TARGET_FRACTION: f64 = 0.0157;
+/// Number of ordinary domains (Zipf popularity).
+const DOMAINS: usize = 2000;
+/// Names of censored sites requests may hit.
+const CENSORED_SITES: [&str; 5] = [
+    "facebook.com",
+    "youtube.com",
+    "twitter.com",
+    "aljazeera.net",
+    "wikileaks.org",
+];
 
-impl SyriaLogConfig {
-    /// Calibrated so the expected fraction of users with ≥1 censored
-    /// access equals the paper's 1.57 %.
-    pub fn paper_calibrated(users: u32) -> SyriaLogConfig {
-        let target = 0.0157f64;
-        let lambda = 100.0;
-        // 1 - exp(-λ p) = target  =>  p = -ln(1 - target) / λ
-        let p_censored = -(1.0 - target).ln() / lambda;
-        SyriaLogConfig {
-            users,
-            window: SimDuration::from_days(2),
-            mean_requests: lambda,
-            p_censored,
-            domains: 2000,
-            censored_sites: vec![
-                "facebook.com".to_string(),
-                "youtube.com".to_string(),
-                "twitter.com".to_string(),
-                "aljazeera.net".to_string(),
-                "wikileaks.org".to_string(),
-            ],
-        }
-    }
+/// Per-request probability of touching censored content, calibrated so
+/// the expected fraction of users with ≥1 censored access equals
+/// [`TARGET_FRACTION`]: `1 − exp(−λ p) = target  ⇒  p = −ln(1 − target) / λ`.
+fn p_censored() -> f64 {
+    -(1.0 - TARGET_FRACTION).ln() / MEAN_REQUESTS
 }
 
 /// A generated log.
@@ -85,32 +67,30 @@ pub struct SyriaLog {
 }
 
 impl SyriaLog {
-    /// Generate a log.
-    pub fn generate(config: &SyriaLogConfig, rng: &mut SimRng) -> SyriaLog {
-        let zipf = Zipf::new(config.domains.max(1), 1.0);
+    /// Generate a log for a population of `users`, calibrated to the
+    /// paper's 1.57 %.
+    pub fn generate(users: u32, rng: &mut SimRng) -> SyriaLog {
+        let zipf = Zipf::new(DOMAINS, 1.0);
+        let p_censored = p_censored();
         let mut entries = Vec::new();
-        let window_ns = config.window.as_nanos();
-        for user in 0..config.users {
-            let n = poisson(config.mean_requests, rng);
+        for user in 0..users {
+            let n = poisson(MEAN_REQUESTS, rng);
             for _ in 0..n {
-                let censored = rng.chance(config.p_censored);
+                let censored = rng.chance(p_censored);
                 let domain = if censored {
-                    config.censored_sites[rng.index(config.censored_sites.len().max(1))].clone()
+                    CENSORED_SITES[rng.index(CENSORED_SITES.len())].to_string()
                 } else {
                     format!("site{}.example", zipf.sample(rng))
                 };
                 entries.push(SyriaLogEntry {
                     user,
-                    time: SimTime::from_nanos(rng.range_u64(0, window_ns.max(1))),
+                    time: SimTime::from_nanos(rng.range_u64(0, WINDOW.as_nanos())),
                     domain,
                     censored,
                 });
             }
         }
-        SyriaLog {
-            entries,
-            users: config.users,
-        }
+        SyriaLog { entries, users }
     }
 
     /// Total requests.
@@ -193,11 +173,10 @@ mod tests {
 
     #[test]
     fn calibration_matches_the_paper_fraction() {
-        let config = SyriaLogConfig::paper_calibrated(30_000);
-        let expected = 1.0 - (-config.mean_requests * config.p_censored).exp();
+        let expected = 1.0 - (-MEAN_REQUESTS * p_censored()).exp();
         assert!((expected - 0.0157).abs() < 1e-9);
         let mut rng = SimRng::seed_from_u64(42);
-        let log = SyriaLog::generate(&config, &mut rng);
+        let log = SyriaLog::generate(30_000, &mut rng);
         let frac = log.fraction_users_censored();
         assert!(
             (frac - 0.0157).abs() < 0.003,
@@ -207,20 +186,18 @@ mod tests {
 
     #[test]
     fn request_volume_matches_lambda() {
-        let config = SyriaLogConfig::paper_calibrated(2_000);
         let mut rng = SimRng::seed_from_u64(7);
-        let log = SyriaLog::generate(&config, &mut rng);
+        let log = SyriaLog::generate(2_000, &mut rng);
         let per_user = log.total_requests() as f64 / 2_000.0;
         assert!((per_user - 100.0).abs() < 3.0, "mean requests {per_user}");
     }
 
     #[test]
     fn censored_entries_use_censored_sites() {
-        let config = SyriaLogConfig::paper_calibrated(500);
         let mut rng = SimRng::seed_from_u64(9);
-        let log = SyriaLog::generate(&config, &mut rng);
+        let log = SyriaLog::generate(500, &mut rng);
         for e in log.entries.iter().filter(|e| e.censored) {
-            assert!(config.censored_sites.contains(&e.domain), "{}", e.domain);
+            assert!(CENSORED_SITES.contains(&e.domain.as_str()), "{}", e.domain);
         }
         for e in log.entries.iter().filter(|e| !e.censored).take(100) {
             assert!(e.domain.starts_with("site"));
@@ -229,10 +206,9 @@ mod tests {
 
     #[test]
     fn times_inside_window() {
-        let config = SyriaLogConfig::paper_calibrated(100);
         let mut rng = SimRng::seed_from_u64(3);
-        let log = SyriaLog::generate(&config, &mut rng);
-        let end = SimTime::ZERO + config.window;
+        let log = SyriaLog::generate(100, &mut rng);
+        let end = SimTime::ZERO + WINDOW;
         assert!(log.entries.iter().all(|e| e.time < end));
     }
 
@@ -248,10 +224,8 @@ mod tests {
 
     #[test]
     fn empty_population() {
-        let mut config = SyriaLogConfig::paper_calibrated(0);
-        config.users = 0;
         let mut rng = SimRng::seed_from_u64(1);
-        let log = SyriaLog::generate(&config, &mut rng);
+        let log = SyriaLog::generate(0, &mut rng);
         assert_eq!(log.total_requests(), 0);
         assert_eq!(log.fraction_users_censored(), 0.0);
     }

@@ -2,7 +2,7 @@
 # Byte-compare this tree's release outputs against revision REV's.
 #   ./scripts/cmp_parent.sh REV        (e.g. HEAD~)
 #
-# Builds REV's release `underradar` (and the ttl_calibration example)
+# Builds REV's release `underradar` (and the deterministic examples)
 # offline from a `git archive` export in a temp dir, with its own
 # CARGO_TARGET_DIR, builds this tree's, then runs every deterministic
 # smoke with both and `cmp`s their stdout (and the pcap file). Prints one
@@ -17,13 +17,17 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 mkdir -p "$tmp/src" "$tmp/old" "$tmp/new"
+# Examples whose stdout is a pure function of their seeds.
+examples=(ttl_calibration quickstart mvr_explorer country_survey)
+example_args=()
+for ex in "${examples[@]}"; do example_args+=(--example "$ex"); done
 git archive "$(git rev-parse --verify "$rev^{commit}")" | tar -x -C "$tmp/src"
 
 echo "==> building $rev in $tmp/src" >&2
 (cd "$tmp/src" && CARGO_TARGET_DIR="$tmp/target" \
-  cargo build --offline --release -q --bin underradar --example ttl_calibration)
+  cargo build --offline --release -q --bin underradar "${example_args[@]}")
 echo "==> building the working tree" >&2
-cargo build --offline --release -q --bin underradar --example ttl_calibration
+cargo build --offline --release -q --bin underradar "${example_args[@]}"
 
 old_bin="$tmp/target/release"
 new_bin="$PWD/target/release"
@@ -81,8 +85,10 @@ for smoke in "${smokes[@]}"; do
 done
 report "pcap-file" "$tmp/old/demo.pcap" "$tmp/new/demo.pcap"
 
-"$old_bin/examples/ttl_calibration" > "$tmp/old/ttl_calibration.out" 2>/dev/null || true
-"$new_bin/examples/ttl_calibration" > "$tmp/new/ttl_calibration.out" 2>/dev/null || true
-report "examples/ttl_calibration" "$tmp/old/ttl_calibration.out" "$tmp/new/ttl_calibration.out"
+for ex in "${examples[@]}"; do
+  "$old_bin/examples/$ex" > "$tmp/old/$ex.out" 2>/dev/null || true
+  "$new_bin/examples/$ex" > "$tmp/new/$ex.out" 2>/dev/null || true
+  report "examples/$ex" "$tmp/old/$ex.out" "$tmp/new/$ex.out"
+done
 
 exit "$differ"
