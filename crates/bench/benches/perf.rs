@@ -698,7 +698,7 @@ fn bench_simulator() {
 /// assertions pin the caching win the campaign engine's throughput rests
 /// on, that a warm instantiation compiles nothing: it must allocate
 /// under 64 KiB, less than one DFA's 64 KB pair table, and that a
-/// paper-matrix trial makes at most 1,250 allocations, and at most 300
+/// paper-matrix trial makes at most 750 allocations, and at most 300
 /// more with telemetry on.
 fn bench_campaign() {
     use underradar_bench::experiments::campaign::paper_campaign;
@@ -784,7 +784,10 @@ fn bench_campaign() {
     // Allocations per trial over the 512-trial paper matrix, telemetry
     // off, one worker: world build, simulation, scoring and commit. The
     // scheduler's event arena keeps the wheel's share near zero; wheel
-    // slots that allocate per world again put a trial near 2,000.
+    // slots that allocate per world again put a trial near 2,000. The host
+    // stack's reused TCP buffers and the pre-rendered, borrowed-parse HTTP
+    // path keep it near 620; per-call output vectors and owned HTTP
+    // messages put it near 1,000.
     let spec = paper_campaign(4);
     let trials = spec.expand().len() as u64;
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -795,8 +798,8 @@ fn bench_campaign() {
         "paper_matrix_512_trials"
     );
     assert!(
-        per_trial <= 1_250.0,
-        "acceptance: a paper-matrix trial must stay within 1,250 allocations \
+        per_trial <= 750.0,
+        "acceptance: a paper-matrix trial must stay within 750 allocations \
          (got {per_trial:.0})"
     );
 

@@ -273,7 +273,8 @@ fn replay_traced(isn: u32, schedule: &[Item], cfg: ReplayCfg, tracer: Tracer) ->
     let ctx = monitor.process(&ack).expect("ack tracked");
     let key: FlowKey = ctx.key;
     let ack_seg = ack.as_tcp().expect("ack is tcp");
-    let _ = endpoint.on_segment(ack_seg, t0);
+    let (mut acks, mut events) = (Vec::new(), Vec::new());
+    endpoint.on_segment(ack_seg, t0, &mut acks, &mut events);
 
     let mut endpoint_stream: Vec<u8> = Vec::new();
     for (i, item) in schedule.iter().enumerate() {
@@ -298,10 +299,12 @@ fn replay_traced(isn: u32, schedule: &[Item], cfg: ReplayCfg, tracer: Tracer) ->
         monitor.process(&pkt);
         if item.sees == Sees::Both {
             let seg = pkt.as_tcp().expect("scheduled items are tcp");
-            let (_acks, events) = endpoint.on_segment(seg, t0);
-            for ev in events {
+            acks.clear();
+            events.clear();
+            endpoint.on_segment(seg, t0, &mut acks, &mut events);
+            for ev in &events {
                 if let TcpEvent::Data(d) = ev {
-                    endpoint_stream.extend_from_slice(&d);
+                    endpoint_stream.extend_from_slice(d);
                 }
             }
         }

@@ -237,7 +237,7 @@ mod tests {
     use underradar_netsim::link::LinkConfig;
     use underradar_netsim::time::{SimDuration, SimTime};
     use underradar_netsim::{ConnId, HostApi, HostTask, NodeId, Simulator, TcpEvent};
-    use underradar_protocols::http::HttpServer;
+    use underradar_protocols::http::{HttpResponse, HttpServer};
 
     const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 2);
     const SERVER: Ipv4Addr = Ipv4Addr::new(10, 0, 2, 80);
@@ -247,8 +247,10 @@ mod tests {
         let mut sim = Simulator::new(31);
         let client = sim.add_node(Box::new(Host::new("client", CLIENT)));
         let mut server_host = Host::new("server", SERVER);
-        server_host.add_tcp_listener(80, || Box::new(HttpServer::catch_all("<html>ok</html>")));
-        server_host.add_tcp_listener(443, || Box::new(HttpServer::catch_all("<html>tls</html>")));
+        for (port, body) in [(80, "<html>ok</html>"), (443, "<html>tls</html>")] {
+            let page: std::sync::Arc<[u8]> = HttpResponse::render_ok(body).into();
+            server_host.add_tcp_listener(port, move || Box::new(HttpServer::new(page.clone())));
+        }
         let server = sim.add_node(Box::new(server_host));
         let censor = sim.add_node(Box::new(InlineCensor::new("censor", policy)));
         sim.wire(

@@ -325,7 +325,7 @@ mod tests {
     use underradar_netsim::topology::TopologyBuilder;
     use underradar_netsim::{ConnId, HostApi, HostTask, NodeId, Simulator, TcpEvent};
     use underradar_protocols::dns::{DnsMessage, DnsName, QType};
-    use underradar_protocols::http::HttpServer;
+    use underradar_protocols::http::{HttpResponse, HttpServer};
 
     const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 2);
     const SERVER: Ipv4Addr = Ipv4Addr::new(10, 0, 2, 80);
@@ -335,7 +335,8 @@ mod tests {
         let mut topo = TopologyBuilder::new(21);
         let client = topo.add_host(Host::new("client", CLIENT));
         let mut server_host = Host::new("server", SERVER);
-        server_host.add_tcp_listener(80, || Box::new(HttpServer::catch_all("<html>page</html>")));
+        let page: std::sync::Arc<[u8]> = HttpResponse::render_ok("<html>page</html>").into();
+        server_host.add_tcp_listener(80, move || Box::new(HttpServer::new(page.clone())));
         let server = topo.add_host(server_host);
         let censor = topo.add_node(Box::new(TapCensor::new("censor", policy)));
         let sw = topo.add_switch(Switch::new("ovs"));

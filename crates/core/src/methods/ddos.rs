@@ -62,8 +62,8 @@ impl DdosTally {
 /// An HTTP-flood measurement of one target.
 pub struct DdosProbe {
     target: Ipv4Addr,
-    host_header: String,
-    path: String,
+    /// The GET every sample sends, rendered once.
+    request: Vec<u8>,
     samples_wanted: usize,
     current: Option<ConnId>,
     buf: Vec<u8>,
@@ -76,8 +76,7 @@ impl DdosProbe {
     pub fn new(target: Ipv4Addr, host_header: &str, path: &str, samples: usize) -> DdosProbe {
         DdosProbe {
             target,
-            host_header: host_header.to_string(),
-            path: path.to_string(),
+            request: HttpRequest::render_get(host_header, path, &[("User-Agent", "Mozilla/5.0")]),
             samples_wanted: samples,
             current: None,
             buf: Vec::new(),
@@ -179,11 +178,7 @@ impl HostTask for DdosProbe {
             return;
         }
         match event {
-            TcpEvent::Connected => {
-                let req = HttpRequest::get(&self.host_header, &self.path)
-                    .with_header("User-Agent", "Mozilla/5.0");
-                api.tcp_send(conn, &req.to_wire());
-            }
+            TcpEvent::Connected => api.tcp_send(conn, &self.request),
             TcpEvent::Data(d) => {
                 self.buf.extend_from_slice(&d);
                 if let Ok(resp) = HttpResponse::parse(&self.buf) {

@@ -33,9 +33,8 @@ pub struct OvertProbe {
     domain: DnsName,
     resolver: Ipv4Addr,
     collector: Ipv4Addr,
-    /// Path to request (include a censored keyword to test keyword
-    /// censorship overtly).
-    path: String,
+    /// The GET for the target's path, rendered once.
+    request: Vec<u8>,
     phase: Phase,
     dns_port: Option<u16>,
     /// All DNS responses observed for our query (injection shows up as
@@ -55,13 +54,15 @@ pub struct OvertProbe {
 }
 
 impl OvertProbe {
-    /// Probe `domain` through `resolver`, reporting to `collector`.
+    /// Probe `domain` through `resolver`, reporting to `collector`. The
+    /// fetch asks for `path` (include a censored keyword to test keyword
+    /// censorship overtly).
     pub fn new(domain: &DnsName, resolver: Ipv4Addr, collector: Ipv4Addr, path: &str) -> Self {
         OvertProbe {
             domain: domain.clone(),
             resolver,
             collector,
-            path: path.to_string(),
+            request: HttpRequest::render_get(&domain.to_string(), path, &[]),
             phase: Phase::Resolving,
             dns_port: None,
             dns_answers: Vec::new(),
@@ -182,10 +183,7 @@ impl HostTask for OvertProbe {
     fn on_tcp(&mut self, api: &mut HostApi<'_, '_>, conn: ConnId, event: TcpEvent) {
         if Some(conn) == self.http_conn {
             match event {
-                TcpEvent::Connected => {
-                    let req = HttpRequest::get(&self.domain.to_string(), &self.path);
-                    api.tcp_send(conn, &req.to_wire());
-                }
+                TcpEvent::Connected => api.tcp_send(conn, &self.request),
                 TcpEvent::Data(d) => {
                     self.http_buf.extend_from_slice(&d);
                     if let Ok(resp) = HttpResponse::parse(&self.http_buf) {

@@ -11,9 +11,9 @@
 //! kernel-style RST then tears the half-open connection down, exactly as
 //! nmap relies on); a RST marks it closed; silence marks it filtered.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
+use underradar_netsim::hash::FxHashMap;
 use underradar_netsim::host::{HostApi, HostTask, RawVerdict};
 use underradar_netsim::packet::Packet;
 use underradar_netsim::time::SimDuration;
@@ -48,7 +48,7 @@ pub struct SynScanProbe {
     next_index: usize,
     base_sport: u16,
     /// Observed state per port (absent = still filtered/unanswered).
-    pub results: HashMap<u16, PortState>,
+    pub results: FxHashMap<u16, PortState>,
     finished: bool,
     /// Extra rounds re-probing unanswered ports.
     retries: u32,
@@ -64,7 +64,7 @@ impl SynScanProbe {
             expected_open,
             next_index: 0,
             base_sport: 40000,
-            results: HashMap::new(),
+            results: FxHashMap::default(),
             finished: false,
             retries: 1,
             round: 0,

@@ -42,7 +42,7 @@ use underradar_netsim::time::{SimDuration, SimTime};
 use underradar_netsim::topology::TopologyBuilder;
 use underradar_protocols::dns::{DnsError, DnsName, DnsServer, DnsZone, Record, ZoneBuilder};
 use underradar_protocols::email::EmailMessage;
-use underradar_protocols::http::HttpServer;
+use underradar_protocols::http::{HttpResponse, HttpServer};
 use underradar_protocols::smtp::SmtpServerService;
 use underradar_surveil::system::{
     default_surveillance_rules, SurveillanceConfig, SurveillanceNode,
@@ -177,6 +177,10 @@ const RESOLVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 2, 53);
 const COLLECTOR_IP: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 99);
 const MSERVER_IP: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 200);
 
+/// A complete HTTP response's wire bytes, shared by every server that
+/// answers with it.
+type Page = Arc<[u8]>;
+
 /// The seed-independent parts of a policy column's worlds: the resolver
 /// zone and the parsed surveillance ruleset, and — compiled on first use —
 /// the monitors' immutable parts. The tap censor's keyword DFA
@@ -185,10 +189,11 @@ const MSERVER_IP: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 200);
 /// and the routed TTL chain ([`TestbedTemplate::instantiate_routed`]).
 /// Each topology compiles its own surveillance ruleset: the chain's omits
 /// the collector rule (it has no collector), which shifts every later SID.
-/// Every world instantiated from the template shares those parts by `Arc`
-/// and builds only its own mutable state (simulator, hosts, reassemblers,
-/// logs), so per-trial construction does no string formatting, rule
-/// parsing, DFA building or zone indexing.
+/// The web servers' and the collector's HTTP responses are rendered on
+/// first use too. Every world instantiated from the template shares those
+/// parts by `Arc` and builds only its own mutable state (simulator, hosts,
+/// reassemblers, logs), so per-trial construction does no page rendering,
+/// rule parsing, DFA building or zone indexing.
 ///
 /// A campaign prepares one template per censor policy and instantiates a
 /// fresh world per trial seed from it. Preparing stays as cheap as
@@ -204,6 +209,9 @@ pub struct TestbedTemplate {
     censor: OnceLock<Arc<CompiledPolicy>>,
     /// The flat testbed's indexed zone and surveillance ruleset.
     flat: OnceLock<(Arc<DnsZone>, Arc<CompiledRuleset>)>,
+    /// The flat testbed's HTTP responses, rendered once: each target's
+    /// page, in target order, and the collector's acknowledgement.
+    pages: OnceLock<(Vec<Page>, Page)>,
     /// The routed chain's surveillance ruleset.
     chain: OnceLock<Arc<CompiledRuleset>>,
 }
@@ -230,6 +238,7 @@ impl TestbedTemplate {
             rules,
             censor: OnceLock::new(),
             flat: OnceLock::new(),
+            pages: OnceLock::new(),
             chain: OnceLock::new(),
         }
     }
@@ -268,6 +277,17 @@ impl TestbedTemplate {
                 Arc::new(DnsZone::new(self.zone.clone())),
                 Arc::new(CompiledRuleset::new(self.rules.clone())),
             )
+        });
+        let (web_pages, collector_page) = self.pages.get_or_init(|| {
+            let page = |t: &TargetSite| {
+                let domain = &t.domain;
+                HttpResponse::render_ok(&format!(
+                    "<html><head><title>{domain}</title></head><body>content of {domain}</body></html>"
+                ))
+                .into()
+            };
+            let ack = HttpResponse::render_ok("{\"status\":\"ok\"}").into();
+            (config.targets.iter().map(page).collect(), ack)
         });
         let client_ip = CLIENT_IP;
         let resolver_ip = RESOLVER_IP;
@@ -331,16 +351,10 @@ impl TestbedTemplate {
 
         // --- world side ---
         let mut inboxes = HashMap::new();
-        for t in &config.targets {
+        for (t, page) in config.targets.iter().zip(web_pages) {
             let mut web = Host::new(&format!("web-{}", t.domain), t.web_ip);
-            web.add_tcp_listener(80, {
-                let domain = t.domain.to_string();
-                move || {
-                    Box::new(HttpServer::catch_all(&format!(
-                        "<html><head><title>{domain}</title></head><body>content of {domain}</body></html>"
-                    )))
-                }
-            });
+            let page = page.clone();
+            web.add_tcp_listener(80, move || Box::new(HttpServer::new(page.clone())));
             let web_id = topo.add_host(web);
             topo.attach_host(web_id, t.web_ip, sw2, LinkConfig::default())
                 .expect("web attach");
@@ -356,9 +370,8 @@ impl TestbedTemplate {
                 .expect("mx attach");
         }
         let mut collector_host = Host::new("collector", collector_ip);
-        collector_host.add_tcp_listener(443, || {
-            Box::new(HttpServer::catch_all("{\"status\":\"ok\"}"))
-        });
+        let ack = collector_page.clone();
+        collector_host.add_tcp_listener(443, move || Box::new(HttpServer::new(ack.clone())));
         let collector = topo.add_host(collector_host);
         topo.attach_host(collector, collector_ip, sw2, LinkConfig::default())
             .expect("collector attach");
@@ -835,19 +848,21 @@ mod tests {
             (
                 t.censor.get().is_some(),
                 t.flat.get().is_some(),
+                t.pages.get().is_some(),
                 t.chain.get().is_some(),
             )
         };
         assert_eq!(
             compiled(),
-            (false, false, false),
+            (false, false, false, false),
             "prepare compiles nothing"
         );
         let flat = (template.instantiate(1), template.instantiate(2));
-        assert_eq!(compiled(), (true, true, false), "no routed world yet");
+        assert_eq!(compiled(), (true, true, true, false), "no routed world yet");
         let routed = template.instantiate_routed(3);
         let censor = template.censor.get().expect("compiled on first use");
         let (zone, ruleset) = template.flat.get().expect("compiled on first use");
+        let (web_pages, collector_page) = template.pages.get().expect("rendered on first use");
         let chain = template.chain.get().expect("compiled on first use");
         // The template's handle plus one per live world: every world holds
         // the column's single compiled copy, and the tap censor's keyword
@@ -856,6 +871,9 @@ mod tests {
         assert_eq!(Arc::strong_count(ruleset), 3);
         assert_eq!(Arc::strong_count(zone), 3);
         assert_eq!(Arc::strong_count(chain), 2, "the chain's own ruleset");
+        // Each flat world's listeners share the rendered responses.
+        assert_eq!(Arc::strong_count(collector_page), 3);
+        assert!(web_pages.iter().all(|page| Arc::strong_count(page) == 3));
         drop((flat, routed));
         assert_eq!(Arc::strong_count(censor), 1);
         assert_eq!(Arc::strong_count(ruleset), 1);

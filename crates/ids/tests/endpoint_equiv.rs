@@ -19,7 +19,7 @@ use std::net::Ipv4Addr;
 use underradar_ids::stream::{Direction, FlowKey, StreamReassembler};
 use underradar_netsim::testprop::{cases, Gen};
 use underradar_netsim::time::{SimDuration, SimTime};
-use underradar_netsim::{Packet, TcpConn, TcpEvent};
+use underradar_netsim::{Packet, TcpConn, TcpEvent, TcpSegment};
 
 const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 2);
 const SERVER: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
@@ -126,6 +126,20 @@ impl Wire {
     }
 }
 
+/// [`TcpConn::on_segment`] into fresh output vectors.
+fn on_segment(conn: &mut TcpConn, seg: &TcpSegment, now: SimTime) -> (Vec<Packet>, Vec<TcpEvent>) {
+    let (mut out, mut events) = (Vec::new(), Vec::new());
+    conn.on_segment(seg, now, &mut out, &mut events);
+    (out, events)
+}
+
+/// [`TcpConn::on_rto`] into fresh output vectors.
+fn on_rto(conn: &mut TcpConn, now: SimTime) -> (Vec<Packet>, Vec<TcpEvent>) {
+    let (mut out, mut events) = (Vec::new(), Vec::new());
+    conn.on_rto(now, &mut out, &mut events);
+    (out, events)
+}
+
 /// Drive one full connection through the impaired wire and return
 /// (monitor stream, endpoint stream, bytes the client queued).
 fn run_connection(g: &mut Gen) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
@@ -155,7 +169,7 @@ fn run_connection(g: &mut Gen) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
             // untransmitted data, fire its retransmission timer.
             if client.has_unacked() && !client.is_closed() {
                 now += client.rto();
-                let (pkts, events) = client.on_rto(now);
+                let (pkts, events) = on_rto(&mut client, now);
                 if events.iter().any(|e| matches!(e, TcpEvent::TimedOut)) {
                     break;
                 }
@@ -195,7 +209,7 @@ fn run_connection(g: &mut Gen) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
                         continue;
                     }
                 };
-                let (replies, events) = conn.on_segment(seg, now);
+                let (replies, events) = on_segment(conn, seg, now);
                 for ev in events {
                     if let TcpEvent::Data(d) = ev {
                         endpoint_stream.extend_from_slice(&d);
@@ -207,14 +221,16 @@ fn run_connection(g: &mut Gen) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
             }
             Dest::ToClient => {
                 let seg = flight.pkt.as_tcp().expect("driver only sends tcp");
-                let (replies, events) = client.on_segment(seg, now);
+                let (replies, events) = on_segment(&mut client, seg, now);
                 for p in replies {
                     wire.send_c2s(g, now, p);
                 }
                 let connected = events.iter().any(|e| matches!(e, TcpEvent::Connected));
                 if connected && !sent {
                     sent = true;
-                    for p in client.send(&payload, now) {
+                    let mut data = Vec::new();
+                    client.send(&payload, now, &mut data);
+                    for p in data {
                         wire.send_c2s(g, now, p);
                     }
                 }

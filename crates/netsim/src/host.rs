@@ -17,10 +17,11 @@
 //! and why SYN scans of closed ports see RSTs (§3.1).
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use crate::event::TimerToken;
+use crate::hash::FxHashMap;
 use crate::node::{IfaceId, Node, NodeCtx};
 use crate::packet::{Packet, PacketBody, TcpSegment};
 use crate::stack::tcp::{TcpConn, TcpEvent};
@@ -147,19 +148,26 @@ type ConnKey = (u16, Ipv4Addr, u16); // (local port, remote addr, remote port)
 
 /// Host-internal stack state, separated from the task table so tasks can be
 /// called while the stack is mutably borrowed.
+///
+/// The tables are keyed by values the simulation generates and none is
+/// iterated, so they use the Fx hasher and no output depends on its order.
 pub struct HostStack {
     ip: Ipv4Addr,
-    conns: HashMap<ConnId, ConnEntry>,
-    conn_index: HashMap<ConnKey, ConnId>,
-    listeners: HashMap<u16, usize>,
+    conns: FxHashMap<ConnId, ConnEntry>,
+    conn_index: FxHashMap<ConnKey, ConnId>,
+    listeners: FxHashMap<u16, usize>,
     udp_binds: UdpBindings,
     next_conn: u64,
     next_ephemeral: u16,
-    timer_map: HashMap<TimerToken, TimerPurpose>,
+    timer_map: FxHashMap<TimerToken, TimerPurpose>,
     respond_rst: bool,
     counters: HostCounters,
     /// Events produced during stack processing, dispatched afterwards.
-    pending_dispatch: Vec<(ConnId, TcpEvent)>,
+    pending_dispatch: VecDeque<(ConnId, TcpEvent)>,
+    /// Packets and events one [`TcpConn`] call produced; reused by every
+    /// call on every connection and empty between calls.
+    tcp_out: Vec<Packet>,
+    tcp_events: Vec<TcpEvent>,
 }
 
 impl HostStack {
@@ -204,29 +212,34 @@ impl HostStack {
             .insert(token, TimerPurpose::Rto(cid, entry.epoch));
     }
 
-    /// Send packets out of the host interface.
-    fn flush(&mut self, ctx: &mut NodeCtx<'_>, packets: Vec<Packet>) {
-        for p in packets {
+    /// Run `call` on connection `cid` with the reused output buffers, then
+    /// send the packets it produced, re-arm the connection's RTO and queue
+    /// its events for dispatch.
+    fn drive<F>(&mut self, ctx: &mut NodeCtx<'_>, cid: ConnId, call: F)
+    where
+        F: FnOnce(&mut TcpConn, &mut Vec<Packet>, &mut Vec<TcpEvent>),
+    {
+        let Some(entry) = self.conns.get_mut(&cid) else {
+            return;
+        };
+        debug_assert!(self.tcp_out.is_empty() && self.tcp_events.is_empty());
+        call(&mut entry.conn, &mut self.tcp_out, &mut self.tcp_events);
+        for p in self.tcp_out.drain(..) {
             ctx.send(HOST_IFACE, p);
         }
+        self.arm_rto(ctx, cid);
+        self.pending_dispatch
+            .extend(self.tcp_events.drain(..).map(|e| (cid, e)));
     }
 
     fn conn_send(&mut self, ctx: &mut NodeCtx<'_>, cid: ConnId, data: &[u8]) {
-        let Some(entry) = self.conns.get_mut(&cid) else {
-            return;
-        };
-        let packets = entry.conn.send(data, ctx.now());
-        self.flush(ctx, packets);
-        self.arm_rto(ctx, cid);
+        let now = ctx.now();
+        self.drive(ctx, cid, |conn, out, _| conn.send(data, now, out));
     }
 
     fn conn_close(&mut self, ctx: &mut NodeCtx<'_>, cid: ConnId) {
-        let Some(entry) = self.conns.get_mut(&cid) else {
-            return;
-        };
-        let packets = entry.conn.close(ctx.now());
-        self.flush(ctx, packets);
-        self.arm_rto(ctx, cid);
+        let now = ctx.now();
+        self.drive(ctx, cid, |conn, out, _| conn.close(now, out));
     }
 
     fn conn_abort(&mut self, ctx: &mut NodeCtx<'_>, cid: ConnId) {
@@ -470,7 +483,7 @@ pub struct Host {
     tasks: Vec<Option<Box<dyn HostTask>>>,
     task_starts: Vec<(usize, SimTime)>,
     listener_factories: Vec<ServiceFactory>,
-    conn_services: HashMap<ConnId, Box<dyn Service>>,
+    conn_services: FxHashMap<ConnId, Box<dyn Service>>,
     udp_services: Vec<Option<Box<dyn UdpService>>>,
 }
 
@@ -481,21 +494,23 @@ impl Host {
             name: name.to_string(),
             stack: HostStack {
                 ip,
-                conns: HashMap::new(),
-                conn_index: HashMap::new(),
-                listeners: HashMap::new(),
+                conns: FxHashMap::default(),
+                conn_index: FxHashMap::default(),
+                listeners: FxHashMap::default(),
                 udp_binds: UdpBindings::new(),
                 next_conn: 0,
                 next_ephemeral: 49152,
-                timer_map: HashMap::new(),
+                timer_map: FxHashMap::default(),
                 respond_rst: true,
                 counters: HostCounters::default(),
-                pending_dispatch: Vec::new(),
+                pending_dispatch: VecDeque::new(),
+                tcp_out: Vec::new(),
+                tcp_events: Vec::new(),
             },
             tasks: Vec::new(),
             task_starts: Vec::new(),
             listener_factories: Vec::new(),
-            conn_services: HashMap::new(),
+            conn_services: FxHashMap::default(),
             udp_services: Vec::new(),
         }
     }
@@ -617,14 +632,7 @@ impl Host {
     /// itself enqueue more events (e.g. a task closing a connection inside
     /// a callback), so loop until quiescent.
     fn drain_dispatch(&mut self, ctx: &mut NodeCtx<'_>) {
-        while let Some((cid, event)) = {
-            let s = &mut self.stack.pending_dispatch;
-            if s.is_empty() {
-                None
-            } else {
-                Some(s.remove(0))
-            }
-        } {
+        while let Some((cid, event)) = self.stack.pending_dispatch.pop_front() {
             let owner = match self.stack.conns.get(&cid) {
                 Some(e) => e.owner,
                 // Connection already gone (aborted); route terminal events
@@ -659,15 +667,10 @@ impl Host {
         self.stack.counters.tcp_in += 1;
         let key: ConnKey = (seg.dst_port, pkt.src, seg.src_port);
         if let Some(&cid) = self.stack.conn_index.get(&key) {
-            let Some(entry) = self.stack.conns.get_mut(&cid) else {
-                return;
-            };
-            let (out, events) = entry.conn.on_segment(seg, ctx.now());
-            self.stack.flush(ctx, out);
-            self.stack.arm_rto(ctx, cid);
-            for e in events {
-                self.stack.pending_dispatch.push((cid, e));
-            }
+            let now = ctx.now();
+            self.stack.drive(ctx, cid, |conn, out, events| {
+                conn.on_segment(seg, now, out, events)
+            });
             self.drain_dispatch(ctx);
             self.stack.gc(cid);
             return;
@@ -716,9 +719,8 @@ impl Host {
         match self.stack.udp_binds.owner(dgram.dst_port) {
             Some(UdpOwner::Task(idx)) => {
                 let (src, src_port, local_port) = (pkt.src, dgram.src_port, dgram.dst_port);
-                let payload = dgram.payload.clone();
                 self.with_task(ctx, idx, |task, api| {
-                    task.on_udp(api, local_port, src, src_port, &payload)
+                    task.on_udp(api, local_port, src, src_port, &dgram.payload)
                 });
             }
             Some(UdpOwner::Service(idx)) => {
@@ -820,18 +822,15 @@ impl Node for Host {
                 self.with_task(ctx, idx, |task, api| task.on_timer(api, user));
             }
             TimerPurpose::Rto(cid, epoch) => {
-                let Some(entry) = self.stack.conns.get_mut(&cid) else {
+                let Some(entry) = self.stack.conns.get(&cid) else {
                     return;
                 };
                 if entry.epoch != epoch || !entry.conn.has_unacked() {
                     return;
                 }
-                let (out, events) = entry.conn.on_rto(ctx.now());
-                self.stack.flush(ctx, out);
-                self.stack.arm_rto(ctx, cid);
-                for e in events {
-                    self.stack.pending_dispatch.push((cid, e));
-                }
+                let now = ctx.now();
+                self.stack
+                    .drive(ctx, cid, |conn, out, events| conn.on_rto(now, out, events));
                 self.drain_dispatch(ctx);
                 self.stack.gc(cid);
             }

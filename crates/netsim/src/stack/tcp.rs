@@ -19,11 +19,12 @@
 //! simultaneous open, and delayed ACKs. None of these affect the
 //! censorship/surveillance behaviours under study.
 //!
-//! The connection is pure logic: methods consume segments and return
-//! packets to transmit plus events for the application. The host owns
-//! timers, passes the simulated clock into every call, and re-arms the
-//! retransmission timer from [`TcpConn::rto`] (which reflects the current
-//! backed-off value).
+//! The connection is pure logic: methods consume segments and append the
+//! packets to transmit, and the events for the application, to buffers
+//! the caller owns (the host reuses one pair for every connection, so a
+//! segment allocates no output vectors). The host owns timers, passes the
+//! simulated clock into every call, and re-arms the retransmission timer
+//! from [`TcpConn::rto`] (which reflects the current backed-off value).
 
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -376,13 +377,13 @@ impl TcpConn {
         }
     }
 
-    /// Queue application data. Returns the packets transmitted now (the
-    /// remainder is window-clocked out as ACKs arrive; all data is retained
-    /// for retransmission). Only legal while the local side is open
-    /// (`Established` or `CloseWait`); otherwise returns no packets.
-    pub fn send(&mut self, data: &[u8], now: SimTime) -> Vec<Packet> {
+    /// Queue application data, appending the packets transmitted now to
+    /// `out` (the remainder is window-clocked out as ACKs arrive; all data
+    /// is retained for retransmission). Only legal while the local side is
+    /// open (`Established` or `CloseWait`); otherwise transmits nothing.
+    pub fn send(&mut self, data: &[u8], now: SimTime, out: &mut Vec<Packet>) {
         if !matches!(self.state, TcpState::Established | TcpState::CloseWait) || data.is_empty() {
-            return Vec::new();
+            return;
         }
         for piece in data.chunks(MSS) {
             let seq = self.snd_nxt;
@@ -394,13 +395,12 @@ impl TcpConn {
                 fin: false,
             });
         }
-        let mut out = Vec::new();
-        self.transmit_pending(&mut out, now);
-        out
+        self.transmit_pending(out, now);
     }
 
-    /// Close the local side (send FIN). Returns packets to transmit.
-    pub fn close(&mut self, now: SimTime) -> Vec<Packet> {
+    /// Close the local side (send FIN), appending packets to transmit to
+    /// `out`.
+    pub fn close(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         match self.state {
             TcpState::Established => self.state = TcpState::FinWait1,
             TcpState::CloseWait => self.state = TcpState::LastAck,
@@ -410,9 +410,9 @@ impl TcpConn {
                 self.unacked.clear();
                 self.pending.clear();
                 self.in_flight = 0;
-                return Vec::new();
+                return;
             }
-            _ => return Vec::new(),
+            _ => return,
         }
         let seq = self.snd_nxt;
         self.snd_nxt = self.snd_nxt.wrapping_add(1);
@@ -423,9 +423,7 @@ impl TcpConn {
             syn: false,
             fin: true,
         });
-        let mut out = Vec::new();
-        self.transmit_pending(&mut out, now);
-        out
+        self.transmit_pending(out, now);
     }
 
     /// Abort the connection: returns the RST to transmit (if the connection
@@ -474,11 +472,11 @@ impl TcpConn {
 
     /// Retransmission timer fired. Retransmits only the head of the queue,
     /// backs off the RTO exponentially, and collapses the congestion window.
-    /// Returns packets to retransmit and any events (a [`TcpEvent::TimedOut`]
-    /// when retries are exhausted).
-    pub fn on_rto(&mut self, now: SimTime) -> (Vec<Packet>, Vec<TcpEvent>) {
+    /// Appends packets to retransmit to `out` and any events to `events` (a
+    /// [`TcpEvent::TimedOut`] when retries are exhausted).
+    pub fn on_rto(&mut self, now: SimTime, out: &mut Vec<Packet>, events: &mut Vec<TcpEvent>) {
         if (self.unacked.is_empty() && self.pending.is_empty()) || self.state == TcpState::Closed {
-            return (Vec::new(), Vec::new());
+            return;
         }
         self.retries += 1;
         if self.retries > MAX_RETRIES {
@@ -486,32 +484,34 @@ impl TcpConn {
             self.unacked.clear();
             self.pending.clear();
             self.in_flight = 0;
-            return (Vec::new(), vec![TcpEvent::TimedOut]);
+            events.push(TcpEvent::TimedOut);
+            return;
         }
         // Loss response: multiplicative decrease and exponential backoff.
         self.ssthresh = (self.in_flight / 2).max(MIN_SSTHRESH);
         self.cwnd = MSS as u32;
         self.dup_acks = 0;
         self.rto_cur = cap_duration(self.rto_cur.saturating_mul(2), RTO_MAX);
-        let mut out = Vec::new();
         if self.unacked.is_empty() {
             // Window-blocked with nothing in flight: release the head
             // pending chunk as a probe.
-            self.transmit_pending(&mut out, now);
+            self.transmit_pending(out, now);
         } else {
-            self.retransmit_head(&mut out);
+            self.retransmit_head(out);
         }
-        (out, Vec::new())
     }
 
-    /// Process a received segment. Returns packets to transmit and events
-    /// for the application, in order.
-    pub fn on_segment(&mut self, seg: &TcpSegment, now: SimTime) -> (Vec<Packet>, Vec<TcpEvent>) {
-        let mut out = Vec::new();
-        let mut events = Vec::new();
-
+    /// Process a received segment, appending packets to transmit to `out`
+    /// and events for the application to `events`, in order.
+    pub fn on_segment(
+        &mut self,
+        seg: &TcpSegment,
+        now: SimTime,
+        out: &mut Vec<Packet>,
+        events: &mut Vec<TcpEvent>,
+    ) {
         if self.state == TcpState::Closed {
-            return (out, events);
+            return;
         }
 
         // RST handling. In SynSent a RST means the port refused us. In
@@ -524,7 +524,7 @@ impl TcpConn {
             if self.state == TcpState::SynSent {
                 self.enter_closed();
                 events.push(TcpEvent::Refused);
-                return (out, events);
+                return;
             }
             let off = seg.seq.wrapping_sub(self.rcv_nxt);
             if seg.seq == self.rcv_nxt || off < self.rcv_wnd {
@@ -533,7 +533,7 @@ impl TcpConn {
             } else {
                 out.push(self.ack_packet());
             }
-            return (out, events);
+            return;
         }
 
         match self.state {
@@ -542,7 +542,7 @@ impl TcpConn {
                     if seg.ack != self.iss.wrapping_add(1) {
                         // Wrong ACK: answer with RST per RFC 793.
                         out.push(self.make_packet(seg.ack, 0, TcpFlags::rst(), Vec::new()));
-                        return (out, events);
+                        return;
                     }
                     self.snd_una = seg.ack;
                     self.rcv_nxt = seg.seq.wrapping_add(1);
@@ -570,9 +570,9 @@ impl TcpConn {
                 // ACK processing: drop fully-acknowledged chunks, take RTT
                 // samples, grow the congestion window, count duplicates.
                 if seg.flags.has_ack() {
-                    self.process_ack(seg, &mut out, &mut events, now);
+                    self.process_ack(seg, out, events, now);
                     if self.state == TcpState::Closed {
-                        return (out, events);
+                        return;
                     }
                 }
 
@@ -587,7 +587,7 @@ impl TcpConn {
                         out.push(self.ack_packet());
                     } else if seq_le(seg.seq, self.rcv_nxt) {
                         // Overlaps rcv_nxt: deliverable right now.
-                        self.deliver_in_order(seg.seq, &seg.payload, &mut events);
+                        self.deliver_in_order(seg.seq, &seg.payload, events);
                         advanced = true;
                     } else {
                         let off = seg.seq.wrapping_sub(self.rcv_nxt);
@@ -639,11 +639,9 @@ impl TcpConn {
                 }
 
                 // An ACK may have opened the window: clock out queued data.
-                self.transmit_pending(&mut out, now);
+                self.transmit_pending(out, now);
             }
         }
-
-        (out, events)
     }
 
     fn enter_closed(&mut self) {
@@ -875,6 +873,34 @@ mod tests {
         SimTime::from_nanos(ms * 1_000_000)
     }
 
+    /// [`TcpConn::on_segment`] into fresh output vectors.
+    fn segment(conn: &mut TcpConn, seg: &TcpSegment, now: SimTime) -> (Vec<Packet>, Vec<TcpEvent>) {
+        let (mut out, mut events) = (Vec::new(), Vec::new());
+        conn.on_segment(seg, now, &mut out, &mut events);
+        (out, events)
+    }
+
+    /// [`TcpConn::on_rto`] into fresh output vectors.
+    fn rto(conn: &mut TcpConn, now: SimTime) -> (Vec<Packet>, Vec<TcpEvent>) {
+        let (mut out, mut events) = (Vec::new(), Vec::new());
+        conn.on_rto(now, &mut out, &mut events);
+        (out, events)
+    }
+
+    /// [`TcpConn::send`] into a fresh output vector.
+    fn send(conn: &mut TcpConn, data: &[u8], now: SimTime) -> Vec<Packet> {
+        let mut out = Vec::new();
+        conn.send(data, now, &mut out);
+        out
+    }
+
+    /// [`TcpConn::close`] into a fresh output vector.
+    fn close(conn: &mut TcpConn, now: SimTime) -> Vec<Packet> {
+        let mut out = Vec::new();
+        conn.close(now, &mut out);
+        out
+    }
+
     /// Drive a full handshake; returns (client, server).
     fn handshake() -> (TcpConn, TcpConn) {
         let (mut client, syn) = TcpConn::connect((C, 4000), (S, 80), 1000, T0);
@@ -882,12 +908,12 @@ mod tests {
         assert!(syn_seg.flags.has_syn() && !syn_seg.flags.has_ack());
 
         let (mut server, syn_ack) = TcpConn::accept((S, 80), (C, 4000), syn_seg.seq, 9000, T0);
-        let (cl_out, cl_ev) = client.on_segment(&seg_of(&syn_ack), T0);
+        let (cl_out, cl_ev) = segment(&mut client, &seg_of(&syn_ack), T0);
         assert_eq!(cl_ev, vec![TcpEvent::Connected]);
         assert_eq!(client.state(), TcpState::Established);
         assert_eq!(cl_out.len(), 1);
 
-        let (sv_out, sv_ev) = server.on_segment(&seg_of(&cl_out[0]), T0);
+        let (sv_out, sv_ev) = segment(&mut server, &seg_of(&cl_out[0]), T0);
         assert_eq!(sv_ev, vec![TcpEvent::Connected]);
         assert_eq!(server.state(), TcpState::Established);
         assert!(sv_out.is_empty());
@@ -902,16 +928,16 @@ mod tests {
     #[test]
     fn data_transfer_and_ack() {
         let (mut client, mut server) = handshake();
-        let data_pkts = client.send(b"GET / HTTP/1.0\r\n\r\n", T0);
+        let data_pkts = send(&mut client, b"GET / HTTP/1.0\r\n\r\n", T0);
         assert_eq!(data_pkts.len(), 1);
         assert!(client.has_unacked());
-        let (sv_out, sv_ev) = server.on_segment(&seg_of(&data_pkts[0]), T0);
+        let (sv_out, sv_ev) = segment(&mut server, &seg_of(&data_pkts[0]), T0);
         assert_eq!(
             sv_ev,
             vec![TcpEvent::Data(b"GET / HTTP/1.0\r\n\r\n".to_vec())]
         );
         assert_eq!(sv_out.len(), 1, "server ACKs");
-        let (_, cl_ev) = client.on_segment(&seg_of(&sv_out[0]), T0);
+        let (_, cl_ev) = segment(&mut client, &seg_of(&sv_out[0]), T0);
         assert!(cl_ev.is_empty());
         assert!(!client.has_unacked());
     }
@@ -920,11 +946,11 @@ mod tests {
     fn large_send_is_segmented_at_mss() {
         let (mut client, mut server) = handshake();
         let payload = vec![0x41u8; MSS * 2 + 100];
-        let pkts = client.send(&payload, T0);
+        let pkts = send(&mut client, &payload, T0);
         assert_eq!(pkts.len(), 3);
         let mut received = Vec::new();
         for p in &pkts {
-            let (_, ev) = server.on_segment(&seg_of(p), T0);
+            let (_, ev) = segment(&mut server, &seg_of(p), T0);
             for e in ev {
                 if let TcpEvent::Data(d) = e {
                     received.extend_from_slice(&d);
@@ -938,21 +964,21 @@ mod tests {
     fn graceful_close_both_sides() {
         let (mut client, mut server) = handshake();
         // Client closes.
-        let fin = client.close(T0);
+        let fin = close(&mut client, T0);
         assert_eq!(client.state(), TcpState::FinWait1);
-        let (sv_out, sv_ev) = server.on_segment(&seg_of(&fin[0]), T0);
+        let (sv_out, sv_ev) = segment(&mut server, &seg_of(&fin[0]), T0);
         assert_eq!(sv_ev, vec![TcpEvent::PeerClosed]);
         assert_eq!(server.state(), TcpState::CloseWait);
-        let (_, cl_ev) = client.on_segment(&seg_of(&sv_out[0]), T0);
+        let (_, cl_ev) = segment(&mut client, &seg_of(&sv_out[0]), T0);
         assert!(cl_ev.is_empty());
         assert_eq!(client.state(), TcpState::FinWait2);
         // Server closes.
-        let fin2 = server.close(T0);
+        let fin2 = close(&mut server, T0);
         assert_eq!(server.state(), TcpState::LastAck);
-        let (cl_out, cl_ev) = client.on_segment(&seg_of(&fin2[0]), T0);
+        let (cl_out, cl_ev) = segment(&mut client, &seg_of(&fin2[0]), T0);
         assert_eq!(cl_ev, vec![TcpEvent::PeerClosed, TcpEvent::Closed]);
         assert!(client.is_closed());
-        let (_, sv_ev) = server.on_segment(&seg_of(&cl_out[0]), T0);
+        let (_, sv_ev) = segment(&mut server, &seg_of(&cl_out[0]), T0);
         assert_eq!(sv_ev, vec![TcpEvent::Closed]);
         assert!(server.is_closed());
     }
@@ -971,7 +997,7 @@ mod tests {
             window: 0,
             payload: Vec::new(),
         };
-        let (_, ev) = client.on_segment(&rst, T0);
+        let (_, ev) = segment(&mut client, &rst, T0);
         assert_eq!(ev, vec![TcpEvent::Reset]);
         assert!(client.is_closed());
     }
@@ -991,7 +1017,7 @@ mod tests {
             window: 0,
             payload: Vec::new(),
         };
-        let (out, ev) = client.on_segment(&rst, T0);
+        let (out, ev) = segment(&mut client, &rst, T0);
         assert!(ev.is_empty());
         assert_eq!(client.state(), TcpState::Established);
         assert_eq!(out.len(), 1, "challenge ACK");
@@ -1012,7 +1038,7 @@ mod tests {
             window: 0,
             payload: Vec::new(),
         };
-        let (_, ev) = client.on_segment(&rst, T0);
+        let (_, ev) = segment(&mut client, &rst, T0);
         assert_eq!(ev, vec![TcpEvent::Refused]);
         assert!(client.is_closed());
     }
@@ -1021,12 +1047,12 @@ mod tests {
     fn rto_retransmits_then_times_out() {
         let (mut client, _syn) = TcpConn::connect((C, 4000), (S, 80), 100, T0);
         for _ in 0..MAX_RETRIES {
-            let (pkts, ev) = client.on_rto(T0);
+            let (pkts, ev) = rto(&mut client, T0);
             assert_eq!(pkts.len(), 1, "SYN retransmitted");
             assert!(seg_of(&pkts[0]).flags.has_syn());
             assert!(ev.is_empty());
         }
-        let (pkts, ev) = client.on_rto(T0);
+        let (pkts, ev) = rto(&mut client, T0);
         assert!(pkts.is_empty());
         assert_eq!(ev, vec![TcpEvent::TimedOut]);
         assert!(client.is_closed());
@@ -1037,9 +1063,9 @@ mod tests {
         // The old implementation resent the entire unacked queue on every
         // RTO (a go-back-N storm). Only the head may be retransmitted.
         let (mut client, _server) = handshake();
-        let pkts = client.send(&vec![0x42u8; MSS * 3], T0);
+        let pkts = send(&mut client, &vec![0x42u8; MSS * 3], T0);
         assert_eq!(pkts.len(), 3);
-        let (retx, ev) = client.on_rto(T0);
+        let (retx, ev) = rto(&mut client, T0);
         assert!(ev.is_empty());
         assert_eq!(retx.len(), 1, "head-of-queue only");
         assert_eq!(seg_of(&retx[0]).seq, seg_of(&pkts[0]).seq);
@@ -1049,10 +1075,10 @@ mod tests {
     fn rto_backs_off_exponentially_and_resets_on_progress() {
         let (mut client, _server) = handshake();
         let base = client.rto();
-        let pkts = client.send(b"hello", T0);
-        let _ = client.on_rto(T0);
+        let pkts = send(&mut client, b"hello", T0);
+        let _ = rto(&mut client, T0);
         assert_eq!(client.rto(), base.saturating_mul(2));
-        let _ = client.on_rto(T0);
+        let _ = rto(&mut client, T0);
         assert_eq!(client.rto(), base.saturating_mul(4));
         // A fresh cumulative ACK is forward progress: backoff resets.
         let seq = seg_of(&pkts[0]);
@@ -1065,7 +1091,7 @@ mod tests {
             window: 65535,
             payload: Vec::new(),
         };
-        let (_, ev) = client.on_segment(&ack, T0);
+        let (_, ev) = segment(&mut client, &ack, T0);
         assert!(ev.is_empty());
         assert!(client.rto() <= base, "backoff cleared on forward progress");
         assert!(!client.has_unacked());
@@ -1074,7 +1100,7 @@ mod tests {
     #[test]
     fn fast_retransmit_on_three_dup_acks() {
         let (mut client, _server) = handshake();
-        let pkts = client.send(&vec![0x42u8; MSS * 3], T0);
+        let pkts = send(&mut client, &vec![0x42u8; MSS * 3], T0);
         assert_eq!(pkts.len(), 3);
         let dup = TcpSegment {
             src_port: 80,
@@ -1085,15 +1111,15 @@ mod tests {
             window: 65535,
             payload: Vec::new(),
         };
-        let (out1, _) = client.on_segment(&dup, T0);
-        let (out2, _) = client.on_segment(&dup, T0);
+        let (out1, _) = segment(&mut client, &dup, T0);
+        let (out2, _) = segment(&mut client, &dup, T0);
         assert!(out1.is_empty() && out2.is_empty(), "below threshold");
-        let (out3, _) = client.on_segment(&dup, T0);
+        let (out3, _) = segment(&mut client, &dup, T0);
         assert_eq!(out3.len(), 1, "third duplicate triggers fast retransmit");
         assert_eq!(seg_of(&out3[0]).seq, 1001);
         assert_eq!(seg_of(&out3[0]).payload.len(), MSS);
         // Further duplicates do not retransmit again.
-        let (out4, _) = client.on_segment(&dup, T0);
+        let (out4, _) = segment(&mut client, &dup, T0);
         assert!(out4.is_empty());
     }
 
@@ -1102,7 +1128,7 @@ mod tests {
         let (mut client, _server) = handshake();
         let cwnd0 = client.cwnd();
         assert_eq!(cwnd0, INIT_CWND);
-        let pkts = client.send(&vec![1u8; MSS * 2], T0);
+        let pkts = send(&mut client, &vec![1u8; MSS * 2], T0);
         let end = seg_of(&pkts[1]).seq.wrapping_add(MSS as u32);
         let ack = TcpSegment {
             src_port: 80,
@@ -1113,11 +1139,11 @@ mod tests {
             window: 65535,
             payload: Vec::new(),
         };
-        let (_, _) = client.on_segment(&ack, T0);
+        let (_, _) = segment(&mut client, &ack, T0);
         assert!(client.cwnd() > cwnd0, "slow start grows the window");
         // An RTO is a loss event: multiplicative decrease to one MSS.
-        let _ = client.send(b"more", T0);
-        let _ = client.on_rto(T0);
+        let _ = send(&mut client, b"more", T0);
+        let _ = rto(&mut client, T0);
         assert_eq!(client.cwnd(), MSS as u32);
     }
 
@@ -1134,9 +1160,9 @@ mod tests {
             window: (MSS * 2) as u16,
             payload: Vec::new(),
         };
-        let _ = client.on_segment(&wnd_update, T0);
+        let _ = segment(&mut client, &wnd_update, T0);
         assert_eq!(client.snd_wnd(), (MSS * 2) as u32);
-        let pkts = client.send(&vec![7u8; MSS * 4], T0);
+        let pkts = send(&mut client, &vec![7u8; MSS * 4], T0);
         assert_eq!(pkts.len(), 2, "only two segments fit the peer window");
         assert!(client.has_unacked());
         // ACK of the first segment releases the next queued chunk.
@@ -1149,7 +1175,7 @@ mod tests {
             window: (MSS * 2) as u16,
             payload: Vec::new(),
         };
-        let (out, _) = client.on_segment(&ack, T0);
+        let (out, _) = segment(&mut client, &ack, T0);
         assert_eq!(out.len(), 1, "window-clocked release");
         assert_eq!(seg_of(&out[0]).payload.len(), MSS);
     }
@@ -1166,23 +1192,23 @@ mod tests {
             window: 0,
             payload: Vec::new(),
         };
-        let _ = client.on_segment(&zero, T0);
-        let pkts = client.send(&vec![7u8; MSS * 2], T0);
+        let _ = segment(&mut client, &zero, T0);
+        let pkts = send(&mut client, &vec![7u8; MSS * 2], T0);
         assert_eq!(pkts.len(), 1, "one probe chunk despite a closed window");
     }
 
     #[test]
     fn out_of_order_segments_reassemble() {
         let (mut client, mut server) = handshake();
-        let pkts = client.send(&vec![0x61u8; MSS * 2], T0);
+        let pkts = send(&mut client, &vec![0x61u8; MSS * 2], T0);
         assert_eq!(pkts.len(), 2);
         // Second segment arrives first: held, and the server dup-ACKs.
-        let (out, ev) = server.on_segment(&seg_of(&pkts[1]), T0);
+        let (out, ev) = segment(&mut server, &seg_of(&pkts[1]), T0);
         assert!(ev.is_empty(), "no delivery yet");
         assert_eq!(out.len(), 1);
         assert_eq!(seg_of(&out[0]).ack, 1001, "duplicate ACK names the gap");
         // First segment fills the gap: both deliver in order.
-        let (out, ev) = server.on_segment(&seg_of(&pkts[0]), T0);
+        let (out, ev) = segment(&mut server, &seg_of(&pkts[0]), T0);
         let delivered: Vec<u8> = ev
             .iter()
             .filter_map(|e| match e {
@@ -1201,19 +1227,19 @@ mod tests {
         // An evasion client sends two different payloads for the same
         // out-of-order range. The endpoint keeps the most recent copy.
         let (mut client, mut server) = handshake();
-        let first = seg_of(&client.send(b"0123", T0)[0]);
+        let first = seg_of(&send(&mut client, b"0123", T0)[0]);
         let mut a = first.clone();
         a.seq = first.seq.wrapping_add(4);
         a.payload = b"AAAA".to_vec();
         let mut b = a.clone();
         b.payload = b"BBBB".to_vec();
         // Both conflicting copies arrive ahead of the gap fill.
-        let (_, ev) = server.on_segment(&a, T0);
+        let (_, ev) = segment(&mut server, &a, T0);
         assert!(ev.is_empty());
-        let (_, ev) = server.on_segment(&b, T0);
+        let (_, ev) = segment(&mut server, &b, T0);
         assert!(ev.is_empty());
         // Now the in-order bytes arrive and everything drains.
-        let (_, ev) = server.on_segment(&first, T0);
+        let (_, ev) = segment(&mut server, &first, T0);
         let got: Vec<u8> = ev
             .iter()
             .filter_map(|e| match e {
@@ -1231,13 +1257,13 @@ mod tests {
         // then the original "0123" arrives in order covering the same range.
         // The late in-order copy wins → "0123".
         let (mut client, mut server) = handshake();
-        let first = seg_of(&client.send(b"0123", T0)[0]);
+        let first = seg_of(&send(&mut client, b"0123", T0)[0]);
         let mut held = first.clone();
         held.seq = first.seq.wrapping_add(2);
         held.payload = b"XX".to_vec();
-        let (_, ev) = server.on_segment(&held, T0);
+        let (_, ev) = segment(&mut server, &held, T0);
         assert!(ev.is_empty());
-        let (_, ev) = server.on_segment(&first, T0);
+        let (_, ev) = segment(&mut server, &first, T0);
         let got: Vec<u8> = ev
             .iter()
             .filter_map(|e| match e {
@@ -1253,18 +1279,18 @@ mod tests {
     fn data_beyond_receive_window_is_dropped() {
         let (mut client, mut server) = handshake();
         server.set_rcv_wnd(4096);
-        let first = seg_of(&client.send(b"lead", T0)[0]);
+        let first = seg_of(&send(&mut client, b"lead", T0)[0]);
         // A segment wholly beyond rcv_nxt + 4096: the endpoint drops it,
         // while a monitor with a larger hold-back window would keep it.
         let mut far = first.clone();
         far.seq = first.seq.wrapping_add(6000);
         far.payload = b"forbidden".to_vec();
-        let (out, ev) = server.on_segment(&far, T0);
+        let (out, ev) = segment(&mut server, &far, T0);
         assert!(ev.is_empty());
         assert_eq!(out.len(), 1, "re-ACK only");
         // Filling everything up to 6000 must NOT make the dropped bytes
         // appear.
-        let (_, ev) = server.on_segment(&first, T0);
+        let (_, ev) = segment(&mut server, &first, T0);
         let got: Vec<u8> = ev
             .iter()
             .filter_map(|e| match e {
@@ -1283,15 +1309,15 @@ mod tests {
         // SYN/ACK arrives 50 ms later: the first RTT sample.
         let (mut server, syn_ack) =
             TcpConn::accept((S, 80), (C, 4000), syn_seg.seq, 9000, at_ms(50));
-        let (cl_out, _) = client.on_segment(&seg_of(&syn_ack), at_ms(50));
+        let (cl_out, _) = segment(&mut client, &seg_of(&syn_ack), at_ms(50));
         assert_eq!(client.srtt(), Some(SimDuration::from_millis(50)));
         // RTO = srtt + 4·rttvar = 50 + 100 = 150ms, floored at base 200ms.
         assert_eq!(client.rto(), SimDuration::from_millis(200));
-        let _ = server.on_segment(&seg_of(&cl_out[0]), at_ms(50));
+        let _ = segment(&mut server, &seg_of(&cl_out[0]), at_ms(50));
         // A slow data exchange pushes the RTO above the floor.
-        let pkts = client.send(b"ping", at_ms(100));
-        let (sv_out, _) = server.on_segment(&seg_of(&pkts[0]), at_ms(1100));
-        let (_, _) = client.on_segment(&seg_of(&sv_out[0]), at_ms(1100));
+        let pkts = send(&mut client, b"ping", at_ms(100));
+        let (sv_out, _) = segment(&mut server, &seg_of(&pkts[0]), at_ms(1100));
+        let (_, _) = segment(&mut client, &seg_of(&sv_out[0]), at_ms(1100));
         let srtt = client.srtt().expect("sampled");
         assert!(
             srtt > SimDuration::from_millis(100),
@@ -1304,15 +1330,15 @@ mod tests {
     #[test]
     fn retransmission_recovers_lost_data() {
         let (mut client, mut server) = handshake();
-        let pkts = client.send(b"hello", T0);
+        let pkts = send(&mut client, b"hello", T0);
         // Pretend the packet was lost; RTO fires.
-        let (retx, _) = client.on_rto(T0);
+        let (retx, _) = rto(&mut client, T0);
         assert_eq!(retx.len(), 1);
         assert_eq!(seg_of(&retx[0]).payload, seg_of(&pkts[0]).payload);
-        let (sv_out, sv_ev) = server.on_segment(&seg_of(&retx[0]), T0);
+        let (sv_out, sv_ev) = segment(&mut server, &seg_of(&retx[0]), T0);
         assert_eq!(sv_ev, vec![TcpEvent::Data(b"hello".to_vec())]);
         // Duplicate of the original arrives late: server re-ACKs, no event.
-        let (dup_out, dup_ev) = server.on_segment(&seg_of(&pkts[0]), T0);
+        let (dup_out, dup_ev) = segment(&mut server, &seg_of(&pkts[0]), T0);
         assert!(dup_ev.is_empty());
         assert_eq!(dup_out.len(), 1);
         let _ = sv_out;
@@ -1330,16 +1356,16 @@ mod tests {
     #[test]
     fn send_outside_established_is_noop() {
         let (mut client, _syn) = TcpConn::connect((C, 1), (S, 2), 0, T0);
-        assert!(client.send(b"too early", T0).is_empty());
+        assert!(send(&mut client, b"too early", T0).is_empty());
         let mut closed = client;
         let _ = closed.abort();
-        assert!(closed.send(b"too late", T0).is_empty());
+        assert!(send(&mut closed, b"too late", T0).is_empty());
     }
 
     #[test]
     fn close_in_syn_sent_just_closes() {
         let (mut client, _syn) = TcpConn::connect((C, 1), (S, 2), 0, T0);
-        assert!(client.close(T0).is_empty());
+        assert!(close(&mut client, T0).is_empty());
         assert!(client.is_closed());
     }
 
@@ -1355,7 +1381,7 @@ mod tests {
             window: 0,
             payload: Vec::new(),
         };
-        let (out, ev) = client.on_segment(&bad, T0);
+        let (out, ev) = segment(&mut client, &bad, T0);
         assert!(ev.is_empty());
         assert_eq!(out.len(), 1);
         assert!(seg_of(&out[0]).flags.has_rst());
@@ -1380,7 +1406,7 @@ mod tests {
             window: 65535,
             payload: Vec::new(),
         };
-        let (out, ev) = client.on_segment(&stray, T0);
+        let (out, ev) = segment(&mut client, &stray, T0);
         assert!(ev.is_empty());
         assert!(out.is_empty());
         assert_eq!(client.state(), TcpState::Established);
@@ -1390,18 +1416,18 @@ mod tests {
     #[test]
     fn simultaneous_close() {
         let (mut client, mut server) = handshake();
-        let cfin = client.close(T0);
-        let sfin = server.close(T0);
+        let cfin = close(&mut client, T0);
+        let sfin = close(&mut server, T0);
         // Each side receives the other's FIN before the ACK of its own.
-        let (cl_out, cl_ev) = client.on_segment(&seg_of(&sfin[0]), T0);
+        let (cl_out, cl_ev) = segment(&mut client, &seg_of(&sfin[0]), T0);
         assert_eq!(cl_ev, vec![TcpEvent::PeerClosed]);
         assert_eq!(client.state(), TcpState::Closing);
-        let (sv_out, sv_ev) = server.on_segment(&seg_of(&cfin[0]), T0);
+        let (sv_out, sv_ev) = segment(&mut server, &seg_of(&cfin[0]), T0);
         assert_eq!(sv_ev, vec![TcpEvent::PeerClosed]);
         // Now the crossed ACKs arrive.
-        let (_, cl_ev) = client.on_segment(&seg_of(&sv_out[0]), T0);
+        let (_, cl_ev) = segment(&mut client, &seg_of(&sv_out[0]), T0);
         assert_eq!(cl_ev, vec![TcpEvent::Closed]);
-        let (_, sv_ev) = server.on_segment(&seg_of(&cl_out[0]), T0);
+        let (_, sv_ev) = segment(&mut server, &seg_of(&cl_out[0]), T0);
         assert_eq!(sv_ev, vec![TcpEvent::Closed]);
         assert!(client.is_closed() && server.is_closed());
     }

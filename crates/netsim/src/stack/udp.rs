@@ -4,7 +4,7 @@
 //! bound and who owns them, so incoming datagrams can be demultiplexed to
 //! the right task or service.
 
-use std::collections::HashMap;
+use crate::hash::FxHashMap;
 
 /// Who owns a bound UDP port on a host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,7 +18,7 @@ pub enum UdpOwner {
 /// The set of bound UDP ports on one host.
 #[derive(Debug, Default)]
 pub struct UdpBindings {
-    ports: HashMap<u16, UdpOwner>,
+    ports: FxHashMap<u16, UdpOwner>,
 }
 
 impl UdpBindings {

@@ -6,11 +6,11 @@
 //! (client — switch — server, with censor and MVR instances watching the
 //! switch) is three calls.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use crate::addr::Cidr;
 use crate::error::NetsimError;
+use crate::hash::FxHashMap;
 use crate::host::{Host, HOST_IFACE};
 use crate::link::LinkConfig;
 use crate::node::{IfaceId, Node, NodeId};
@@ -20,7 +20,7 @@ use crate::switch::Switch;
 /// Builds a simulator topology incrementally.
 pub struct TopologyBuilder {
     sim: Simulator,
-    next_port: HashMap<NodeId, usize>,
+    next_port: FxHashMap<NodeId, usize>,
 }
 
 impl TopologyBuilder {
@@ -28,7 +28,7 @@ impl TopologyBuilder {
     pub fn new(seed: u64) -> Self {
         TopologyBuilder {
             sim: Simulator::new(seed),
-            next_port: HashMap::new(),
+            next_port: FxHashMap::default(),
         }
     }
 

@@ -253,22 +253,32 @@ fn tcp_delivers_stream_in_order() {
         let syn_seg = syn.as_tcp().expect("syn").clone();
         let (mut server, syn_ack) =
             TcpConn::accept((s_ip, 80), (c_ip, 4000), syn_seg.seq, 1010, t0);
-        let (ack_out, _) = client.on_segment(syn_ack.as_tcp().expect("sa"), t0);
-        let _ = server.on_segment(ack_out[0].as_tcp().expect("ack"), t0);
+        let (mut out, mut events) = (Vec::new(), Vec::new());
+        client.on_segment(syn_ack.as_tcp().expect("sa"), t0, &mut out, &mut events);
+        let ack = out.pop().expect("handshake ack");
+        out.clear();
+        events.clear();
+        server.on_segment(ack.as_tcp().expect("ack"), t0, &mut out, &mut events);
+        out.clear();
+        events.clear();
 
         let mut sent = Vec::new();
         let mut received = Vec::new();
+        let (mut data, mut acks) = (Vec::new(), Vec::new());
         for chunk in &chunks {
             sent.extend_from_slice(chunk);
-            for pkt in client.send(chunk, t0) {
-                let (acks, events) = server.on_segment(pkt.as_tcp().expect("data"), t0);
-                for ev in events {
+            client.send(chunk, t0, &mut data);
+            for pkt in data.drain(..) {
+                server.on_segment(pkt.as_tcp().expect("data"), t0, &mut acks, &mut events);
+                for ev in events.drain(..) {
                     if let TcpEvent::Data(d) = ev {
                         received.extend_from_slice(&d);
                     }
                 }
-                for ack in acks {
-                    let _ = client.on_segment(ack.as_tcp().expect("ack"), t0);
+                for ack in acks.drain(..) {
+                    client.on_segment(ack.as_tcp().expect("ack"), t0, &mut out, &mut events);
+                    out.clear();
+                    events.clear();
                 }
             }
         }
@@ -284,6 +294,7 @@ fn tcp_survives_arbitrary_segments() {
         let c_ip = Ipv4Addr::new(10, 0, 0, 1);
         let s_ip = Ipv4Addr::new(10, 0, 0, 2);
         let (mut conn, _syn) = TcpConn::connect((c_ip, 4000), (s_ip, 80), 0, SimTime::ZERO);
+        let (mut out, mut events) = (Vec::new(), Vec::new());
         for i in 0..g.usize_in(0, 30) {
             let seg = underradar_netsim::packet::TcpSegment {
                 src_port: 80,
@@ -294,7 +305,8 @@ fn tcp_survives_arbitrary_segments() {
                 window: 1000,
                 payload: g.bytes(0, 64),
             };
-            let _ = conn.on_segment(&seg, SimTime::from_nanos(i as u64 * 1_000_000));
+            let now = SimTime::from_nanos(i as u64 * 1_000_000);
+            conn.on_segment(&seg, now, &mut out, &mut events);
         }
     });
 }

@@ -5,6 +5,8 @@
 //! keyword-censorship tests (the GFC-style censor matches on request URLs
 //! and payload keywords).
 
+use std::sync::Arc;
+
 use underradar_netsim::host::{Service, ServiceApi};
 
 /// Errors from HTTP parsing.
@@ -30,175 +32,194 @@ impl std::fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
-/// An HTTP request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpRequest {
+/// A parsed HTTP request: a view into the bytes it was parsed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HttpRequest<'a> {
     /// Method (GET, POST, ...).
-    pub method: String,
+    pub method: &'a [u8],
     /// Request path, e.g. `/news/article-7`.
-    pub path: String,
-    /// Host header value.
-    pub host: String,
-    /// Other headers, in order.
-    pub headers: Vec<(String, String)>,
-    /// Body (empty for GET).
-    pub body: Vec<u8>,
+    pub path: &'a [u8],
+    /// The last Host header's value, trimmed (empty without one).
+    pub host: &'a [u8],
 }
 
-impl HttpRequest {
-    /// Build a GET request.
-    pub fn get(host: &str, path: &str) -> HttpRequest {
-        HttpRequest {
-            method: "GET".to_string(),
-            path: path.to_string(),
-            host: host.to_string(),
-            headers: Vec::new(),
-            body: Vec::new(),
-        }
-    }
-
-    /// Add a header (builder style).
-    pub fn with_header(mut self, name: &str, value: &str) -> HttpRequest {
-        self.headers.push((name.to_string(), value.to_string()));
-        self
-    }
-
-    /// Serialize to wire bytes.
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = format!(
-            "{} {} HTTP/1.0\r\nHost: {}\r\n",
-            self.method, self.path, self.host
-        );
-        for (name, value) in &self.headers {
+impl<'a> HttpRequest<'a> {
+    /// The wire bytes of a GET for `path` on `host`, with `headers` after
+    /// the Host header, in order.
+    pub fn render_get(host: &str, path: &str, headers: &[(&str, &str)]) -> Vec<u8> {
+        let mut out = format!("GET {path} HTTP/1.0\r\nHost: {host}\r\n");
+        for (name, value) in headers {
             out.push_str(&format!("{name}: {value}\r\n"));
         }
-        if !self.body.is_empty() {
-            out.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
-        }
         out.push_str("\r\n");
-        let mut bytes = out.into_bytes();
-        bytes.extend_from_slice(&self.body);
-        bytes
+        out.into_bytes()
     }
 
-    /// Parse a complete request from wire bytes.
-    pub fn parse(data: &[u8]) -> Result<HttpRequest, HttpError> {
-        let text = String::from_utf8_lossy(data);
-        let head_end = text.find("\r\n\r\n").ok_or(HttpError::Incomplete)?;
-        let head = &text[..head_end];
-        let mut lines = head.split("\r\n");
-        let start = lines.next().ok_or(HttpError::BadStartLine)?;
-        let mut parts = start.split_whitespace();
-        let method = parts.next().ok_or(HttpError::BadStartLine)?.to_string();
-        let path = parts.next().ok_or(HttpError::BadStartLine)?.to_string();
-        let version = parts.next().ok_or(HttpError::BadStartLine)?;
-        if !version.starts_with("HTTP/") {
+    /// Parse a complete request head from wire bytes, without copying.
+    pub fn parse(data: &'a [u8]) -> Result<HttpRequest<'a>, HttpError> {
+        let (head, _body) = split_head(data)?;
+        let mut lines = lines(head);
+        let mut words = words(lines.next().unwrap_or_default());
+        let (Some(method), Some(path), Some(version)) = (words.next(), words.next(), words.next())
+        else {
+            return Err(HttpError::BadStartLine);
+        };
+        if !version.starts_with(b"HTTP/") {
             return Err(HttpError::BadStartLine);
         }
-        let mut host = String::new();
-        let mut headers = Vec::new();
+        let mut host: &[u8] = &[];
         for line in lines {
-            let (name, value) = line.split_once(':').ok_or(HttpError::BadHeader)?;
-            let value = value.trim().to_string();
-            if name.eq_ignore_ascii_case("host") {
-                host = value;
-            } else if !name.eq_ignore_ascii_case("content-length") {
-                headers.push((name.to_string(), value));
+            let (name, value) = split_header(line)?;
+            if name.eq_ignore_ascii_case(b"host") {
+                host = trim(value);
             }
         }
-        let body = data[head_end + 4..].to_vec();
-        Ok(HttpRequest {
-            method,
-            path,
-            host,
-            headers,
+        Ok(HttpRequest { method, path, host })
+    }
+}
+
+/// A parsed HTTP response: a view into the bytes it was parsed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HttpResponse<'a> {
+    /// Status code.
+    pub status: u16,
+    /// Reason phrase.
+    pub reason: &'a [u8],
+    /// Body bytes: everything after the blank line.
+    pub body: &'a [u8],
+}
+
+impl<'a> HttpResponse<'a> {
+    /// The wire bytes of a 200 OK with an HTML body.
+    pub fn render_ok(body: &str) -> Vec<u8> {
+        format!(
+            "HTTP/1.0 200 OK\r\nContent-Type: text/html\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes()
+    }
+
+    /// Parse a complete response from wire bytes, without copying.
+    pub fn parse(data: &'a [u8]) -> Result<HttpResponse<'a>, HttpError> {
+        let (head, body) = split_head(data)?;
+        let mut lines = lines(head);
+        let start = lines.next().unwrap_or_default();
+        let mut parts = start.splitn(3, |&b| b == b' ');
+        let version = parts.next().unwrap_or_default();
+        if !version.starts_with(b"HTTP/") {
+            return Err(HttpError::BadStartLine);
+        }
+        let status: u16 = parts
+            .next()
+            .and_then(|s| std::str::from_utf8(s).ok()?.parse().ok())
+            .ok_or(HttpError::BadStartLine)?;
+        let reason = parts.next().unwrap_or_default();
+        for line in lines {
+            split_header(line)?;
+        }
+        Ok(HttpResponse {
+            status,
+            reason,
             body,
         })
     }
 }
 
-/// An HTTP response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpResponse {
-    /// Status code.
-    pub status: u16,
-    /// Reason phrase.
-    pub reason: String,
-    /// Headers.
-    pub headers: Vec<(String, String)>,
-    /// Body bytes.
-    pub body: Vec<u8>,
+/// Split a message at its first blank line into the head and the body.
+fn split_head(data: &[u8]) -> Result<(&[u8], &[u8]), HttpError> {
+    let head_end = find(data, b"\r\n\r\n").ok_or(HttpError::Incomplete)?;
+    Ok((&data[..head_end], &data[head_end + 4..]))
 }
 
-impl HttpResponse {
-    /// A 200 OK with an HTML body.
-    pub fn ok(body: &str) -> HttpResponse {
-        HttpResponse {
-            status: 200,
-            reason: "OK".to_string(),
-            headers: vec![("Content-Type".to_string(), "text/html".to_string())],
-            body: body.as_bytes().to_vec(),
-        }
-    }
-
-    /// Serialize to wire bytes.
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = format!("HTTP/1.0 {} {}\r\n", self.status, self.reason);
-        for (name, value) in &self.headers {
-            out.push_str(&format!("{name}: {value}\r\n"));
-        }
-        out.push_str(&format!("Content-Length: {}\r\n\r\n", self.body.len()));
-        let mut bytes = out.into_bytes();
-        bytes.extend_from_slice(&self.body);
-        bytes
-    }
-
-    /// Parse a complete response from wire bytes.
-    pub fn parse(data: &[u8]) -> Result<HttpResponse, HttpError> {
-        let text = String::from_utf8_lossy(data);
-        let head_end = text.find("\r\n\r\n").ok_or(HttpError::Incomplete)?;
-        let head = &text[..head_end];
-        let mut lines = head.split("\r\n");
-        let start = lines.next().ok_or(HttpError::BadStartLine)?;
-        let mut parts = start.splitn(3, ' ');
-        let version = parts.next().ok_or(HttpError::BadStartLine)?;
-        if !version.starts_with("HTTP/") {
-            return Err(HttpError::BadStartLine);
-        }
-        let status: u16 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or(HttpError::BadStartLine)?;
-        let reason = parts.next().unwrap_or("").to_string();
-        let mut headers = Vec::new();
-        for line in lines {
-            let (name, value) = line.split_once(':').ok_or(HttpError::BadHeader)?;
-            if !name.eq_ignore_ascii_case("content-length") {
-                headers.push((name.to_string(), value.trim().to_string()));
+/// The head's CRLF-separated lines; the first is the start line.
+fn lines(head: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut rest = Some(head);
+    std::iter::from_fn(move || {
+        let line = rest?;
+        match find(line, b"\r\n") {
+            Some(i) => {
+                rest = Some(&line[i + 2..]);
+                Some(&line[..i])
             }
+            None => rest.take(),
         }
-        Ok(HttpResponse {
-            status,
-            reason,
-            headers,
-            body: data[head_end + 4..].to_vec(),
-        })
-    }
+    })
 }
 
-/// A static-content HTTP server service answering every path with the
-/// same body (one request per connection, HTTP/1.0 style: respond then
-/// close).
+fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+    haystack.windows(needle.len()).position(|w| w == needle)
+}
+
+/// A header line's name and value, split at the first colon.
+fn split_header(line: &[u8]) -> Result<(&[u8], &[u8]), HttpError> {
+    let colon = line
+        .iter()
+        .position(|&b| b == b':')
+        .ok_or(HttpError::BadHeader)?;
+    Ok((&line[..colon], &line[colon + 1..]))
+}
+
+/// `bytes` as characters: `(start, end, is whitespace)` for each, decoded
+/// the way `String::from_utf8_lossy` decodes. Whitespace is Unicode's, as
+/// `str::split_whitespace` and `str::trim` read it; a sequence that is not
+/// UTF-8 (U+FFFD once decoded) is one character that is not whitespace.
+fn chars(bytes: &[u8]) -> impl Iterator<Item = (usize, usize, bool)> + '_ {
+    let mut at = 0;
+    bytes.utf8_chunks().flat_map(move |chunk| {
+        let base = at;
+        let valid = chunk.valid();
+        at += valid.len() + chunk.invalid().len();
+        let invalid = (!chunk.invalid().is_empty()).then_some((base + valid.len(), at, false));
+        valid
+            .char_indices()
+            .map(move |(i, c)| (base + i, base + i + c.len_utf8(), c.is_whitespace()))
+            .chain(invalid)
+    })
+}
+
+/// The whitespace-separated words of `line` (`str::split_whitespace` over
+/// its lossy decoding, as byte slices of `line`).
+fn words(line: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut chars = chars(line);
+    std::iter::from_fn(move || {
+        let (start, mut end, _) = chars.find(|&(_, _, ws)| !ws)?;
+        for (_, e, ws) in chars.by_ref() {
+            if ws {
+                break;
+            }
+            end = e;
+        }
+        Some(&line[start..end])
+    })
+}
+
+/// `bytes` without leading and trailing whitespace (`str::trim` over its
+/// lossy decoding).
+fn trim(bytes: &[u8]) -> &[u8] {
+    let mut span: Option<(usize, usize)> = None;
+    for (start, end, ws) in chars(bytes) {
+        if !ws {
+            span = Some((span.map_or(start, |(s, _)| s), end));
+        }
+    }
+    span.map_or(&[], |(s, e)| &bytes[s..e])
+}
+
+/// A static-content HTTP server service answering every request with the
+/// same response (one request per connection, HTTP/1.0 style: respond
+/// then close).
 pub struct HttpServer {
-    body: String,
+    response: Arc<[u8]>,
     buffer: Vec<u8>,
 }
 
 impl HttpServer {
-    /// A server answering every path with `body`.
-    pub fn catch_all(body: &str) -> HttpServer {
+    /// A server answering every request with `response`, the wire bytes of
+    /// a complete response (see [`HttpResponse::render_ok`]), rendered once
+    /// and shared by every connection.
+    pub fn new(response: Arc<[u8]>) -> HttpServer {
         HttpServer {
-            body: body.to_string(),
+            response,
             buffer: Vec::new(),
         }
     }
@@ -212,7 +233,7 @@ impl Service for HttpServer {
             return;
         }
         self.buffer.clear();
-        api.send(&HttpResponse::ok(&self.body).to_wire());
+        api.send(&self.response);
         api.close();
     }
 }
@@ -223,24 +244,36 @@ mod tests {
 
     #[test]
     fn request_roundtrip() {
-        let req = HttpRequest::get("bbc.com", "/news").with_header("User-Agent", "probe/1.0");
-        let parsed = HttpRequest::parse(&req.to_wire()).expect("parse");
-        assert_eq!(parsed.method, "GET");
-        assert_eq!(parsed.path, "/news");
-        assert_eq!(parsed.host, "bbc.com");
+        let wire = HttpRequest::render_get("bbc.com", "/news", &[("User-Agent", "probe/1.0")]);
         assert_eq!(
-            parsed.headers,
-            vec![("User-Agent".to_string(), "probe/1.0".to_string())]
+            wire,
+            b"GET /news HTTP/1.0\r\nHost: bbc.com\r\nUser-Agent: probe/1.0\r\n\r\n"
         );
+        let parsed = HttpRequest::parse(&wire).expect("parse");
+        assert_eq!(parsed.method, b"GET");
+        assert_eq!(parsed.path, b"/news");
+        assert_eq!(parsed.host, b"bbc.com");
     }
 
     #[test]
     fn response_roundtrip() {
-        let resp = HttpResponse::ok("<html>hello</html>");
-        let parsed = HttpResponse::parse(&resp.to_wire()).expect("parse");
+        let wire = HttpResponse::render_ok("<html>hello</html>");
+        assert_eq!(
+            wire,
+            b"HTTP/1.0 200 OK\r\nContent-Type: text/html\r\nContent-Length: 18\r\n\r\n<html>hello</html>"
+        );
+        let parsed = HttpResponse::parse(&wire).expect("parse");
         assert_eq!(parsed.status, 200);
-        assert_eq!(parsed.reason, "OK");
+        assert_eq!(parsed.reason, b"OK");
         assert_eq!(parsed.body, b"<html>hello</html>");
+    }
+
+    #[test]
+    fn body_follows_a_head_that_is_not_utf8() {
+        // Lossy decoding lengthens such a head; the body is still found
+        // at the blank line's offset in the bytes.
+        let resp = HttpResponse::parse(b"HTTP/1.0 200 \xff\xff\xff\r\n\r\nab").expect("parse");
+        assert_eq!((resp.reason, resp.body), (&b"\xff\xff\xff"[..], &b"ab"[..]));
     }
 
     #[test]
@@ -264,7 +297,7 @@ mod tests {
     }
 
     #[test]
-    fn catch_all_server_answers_every_path_over_sim() {
+    fn server_answers_every_path_over_sim() {
         use std::net::Ipv4Addr;
         use underradar_netsim::{
             ConnId, Host, HostApi, HostTask, LinkConfig, SimDuration, SimTime, Simulator, TcpEvent,
@@ -285,14 +318,14 @@ mod tests {
             fn on_tcp(&mut self, api: &mut HostApi<'_, '_>, conn: ConnId, ev: TcpEvent) {
                 match ev {
                     TcpEvent::Connected => {
-                        let req = HttpRequest::get("news.example", &self.path);
-                        api.tcp_send(conn, &req.to_wire());
+                        let req = HttpRequest::render_get("news.example", &self.path, &[]);
+                        api.tcp_send(conn, &req);
                     }
                     TcpEvent::Data(d) => {
                         self.response.extend_from_slice(&d);
                         if let Ok(resp) = HttpResponse::parse(&self.response) {
                             self.status = Some(resp.status);
-                            self.body = resp.body;
+                            self.body = resp.body.to_vec();
                         }
                     }
                     _ => {}
@@ -305,9 +338,8 @@ mod tests {
         let mut sim = Simulator::new(13);
         let client = sim.add_node(Box::new(Host::new("client", client_ip)));
         let mut server = Host::new("web", server_ip);
-        server.add_tcp_listener(80, || {
-            Box::new(HttpServer::catch_all("<html>headlines</html>"))
-        });
+        let page: Arc<[u8]> = HttpResponse::render_ok("<html>headlines</html>").into();
+        server.add_tcp_listener(80, move || Box::new(HttpServer::new(page.clone())));
         let server = sim.add_node(Box::new(server));
         sim.wire(
             client,

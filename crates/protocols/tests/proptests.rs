@@ -1,7 +1,8 @@
 //! Property tests for the protocol substrates: DNS wire roundtrips with
 //! arbitrary record sets, name encode/decode with compression, email wire
-//! safety, HTTP parser robustness. Inputs come from the in-tree seeded
-//! generator ([`underradar_netsim::testprop`]).
+//! safety, HTTP parser robustness and agreement with the owned parsers the
+//! borrowed views replaced. Inputs come from the in-tree seeded generator
+//! ([`underradar_netsim::testprop`]).
 
 use std::net::Ipv4Addr;
 
@@ -140,10 +141,10 @@ fn http_request_roundtrip() {
                 path_len
             )
         );
-        let req = HttpRequest::get(&host, &path);
-        let parsed = HttpRequest::parse(&req.to_wire()).expect("parse");
-        assert_eq!(parsed.host, host);
-        assert_eq!(parsed.path, path);
+        let req = HttpRequest::render_get(&host, &path, &[]);
+        let parsed = HttpRequest::parse(&req).expect("parse");
+        assert_eq!(parsed.host, host.as_bytes());
+        assert_eq!(parsed.path, path.as_bytes());
     });
 }
 
@@ -163,14 +164,289 @@ fn http_response_roundtrip() {
     cases(256, 0xB008, |g| {
         let status = g.u32_in(100, 600) as u16;
         let body = g.bytes(0, 200);
-        let resp = HttpResponse {
+        let resp = oracle::HttpResponse {
             status,
             reason: "Custom".to_string(),
             headers: vec![("X-Test".to_string(), "v".to_string())],
             body: body.clone(),
         };
-        let parsed = HttpResponse::parse(&resp.to_wire()).expect("parse");
+        let wire = resp.to_wire();
+        let parsed = HttpResponse::parse(&wire).expect("parse");
         assert_eq!(parsed.status, status);
+        assert_eq!(parsed.reason, b"Custom");
         assert_eq!(parsed.body, body);
     });
+}
+
+/// The owned HTTP parsers that the borrowed views replaced, kept as the
+/// differential oracle. They decode the head with `String::from_utf8_lossy`
+/// and split it with `str` methods, which are Unicode-aware. One change:
+/// the body is sliced at the blank line's offset in the input bytes. The
+/// old parsers took the offset from the lossy decoding, which is longer
+/// than the input when it replaced invalid UTF-8, and so panicked or
+/// misplaced the body.
+mod oracle {
+    use underradar_protocols::http::HttpError;
+
+    /// An owned HTTP request.
+    #[derive(Debug)]
+    pub struct HttpRequest {
+        pub method: String,
+        pub path: String,
+        pub host: String,
+    }
+
+    impl HttpRequest {
+        pub fn parse(data: &[u8]) -> Result<HttpRequest, HttpError> {
+            let text = String::from_utf8_lossy(data);
+            let head_end = text.find("\r\n\r\n").ok_or(HttpError::Incomplete)?;
+            let head = &text[..head_end];
+            let mut lines = head.split("\r\n");
+            let start = lines.next().ok_or(HttpError::BadStartLine)?;
+            let mut parts = start.split_whitespace();
+            let method = parts.next().ok_or(HttpError::BadStartLine)?.to_string();
+            let path = parts.next().ok_or(HttpError::BadStartLine)?.to_string();
+            let version = parts.next().ok_or(HttpError::BadStartLine)?;
+            if !version.starts_with("HTTP/") {
+                return Err(HttpError::BadStartLine);
+            }
+            let mut host = String::new();
+            for line in lines {
+                let (name, value) = line.split_once(':').ok_or(HttpError::BadHeader)?;
+                if name.eq_ignore_ascii_case("host") {
+                    host = value.trim().to_string();
+                }
+            }
+            Ok(HttpRequest { method, path, host })
+        }
+    }
+
+    /// An owned HTTP response.
+    #[derive(Debug)]
+    pub struct HttpResponse {
+        pub status: u16,
+        pub reason: String,
+        pub headers: Vec<(String, String)>,
+        pub body: Vec<u8>,
+    }
+
+    impl HttpResponse {
+        pub fn to_wire(&self) -> Vec<u8> {
+            let mut out = format!("HTTP/1.0 {} {}\r\n", self.status, self.reason);
+            for (name, value) in &self.headers {
+                out.push_str(&format!("{name}: {value}\r\n"));
+            }
+            out.push_str(&format!("Content-Length: {}\r\n\r\n", self.body.len()));
+            let mut bytes = out.into_bytes();
+            bytes.extend_from_slice(&self.body);
+            bytes
+        }
+
+        pub fn parse(data: &[u8]) -> Result<HttpResponse, HttpError> {
+            let text = String::from_utf8_lossy(data);
+            let head_end = text.find("\r\n\r\n").ok_or(HttpError::Incomplete)?;
+            let head = &text[..head_end];
+            let mut lines = head.split("\r\n");
+            let start = lines.next().ok_or(HttpError::BadStartLine)?;
+            let mut parts = start.splitn(3, ' ');
+            let version = parts.next().ok_or(HttpError::BadStartLine)?;
+            if !version.starts_with("HTTP/") {
+                return Err(HttpError::BadStartLine);
+            }
+            let status: u16 = parts
+                .next()
+                .and_then(|s| s.parse().ok())
+                .ok_or(HttpError::BadStartLine)?;
+            let reason = parts.next().unwrap_or("").to_string();
+            let mut headers = Vec::new();
+            for line in lines {
+                let (name, value) = line.split_once(':').ok_or(HttpError::BadHeader)?;
+                if !name.eq_ignore_ascii_case("content-length") {
+                    headers.push((name.to_string(), value.trim().to_string()));
+                }
+            }
+            let body_at = data
+                .windows(4)
+                .position(|w| w == b"\r\n\r\n")
+                .expect("the lossy head ends where the bytes' head does")
+                + 4;
+            Ok(HttpResponse {
+                status,
+                reason,
+                headers,
+                body: data[body_at..].to_vec(),
+            })
+        }
+    }
+}
+
+/// Pieces of words: tokens a request or status line carries, near misses
+/// of them, and bytes that are not UTF-8 (a lone continuation byte, a
+/// truncated two- and three-byte sequence, a byte no UTF-8 uses).
+const WORD_PIECES: &[&[u8]] = &[
+    b"GET",
+    b"HTTP/1.0",
+    b"HTTP/",
+    b"HTTP",
+    b"http/1.0",
+    b"200",
+    b"+200",
+    b"404",
+    b"65536",
+    b"OK",
+    b"/",
+    b"/news",
+    b"Host",
+    b"host",
+    b"a",
+    b"\x80",
+    b"\xc2",
+    b"\xe2\x80",
+    b"\xff",
+];
+
+/// Separators: what `str::split_whitespace` splits at (ASCII whitespace
+/// and U+0085, U+00A0, U+2028, U+3000), and near misses it does not split
+/// at (U+200B, an invalid byte, nothing).
+const SEPARATORS: &[&[u8]] = &[
+    b" ",
+    b"  ",
+    b"\t",
+    b"\x0b",
+    b"\r",
+    b"\n",
+    "\u{85}".as_bytes(),
+    "\u{a0}".as_bytes(),
+    "\u{2028}".as_bytes(),
+    "\u{3000}".as_bytes(),
+    "\u{200b}".as_bytes(),
+    b"\xa0",
+    b"",
+];
+
+/// A uniform element of `items`.
+fn pick(g: &mut Gen, items: &[&'static [u8]]) -> &'static [u8] {
+    items[g.usize_in(0, items.len())]
+}
+
+/// Words from [`WORD_PIECES`] joined by [`SEPARATORS`].
+fn arb_words(g: &mut Gen, out: &mut Vec<u8>) {
+    for i in 0..g.usize_in(0, 5) {
+        if i > 0 {
+            out.extend_from_slice(pick(g, SEPARATORS));
+        }
+        for _ in 0..g.usize_in(1, 3) {
+            out.extend_from_slice(pick(g, WORD_PIECES));
+        }
+    }
+}
+
+/// A separator, half the time the plain space a status line needs.
+fn arb_separator(g: &mut Gen) -> &'static [u8] {
+    if g.bool() {
+        b" "
+    } else {
+        pick(g, SEPARATORS)
+    }
+}
+
+/// A start line: free-form words, or a request or status line whose slots
+/// hold a valid token or a near miss of one.
+fn arb_start_line(g: &mut Gen, out: &mut Vec<u8>) {
+    let versions: [&[u8]; 4] = [b"HTTP/1.0", b"HTTP/", b"HTTP", b"\xffHTTP/1.0"];
+    match g.usize_in(0, 3) {
+        0 => arb_words(g, out),
+        1 => {
+            let methods: [&[u8]; 3] = [b"GET", b"G\xc2T", b""];
+            out.extend_from_slice(pick(g, &methods));
+            out.extend_from_slice(arb_separator(g));
+            out.extend_from_slice(pick(g, WORD_PIECES));
+            out.extend_from_slice(arb_separator(g));
+            out.extend_from_slice(pick(g, &versions));
+        }
+        _ => {
+            let statuses: [&[u8]; 6] = [b"200", b"+200", b"404", b"65536", b"2\xff", b""];
+            out.extend_from_slice(pick(g, &versions));
+            out.extend_from_slice(arb_separator(g));
+            out.extend_from_slice(pick(g, &statuses));
+            out.extend_from_slice(arb_separator(g));
+        }
+    }
+    if g.bool() {
+        arb_words(g, out);
+    }
+}
+
+/// Bytes shaped like an HTTP message: a start line, header lines (some
+/// with no colon, some naming Host), usually a blank line, then a body.
+/// Every part mixes in Unicode whitespace and bytes that are not UTF-8.
+fn arb_http_message(g: &mut Gen) -> Vec<u8> {
+    let mut out = Vec::new();
+    arb_start_line(g, &mut out);
+    for _ in 0..g.usize_in(0, 3) {
+        out.extend_from_slice(b"\r\n");
+        if g.usize_in(0, 6) > 0 {
+            let names: [&[u8]; 5] = [b"Host", b"HOST", b"X-Seen", b"\xffHost", b""];
+            out.extend_from_slice(pick(g, &names));
+            out.push(b':');
+        }
+        out.extend_from_slice(pick(g, SEPARATORS));
+        arb_words(g, &mut out);
+        out.extend_from_slice(pick(g, SEPARATORS));
+    }
+    if g.usize_in(0, 8) > 0 {
+        out.extend_from_slice(b"\r\n\r\n");
+    }
+    out.extend(g.bytes(0, 12));
+    out
+}
+
+/// The borrowed-view parsers accept exactly what the owned parsers
+/// accepted, fail with the same error otherwise, and read the same status,
+/// method, path and Host value: on message-shaped bytes full of Unicode
+/// whitespace and invalid UTF-8, and on arbitrary bytes.
+#[test]
+fn http_views_agree_with_the_owned_parsers() {
+    fn same_text(view: &[u8], owned: &str) {
+        assert_eq!(String::from_utf8_lossy(view), owned);
+    }
+    let mut accepted = (0, 0);
+    cases(16_384, 0xB009, |g| {
+        let bytes = if g.usize_in(0, 8) > 0 {
+            arb_http_message(g)
+        } else {
+            g.bytes(0, 64)
+        };
+        match (
+            HttpRequest::parse(&bytes),
+            oracle::HttpRequest::parse(&bytes),
+        ) {
+            (Ok(view), Ok(owned)) => {
+                same_text(view.method, &owned.method);
+                same_text(view.path, &owned.path);
+                same_text(view.host, &owned.host);
+                accepted.0 += 1;
+            }
+            (Err(e), Err(o)) => assert_eq!(e, o, "request {bytes:?}"),
+            (view, owned) => panic!("request {bytes:?}: view {view:?}, owned {owned:?}"),
+        }
+        match (
+            HttpResponse::parse(&bytes),
+            oracle::HttpResponse::parse(&bytes),
+        ) {
+            (Ok(view), Ok(owned)) => {
+                assert_eq!(view.status, owned.status, "response {bytes:?}");
+                same_text(view.reason, &owned.reason);
+                assert_eq!(view.body, owned.body);
+                accepted.1 += 1;
+            }
+            (Err(e), Err(o)) => assert_eq!(e, o, "response {bytes:?}"),
+            (view, owned) => panic!("response {bytes:?}: view {view:?}, owned {owned:?}"),
+        }
+    });
+    // The generator must reach the accepting paths, not only the errors.
+    assert!(
+        accepted.0 >= 100 && accepted.1 >= 100,
+        "accepted {accepted:?}"
+    );
 }

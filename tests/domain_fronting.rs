@@ -45,8 +45,8 @@ impl HostTask for FrontedFetch {
     fn on_tcp(&mut self, api: &mut HostApi<'_, '_>, conn: ConnId, ev: TcpEvent) {
         match ev {
             TcpEvent::Connected => {
-                let req = HttpRequest::get(&self.host_header, &self.path);
-                api.tcp_send(conn, &req.to_wire());
+                let req = HttpRequest::render_get(&self.host_header, &self.path, &[]);
+                api.tcp_send(conn, &req);
             }
             TcpEvent::Data(d) => {
                 self.buf.extend_from_slice(&d);
