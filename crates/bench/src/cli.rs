@@ -31,7 +31,8 @@
 //! subcommand prints.
 //!
 //! `all` runs every row, fanned across threads, and prints each row's
-//! output in table order.
+//! output in table order. Every report is printed first; the command then
+//! exits 1 if any experiment's claim failed, and 0 if all held.
 
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -363,26 +364,37 @@ fn parse_experiments(argv: &[String]) -> Result<(&'static [Experiment], OutputSp
 }
 
 /// `underradar experiments <id|all> [output flags]`: run the named rows
-/// of [`experiments::ALL`] across one worker per core and print their
-/// output. `Err` is a usage error, reported before anything runs.
+/// of [`experiments::ALL`] across one worker per core, print their
+/// output, and exit 1 if any claim failed. `Err` is a usage error,
+/// reported before anything runs.
 pub fn experiments(argv: &[String]) -> Result<ExitCode, String> {
     let (rows, spec) = parse_experiments(argv)?;
-    print!("{}", run_experiments(rows, spec, experiments::workers()));
-    Ok(ExitCode::SUCCESS)
+    let (stdout, passed) = run_experiments(rows, spec, experiments::workers());
+    print!("{stdout}");
+    Ok(if passed {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
 /// The one experiment runner: run `rows` fanned across `workers` threads,
 /// each under its own telemetry handle, and return the stdout `spec` asks
-/// for, every row's output in table order. Each experiment seeds its own
-/// RNGs, so the bytes are the same for any worker count.
-pub fn run_experiments(rows: &[Experiment], spec: OutputSpec, workers: usize) -> String {
-    steal::run_chunked(rows.len(), workers, |i| {
-        let (name, run) = rows[i];
-        let tel = spec.telemetry_handle();
-        let report = run(&tel);
-        spec.render(name, &report, &tel.snapshot())
-    })
-    .concat()
+/// for, every row's output in table order, and whether every row's claims
+/// all held. Each experiment seeds its own RNGs, so the bytes are the
+/// same for any worker count.
+pub fn run_experiments(rows: &[Experiment], spec: OutputSpec, workers: usize) -> (String, bool) {
+    let (outputs, verdicts): (Vec<String>, Vec<bool>) =
+        steal::run_chunked(rows.len(), workers, |i| {
+            let (name, run) = rows[i];
+            let tel = spec.telemetry_handle();
+            let outcome = run(&tel);
+            let stdout = spec.render(name, &outcome.report, &tel.snapshot());
+            (stdout, outcome.passed())
+        })
+        .into_iter()
+        .unzip();
+    (outputs.concat(), verdicts.into_iter().all(|passed| passed))
 }
 
 #[cfg(test)]
@@ -487,6 +499,47 @@ mod tests {
         assert!(out.contains("{\"kind\":\"ooo_held\""));
         assert!(out.contains("--- explain ---\n"));
         assert!(out.contains("because=stream.ooo_held@t=5ns"));
+    }
+
+    fn stub(tel: &Telemetry, second_holds: bool) -> experiments::Outcome {
+        tel.count("stub.runs", 1);
+        let mut claims = experiments::Claims::default();
+        claims.check("first", true);
+        claims.check("second", second_holds);
+        claims.conclude("stub report\nsecond line\n".to_string(), "stub")
+    }
+
+    fn holding_stub(tel: &Telemetry) -> experiments::Outcome {
+        stub(tel, true)
+    }
+
+    fn failing_stub(tel: &Telemetry) -> experiments::Outcome {
+        stub(tel, false)
+    }
+
+    #[test]
+    fn a_failing_claim_fails_the_run_and_its_report_still_renders_in_every_mode() {
+        let holding: Experiment = ("e00_holds", holding_stub);
+        let failing: Experiment = ("e00_fails", failing_stub);
+        let modes = [
+            OutputSpec::new(),
+            OutputSpec::new().telemetry(true),
+            OutputSpec::new().json(true),
+            OutputSpec::new().jsonl(true),
+            OutputSpec::new().trace(true),
+        ];
+        for spec in modes {
+            assert!(run_experiments(&[holding], spec, 1).1, "{:?}", spec.mode());
+            let (stdout, passed) = run_experiments(&[holding, failing], spec, 2);
+            assert!(!passed, "{:?}", spec.mode());
+            let tel = spec.telemetry_handle();
+            let outcome = failing_stub(&tel);
+            assert_eq!(outcome.failed(), ["second"]);
+            let report = outcome.report;
+            assert!(report.ends_with("\nresult: stub: FAILED\n\n"), "{report}");
+            let want = spec.render("e00_fails", &report, &tel.snapshot());
+            assert!(stdout.ends_with(&want), "{:?}: {stdout}", spec.mode());
+        }
     }
 
     #[test]

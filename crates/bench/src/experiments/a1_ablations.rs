@@ -12,17 +12,23 @@ use underradar_core::probe::Probe;
 use underradar_core::risk::RiskReport;
 use underradar_core::testbed::{TargetSite, Testbed, TestbedConfig};
 use underradar_netsim::addr::Cidr;
+use underradar_netsim::host::Host;
 use underradar_netsim::time::SimTime;
 use underradar_spoof::anonymity_set;
 
+use crate::experiments::{Claims, Outcome};
 use crate::table::{heading, Table};
 
 const PORT: u16 = 7443;
 const ISS: u32 = 0x0102_0304;
 
 /// Split-keyword mimicry with the neighbor's replay RST landing mid-flow;
-/// returns whether the censor still caught the keyword.
-fn censor_catches_split_keyword(tel: &underradar_telemetry::Telemetry, rst_teardown: bool) -> bool {
+/// returns whether the censor still caught the keyword, and whether the
+/// neighbor did send its RST.
+fn censor_catches_split_keyword(
+    tel: &underradar_telemetry::Telemetry,
+    rst_teardown: bool,
+) -> (bool, bool) {
     let policy = CensorPolicy::new().block_keyword("falun");
     let mut net = RoutedMimicryNet::build(71, policy);
     let scope = tel.scope();
@@ -42,12 +48,14 @@ fn censor_catches_split_keyword(tel: &underradar_telemetry::Telemetry, rst_teard
     net.run_secs(10);
     net.export_telemetry(&scope);
     tel.absorb(&scope);
-    net.censor_acted()
+    let neighbor = net.sim.node_ref::<Host>(net.cover).expect("cover host");
+    (net.censor_acted(), neighbor.counters().rst_sent > 0)
 }
 
 /// A 120-port scan against a blackholed target; returns the alert count
-/// on the client under the given surveillance ordering.
-fn scan_alerts(tel: &underradar_telemetry::Telemetry, alert_first: bool) -> usize {
+/// on the client under the given surveillance ordering, and whether the
+/// scan's verdict is censored.
+fn scan_alerts(tel: &underradar_telemetry::Telemetry, alert_first: bool) -> (usize, bool) {
     let target = TargetSite::numbered("twitter.com", 0).web_ip;
     let policy = CensorPolicy::new().block_ip(Cidr::host(target));
     let mut tb = Testbed::build(TestbedConfig {
@@ -67,11 +75,11 @@ fn scan_alerts(tel: &underradar_telemetry::Telemetry, alert_first: bool) -> usiz
     let alerts = RiskReport::evaluate(&tb, &verdict).alerts_on_client;
     tb.export_telemetry(&scope);
     tel.absorb(&scope);
-    alerts
+    (alerts, verdict.is_censored())
 }
 
 /// Run A1 and render its report, recording telemetry into `tel`.
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "A1",
         "ablations (DESIGN.md §5)",
@@ -79,9 +87,14 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     );
     let mut table = Table::new(&["ablation", "default behaviour", "ablated behaviour"]);
 
+    let mut claims = Claims::default();
     // 1. RST-teardown reassembly.
-    let default_catch = censor_catches_split_keyword(tel, true);
-    let ablated_catch = censor_catches_split_keyword(tel, false);
+    let (default_catch, default_rst) = censor_catches_split_keyword(tel, true);
+    let (ablated_catch, ablated_rst) = censor_catches_split_keyword(tel, false);
+    claims.check("teardown censor misses the split keyword", !default_catch);
+    claims.check("neighbour RSTs past the teardown censor", default_rst);
+    claims.check("RST-ignoring censor catches the keyword", ablated_catch);
+    claims.check("neighbour RSTs past the RST-ignoring censor", ablated_rst);
     table.row(&[
         "censor reassembler: honor RST teardown -> ignore RSTs".to_string(),
         format!("split keyword caught after replay RST: {default_catch}"),
@@ -89,8 +102,12 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     ]);
 
     // 2. MVR ordering.
-    let discard_first = scan_alerts(tel, false);
-    let alert_first = scan_alerts(tel, true);
+    let (discard_first, discard_first_censored) = scan_alerts(tel, false);
+    let (alert_first, alert_first_censored) = scan_alerts(tel, true);
+    claims.check("scan censored under discard-first", discard_first_censored);
+    claims.check("scan censored under alert-first", alert_first_censored);
+    claims.check("discard-first: no client alerts", discard_first == 0);
+    claims.check("alert-first: client alerts", alert_first > 0);
     table.row(&[
         "surveillance: discard-first -> alert-first".to_string(),
         format!("client alerts from a 120-port scan: {discard_first}"),
@@ -115,19 +132,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     ]);
 
     out.push_str(&table.render());
-    let pass = default_catch != ablated_catch && discard_first == 0 && alert_first > 0;
-    out.push_str(&format!(
-        "\nresult: each assumption is load-bearing (flipping it flips the outcome): {}\n\n",
-        if pass { "PASSED" } else { "FAILED" }
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn a1_passes() {
-        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
-        assert!(report.contains("PASSED"), "{report}");
-    }
+    claims.conclude(
+        out,
+        "each assumption is load-bearing (flipping it flips the outcome)",
+    )
 }

@@ -17,9 +17,12 @@ use underradar_netsim::addr::Cidr;
 use underradar_netsim::time::SimTime;
 use underradar_protocols::dns::DnsName;
 
+use crate::experiments::{Claims, Outcome};
 use crate::table::{heading, mark, Table};
 
 struct Case {
+    /// The mechanism, and the name of E1's claim that the censor
+    /// reproduces it and the client detects it.
     name: &'static str,
     policy: CensorPolicy,
     domain: &'static str,
@@ -79,7 +82,7 @@ fn cases() -> Vec<Case> {
 }
 
 /// Run E1 and render its report, recording per-case telemetry into `tel`.
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "E1",
         "Figure 1 + §3.2.1 (reference systems)",
@@ -92,7 +95,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         "expected",
         "pass",
     ]);
-    let mut all_pass = true;
+    let mut claims = Claims::default();
     for case in cases() {
         let mut tb = Testbed::build(TestbedConfig {
             policy: case.policy,
@@ -109,11 +112,13 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         let acted = tb.censor_acted();
         tb.export_telemetry(&scope);
         tel.absorb(&scope);
-        let pass = match case.expect_mechanism {
-            Some(m) => acted && verdict.mechanism() == Some(m),
-            None => !acted && verdict.is_reachable(),
-        };
-        all_pass &= pass;
+        let pass = claims.check(
+            case.name,
+            match case.expect_mechanism {
+                Some(m) => acted && verdict.mechanism() == Some(m),
+                None => !acted && verdict.is_reachable(),
+            },
+        );
         table.row(&[
             case.name.to_string(),
             mark(acted).to_string(),
@@ -127,20 +132,10 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     out.push_str(&table.render());
     out.push_str(&format!(
         "\nresult: reference censor validation {}\n\n",
-        if all_pass {
-            "PASSED (matches §3.2.1)"
-        } else {
-            "FAILED"
+        match claims.verdict() {
+            "PASSED" => "PASSED (matches §3.2.1)",
+            failed => failed,
         }
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn e1_passes() {
-        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
-        assert!(report.contains("PASSED"), "{report}");
-    }
+    claims.finish(out)
 }

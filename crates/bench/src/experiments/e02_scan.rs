@@ -15,10 +15,11 @@ use underradar_core::testbed::TargetSite;
 use underradar_netsim::addr::Cidr;
 
 use crate::experiments::campaign::run_campaign;
+use crate::experiments::{Claims, Outcome};
 use crate::table::{heading, mark, Table};
 
 /// Run E2 and render its report, recording telemetry into `tel`.
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "E2",
         "§3.2.2 (Method #1: scanning)",
@@ -50,9 +51,10 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         "open/closed/filtered (of 60)",
         "evades",
     ]);
-    let mut all_pass = true;
+    let mut claims = Claims::default();
     for trial in &trials {
-        all_pass &= trial.verdict_correct && trial.evaded;
+        claims.check("accuracy: every verdict is correct", trial.verdict_correct);
+        claims.check("evasion: every scan evades", trial.evaded);
         table.row(&[
             trial.policy.clone(),
             trial.verdict.to_string(),
@@ -67,18 +69,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         ]);
     }
     out.push_str(&table.render());
-    out.push_str(&format!(
-        "\nresult: scanning satisfies both §3.2 criteria (evasion + accuracy): {}\n\n",
-        if all_pass { "PASSED" } else { "FAILED" }
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn e2_passes() {
-        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
-        assert!(report.contains("PASSED"), "{report}");
-    }
+    claims.conclude(
+        out,
+        "scanning satisfies both §3.2 criteria (evasion + accuracy)",
+    )
 }

@@ -10,6 +10,7 @@
 
 use underradar_spam::{empirical_cdf, ham_message, measurement_spam, spam_score, SPAM_THRESHOLD};
 
+use crate::experiments::{Claims, Outcome};
 use crate::table::heading;
 
 /// Number of measurement emails, matching the paper's n.
@@ -23,7 +24,7 @@ pub fn measurement_scores() -> Vec<f64> {
 }
 
 /// Run E3 and render its report, recording telemetry into `tel`.
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "E3",
         "Figure 2 (§3.2.3, spam evasion)",
@@ -55,24 +56,19 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     out.push_str(&format!(
         "ham baseline:       max score {ham_max:.1}; 0/{N} classified as spam\n"
     ));
-    let pass = classified == N as usize && min >= 40.0 && ham_max < SPAM_THRESHOLD;
-    out.push_str(&format!(
-        "\nresult: Figure 2 shape reproduced (all measurements in spam range): {}\n\n",
-        if pass { "PASSED" } else { "FAILED" }
-    ));
-    out
+    let mut claims = Claims::default();
+    claims.check("100/100 classified as spam", classified == N as usize);
+    claims.check("every score is at least 40", min >= 40.0);
+    claims.check("ham scores below threshold", ham_max < SPAM_THRESHOLD);
+    claims.conclude(
+        out,
+        "Figure 2 shape reproduced (all measurements in spam range)",
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn e3_passes() {
-        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
-        assert!(report.contains("PASSED"), "{report}");
-        assert!(report.contains("100/100"), "{report}");
-    }
 
     #[test]
     fn scores_match_figure2_support() {

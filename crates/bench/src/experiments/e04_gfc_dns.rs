@@ -16,17 +16,18 @@ use underradar_core::testbed::{Testbed, TestbedConfig};
 use underradar_netsim::time::SimTime;
 use underradar_protocols::dns::{DnsName, QType};
 
+use crate::experiments::{Claims, Outcome};
 use crate::table::{heading, mark, Table};
 
 /// Run E4 and render its report, recording telemetry into `tel`.
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "E4",
         "§3.2.3 (spam accuracy: GFC DNS injection)",
         "bad A responses injected for both A and MX queries, twitter.com & youtube.com",
     );
     let mut table = Table::new(&["domain", "qtype", "bad A injected", "probe verdict", "pass"]);
-    let mut all_pass = true;
+    let mut claims = Claims::default();
     for domain in ["twitter.com", "youtube.com"] {
         for qtype in [QType::A, QType::Mx] {
             let name = DnsName::parse(domain).expect("domain");
@@ -54,8 +55,9 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             let verdict = probe.verdict();
             tb.export_telemetry(&scope);
             tel.absorb(&scope);
-            let pass = bad_a && verdict.is_censored();
-            all_pass &= pass;
+            claims.check("every query draws an injected bad A", bad_a);
+            let censored = claims.check("every lookup is censored", verdict.is_censored());
+            let pass = bad_a && censored;
             table.row(&[
                 domain.to_string(),
                 format!("{qtype}"),
@@ -85,19 +87,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         mark(a_for_mx),
         trial.verdict
     ));
-    all_pass &= a_for_mx && trial.verdict.is_censored();
-    out.push_str(&format!(
-        "\nresult: §3.2.3 DNS-injection validation: {}\n\n",
-        if all_pass { "PASSED" } else { "FAILED" }
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn e4_passes() {
-        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
-        assert!(report.contains("PASSED"), "{report}");
-    }
+    claims.check("pipeline sees the A-for-MX tell", a_for_mx);
+    claims.check("pipeline verdict is censored", trial.verdict.is_censored());
+    claims.conclude(out, "§3.2.3 DNS-injection validation")
 }

@@ -16,6 +16,7 @@ use underradar_core::probe::Probe;
 use underradar_core::testbed::{Testbed, TestbedConfig};
 use underradar_netsim::time::SimTime;
 
+use crate::experiments::{Claims, Outcome};
 use crate::table::{heading, mark, Table};
 
 fn run_burst(
@@ -41,7 +42,7 @@ fn run_burst(
 }
 
 /// Run E5 and render its report, recording telemetry into `tel`.
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "E5",
         "§3.1 Method #3 (DDoS mimicry)",
@@ -83,7 +84,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         "correct",
         "evades",
     ]);
-    let mut all_pass = true;
+    let mut claims = Claims::default();
     // One campaign cell per scenario; the engine's ddos driver runs the
     // warm-up flood ("causing the MVR to discard the traffic more
     // aggressively") before the measured samples.
@@ -102,7 +103,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         .run_secs(180);
     let (_, trials) = crate::experiments::campaign::run_campaign(&spec, 1, tel);
     for trial in &trials {
-        all_pass &= trial.verdict_correct && trial.evaded;
+        claims.check("accuracy: every verdict is correct", trial.verdict_correct);
+        claims.check("evasion: every DDoS trial evades", trial.evaded);
         let ev = |k| crate::experiments::campaign::evidence(trial, k);
         acc.row(&[
             trial.policy.clone(),
@@ -119,18 +121,5 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         ]);
     }
     out.push_str(&acc.render());
-    out.push_str(&format!(
-        "\nresult: DDoS mimicry accuracy + evasion: {}\n\n",
-        if all_pass { "PASSED" } else { "FAILED" }
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn e5_passes() {
-        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
-        assert!(report.contains("PASSED"), "{report}");
-    }
+    claims.conclude(out, "DDoS mimicry accuracy + evasion")
 }

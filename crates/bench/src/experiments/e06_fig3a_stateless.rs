@@ -16,12 +16,13 @@ use underradar_censor::CensorPolicy;
 use underradar_protocols::dns::DnsName;
 
 use crate::experiments::campaign::run_campaign;
+use crate::experiments::{Claims, Outcome};
 use crate::table::{heading, mark, Table};
 
 /// Run E6 and render its report. Each sweep point runs through the
 /// run service, which folds per-trial registries into `tel` in trial
 /// order (scheduling-independent).
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "E6",
         "Figure 3a (§4.1 stateless mimicry)",
@@ -34,7 +35,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         "anon set (per-IP)",
         "attribution odds",
     ]);
-    let mut all_pass = true;
+    let mut claims = Claims::default();
     for cover_count in [0usize, 1, 4, 16, 64] {
         let policy = CensorPolicy::new().block_domain(&DnsName::parse("twitter.com").expect("n"));
         let spec = CampaignSpec::new("e06-stateless", 5)
@@ -47,8 +48,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         let (_, trials) = run_campaign(&spec, 1, tel);
         let trial = &trials[0];
         let per_ip = trial.anonymity_set.unwrap_or(0);
-        let pass = trial.verdict_correct && per_ip == cover_count + 1;
-        all_pass &= pass;
+        claims.check("accuracy: every verdict is correct", trial.verdict_correct);
+        claims.check("anonymity set is cover + 1", per_ip == cover_count + 1);
         table.row(&[
             cover_count.to_string(),
             trial.verdict.to_string(),
@@ -63,18 +64,5 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
          situation); each spoofed source multiplies the suspect pool exactly as Fig 3a\n\
          intends.\n",
     );
-    out.push_str(&format!(
-        "\nresult: anonymity set grows as cover+1 with accuracy intact: {}\n\n",
-        if all_pass { "PASSED" } else { "FAILED" }
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn e6_passes() {
-        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
-        assert!(report.contains("PASSED"), "{report}");
-    }
+    claims.conclude(out, "anonymity set grows as cover+1 with accuracy intact")
 }

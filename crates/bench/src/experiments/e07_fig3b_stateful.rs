@@ -15,6 +15,7 @@ use underradar_censor::CensorPolicy;
 use underradar_core::methods::stateful::{MimicServer, RoutedMimicryNet, StatefulMimicry};
 use underradar_netsim::host::Host;
 
+use crate::experiments::{Claims, Outcome};
 use crate::table::{heading, mark, Table};
 
 const PORT: u16 = 7443;
@@ -88,7 +89,7 @@ fn run_ttl(
 }
 
 /// Run E7 and render its report, recording telemetry into `tel`.
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "E7",
         "Figure 3b (§4.1 stateful mimicry, TTL-limited replies)",
@@ -109,11 +110,13 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         "Y sends RST (replay!)",
         "flow survives",
     ]);
-    let mut sweet_spot_ok = false;
+    let mut claims = Claims::default();
     for ttl in 1u8..=5 {
         let o = run_ttl(tel, Some(ttl), false);
         if ttl == RoutedMimicryNet::HOPS_TO_COVER {
-            sweet_spot_ok = o.tap_saw_reply && !o.neighbor_got_reply && !o.flow_reset;
+            claims.check("calibrated TTL: the tap sees the reply", o.tap_saw_reply);
+            claims.check("calibrated TTL: no reply reaches Y", !o.neighbor_got_reply);
+            claims.check("calibrated TTL: the flow survives", !o.flow_reset);
         }
         sweep.row(&[
             ttl.to_string(),
@@ -171,19 +174,11 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     ]);
     out.push_str(&acc.render());
 
-    let pass = sweet_spot_ok && sweet_reset && sweet.verdict_correct && unlimited.neighbor_rst;
-    out.push_str(&format!(
-        "\nresult: TTL window exists and enables censorship measurement without replay: {}\n\n",
-        if pass { "PASSED" } else { "FAILED" }
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn e7_passes() {
-        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
-        assert!(report.contains("PASSED"), "{report}");
-    }
+    claims.check("censor resets the keyword flow", sweet_reset);
+    claims.check("calibrated-TTL verdict is correct", sweet.verdict_correct);
+    claims.check("unlimited TTL: Y replays a RST", unlimited.neighbor_rst);
+    claims.conclude(
+        out,
+        "TTL window exists and enables censorship measurement without replay",
+    )
 }

@@ -14,13 +14,14 @@ use underradar_netsim::rng::SimRng;
 use underradar_surveil::analyst::{Analyst, AnalystConfig};
 use underradar_workloads::syria::SyriaLog;
 
+use crate::experiments::{Claims, Outcome};
 use crate::table::{heading, Table};
 
 /// Population size for the synthetic log.
 pub const USERS: u32 = 30_000;
 
 /// Run E8 and render its report, recording telemetry into `tel`.
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "E8",
         "§2.2 (Syria censorship logs)",
@@ -103,20 +104,12 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     }
     out.push_str(&cap_table.render());
 
-    let pass = (frac - 0.0157).abs() < 0.004 && flagged > 200;
-    out.push_str(&format!(
-        "\nresult: the 1.57% statistic reproduced; even 200 pursuits/day covers <50%\n\
-         of flagged users — alarming on all censored queries is infeasible: {}\n\n",
-        if pass { "PASSED" } else { "FAILED" }
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn e8_passes() {
-        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
-        assert!(report.contains("PASSED"), "{report}");
-    }
+    let mut claims = Claims::default();
+    claims.check("the 1.57% statistic", (frac - 0.0157).abs() < 0.004);
+    claims.check("too many users to pursue", flagged > 200);
+    claims.conclude(
+        out,
+        "the 1.57% statistic reproduced; even 200 pursuits/day covers <50%\n\
+         of flagged users — alarming on all censored queries is infeasible",
+    )
 }

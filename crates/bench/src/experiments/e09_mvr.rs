@@ -14,10 +14,11 @@ use underradar_surveil::system::{SurveillanceConfig, SurveillanceSystem};
 use underradar_surveil::TrafficClass;
 use underradar_workloads::population::{PopulationConfig, PopulationTraffic};
 
+use crate::experiments::{Claims, Outcome};
 use crate::table::{heading, mark, Table};
 
 /// Run E9 and render its report, recording telemetry into `tel`.
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "E9",
         "§2.1 (surveillance storage constraints / MVR)",
@@ -93,19 +94,13 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
 
     let meta_all = stores.metadata.total_inserted() == stream.len() as u64;
     let content_fewer = stores.content.total_inserted() < stores.metadata.total_inserted();
-    let pass = reduction >= 0.30 && p2p_gone && meta_all && content_fewer;
-    out.push_str(&format!(
-        "\nresult: ≥30% volume reduction with P2P fully discarded, metadata for all: {}\n\n",
-        if pass { "PASSED" } else { "FAILED" }
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn e9_passes() {
-        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
-        assert!(report.contains("PASSED"), "{report}");
-    }
+    let mut claims = Claims::default();
+    claims.check("class-discard cuts volume ≥30%", reduction >= 0.30);
+    claims.check("P2P is fully discarded", p2p_gone);
+    claims.check("metadata for every packet", meta_all);
+    claims.check("fewer content than metadata records", content_fewer);
+    claims.conclude(
+        out,
+        "≥30% volume reduction with P2P fully discarded, metadata for all",
+    )
 }

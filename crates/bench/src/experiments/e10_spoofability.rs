@@ -13,13 +13,14 @@ use underradar_netsim::addr::Cidr;
 use underradar_netsim::rng::SimRng;
 use underradar_spoof::{cover_sources, BeverlyFractions, FilterGranularity, SpoofPopulation};
 
+use crate::experiments::{Claims, Outcome};
 use crate::table::{heading, Table};
 
 /// Population size for the sample.
 pub const CLIENTS: usize = 20_000;
 
 /// Run E10 and render its report, recording telemetry into `tel`.
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "E10",
         "§4.2 (spoofing feasibility, Beverly et al.)",
@@ -91,19 +92,11 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
 
     let f24 = population.fraction_spoof_24();
     let f16 = population.fraction_spoof_16();
-    let pass = (f24 - 0.77).abs() < 0.02 && (f16 - 0.11).abs() < 0.02;
-    out.push_str(&format!(
-        "\nresult: deployment fractions match Beverly within sampling error: {}\n\n",
-        if pass { "PASSED" } else { "FAILED" }
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn e10_passes() {
-        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
-        assert!(report.contains("PASSED"), "{report}");
-    }
+    let mut claims = Claims::default();
+    claims.check("/24-spoofable fraction is 77%", (f24 - 0.77).abs() < 0.02);
+    claims.check("/16-spoofable fraction is 11%", (f16 - 0.11).abs() < 0.02);
+    claims.conclude(
+        out,
+        "deployment fractions match Beverly within sampling error",
+    )
 }

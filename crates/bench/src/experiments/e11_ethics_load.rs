@@ -23,10 +23,11 @@ use underradar_surveil::system::{
 };
 use underradar_workloads::population::{PopulationConfig, PopulationTraffic};
 
+use crate::experiments::{Claims, Outcome};
 use crate::table::{heading, Table};
 
 /// Run E11 and render its report, recording telemetry into `tel`.
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "E11",
         "§6 (ethics: load and alert impact)",
@@ -123,19 +124,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
          and the alerts spread across 256 sources rather than implicating one user.\n",
     );
 
-    let pass = ratio > 400.0 && cover_queries == 256;
-    out.push_str(&format!(
-        "\nresult: load comparison matches §6's argument: {}\n\n",
-        if pass { "PASSED" } else { "FAILED" }
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn e11_passes() {
-        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
-        assert!(report.contains("PASSED"), "{report}");
-    }
+    let mut claims = Claims::default();
+    claims.check("practice touches >400x a /16 sweep", ratio > 400.0);
+    claims.check("one cover query per /24 address", cover_queries == 256);
+    claims.conclude(out, "load comparison matches §6's argument")
 }

@@ -27,6 +27,7 @@ use underradar_netsim::time::SimTime;
 use underradar_protocols::dns::DnsName;
 
 use crate::experiments::campaign::run_campaign;
+use crate::experiments::{Claims, Outcome};
 use crate::table::{heading, mark, Table};
 
 struct Row {
@@ -138,7 +139,7 @@ fn stateful_row(tel: &underradar_telemetry::Telemetry) -> Row {
 
 /// Run E12 and render its report, recording per-method telemetry into
 /// `tel`.
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "E12",
         "headline result (§1/§7)",
@@ -161,7 +162,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         "pursued",
         "anon set",
     ]);
-    let mut pass = true;
+    let mut claims = Claims::default();
     for row in &rows {
         let t = &row.trial;
         table.row(&[
@@ -173,14 +174,18 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             mark(t.pursued).to_string(),
             t.anonymity_set.map_or("-".to_string(), |n| n.to_string()),
         ]);
-        pass &= t.verdict_correct;
+        claims.check("accuracy: every verdict is correct", t.verdict_correct);
         if row.method.starts_with("overt") {
-            pass &= !t.evaded && t.attributed;
+            claims.check("overt: caught", !t.evaded);
+            claims.check("overt: attributed", t.attributed);
         } else if row.method.starts_with("stateless") {
             // Cover traffic trades zero-alerts for a large anonymity set.
-            pass &= t.anonymity_set.map(|n| n >= 17).unwrap_or(false) && !t.attributed;
+            let anonymity = t.anonymity_set.unwrap_or(0);
+            claims.check("stateless: anonymity set ≥ 17", anonymity >= 17);
+            claims.check("stateless: not attributed", !t.attributed);
         } else {
-            pass &= t.evaded && !t.attributed;
+            claims.check("stealthy: evades", t.evaded);
+            claims.check("stealthy: not attributed", !t.attributed);
         }
     }
     out.push_str(&table.render());
@@ -211,20 +216,9 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         mark(ablation.evades()),
         ablation.alerts_on_client
     ));
-    pass &= !ablation.evades();
-
-    out.push_str(&format!(
-        "\nresult: headline comparison reproduced (stealthy wins on risk, ties on accuracy): {}\n\n",
-        if pass { "PASSED" } else { "FAILED" }
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn e12_passes() {
-        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
-        assert!(report.contains("PASSED"), "{report}");
-    }
+    claims.check("alert-first catches the scan", !ablation.evades());
+    claims.conclude(
+        out,
+        "headline comparison reproduced (stealthy wins on risk, ties on accuracy)",
+    )
 }

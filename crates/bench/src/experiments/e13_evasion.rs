@@ -62,6 +62,7 @@ use underradar_netsim::{Packet, SimRng, SimTime, TcpConn, TcpEvent};
 use underradar_telemetry::{trace, Tracer};
 
 use crate::experiments::campaign::run_campaign;
+use crate::experiments::{Claims, Outcome};
 use crate::table::{heading, mark, Table};
 
 const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 2);
@@ -570,7 +571,7 @@ fn clean_twin(class: &EvasionClass) -> Vec<Item> {
 }
 
 /// Run E13 and render its report, recording telemetry into `tel`.
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "E13",
         "§4.1 insertion/evasion",
@@ -614,7 +615,10 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         dropped.to_string(),
     ]);
     out.push_str(&t1.render());
-    let in_bound_ok = divergent == 0 && flips == 0 && dropped == 0;
+    let mut claims = Claims::default();
+    claims.check("in bound: no stream diverges", divergent == 0);
+    claims.check("in bound: no verdict flips", flips == 0);
+    claims.check("in bound: the monitor drops nothing", dropped == 0);
 
     // Part 2: the divergence matrix — every impairment × every evasion
     // class. The baseline row must never flip; every attack row must
@@ -641,7 +645,6 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     ]);
     let mut cells = 0usize;
     let mut total_flips = 0usize;
-    let mut matrix_ok = true;
     for class in classes.iter() {
         let mut row = vec![class.name.to_string()];
         let mut none_hits = (false, false);
@@ -657,7 +660,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
                 None => !d.diverged() && !d.verdict_flip() && d.monitor_hit && d.endpoint_hit,
                 Some(mon_hit) => d.verdict_flip() && d.diverged() && d.monitor_hit == mon_hit,
             };
-            matrix_ok &= cell_ok;
+            claims.check("matrix: every cell as its class predicts", cell_ok);
             row.push(mark(d.verdict_flip()).to_string());
             if *imp == Impairment::None {
                 none_hits = (d.monitor_hit, d.endpoint_hit);
@@ -671,7 +674,8 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     out.push_str(&format!(
         "divergence matrix: {cells} cells, {total_flips} verdict flips\n"
     ));
-    let count_ok = cells == 35 && total_flips == 30;
+    claims.check("matrix: 35 cells", cells == 35);
+    claims.check("matrix: 30 verdict flips", total_flips == 30);
 
     // Part 3: the overlap knob closes the overlap-ambiguity gap — a
     // keep-last monitor agrees with the keep-last endpoint.
@@ -684,6 +688,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         },
     );
     let knob_ok = !aligned.verdict_flip() && !aligned.diverged();
+    claims.check("keep-last monitor agrees with endpoint", knob_ok);
     out.push_str(&format!(
         "\nkeep-last monitor vs keep-last endpoint on the overlap schedule: \
          divergence {} flip {} (knob closes the gap: {})\n",
@@ -695,7 +700,6 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     // Part 4: flight-recorder narration. For three flip mechanisms, diff
     // the monitor's decision stream between the clean twin and the attack
     // replay: the first divergent decision names the mechanism.
-    let mut narration_ok = true;
     out.push_str("\nfirst divergent monitor decision, clean twin (a) vs attack (b):\n");
     for (class, want_kind, offset) in [
         (&classes[1], "dup_ignored", Some(5u32)),
@@ -725,7 +729,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
                         .map(|lo| r.field_u64("seq_lo") == Some(u64::from(lo)))
                         .unwrap_or(true)
             });
-        narration_ok &= ok;
+        claims.check("narration names each mechanism", ok);
     }
 
     // Part 5: campaign verdicts are impairment-invariant in bound, and
@@ -756,15 +760,13 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         .client_link_reorder(0.2)
         .client_link_duplicate(0.1);
     let (_, impaired) = run_campaign(&impaired_spec, 1, tel);
-    let mut verdicts_match = clean.len() == impaired.len();
-    let mut matched = 0usize;
-    for (a, b) in clean.iter().zip(impaired.iter()) {
-        if format!("{:?}", a.verdict) == format!("{:?}", b.verdict) {
-            matched += 1;
-        } else {
-            verdicts_match = false;
-        }
-    }
+    let matched = clean
+        .iter()
+        .zip(impaired.iter())
+        .filter(|(a, b)| format!("{:?}", a.verdict) == format!("{:?}", b.verdict))
+        .count();
+    let unchanged = clean.len() == impaired.len() && matched == clean.len();
+    claims.check("impairment changes no verdict", unchanged);
     out.push_str("\ncampaign cell with client-link reorder=0.2 duplicate=0.1 vs clean:\n");
     let mut t3 = Table::new(&["trials", "verdicts unchanged", "all correct (clean)"]);
     t3.row(&[
@@ -789,26 +791,10 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         }
     ));
 
-    let pass = in_bound_ok
-        && matrix_ok
-        && count_ok
-        && knob_ok
-        && narration_ok
-        && verdicts_match
-        && shard_identical;
-    out.push_str(&format!(
-        "\nresult: divergence is zero in bound and the full evasion matrix \
-         flips verdicts with narrated causes: {}\n\n",
-        if pass { "PASSED" } else { "FAILED" }
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn e13_passes() {
-        let report = super::run_with(&underradar_telemetry::Telemetry::disabled());
-        assert!(report.contains("PASSED"), "{report}");
-    }
+    claims.check("1-vs-4-shard verdicts: byte-identical", shard_identical);
+    claims.conclude(
+        out,
+        "divergence is zero in bound and the full evasion matrix \
+         flips verdicts with narrated causes",
+    )
 }

@@ -18,7 +18,6 @@
 //!    population contributes bulk, not noise.
 //!
 //! Wall-clock packets/sec goes to stderr so stdout stays deterministic.
-//! Tests run smaller populations through [`run_sized`].
 
 use std::net::Ipv4Addr;
 
@@ -35,10 +34,11 @@ use underradar_netsim::time::{SimDuration, SimTime};
 use underradar_netsim::wire::tcp::TcpFlags;
 use underradar_workloads::population::{PopulationConfig, PopulationTraffic};
 
+use crate::experiments::{Claims, Outcome};
 use crate::table::{heading, Table};
 
-/// Default concurrent-flow target (the ≥100k acceptance bar plus slack).
-const DEFAULT_FLOWS: usize = 120_000;
+/// Concurrent-flow target (the ≥100k acceptance bar plus slack).
+const FLOWS: usize = 120_000;
 /// Per-flow memory budget in bytes (arena slot + dir buffers + engine
 /// match state, amortized over live flows).
 const PER_FLOW_BUDGET: usize = 1024;
@@ -68,32 +68,31 @@ struct ScaleLoad {
     /// Time-sorted stream (stable order; equal instants form one batch).
     stream: Vec<Timed>,
     hosts: usize,
-    flows: usize,
     measurement_ips: Vec<Ipv4Addr>,
 }
 
-/// Build the load: `flows` concurrent client flows (SYN / SYN-ACK / ACK /
+/// Build the load: [`FLOWS`] concurrent client flows (SYN / SYN-ACK / ACK /
 /// one data segment, round-major so every flow is open at once), a
 /// handful of measurement probes requesting the censored path, and the
 /// default population mix on a neighbouring prefix.
-fn generate(flows: usize) -> ScaleLoad {
+fn generate() -> ScaleLoad {
     let prefix = Cidr::slash16(Ipv4Addr::new(10, 30, 0, 0));
-    let hosts = (flows / 64).clamp(64, 60_000);
+    let hosts = (FLOWS / 64).clamp(64, 60_000);
     let probes = MEASUREMENT_HOSTS * PROBES_PER_HOST;
     let measurement_ips: Vec<Ipv4Addr> = (0..MEASUREMENT_HOSTS)
         .map(|m| prefix.nth((hosts + 1 + m) as u64))
         .collect();
 
-    let mut stream = Vec::with_capacity(flows * 4 + 4096);
+    let mut stream = Vec::with_capacity(FLOWS * 4 + 4096);
     // Round r of the handshake script for every flow shares one instant:
-    // the engine sees flows*1 same-time packets per round, one maximal
+    // the engine sees FLOWS same-time packets per round, one maximal
     // run for `DetectionEngine::process_batch`.
     for round in 0..4u64 {
         let t = SimTime::from_nanos(round * 1_000_000_000);
-        for i in 0..flows {
-            let probe = i >= flows - probes;
+        for i in 0..FLOWS {
+            let probe = i >= FLOWS - probes;
             let (src, sport) = if probe {
-                let m = i - (flows - probes);
+                let m = i - (FLOWS - probes);
                 (
                     measurement_ips[m % MEASUREMENT_HOSTS],
                     40_000 + (m / MEASUREMENT_HOSTS) as u16,
@@ -154,7 +153,6 @@ fn generate(flows: usize) -> ScaleLoad {
     ScaleLoad {
         stream,
         hosts: hosts + MEASUREMENT_HOSTS,
-        flows,
         measurement_ips,
     }
 }
@@ -219,24 +217,20 @@ fn canonical_render(alerts: &[Alert]) -> String {
     lines.join("\n")
 }
 
-/// Run E14 at the default scale (120,000 concurrent flows).
-pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
-    run_sized(tel, DEFAULT_FLOWS)
-}
-
-/// Run E14 with an explicit concurrent-flow target.
-pub fn run_sized(tel: &underradar_telemetry::Telemetry, flows: usize) -> String {
+/// Run E14 at 120,000 concurrent flows and render its report,
+/// recording telemetry into `tel`.
+pub fn run_with(tel: &underradar_telemetry::Telemetry) -> Outcome {
     let mut out = heading(
         "E14",
         "population-scale monitor core (arena flows, batched packets)",
         "one engine holds every concurrent flow in bounded memory; batch,\n\
          per-packet, and flow-sharded processing agree byte for byte",
     );
-    let load = generate(flows);
+    let load = generate();
     let packets = load.stream.len();
 
     // --- 1: scale through the batched path ---
-    let mut engine = scale_engine(flows);
+    let mut engine = scale_engine(FLOWS);
     let mut batched_alerts = Vec::new();
     let wall = std::time::Instant::now();
     run_batched(&mut engine, &load.stream, &mut batched_alerts);
@@ -252,14 +246,14 @@ pub fn run_sized(tel: &underradar_telemetry::Telemetry, flows: usize) -> String 
     let held = engine.live_flows();
     let evicted = engine.reassembly_stats().evicted;
     let per_flow = engine.flow_memory_bytes() / held.max(1);
-    let scale_ok = held >= load.flows && evicted == 0 && per_flow <= PER_FLOW_BUDGET;
+    let mut claims = Claims::default();
+    claims.check("scale: every flow stays resident", held >= FLOWS);
+    claims.check("scale: no flow is evicted", evicted == 0);
+    claims.check("scale: memory in budget", per_flow <= PER_FLOW_BUDGET);
 
     let mut t = Table::new(&["population-scale run", "value"]);
     t.row(&["monitored hosts".to_string(), load.hosts.to_string()]);
-    t.row(&[
-        "concurrent client flows".to_string(),
-        load.flows.to_string(),
-    ]);
+    t.row(&["concurrent client flows".to_string(), FLOWS.to_string()]);
     t.row(&["packets processed".to_string(), packets.to_string()]);
     t.row(&["flows resident at end".to_string(), held.to_string()]);
     t.row(&["flows evicted".to_string(), evicted.to_string()]);
@@ -270,7 +264,7 @@ pub fn run_sized(tel: &underradar_telemetry::Telemetry, flows: usize) -> String 
     out.push_str(&t.render());
 
     // --- 2: batch vs per-packet verdict identity ---
-    let mut per_packet = scale_engine(flows);
+    let mut per_packet = scale_engine(FLOWS);
     let mut pp_alerts = Vec::new();
     for p in &load.stream {
         pp_alerts.extend(per_packet.process(p.time, &p.packet));
@@ -281,6 +275,7 @@ pub fn run_sized(tel: &underradar_telemetry::Telemetry, flows: usize) -> String 
         .eq(pp_alerts.iter().map(alert_line))
         && engine.stats().alerts == per_packet.stats().alerts
         && engine.stats().packets == per_packet.stats().packets;
+    claims.check("batched vs per-packet verdicts: identical", batch_ok);
     out.push_str(&format!(
         "\nbatched vs per-packet verdicts: {} ({} alerts)\n",
         if batch_ok { "identical" } else { "DIVERGED" },
@@ -289,7 +284,7 @@ pub fn run_sized(tel: &underradar_telemetry::Telemetry, flows: usize) -> String 
 
     // --- 3: 1-vs-N-shard byte identity ---
     let mut shards: Vec<DetectionEngine> =
-        (0..SHARDS).map(|_| scale_engine(flows / SHARDS)).collect();
+        (0..SHARDS).map(|_| scale_engine(FLOWS / SHARDS)).collect();
     let mut shard_alerts: Vec<Alert> = Vec::new();
     for p in &load.stream {
         let s = shard_of(&p.packet, SHARDS);
@@ -297,7 +292,7 @@ pub fn run_sized(tel: &underradar_telemetry::Telemetry, flows: usize) -> String 
     }
     let one = canonical_render(&batched_alerts);
     let many = canonical_render(&shard_alerts);
-    let shard_ok = one == many;
+    let shard_ok = claims.check("1-vs-4-shard output: byte-identical", one == many);
     out.push_str(&format!(
         "1-shard vs {SHARDS}-shard merged output: {}\n",
         if shard_ok {
@@ -314,41 +309,26 @@ pub fn run_sized(tel: &underradar_telemetry::Telemetry, flows: usize) -> String 
     let mut expected = load.measurement_ips.clone();
     expected.sort();
     let hiding_ok = alert_srcs == expected;
+    claims.check("hiding: only measurement clients alert", hiding_ok);
     out.push_str(&format!(
         "\nalerting hosts: {} of {} ({} measurement clients, {} probe flows, {:.4}% of flows)\n",
         alert_srcs.len(),
         load.hosts,
         MEASUREMENT_HOSTS,
         MEASUREMENT_HOSTS * PROBES_PER_HOST,
-        100.0 * (MEASUREMENT_HOSTS * PROBES_PER_HOST) as f64 / load.flows as f64,
+        100.0 * (MEASUREMENT_HOSTS * PROBES_PER_HOST) as f64 / FLOWS as f64,
     ));
     out.push_str("population traffic drew zero alerts; every alert names a measurement client\n");
 
     tel.set_counter("e14.scale.hosts", load.hosts as u64);
-    tel.set_counter("e14.scale.flows", load.flows as u64);
+    tel.set_counter("e14.scale.flows", FLOWS as u64);
     tel.set_counter("e14.scale.packets", packets as u64);
     tel.set_gauge("e14.scale.per_flow_bytes", per_flow as i64);
     tel.set_counter("e14.scale.alerts", batched_alerts.len() as u64);
     engine.export_telemetry(tel, "e14.engine");
 
-    let pass = scale_ok && batch_ok && shard_ok && hiding_ok;
-    out.push_str(&format!(
-        "\nresult: population-scale core holds {} flows in budget: {}\n\n",
-        load.flows,
-        if pass { "PASSED" } else { "FAILED" }
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn e14_passes_reduced() {
-        // Reduced flow count keeps the debug-mode test fast; the default
-        // 120k-flow sizing runs under `cargo bench` / ci.sh in release.
-        let report = super::run_sized(&underradar_telemetry::Telemetry::disabled(), 8_000);
-        assert!(report.contains("PASSED"), "{report}");
-        assert!(report.contains("batched vs per-packet verdicts: identical"));
-        assert!(report.contains("byte-identical"));
-    }
+    claims.conclude(
+        out,
+        &format!("population-scale core holds {} flows in budget", FLOWS),
+    )
 }

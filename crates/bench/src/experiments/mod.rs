@@ -1,5 +1,10 @@
 //! One module per reproduced table/figure. See `DESIGN.md` §4 for the
 //! experiment ↔ paper mapping.
+//!
+//! Each experiment is a `run_with(&Telemetry) -> Outcome`: its report
+//! plus the named [`Claim`]s it checked. The claims are the verdict: the
+//! report's `result:` line, the `underradar experiments` exit status and
+//! the root `experiment_claims` test all read them.
 
 use underradar_telemetry::Telemetry;
 
@@ -20,10 +25,90 @@ pub mod e12_risk_matrix;
 pub mod e13_evasion;
 pub mod e14_scale;
 
+/// One statement an experiment makes about its run, under a fixed name.
+/// A claim carries no number of its own: the report's tables print the
+/// numbers that decide it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Claim {
+    /// What the experiment asserts, e.g. `"evasion: every DDoS trial evades"`.
+    pub name: &'static str,
+    /// Whether it held on this run.
+    pub pass: bool,
+}
+
+/// What an experiment returns: its rendered report and its claims, in
+/// the order it checked them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Outcome {
+    /// The plain-text report, ending in its `result:` line.
+    pub report: String,
+    /// Every claim the experiment checked.
+    pub claims: Vec<Claim>,
+}
+
+impl Outcome {
+    /// Whether every claim held.
+    pub fn passed(&self) -> bool {
+        self.claims.iter().all(|c| c.pass)
+    }
+
+    /// The names of the claims that did not hold.
+    pub fn failed(&self) -> Vec<&'static str> {
+        self.claims
+            .iter()
+            .filter(|c| !c.pass)
+            .map(|c| c.name)
+            .collect()
+    }
+}
+
+/// An experiment's claims as it checks them, in order.
+#[derive(Debug, Default)]
+pub struct Claims(Vec<Claim>);
+
+impl Claims {
+    /// Record claim `name` as holding or not; returns `pass`, so a table
+    /// row can mark it. A claim checked again (once per table row, say)
+    /// holds only if every check held.
+    pub fn check(&mut self, name: &'static str, pass: bool) -> bool {
+        match self.0.iter_mut().find(|c| c.name == name) {
+            Some(claim) => claim.pass &= pass,
+            None => self.0.push(Claim { name, pass }),
+        }
+        pass
+    }
+
+    /// The verdict word of a `result:` line: `PASSED` if every claim
+    /// holds, else `FAILED`. The only place that word is decided.
+    pub fn verdict(&self) -> &'static str {
+        if self.0.iter().all(|c| c.pass) {
+            "PASSED"
+        } else {
+            "FAILED"
+        }
+    }
+
+    /// Close `report` with its `result:` line, `sentence: <verdict>`, and
+    /// return the outcome.
+    pub fn conclude(self, mut report: String, sentence: &str) -> Outcome {
+        report.push_str(&format!("\nresult: {sentence}: {}\n\n", self.verdict()));
+        self.finish(report)
+    }
+
+    /// The outcome of a `report` that already ends in its `result:` line.
+    pub fn finish(self, report: String) -> Outcome {
+        Outcome {
+            report,
+            claims: self.0,
+        }
+    }
+}
+
 /// A named experiment entry point. The function records metrics into the
 /// given [`Telemetry`] handle (a disabled handle costs one branch per
-/// site, so `run_with(&Telemetry::disabled())` is the plain run).
-pub type Experiment = (&'static str, fn(&Telemetry) -> String);
+/// site, so `run_with(&Telemetry::disabled())` is the plain run) and
+/// returns its report and claims.
+pub type Experiment = (&'static str, fn(&Telemetry) -> Outcome);
 
 /// Every experiment, in report order: `(name, run_with)`.
 pub const ALL: [Experiment; 15] = [

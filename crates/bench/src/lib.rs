@@ -9,9 +9,12 @@
 //! paper's evaluation, plus hand-rolled performance benches over the
 //! substrate (`benches/perf.rs`; no external bench framework).
 //!
-//! Each experiment is a pure function `run_with(&Telemetry) -> String`
+//! Each experiment is a pure function `run_with(&Telemetry) -> Outcome`
 //! (deterministic in its internal seeds), listed once in
-//! [`experiments::ALL`]. The `underradar` binary is the only entry point:
+//! [`experiments::ALL`]. An [`experiments::Outcome`] is the report plus
+//! the experiment's named claims; the report's `result:` line, the exit
+//! status of `underradar experiments` and the root `experiment_claims`
+//! test all read those claims. The `underradar` binary is the only entry point:
 //! [`cli`] holds its one total argv parser and the `experiments` and
 //! `campaign` subcommands. `experiments` dispatches only through that
 //! table, and [`cli::run_experiments`] fans rows across threads with

@@ -38,6 +38,7 @@ fn experiments_output_is_identical_across_worker_counts_and_runs() {
         run_experiments(&exps, spec, 4),
         "output differs run-to-run"
     );
+    let one = one.0;
     // One envelope per row, in table order.
     assert_eq!(one.lines().count(), exps.len());
     for (line, (name, _)) in one.lines().zip(&exps) {

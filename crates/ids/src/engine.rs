@@ -373,11 +373,6 @@ impl DetectionEngine {
         }
     }
 
-    /// Disable RST-teardown in the reassembler (ablation knob).
-    pub fn set_rst_teardown(&mut self, on: bool) {
-        self.reassembler.rst_teardown = on;
-    }
-
     /// Attach a flight-recorder handle; rule matches record under the
     /// `engine` stage and the reassembler's decisions under `stream`.
     pub fn set_tracer(&mut self, tracer: Tracer) {

@@ -5,9 +5,9 @@
 # Builds REV's release `underradar` (and the deterministic examples)
 # offline from a `git archive` export in a temp dir, with its own
 # CARGO_TARGET_DIR, builds this tree's, then runs every deterministic
-# smoke with both and `cmp`s their stdout (and the pcap file). Prints one
-# line per output and exits non-zero if any differ. A refactor meant to
-# move no byte should report every line `same`.
+# smoke with both and `cmp`s their stdout (and the pcap file) and their
+# exit statuses. Prints one line per output and exits non-zero if any
+# differ. A refactor meant to move no byte should report every line `same`.
 #
 # It builds the workspace twice, so it is not part of scripts/ci.sh.
 set -euo pipefail
@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-mkdir -p "$tmp/src" "$tmp/old" "$tmp/new"
+mkdir -p "$tmp/src" "$tmp/old/examples" "$tmp/new/examples"
 # Examples whose stdout is a pure function of their seeds.
 examples=(ttl_calibration quickstart mvr_explorer country_survey)
 example_args=()
@@ -57,38 +57,46 @@ smokes=(
   "pcap|pcap demo.pcap"
 )
 
-run() { # side bin_dir argv...
-  local side="$1" bin="$2"
+run() { # side program argv... (stdout passes through; exit status in $status)
+  local side="$1" program="$2"
   shift 2
-  (cd "$tmp/$side" && "$bin/underradar" "$@" 2>/dev/null) || true
+  status=0
+  (cd "$tmp/$side" && "$program" "$@" 2>/dev/null) || status=$?
 }
 
 differ=0
-report() { # name file_a file_b
+report() { # name file_a file_b [status_a status_b]
   if [ ! -s "$2" ] || [ ! -s "$3" ]; then
     echo "EMPTY   $1"
     differ=1
-  elif cmp -s "$2" "$3"; then
-    echo "same    $1 ($(wc -c < "$2") bytes)"
-  else
+  elif ! cmp -s "$2" "$3"; then
     echo "DIFFER  $1"
     differ=1
+  elif [ "${4:-}" != "${5:-}" ]; then
+    echo "DIFFER  $1 (exit $4 vs $5)"
+    differ=1
+  else
+    echo "same    $1 ($(wc -c < "$2") bytes${4:+, exit $4})"
   fi
 }
 
+compare() { # name old_program new_program argv...
+  local name="$1" old="$2" new="$3" old_status
+  shift 3
+  run old "$old" "$@" > "$tmp/old/$name.out"
+  old_status=$status
+  run new "$new" "$@" > "$tmp/new/$name.out"
+  report "$name" "$tmp/old/$name.out" "$tmp/new/$name.out" "$old_status" "$status"
+}
+
 for smoke in "${smokes[@]}"; do
-  name="${smoke%%|*}"
   read -r -a argv <<< "${smoke#*|}"
-  run old "$old_bin" "${argv[@]}" > "$tmp/old/$name.out"
-  run new "$new_bin" "${argv[@]}" > "$tmp/new/$name.out"
-  report "$name" "$tmp/old/$name.out" "$tmp/new/$name.out"
+  compare "${smoke%%|*}" "$old_bin/underradar" "$new_bin/underradar" "${argv[@]}"
 done
 report "pcap-file" "$tmp/old/demo.pcap" "$tmp/new/demo.pcap"
 
 for ex in "${examples[@]}"; do
-  "$old_bin/examples/$ex" > "$tmp/old/$ex.out" 2>/dev/null || true
-  "$new_bin/examples/$ex" > "$tmp/new/$ex.out" 2>/dev/null || true
-  report "examples/$ex" "$tmp/old/$ex.out" "$tmp/new/$ex.out"
+  compare "examples/$ex" "$old_bin/examples/$ex" "$new_bin/examples/$ex"
 done
 
 exit "$differ"

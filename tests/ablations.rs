@@ -1,44 +1,33 @@
 //! Ablation tests for the design decisions DESIGN.md §5 calls out:
-//! RST-teardown semantics, MVR/alert ordering, and attribution
-//! granularity. Each ablation flips one knob and checks the behaviour the
-//! paper's argument depends on appears/disappears accordingly.
+//! RST-teardown semantics, MVR/alert ordering, attribution granularity,
+//! and the flow state a censor keeps when it ignores RSTs. The first two
+//! read the claims experiment A1 checks in its own worlds (the
+//! `RoutedMimicryNet` with seed 71 and the scan testbed with seed 72), so
+//! each ablation has one implementation.
 
-use underradar::censor::{CensorPolicy, TapCensor};
-use underradar::core::methods::scan::SynScanProbe;
-use underradar::core::methods::stateful::{MimicServer, RoutedMimicryNet, StatefulMimicry};
-use underradar::core::ports::top_ports;
-use underradar::core::probe::Probe;
-use underradar::core::risk::RiskReport;
-use underradar::core::testbed::{TargetSite, Testbed, TestbedConfig};
-use underradar::netsim::addr::Cidr;
-use underradar::netsim::host::Host;
-use underradar::netsim::time::SimTime;
+use std::sync::OnceLock;
+
 use underradar::spoof::anonymity_set;
+use underradar_bench::experiments::{a1_ablations, Outcome};
+use underradar_telemetry::Telemetry;
 
-const PORT: u16 = 7443;
-const ISS: u32 = 0x0102_0304;
+/// A1's outcome, run once for every test in this file.
+fn a1() -> &'static Outcome {
+    static A1: OnceLock<Outcome> = OnceLock::new();
+    A1.get_or_init(|| a1_ablations::run_with(&Telemetry::disabled()))
+}
 
-/// Drive a spoofed stateful flow where the spoofed neighbor's RST fires
-/// mid-stream (unlimited reply TTL), with the keyword split so only
-/// *continuous* reassembly can catch it.
-fn split_keyword_run(censor_rst_teardown: bool) -> (bool, bool) {
-    let policy = CensorPolicy::new().block_keyword("falun");
-    let mut net = RoutedMimicryNet::build(71, policy);
-    if let Some(censor) = net.sim.node_mut::<TapCensor>(net.censor) {
-        censor.set_rst_teardown(censor_rst_teardown);
+/// Assert that A1 checked each claim in `names` and that it held.
+fn assert_a1_claims(names: &[&str]) {
+    let outcome = a1();
+    for &name in names {
+        let claim = outcome
+            .claims
+            .iter()
+            .find(|c| c.name == name)
+            .unwrap_or_else(|| panic!("A1 lacks the claim '{name}'"));
+        assert!(claim.pass, "A1 claim '{name}' failed\n{}", outcome.report);
     }
-    // Unlimited TTL: the neighbor WILL see the SYN/ACK and RST the flow.
-    net.spawn(net.mserver, Box::new(MimicServer::new(PORT, ISS, None)));
-    net.spawn(
-        net.client,
-        Box::new(
-            StatefulMimicry::new(net.cover_ip, net.mserver_ip, PORT, ISS, b"GET /falun HTTP")
-                .with_split_payload(),
-        ),
-    );
-    net.run_secs(10);
-    let neighbor = net.sim.node_ref::<Host>(net.cover).expect("cover");
-    (net.censor_acted(), neighbor.counters().rst_sent > 0)
 }
 
 #[test]
@@ -46,51 +35,32 @@ fn rst_teardown_breaks_split_keyword_matching() {
     // Default censor (tears down on RST): the neighbor's RST lands between
     // the two keyword halves, the censor's reassembler forgets the flow,
     // and the split keyword is never assembled.
-    let (censor_fired, neighbor_rst) = split_keyword_run(true);
-    assert!(neighbor_rst, "the replay RST happened");
-    assert!(
-        !censor_fired,
-        "teardown censor lost the stream and missed the split keyword"
-    );
+    assert_a1_claims(&[
+        "neighbour RSTs past the teardown censor",
+        "teardown censor misses the split keyword",
+    ]);
 }
 
 #[test]
 fn rst_ignoring_censor_still_catches_split_keyword() {
     // Ablation: a censor that ignores RSTs keeps its buffer and catches
     // the keyword despite the replay RST.
-    let (censor_fired, neighbor_rst) = split_keyword_run(false);
-    assert!(neighbor_rst);
-    assert!(
-        censor_fired,
-        "RST-ignoring censor reassembled across the RST"
-    );
+    assert_a1_claims(&[
+        "neighbour RSTs past the RST-ignoring censor",
+        "RST-ignoring censor catches the keyword",
+    ]);
 }
 
 #[test]
 fn mvr_ordering_is_what_protects_the_scan() {
-    let target = TargetSite::numbered("twitter.com", 0).web_ip;
-    let run = |alert_first: bool| -> usize {
-        let policy = CensorPolicy::new().block_ip(Cidr::host(target));
-        let mut tb = Testbed::build(TestbedConfig {
-            policy,
-            surveillance_alert_first: alert_first,
-            seed: 72,
-            ..TestbedConfig::default()
-        });
-        let idx = tb.spawn_on_client(
-            SimTime::ZERO,
-            Box::new(SynScanProbe::new(target, top_ports(120), vec![80])),
-        );
-        tb.run_secs(60);
-        let verdict = tb.client_task::<SynScanProbe>(idx).expect("scan").verdict();
-        assert!(verdict.is_censored(), "accuracy unaffected by the ablation");
-        RiskReport::evaluate(&tb, &verdict).alerts_on_client
-    };
-    assert_eq!(run(false), 0, "discard-first: the scan evades");
-    assert!(
-        run(true) > 0,
-        "alert-first: the SYN-fanout rule re-identifies the scan"
-    );
+    // Accuracy is unaffected by the ordering; only alert-first lets the
+    // SYN-fanout rule re-identify the scan.
+    assert_a1_claims(&[
+        "scan censored under discard-first",
+        "scan censored under alert-first",
+        "discard-first: no client alerts",
+        "alert-first: client alerts",
+    ]);
 }
 
 #[test]
