@@ -689,21 +689,28 @@ fn bench_simulator() {
     report("testbed_ddos_ns_per_event", ns / events as f64, None);
 }
 
-/// Campaign engine substrate: the per-policy `TestbedTemplate` cache.
-/// The engine prepares each policy column once (zone build + IDS rule
-/// parse) and, on the column's first trial, compiles the monitors'
-/// immutable parts (surveillance ruleset and prefilter DFA, tap keyword
-/// DFA, indexed zone), which every later trial shares; the naive
-/// alternative re-prepares and recompiles for every trial. The
+/// Campaign engine substrate: the per-policy `TestbedTemplate` cache and
+/// the run service's pooled worlds. The engine prepares each policy
+/// column once (zone build + IDS rule parse) and, on the column's first
+/// trial, compiles the monitors' immutable parts (surveillance ruleset
+/// and prefilter DFA, tap keyword DFA, indexed zone), which every later
+/// trial shares; the naive alternative re-prepares and recompiles for
+/// every trial. A run-service worker goes further and resets the world
+/// its last trial ran in rather than building and dropping one. The
 /// assertions pin the caching win the campaign engine's throughput rests
 /// on, that a warm instantiation compiles nothing: it must allocate
-/// under 64 KiB, less than one DFA's 64 KB pair table, and that a
-/// paper-matrix trial makes at most 750 allocations, and at most 300
-/// more with telemetry on.
+/// under 64 KiB, less than one DFA's 64 KB pair table; that resetting a
+/// world after a trial allocates nothing at all; and that a paper-matrix
+/// trial makes at most 470 allocations, and at most 300 more with
+/// telemetry on. The reset gate counts bytes, not time, so it cannot
+/// flake.
 fn bench_campaign() {
     use underradar_bench::experiments::campaign::paper_campaign;
     use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
     use underradar_censor::CensorPolicy;
+    use underradar_core::methods::scan::SynScanProbe;
+    use underradar_core::ports::top_ports;
+    use underradar_core::probe::ProbeHandle;
     use underradar_core::testbed::{TargetSite, TestbedConfig, TestbedTemplate};
     use underradar_runner::{run_service, NullSink, RunConfig};
     println!("campaign");
@@ -749,6 +756,42 @@ fn bench_campaign() {
         black_box(template.instantiate(seed))
     });
     report("trial_setup_cached_template", cached_ns, None);
+
+    // The pooled alternative: reset the world the last trial ran in. A
+    // reset after a real trial (a 20-port SYN scan) must allocate
+    // nothing; the timed row resets an idle world, the set-up a pooled
+    // attempt pays in place of an instantiation and a drop.
+    let mut tb = template.instantiate(0);
+    let scan = |tb: &mut underradar_core::testbed::Testbed| {
+        let web = tb.targets[0].web_ip;
+        let probe = SynScanProbe::new(web, top_ports(20), vec![80]);
+        ProbeHandle::spawn(&mut tb.sim, tb.client, SimTime::ZERO, probe);
+        tb.run_secs(10);
+    };
+    scan(&mut tb);
+    template.reset(&mut tb, 1);
+    scan(&mut tb);
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
+    template.reset(&mut tb, 2);
+    let reset_bytes = ALLOC_BYTES.load(Ordering::Relaxed) - before;
+    println!(
+        "  {:<44} {reset_bytes:>12} bytes allocated",
+        "trial_setup_warm_reset"
+    );
+    assert_eq!(
+        reset_bytes, 0,
+        "acceptance: resetting a warm world after a trial must allocate nothing"
+    );
+    let pooled_ns = measure(200, || {
+        seed = seed.wrapping_add(1);
+        template.reset(&mut tb, seed);
+    });
+    report("trial_setup_pooled_reset", pooled_ns, None);
+    println!(
+        "  {:<44} {:>11.1}x",
+        "pooled reset vs instantiate-and-drop",
+        cached_ns / pooled_ns
+    );
     let naive_ns = measure(50, || {
         seed = seed.wrapping_add(1);
         black_box(TestbedTemplate::prepare(config()).instantiate(seed))
@@ -782,12 +825,13 @@ fn bench_campaign() {
     report("engine_16_scan_trials_4_workers", ns, None);
 
     // Allocations per trial over the 512-trial paper matrix, telemetry
-    // off, one worker: world build, simulation, scoring and commit. The
+    // off, one worker: world set-up, simulation, scoring and commit. The
     // scheduler's event arena keeps the wheel's share near zero; wheel
     // slots that allocate per world again put a trial near 2,000. The host
     // stack's reused TCP buffers and the pre-rendered, borrowed-parse HTTP
-    // path keep it near 620; per-call output vectors and owned HTTP
-    // messages put it near 1,000.
+    // path keep it near 620 with a world built per trial; per-call output
+    // vectors and owned HTTP messages put it near 1,000. Pooled worlds,
+    // reset in place, take it near 430.
     let spec = paper_campaign(4);
     let trials = spec.expand().len() as u64;
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -798,8 +842,8 @@ fn bench_campaign() {
         "paper_matrix_512_trials"
     );
     assert!(
-        per_trial <= 750.0,
-        "acceptance: a paper-matrix trial must stay within 750 allocations \
+        per_trial <= 470.0,
+        "acceptance: a paper-matrix trial must stay within 470 allocations \
          (got {per_trial:.0})"
     );
 
@@ -1275,6 +1319,10 @@ impl underradar_netsim::node::Node for EngineMonitor {
     ) {
         let mut fired = self.engine.process(ctx.now(), &packet);
         self.alerts.append(&mut fired);
+    }
+    fn reset(&mut self) {
+        self.engine.reset();
+        self.alerts.clear();
     }
     fn as_any(&self) -> &dyn std::any::Any {
         self

@@ -11,6 +11,13 @@
 //! so the run service can journal a retry decision — with the registry
 //! accumulated so far — and resume the trial at the exact attempt it was
 //! about to run.
+//!
+//! An attempt runs in a world from a [`Worlds`] pool. [`run_trial_attempt`]
+//! gives each attempt an empty pool, so it builds a fresh world and drops
+//! it; the run service's workers keep one pool each and call
+//! [`run_trial_attempt_in`], which resets the world the previous attempt
+//! left when it has the same column and topology. Both produce the same
+//! bytes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -197,9 +204,26 @@ pub fn run_trial(
 /// trace markers) into `acc`. Attempt 0 pushes the trial-start marker;
 /// callers resuming a journaled retry pass the journaled `acc` and the
 /// journaled attempt number, which reproduces the uninterrupted stream.
+/// The attempt builds its own world and drops it.
 pub fn run_trial_attempt(
     spec: &CampaignSpec,
     prep: &PolicyPrep<'_>,
+    trial: &Trial,
+    attempt: u32,
+    acc: &mut Registry,
+    cfg: ScopeConfig,
+) -> AttemptOutcome {
+    run_trial_attempt_in(&mut Worlds::new(), spec, prep, trial, attempt, acc, cfg)
+}
+
+/// [`run_trial_attempt`] in a world from `worlds`: the pooled world when
+/// it was built from this column for this trial's topology, reset in
+/// place for the attempt's seed; otherwise a new one, which stays in the
+/// pool. Output is byte-identical to [`run_trial_attempt`]'s.
+pub fn run_trial_attempt_in<'p>(
+    worlds: &mut Worlds<'p>,
+    spec: &CampaignSpec,
+    prep: &'p PolicyPrep<'p>,
     trial: &Trial,
     attempt: u32,
     acc: &mut Registry,
@@ -230,8 +254,10 @@ pub fn run_trial_attempt(
         seed: attempt_seed,
         scope: &scope,
     };
-    let mut result = execute(&stage, horizon);
-    // The world is gone, so the scope's registry moves out whole.
+    let mut result = execute(&stage, worlds, horizon);
+    // The world holds no handle to the scope any more, so its registry
+    // moves out whole.
+    debug_assert!(scope.is_unshared(), "the world detached its telemetry");
     acc.accumulate(scope.into_registry());
     let inconclusive = matches!(result.verdict, Verdict::Inconclusive(_));
     if !inconclusive || attempt >= spec.retry.max_retries {
@@ -366,10 +392,76 @@ fn export_exposure<'a>(
     ledger.export(scope);
 }
 
+/// One worker's world pool: the world its last attempt ran in, kept for
+/// the next attempt to reset instead of building its own. The slot holds
+/// at most one world, of either topology, keyed by the column template
+/// that built it; a hit is an attempt of the same column and topology,
+/// a miss drops the pooled world before building the new one. Trials
+/// expand policy-major, then method-major, so a worker that takes them
+/// in index order misses only at column and topology boundaries.
+///
+/// Worlds hold `Rc`s and are not `Send`: a pool lives on its worker's
+/// thread and serves one run, borrowing that run's templates.
+#[derive(Default)]
+pub struct Worlds<'p> {
+    flat: Option<(&'p TestbedTemplate, Testbed)>,
+    routed: Option<(&'p TestbedTemplate, RoutedMimicryNet)>,
+}
+
+impl<'p> Worlds<'p> {
+    /// An empty pool: its first attempt builds a world.
+    pub fn new() -> Worlds<'p> {
+        Worlds::default()
+    }
+
+    /// The column's flat testbed, ready for `seed`.
+    fn flat(&mut self, template: &'p TestbedTemplate, seed: u64) -> &mut Testbed {
+        self.routed = None;
+        reuse(
+            &mut self.flat,
+            template,
+            || template.instantiate(seed),
+            |tb| template.reset(tb, seed),
+        )
+    }
+
+    /// The column's routed chain, ready for `seed`.
+    fn routed(&mut self, template: &'p TestbedTemplate, seed: u64) -> &mut RoutedMimicryNet {
+        self.flat = None;
+        reuse(
+            &mut self.routed,
+            template,
+            || template.instantiate_routed(seed),
+            |net| template.reset_routed(net, seed),
+        )
+    }
+}
+
+/// The slot's world, reset, when `template` built it; else a new world,
+/// built once the old one is dropped.
+fn reuse<'s, 'p, W>(
+    slot: &'s mut Option<(&'p TestbedTemplate, W)>,
+    template: &'p TestbedTemplate,
+    build: impl FnOnce() -> W,
+    reset: impl FnOnce(&mut W),
+) -> &'s mut W {
+    let world = match slot.take() {
+        Some((built_by, mut world)) if std::ptr::eq(built_by, template) => {
+            reset(&mut world);
+            world
+        }
+        old => {
+            drop(old);
+            build()
+        }
+    };
+    &mut slot.insert((template, world)).1
+}
+
 /// What the trial path needs of a world, whichever topology the column's
 /// template built: its simulator, its monitors and the client it scores.
-struct World {
-    sim: Simulator,
+struct World<'w> {
+    sim: &'w mut Simulator,
     monitors: MonitorSet,
     client: Ipv4Addr,
     /// Whether the world has a cover population to measure the anonymity
@@ -381,46 +473,48 @@ struct World {
 /// One attempt's inputs, for the method table.
 struct Stage<'s, 'p> {
     spec: &'s CampaignSpec,
-    prep: &'s PolicyPrep<'p>,
+    prep: &'p PolicyPrep<'p>,
     trial: &'s Trial,
     seed: u64,
     scope: &'s Telemetry,
 }
 
-impl Stage<'_, '_> {
-    /// Instantiate the flat testbed and let `spawn` start the method's
-    /// tasks on it, given the trial's target site.
-    fn flat(
+impl<'p> Stage<'_, 'p> {
+    /// Ready the column's flat testbed from `worlds` and let `spawn`
+    /// start the method's tasks on it, given the trial's target site.
+    fn flat<'w>(
         &self,
+        worlds: &'w mut Worlds<'p>,
         spawn: impl FnOnce(&mut Testbed, &TargetSite) -> ProbeHandle,
-    ) -> (World, ProbeHandle) {
-        let mut tb = self.prep.template.instantiate(self.seed);
+    ) -> (World<'w>, ProbeHandle) {
+        let tb = worlds.flat(&self.prep.template, self.seed);
         tb.set_telemetry(self.scope.clone());
         let site = tb.targets[self.trial.target_idx].clone();
-        let probe = spawn(&mut tb, &site);
+        let probe = spawn(tb, &site);
         let world = World {
             monitors: tb.monitors(),
             client: tb.client_ip,
             cover_population: true,
-            sim: tb.sim,
+            sim: &mut tb.sim,
         };
         (world, probe)
     }
 
-    /// Instantiate the routed chain and let `spawn` start the method's
-    /// tasks on it.
-    fn routed(
+    /// Ready the column's routed chain from `worlds` and let `spawn`
+    /// start the method's tasks on it.
+    fn routed<'w>(
         &self,
+        worlds: &'w mut Worlds<'p>,
         spawn: impl FnOnce(&mut RoutedMimicryNet) -> ProbeHandle,
-    ) -> (World, ProbeHandle) {
-        let mut net = self.prep.template.instantiate_routed(self.seed);
+    ) -> (World<'w>, ProbeHandle) {
+        let net = worlds.routed(&self.prep.template, self.seed);
         net.set_telemetry(self.scope.clone());
-        let probe = spawn(&mut net);
+        let probe = spawn(net);
         let world = World {
             monitors: net.monitors(),
             client: net.client_ip,
             cover_population: false,
-            sim: net.sim,
+            sim: &mut net.sim,
         };
         (world, probe)
     }
@@ -446,11 +540,14 @@ impl Stage<'_, '_> {
 /// the measured lookup; a flood is already MVR-classified as DDoS by the
 /// time the measured samples fire), so campaign cells reproduce the
 /// per-experiment setups without bespoke wiring.
-fn spawn_method(stage: &Stage<'_, '_>) -> (World, ProbeHandle) {
+fn spawn_method<'w, 'p>(
+    stage: &Stage<'_, 'p>,
+    worlds: &'w mut Worlds<'p>,
+) -> (World<'w>, ProbeHandle) {
     let (spec, named, seed) = (stage.spec, stage.prep.named, stage.seed);
     let t0 = SimTime::ZERO;
     match stage.trial.method {
-        MethodKind::Overt => stage.flat(|tb, site| {
+        MethodKind::Overt => stage.flat(worlds, |tb, site| {
             let probe = OvertProbe::new(
                 &site.domain,
                 tb.resolver_ip,
@@ -459,11 +556,11 @@ fn spawn_method(stage: &Stage<'_, '_>) -> (World, ProbeHandle) {
             );
             ProbeHandle::spawn(&mut tb.sim, tb.client, t0, probe)
         }),
-        MethodKind::Scan => stage.flat(|tb, site| {
+        MethodKind::Scan => stage.flat(worlds, |tb, site| {
             let probe = SynScanProbe::new(site.web_ip, top_ports(SCAN_PORTS), vec![80]);
             ProbeHandle::spawn(&mut tb.sim, tb.client, t0, probe)
         }),
-        MethodKind::Spam => stage.flat(|tb, site| {
+        MethodKind::Spam => stage.flat(worlds, |tb, site| {
             let mut at = t0;
             if spec.warmup {
                 // Reputation warm-up: spam probes toward the other zone
@@ -486,7 +583,7 @@ fn spawn_method(stage: &Stage<'_, '_>) -> (World, ProbeHandle) {
             let probe = SpamProbe::new(&site.domain, tb.resolver_ip, seed);
             ProbeHandle::spawn(&mut tb.sim, tb.client, at, probe)
         }),
-        MethodKind::Ddos => stage.flat(|tb, site| {
+        MethodKind::Ddos => stage.flat(worlds, |tb, site| {
             let (domain, mut at) = (site.domain.to_string(), t0);
             if spec.warmup {
                 // Front-page flood: the source is already in the discarded
@@ -498,20 +595,20 @@ fn spawn_method(stage: &Stage<'_, '_>) -> (World, ProbeHandle) {
             let probe = DdosProbe::new(site.web_ip, &domain, &named.probe_path, DDOS_SAMPLES);
             ProbeHandle::spawn(&mut tb.sim, tb.client, at, probe)
         }),
-        MethodKind::StatelessDns => stage.flat(|tb, site| {
+        MethodKind::StatelessDns => stage.flat(worlds, |tb, site| {
             let cover = stage.cover(tb);
             let probe = StatelessDnsMimicry::new(&site.domain, QType::A, tb.resolver_ip, cover);
             ProbeHandle::spawn(&mut tb.sim, tb.client, t0, probe)
         }),
-        MethodKind::StatelessSyn => stage.flat(|tb, site| {
+        MethodKind::StatelessSyn => stage.flat(worlds, |tb, site| {
             let probe = StatelessSynMimicry::new(site.web_ip, 80, stage.cover(tb));
             ProbeHandle::spawn(&mut tb.sim, tb.client, t0, probe)
         }),
-        MethodKind::Hops => stage.routed(|net| {
+        MethodKind::Hops => stage.routed(worlds, |net| {
             let probe = HopProbe::new(net.cover_ip, HOP_PORT, HOP_MAX_TTL);
             ProbeHandle::spawn(&mut net.sim, net.mserver, t0, probe)
         }),
-        MethodKind::Stateful => stage.routed(|net| {
+        MethodKind::Stateful => stage.routed(worlds, |net| {
             // The verdict is read at the server the measurer controls; the
             // client half spoofs the flow blind.
             let agreed_iss = (seed as u32) | 1;
@@ -532,19 +629,19 @@ fn spawn_method(stage: &Stage<'_, '_>) -> (World, ProbeHandle) {
     }
 }
 
-/// Run one attempt in its world: spawn through the method table, run to
-/// the horizon, read the probe's verdict and evidence back through its
-/// handle, score the verdict, export the world's monitors and the
-/// adversary's exposure into the scope (only when it records), and build
-/// the row.
-fn execute(stage: &Stage<'_, '_>, horizon_secs: u64) -> TrialResult {
+/// Run one attempt in a world from `worlds`: spawn through the method
+/// table, run to the horizon, read the probe's verdict and evidence back
+/// through its handle, score the verdict, export the world's monitors and
+/// the adversary's exposure into the scope (only when it records), detach
+/// the world from the scope, and build the row.
+fn execute<'p>(stage: &Stage<'_, 'p>, worlds: &mut Worlds<'p>, horizon_secs: u64) -> TrialResult {
     let (prep, trial, scope) = (stage.prep, stage.trial, stage.scope);
-    let (mut world, handle) = spawn_method(stage);
+    let (world, handle) = spawn_method(stage, worlds);
     world
         .sim
         .run_for(SimDuration::from_secs(horizon_secs))
         .expect("simulation within event budget");
-    let (sim, monitors) = (&world.sim, world.monitors);
+    let (sim, monitors) = (&*world.sim, world.monitors);
     let probe = handle.read(sim);
     let verdict = probe.verdict();
     let mut risk = RiskReport::score(sim, monitors, world.client, &verdict);
@@ -561,7 +658,7 @@ fn execute(stage: &Stage<'_, '_>, horizon_secs: u64) -> TrialResult {
             monitors.surveillance(sim),
         );
     }
-    TrialResult {
+    let result = TrialResult {
         index: trial.index,
         method: trial.method,
         policy: prep.named.name.clone(),
@@ -576,13 +673,24 @@ fn execute(stage: &Stage<'_, '_>, horizon_secs: u64) -> TrialResult {
         anonymity_set: risk.anonymity_set,
         retries: 0,
         evidence: probe.evidence(),
-    }
+    };
+    // The pooled world outlives the attempt: it must hold no handle to
+    // the scope, so the scope's registry can leave by move.
+    monitors.set_telemetry(world.sim, Telemetry::disabled());
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::RetryPolicy;
     use underradar_censor::CensorPolicy;
+    use underradar_netsim::addr::Cidr;
+    use underradar_netsim::host::Host;
+    use underradar_netsim::node::NodeId;
+    use underradar_netsim::switch::Switch;
+    use underradar_netsim::testprop;
+    use underradar_protocols::dns::DnsName;
 
     /// Every trial in index order on this thread, merging each trial's
     /// registry into `tel`.
@@ -658,5 +766,226 @@ mod tests {
             "simulator/censor/surveillance exports merged in: {:?}",
             snap.counters.keys().collect::<Vec<_>>()
         );
+    }
+
+    /// The columns the pooled-world property draws from: every censor
+    /// policy kind, clean and impaired access links, spoofed cover,
+    /// warm-ups on and off, and a horizon that cuts trials off mid-flight,
+    /// leaving connections and timers behind for a reset to clear. Each
+    /// spec's policies are columns.
+    fn columns() -> Vec<CampaignSpec> {
+        let targets = ["twitter.com", "bbc.com"];
+        let twitter_web = TargetSite::numbered("twitter.com", 0).web_ip;
+        let keyword = NamedPolicy::new("keyword-rst", CensorPolicy::new().block_keyword("falun"))
+            .with_probe_path("/falun-page");
+        let dns = CensorPolicy::new().block_domain(&DnsName::parse("twitter.com").expect("name"));
+        vec![
+            CampaignSpec::new("clean", 1)
+                .targets(targets)
+                .policy(NamedPolicy::new("control", CensorPolicy::new()))
+                .policy(keyword.clone())
+                .policy(NamedPolicy::new("dns-injection", dns))
+                .run_secs(60),
+            CampaignSpec::new("impaired", 2)
+                .targets(targets)
+                .policy(NamedPolicy::new(
+                    "ip-blackhole",
+                    CensorPolicy::new().block_ip(Cidr::host(twitter_web)),
+                ))
+                .policy(keyword.clone())
+                .client_link_loss(0.2)
+                .client_link_reorder(0.2)
+                .client_link_duplicate(0.1)
+                .client_link_corrupt(0.05)
+                .run_secs(40),
+            CampaignSpec::new("spoofed", 3)
+                .targets(targets)
+                .policy(keyword.clone())
+                .spoofed_cover(3)
+                .warmup(false)
+                .run_secs(30),
+            CampaignSpec::new("cut-off", 4)
+                .targets(targets)
+                .policy(keyword)
+                .retry(RetryPolicy {
+                    max_retries: 2,
+                    backoff_secs: 0,
+                })
+                .run_secs(1),
+        ]
+    }
+
+    /// What a world holds after an attempt, read through its public
+    /// surface: the clock and event count, every host's counters, open
+    /// connections and pending timers, every switch's counters, the
+    /// inboxes, the censors' actions and the surveillance system's
+    /// counters, alert log and stores.
+    fn world_state(worlds: &Worlds<'_>) -> String {
+        let (sim, monitors, mut inboxes) = match (&worlds.flat, &worlds.routed) {
+            (Some((_, tb)), None) => {
+                let inboxes: Vec<String> = tb
+                    .inboxes
+                    .iter()
+                    .map(|(domain, inbox)| format!("{domain}:{}", inbox.borrow().len()))
+                    .collect();
+                (&tb.sim, tb.monitors(), inboxes)
+            }
+            (None, Some((_, net))) => (&net.sim, net.monitors(), Vec::new()),
+            _ => panic!("a pool holds exactly one world after an attempt"),
+        };
+        inboxes.sort();
+        let hosts: Vec<String> = (0..sim.node_names().len())
+            .filter_map(|i| sim.node_ref::<Host>(NodeId(i)))
+            .map(|h| {
+                let open = (h.open_connections(), h.pending_timers());
+                format!("{:?} {open:?}", h.counters())
+            })
+            .collect();
+        let switches: Vec<_> = (0..sim.node_names().len())
+            .filter_map(|i| sim.node_ref::<Switch>(NodeId(i)))
+            .map(Switch::stats)
+            .collect();
+        let actions: Vec<_> = monitors.censor_actions(sim).collect();
+        let surv = monitors.surveillance(sim);
+        let stores = surv.stores();
+        format!(
+            "{:?} {}\n{hosts:?}\n{switches:?}\n{inboxes:?}\n{actions:?}\n{:?}\n{:?}\n{:?}",
+            sim.now(),
+            sim.events_processed(),
+            surv.stats(),
+            surv.engine().log().all(),
+            (
+                stores.content.len(),
+                stores.metadata.len(),
+                stores.alerts.len()
+            ),
+        )
+    }
+
+    /// Everything an attempt produced: its outcome, its registry delta
+    /// (trace records and exposure rows included) and its world's state.
+    fn attempt_output(outcome: &AttemptOutcome, acc: &Registry, worlds: &Worlds<'_>) -> String {
+        let outcome = match outcome {
+            AttemptOutcome::Done(result) => format!("{result:?}"),
+            AttemptOutcome::Retry { next_attempt } => format!("retry {next_attempt}"),
+        };
+        let exposure = ExposureLedger::from_registry(acc);
+        format!(
+            "{outcome}\n{}\n{}\n{:?}\n{}",
+            acc.to_json(),
+            acc.trace_jsonl(),
+            exposure.iter().collect::<Vec<_>>(),
+            world_state(worlds)
+        )
+    }
+
+    /// The pooled-world property: random sequences of attempts — column,
+    /// method, target, seed, attempt number, access-link impairment,
+    /// telemetry off, on or traced — run through one pool produce, attempt
+    /// by attempt, exactly what a fresh world produces. Consecutive draws
+    /// favour the previous column and method, so most attempts reset the
+    /// pooled world rather than build one.
+    #[test]
+    fn pooled_worlds_match_fresh_worlds_attempt_by_attempt() {
+        let specs = columns();
+        let preps: Vec<Vec<PolicyPrep<'_>>> = specs.iter().map(prepare).collect();
+        let cases = if cfg!(debug_assertions) { 40 } else { 400 };
+        let (mut resets, mut attempts) = (0, 0);
+        testprop::cases(cases, 0x900_1ED, |g| {
+            let mut worlds = Worlds::new();
+            let (mut spec_idx, mut policy_idx, mut method) = (0, 0, MethodKind::Scan);
+            for step in 0..g.usize_in(2, 7) {
+                if step == 0 || g.usize_in(0, 3) == 0 {
+                    spec_idx = g.usize_in(0, specs.len());
+                    policy_idx = g.usize_in(0, specs[spec_idx].policies.len());
+                }
+                if step == 0 || g.bool() {
+                    method = *g.choose(&MethodKind::ALL);
+                }
+                let spec = &specs[spec_idx];
+                let prep = &preps[spec_idx][policy_idx];
+                let trial = Trial {
+                    index: step,
+                    policy_idx,
+                    method,
+                    target_idx: g.usize_in(0, spec.targets.len()),
+                    repeat: 0,
+                    seed: g.u64(),
+                };
+                let attempt = g.u32_in(0, 3);
+                let cfg = match g.usize_in(0, 3) {
+                    0 => ScopeConfig::of(&Telemetry::disabled()),
+                    1 => ScopeConfig::of(&Telemetry::enabled()),
+                    _ => ScopeConfig::of(&Telemetry::with_trace(g.usize_in(16, 4096))),
+                };
+                let pooled_before = worlds.flat.is_some() || worlds.routed.is_some();
+                let mut acc = Registry::new();
+                let outcome =
+                    run_trial_attempt_in(&mut worlds, spec, prep, &trial, attempt, &mut acc, cfg);
+                let pooled = attempt_output(&outcome, &acc, &worlds);
+                let mut fresh_worlds = Worlds::new();
+                let mut acc = Registry::new();
+                let outcome = run_trial_attempt_in(
+                    &mut fresh_worlds,
+                    spec,
+                    prep,
+                    &trial,
+                    attempt,
+                    &mut acc,
+                    cfg,
+                );
+                let fresh = attempt_output(&outcome, &acc, &fresh_worlds);
+                assert_eq!(
+                    pooled, fresh,
+                    "step {step}: {method:?} on {}",
+                    prep.named.name
+                );
+                attempts += 1;
+                resets += usize::from(pooled_before);
+            }
+        });
+        assert!(
+            resets * 2 > attempts,
+            "most attempts reuse a pooled world ({resets} of {attempts})"
+        );
+    }
+
+    /// A pooled world keeps no handle to the attempt's scope once the
+    /// attempt ends, so the hand-off moves the scope's registry and trace
+    /// ring out rather than copying them.
+    #[test]
+    fn a_pooled_world_lets_the_scope_move_out() {
+        let spec = &columns()[0];
+        let preps = prepare(spec);
+        let mut worlds = Worlds::new();
+        for (method, seed) in [
+            (MethodKind::Overt, 1),
+            (MethodKind::Overt, 2),
+            (MethodKind::Hops, 3),
+        ] {
+            let scope = Telemetry::with_trace(1024);
+            let trial = Trial {
+                index: 0,
+                policy_idx: 1,
+                method,
+                target_idx: 0,
+                repeat: 0,
+                seed,
+            };
+            let stage = Stage {
+                spec,
+                prep: &preps[1],
+                trial: &trial,
+                seed,
+                scope: &scope,
+            };
+            execute(&stage, &mut worlds, spec.run_secs);
+            assert!(worlds.flat.is_some() || worlds.routed.is_some());
+            assert!(
+                scope.is_unshared(),
+                "{method:?}: the world let go of the scope"
+            );
+            assert!(!scope.into_registry().trace.is_empty());
+        }
     }
 }

@@ -119,6 +119,14 @@ impl Node for InlineCensor {
         &self.name
     }
 
+    /// Forget every flow, action, count and the tracer; the policy stays.
+    fn reset(&mut self) {
+        self.reassembler.reset();
+        self.actions.clear();
+        self.stats = InlineCensorStats::default();
+        self.tracer = Tracer::disabled();
+    }
+
     fn receive(&mut self, ctx: &mut NodeCtx<'_>, iface: IfaceId, packet: Packet) {
         if self.tracer.is_live() {
             self.reassembler.set_now(ctx.now().as_nanos());

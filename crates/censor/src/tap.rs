@@ -264,6 +264,16 @@ impl Node for TapCensor {
         &self.name
     }
 
+    /// Forget every flow (cursors and strikes with it), action, count and
+    /// the tracer; the compiled policy and RST-teardown setting stay.
+    fn reset(&mut self) {
+        self.reassembler.reset();
+        self.injector.injections = 0;
+        self.actions.clear();
+        self.stats = TapCensorStats::default();
+        self.tracer = Tracer::disabled();
+    }
+
     fn receive(&mut self, ctx: &mut NodeCtx<'_>, iface: IfaceId, packet: Packet) {
         self.stats.observed += 1;
         if self.tracer.is_live() {

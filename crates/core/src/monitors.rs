@@ -31,15 +31,14 @@ pub struct MonitorSet {
 impl MonitorSet {
     /// Attach `tel` to the simulator, which then samples its queue depth
     /// for [`MonitorSet::export_telemetry`] to write with its per-kind
-    /// counts. The only handle anything keeps is the tracer: when `tel`
-    /// carries a flight-recorder trace, it goes to the simulator and to
-    /// every monitor, so one trace holds the full causal chain.
+    /// counts. The only handle anything keeps is the tracer: `tel`'s
+    /// tracer (disabled unless it carries a flight-recorder trace) goes to
+    /// the simulator and to every monitor, so one trace holds the full
+    /// causal chain. A disabled `tel` detaches the world: it then holds no
+    /// handle to any registry or trace ring.
     pub fn set_telemetry(&self, sim: &mut Simulator, tel: Telemetry) {
         let tracer = tel.tracer();
         sim.set_telemetry(tel);
-        if !tracer.is_live() {
-            return;
-        }
         if let Some(tap) = sim.node_mut::<TapCensor>(self.tap) {
             tap.set_tracer(tracer.clone());
         }

@@ -196,7 +196,8 @@ type Page = Arc<[u8]>;
 /// rule parsing, DFA building or zone indexing.
 ///
 /// A campaign prepares one template per censor policy and instantiates a
-/// fresh world per trial seed from it. Preparing stays as cheap as
+/// world per trial seed from it, or resets one it built earlier
+/// ([`TestbedTemplate::reset`]). Preparing stays as cheap as
 /// deriving the zone and parsing the flat rules: compilation happens on
 /// first use, so parts a run never reaches cost nothing. The template
 /// holds no simulator state, so it is `Send + Sync` and shards can share
@@ -266,6 +267,25 @@ impl TestbedTemplate {
             Arc::new(CompiledRuleset::new(rules))
         });
         wire_chain(seed, &self.config, self.censor(), ruleset)
+    }
+
+    /// Make `tb`, a flat testbed this template instantiated, ready for
+    /// another trial as if [`TestbedTemplate::instantiate`] had just built
+    /// it for `seed`: the simulator and every node reset in place
+    /// ([`Simulator::reset`]) and the SMTP inboxes emptied. Hosts, wiring,
+    /// routes and the shared compiled parts stay, so no page, rule or zone
+    /// is rebuilt and the world's storage is reused.
+    pub fn reset(&self, tb: &mut Testbed, seed: u64) {
+        tb.sim.reset(seed);
+        for inbox in tb.inboxes.values() {
+            inbox.borrow_mut().clear();
+        }
+    }
+
+    /// [`TestbedTemplate::reset`] for the routed chain this template
+    /// built with [`TestbedTemplate::instantiate_routed`].
+    pub fn reset_routed(&self, net: &mut RoutedMimicryNet, seed: u64) {
+        net.sim.reset(seed);
     }
 
     /// Assemble a flat testbed from the prepared parts, with `seed`

@@ -380,6 +380,19 @@ impl DetectionEngine {
         self.tracer = tracer;
     }
 
+    /// Forget every flow, threshold window, alert and count, and detach
+    /// the tracer, as a new engine over the same ruleset and limits. The
+    /// reassembler restarts without its storage: `flows.table_bytes`
+    /// reports that storage's capacity, and a reset engine must export
+    /// what a new one does.
+    pub fn reset(&mut self) {
+        self.reassembler = StreamReassembler::with_config(self.reassembler.config());
+        self.thresholds.clear();
+        self.log.clear();
+        self.stats = EngineStats::default();
+        self.tracer = Tracer::disabled();
+    }
+
     /// The alert log.
     pub fn log(&self) -> &AlertLog {
         &self.log

@@ -476,6 +476,12 @@ impl<S: FlowState> FlowStates<S> {
         }
     }
 
+    /// Drop every state, keeping the store's own capacity.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.touched = 0;
+    }
+
     fn bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<StateSlot<S>>()
             + self
@@ -537,6 +543,29 @@ impl<S: FlowState> StreamReassembler<S> {
             tracer: Tracer::disabled(),
             now_ns: 0,
         }
+    }
+
+    /// The limits this reassembler was built with.
+    pub fn config(&self) -> ReassemblyConfig {
+        ReassemblyConfig {
+            max_flows: self.flows.capacity(),
+            limits: self.limits,
+            overlap: self.overlap,
+        }
+    }
+
+    /// Forget every flow and its state, zero the statistics and detach
+    /// the tracer, as a new reassembler with the same limits and RST
+    /// teardown setting: the next flows get the handles a new one would
+    /// give them. The flow table and the state store keep their storage,
+    /// so [`StreamReassembler::table_bytes`] and
+    /// [`StreamReassembler::state_bytes`] keep their high-water marks.
+    pub fn reset(&mut self) {
+        self.flows.clear();
+        self.states.clear();
+        self.stats = ReassemblyStats::default();
+        self.tracer = Tracer::disabled();
+        self.now_ns = 0;
     }
 
     /// The per-direction buffering limits in force.
@@ -1684,6 +1713,42 @@ mod tests {
                 assert!(r.flow_count() <= 64);
             }
         });
+    }
+
+    /// A reset reassembler hands out the flow handles, states and
+    /// statistics a new one does, from the storage it already holds.
+    #[test]
+    fn reset_reassembler_replays_as_a_new_one() {
+        let run = |r: &mut StreamReassembler<u32>| -> Vec<String> {
+            (0..40u16)
+                .map(|i| {
+                    let sport = 40_000 + i % 8;
+                    let p = match i % 5 {
+                        0 => pkt(C, S, sport, 80, 1, TcpFlags::syn(), b""),
+                        4 => pkt(C, S, sport, 80, 2, TcpFlags::rst(), b""),
+                        _ => pkt(C, S, sport, 80, 2, TcpFlags::psh_ack(), b"abc"),
+                    };
+                    let ctx = r.process(&p).expect("tcp");
+                    if let Some(st) = ctx.id.and_then(|id| r.state_mut(id)) {
+                        *st += 1;
+                    }
+                    format!("{:?} {} {}", ctx.id, ctx.new_bytes, r.state_count())
+                })
+                .collect()
+        };
+        let mut fresh = StreamReassembler::<u32>::default();
+        let expected = run(&mut fresh);
+        let mut reused = StreamReassembler::<u32>::default();
+        run(&mut reused);
+        let table_bytes = reused.table_bytes();
+        reused.reset();
+        assert_eq!((reused.flow_count(), reused.state_count()), (0, 0));
+        assert_eq!(reused.table_bytes(), table_bytes, "storage kept");
+        assert_eq!(run(&mut reused), expected);
+        assert_eq!(
+            format!("{:?}", reused.stats()),
+            format!("{:?}", fresh.stats())
+        );
     }
 
     /// Acceptance-scale churn: a million distinct flows (with interleaved

@@ -193,6 +193,27 @@ impl EventQueue {
         Self::default()
     }
 
+    /// Drop every pending event and restart the sequence and the wheel at
+    /// zero, as [`EventQueue::new`] does, keeping the cell arena: every
+    /// cell goes back on the free list, so the next run files into
+    /// storage already allocated. Which cells events land in never shows:
+    /// pops follow `(time, seq)` alone.
+    pub fn clear(&mut self) {
+        self.free = NIL;
+        for (idx, cell) in self.cells.iter_mut().enumerate().rev() {
+            cell.event = None;
+            cell.next = self.free;
+            self.free = idx as u32;
+        }
+        self.heads = [[NIL; WHEEL_SLOTS]; WHEEL_LEVELS];
+        self.occupied = [0; WHEEL_LEVELS];
+        self.current = 0;
+        self.ready.clear();
+        self.overflow.clear();
+        self.len = 0;
+        self.next_seq = 0;
+    }
+
     /// Schedule `kind` at `time`.
     pub fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
@@ -500,6 +521,39 @@ mod tests {
             .position(|&(_, tok)| tok == 10_000)
             .expect("mid-drain event");
         assert!(popped[..idx].iter().all(|&(t, _)| t <= popped[idx].0));
+    }
+
+    #[test]
+    fn a_cleared_queue_pops_as_a_new_one_without_new_cells() {
+        // A storm interrupted mid-way, cleared, then replayed: the replay
+        // pops exactly what a new queue pops, from the cleared arena.
+        let storm = |q: &mut EventQueue| {
+            for i in 0..300u64 {
+                let t = 1024 + (i * 7919) % 5_000_000 + (i % 3) * (1 << 40);
+                q.push(SimTime::from_nanos(t), timer(0, i));
+            }
+        };
+        let drain = |q: &mut EventQueue| -> Vec<(SimTime, u64, u64)> {
+            std::iter::from_fn(|| q.pop())
+                .map(|e| (e.time, e.seq, token_of(&e)))
+                .collect()
+        };
+        let mut fresh = EventQueue::new();
+        storm(&mut fresh);
+        let expected = drain(&mut fresh);
+
+        let mut q = EventQueue::new();
+        storm(&mut q);
+        for _ in 0..100 {
+            q.pop();
+        }
+        let cells = q.cells.len();
+        q.clear();
+        assert!(q.is_empty() && q.peek_time().is_none());
+        assert_eq!(free_cells(&q), cells, "every cell is free after a clear");
+        storm(&mut q);
+        assert_eq!(drain(&mut q), expected);
+        assert_eq!(q.cells.len(), cells, "the replay needs no new cell");
     }
 
     #[test]

@@ -204,6 +204,19 @@ impl<V> FlowTable<V> {
         (id, evicted)
     }
 
+    /// Forget every flow and the created/evicted totals, as
+    /// [`FlowTable::new`] with the same capacity, keeping the slab's and
+    /// the index's storage: the next flows get exactly the handles a new
+    /// table would give them.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.index.clear();
+        self.head = None;
+        self.tail = None;
+        self.created = 0;
+        self.evicted = 0;
+    }
+
     /// Shared access to the state behind `id` (`None` if stale).
     pub fn get(&self, id: FlowId) -> Option<&V> {
         self.slots.get(id.to_key()).map(|slot| &slot.value)

@@ -106,6 +106,10 @@ pub trait UdpService: Any {
         src_port: u16,
         payload: &[u8],
     );
+
+    /// Forget what earlier datagrams left behind (counters, caches), for
+    /// the next run of a reused world ([`crate::Node::reset`]).
+    fn reset(&mut self);
 }
 
 /// Counters a host maintains (assertable in experiments).
@@ -525,6 +529,17 @@ impl Host {
         self.stack.counters
     }
 
+    /// TCP connections the stack still holds (handshaking, open or
+    /// closing).
+    pub fn open_connections(&self) -> usize {
+        self.stack.conns.len()
+    }
+
+    /// Timers armed and not yet fired: task starts, task timers and RTOs.
+    pub fn pending_timers(&self) -> usize {
+        self.stack.timer_map.len()
+    }
+
     /// Disable RST responses to unexpected TCP segments (a host that drops
     /// silently instead of the default kernel behaviour).
     pub fn set_respond_rst(&mut self, respond: bool) {
@@ -764,6 +779,31 @@ impl Node for Host {
         &self.name
     }
 
+    /// Drop every task, connection, per-connection service, pending timer
+    /// and task-bound UDP port, and restart connection ids, ephemeral
+    /// ports and counters. Listeners, UDP services (themselves reset) and
+    /// the RST behaviour stay. The stack's tables are never iterated, so
+    /// the capacity they keep cannot show in a later run.
+    fn reset(&mut self) {
+        let stack = &mut self.stack;
+        stack.conns.clear();
+        stack.conn_index.clear();
+        stack.udp_binds.unbind_tasks();
+        stack.next_conn = 0;
+        stack.next_ephemeral = 49152;
+        stack.timer_map.clear();
+        stack.counters = HostCounters::default();
+        stack.pending_dispatch.clear();
+        stack.tcp_out.clear();
+        stack.tcp_events.clear();
+        self.tasks.clear();
+        self.task_starts.clear();
+        self.conn_services.clear();
+        for service in self.udp_services.iter_mut().flatten() {
+            service.reset();
+        }
+    }
+
     fn start(&mut self, ctx: &mut NodeCtx<'_>) {
         for (idx, at) in self.task_starts.clone() {
             let delay = at.saturating_since(ctx.now());
@@ -945,6 +985,43 @@ mod tests {
         (sim, c, s)
     }
 
+    /// A reset host runs the next trial as a freshly built one: the same
+    /// connection ids, ephemeral ports, sequence numbers and counters,
+    /// with the listener still in place and no trace of the first run.
+    #[test]
+    fn reset_host_runs_like_a_fresh_one() {
+        let run = |sim: &mut Simulator, c| {
+            sim.node_mut::<Host>(c)
+                .expect("client host")
+                .spawn_task_at(SimTime::ZERO, Box::new(EchoClient::new(SERVER_IP)));
+            sim.run_for(SimDuration::from_secs(5)).expect("run");
+            let host = sim.node_ref::<Host>(c).expect("client host");
+            let task = host.task_ref::<EchoClient>(0).expect("task");
+            assert!(task.closed && task.echoed == b"hello echo");
+            format!("{:?} {:?}", task.conn, host.counters())
+        };
+        let (mut fresh, c, _) = two_hosts(0.0);
+        let expected = run(&mut fresh, c);
+        let (mut reused, c, s) = two_hosts(0.0);
+        // A first run that leaves a connection open and a task-bound port.
+        reused
+            .node_mut::<Host>(c)
+            .expect("client host")
+            .spawn_task_at(SimTime::ZERO, Box::new(EchoClient::new(SERVER_IP)));
+        reused
+            .run_for(SimDuration::from_millis(2))
+            .expect("partial run");
+        reused.reset(11);
+        let host = reused.node_ref::<Host>(c).expect("client host");
+        assert!(host.task_ref::<EchoClient>(0).is_none(), "tasks are gone");
+        assert_eq!(host.counters().tcp_in, 0);
+        assert_eq!((host.open_connections(), host.pending_timers()), (0, 0));
+        let server = reused.node_ref::<Host>(s).expect("server host");
+        assert!(server.stack.listeners.contains_key(&7), "listeners stay");
+        assert!(server.conn_services.is_empty());
+        assert_eq!(run(&mut reused, c), expected);
+    }
+
     #[test]
     fn tcp_echo_end_to_end() {
         let (mut sim, c, _s) = two_hosts(0.0);
@@ -1118,6 +1195,7 @@ mod tests {
                 reply.reverse();
                 api.send(src, src_port, reply);
             }
+            fn reset(&mut self) {}
         }
         struct UdpClient {
             reply: Vec<u8>,

@@ -177,6 +177,12 @@ impl Link {
         }
     }
 
+    /// Forget both directions' transmitter horizons, as a new link.
+    pub fn reset(&mut self) {
+        self.next_free_ab = SimTime::ZERO;
+        self.next_free_ba = SimTime::ZERO;
+    }
+
     /// The endpoint opposite `from`, or `None` if `from` is not on this link.
     pub fn peer_of(&self, node: NodeId, iface: IfaceId) -> Option<Endpoint> {
         if self.a.node == node && self.a.iface == iface {

@@ -96,6 +96,13 @@ pub trait Node: Any {
     /// A timer set with [`NodeCtx::set_timer`] fired.
     fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _token: TimerToken) {}
 
+    /// Return to the state the node was built in, for the next run of a
+    /// reused world ([`crate::Simulator::reset`]): drop everything a run
+    /// added (tasks, connections, flows, logs, counters, tracers) and keep
+    /// what construction configured, and heap capacity. Required, so no
+    /// node type can carry one run's state into the next.
+    fn reset(&mut self);
+
     /// Downcast support for typed access through the simulator.
     fn as_any(&self) -> &dyn Any;
 
@@ -118,6 +125,9 @@ mod tests {
         }
         fn receive(&mut self, _ctx: &mut NodeCtx<'_>, _iface: IfaceId, packet: Packet) {
             self.seen.push(packet);
+        }
+        fn reset(&mut self) {
+            self.seen.clear();
         }
         fn as_any(&self) -> &dyn Any {
             self

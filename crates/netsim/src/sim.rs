@@ -10,6 +10,7 @@
 //! impl Node for Sink {
 //!     fn name(&self) -> &str { &self.name }
 //!     fn receive(&mut self, _: &mut NodeCtx<'_>, _: IfaceId, _: Packet) { self.got += 1; }
+//!     fn reset(&mut self) { self.got = 0; }
 //!     fn as_any(&self) -> &dyn Any { self }
 //!     fn as_any_mut(&mut self) -> &mut dyn Any { self }
 //! }
@@ -197,6 +198,36 @@ impl Simulator {
     /// Override the runaway-guard event budget.
     pub fn set_event_budget(&mut self, budget: u64) {
         self.event_budget = budget;
+    }
+
+    /// Put the world back as [`Simulator::new`] with `seed` and the same
+    /// topology left it, for another run: reseed the RNG; zero the clock,
+    /// the event, timer and transmit counters, the scheduler's stats and
+    /// every link's transmitter horizon; empty the event queue (keeping
+    /// its arena) and any capture; detach telemetry; and [`Node::reset`]
+    /// every node. Nodes, wiring, link configs and the event budget stay.
+    /// A run on the reset world makes exactly the draws, events and
+    /// outputs a freshly built one would.
+    pub fn reset(&mut self, seed: u64) {
+        self.rng = SimRng::seed_from_u64(seed);
+        self.now = SimTime::ZERO;
+        self.started = false;
+        self.events_processed = 0;
+        self.next_timer = 0;
+        self.tx_seq = 0;
+        self.stats = SimStats::default();
+        self.queue_depth = None;
+        self.tracer = Tracer::disabled();
+        self.queue.clear();
+        for link in &mut self.links {
+            link.reset();
+        }
+        if let Some(capture) = &mut self.capture {
+            capture.clear();
+        }
+        for node in self.nodes.iter_mut().flatten() {
+            node.reset();
+        }
     }
 
     /// Current simulated time.
@@ -634,6 +665,9 @@ mod tests {
                 ctx.send(iface, back);
             }
         }
+        fn reset(&mut self) {
+            self.received.clear();
+        }
         fn as_any(&self) -> &dyn Any {
             self
         }
@@ -662,6 +696,9 @@ mod tests {
                 self.chain -= 1;
                 ctx.set_timer(SimDuration::from_millis(10));
             }
+        }
+        fn reset(&mut self) {
+            self.fired.clear();
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -875,6 +912,82 @@ mod tests {
         );
     }
 
+    /// A reset world counts events from zero again: a world reused for
+    /// many runs (a run-service worker's pooled world) must never reach
+    /// the runaway guard on the sum of its runs.
+    #[test]
+    fn reset_zeroes_events_processed_against_the_budget() {
+        let (mut sim, a, b) = two_node_sim(true);
+        sim.set_event_budget(10);
+        let run = |sim: &mut Simulator| {
+            for i in 0..2u16 {
+                let p = Packet::udp(A_IP, B_IP, 1, 2, vec![]).with_ident(i);
+                sim.send_from(a, IfaceId(0), p, SimTime::ZERO)
+                    .expect("send");
+            }
+            sim.run_to_completion()
+        };
+        // Each run costs 6 events (2 transmits, 2 deliveries to b, 2 echoes
+        // back to a): a second run without a reset would cross the budget
+        // of 10.
+        run(&mut sim).expect("first run within budget");
+        assert_eq!(sim.events_processed(), 6);
+        sim.reset(7);
+        assert_eq!(sim.events_processed(), 0);
+        assert_eq!(sim.now(), SimTime::ZERO);
+        run(&mut sim).expect("a reset world runs within budget again");
+        assert_eq!(sim.events_processed(), 6);
+        assert_eq!(sim.node_ref::<Echo>(b).expect("b").received.len(), 2);
+        assert_eq!(
+            run(&mut sim),
+            Err(NetsimError::EventBudgetExhausted { budget: 10 }),
+            "without a reset the budget spans runs"
+        );
+    }
+
+    /// A reset world replays a run exactly: same seed, same trace, same
+    /// timestamps, with the previous run's state gone.
+    #[test]
+    fn reset_world_replays_a_fresh_run() {
+        let run = |sim: &mut Simulator, a: NodeId| -> Vec<String> {
+            for i in 0..20u16 {
+                let p = Packet::udp(A_IP, B_IP, 1000 + i, 2, vec![0; 10]).with_ident(i);
+                sim.send_from(a, IfaceId(0), p, SimTime::from_nanos(u64::from(i) * 1000))
+                    .expect("send");
+            }
+            sim.run_to_completion().expect("run");
+            sim.capture()
+                .expect("cap")
+                .records()
+                .iter()
+                .map(|r| format!("{} {}", r.time, r.packet.summary()))
+                .collect()
+        };
+        let lossy = |seed| {
+            let mut sim = Simulator::new(seed);
+            let a = sim.add_node(Box::new(Echo::new("a", false)));
+            let b = sim.add_node(Box::new(Echo::new("b", true)));
+            sim.wire(
+                a,
+                IfaceId(0),
+                b,
+                IfaceId(0),
+                LinkConfig::default().with_loss(0.3),
+            )
+            .expect("wire");
+            sim.enable_capture();
+            (sim, a)
+        };
+        let (mut fresh, a) = lossy(5);
+        let expected = run(&mut fresh, a);
+        let (mut reused, a) = lossy(9);
+        run(&mut reused, a);
+        reused.reset(5);
+        assert!(reused.capture().expect("cap").records().is_empty());
+        assert_eq!(run(&mut reused, a), expected);
+        assert_eq!(reused.events_processed(), fresh.events_processed());
+    }
+
     #[test]
     fn telemetry_counts_scheduler_activity() {
         use underradar_telemetry::Telemetry;
@@ -1037,6 +1150,9 @@ mod tests {
         }
         fn receive(&mut self, ctx: &mut NodeCtx<'_>, _: IfaceId, packet: Packet) {
             self.received.push((ctx.now(), packet));
+        }
+        fn reset(&mut self) {
+            self.received.clear();
         }
         fn as_any(&self) -> &dyn Any {
             self

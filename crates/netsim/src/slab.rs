@@ -132,6 +132,14 @@ impl<T> Slab<T> {
         SlabKey::from_parts(index, 0)
     }
 
+    /// Drop every value and restart slot numbering and generations as
+    /// [`Slab::new`] does, keeping the entries' capacity.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.free.clear();
+        self.len = 0;
+    }
+
     /// Remove the value behind `key`. Stale keys (slot already recycled or
     /// removed) return `None` — removal is idempotent by construction.
     pub fn remove(&mut self, key: SlabKey<T>) -> Option<T> {

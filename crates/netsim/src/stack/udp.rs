@@ -39,6 +39,12 @@ impl UdpBindings {
         }
     }
 
+    /// Release every port a task bound, keeping the services' bindings.
+    pub fn unbind_tasks(&mut self) {
+        self.ports
+            .retain(|_, owner| matches!(owner, UdpOwner::Service(_)));
+    }
+
     /// Who owns `port`, if bound.
     pub fn owner(&self, port: u16) -> Option<UdpOwner> {
         self.ports.get(&port).copied()
@@ -62,6 +68,16 @@ mod tests {
         assert_eq!(b.owner(53), Some(UdpOwner::Service(0)));
         assert_eq!(b.owner(5353), Some(UdpOwner::Task(2)));
         assert_eq!(b.owner(9999), None);
+    }
+
+    #[test]
+    fn unbinding_tasks_keeps_services() {
+        let mut b = UdpBindings::new();
+        assert!(b.bind(53, UdpOwner::Service(0)));
+        assert!(b.bind(49152, UdpOwner::Task(0)));
+        b.unbind_tasks();
+        assert_eq!(b.owner(53), Some(UdpOwner::Service(0)));
+        assert!(!b.is_bound(49152));
     }
 
     #[test]

@@ -105,6 +105,11 @@ impl Node for Switch {
         &self.name
     }
 
+    /// Zero the counters; routes, taps and router mode stay.
+    fn reset(&mut self) {
+        self.stats = SwitchStats::default();
+    }
+
     fn receive(&mut self, ctx: &mut NodeCtx<'_>, in_iface: IfaceId, mut packet: Packet) {
         if self.router_mode {
             if packet.ttl <= 1 {
@@ -195,6 +200,9 @@ mod tests {
         }
         fn receive(&mut self, _: &mut NodeCtx<'_>, _: IfaceId, p: Packet) {
             self.got.push(p);
+        }
+        fn reset(&mut self) {
+            self.got.clear();
         }
         fn as_any(&self) -> &dyn Any {
             self

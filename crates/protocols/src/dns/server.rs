@@ -214,6 +214,10 @@ impl UdpService for DnsServer {
         let resp = self.answer(&query);
         api.send(src, src_port, resp.encode());
     }
+
+    fn reset(&mut self) {
+        self.stats = DnsServerStats::default();
+    }
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use underradar_campaign::engine::{self, AttemptOutcome, PolicyPrep, ScopeConfig};
+use underradar_campaign::engine::{self, AttemptOutcome, PolicyPrep, ScopeConfig, Worlds};
 use underradar_campaign::{CampaignSpec, StreamReport, Trial, TrialResult};
 use underradar_telemetry::{Registry, StreamMerger, Telemetry};
 
@@ -504,11 +504,15 @@ struct Worker<'a> {
     stats: &'a WorkerStats,
 }
 
-impl Worker<'_> {
+impl<'a> Worker<'a> {
     /// Drain own deque, steal, then service the retry tail. Each unit of
     /// work is a *single attempt*; inconclusive attempts re-enqueue at
-    /// the tail rather than looping inline.
+    /// the tail rather than looping inline. Attempts run in the worker's
+    /// own world pool, built lazily on this thread: consecutive attempts
+    /// of one column and topology reset one world instead of building one
+    /// each.
     fn run(&self, deques: &underradar_campaign::steal::Deques, remaining: &[usize]) {
+        let mut worlds = Worlds::new();
         loop {
             let popped = deques.pop(self.id).or_else(|| {
                 let stolen = deques.steal(self.id);
@@ -519,7 +523,7 @@ impl Worker<'_> {
             });
             if let Some(chunk) = popped {
                 for &index in &remaining[chunk.start..chunk.end] {
-                    self.attempt(index, 0, Registry::new());
+                    self.attempt(&mut worlds, index, 0, Registry::new());
                 }
                 continue;
             }
@@ -529,7 +533,7 @@ impl Worker<'_> {
                 .expect("retry tail poisoned")
                 .pop_front();
             match task {
-                Some(t) => self.attempt(t.index, t.attempt, t.acc),
+                Some(t) => self.attempt(&mut worlds, t.index, t.attempt, t.acc),
                 // Deques and retry tail both empty at this check: any retry
                 // enqueued concurrently is followed by its enqueuer's own
                 // check, so exiting here strands nothing.
@@ -541,12 +545,19 @@ impl Worker<'_> {
     /// Run one attempt of trial `index` and hand the outcome to the
     /// committer. Busy time covers the attempt alone; time blocked on a
     /// full channel is accounted as waiting.
-    fn attempt(&self, index: usize, attempt: u32, mut acc: Registry) {
+    fn attempt(&self, worlds: &mut Worlds<'a>, index: usize, attempt: u32, mut acc: Registry) {
         let trial = &self.trials[index];
         let prep = &self.preps[trial.policy_idx];
         let t0 = Instant::now();
-        let outcome =
-            engine::run_trial_attempt(self.spec, prep, trial, attempt, &mut acc, self.scope_cfg);
+        let outcome = engine::run_trial_attempt_in(
+            worlds,
+            self.spec,
+            prep,
+            trial,
+            attempt,
+            &mut acc,
+            self.scope_cfg,
+        );
         self.stats.busy_ns[self.id].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.stats.attempts[self.id].fetch_add(1, Ordering::Relaxed);
         match outcome {

@@ -136,6 +136,12 @@ impl Classifier {
         Classifier::default()
     }
 
+    /// Forget every source, as a new classifier.
+    pub fn clear(&mut self) {
+        self.index.clear();
+        self.sources.clear();
+    }
+
     /// Classify one packet (updates per-source behavioural state).
     pub fn classify(&mut self, now: SimTime, pkt: &Packet) -> TrafficClass {
         let slot = match self.index.get(&pkt.src) {

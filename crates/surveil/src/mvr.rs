@@ -103,6 +103,17 @@ impl Mvr {
         self.tracer = tracer;
     }
 
+    /// Forget every source, volume and traced decision, and detach the
+    /// tracer, as a new MVR.
+    pub fn reset(&mut self) {
+        self.classifier.clear();
+        self.volumes = Default::default();
+        self.tracer = Tracer::disabled();
+        for traced in &mut self.traced {
+            traced.clear();
+        }
+    }
+
     /// Process a packet through stage 1.
     pub fn process(&mut self, now: SimTime, pkt: &Packet) -> MvrDecision {
         let class = self.classifier.classify(now, pkt);

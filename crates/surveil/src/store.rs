@@ -67,6 +67,13 @@ impl<T> RetentionStore<T> {
         self.window
     }
 
+    /// Drop every record and zero the totals, keeping the window.
+    pub fn clear(&mut self) {
+        self.records.clear();
+        self.inserted = 0;
+        self.inserted_bytes = 0;
+    }
+
     /// Insert a record at `now`, accounting `bytes` toward volume, then
     /// evict anything that has expired.
     pub fn insert(&mut self, now: SimTime, record: T, bytes: u64) {
@@ -127,6 +134,13 @@ pub struct StoreSet {
 }
 
 impl StoreSet {
+    /// Empty every tier, as new stores with the same windows.
+    pub fn clear(&mut self) {
+        self.content.clear();
+        self.metadata.clear();
+        self.alerts.clear();
+    }
+
     /// Mirror per-tier retention accounting into `tel` under
     /// `surveil.store.<tier>.*`: records/bytes ever inserted (counters),
     /// live record count and the retention window (gauges). Idempotent.

@@ -164,6 +164,17 @@ impl SurveillanceSystem {
         self.engine.set_tracer(tracer);
     }
 
+    /// Forget everything observed — MVR state, the engine's flows and
+    /// alert log, the stores and the counters — and detach the tracers,
+    /// as a new system with the same config. The analyst keeps no state
+    /// of its own: it triages the alert log.
+    pub fn reset(&mut self) {
+        self.mvr.reset();
+        self.engine.reset();
+        self.stores.clear();
+        self.stats = SurveillanceStats::default();
+    }
+
     /// Process one observed packet through the pipeline.
     pub fn process(&mut self, now: SimTime, pkt: &Packet) -> (MvrDecision, Vec<Alert>) {
         self.stats.observed += 1;
@@ -318,6 +329,10 @@ impl SurveillanceNode {
 impl Node for SurveillanceNode {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn reset(&mut self) {
+        self.system.reset();
     }
 
     fn receive(&mut self, ctx: &mut NodeCtx<'_>, _iface: IfaceId, packet: Packet) {

@@ -283,6 +283,20 @@ impl Telemetry {
         }
     }
 
+    /// Whether no other handle or tracer shares this handle's registry or
+    /// trace ring, so that [`Telemetry::into_registry`] moves them out
+    /// instead of copying. A disabled handle shares nothing.
+    pub fn is_unshared(&self) -> bool {
+        self.inner.as_ref().is_none_or(|inner| {
+            Rc::strong_count(inner) == 1
+                && inner
+                    .borrow()
+                    .trace
+                    .as_ref()
+                    .is_none_or(|ring| Rc::strong_count(ring) == 1)
+        })
+    }
+
     /// Hand the registry off as a value equal to [`Telemetry::snapshot`].
     /// When this is its last clone — the world that recorded into it has
     /// been dropped — names and values move out instead of being copied;
@@ -357,6 +371,20 @@ mod tests {
         tel.event(1, "e", &[("k", 1u64.into())]);
         tel.record_span("s", 0, 10);
         assert!(tel.snapshot().is_empty());
+    }
+
+    #[test]
+    fn a_handle_is_unshared_once_its_clones_and_tracers_are_gone() {
+        assert!(Telemetry::disabled().is_unshared());
+        let tel = Telemetry::with_trace(8);
+        assert!(tel.is_unshared());
+        let clone = tel.clone();
+        assert!(!tel.is_unshared(), "a clone shares the registry");
+        drop(clone);
+        let tracer = tel.tracer();
+        assert!(!tel.is_unshared(), "a tracer shares the ring");
+        drop(tracer);
+        assert!(tel.is_unshared());
     }
 
     #[test]

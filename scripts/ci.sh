@@ -33,6 +33,16 @@ echo "==> engine equivalence (grouped/DFA hot path vs reference semantics)"
 # output must be byte-identical (see crates/ids/tests/engine_equiv.rs).
 cargo test --offline --release -q -p underradar-ids --test engine_equiv
 
+echo "==> pooled-world equivalence (reset worlds vs fresh worlds, release-sized)"
+# Property-driven: random attempt sequences through one worker's world
+# pool must give, attempt by attempt, the row, registry, trace, exposure
+# and world state a freshly built world gives (crates/campaign/src/
+# engine.rs); random small campaigns through the run service must match
+# a fresh-world reference however they run (crates/runner/tests/
+# pipeline_identity.rs). Release builds run 10x and 4x the debug cases.
+cargo test --offline --release -q -p underradar-campaign --lib pooled_worlds_match_fresh_worlds
+cargo test --offline --release -q -p underradar-runner --test pipeline_identity
+
 echo "==> perf bench + snapshot schema (all acceptance bounds; BENCH_perf.json drift)"
 # The committed snapshot pins the bench *schema* — the set of quoted
 # strings (bench names + JSON keys); timings drift run to run and are
