@@ -869,10 +869,10 @@ fn bench_campaign() {
     );
 }
 
-/// Static contiguous partitioning with **no** stealing: each of
-/// `workers` threads runs exactly its initial block of `0..n`. This is
-/// the straggler-prone baseline `steal::run_chunked` replaces, kept here
-/// only so [`bench_runner`] can gate the work-stealing speedup.
+/// Static contiguous partitioning: each of `workers` threads runs exactly
+/// its own block of `0..n`, however long its neighbours take. This is the
+/// straggler-prone baseline `sched::run_chunked`'s shared cursor replaces,
+/// kept here only so [`bench_runner`] can gate the cursor's speedup.
 fn run_static(n: usize, workers: usize, run: impl Fn(usize) + Sync) {
     let per = n.div_ceil(workers.clamp(1, n.max(1))).max(1);
     std::thread::scope(|scope| {
@@ -883,13 +883,13 @@ fn run_static(n: usize, workers: usize, run: impl Fn(usize) + Sync) {
     });
 }
 
-/// The durable run service: work stealing must beat static partitioning
-/// on a skewed matrix (heavy ddos cells pinned to the first workers by
-/// contiguous blocks, cheap scan cells everywhere else), and the
-/// checkpoint journal must be near-free on the 512-trial paper matrix.
+/// The durable run service: the shared chunk cursor must beat static
+/// partitioning on a skewed matrix (heavy ddos cells pinned to the first
+/// workers by contiguous blocks, cheap scan cells everywhere else), and
+/// the checkpoint journal must be near-free on the 512-trial paper matrix.
 fn bench_runner() {
     use underradar_bench::experiments::campaign::paper_campaign;
-    use underradar_campaign::{engine, steal, CampaignSpec, MethodKind, NamedPolicy};
+    use underradar_campaign::{engine, sched, CampaignSpec, MethodKind, NamedPolicy};
     use underradar_censor::CensorPolicy;
     use underradar_runner::{run_service, NullSink, RunConfig};
     use underradar_telemetry::Telemetry;
@@ -897,7 +897,9 @@ fn bench_runner() {
 
     // Skewed matrix: trial order is method-major, so with 4 static
     // workers the 8 ddos trials land entirely on workers 0–1 while 2–3
-    // finish their cheap scans and idle. Stealing levels it. Warm-up is
+    // finish their cheap scans and idle. The cursor levels it: with 16
+    // trials and 4 workers its chunks are single trials, so a worker
+    // holding a ddos trial takes no more work until it is done. Warm-up is
     // on, as in the paper campaign: each ddos trial carries its 60-sample
     // classification flood, which is exactly the heavy-cell shape the
     // scheduler has to absorb.
@@ -946,7 +948,7 @@ fn bench_runner() {
         }
         per.values().copied().fold(0.0, f64::max)
     };
-    let attributed = |stealing: bool| -> f64 {
+    let attributed = |cursor: bool| -> f64 {
         let log: std::sync::Mutex<Vec<(std::thread::ThreadId, usize)>> =
             std::sync::Mutex::new(Vec::with_capacity(trials.len()));
         let run = |i: usize| {
@@ -955,39 +957,38 @@ fn bench_runner() {
                 .push((std::thread::current().id(), i));
             std::hint::black_box(trial(i));
         };
-        if stealing {
-            steal::run_chunked(trials.len(), workers, run);
+        if cursor {
+            sched::run_chunked(trials.len(), workers, run);
         } else {
             run_static(trials.len(), workers, run);
         }
         makespan(&log.into_inner().expect("assignment log"))
     };
     // Paired best-of-3 ratio: the static makespan is fixed by
-    // construction, while the stealing one depends on which chunks
-    // migrated before each straggler drained. This gate stays off
-    // `paired_gate`: on a loaded 2-vCPU machine many pairs read exactly
-    // 1.00x, because the thieves start only after the owners have popped
-    // every chunk, so a median of 5 pairs would gate on thread start-up
-    // latency rather than on stealing.
+    // construction, while the cursor's depends on which worker took which
+    // trial. On a loaded 2-vCPU machine a worker thread may start only
+    // after the others have taken most of the trials, so the best of three
+    // pairs gates on the scheduler rather than on thread start-up latency.
+    // The second row keeps its name because the snapshot schema pins it.
     let mut static_ns = f64::MAX;
-    let mut steal_ns = f64::MAX;
+    let mut cursor_ns = f64::MAX;
     let mut speedup = 0.0f64;
     for _ in 0..3 {
         let s = attributed(false);
         let c = attributed(true);
         static_ns = static_ns.min(s);
-        steal_ns = steal_ns.min(c);
+        cursor_ns = cursor_ns.min(c);
         speedup = speedup.max(s / c);
     }
     report("skewed_16_static_makespan_4_workers", static_ns, None);
-    report("skewed_16_stealing_makespan_4_workers", steal_ns, None);
+    report("skewed_16_stealing_makespan_4_workers", cursor_ns, None);
     println!(
         "  {:<44} {speedup:>11.2}x",
-        "stealing vs static makespan (skewed)"
+        "cursor vs static makespan (skewed)"
     );
     assert!(
         speedup >= 1.2,
-        "acceptance: work stealing must beat static partitioning by ≥1.2x \
+        "acceptance: the shared cursor must beat static partitioning by ≥1.2x \
          on a skewed matrix (got {speedup:.2}x)"
     );
 

@@ -37,7 +37,7 @@
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use underradar_campaign::steal;
+use underradar_campaign::sched;
 use underradar_telemetry::{json, trace, Telemetry, DEFAULT_TRACE_CAPACITY};
 
 use crate::experiments::{self, Experiment};
@@ -385,7 +385,7 @@ pub fn experiments(argv: &[String]) -> Result<ExitCode, String> {
 /// same for any worker count.
 pub fn run_experiments(rows: &[Experiment], spec: OutputSpec, workers: usize) -> (String, bool) {
     let (outputs, verdicts): (Vec<String>, Vec<bool>) =
-        steal::run_chunked(rows.len(), workers, |i| {
+        sched::run_chunked(rows.len(), workers, |i| {
             let (name, run) = rows[i];
             let tel = spec.telemetry_handle();
             let outcome = run(&tel);

@@ -29,7 +29,7 @@
 //!   would differ trivially).
 //! * `--profile-json PATH` — write the run's wall-clock profile
 //!   (`RunProfile`: wall and prepare time, per-worker busy, wait and
-//!   attempt counts, steal/retry totals) to `PATH` as sorted-key JSON;
+//!   attempt counts, retry total) to `PATH` as sorted-key JSON;
 //!   stdout stays deterministic.
 //! * `--audit` (or `--audit=json`) — the report, then the adversary-eye
 //!   **safety audit**: per-host attributability scores rebuilt from the
@@ -38,7 +38,7 @@
 //!   surfaced as a divergence.
 //! * `--progress` (or `--progress=N`, snapshot every `N` trials) — stream
 //!   interval snapshots (done/total, rows/sec, ETA, per-worker busy
-//!   fractions, steal/retry counts, journal lag) as JSONL on **stderr**;
+//!   fractions, retry count, journal lag) as JSONL on **stderr**;
 //!   stdout bytes are untouched.
 //! * `--service` — under `--jsonl`, stream each row the moment its trial
 //!   completes (completion order; each row carries its `index`) instead
@@ -148,13 +148,12 @@ fn write_profile_json(path: &str, p: &RunProfile) {
             .join(",")
     };
     let out = format!(
-        "{{\"prepare_ms\":{},\"retries_seen\":{},\"snapshots\":{},\"steals\":{},\
-         \"wall_ms\":{},\"worker_attempts\":[{}],\"worker_busy_ns\":[{}],\
+        "{{\"prepare_ms\":{},\"retries_seen\":{},\"snapshots\":{},\"wall_ms\":{},\
+         \"worker_attempts\":[{}],\"worker_busy_ns\":[{}],\
          \"worker_wait_ns\":[{}]}}\n",
         p.prepare_ms,
         p.retries_seen,
         p.snapshots,
-        p.steals,
         p.wall_ms,
         join(&p.worker_attempts),
         join(&p.worker_busy_ns),

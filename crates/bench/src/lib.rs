@@ -18,7 +18,7 @@
 //! [`cli`] holds its one total argv parser and the `experiments` and
 //! `campaign` subcommands. `experiments` dispatches only through that
 //! table, and [`cli::run_experiments`] fans rows across threads with
-//! `underradar_campaign::steal::run_chunked`; determinism is preserved
+//! `underradar_campaign::sched::run_chunked`; determinism is preserved
 //! because each experiment seeds its own RNGs. Campaign-backed
 //! experiments run their matrices through the one campaign executor,
 //! `underradar_runner::run_service`

@@ -9,9 +9,10 @@
 //! testbed templates per policy and runs each trial, retrying
 //! `Inconclusive` trials with bounded backoff in *simulated* time;
 //! [`StreamReport`] aggregates per-method accuracy/risk matrices in any
-//! absorb order; [`steal`] is the work-stealing scheduler. Multi-trial
-//! campaigns run through one executor, `underradar_runner::run_service`,
-//! which adds streaming rows, merged telemetry and a checkpoint journal.
+//! absorb order; [`sched`] hands out work from one shared chunk cursor.
+//! Multi-trial campaigns run through one executor,
+//! `underradar_runner::run_service`, which adds streaming rows, merged
+//! telemetry and a checkpoint journal.
 //!
 //! Every measurement method from the paper ("Can Censorship Measurements
 //! Be Safe(r)?", Jones & Feamster, HotNets 2015) is driven through the
@@ -45,9 +46,9 @@
 
 pub mod engine;
 pub mod report;
+pub mod sched;
 pub mod seed;
 pub mod spec;
-pub mod steal;
 
 pub use report::{CellStat, StreamReport, TrialResult};
 pub use spec::{

@@ -88,8 +88,8 @@ pub struct CellStat {
 
 /// A campaign's report, aggregated incrementally: the per-(method,
 /// policy) cell matrix and campaign totals, built by absorbing one
-/// [`TrialResult`] at a time in *any* order (completion order under work
-/// stealing included) without retaining the trials themselves.
+/// [`TrialResult`] at a time in *any* order (the run service's
+/// completion order included) without retaining the trials themselves.
 ///
 /// Every aggregate is commutative, so for the same set of trials the
 /// rendered report is byte-identical whatever order they were absorbed
@@ -282,7 +282,7 @@ mod tests {
             trial(MethodKind::Spam, "kw", Verdict::Reachable, 0),
         ];
         let forward = report("s", &trials);
-        // Absorb in reverse (a completion order stealing could produce).
+        // Absorb in reverse (a completion order two workers could produce).
         let reversed: Vec<TrialResult> = trials.iter().rev().cloned().collect();
         let backward = report("s", &reversed);
         assert_eq!(backward.render_text(), forward.render_text());

@@ -15,17 +15,6 @@ use underradar_netsim::host::{UdpApi, UdpService};
 use super::message::{DnsMessage, QType, Rcode, Record, RecordData};
 use super::name::DnsName;
 
-/// Statistics the server keeps for experiment assertions.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DnsServerStats {
-    /// Queries received.
-    pub queries: u64,
-    /// Responses with at least one answer.
-    pub answered: u64,
-    /// NXDOMAIN responses.
-    pub nxdomain: u64,
-}
-
 /// Builder for a zone database.
 #[derive(Debug, Default)]
 pub struct ZoneBuilder {
@@ -111,7 +100,6 @@ impl DnsZone {
 /// port 53.
 pub struct DnsServer {
     zone: Arc<DnsZone>,
-    stats: DnsServerStats,
 }
 
 impl DnsServer {
@@ -122,26 +110,7 @@ impl DnsServer {
 
     /// Build a server answering from an already indexed, shared zone.
     pub fn with_zone(zone: Arc<DnsZone>) -> DnsServer {
-        DnsServer {
-            zone,
-            stats: DnsServerStats::default(),
-        }
-    }
-
-    /// Server statistics.
-    pub fn stats(&self) -> DnsServerStats {
-        self.stats
-    }
-
-    /// Mirror server totals into `tel` under `<prefix>.*` (e.g.
-    /// `protocols.dns.resolver`). Idempotent.
-    pub fn export_telemetry(&self, tel: &underradar_telemetry::Telemetry, prefix: &str) {
-        if !tel.is_enabled() {
-            return;
-        }
-        tel.set_counter(&format!("{prefix}.queries"), self.stats.queries);
-        tel.set_counter(&format!("{prefix}.answered"), self.stats.answered);
-        tel.set_counter(&format!("{prefix}.nxdomain"), self.stats.nxdomain);
+        DnsServer { zone }
     }
 
     /// Resolve a question against the zone, following CNAMEs (bounded).
@@ -180,19 +149,13 @@ impl DnsServer {
     }
 
     /// Produce the full response message for a query.
-    pub fn answer(&mut self, query: &DnsMessage) -> DnsMessage {
-        self.stats.queries += 1;
+    pub fn answer(&self, query: &DnsMessage) -> DnsMessage {
         let Some(q) = query.question() else {
             return DnsMessage::response_to(query, Rcode::FormErr);
         };
         let (answers, rcode) = self.resolve(&q.name, q.qtype);
         let mut resp = DnsMessage::response_to(query, rcode);
         resp.answers = answers;
-        match rcode {
-            Rcode::NxDomain => self.stats.nxdomain += 1,
-            _ if !resp.answers.is_empty() => self.stats.answered += 1,
-            _ => {}
-        }
         resp
     }
 }
@@ -215,9 +178,8 @@ impl UdpService for DnsServer {
         api.send(src, src_port, resp.encode());
     }
 
-    fn reset(&mut self) {
-        self.stats = DnsServerStats::default();
-    }
+    /// The server keeps no state between queries.
+    fn reset(&mut self) {}
 }
 
 #[cfg(test)]
@@ -291,7 +253,7 @@ mod tests {
 
     #[test]
     fn answer_builds_full_response_and_counts() {
-        let mut srv = test_server();
+        let srv = test_server();
         let q = DnsMessage::query(0xbeef, name("bbc.com"), QType::A);
         let resp = srv.answer(&q);
         assert_eq!(resp.id, 0xbeef);
@@ -300,10 +262,6 @@ mod tests {
         let q2 = DnsMessage::query(2, name("missing.example"), QType::A);
         let resp2 = srv.answer(&q2);
         assert_eq!(resp2.rcode, Rcode::NxDomain);
-        let stats = srv.stats();
-        assert_eq!(stats.queries, 2);
-        assert_eq!(stats.answered, 1);
-        assert_eq!(stats.nxdomain, 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! The one executor for multi-trial campaigns: a durable run service
 //! wrapping the campaign engine ([`underradar_campaign::engine`]) with
-//! work-stealing scheduling, streaming verdict rows, and a checksummed
+//! shared-cursor scheduling, streaming verdict rows, and a checksummed
 //! checkpoint journal with crash recovery and exact resume.
 //!
 //! The engine makes each trial a pure function of the spec and its index;
@@ -13,9 +13,9 @@
 //! the resulting determinism. A campaign run through
 //! [`service::run_service`]:
 //!
-//! - schedules trials over per-worker deques with steal-half rebalancing
-//!   ([`underradar_campaign::steal`]), so a straggler cell never idles the
-//!   other workers;
+//! - hands out the trials in chunks from one shared cursor
+//!   ([`underradar_campaign::sched::Cursor`]), so a worker that drew a
+//!   straggler cell simply takes fewer chunks;
 //! - streams each verdict row to a [`sink::RowSink`] (e.g. JSONL) the
 //!   moment its trial completes, with telemetry folded incrementally
 //!   through an order-independent [`underradar_telemetry::StreamMerger`],
@@ -25,8 +25,8 @@
 //!   configurable cadence; a `kill -9` at any point costs at most the
 //!   unsynced tail, and reopening the journal resumes from the exact work
 //!   frontier (mid-retry, with backoff budgets intact);
-//! - re-enqueues `Inconclusive` trials at a global retry tail so
-//!   conclusive work finishes first.
+//! - returns a sink or journal error at once: the workers stop instead
+//!   of blocking on a full channel.
 //!
 //! The contract, tested in this crate: the final report and merged
 //! telemetry of a resumed run are **byte-identical** to an uninterrupted

@@ -1,30 +1,28 @@
 //! The durable run service — the one executor for multi-trial campaigns:
-//! work-stealing workers, a completion-order committer, and an optional
-//! checkpoint journal — composed so the final report and merged telemetry
-//! are **byte-identical** to a sequential run of every trial in index
-//! order, at any worker count, interrupted or not.
+//! workers sharing one chunk cursor, a completion-order committer, and an
+//! optional checkpoint journal — composed so the final report and merged
+//! telemetry are **byte-identical** to a sequential run of every trial in
+//! index order, at any worker count, interrupted or not.
 //!
 //! ## Architecture
 //!
 //! ```text
 //!  workers (scope threads)            committer (calling thread)
 //!  ┌─────────────────────┐  Msg  ┌──────────────────────────────┐
-//!  │ pop own deque       │ ────▶ │ journal.append_{complete,     │
-//!  │  └ steal half       │ chan  │                retry}         │
-//!  │   └ retry tail      │       │ sink.row (completion order)   │
-//!  │    └ exit           │       │ StreamReport / StreamMerger   │
+//!  │ take chunk (cursor) │ ────▶ │ journal.append_{complete,     │
+//!  │  └ per trial: run   │ chan  │                retry}         │
+//!  │    attempts until   │       │ sink.row (completion order)   │
+//!  │    a final verdict  │       │ StreamReport / StreamMerger   │
 //!  └─────────────────────┘       └──────────────────────────────┘
 //! ```
 //!
-//! Workers drain their own deque front-first, steal half of the richest
-//! victim's deque when empty, then service the global **retry tail**:
-//! trials whose attempt came back `Inconclusive` are not retried inline
-//! (that would pin a straggler to one worker) but re-enqueued at the tail
-//! with their accumulated registry and next attempt number, so conclusive
-//! work finishes first and backoff budgets survive both stealing and
-//! resume. A worker exits only after deques *and* retry tail are empty at
-//! its own check — and every retry enqueue precedes the enqueuer's next
-//! check, so no retry is ever stranded.
+//! The work list is every trial without a complete journal record, in
+//! index order. Workers take chunks of it from one shared [`Cursor`] and
+//! run each trial's attempts back to back in their pooled world: an
+//! `Inconclusive` attempt with budget left sends a retry message (its
+//! journal record) and the next attempt runs at once, so a trial's
+//! records reach the journal in attempt order. A worker exits when the
+//! cursor is empty.
 //!
 //! The committer runs on the calling thread (so a [`RowSink`] need not be
 //! `Send`): it journals each decision, streams the verdict row, and folds
@@ -40,23 +38,28 @@
 //! `MAX_IN_FLIGHT`), enough that workers keep running through a journal
 //! fsync instead of blocking on a full channel.
 //!
+//! A sink or journal error ends the run with that error: the committer
+//! returns it and drops the receiver, so every pending and later send
+//! fails, and each worker stops after its current attempt.
+//!
 //! ## Resume
 //!
 //! With a checkpoint path, completed trials replayed from the journal are
 //! absorbed directly (their journaled rows are **not** re-emitted to the
-//! sink — they streamed before the interruption), journaled retries seed
-//! the retry tail, and only the remaining frontier is scheduled. Memory
-//! stays bounded by the in-flight channel, never by campaign size.
+//! sink — they streamed before the interruption), and only the remaining
+//! trials are scheduled. A trial with a journaled retry resumes at its
+//! journaled attempt with its journaled registry. Memory stays bounded by
+//! the in-flight channel, never by campaign size.
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use underradar_campaign::engine::{self, AttemptOutcome, PolicyPrep, ScopeConfig, Worlds};
+use underradar_campaign::sched::Cursor;
 use underradar_campaign::{CampaignSpec, StreamReport, Trial, TrialResult};
 use underradar_telemetry::{Registry, StreamMerger, Telemetry};
 
@@ -151,7 +154,8 @@ pub struct RunProfile {
     pub worker_wait_ns: Vec<u64>,
     /// Per-worker attempt counts.
     pub worker_attempts: Vec<u64>,
-    /// Successful steal-half operations across all workers.
+    /// Always 0: workers share one chunk cursor, so no work is stolen.
+    /// Kept because the benchmark's `runner.steals` metric reads it.
     pub steals: u64,
     /// Retry handoffs the committer observed.
     pub retries_seen: u64,
@@ -169,20 +173,12 @@ pub struct ServiceOutcome {
     pub executed: usize,
     /// Trials restored from the journal instead of re-run.
     pub restored: usize,
-    /// Journaled retries whose accumulated state seeded the retry tail.
+    /// Trials that resumed at a journaled retry's attempt and registry.
     pub resumed_retries: usize,
     /// Bytes of damaged journal tail discarded during recovery.
     pub journal_truncated: u64,
     /// Wall-clock profile of this run (never feeds deterministic output).
     pub profile: RunProfile,
-}
-
-/// A trial waiting on the retry tail: its next attempt and the registry
-/// its finished attempts accumulated.
-struct RetryTask {
-    index: usize,
-    attempt: u32,
-    acc: Registry,
 }
 
 /// Shared worker accounting, updated with relaxed atomics on the hot path
@@ -191,7 +187,6 @@ struct WorkerStats {
     busy_ns: Vec<AtomicU64>,
     wait_ns: Vec<AtomicU64>,
     attempts: Vec<AtomicU64>,
-    steals: AtomicU64,
 }
 
 impl WorkerStats {
@@ -201,7 +196,6 @@ impl WorkerStats {
             busy_ns: zeros(),
             wait_ns: zeros(),
             attempts: zeros(),
-            steals: AtomicU64::new(0),
         }
     }
 }
@@ -262,11 +256,10 @@ impl ProgressState {
                     .to_string()
             })
             .collect();
-        let steals = stats.steals.load(Ordering::Relaxed);
         let line = format!(
             "{{\"done\":{done},\"elapsed_ms\":{elapsed_ms},\"eta_ms\":{eta_ms},\
              \"journal_lag\":{journal_lag},\"restored\":{restored},\"retries\":{retries},\
-             \"rows_per_sec\":{rows_per_sec},\"steals\":{steals},\"total\":{total},\
+             \"rows_per_sec\":{rows_per_sec},\"total\":{total},\
              \"worker_busy_permille\":[{}]}}",
             busy.join(",")
         );
@@ -287,7 +280,7 @@ enum Msg {
         result: Box<TrialResult>,
         acc: Box<Registry>,
     },
-    /// Trial `index` will run `next_attempt` later; `acc` snapshots the
+    /// Trial `index` runs `next_attempt` next; `acc` snapshots the
     /// registry accumulated so far, for the journal.
     Retry {
         index: usize,
@@ -296,7 +289,7 @@ enum Msg {
     },
 }
 
-/// Run `spec` as a durable service: schedule with work stealing, stream
+/// Run `spec` as a durable service: schedule from one chunk cursor, stream
 /// rows into `sink` as trials complete, journal to `cfg.checkpoint`, and
 /// merge telemetry into `tel`. Resumes automatically when the journal
 /// already holds progress for this spec. A spec that overruns the
@@ -333,29 +326,16 @@ pub fn run_service(
         sink.restored(result)?;
     }
 
-    // The remaining frontier: every trial with no complete record. Trials
-    // with a journaled retry resume mid-attempt via the retry tail; the
-    // rest start from attempt 0.
-    let mut remaining: Vec<usize> = Vec::new();
-    let mut seeded: VecDeque<RetryTask> = VecDeque::new();
-    for trial in &trials {
-        let index = trial.index;
-        if replay.completed.contains_key(&(index as u64)) {
-            continue;
-        }
-        if let Some((attempt, acc)) = replay.retries.get(&(index as u64)) {
-            seeded.push_back(RetryTask {
-                index,
-                attempt: *attempt,
-                acc: acc.clone(),
-            });
-        } else {
-            remaining.push(index);
-        }
-    }
-    let expected = remaining.len() + seeded.len();
+    // The work list: every trial with no complete record, in index order.
+    let remaining: Vec<usize> = (0..trials.len())
+        .filter(|&index| !replay.completed.contains_key(&(index as u64)))
+        .collect();
+    let expected = remaining.len();
     let restored = replay.completed.len();
-    let resumed_retries = seeded.len();
+    let resumed_retries = remaining
+        .iter()
+        .filter(|&&index| replay.retries.contains_key(&(index as u64)))
+        .count();
 
     let mut progress = cfg.progress.map(|p| ProgressState::new(p, run_start));
     let mut retries_seen = 0u64;
@@ -364,8 +344,7 @@ pub fn run_service(
     if expected > 0 {
         let scope_cfg = ScopeConfig::of(tel).with_trace_capacity(spec.trace_capacity);
         let workers = cfg.workers.clamp(1, expected);
-        let deques = underradar_campaign::steal::Deques::split(remaining.len(), workers, 0);
-        let retry_tail = Mutex::new(seeded);
+        let cursor = Cursor::new(expected, workers);
         // One commit group drains at most `fsync_every` messages, and the
         // channel holds a group on top of the workers' own slack.
         let group_max = cfg.fsync_every.clamp(1, MAX_IN_FLIGHT as u64) as usize;
@@ -378,16 +357,19 @@ pub fn run_service(
                     spec,
                     trials: &trials,
                     preps: &preps,
+                    retries: &replay.retries,
                     scope_cfg,
-                    retry_tail: &retry_tail,
                     tx: tx.clone(),
                     stats: &stats,
                 };
-                let deques = &deques;
-                let remaining = &remaining;
-                scope.spawn(move || worker.run(deques, remaining));
+                let (cursor, remaining) = (&cursor, &remaining);
+                scope.spawn(move || worker.run(cursor, remaining));
             }
             drop(tx);
+            // The committer owns the receiver, so an early `?` return drops
+            // it before the scope joins: every worker's send then fails and
+            // the worker stops, instead of blocking on a full channel.
+            let rx = rx;
             // Committer: the calling thread absorbs completions until
             // every remaining trial has a final verdict. With progress
             // enabled it polls on the snapshot cadence so a long-running
@@ -477,7 +459,7 @@ pub fn run_service(
         worker_busy_ns: stats.busy_ns.iter_mut().map(|b| *b.get_mut()).collect(),
         worker_wait_ns: stats.wait_ns.iter_mut().map(|b| *b.get_mut()).collect(),
         worker_attempts: stats.attempts.iter_mut().map(|a| *a.get_mut()).collect(),
-        steals: *stats.steals.get_mut(),
+        steals: 0,
         retries_seen,
         snapshots: progress.as_ref().map(|p| p.snapshots).unwrap_or(0),
     };
@@ -498,95 +480,83 @@ struct Worker<'a> {
     spec: &'a CampaignSpec,
     trials: &'a [Trial],
     preps: &'a [PolicyPrep<'a>],
+    /// Journaled retries: index → (next attempt, accumulated registry).
+    retries: &'a BTreeMap<u64, (u32, Registry)>,
     scope_cfg: ScopeConfig,
-    retry_tail: &'a Mutex<VecDeque<RetryTask>>,
     tx: mpsc::SyncSender<Msg>,
     stats: &'a WorkerStats,
 }
 
 impl<'a> Worker<'a> {
-    /// Drain own deque, steal, then service the retry tail. Each unit of
-    /// work is a *single attempt*; inconclusive attempts re-enqueue at
-    /// the tail rather than looping inline. Attempts run in the worker's
-    /// own world pool, built lazily on this thread: consecutive attempts
-    /// of one column and topology reset one world instead of building one
-    /// each.
-    fn run(&self, deques: &underradar_campaign::steal::Deques, remaining: &[usize]) {
+    /// Take chunks of the work list until the cursor is empty, running
+    /// each trial to its final verdict. Attempts run in the worker's own
+    /// world pool, built lazily on this thread: consecutive attempts of
+    /// one column and topology reset one world instead of building one
+    /// each. Returns early once the committer has gone.
+    fn run(&self, cursor: &Cursor, remaining: &[usize]) {
         let mut worlds = Worlds::new();
-        loop {
-            let popped = deques.pop(self.id).or_else(|| {
-                let stolen = deques.steal(self.id);
-                if stolen.is_some() {
-                    self.stats.steals.fetch_add(1, Ordering::Relaxed);
+        while let Some(chunk) = cursor.take() {
+            for &index in &remaining[chunk] {
+                if !self.trial(&mut worlds, index) {
+                    return;
                 }
-                stolen
-            });
-            if let Some(chunk) = popped {
-                for &index in &remaining[chunk.start..chunk.end] {
-                    self.attempt(&mut worlds, index, 0, Registry::new());
-                }
-                continue;
-            }
-            let task = self
-                .retry_tail
-                .lock()
-                .expect("retry tail poisoned")
-                .pop_front();
-            match task {
-                Some(t) => self.attempt(&mut worlds, t.index, t.attempt, t.acc),
-                // Deques and retry tail both empty at this check: any retry
-                // enqueued concurrently is followed by its enqueuer's own
-                // check, so exiting here strands nothing.
-                None => return,
             }
         }
     }
 
-    /// Run one attempt of trial `index` and hand the outcome to the
-    /// committer. Busy time covers the attempt alone; time blocked on a
-    /// full channel is accounted as waiting.
-    fn attempt(&self, worlds: &mut Worlds<'a>, index: usize, attempt: u32, mut acc: Registry) {
+    /// Run trial `index` from its journaled attempt (attempt 0 if none),
+    /// attempt after attempt, handing each outcome to the committer. Busy
+    /// time covers the attempts alone; time blocked on a full channel is
+    /// accounted as waiting. Returns `false` if the committer has gone.
+    fn trial(&self, worlds: &mut Worlds<'a>, index: usize) -> bool {
         let trial = &self.trials[index];
         let prep = &self.preps[trial.policy_idx];
-        let t0 = Instant::now();
-        let outcome = engine::run_trial_attempt_in(
-            worlds,
-            self.spec,
-            prep,
-            trial,
-            attempt,
-            &mut acc,
-            self.scope_cfg,
-        );
-        self.stats.busy_ns[self.id].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.stats.attempts[self.id].fetch_add(1, Ordering::Relaxed);
-        match outcome {
-            AttemptOutcome::Done(result) => self.send(Msg::Done {
-                index,
-                result,
-                acc: Box::new(acc),
-            }),
-            AttemptOutcome::Retry { next_attempt } => {
-                self.send(Msg::Retry {
-                    index,
-                    next_attempt,
-                    acc: Box::new(acc.clone()),
-                });
-                self.retry_tail
-                    .lock()
-                    .expect("retry tail poisoned")
-                    .push_back(RetryTask {
+        let (mut attempt, mut acc) = match self.retries.get(&(index as u64)) {
+            Some((attempt, acc)) => (*attempt, acc.clone()),
+            None => (0, Registry::new()),
+        };
+        loop {
+            let t0 = Instant::now();
+            let outcome = engine::run_trial_attempt_in(
+                worlds,
+                self.spec,
+                prep,
+                trial,
+                attempt,
+                &mut acc,
+                self.scope_cfg,
+            );
+            self.stats.busy_ns[self.id]
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.stats.attempts[self.id].fetch_add(1, Ordering::Relaxed);
+            match outcome {
+                AttemptOutcome::Done(result) => {
+                    return self.send(Msg::Done {
                         index,
-                        attempt: next_attempt,
-                        acc,
-                    });
+                        result,
+                        acc: Box::new(acc),
+                    })
+                }
+                AttemptOutcome::Retry { next_attempt } => {
+                    let msg = Msg::Retry {
+                        index,
+                        next_attempt,
+                        acc: Box::new(acc.clone()),
+                    };
+                    if !self.send(msg) {
+                        return false;
+                    }
+                    attempt = next_attempt;
+                }
             }
         }
     }
 
-    fn send(&self, msg: Msg) {
+    /// Hand `msg` to the committer; `false` if the committer has gone.
+    fn send(&self, msg: Msg) -> bool {
         let t0 = Instant::now();
-        let _ = self.tx.send(msg);
+        let sent = self.tx.send(msg).is_ok();
         self.stats.wait_ns[self.id].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        sent
     }
 }

@@ -2,7 +2,7 @@
 //! completes, instead of an end-of-run report dump.
 //!
 //! A [`RowSink`] receives each [`TrialResult`] in **completion order** —
-//! under work stealing that order varies with the worker count and
+//! with several workers that order varies with the worker count and
 //! scheduling, so the live row stream is an observability surface, not a
 //! determinism surface. Rows are self-describing (each carries its trial
 //! `index`), so consumers needing canonical order sort or key by index;

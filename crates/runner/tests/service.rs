@@ -7,6 +7,7 @@
 //! checkpoint boundary.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 use underradar_campaign::engine::{self, ScopeConfig};
 use underradar_campaign::{
@@ -41,8 +42,8 @@ fn spec() -> CampaignSpec {
         .run_secs(30)
 }
 
-/// A lossy matrix that actually exercises the retry tail: heavy client
-/// link loss drives `Inconclusive` verdicts into the backoff path.
+/// A lossy matrix that actually exercises retries: heavy client link
+/// loss drives `Inconclusive` verdicts into the backoff path.
 fn lossy_spec() -> CampaignSpec {
     CampaignSpec::new("service-lossy", 6)
         .targets(["twitter.com"])
@@ -138,7 +139,7 @@ fn one_and_many_workers_agree_with_and_without_checkpointing() {
 }
 
 #[test]
-fn retries_survive_the_tail_queue_and_match_the_oracle() {
+fn retried_trials_match_the_oracle() {
     let spec = lossy_spec();
     let tel = Telemetry::enabled();
     let (report, trials) = oracle(&spec, &tel);
@@ -152,8 +153,8 @@ fn retries_survive_the_tail_queue_and_match_the_oracle() {
     assert_eq!(tel2.snapshot().to_json(), tel.snapshot().to_json());
 }
 
-/// Retried trials complete late and out of order on the retry tail; a
-/// `VecSink` sorted by index still yields exactly the oracle's rows.
+/// Retried trials complete out of index order; a `VecSink` sorted by
+/// index still yields exactly the oracle's rows.
 #[test]
 fn vec_sink_rows_sorted_by_index_match_the_oracle_under_retries() {
     let spec = lossy_spec();
@@ -407,6 +408,58 @@ fn rows_reach_the_sink_only_after_their_journal_record() {
             let _ = std::fs::remove_file(&sink.copy);
         }
     }
+}
+
+/// A sink whose third row fails, as stdout does once `head` has closed
+/// the pipe.
+struct FailingSink {
+    rows: usize,
+}
+
+impl RowSink for FailingSink {
+    fn row(&mut self, _result: &TrialResult) -> std::io::Result<()> {
+        self.rows += 1;
+        match self.rows {
+            3 => Err(std::io::Error::new(
+                std::io::ErrorKind::BrokenPipe,
+                "sink closed",
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// A failed sink ends the run with its error, promptly: the workers stop
+/// instead of blocking on a full channel. The spec has more trials than
+/// the channel holds (2 workers, `fsync_every` 1: 9 messages), and the run
+/// happens on its own thread under a watchdog, so a hang fails this test
+/// instead of stalling the suite.
+#[test]
+fn a_failing_sink_ends_the_run_with_its_error() {
+    let spec = CampaignSpec::new("service-failing-sink", 5)
+        .target("twitter.com")
+        .method(MethodKind::StatelessSyn)
+        .policy(NamedPolicy::new("control", CensorPolicy::new()))
+        .trials_per_cell(40)
+        .warmup(false)
+        .run_secs(5);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let mut sink = FailingSink { rows: 0 };
+        let cfg = RunConfig::new(2).fsync_every(1);
+        let result = run_service(&spec, &cfg, &Telemetry::disabled(), &mut sink);
+        done_tx.send((result.map(|o| o.executed), sink.rows)).ok();
+    });
+    // On a hang the run thread is left behind: the test fails instead.
+    let (result, rows) = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("run_service returns within 60 s of its sink failing");
+    run.join().expect("run thread");
+    match result {
+        Err(JournalError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe),
+        other => panic!("expected the sink's error, got {other:?}"),
+    }
+    assert_eq!(rows, 3, "no row reaches the sink after the failed one");
 }
 
 #[test]

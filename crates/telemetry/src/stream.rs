@@ -4,8 +4,8 @@
 //! value of the *last* merged snapshot, and flight-recorder trace records
 //! append in merge order. The campaign engine hides that by merging
 //! per-trial registries in trial-index order after all trials finish — an
-//! end-of-run barrier a streaming run service cannot afford, because under
-//! work stealing trials complete in arbitrary order and a 1M-trial run
+//! end-of-run barrier a streaming run service cannot afford, because with
+//! several workers trials complete in arbitrary order and a 1M-trial run
 //! cannot buffer 1M registries to sort them.
 //!
 //! [`StreamMerger`] absorbs per-trial deltas in **completion order** while
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn completion_order_absorb_equals_index_order_merge() {
         let n = 12u64;
-        // A scrambled completion order a work-stealing run could produce.
+        // A scrambled completion order a multi-worker run could produce.
         let mut order: Vec<u64> = (0..n).collect();
         order.reverse();
         order.swap(0, 7);

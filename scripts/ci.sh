@@ -182,6 +182,21 @@ echo "==> run-service smoke (--service vs default run; 1 vs 8 workers byte ident
 cmp "$tmpdir/campaign_plain.txt" "$tmpdir/service_1.txt"
 cmp "$tmpdir/service_1.txt" "$tmpdir/service_8.txt"
 
+echo "==> closed-pipe smoke (a failed row sink ends the run with status 1, never a hang)"
+# head closes stdout after 100 bytes; the streamed rows then fail to
+# write, and the binary must report it and exit 1 on its own, long
+# before timeout's 124.
+set +o pipefail
+timeout 60 ./target/release/underradar campaign --jsonl --service --shards 2 \
+  2> "$tmpdir/closed_pipe.err" | head -c 100 > /dev/null
+status=${PIPESTATUS[0]}
+set -o pipefail
+if [ "$status" != 1 ]; then
+  echo "campaign into a closed pipe exited $status, not 1" >&2
+  exit 1
+fi
+grep -q '^campaign run failed: ' "$tmpdir/closed_pipe.err"
+
 echo "==> safety-audit smoke (--audit: double run, 1-vs-4-shard and service-vs-batch identity)"
 # The exposure ledger rides the merged telemetry registry, so the audit
 # inherits the campaign's determinism contract: byte-identical for any

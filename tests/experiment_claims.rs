@@ -3,7 +3,7 @@
 //! that failed and prints that experiment's report.
 
 use underradar_bench::experiments::{Outcome, ALL};
-use underradar_campaign::steal;
+use underradar_campaign::sched;
 use underradar_telemetry::Telemetry;
 
 /// A1's claims on the RST-teardown and MVR-ordering ablations, checked
@@ -23,7 +23,7 @@ const A1_CLAIMS: [&str; 8] = [
 fn every_experiment_claim_holds() {
     let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
     let outcomes: Vec<Outcome> =
-        steal::run_chunked(ALL.len(), workers, |i| (ALL[i].1)(&Telemetry::disabled()));
+        sched::run_chunked(ALL.len(), workers, |i| (ALL[i].1)(&Telemetry::disabled()));
     let mut failures = String::new();
     for (&(name, _), outcome) in ALL.iter().zip(&outcomes) {
         assert!(!outcome.claims.is_empty(), "{name} makes no claim");
