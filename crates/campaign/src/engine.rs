@@ -18,9 +18,15 @@
 //! [`run_trial_attempt_in`], which resets the world the previous attempt
 //! left when it has the same column and topology. Both produce the same
 //! bytes.
+//!
+//! [`run_trial_attempt_in`] accumulates a trial's telemetry into an
+//! id-keyed [`Delta`], which the run service hands to its committer as
+//! it is; [`run_trial`] and [`run_trial_attempt`] build the named
+//! [`Registry`] from it at their boundary.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 use underradar_censor::{CensorAction, CensorActionKind};
 use underradar_core::methods::ddos::DdosProbe;
@@ -41,7 +47,7 @@ use underradar_netsim::time::{SimDuration, SimTime};
 use underradar_protocols::dns::QType;
 use underradar_surveil::exposure::{ExposureEventKind, ExposureLedger, HostExposure};
 use underradar_surveil::system::SurveillanceSystem;
-use underradar_telemetry::{FieldValue, Registry, Telemetry, TraceRecord};
+use underradar_telemetry::{Delta, FieldValue, NameId, Registry, Telemetry, TraceRecord};
 
 use crate::report::TrialResult;
 use crate::seed;
@@ -190,11 +196,19 @@ pub fn run_trial(
     trial: &Trial,
     cfg: ScopeConfig,
 ) -> (TrialResult, Registry) {
-    let mut acc = Registry::new();
+    let mut acc = Delta::new();
     let mut attempt = 0u32;
     loop {
-        match run_trial_attempt(spec, prep, trial, attempt, &mut acc, cfg) {
-            AttemptOutcome::Done(result) => return (*result, acc),
+        match run_trial_attempt_in(
+            &mut Worlds::new(),
+            spec,
+            prep,
+            trial,
+            attempt,
+            &mut acc,
+            cfg,
+        ) {
+            AttemptOutcome::Done(result) => return (*result, acc.into_registry()),
             AttemptOutcome::Retry { next_attempt } => attempt = next_attempt,
         }
     }
@@ -213,20 +227,32 @@ pub fn run_trial_attempt(
     acc: &mut Registry,
     cfg: ScopeConfig,
 ) -> AttemptOutcome {
-    run_trial_attempt_in(&mut Worlds::new(), spec, prep, trial, attempt, acc, cfg)
+    let mut delta = Delta::new();
+    let outcome = run_trial_attempt_in(
+        &mut Worlds::new(),
+        spec,
+        prep,
+        trial,
+        attempt,
+        &mut delta,
+        cfg,
+    );
+    acc.accumulate(delta.into_registry());
+    outcome
 }
 
-/// [`run_trial_attempt`] in a world from `worlds`: the pooled world when
-/// it was built from this column for this trial's topology, reset in
-/// place for the attempt's seed; otherwise a new one, which stays in the
-/// pool. Output is byte-identical to [`run_trial_attempt`]'s.
+/// [`run_trial_attempt`] in a world from `worlds`, accumulating into an
+/// id-keyed delta: the pooled world when it was built from this column
+/// for this trial's topology, reset in place for the attempt's seed;
+/// otherwise a new one, which stays in the pool. `acc.into_registry()`
+/// is byte-identical to what [`run_trial_attempt`] accumulates.
 pub fn run_trial_attempt_in<'p>(
     worlds: &mut Worlds<'p>,
     spec: &CampaignSpec,
     prep: &'p PolicyPrep<'p>,
     trial: &Trial,
     attempt: u32,
-    acc: &mut Registry,
+    acc: &mut Delta,
     cfg: ScopeConfig,
 ) -> AttemptOutcome {
     if attempt == 0 && cfg.tracing() {
@@ -255,24 +281,21 @@ pub fn run_trial_attempt_in<'p>(
         scope: &scope,
     };
     let mut result = execute(&stage, worlds, horizon);
-    // The world holds no handle to the scope any more, so its registry
-    // moves out whole.
+    // The world holds no handle to the scope any more, so its values
+    // move out whole.
     debug_assert!(scope.is_unshared(), "the world detached its telemetry");
-    acc.accumulate(scope.into_registry());
+    acc.accumulate(scope.into_delta());
     let inconclusive = matches!(result.verdict, Verdict::Inconclusive(_));
     if !inconclusive || attempt >= spec.retry.max_retries {
         result.retries = attempt;
-        bump(acc, "campaign.trials", 1);
-        bump(acc, "campaign.retries", attempt as u64);
-        let label = trial.method.label();
-        bump(acc, &format!("campaign.method.{label}.trials"), 1);
-        bump(
-            acc,
-            &format!("campaign.method.{label}.retries"),
-            attempt as u64,
-        );
+        let names = CampaignNames::get();
+        let (method_trials, method_retries) = names.method(trial.method);
+        bump(acc, names.trials, 1);
+        bump(acc, names.retries, attempt as u64);
+        bump(acc, method_trials, 1);
+        bump(acc, method_retries, attempt as u64);
         if inconclusive {
-            bump(acc, "campaign.inconclusive_final", 1);
+            bump(acc, names.inconclusive_final, 1);
         }
         if cfg.tracing() {
             acc.trace.push(campaign_record(
@@ -328,9 +351,47 @@ fn campaign_record(
     }
 }
 
-fn bump(registry: &mut Registry, name: &str, n: u64) {
+/// Add `n > 0` to counter `name`; a zero leaves no key.
+fn bump(acc: &mut Delta, name: NameId, n: u64) {
     if n > 0 {
-        *registry.counters.entry(name.to_string()).or_insert(0) += n;
+        acc.count(name, n);
+    }
+}
+
+/// The `campaign.*` counters a trial's final attempt bumps, interned once
+/// per process.
+struct CampaignNames {
+    trials: NameId,
+    retries: NameId,
+    inconclusive_final: NameId,
+    /// `campaign.method.<label>.{trials, retries}`, in
+    /// [`MethodKind::ALL`] order.
+    methods: Vec<(NameId, NameId)>,
+}
+
+impl CampaignNames {
+    fn get() -> &'static CampaignNames {
+        static NAMES: OnceLock<CampaignNames> = OnceLock::new();
+        NAMES.get_or_init(|| CampaignNames {
+            trials: NameId::of("campaign.trials"),
+            retries: NameId::of("campaign.retries"),
+            inconclusive_final: NameId::of("campaign.inconclusive_final"),
+            methods: MethodKind::ALL
+                .iter()
+                .map(|m| {
+                    let label = m.label();
+                    (
+                        NameId::of(&format!("campaign.method.{label}.trials")),
+                        NameId::of(&format!("campaign.method.{label}.retries")),
+                    )
+                })
+                .collect(),
+        })
+    }
+
+    fn method(&self, method: MethodKind) -> (NameId, NameId) {
+        let at = MethodKind::ALL.iter().position(|m| *m == method);
+        self.methods[at.unwrap_or_default()]
     }
 }
 
@@ -919,12 +980,12 @@ mod tests {
                     _ => ScopeConfig::of(&Telemetry::with_trace(g.usize_in(16, 4096))),
                 };
                 let pooled_before = worlds.flat.is_some() || worlds.routed.is_some();
-                let mut acc = Registry::new();
+                let mut acc = Delta::new();
                 let outcome =
                     run_trial_attempt_in(&mut worlds, spec, prep, &trial, attempt, &mut acc, cfg);
-                let pooled = attempt_output(&outcome, &acc, &worlds);
+                let pooled = attempt_output(&outcome, &acc.to_registry(), &worlds);
                 let mut fresh_worlds = Worlds::new();
-                let mut acc = Registry::new();
+                let mut acc = Delta::new();
                 let outcome = run_trial_attempt_in(
                     &mut fresh_worlds,
                     spec,
@@ -934,7 +995,7 @@ mod tests {
                     &mut acc,
                     cfg,
                 );
-                let fresh = attempt_output(&outcome, &acc, &fresh_worlds);
+                let fresh = attempt_output(&outcome, &acc.to_registry(), &fresh_worlds);
                 assert_eq!(
                     pooled, fresh,
                     "step {step}: {method:?} on {}",

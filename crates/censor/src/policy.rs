@@ -8,6 +8,7 @@ use std::net::Ipv4Addr;
 use underradar_netsim::addr::Cidr;
 use underradar_netsim::time::SimTime;
 use underradar_protocols::dns::DnsName;
+use underradar_telemetry::FieldValue;
 
 /// What kind of censorship event occurred.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,9 +94,9 @@ pub fn export_actions(
         tel.event(
             a.time.as_nanos(),
             event_kind,
-            &[
-                ("kind", a.kind.label().into()),
-                ("client", a.client.to_string().into()),
+            [
+                ("kind", FieldValue::Static(a.kind.label())),
+                ("client", FieldValue::Addr(a.client)),
             ],
         );
     }

@@ -54,7 +54,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use underradar_campaign::{AddressPlanOverrun, InvalidTarget, SpecError, TrialResult};
-use underradar_telemetry::codec::{put_registry, put_u32, put_u64, CodecError, Reader};
+use underradar_telemetry::codec::{put_u32, put_u64, CodecError, PutRegistry, Reader};
 use underradar_telemetry::Registry;
 
 use crate::codec::{encode_trial_result, read_trial_result};
@@ -77,6 +77,8 @@ const TAG_RETRY: u8 = 2;
 pub enum JournalError {
     /// Filesystem failure.
     Io(io::Error),
+    /// The row sink failed to take a row (e.g. its pipe closed).
+    Sink(io::Error),
     /// The file exists but does not start with a valid journal header.
     BadHeader,
     /// The header's format version is not [`VERSION`].
@@ -102,6 +104,7 @@ impl std::fmt::Display for JournalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
+            JournalError::Sink(e) => write!(f, "row sink I/O error: {e}"),
             JournalError::BadHeader => write!(f, "not a checkpoint journal (bad header)"),
             JournalError::WrongVersion(v) => {
                 write!(f, "unsupported journal version {v} (want {VERSION})")
@@ -334,18 +337,20 @@ impl Journal {
         self.fsync_every = n.max(1);
     }
 
-    /// Append a *complete* record for trial `index`.
+    /// Append a *complete* record for trial `index`. The delta is a
+    /// [`Registry`] or an id-keyed `Delta`; either encodes with names, to
+    /// the same bytes.
     pub fn append_complete(
         &mut self,
         index: u64,
         result: &TrialResult,
-        delta: &Registry,
+        delta: &impl PutRegistry,
     ) -> io::Result<()> {
         let start = self.begin_frame();
         self.buf.push(TAG_COMPLETE);
         put_u64(&mut self.buf, index);
         encode_trial_result(&mut self.buf, result);
-        put_registry(&mut self.buf, delta);
+        delta.put(&mut self.buf);
         self.end_frame(start)
     }
 
@@ -355,13 +360,13 @@ impl Journal {
         &mut self,
         index: u64,
         next_attempt: u32,
-        acc: &Registry,
+        acc: &impl PutRegistry,
     ) -> io::Result<()> {
         let start = self.begin_frame();
         self.buf.push(TAG_RETRY);
         put_u64(&mut self.buf, index);
         put_u32(&mut self.buf, next_attempt);
-        put_registry(&mut self.buf, acc);
+        acc.put(&mut self.buf);
         self.end_frame(start)
     }
 

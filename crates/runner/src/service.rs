@@ -61,7 +61,7 @@ use std::time::{Duration, Instant};
 use underradar_campaign::engine::{self, AttemptOutcome, PolicyPrep, ScopeConfig, Worlds};
 use underradar_campaign::sched::Cursor;
 use underradar_campaign::{CampaignSpec, StreamReport, Trial, TrialResult};
-use underradar_telemetry::{Registry, StreamMerger, Telemetry};
+use underradar_telemetry::{Delta, Registry, StreamMerger, Telemetry};
 
 use crate::journal::{Journal, JournalError, Replay};
 use crate::sink::RowSink;
@@ -271,21 +271,22 @@ impl ProgressState {
     }
 }
 
-/// What a worker tells the committer.
+/// What a worker tells the committer. Telemetry travels as an id-keyed
+/// [`Delta`]: the committer merges it by id and encodes it with names.
 enum Msg {
     /// Trial `index` reached a final verdict; `acc` is its complete
     /// telemetry delta (all attempts).
     Done {
         index: usize,
         result: Box<TrialResult>,
-        acc: Box<Registry>,
+        acc: Box<Delta>,
     },
     /// Trial `index` runs `next_attempt` next; `acc` snapshots the
-    /// registry accumulated so far, for the journal.
+    /// delta accumulated so far, for the journal.
     Retry {
         index: usize,
         next_attempt: u32,
-        acc: Box<Registry>,
+        acc: Box<Delta>,
     },
 }
 
@@ -323,7 +324,7 @@ pub fn run_service(
     for (index, (result, delta)) in &replay.completed {
         report.absorb(result);
         merger.absorb(*index, delta);
-        sink.restored(result)?;
+        sink.restored(result).map_err(JournalError::Sink)?;
     }
 
     // The work list: every trial with no complete record, in index order.
@@ -395,13 +396,13 @@ pub fn run_service(
                     for msg in &group {
                         match msg {
                             Msg::Done { index, result, acc } => {
-                                j.append_complete(*index as u64, result, acc)?
+                                j.append_complete(*index as u64, result, &**acc)?
                             }
                             Msg::Retry {
                                 index,
                                 next_attempt,
                                 acc,
-                            } => j.append_retry(*index as u64, *next_attempt, acc)?,
+                            } => j.append_retry(*index as u64, *next_attempt, &**acc)?,
                         }
                     }
                     j.flush()?;
@@ -409,9 +410,9 @@ pub fn run_service(
                 for msg in group.drain(..) {
                     match msg {
                         Msg::Done { index, result, acc } => {
-                            sink.row(&result)?;
+                            sink.row(&result).map_err(JournalError::Sink)?;
                             report.absorb(&result);
-                            merger.absorb(index as u64, &acc);
+                            merger.absorb_delta(index as u64, *acc);
                             done += 1;
                         }
                         Msg::Retry { .. } => retries_seen += 1,
@@ -439,8 +440,9 @@ pub fn run_service(
     if let Some(j) = journal.as_mut() {
         j.sync()?;
     }
-    sink.flush()?;
-    tel.merge_registry(&merger.finish());
+    sink.flush().map_err(JournalError::Sink)?;
+    // Names are built once, here; the registry then moves into `tel`.
+    tel.accumulate(merger.finish());
     if let Some(p) = progress.as_mut() {
         // Always close the stream with a final snapshot: done == total,
         // journal fully synced.
@@ -512,8 +514,8 @@ impl<'a> Worker<'a> {
         let trial = &self.trials[index];
         let prep = &self.preps[trial.policy_idx];
         let (mut attempt, mut acc) = match self.retries.get(&(index as u64)) {
-            Some((attempt, acc)) => (*attempt, acc.clone()),
-            None => (0, Registry::new()),
+            Some((attempt, acc)) => (*attempt, Delta::from(acc.clone())),
+            None => (0, Delta::new()),
         };
         loop {
             let t0 = Instant::now();

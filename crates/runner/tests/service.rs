@@ -429,7 +429,8 @@ impl RowSink for FailingSink {
     }
 }
 
-/// A failed sink ends the run with its error, promptly: the workers stop
+/// A failed sink ends the run with its own error (a sink error, not a
+/// journal error: this run has no journal), promptly: the workers stop
 /// instead of blocking on a full channel. The spec has more trials than
 /// the channel holds (2 workers, `fsync_every` 1: 9 messages), and the run
 /// happens on its own thread under a watchdog, so a hang fails this test
@@ -455,10 +456,12 @@ fn a_failing_sink_ends_the_run_with_its_error() {
         .recv_timeout(Duration::from_secs(60))
         .expect("run_service returns within 60 s of its sink failing");
     run.join().expect("run thread");
-    match result {
-        Err(JournalError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe),
+    let err = match result {
+        Err(err @ JournalError::Sink(_)) => err,
         other => panic!("expected the sink's error, got {other:?}"),
-    }
+    };
+    // The message names the sink, never a journal the run lacks.
+    assert_eq!(err.to_string(), "row sink I/O error: sink closed");
     assert_eq!(rows, 3, "no row reaches the sink after the failed one");
 }
 

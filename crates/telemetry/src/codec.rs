@@ -14,15 +14,21 @@
 //! panic) on truncated or corrupt payloads that slip through.
 //!
 //! Decoded [`TraceRecord`]s and [`Event`]s need `&'static str` stage, kind
-//! and field names; the decoder leaks each **unique** string once into a
-//! process-wide intern pool ([`intern_static`]). These names form a small
-//! closed set, so the leak is bounded and idempotent across any number of
-//! decodes.
+//! and field names; the decoder takes them from the process-wide name
+//! pool ([`intern_static`], [`crate::names`]), which leaks each **unique**
+//! string once. These names form a small closed set, so the leak is
+//! bounded and idempotent across any number of decodes.
+//!
+//! An id-keyed [`Delta`] encodes with names ([`put_delta`]), to the same
+//! bytes as the [`Registry`] it equals, so no id ever reaches a payload.
+//! Field values [`FieldValue::Static`] and [`FieldValue::Addr`] encode as
+//! the string of their text and decode as [`FieldValue::Str`], which
+//! compares equal to them.
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
-use std::sync::{Mutex, OnceLock};
+use std::net::Ipv4Addr;
 
+use crate::delta::Delta;
 use crate::hist::{Histogram, BUCKET_COUNT};
 use crate::registry::{Event, FieldValue, Registry, SpanRecord};
 use crate::trace::{TraceFlow, TraceRecord};
@@ -60,21 +66,7 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Intern a string into the process-wide `&'static str` pool, leaking it
-/// on first sight. Used by the decoder to restore the static names of
-/// [`TraceRecord`]s and [`Event`]s; idempotent, so repeated decodes of the
-/// same journal never grow the pool.
-pub fn intern_static(s: &str) -> &'static str {
-    static POOL: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let pool = POOL.get_or_init(|| Mutex::new(BTreeSet::new()));
-    let mut pool = pool.lock().expect("intern pool poisoned");
-    if let Some(&hit) = pool.get(s) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    pool.insert(leaked);
-    leaked
-}
+pub use crate::names::intern_static;
 
 // ---- primitive writers ----
 
@@ -190,7 +182,36 @@ fn put_field_value(out: &mut Vec<u8>, v: &FieldValue) {
             out.push(2);
             put_str(out, s);
         }
+        FieldValue::Static(s) => {
+            out.push(2);
+            put_str(out, s);
+        }
+        FieldValue::Addr(a) => {
+            out.push(2);
+            put_addr(out, *a);
+        }
     }
+}
+
+/// Append an address as the length-prefixed string of its dotted-quad
+/// text, without building the text first.
+fn put_addr(out: &mut Vec<u8>, addr: Ipv4Addr) {
+    let at = out.len();
+    put_u32(out, 0);
+    for (i, octet) in addr.octets().into_iter().enumerate() {
+        if i > 0 {
+            out.push(b'.');
+        }
+        if octet >= 100 {
+            out.push(b'0' + octet / 100);
+        }
+        if octet >= 10 {
+            out.push(b'0' + octet / 10 % 10);
+        }
+        out.push(b'0' + octet % 10);
+    }
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 fn read_field_value(r: &mut Reader<'_>) -> Result<FieldValue, CodecError> {
@@ -214,18 +235,66 @@ pub fn encode_registry(reg: &Registry) -> Vec<u8> {
 /// Append the [`encode_registry`] bytes of `reg` to `out`, so a caller
 /// framing the registry inside a larger record encodes it in place.
 pub fn put_registry(out: &mut Vec<u8>, reg: &Registry) {
-    put_u32(out, reg.counters.len() as u32);
-    for (name, v) in &reg.counters {
-        put_str(out, name);
-        put_u64(out, *v);
+    put_sections(
+        out,
+        reg.counters.iter().map(|(k, &v)| (k.as_str(), v)),
+        reg.gauges.iter().map(|(k, &v)| (k.as_str(), v)),
+        reg.histograms.iter().map(|(k, h)| (k.as_str(), h)),
+        (&reg.spans, &reg.events, &reg.trace),
+    );
+}
+
+/// Append the bytes of the [`Registry`] that `delta` equals
+/// (`delta.to_registry()`), resolving its ids to names and ordering by
+/// name as that registry would, without building it.
+pub fn put_delta(out: &mut Vec<u8>, delta: &Delta) {
+    put_sections(
+        out,
+        delta.counters_by_name().into_iter(),
+        delta.gauges_by_name().into_iter(),
+        delta.histograms_by_name().into_iter(),
+        (&delta.spans, &delta.events, &delta.trace),
+    );
+}
+
+/// A registry in either form, as the codec writes it: with names.
+pub trait PutRegistry {
+    /// Append the registry's [`encode_registry`] bytes to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+}
+
+impl PutRegistry for Registry {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_registry(out, self);
     }
-    put_u32(out, reg.gauges.len() as u32);
-    for (name, v) in &reg.gauges {
-        put_str(out, name);
-        put_i64(out, *v);
+}
+
+impl PutRegistry for Delta {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_delta(out, self);
     }
-    put_u32(out, reg.histograms.len() as u32);
-    for (name, h) in &reg.histograms {
+}
+
+/// The one encoder: named maps in name order, then the records.
+fn put_sections<'a>(
+    out: &mut Vec<u8>,
+    counters: impl ExactSizeIterator<Item = (&'a str, u64)>,
+    gauges: impl ExactSizeIterator<Item = (&'a str, i64)>,
+    histograms: impl ExactSizeIterator<Item = (&'a str, &'a Histogram)>,
+    (spans, events, trace): (&[SpanRecord], &[Event], &[TraceRecord]),
+) {
+    put_u32(out, counters.len() as u32);
+    for (name, v) in counters {
+        put_str(out, name);
+        put_u64(out, v);
+    }
+    put_u32(out, gauges.len() as u32);
+    for (name, v) in gauges {
+        put_str(out, name);
+        put_i64(out, v);
+    }
+    put_u32(out, histograms.len() as u32);
+    for (name, h) in histograms {
         put_str(out, name);
         put_u64(out, h.count());
         put_u64(out, h.sum());
@@ -238,14 +307,14 @@ pub fn put_registry(out: &mut Vec<u8>, reg: &Registry) {
             put_u64(out, n);
         }
     }
-    put_u32(out, reg.spans.len() as u32);
-    for s in &reg.spans {
+    put_u32(out, spans.len() as u32);
+    for s in spans {
         put_str(out, &s.name);
         put_u64(out, s.start_ns);
         put_u64(out, s.end_ns);
     }
-    put_u32(out, reg.events.len() as u32);
-    for e in &reg.events {
+    put_u32(out, events.len() as u32);
+    for e in events {
         put_u64(out, e.t_ns);
         put_str(out, e.kind);
         put_u32(out, e.fields.len() as u32);
@@ -254,8 +323,8 @@ pub fn put_registry(out: &mut Vec<u8>, reg: &Registry) {
             put_field_value(out, v);
         }
     }
-    put_u32(out, reg.trace.len() as u32);
-    for t in &reg.trace {
+    put_u32(out, trace.len() as u32);
+    for t in trace {
         put_u64(out, t.t_ns);
         put_u64(out, t.seq);
         put_str(out, t.stage);

@@ -12,7 +12,9 @@
 //!    and [`Telemetry::observe`]). A [`Telemetry`] handle is either live or
 //!    a null handle, and on a null handle every write is one null check.
 //!    The only handle a hot path holds is the flight recorder's [`Tracer`].
-//!    The perf bench asserts the bound.
+//!    The perf bench asserts the bound. A live handle interns each name
+//!    into one process-wide pool ([`names`]) and records into id-keyed
+//!    slots ([`Delta`]); names come back only when a registry is built.
 //! 2. **Deterministic output.** Metrics are integers, histogram buckets
 //!    have fixed boundaries, snapshots serialize in sorted key order, and
 //!    spans/events are keyed to *simulated* time (nanoseconds, as produced
@@ -40,71 +42,86 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod codec;
+pub mod delta;
+pub mod hash;
 pub mod hist;
 pub mod json;
+pub mod names;
 pub mod registry;
 pub mod stream;
 pub mod trace;
 
+pub use delta::Delta;
 pub use hist::{Histogram, BUCKET_COUNT};
+pub use names::NameId;
 pub use registry::{Event, FieldValue, Registry, SpanRecord};
 pub use stream::StreamMerger;
 pub use trace::{TraceBuf, TraceFlow, TraceRecord, Tracer, DEFAULT_TRACE_CAPACITY};
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use registry::with_slot;
 
-/// A live registry: every value is kept plain in `values`, which the
-/// hand-off moves out whole, next to the flight recorder's ring, which
-/// the handle's tracers share.
+/// The counter the flight recorder's eviction count is mirrored into.
+const TRACE_DROPPED: &str = "telemetry.trace.dropped";
+
+/// A live registry: every value is kept in `values`, an id-keyed
+/// [`Delta`] the hand-off moves out whole, next to the flight recorder's
+/// ring, which the handle's tracers share.
 struct Inner {
-    values: Registry,
+    values: Delta,
     trace: Option<Rc<RefCell<TraceBuf>>>,
 }
 
 impl Inner {
     /// An owned copy of everything recorded (see [`Telemetry::snapshot`]).
     fn snapshot(&self) -> Registry {
-        let mut reg = self.values.clone();
+        let mut reg = self.values.to_registry();
         if let Some(buf) = &self.trace {
             let buf = buf.borrow();
-            mirror_trace_dropped(&mut reg.counters, buf.dropped());
+            with_slot(&mut reg.counters, TRACE_DROPPED, |c| {
+                *c = c.wrapping_add(buf.dropped())
+            });
             reg.trace = buf.records().cloned().collect();
         }
         reg
     }
 
-    /// [`Inner::snapshot`] by move: names, values, spans and events leave
-    /// the scope without a copy, as do trace records no tracer still
-    /// shares.
-    fn into_registry(self) -> Registry {
-        let mut reg = self.values;
-        match self.trace.map(Rc::try_unwrap) {
-            Some(Ok(buf)) => {
+    /// [`Inner::snapshot`] by move and by id: values, spans and events
+    /// leave the scope without a copy, as do trace records no tracer
+    /// still shares.
+    fn into_delta(self) -> Delta {
+        let mut delta = self.values;
+        let Some(ring) = self.trace else {
+            return delta;
+        };
+        let (dropped, records) = match Rc::try_unwrap(ring) {
+            Ok(buf) => {
                 let buf = buf.into_inner();
-                mirror_trace_dropped(&mut reg.counters, buf.dropped());
-                reg.trace = buf.into_records();
+                (buf.dropped(), buf.into_records())
             }
-            Some(Err(shared)) => {
+            Err(shared) => {
                 let buf = shared.borrow();
-                mirror_trace_dropped(&mut reg.counters, buf.dropped());
-                reg.trace = buf.records().cloned().collect();
+                (buf.dropped(), buf.records().cloned().collect())
             }
-            None => {}
-        }
-        reg
+        };
+        delta.count(NameId::of(TRACE_DROPPED), dropped);
+        delta.trace = records;
+        delta
     }
-}
 
-/// Mirror the flight recorder's eviction count into the
-/// `telemetry.trace.dropped` counter.
-fn mirror_trace_dropped(counters: &mut BTreeMap<String, u64>, dropped: u64) {
-    with_slot(counters, "telemetry.trace.dropped", |c| {
-        *c = c.wrapping_add(dropped)
-    });
+    /// Fold `delta` in by [`Delta::accumulate`]'s rule; its trace records
+    /// go into the flight recorder's ring, without the ring bound, or
+    /// nowhere when this handle does not trace.
+    fn accumulate(&mut self, mut delta: Delta) {
+        let trace = std::mem::take(&mut delta.trace);
+        self.values.accumulate(delta);
+        if let Some(buf) = &self.trace {
+            buf.borrow_mut().extend_unbounded(trace);
+        }
+    }
 }
 
 /// A cheaply-cloneable recording handle. Either live (shared registry) or
@@ -132,7 +149,7 @@ impl Telemetry {
     pub fn enabled() -> Self {
         Telemetry {
             inner: Some(Rc::new(RefCell::new(Inner {
-                values: Registry::new(),
+                values: Delta::for_scope(),
                 trace: None,
             }))),
         }
@@ -173,44 +190,50 @@ impl Telemetry {
         )
     }
 
-    /// Add `n` to counter `name`. The first write to a name allocates
-    /// it; later ones allocate nothing.
+    /// Add `n` to counter `name`. A name seen before, anywhere in the
+    /// process, costs a hash lookup and no allocation.
     pub fn count(&self, name: &str, n: u64) {
-        self.with_values(|v| with_slot(&mut v.counters, name, |c| *c = c.wrapping_add(n)));
+        self.with_values(|v| v.count(NameId::of(name), n));
     }
 
     /// Set counter `name` to an absolute total (idempotent export-style
     /// mirroring of a component's own stats).
     pub fn set_counter(&self, name: &str, total: u64) {
-        self.with_values(|v| with_slot(&mut v.counters, name, |c| *c = total));
+        self.with_values(|v| v.set_counter(NameId::of(name), total));
     }
 
     /// Set gauge `name` to `value`.
     pub fn set_gauge(&self, name: &str, value: i64) {
-        self.with_values(|v| with_slot(&mut v.gauges, name, |g| *g = value));
+        self.with_values(|v| v.set_gauge(NameId::of(name), value));
     }
 
     /// Observe `value` into histogram `name`.
     pub fn observe(&self, name: &str, value: u64) {
-        self.with_values(|v| with_slot(&mut v.histograms, name, |h| h.observe(value)));
+        self.with_values(|v| v.observe(NameId::of(name), value));
     }
 
     /// Set histogram `name` to `hist` (absolute and idempotent, like
     /// [`Telemetry::set_counter`]); an empty `hist` still writes the name.
     pub fn set_histogram(&self, name: &str, hist: &Histogram) {
-        self.with_values(|v| with_slot(&mut v.histograms, name, |h| h.clone_from(hist)));
+        self.with_values(|v| v.set_histogram(NameId::of(name), hist));
     }
 
     /// Apply `f` to the value registry, when this handle records.
-    fn with_values(&self, f: impl FnOnce(&mut Registry)) {
+    fn with_values(&self, f: impl FnOnce(&mut Delta)) {
         if let Some(inner) = &self.inner {
             f(&mut inner.borrow_mut().values);
         }
     }
 
     /// Record a structured event at simulated time `t_ns`, retained in the
-    /// registry.
-    pub fn event(&self, t_ns: u64, kind: &'static str, fields: &[(&'static str, FieldValue)]) {
+    /// registry. An owned payload (an array or a `Vec`) moves into the
+    /// event's one shared allocation; a borrowed slice is cloned into it.
+    pub fn event(
+        &self,
+        t_ns: u64,
+        kind: &'static str,
+        fields: impl Into<Arc<[(&'static str, FieldValue)]>>,
+    ) {
         let Some(inner) = &self.inner else { return };
         inner.borrow_mut().values.events.push(Event {
             t_ns,
@@ -252,24 +275,28 @@ impl Telemetry {
     /// regardless of which worker produced each scope.
     pub fn absorb(&self, sub: &Telemetry) {
         if self.is_enabled() {
-            self.merge_registry(&sub.snapshot());
+            self.accumulate(sub.snapshot());
         }
     }
 
     /// Fold an already-snapshotted registry into this live handle
-    /// (deterministic sub-shard merging, e.g. the run service folding a
-    /// campaign's per-trial registries). Spans and events are re-sorted by
+    /// (deterministic sub-shard merging, e.g. folding a campaign's
+    /// per-trial registries). Spans and events are re-sorted by
     /// (sim-time, name) after the append, so the merged order never
     /// depends on absorb call order; trace records append in merge order
     /// (trial grouping is the point) without the live ring bound.
     pub fn merge_registry(&self, other: &Registry) {
-        let Some(inner) = &self.inner else { return };
-        let inner = &mut *inner.borrow_mut();
-        inner.values.merge_metrics(other);
-        if !other.trace.is_empty() {
-            if let Some(buf) = &inner.trace {
-                buf.borrow_mut().extend_unbounded(&other.trace);
-            }
+        if self.is_enabled() {
+            self.accumulate(other.clone());
+        }
+    }
+
+    /// [`Telemetry::merge_registry`] by move: the registry's values,
+    /// spans, events and trace records move in without a copy, and its
+    /// names are interned and dropped.
+    pub fn accumulate(&self, reg: Registry) {
+        if let Some(inner) = &self.inner {
+            inner.borrow_mut().accumulate(Delta::from(reg));
         }
     }
 
@@ -299,13 +326,24 @@ impl Telemetry {
 
     /// Hand the registry off as a value equal to [`Telemetry::snapshot`].
     /// When this is its last clone — the world that recorded into it has
-    /// been dropped — names and values move out instead of being copied;
-    /// otherwise this falls back to a snapshot.
+    /// been dropped — values move out instead of being copied; otherwise
+    /// this falls back to a snapshot.
     pub fn into_registry(self) -> Registry {
         match self.inner.map(Rc::try_unwrap) {
-            Some(Ok(inner)) => inner.into_inner().into_registry(),
+            Some(Ok(inner)) => inner.into_inner().into_delta().into_registry(),
             Some(Err(shared)) => shared.borrow().snapshot(),
             None => Registry::new(),
+        }
+    }
+
+    /// [`Telemetry::into_registry`] by id: the hand-off the run service's
+    /// workers make, with no name built. `into_delta().into_registry()`
+    /// equals [`Telemetry::snapshot`].
+    pub fn into_delta(self) -> Delta {
+        match self.inner.map(Rc::try_unwrap) {
+            Some(Ok(inner)) => inner.into_inner().into_delta(),
+            Some(Err(shared)) => Delta::from(shared.borrow().snapshot()),
+            None => Delta::new(),
         }
     }
 }
@@ -368,7 +406,7 @@ mod tests {
         tel.set_gauge("g", 7);
         tel.set_histogram("h2", &Histogram::new());
         tel.observe("h", 3);
-        tel.event(1, "e", &[("k", 1u64.into())]);
+        tel.event(1, "e", [("k", 1u64.into())]);
         tel.record_span("s", 0, 10);
         assert!(tel.snapshot().is_empty());
     }
@@ -408,7 +446,7 @@ mod tests {
     #[test]
     fn events_are_retained_in_the_registry() {
         let tel = Telemetry::enabled();
-        tel.event(1, "k", &[]);
+        tel.event(1, "k", []);
         let events = tel.snapshot().events;
         assert_eq!(events.len(), 1);
         assert_eq!((events[0].t_ns, events[0].kind), (1, "k"));
@@ -481,6 +519,58 @@ mod tests {
             Telemetry::with_trace(DEFAULT_TRACE_CAPACITY).trace_capacity(),
             Some(DEFAULT_TRACE_CAPACITY)
         );
+    }
+
+    /// Ids follow first sight, so they differ with the order, and the
+    /// thread, in which names were first interned. Two families of names
+    /// with the same leaves are recorded alike, in neither name order nor
+    /// id order: `ordf.*` interned here in name order, `ordr.*` interned
+    /// beforehand on another thread in reverse. Through the hand-off, the
+    /// merge by id and `finish`, their JSON, text and codec bytes must
+    /// differ only in the family's name, and the delta must encode as the
+    /// finished registry does.
+    #[test]
+    fn output_does_not_depend_on_which_thread_interned_a_name_first() {
+        const LEAVES: [&str; 6] = ["a", "a.b", "ab", "b", "c.x", "z"];
+        const RECORDED: [usize; 6] = [3, 0, 5, 1, 4, 2];
+        for leaf in LEAVES {
+            NameId::of(&format!("ordf.{leaf}"));
+        }
+        std::thread::spawn(|| {
+            for leaf in LEAVES.iter().rev() {
+                NameId::of(&format!("ordr.{leaf}"));
+            }
+        })
+        .join()
+        .expect("interning thread");
+        let outputs = |family: &str| {
+            let tel = Telemetry::enabled();
+            for i in RECORDED {
+                let leaf = LEAVES[i];
+                let name = format!("{family}.{leaf}");
+                tel.count(&name, i as u64 + 1);
+                tel.set_gauge(&name, -(i as i64));
+                tel.observe(&name, 10 * i as u64);
+            }
+            let delta = tel.into_delta();
+            let mut delta_bytes = Vec::new();
+            codec::put_delta(&mut delta_bytes, &delta);
+            let mut merger = StreamMerger::new();
+            merger.absorb_delta(0, delta);
+            let reg = merger.finish();
+            assert_eq!(delta_bytes, codec::encode_registry(&reg));
+            (reg.to_json(), reg.render_text(), delta_bytes)
+        };
+        let (json_f, text_f, mut bytes_f) = outputs("ordf");
+        let (json_r, text_r, bytes_r) = outputs("ordr");
+        assert_eq!(json_f.replace("ordf.", "ordr."), json_r);
+        assert_eq!(text_f.replace("ordf.", "ordr."), text_r);
+        for at in 0..bytes_f.len().saturating_sub(4) {
+            if &bytes_f[at..at + 5] == b"ordf." {
+                bytes_f[at + 3] = b'r';
+            }
+        }
+        assert_eq!(bytes_f, bytes_r);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The registry snapshot: an owned, mergeable, serializable view of every
 //! metric, span and event a [`crate::Telemetry`] handle recorded.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use crate::hist::Histogram;
@@ -24,7 +26,13 @@ pub struct Event {
 }
 
 /// An event field value (integers and strings only — deterministic output).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// [`FieldValue::Static`] and [`FieldValue::Addr`] carry a label and an
+/// address without a `String` of their own. Each renders exactly as the
+/// [`FieldValue::Str`] of its text, and compares equal to it, so which
+/// variant recorded a field changes no output byte and no equality; the
+/// codec writes all three as the text, and decodes them as `Str`.
+#[derive(Debug, Clone)]
 pub enum FieldValue {
     /// Unsigned integer.
     U64(u64),
@@ -32,7 +40,37 @@ pub enum FieldValue {
     I64(i64),
     /// String.
     Str(String),
+    /// A static string, e.g. an action kind's label.
+    Static(&'static str),
+    /// An IPv4 address, rendered dotted-quad.
+    Addr(Ipv4Addr),
 }
+
+impl FieldValue {
+    /// The value as text, when it is a string, a static string or an
+    /// address (an address renders into a fresh `String`).
+    fn text(&self) -> Option<Cow<'_, str>> {
+        match self {
+            FieldValue::U64(_) | FieldValue::I64(_) => None,
+            FieldValue::Str(s) => Some(Cow::Borrowed(s)),
+            FieldValue::Static(s) => Some(Cow::Borrowed(s)),
+            FieldValue::Addr(a) => Some(Cow::Owned(a.to_string())),
+        }
+    }
+}
+
+impl PartialEq for FieldValue {
+    fn eq(&self, other: &FieldValue) -> bool {
+        match (self, other) {
+            (FieldValue::U64(a), FieldValue::U64(b)) => a == b,
+            (FieldValue::I64(a), FieldValue::I64(b)) => a == b,
+            (FieldValue::Addr(a), FieldValue::Addr(b)) => a == b,
+            _ => matches!((self.text(), other.text()), (Some(a), Some(b)) if a == b),
+        }
+    }
+}
+
+impl Eq for FieldValue {}
 
 impl From<u64> for FieldValue {
     fn from(v: u64) -> Self {
@@ -118,13 +156,6 @@ impl Registry {
 
     /// Fold `other` into `self` (see type docs for per-kind semantics).
     pub fn merge(&mut self, other: &Registry) {
-        self.merge_metrics(other);
-        self.trace.extend(other.trace.iter().cloned());
-    }
-
-    /// [`Registry::merge`] without the trace records, which a live handle
-    /// keeps in its flight recorder's ring instead.
-    pub(crate) fn merge_metrics(&mut self, other: &Registry) {
         for (name, v) in &other.counters {
             with_slot(&mut self.counters, name, |c| *c = c.wrapping_add(*v));
         }
@@ -137,6 +168,7 @@ impl Registry {
         self.spans.extend(other.spans.iter().cloned());
         self.events.extend(other.events.iter().cloned());
         self.sort_records();
+        self.trace.extend(other.trace.iter().cloned());
     }
 
     /// The accumulator rule for an owned delta: exactly
@@ -154,11 +186,8 @@ impl Registry {
 
     /// Stable-sort spans by (start time, name) and events by (time, kind),
     /// the canonical order every merge leaves them in.
-    pub(crate) fn sort_records(&mut self) {
-        self.spans
-            .sort_by(|a, b| (a.start_ns, &a.name).cmp(&(b.start_ns, &b.name)));
-        self.events
-            .sort_by(|a, b| (a.t_ns, &a.kind).cmp(&(b.t_ns, &b.kind)));
+    fn sort_records(&mut self) {
+        sort_records(&mut self.spans, &mut self.events);
     }
 
     /// Whether nothing has been recorded.
@@ -336,6 +365,13 @@ impl Registry {
     }
 }
 
+/// Stable-sort spans by (start time, name) and events by (time, kind): the
+/// canonical order every merge leaves them in, whichever form holds them.
+pub(crate) fn sort_records(spans: &mut [SpanRecord], events: &mut [Event]) {
+    spans.sort_by(|a, b| (a.start_ns, &a.name).cmp(&(b.start_ns, &b.name)));
+    events.sort_by(|a, b| (a.t_ns, a.kind).cmp(&(b.t_ns, b.kind)));
+}
+
 /// Append `e` to `out` as a deterministic JSON object.
 fn push_event(out: &mut String, e: &Event) {
     out.push('{');
@@ -347,11 +383,7 @@ fn push_event(out: &mut String, e: &Event) {
     for (k, v) in e.fields.iter() {
         out.push(',');
         json::push_key(out, k);
-        match v {
-            FieldValue::U64(n) => json::push_num(out, n),
-            FieldValue::I64(n) => json::push_num(out, n),
-            FieldValue::Str(s) => json::push_str_value(out, s),
-        }
+        json::push_field_value(out, v);
     }
     out.push('}');
 }

@@ -17,11 +17,20 @@
 //! with the source index as tie-break (what repeated stable re-sorting
 //! produces), and trace records flatten in source-index order at
 //! [`StreamMerger::finish`].
+//!
+//! The merger works by id: counters, gauges and histograms fold into
+//! tables indexed by [`NameId`], deltas arrive by move
+//! ([`StreamMerger::absorb_delta`]), and names and the by-name order are
+//! resolved once, in [`StreamMerger::finish`]. [`StreamMerger::absorb`]
+//! takes a named [`Registry`] (a journal's replayed delta) and interns
+//! its names on the way in.
 
 use std::collections::BTreeMap;
 
+use crate::delta::Delta;
 use crate::hist::Histogram;
-use crate::registry::{with_slot, Event, Registry, SpanRecord};
+use crate::names::NameId;
+use crate::registry::{Event, Registry, SpanRecord};
 use crate::trace::TraceRecord;
 
 /// Absorbs per-source [`Registry`] deltas in any order and finishes into
@@ -31,13 +40,23 @@ use crate::trace::TraceRecord;
 /// Each source index must be absorbed at most once.
 #[derive(Debug, Default)]
 pub struct StreamMerger {
-    counters: BTreeMap<String, u64>,
-    /// Gauge name → (highest source index that wrote it, its value).
-    gauges: BTreeMap<String, (u64, i64)>,
-    histograms: BTreeMap<String, Histogram>,
+    /// Counter totals by name id (`None`: never written).
+    counters: Vec<Option<u64>>,
+    /// Gauges by name id: (highest source index that wrote it, its value).
+    gauges: Vec<Option<(u64, i64)>>,
+    /// Histograms by name id.
+    histograms: Vec<Option<Box<Histogram>>>,
     spans: Vec<(u64, SpanRecord)>,
     events: Vec<(u64, Event)>,
     trace: BTreeMap<u64, Vec<TraceRecord>>,
+}
+
+/// `table[id]`, growing the table to hold it.
+fn slot<T>(table: &mut Vec<Option<T>>, id: NameId) -> &mut Option<T> {
+    if table.len() <= id.index() {
+        table.resize_with(id.index() + 1, || None);
+    }
+    &mut table[id.index()]
 }
 
 impl StreamMerger {
@@ -46,23 +65,37 @@ impl StreamMerger {
         StreamMerger::default()
     }
 
+    fn count(&mut self, id: NameId, v: u64) {
+        let c = slot(&mut self.counters, id).get_or_insert(0);
+        *c = c.wrapping_add(v);
+    }
+
+    fn gauge(&mut self, src: u64, id: NameId, v: i64) {
+        let g = slot(&mut self.gauges, id);
+        if g.is_none_or(|(writer, _)| src >= writer) {
+            *g = Some((src, v));
+        }
+    }
+
+    fn histogram(&mut self, id: NameId, h: &Histogram) {
+        match slot(&mut self.histograms, id) {
+            Some(mine) => mine.merge(h),
+            fresh => *fresh = Some(Box::new(h.clone())),
+        }
+    }
+
     /// Fold the delta recorded by source `src` (a trial index) into the
     /// running merge. Call order does not matter; the result depends only
     /// on the set of `(src, delta)` pairs absorbed.
     pub fn absorb(&mut self, src: u64, delta: &Registry) {
-        for (name, v) in &delta.counters {
-            with_slot(&mut self.counters, name, |c| *c = c.wrapping_add(*v));
+        for (name, &v) in &delta.counters {
+            self.count(NameId::of(name), v);
         }
-        for (name, v) in &delta.gauges {
-            // A fresh slot is `(0, 0)`, which every source overwrites.
-            with_slot(&mut self.gauges, name, |slot| {
-                if src >= slot.0 {
-                    *slot = (src, *v);
-                }
-            });
+        for (name, &v) in &delta.gauges {
+            self.gauge(src, NameId::of(name), v);
         }
         for (name, h) in &delta.histograms {
-            with_slot(&mut self.histograms, name, |mine| mine.merge(h));
+            self.histogram(NameId::of(name), h);
         }
         self.spans
             .extend(delta.spans.iter().map(|s| (src, s.clone())));
@@ -76,22 +109,47 @@ impl StreamMerger {
         }
     }
 
-    /// Resolve the order-sensitive pieces and return the merged registry —
-    /// byte-identical (via `to_json`/`trace_jsonl`) to folding the same
-    /// deltas into an empty [`Registry`] in ascending source order.
+    /// [`StreamMerger::absorb`] for an id-keyed delta, by move: no name is
+    /// looked up, and spans, events and trace records move in.
+    pub fn absorb_delta(&mut self, src: u64, delta: Delta) {
+        for &(id, v) in &delta.counters {
+            self.count(id, v);
+        }
+        for &(id, v) in &delta.gauges {
+            self.gauge(src, id, v);
+        }
+        for (id, h) in &delta.histograms {
+            self.histogram(*id, h);
+        }
+        self.spans.extend(delta.spans.into_iter().map(|s| (src, s)));
+        self.events
+            .extend(delta.events.into_iter().map(|e| (src, e)));
+        if !delta.trace.is_empty() {
+            self.trace.entry(src).or_default().extend(delta.trace);
+        }
+    }
+
+    /// Resolve names and the order-sensitive pieces and return the merged
+    /// registry — byte-identical (via `to_json`/`trace_jsonl`) to folding
+    /// the same deltas into an empty [`Registry`] in ascending source
+    /// order.
     pub fn finish(self) -> Registry {
+        fn named<T, V>(table: Vec<Option<T>>, value: impl Fn(T) -> V) -> BTreeMap<String, V> {
+            let names = crate::names::all();
+            table
+                .into_iter()
+                .zip(names)
+                .filter_map(|(v, name)| Some((name.to_owned(), value(v?))))
+                .collect()
+        }
         let mut spans = self.spans;
         spans.sort_by(|(sa, a), (sb, b)| (a.start_ns, &a.name, sa).cmp(&(b.start_ns, &b.name, sb)));
         let mut events = self.events;
-        events.sort_by(|(sa, a), (sb, b)| (a.t_ns, &a.kind, sa).cmp(&(b.t_ns, &b.kind, sb)));
+        events.sort_by(|(sa, a), (sb, b)| (a.t_ns, a.kind, sa).cmp(&(b.t_ns, b.kind, sb)));
         Registry {
-            counters: self.counters,
-            gauges: self
-                .gauges
-                .into_iter()
-                .map(|(name, (_, v))| (name, v))
-                .collect(),
-            histograms: self.histograms,
+            counters: named(self.counters, |v| v),
+            gauges: named(self.gauges, |(_, v)| v),
+            histograms: named(self.histograms, |h| *h),
             spans: spans.into_iter().map(|(_, s)| s).collect(),
             events: events.into_iter().map(|(_, e)| e).collect(),
             trace: self.trace.into_values().flatten().collect(),

@@ -92,11 +92,8 @@ impl TraceRecord {
             pairs.push(("flow", json_str(&flow.render())));
         }
         for (k, v) in &self.fields {
-            let rendered = match v {
-                FieldValue::U64(n) => n.to_string(),
-                FieldValue::I64(n) => n.to_string(),
-                FieldValue::Str(s) => json_str(s),
-            };
+            let mut rendered = String::new();
+            json::push_field_value(&mut rendered, v);
             pairs.push((k, rendered));
         }
         pairs.sort_by(|a, b| a.0.cmp(b.0));
@@ -127,6 +124,8 @@ impl TraceRecord {
                 FieldValue::U64(n) => out.push_str(&format!(" {k}={n}")),
                 FieldValue::I64(n) => out.push_str(&format!(" {k}={n}")),
                 FieldValue::Str(s) => out.push_str(&format!(" {k}={s}")),
+                FieldValue::Static(s) => out.push_str(&format!(" {k}={s}")),
+                FieldValue::Addr(a) => out.push_str(&format!(" {k}={a}")),
             }
         }
         out
@@ -137,10 +136,12 @@ impl TraceRecord {
         self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
-    /// A string field by key (None when absent or non-string).
+    /// A string field by key (None when absent, non-string or an
+    /// address).
     pub fn field_str(&self, key: &str) -> Option<&str> {
         match self.field(key) {
             Some(FieldValue::Str(s)) => Some(s),
+            Some(FieldValue::Static(s)) => Some(s),
             _ => None,
         }
     }
@@ -190,8 +191,8 @@ impl TraceBuf {
 
     /// Append merged records without the ring bound (the bound disciplines
     /// live per-trial recording; post-hoc archive merges keep everything).
-    pub fn extend_unbounded<'a>(&mut self, records: impl IntoIterator<Item = &'a TraceRecord>) {
-        self.records.extend(records.into_iter().cloned());
+    pub fn extend_unbounded(&mut self, records: impl IntoIterator<Item = TraceRecord>) {
+        self.records.extend(records);
     }
 
     /// The ring capacity.

@@ -1,14 +1,16 @@
-//! Property tests for the histogram and the registry codec, driven by the
-//! in-tree seeded property harness `netsim::testprop` (a dev-only
-//! dependency — the library itself is dependency-free).
+//! Property tests for the histogram, the registry codec, the id-keyed
+//! delta and the JSON writer, driven by the in-tree seeded property
+//! harness `netsim::testprop` (a dev-only dependency — the library itself
+//! is dependency-free).
 
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use underradar_netsim::testprop;
-use underradar_telemetry::codec::{decode_registry, encode_registry};
+use underradar_telemetry::codec::{decode_registry, encode_registry, put_delta};
 use underradar_telemetry::{
-    Event, FieldValue, Histogram, Registry, SpanRecord, StreamMerger, Telemetry, TraceRecord,
-    BUCKET_COUNT,
+    json, Delta, Event, FieldValue, Histogram, Registry, SpanRecord, StreamMerger, Telemetry,
+    TraceRecord, BUCKET_COUNT,
 };
 
 fn arbitrary_value(g: &mut testprop::Gen) -> u64 {
@@ -108,6 +110,7 @@ fn count_is_conserved_under_sharded_merge() {
 fn arbitrary_registry(g: &mut testprop::Gen) -> Registry {
     const KINDS: [&str; 3] = ["censor.tap.action", "censor.inline.action", "verdict"];
     const KEYS: [&str; 3] = ["kind", "client", "n"];
+    const LABELS: [&str; 3] = ["ip_drop", "keyword_rst", ""];
     let mut r = Registry::new();
     for _ in 0..g.usize_in(0, 4) {
         let v = if g.bool() {
@@ -135,9 +138,11 @@ fn arbitrary_registry(g: &mut testprop::Gen) -> Registry {
     for _ in 0..g.usize_in(0, 4) {
         let fields: Vec<(&'static str, FieldValue)> = (0..g.usize_in(0, 3))
             .map(|_| {
-                let v = match g.usize_in(0, 3) {
+                let v = match g.usize_in(0, 5) {
                     0 => FieldValue::U64(g.u64()),
                     1 => FieldValue::I64(g.u64() as i64),
+                    2 => FieldValue::Static(LABELS[g.usize_in(0, LABELS.len())]),
+                    3 => FieldValue::Addr(Ipv4Addr::from(g.u32())),
                     _ => FieldValue::Str(g.printable(0, 12)),
                 };
                 (*g.choose(&KEYS), v)
@@ -290,4 +295,142 @@ fn merges_wrap_instead_of_panicking() {
     tel.merge_registry(&copy);
     tel.merge_registry(&copy);
     assert_eq!(tel.snapshot().counter("c"), u64::MAX - 1);
+}
+
+/// An id-keyed delta is its registry in another form: it converts back
+/// equal, encodes to the same bytes, folds as [`Registry::merge`] does,
+/// and merges in a [`StreamMerger`] as the registry does.
+#[test]
+fn id_keyed_deltas_equal_their_registries() {
+    testprop::cases(300, 0x1e1e_0007, |g| {
+        let reg = arbitrary_registry(g);
+        let delta = Delta::from(reg.clone());
+        assert_eq!(delta.to_registry(), reg);
+        let mut bytes = Vec::new();
+        put_delta(&mut bytes, &delta);
+        assert_eq!(bytes, encode_registry(&reg), "a delta encodes with names");
+
+        // Recorded through a live scope in reverse name order, the delta
+        // still encodes in name order.
+        let tel = Telemetry::enabled();
+        for (name, &v) in reg.counters.iter().rev() {
+            tel.set_counter(name, v);
+        }
+        for (name, &v) in reg.gauges.iter().rev() {
+            tel.set_gauge(name, v);
+        }
+        for (name, h) in reg.histograms.iter().rev() {
+            tel.set_histogram(name, h);
+        }
+        let metrics = Registry {
+            counters: reg.counters.clone(),
+            gauges: reg.gauges.clone(),
+            histograms: reg.histograms.clone(),
+            ..Registry::new()
+        };
+        let mut bytes = Vec::new();
+        put_delta(&mut bytes, &tel.into_delta());
+        assert_eq!(bytes, encode_registry(&metrics));
+
+        // Half of `reg`'s names recur in `other`, so folds and merges meet
+        // names both sides wrote.
+        let mut other = arbitrary_registry(g);
+        for name in reg.counters.keys() {
+            if g.bool() {
+                other.counters.insert(name.clone(), g.u64());
+            }
+        }
+        for name in reg.gauges.keys() {
+            if g.bool() {
+                other.gauges.insert(name.clone(), g.u64() as i64);
+            }
+        }
+        for name in reg.histograms.keys() {
+            if g.bool() {
+                other.histograms.insert(name.clone(), arbitrary_hist(g, 6));
+            }
+        }
+        let mut by_name = reg.clone();
+        by_name.merge(&other);
+        let mut by_id = delta.clone();
+        by_id.accumulate(Delta::from(other.clone()));
+        assert_eq!(by_id.into_registry(), by_name);
+
+        let mut named = StreamMerger::new();
+        named.absorb(3, &reg);
+        named.absorb(1, &other);
+        let mut interned = StreamMerger::new();
+        interned.absorb_delta(1, Delta::from(other.clone()));
+        interned.absorb_delta(3, delta);
+        let (named, interned) = (named.finish(), interned.finish());
+        assert_eq!(interned, named);
+        assert_eq!(interned.to_json(), named.to_json());
+        assert_eq!(encode_registry(&interned), encode_registry(&named));
+    });
+}
+
+mod oracle {
+    /// The escaper `json::escape_into` replaced, one char at a time.
+    pub fn escape(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+}
+
+#[test]
+fn json_escape_matches_the_char_at_a_time_oracle() {
+    const PIECES: [&str; 12] = [
+        "\"", "\\", "a", "Z", " ", "~", "é", "中", "🦀", "\u{7f}", "\u{2028}", "ab\"cd\\",
+    ];
+    for c in (0..0x20u8)
+        .map(char::from)
+        .chain(['"', '\\', '\u{7f}', 'é'])
+    {
+        let s = c.to_string();
+        assert_eq!(json::escape(&s), oracle::escape(&s), "{c:?}");
+    }
+    assert_eq!(json::escape(""), "");
+    testprop::cases(3_000, 0x1e1e_0008, |g| {
+        let mut s = String::new();
+        for _ in 0..g.usize_in(0, 24) {
+            if g.bool() {
+                s.push(char::from(g.u8_in(0, 0x20)));
+            } else {
+                s.push_str(PIECES[g.usize_in(0, PIECES.len())]);
+            }
+        }
+        assert_eq!(json::escape(&s), oracle::escape(&s), "{s:?}");
+        let mut quoted = String::from("x");
+        json::push_str_value(&mut quoted, &s);
+        assert_eq!(quoted, format!("x\"{}\"", oracle::escape(&s)));
+    });
+}
+
+#[test]
+fn push_num_matches_the_formatter() {
+    testprop::cases(3_000, 0x1e1e_0009, |g| {
+        let (u, i) = (
+            g.u64() >> g.u8_in(0, 64),
+            (g.u64() >> g.u8_in(0, 64)) as i64,
+        );
+        let i = if g.bool() { i.wrapping_neg() } else { i };
+        let mut out = String::new();
+        json::push_num(&mut out, u);
+        out.push(',');
+        json::push_num(&mut out, i);
+        assert_eq!(out, format!("{u},{i}"));
+    });
 }

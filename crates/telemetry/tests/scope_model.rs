@@ -123,7 +123,7 @@ fn step(g: &mut Gen, tel: &Telemetry, model: &mut Model) {
             let t_ns = u64::from(g.u8());
             let kind = *g.choose(&KINDS);
             let fields = [("n", FieldValue::U64(small(g)))];
-            tel.event(t_ns, kind, &fields);
+            tel.event(t_ns, kind, fields.clone());
             model.events.push(Event {
                 t_ns,
                 kind,

@@ -195,7 +195,7 @@ if [ "$status" != 1 ]; then
   echo "campaign into a closed pipe exited $status, not 1" >&2
   exit 1
 fi
-grep -q '^campaign run failed: ' "$tmpdir/closed_pipe.err"
+grep -q '^campaign run failed: row sink I/O error: ' "$tmpdir/closed_pipe.err"
 
 echo "==> safety-audit smoke (--audit: double run, 1-vs-4-shard and service-vs-batch identity)"
 # The exposure ledger rides the merged telemetry registry, so the audit
@@ -235,6 +235,29 @@ if grep -qE 'service: 0 executed|service: [0-9]+ executed, 0 restored' "$tmpdir/
   echo "crash-resume smoke did not exercise a mid-run kill (adjust n or the sleep)" >&2
   exit 1
 fi
+
+echo "==> telemetry crash-resume smoke (--json: SIGKILL mid-run, resume, byte identity)"
+# The same kill with telemetry on: the resumed run's merged registry
+# mixes deltas decoded from the journal (names) with deltas its workers
+# hand over (interned ids), and its --json envelope must still be the
+# uninterrupted run's exact bytes.
+./target/release/underradar campaign --json --service --synthetic "$n" --shards 4 \
+  > "$tmpdir/json_clean.json" 2>/dev/null
+./target/release/underradar campaign --json --service --synthetic "$n" --shards 4 \
+  --checkpoint "$tmpdir/json_ckpt.journal" > /dev/null 2>&1 &
+victim=$!
+sleep 1
+kill -9 "$victim" 2>/dev/null || true
+wait "$victim" 2>/dev/null || true
+./target/release/underradar campaign --json --service --synthetic "$n" --shards 4 \
+  --checkpoint "$tmpdir/json_ckpt.journal" > "$tmpdir/json_resumed.json" 2> "$tmpdir/json_resumed.err"
+cmp "$tmpdir/json_clean.json" "$tmpdir/json_resumed.json"
+grep -E 'service: [0-9]+ executed, [0-9]+ restored' "$tmpdir/json_resumed.err"
+if grep -qE 'service: 0 executed|service: [0-9]+ executed, 0 restored' "$tmpdir/json_resumed.err"; then
+  echo "telemetry crash-resume smoke did not exercise a mid-run kill (adjust n or the sleep)" >&2
+  exit 1
+fi
+rm -f "$tmpdir/json_ckpt.journal"
 
 echo "==> progress smoke (--progress: snapshots stream on stderr, stdout untouched)"
 # Interval snapshots go to stderr only; stdout must be byte-identical to

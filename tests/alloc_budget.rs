@@ -13,6 +13,11 @@
 //!   the run service) must average at most 100 allocations per trial. Its
 //!   trials are the cheapest, so the world build that the run service's
 //!   pooled worlds skip was most of their allocations.
+//! * The paper matrix with telemetry on (every trial exports its monitors
+//!   and its exposure ledger, and the run service merges the deltas) must
+//!   average at most 540 allocations per trial. It runs first, so the
+//!   process-wide name pool starts empty and every name's one allocation
+//!   lands in its count.
 //! * The matrix's DDoS trials, its costliest (80 HTTP request samples
 //!   each), must average at most 2,000. They are counted one by one
 //!   through the engine, after a first pass over the matrix has compiled
@@ -68,6 +73,7 @@ fn service_allocs_per_trial(spec: &CampaignSpec, tel: &Telemetry) -> f64 {
 #[test]
 fn paper_matrix_and_ddos_trials_stay_within_their_allocation_budgets() {
     let spec = paper_campaign(1);
+    let per_telemetry = service_allocs_per_trial(&spec, &Telemetry::enabled());
     let tel = Telemetry::disabled();
 
     let mut stealthy = paper_campaign(8);
@@ -101,8 +107,8 @@ fn paper_matrix_and_ddos_trials_stay_within_their_allocation_budgets() {
         .collect();
     let per_ddos = ddos.iter().sum::<u64>() as f64 / ddos.len() as f64;
     println!(
-        "paper matrix: {per_trial:.0} allocs/trial over {} trials; \
-         stealthy matrix: {per_stealthy:.0} allocs/trial over {} trials; \
+        "paper matrix: {per_trial:.0} allocs/trial over {} trials \
+         ({per_telemetry:.0} with telemetry on); stealthy matrix: {per_stealthy:.0} allocs/trial over {} trials; \
          DDoS: {per_ddos:.0} allocs/trial over {} trials {ddos:?}",
         trials.len(),
         stealthy.trial_count(),
@@ -112,6 +118,11 @@ fn paper_matrix_and_ddos_trials_stay_within_their_allocation_budgets() {
     assert!(
         per_trial <= 470.0,
         "a paper-matrix trial must average at most 470 allocations (got {per_trial:.0})"
+    );
+    assert!(
+        per_telemetry <= 540.0,
+        "a paper-matrix trial with telemetry on must average at most 540 allocations \
+         (got {per_telemetry:.0})"
     );
     assert!(
         per_stealthy <= 100.0,
